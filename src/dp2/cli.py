@@ -17,13 +17,14 @@ from fractions import Fraction
 import sympy
 
 from .cohomology import (
+    h1_of_subgroup,
     h1_presentation,
     h1_standard,
     h1_via_resolution,
     pic_module,
 )
 from .galois0 import IDENTITY, enumerate_subgroups_onto_Q, fingerprint, \
-    fixed_sublattice
+    fixed_sublattice, is_abelian
 from .kummer import galois_group, table2_match
 from .local.cubic import cubic_pipeline
 from .local.examples import (
@@ -63,11 +64,6 @@ class Inconclusive(Exception):
 
 # --- cohomology backends --------------------------------------------------
 
-def _is_abelian(s) -> bool:
-    return all(a * b == b * a
-               for a, b in itertools.combinations(s.elements, 2))
-
-
 def _abelian_generators(s):
     """Elements realizing a direct-product decomposition: the product of
     their orders equals |s| and together they generate s."""
@@ -104,7 +100,7 @@ def resolution_h1(s):
     mod = pic_module(s)
     if s.order == 1:
         return h1_via_resolution("cyclic", mod, gens=(IDENTITY,))
-    if _is_abelian(s):
+    if is_abelian(s.elements):
         gens = _abelian_generators(s)
         if gens is not None:
             kind = {1: "cyclic", 2: "bicyclic", 3: "tricyclic"}[len(gens)]
@@ -185,7 +181,7 @@ def scan_theorem() -> dict:
     subs = enumerate_subgroups_onto_Q()
     attained = set()
     for s in subs:
-        t = h1_presentation(pic_module(s)).group
+        t = h1_of_subgroup(s)
         if tuple(t.divisors) not in THEOREM_GROUPS or t.rank:
             raise InvariantViolation(
                 f"H^1 = {t.render()} for generators {s.generators}")

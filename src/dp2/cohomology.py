@@ -68,12 +68,6 @@ class GModule:
     def act(self, g, v) -> Vec:
         return _mat_vec(self.matrices[g], v)
 
-    def inv(self, g):
-        prev, cur = self.identity, g
-        while cur != self.identity:
-            prev, cur = cur, self.mul(cur, g)
-        return prev
-
     def order_of(self, g) -> int:
         n, cur = 1, g
         while cur != self.identity:
@@ -242,39 +236,78 @@ def _smallest_prime(n: int) -> int:
     return p
 
 
-def polycyclic_chain(mod: GModule):
+def _members(mask: int) -> list[int]:
+    """Indices of the set bits of a subgroup mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _apply_perm(mask: int, perm) -> int:
+    """The image of a mask under an index permutation; with a row of the
+    product table, the left coset x.mask."""
+    out = 0
+    for i in _members(mask):
+        out |= 1 << perm[i]
+    return out
+
+
+def _closure_mask(mul, gens, e: int) -> int:
+    """Mask of the subgroup generated by the indices `gens`, for the
+    product table `mul` with identity e."""
+    out, frontier = 1 << e, [e]
+    while frontier:
+        row = mul[frontier.pop()]
+        for g in gens:
+            nxt = row[g]
+            if not out >> nxt & 1:
+                out |= 1 << nxt
+                frontier.append(nxt)
+    return out
+
+
+def polycyclic_chain(mul, inv, e: int):
     """Subnormal chain with prime cyclic quotients, plus the generator
-    descending into each step.  Returns (gens, chain) with chain[i] the
-    element set after removing gens[:i]."""
-    current = set(mod.elements)
+    descending into each step, for the group with product table `mul`,
+    inverses `inv` and identity e.  Returns (gens, chain) with chain[i]
+    the mask of the subgroup left after removing gens[:i]."""
+    current = (1 << len(mul)) - 1
     gens, chain = [], [current]
-    while len(current) > 1:
-        p = _smallest_prime(len(current))
+    while current != 1 << e:
+        p = _smallest_prime(current.bit_count())
+        cur_list = _members(current)
         pw_comm = set()
-        cur_list = sorted(current, key=str)
         for g in cur_list:
             pw = g
             for _ in range(p - 1):
-                pw = mod.mul(pw, g)
+                pw = mul[pw][g]
             pw_comm.add(pw)
         for g in cur_list:
-            gi = _pow(mod, g, mod.order_of(g) - 1)
+            gi_row = mul[inv[g]]
+            g_row = mul[g]
             for h in cur_list:
-                hi = _pow(mod, h, mod.order_of(h) - 1)
-                pw_comm.add(mod.mul(mod.mul(gi, hi), mod.mul(g, h)))
-        frat = _closure_in(mod, pw_comm)
+                pw_comm.add(mul[gi_row[inv[h]]][g_row[h]])
+        frat = _closure_mask(mul, pw_comm, e)
         # current/frat is elementary abelian; pick a descending generator
         # y outside frat and a maximal subgroup avoiding it (a hyperplane
-        # preimage), found greedily
-        y = next(g for g in cur_list if g not in frat)
+        # preimage), found greedily.  Every sub between frat and current
+        # contains the commutators, so it is normal, and it contains g^p:
+        # hence <sub, g> is the union of the cosets g^k.sub, k < p.
+        y = next(g for g in cur_list if not frat >> g & 1)
         sub = frat
         for g in cur_list:
-            if g in sub:
+            if sub >> g & 1:
                 continue
-            cand = _closure_in(mod, sub | {g})
-            if y not in cand:
+            cand = coset = sub
+            for _ in range(p - 1):
+                coset = _apply_perm(coset, mul[g])
+                cand |= coset
+            if not cand >> y & 1:
                 sub = cand
-        if len(sub) * p != len(current):
+        if sub.bit_count() * p != current.bit_count():
             raise AssertionError("polycyclic chain step failed")
         gens.append(y)
         current = sub
@@ -289,13 +322,13 @@ def _pow(mod: GModule, g, n: int):
     return out
 
 
-def _normal_form(mod: GModule, gens, chain, orders, x) -> list[int]:
+def _normal_form(mul, inv, gens, chain, orders, x: int) -> list[int]:
     exps = []
     for i, y in enumerate(gens):
         e = 0
-        while x not in chain[i + 1]:
-            yi = _pow(mod, y, mod.order_of(y) - 1)
-            x = mod.mul(yi, x)
+        yi_row = mul[inv[y]]
+        while not chain[i + 1] >> x & 1:
+            x = yi_row[x]
             e += 1
             if e > orders[i]:
                 raise AssertionError("normal form failed")
@@ -305,16 +338,26 @@ def _normal_form(mod: GModule, gens, chain, orders, x) -> list[int]:
 
 def h1_presentation(mod: GModule) -> CohomologyResult:
     """Cocycles determined by their values on a polycyclic generating
-    sequence, constrained by the power and conjugation relators."""
+    sequence, constrained by the power and conjugation relators.
+
+    The group work runs on a local index table: the elements, in str
+    order, are numbered 0..n-1, `mod.mul` fills the n x n product table
+    once, and the subgroups of the polycyclic chain are bitmasks."""
     d = mod.dim
     if len(mod.elements) == 1:
         return CohomologyResult(group=AbelianGroupType((), 0),
                                 representatives=(), backend="presentation",
                                 _subq=subquotient_structure(
                                     [(0,) * max(d, 1)], [], ambient_dim=max(d, 1)))
-    gens, chain = polycyclic_chain(mod)
+    els = sorted(mod.elements, key=str)
+    idx = {g: i for i, g in enumerate(els)}
+    mul = [[idx[mod.mul(a, b)] for b in els] for a in els]
+    ident = idx[mod.identity]
+    inv = [row.index(ident) for row in mul]
+    gens, chain = polycyclic_chain(mul, inv, ident)
     k = len(gens)
-    orders = [len(chain[i]) // len(chain[i + 1]) for i in range(k)]
+    orders = [chain[i].bit_count() // chain[i + 1].bit_count()
+              for i in range(k)]
 
     def word_of(exps) -> list:
         w = []
@@ -324,21 +367,22 @@ def h1_presentation(mod: GModule) -> CohomologyResult:
 
     relations = []  # pairs of positive words (lhs, rhs)
     for i, y in enumerate(gens):
-        tail = _normal_form(mod, gens, chain, orders, _pow(mod, y, orders[i]))
+        pw = y
+        for _ in range(orders[i] - 1):
+            pw = mul[pw][y]
+        tail = _normal_form(mul, inv, gens, chain, orders, pw)
         relations.append(([y] * orders[i], word_of(tail)))
     for i in range(k):
         for j in range(i + 1, k):
             yi, yj = gens[i], gens[j]
-            yii = _pow(mod, yi, mod.order_of(yi) - 1)
-            conj = mod.mul(mod.mul(yii, yj), yi)
-            tail = _normal_form(mod, gens, chain, orders, conj)
+            conj = mul[mul[inv[yi]][yj]][yi]
+            tail = _normal_form(mul, inv, gens, chain, orders, conj)
             relations.append(([yj, yi], [yi] + word_of(tail)))
     # verify the presentation data reproduces every element
-    for x in mod.elements:
-        exps = _normal_form(mod, gens, chain, orders, x)
-        acc = mod.identity
-        for y in word_of(exps):
-            acc = mod.mul(acc, y)
+    for x in range(len(els)):
+        acc = ident
+        for y in word_of(_normal_form(mul, inv, gens, chain, orders, x)):
+            acc = mul[acc][y]
         if acc != x:
             raise AssertionError("presentation failed relation verification")
 
@@ -347,15 +391,15 @@ def h1_presentation(mod: GModule) -> CohomologyResult:
     for lhs, rhs in relations:
         block = [[0] * (k * d) for _ in range(d)]
         for word, sign in ((lhs, 1), (rhs, -1)):
-            prefix = mod.identity
+            prefix = ident
             for y in word:
-                m = mod.mat(prefix)
+                m = mod.mat(els[prefix])
                 col0 = gidx[y] * d
                 for i in range(d):
                     for j in range(d):
                         if m[i][j]:
                             block[i][col0 + j] += sign * m[i][j]
-                prefix = mod.mul(prefix, y)
+                prefix = mul[prefix][y]
         rows.extend(block)
     z1 = ColumnEchelon(rows).kernel()
     b1 = []
@@ -363,7 +407,7 @@ def h1_presentation(mod: GModule) -> CohomologyResult:
         e = tuple(1 if t == j else 0 for t in range(d))
         col = []
         for y in gens:
-            col.extend(_vec_sub(mod.act(y, e), e))
+            col.extend(_vec_sub(mod.act(els[y], e), e))
         b1.append(tuple(col))
     res = subquotient_structure(list(z1), b1, ambient_dim=k * d)
     reps = tuple(tuple(rep[t * d:(t + 1) * d] for t in range(k))
@@ -372,40 +416,23 @@ def h1_presentation(mod: GModule) -> CohomologyResult:
                             backend="presentation", _subq=res)
 
 
-def presentation_cocycle_to_full(mod: GModule, gen_values: dict) -> dict:
-    """Extend generator values to the whole group via c(xy) = x.c(y)+c(x)."""
-    c = {mod.identity: (0,) * mod.dim}
-    frontier = [mod.identity]
-    while frontier:
-        x = frontier.pop()
-        for y, val in gen_values.items():
-            xy = mod.mul(x, y)
-            if xy not in c:
-                c[xy] = _vec_add(mod.act(x, val), c[x])
-                frontier.append(xy)
-    if len(c) != len(mod.elements):
-        raise AssertionError("generator values do not generate the group")
-    return c
+_H1_BY_MASK: dict[int, AbelianGroupType] = {}
 
 
 def h1_of_subgroup(s) -> AbelianGroupType:
-    """Convenience entry: H^1 of a Galois subgroup acting on Pic."""
-    return h1_presentation(pic_module(s)).group
+    """H^1 of a Galois subgroup acting on Pic, computed once per element
+    set (the module's generators do not enter the presentation backend)."""
+    key = s.mask()
+    t = _H1_BY_MASK.get(key)
+    if t is None:
+        t = _H1_BY_MASK[key] = h1_presentation(pic_module(s)).group
+    return t
 
 
 # --- efficient resolutions ----------------------------------------------
 
 def _delta(mod: GModule, g, v: Vec) -> Vec:
     return _vec_sub(v, mod.act(g, v))
-
-
-def _norm(mod: GModule, g, v: Vec) -> Vec:
-    out = v
-    cur = g
-    while cur != mod.identity:
-        out = _vec_add(out, mod.act(cur, v))
-        cur = mod.mul(cur, g)
-    return out
 
 
 def _delta_rows(mod: GModule, g) -> Mat:

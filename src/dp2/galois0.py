@@ -6,6 +6,17 @@ the sign on sqrt(A), and e_k, e_m in Z/4 the powers of i applied to the
 fourth roots of B/A and C/A.  Composition twists the (e_k, e_m) part by
 chi mod 4.  The five named generators act on the 56 exceptional curves by
 an explicit table; everything else is derived from that.
+
+The subgroup machinery runs on integers.  An element has the index
+32 * (chi // 2) + 16 * e_s + 4 * e_k + e_m, its position in the sorted
+ALL_ELEMENTS (the identity is 0), and a subgroup is the 128-bit mask with
+bit i set for each element index i it contains.  `_tables()` builds the
+product table by arithmetic on the coordinates (row g is the left
+multiplication x -> g x), the conjugation permutations x -> g x g^-1 from
+it, and the six S3 relabelings as index permutations.  A map moves a mask
+by permuting its bits; that helper and the mask closure are shared with the
+presentation backend in `cohomology`.  GroupElement and Subgroup remain the
+public face.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cohomology import _apply_perm, _closure_mask, h1_of_subgroup
 from .intlin import ColumnEchelon, IntMatrix
 from .picard import (
     ANTICANONICAL,
@@ -176,10 +188,7 @@ class Subgroup:
         return len(self.elements)
 
     def mask(self) -> int:
-        m = 0
-        for g in self.elements:
-            m |= 1 << _INDEX[g]
-        return m
+        return sum(1 << _INDEX[g] for g in self.elements)
 
     def __contains__(self, g: GroupElement) -> bool:
         return g in set(self.elements)
@@ -247,67 +256,61 @@ def verify_s3_automorphisms() -> None:
 
 # --- subgroup enumeration ------------------------------------------------
 
-_MUL = None
-_CONJ_PERMS = None
-_S3_PERMS = None
+# the four cosets of H in G0 (one per value of chi), as masks
+_CHI_COSETS = tuple(((1 << 32) - 1) << (32 * c) for c in range(4))
 
 
+@lru_cache(maxsize=1)
 def _tables():
-    global _MUL, _CONJ_PERMS, _S3_PERMS
-    if _MUL is None:
-        n = len(ALL_ELEMENTS)
-        _MUL = [[_INDEX[ALL_ELEMENTS[i] * ALL_ELEMENTS[j]] for j in range(n)]
-                for i in range(n)]
-        _CONJ_PERMS = []
-        for g in ALL_ELEMENTS:
-            gi = g.inverse()
-            _CONJ_PERMS.append(tuple(_INDEX[g * x * gi] for x in ALL_ELEMENTS))
-        _S3_PERMS = [tuple(_INDEX[phi(x)] for x in ALL_ELEMENTS)
-                     for phi in S3_MAPS.values()]
-    return _MUL, _CONJ_PERMS, _S3_PERMS
+    """Product table, conjugation permutations (x -> g x g^-1, one per g)
+    and the six S3 relabelings, all on element indices."""
+    coords = [(g.chi, g.e_s, g.e_k, g.e_m) for g in ALL_ELEMENTS]
+    mul = [[c1 * c2 % 8 // 2 * 32 + (s1 + s2) % 2 * 16
+            + (k1 + c1 % 4 * k2) % 4 * 4 + (m1 + c1 % 4 * m2) % 4
+            for c2, s2, k2, m2 in coords]
+           for c1, s1, k1, m1 in coords]
+    inv = [row.index(0) for row in mul]
+    conj = [tuple(mul[mul[g][x]][inv[g]] for x in range(128))
+            for g in range(128)]
+    s3 = [tuple(_INDEX[phi(x)] for x in ALL_ELEMENTS)
+          for phi in S3_MAPS.values()]
+    return mul, conj, s3
 
 
-def _apply_perm(mask: int, perm) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+_ORBITS: dict[tuple[int, bool], frozenset[int]] = {}
+
+
+def _orbit(mask: int, with_s3: bool = False) -> frozenset[int]:
+    """Images of the subgroup mask under G0-conjugation, and under the S3
+    relabelings too when with_s3; memoised for every member."""
+    orbit = _ORBITS.get((mask, with_s3))
+    if orbit is None:
+        _, conj, s3 = _tables()
+        perms = [conj[_INDEX[g]] for g in GENERATORS.values()]
+        if with_s3:
+            perms += s3[1:3]  # ab and bc: transpositions generating S3
+        found, frontier = {mask}, [mask]
+        while frontier:
+            cur = frontier.pop()
+            for p in perms:
+                img = _apply_perm(cur, p)
+                if img not in found:
+                    found.add(img)
+                    frontier.append(img)
+        orbit = frozenset(found)
+        _ORBITS.update(((m, with_s3), orbit) for m in orbit)
+    return orbit
 
 
 def _canon_conj(mask: int) -> int:
-    _, conj, _ = _tables()
-    return min(_apply_perm(mask, p) for p in conj)
+    """Least G0-conjugate of the subgroup mask."""
+    return min(_orbit(mask))
 
 
 def _canon_conj_s3(mask: int) -> int:
-    _, conj, s3 = _tables()
-    best = None
-    for sp in s3:
-        m2 = _apply_perm(mask, sp)
-        for p in conj:
-            c = _apply_perm(m2, p)
-            if best is None or c < best:
-                best = c
-    return best
-
-
-def _mask_closure(mask: int, new_idx: int) -> int:
-    mul, _, _ = _tables()
-    elems = [i for i in range(128) if mask >> i & 1]
-    frontier = [new_idx]
-    out = mask | 1 << new_idx
-    gens = elems + [new_idx]
-    while frontier:
-        cur = frontier.pop()
-        row = mul[cur]
-        for g in gens:
-            nxt = row[g]
-            if not out >> nxt & 1:
-                out |= 1 << nxt
-                frontier.append(nxt)
-    return out
+    """Least image of the subgroup mask under conjugation and the S3
+    relabelings."""
+    return min(_orbit(mask, with_s3=True))
 
 
 def _subgroup_from_mask(mask: int) -> Subgroup:
@@ -317,15 +320,16 @@ def _subgroup_from_mask(mask: int) -> Subgroup:
 
 
 def _minimal_generators(elems) -> tuple[GroupElement, ...]:
-    chosen: list[GroupElement] = []
-    have = {IDENTITY}
+    chosen: list[int] = []
+    have = 1
     for g in sorted(elems, key=lambda e: (-e.order(), e)):
-        if g not in have:
-            chosen.append(g)
-            have = _closure(chosen)
-            if len(have) == len(elems):
+        i = _INDEX[g]
+        if not have >> i & 1:
+            chosen.append(i)
+            have = _closure_mask(_tables()[0], chosen, 0)
+            if have.bit_count() == len(elems):
                 break
-    return tuple(chosen)
+    return tuple(ALL_ELEMENTS[i] for i in chosen)
 
 
 @lru_cache(maxsize=1)
@@ -336,26 +340,23 @@ def all_subgroup_classes() -> tuple[int, ...]:
     index-2 (hence normal) subgroup together with one extra element, so a
     layered extension of conjugacy-class representatives is exhaustive.
     """
-    _, conj, _ = _tables()
+    mul, conj, _ = _tables()
     layer = {1 << _INDEX[IDENTITY]}
     seen = set(layer)
-    canon_memo: dict[int, int] = {}
     while layer:
         nxt = set()
         for mask in layer:
+            done = mask  # elements whose extension has been taken
             for i in range(128):
-                if mask >> i & 1:
+                if done >> i & 1 or not mask >> mul[i][i] & 1 \
+                        or _apply_perm(mask, conj[i]) != mask:
                     continue
-                sq = _MUL[i][i]
-                if not mask >> sq & 1:
-                    continue
-                if _apply_perm(mask, conj[i]) != mask:
-                    continue
-                new = _mask_closure(mask, i)
-                canon = canon_memo.get(new)
-                if canon is None:
-                    canon = _canon_conj(new)
-                    canon_memo[new] = canon
+                # i normalises mask and i^2 lies in it, so <mask, i> is
+                # the union of mask and its coset i.mask; every element of
+                # that coset gives the same extension
+                new = mask | _apply_perm(mask, mul[i])
+                done |= new
+                canon = _canon_conj(new)
                 if canon not in seen:
                     seen.add(canon)
                     nxt.add(canon)
@@ -369,8 +370,7 @@ def enumerate_subgroups_onto_Q() -> tuple[Subgroup, ...]:
     relabeling of the (A, B, C) roles, in deterministic order."""
     out = {}
     for mask in all_subgroup_classes():
-        s = _subgroup_from_mask(mask)
-        if not s.onto_q:
+        if not all(mask & coset for coset in _CHI_COSETS):
             continue
         canon = _canon_conj_s3(mask)
         if canon not in out:
@@ -410,29 +410,21 @@ def _abelian_type_from_orders(orders) -> tuple[int, ...]:
 
 def abelianization(s: Subgroup) -> tuple[int, ...]:
     """Invariant factors (ascending) of s / [s, s]."""
-    elems = set(s.elements)
-    comms = {IDENTITY}
-    for g in s.elements:
-        gi = g.inverse()
-        for h in s.elements:
-            comms.add(gi * h.inverse() * g * h)
-    derived = _closure(comms)
-    # cosets of the derived subgroup
-    reps = {}
-    for g in s.elements:
-        key = frozenset(g * d for d in derived)
-        reps.setdefault(key, g)
-    # order of a coset in the quotient
-    coset_of = {}
-    for key, g in reps.items():
-        for x in key:
-            coset_of[x] = key
-    id_key = coset_of[IDENTITY]
+    mul, _, _ = _tables()
+    idx = [_INDEX[g] for g in s.elements]
+    inv = {g: mul[g].index(0) for g in idx}
+    derived = _closure_mask(mul, {mul[mul[inv[g]][inv[h]]][mul[g][h]]
+                                  for g in idx for h in idx}, 0)
+    # the order of each coset g[s, s] in the quotient
     orders = []
-    for key, g in reps.items():
+    done = 0
+    for g in idx:
+        if done >> g & 1:
+            continue
+        done |= _apply_perm(derived, mul[g])
         o, cur = 1, g
-        while coset_of[cur] != id_key:
-            cur = cur * g
+        while not derived >> cur & 1:
+            cur = mul[cur][g]
             o += 1
         orders.append(o)
     return _abelian_type_from_orders(orders)
@@ -451,9 +443,13 @@ def fixed_sublattice(s: Subgroup):
     return ech.kernel()
 
 
+@lru_cache(maxsize=None)
+def _curve_perm(g: GroupElement) -> dict:
+    return {lab: act_on_curve(g, lab) for lab in _LABELS}
+
+
 def curve_orbit_lengths(s: Subgroup) -> tuple[int, ...]:
-    perms = [{lab: act_on_curve(g, lab) for lab in _LABELS}
-             for g in s.generators] or [{lab: lab for lab in _LABELS}]
+    perms = [_curve_perm(g) for g in s.generators] or [_curve_perm(IDENTITY)]
     remaining = set(_LABELS)
     lengths = []
     while remaining:
@@ -486,31 +482,30 @@ def fingerprint(s: Subgroup, include_h1: bool = True) -> tuple:
         traces,
     )
     if include_h1:
-        from .cohomology import h1_of_subgroup
         fp = fp + (h1_of_subgroup(s).divisors,)
     return fp
 
 
 def is_abelian(elems) -> bool:
-    elems = list(elems)
-    return all(g * h == h * g for g in elems for h in elems)
+    mul = _tables()[0]
+    idx = [_INDEX[g] for g in elems]
+    return all(mul[g][h] == mul[h][g] for g in idx for h in idx)
 
 
 def _complement_search(s: Subgroup, n_set: set) -> Subgroup | None:
     need = s.order // len(n_set)
     if need == 1:
         return generate_subgroup([])
-    cands = list(s.elements)
+    cands = [_INDEX[g] for g in s.elements]
+    n_mask = sum(1 << _INDEX[g] for g in n_set)
     for i, t1 in enumerate(cands):
         for t2 in cands[i:]:
-            t = _closure([t1, t2])
-            if len(t) != need:
+            t = _closure_mask(_tables()[0], [t1, t2], 0)
+            if t.bit_count() != need or (t & n_mask).bit_count() != 1:
                 continue
-            if sum(1 for x in t if x in n_set) != 1:
-                continue
-            if not is_abelian(t):
-                continue
-            return generate_subgroup(_minimal_generators(tuple(sorted(t))))
+            elems = tuple(ALL_ELEMENTS[j] for j in range(128) if t >> j & 1)
+            if is_abelian(elems):
+                return generate_subgroup(_minimal_generators(elems))
     return None
 
 

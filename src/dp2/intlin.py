@@ -65,12 +65,6 @@ class IntMatrix:
                 for j in range(other.cols)] for i in range(self.rows)]
         return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
 
-    def transpose(self) -> "IntMatrix":
-        r = self.to_rows()
-        return IntMatrix.from_rows([[r[i][j] for i in range(self.rows)]
-                                    for j in range(self.cols)]) if self.rows and self.cols \
-            else IntMatrix(self.cols, self.rows, ())
-
 
 @dataclass(frozen=True)
 class AbelianGroupType:
@@ -106,9 +100,6 @@ class AbelianGroupType:
         return " + ".join(parts) if parts else "(1)"
 
 
-TRIVIAL_GROUP = AbelianGroupType(())
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     S: IntMatrix
@@ -119,13 +110,6 @@ class SmithDecomposition:
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _matmul_rows(a, b):
-    if not a or not b:
-        return [[] for _ in a]
-    n = len(b[0])
-    return [[sum(ai[k] * b[k][j] for k in range(len(b))) for j in range(n)] for ai in a]
 
 
 def smith_normal_form(m) -> SmithDecomposition:

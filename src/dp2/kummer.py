@@ -30,6 +30,7 @@ from .galois0 import (
     _closure,
     _minimal_generators,
     _onto_q,
+    _orbit,
 )
 
 _FACTOR_CAP = 10 ** 18
@@ -239,16 +240,8 @@ def row_subgroup(row: Table2Row) -> Subgroup:
 
 def contained_up_to_symmetry(s: Subgroup, big: Subgroup) -> bool:
     """Is s contained in big up to G0-conjugacy and the S3 relabeling?"""
-    from .galois0 import _apply_perm, _tables
-    _, conj, s3 = _tables()
-    big_mask = big.mask()
-    base = s.mask()
-    for sp in s3:
-        m2 = _apply_perm(base, sp)
-        for p in conj:
-            if _apply_perm(m2, p) & ~big_mask == 0:
-                return True
-    return False
+    outside = ~big.mask()
+    return any(not m & outside for m in _orbit(s.mask(), with_s3=True))
 
 
 def table2_match(A: int, B: int, C: int) -> int | None:

@@ -306,3 +306,41 @@ def test_five_term_consistency_sampled():
         for dv in direct.divisors:
             order *= dv
         assert res.h1_g_order == order, (s.generators, direct, res)
+
+
+def test_backend_agreement_every_onto_q_class():
+    # presentation against the short resolution wherever one applies, and
+    # against the standard complex on the small classes
+    from dp2.cli import resolution_h1
+    from dp2.galois0 import enumerate_subgroups_onto_Q
+    resolved = standard = 0
+    for s in enumerate_subgroups_onto_Q():
+        pres = h1_of_subgroup(s)
+        res = resolution_h1(s)
+        if res is not None:
+            assert res.group == pres, (s.generators, res.backend)
+            resolved += 1
+        if s.order <= 8:
+            assert h1_standard(pic_module(s)).group == pres, s.generators
+            standard += 1
+    assert (resolved, standard) == (83, 83)
+
+
+def test_scan_computes_h1_once_per_class(monkeypatch):
+    import dp2.cli as cli
+    import dp2.cohomology as cohomology
+    from dp2.galois0 import enumerate_subgroups_onto_Q
+
+    calls = []
+    original = cohomology.h1_presentation
+
+    def counting(mod):
+        calls.append(len(mod.elements))
+        return original(mod)
+
+    # the per-class cache starts empty; both module bindings count
+    monkeypatch.setattr(cohomology, "_H1_BY_MASK", {}, raising=False)
+    monkeypatch.setattr(cohomology, "h1_presentation", counting)
+    monkeypatch.setattr(cli, "h1_presentation", counting)
+    cli.scan_theorem()
+    assert len(calls) == len(enumerate_subgroups_onto_Q()) == 243

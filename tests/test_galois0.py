@@ -227,3 +227,36 @@ def test_fingerprint_includes_h1():
     pytest.importorskip("dp2.cohomology")
     fp = fingerprint(G0, include_h1=True)
     assert fp[-1] == (2,)
+
+
+def test_index_tables_match_group_elements():
+    from dp2.galois0 import _INDEX, _tables
+    mul, conj, s3 = _tables()
+    for a in ALL_ELEMENTS:
+        ia = _INDEX[a]
+        ai = a.inverse()
+        for b in ALL_ELEMENTS:
+            assert mul[ia][_INDEX[b]] == _INDEX[a * b]
+            assert conj[ia][_INDEX[b]] == _INDEX[a * b * ai]
+    for perm, phi in zip(s3, S3_MAPS.values()):
+        assert perm == tuple(_INDEX[phi(x)] for x in ALL_ELEMENTS)
+
+
+def test_orbit_canonical_forms_match_bruteforce(monkeypatch):
+    # reference oracle: the least image over every conjugation (and, for
+    # the S3 form, every relabeling followed by a conjugation)
+    import dp2.galois0 as g0
+    monkeypatch.setattr(g0, "_ORBITS", {})
+    _, conj, s3 = g0._tables()
+    rng = random.Random(7)
+    for mask in g0.all_subgroup_classes():
+        brute = min(g0._apply_perm(mask, p) for p in conj)
+        moved = g0._apply_perm(mask, rng.choice(conj))
+        assert g0._canon_conj(moved) == brute == g0._canon_conj(mask)
+    for s in enumerate_subgroups_onto_Q():
+        mask = s.mask()
+        images = [g0._apply_perm(g0._apply_perm(mask, sp), p)
+                  for sp in s3 for p in conj]
+        moved = rng.choice(images)
+        assert g0._canon_conj_s3(moved) == min(images) \
+            == g0._canon_conj_s3(mask)
