@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -39,7 +38,6 @@ from .local.examples import (
     obstruct_ex73,
     obstruct_ex74,
     obstruct_ex75,
-    obstruct_ex75_two_torsion,
 )
 from .local.hilbert import hilbert_symbol, relevant_places
 from .local.padic import CapacityError
@@ -213,19 +211,25 @@ def _family_prime(A: int, B: int, C: int):
 
 
 def obstruct_surface(A: int, B: int, C: int, samples: int = 200000,
-                     bound: int = 12):
-    """(verdict, transcript) by the recipe matching the coefficients."""
+                     bound: int = 12, depth=None):
+    """(verdict, transcript) by the recipe matching the coefficients.
+    depth, when given, caps the 2-adic enumeration depth; the order-4
+    recipe on (-9826, -2, 136) ignores it (its check is fixed at 2^10)."""
     if (A, B, C) == (-25, -5, 45):
-        return obstruct_ex71(samples=samples), build_ex71().transcript
+        return (obstruct_ex71(samples=samples, depth=depth),
+                build_ex71().transcript)
     p = _family_prime(A, B, C)
     if p is not None:
-        return obstruct_ex72(p, samples=samples), build_ex72(p).transcript
+        return (obstruct_ex72(p, samples=samples, depth=depth),
+                build_ex72(p).transcript)
     if (A, B, C) == (34, 34, 34):
-        return obstruct_ex74(samples=samples), build_ex74().transcript
+        return (obstruct_ex74(samples=samples, depth=depth),
+                build_ex74().transcript)
     if (A, B, C) == (-9826, -2, 136):
         return obstruct_ex75(), build_ex75().transcript
     if is_generic_triple(A, B, C):
-        return (obstruct_ex73(A, B, C, bound=bound, samples=samples),
+        return (obstruct_ex73(A, B, C, bound=bound, samples=samples,
+                              depth=depth),
                 build_ex73(A, B, C, bound=bound).transcript)
     raise ValueError(
         f"recipe not implemented for coefficients ({A}, {B}, {C}): "
@@ -297,7 +301,7 @@ def _run_scan(args, out) -> int:
 
 def _run_obstruct(args, out) -> int:
     v, transcript = obstruct_surface(args.A, args.B, args.C,
-                                     bound=args.bound)
+                                     bound=args.bound, depth=args.depth)
     report = {
         "surface": {"A": args.A, "B": args.B, "C": args.C},
         "verdict": verdict_report(v),
@@ -385,10 +389,6 @@ def _add_common(sub, coeffs="ABC"):
         sub.add_argument(f"-{name}", type=int, required=True)
     sub.add_argument("--json", action="store_true",
                      help="machine-readable output")
-    sub.add_argument("--threads", type=int,
-                     default=int(os.environ.get("DP2_THREADS", "1")),
-                     help="worker threads (analysis is deterministic "
-                          "regardless)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classification scan over all subgroup "
                              "classes")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("DP2_THREADS", "1")))
     p.set_defaults(run=_run_scan)
 
     p = subs.add_parser("obstruct", help="local invariant verdict")
     _add_common(p)
     p.add_argument("--depth", type=int, default=None,
-                   help="2-adic depth-cap override")
+                   help="2-adic depth-cap override; not applied to "
+                        "(-9826, -2, 136), whose 2-adic check is fixed "
+                        "at 2^10")
     p.add_argument("--bound", type=int, default=12,
                    help="conic point search bound")
     p.set_defaults(run=_run_obstruct)
@@ -432,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-run the exact identity and lemma "
                              "transcripts")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(run=_run_verify)
 
     p = subs.add_parser("cubic",
@@ -453,10 +452,6 @@ def main(argv=None, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
-    if getattr(args, "depth", None) is not None:
-        from .local import padic
-        padic.DEPTH_CAP = dict(padic.DEPTH_CAP)
-        padic.DEPTH_CAP[2] = args.depth
     try:
         return args.run(args, out)
     except ValueError as exc:

@@ -66,12 +66,13 @@ def build_ex71() -> ExampleClass:
                         transcript=transcript)
 
 
-def obstruct_ex71(samples=200000) -> Verdict:
+def obstruct_ex71(samples=200000, depth=None) -> Verdict:
     ex = build_ex71()
     A, B, C = ex.surface
     profiles = [real_profile(ex.classes, A, B, C, samples=samples)]
     for p in (2, 3, 5):
-        profiles.append(invariant_profile(ex.classes, A, B, C, p))
+        profiles.append(invariant_profile(
+            ex.classes, A, B, C, p, k_cap=depth if p == 2 else None))
     return verdict(profiles)
 
 
@@ -265,7 +266,7 @@ def square_d_profile(d, A, B, C, p, n_classes=1, k=3) -> LocalProfile:
 
 
 def obstruct_ex73(A: int, B: int, C: int, point=None, bound=12,
-                  samples=200000) -> Verdict:
+                  samples=200000, depth=None) -> Verdict:
     from .padic import _is_padic_square
 
     ex = build_ex73(A, B, C, point=point, bound=bound)
@@ -276,7 +277,8 @@ def obstruct_ex73(A: int, B: int, C: int, point=None, bound=12,
         if p != 2 and _is_padic_square(d, p):
             profiles.append(square_d_profile(d, A, B, C, p))
         else:
-            profiles.append(invariant_profile(ex.classes, A, B, C, p))
+            profiles.append(invariant_profile(
+                ex.classes, A, B, C, p, k_cap=depth if p == 2 else None))
     return verdict(profiles)
 
 
@@ -506,7 +508,7 @@ def ex74_real_check(samples=200000, seed=0):
     return checked
 
 
-def obstruct_ex74(samples=200000) -> Verdict:
+def obstruct_ex74(samples=200000, depth=None) -> Verdict:
     """The (34, 34, 34) verdict for the three independent classes
     q1, q2, q3 (the identities in the transcript give q_{i+3} = q_i on
     the surface, so the partners are merged in the 2-adic enumeration):
@@ -525,16 +527,16 @@ def obstruct_ex74(samples=200000) -> Verdict:
     p_real = LocalProfile(place="R", modulus=None,
                           invariants=frozenset({(ZERO,) * 3, (HALF,) * 3}),
                           undetermined=0, method="sampling")
-    p2 = invariant_profile(ex.classes, 34, 34, 34, 2,
+    p2 = invariant_profile(ex.classes, 34, 34, 34, 2, k_cap=depth,
                            merge=((0, 3), (1, 4), (2, 5)))
     return verdict([p_real, p2, p17])
 
 
-def obstruct_ex72(p: int, samples=200000) -> Verdict:
+def obstruct_ex72(p: int, samples=200000, depth=None) -> Verdict:
     ex = build_ex72(p)
     A, B, C = ex.surface
     profiles = [real_profile(ex.classes, A, B, C, samples=samples),
-                invariant_profile(ex.classes, A, B, C, 2),
+                invariant_profile(ex.classes, A, B, C, 2, k_cap=depth),
                 ex72_profile_at_p(p)]
     return verdict(profiles)
 

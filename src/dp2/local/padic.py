@@ -6,7 +6,12 @@ time); a class is kept only while the surface congruence can still
 hold, certified liftable by the multivariate Hensel criterion (depth
 >= 2t+1 where t is the minimal valuation in the gradient), and
 deepened automatically until every quaternion invariant is determined
-or a depth cap is reached."""
+or a depth cap is reached.
+
+Modulo a power of two, residues are reduced with a bit mask and 2-adic
+valuations are counted from the lowest set bit in one pass.  The cells
+at a fixed depth come from one chart enumerator that yields a unit
+chart at a time, so a consumer never holds all three charts at once."""
 
 from __future__ import annotations
 
@@ -109,20 +114,36 @@ def _gradient_terms(A, B, C):
 
 
 def _eval_vec(terms, coords, m):
-    """Vectorized polynomial evaluation mod m; coords already mod m."""
+    """Vectorized polynomial evaluation mod m; coords already mod m.  A
+    power-of-two m reduces with the mask m - 1, which on int64 gives
+    the same non-negative residue as %, negative values included."""
     w, x, y, z = coords
     acc = np.zeros(w.shape, dtype=np.int64)
     for c, ew, ex, ey, ez in terms:
         t = np.full(w.shape, c % m, dtype=np.int64)
         for base, e in ((w, ew), (x, ex), (y, ey), (z, ez)):
             for _ in range(e):
-                t = t * base % m
-        acc = (acc + t) % m
+                t *= base
+                _reduce(t, m)
+        acc += t
+        _reduce(acc, m)
     return acc
 
 
+def _reduce(vals, m):
+    if m & (m - 1):
+        np.remainder(vals, m, out=vals)
+    else:
+        np.bitwise_and(vals, m - 1, out=vals)
+
+
 def _vec_val(vals, p, cap):
-    """Componentwise v_p, truncated at cap (the precision of vals)."""
+    """Componentwise v_p, truncated at cap (the precision of vals).  At
+    p = 2 it is the number of trailing zero bits, counted in one pass
+    as the popcount of (lowest set bit) - 1."""
+    if p == 2:
+        out = np.bitwise_count((vals & -vals) - 1).astype(np.int64)
+        return np.where(vals == 0, cap, np.minimum(out, cap))
     out = np.zeros(vals.shape, dtype=np.int64)
     v = vals.copy()
     for _ in range(cap):
@@ -181,18 +202,14 @@ def _min_gradient_val(grads, coords, p, j):
     return np.minimum.reduce(vals)
 
 
-def padic_point_classes(A, B, C, p, k, budget=2 ** 27):
-    """All residue classes mod p^k, with some coordinate among x, y, z
-    normalized to 1, on which the surface congruence holds; each is
-    tagged liftable when the Hensel criterion (k >= 2t+1 for t the
-    minimal gradient valuation) certifies a p-adic point within
-    distance p^(t-k) of the representative.  Every actual point lies
-    in a liftable class, but for t > 0 a liftable class need not
-    itself contain a point; coordinates are guaranteed only to the
-    effective precision p^(k-t)."""
+def _chart_cells(A, B, C, p, k, budget):
+    """Per unit chart x, y, z in turn: (unit, coords, t) for the
+    residue classes mod p^k, with that coordinate normalized to 1, on
+    which the surface congruence holds, and t the per-class minimal
+    gradient valuation.  Only one chart's cells are held at a time; the
+    cells expanded over all charts count against budget."""
     f = _surface_terms(A, B, C)
     grads = _gradient_terms(A, B, C)
-    out = []
     spent = 0
     for unit in ("x", "y", "z"):
         cells = _initial_cells(p)
@@ -206,9 +223,22 @@ def padic_point_classes(A, B, C, p, k, budget=2 ** 27):
                 keep = _eval_vec(f, _coords(unit, *cells), p) == 0
                 cells = tuple(c[keep] for c in cells)
         coords = _coords(unit, *cells)
-        t = _min_gradient_val(grads, coords, p, k)
+        yield unit, coords, _min_gradient_val(grads, coords, p, k)
+
+
+def padic_point_classes(A, B, C, p, k, budget=2 ** 27):
+    """All residue classes mod p^k, with some coordinate among x, y, z
+    normalized to 1, on which the surface congruence holds; each is
+    tagged liftable when the Hensel criterion (k >= 2t+1 for t the
+    minimal gradient valuation) certifies a p-adic point within
+    distance p^(t-k) of the representative.  Every actual point lies
+    in a liftable class, but for t > 0 a liftable class need not
+    itself contain a point; coordinates are guaranteed only to the
+    effective precision p^(k-t)."""
+    out = []
+    for unit, coords, t in _chart_cells(A, B, C, p, k, budget):
         liftable = k >= 2 * t + 1
-        for i in range(len(cells[0])):
+        for i in range(len(coords[0])):
             out.append(PointClass(int(coords[0][i]), int(coords[1][i]),
                                   int(coords[2][i]), int(coords[3][i]),
                                   p=p, k=k, unit_coordinate=unit,

@@ -5,17 +5,20 @@ The obstruction class here has order 4 and is presented by a cocycle
 local triviality at 2 reduces to a residue-table membership plus a
 norm-image computation in the truncated ring Z[i][T]/(T^4 - 17), and
 its nontriviality at 17 reduces to quartic residues, because the norm
-group of Q_17(17^(1/4))/Q_17 is generated by 17 and fourth powers."""
+group of Q_17(17^(1/4))/Q_17 is generated by 17 and fourth powers.
+
+The membership check runs over all liftable classes mod 2^10, streamed
+one unit chart at a time from the shared chart enumerator in padic;
+all of its moduli are powers of two, so reductions are bit masks."""
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 import numpy as np
 import sympy
 
-from .padic import padic_point_classes
+from .padic import _chart_cells, _vec_val, padic_point_classes
 from .profiles import LocalProfile
 
 SURFACE75 = (-9826, -2, 136)
@@ -92,20 +95,12 @@ def norm_gh(c):
     return ring_mul(c, ring_gh(c))
 
 
-def _val2(n: int) -> int:
-    v = 0
-    while n and n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
-
-
 def conjugate_ratio_mod32(re: int, im: int):
     """The class of xi / conj(xi) mod 32 for xi = re + im*i, computed
     exactly (the ratio is a unit; powers of 2 and of (1+i) cancel)."""
     if re == 0 and im == 0:
         return None
-    shift = min(_val2(re) if re else 64, _val2(im) if im else 64)
+    shift = min((n & -n).bit_length() - 1 for n in (re, im) if n)
     re, im = re >> shift, im >> shift
     if (re * re + im * im) % 2 == 0:
         # xi = (1+i) * eta and xi/conj(xi) = i * eta/conj(eta)
@@ -172,100 +167,76 @@ def norm_image_check():
 
 # --- 2-adic residue-table membership -------------------------------------
 
-def _vec_val2(vals, cap):
-    out = np.zeros(vals.shape, dtype=np.int64)
-    v = vals.copy()
-    for _ in range(cap):
-        todo = (v % 2 == 0) & (out < cap)
-        if not todo.any():
-            break
-        v = np.where(todo, v // 2, v)
-        out = out + todo
-    return np.where(vals == 0, cap, out)
-
-
-@functools.lru_cache(maxsize=1)
-def _liftable_cells_2adic(depth: int):
-    """Coordinate arrays (w, x, y, z) of all liftable 2-adic residue
-    classes mod 2^depth, cached because the enumeration dominates."""
-    from .padic import (
-        _coords,
-        _eval_vec,
-        _expand_filtered,
-        _gradient_terms,
-        _initial_cells,
-        _min_gradient_val,
-        _surface_terms,
-    )
-
-    A, B, C = SURFACE75
-    f = _surface_terms(A, B, C)
-    grads = _gradient_terms(A, B, C)
-    parts = []
-    for unit in ("x", "y", "z"):
-        cells = _initial_cells(2)
-        for j in range(1, depth + 1):
-            if j > 1:
-                cells = _expand_filtered(cells, unit, 2, j, f, 2 ** 28)
-            else:
-                keep = _eval_vec(f, _coords(unit, *cells), 2) == 0
-                cells = tuple(c[keep] for c in cells)
-        coords = _coords(unit, *cells)
-        t = _min_gradient_val(grads, coords, 2, depth)
-        liftable = depth >= 2 * t + 1
-        parts.append(tuple(c[liftable] for c in coords))
-    return tuple(np.concatenate([part[i] for part in parts])
-                 for i in range(4))
-
-
 def mod32_membership(depth=10, table=None):
     """At every liftable 2-adic residue class of the surface, at least
     one of the two cocycle functions has a determined unit value, and
-    that value mod 32 lies in the residue table.  Returns
-    (all_covered, attained values, class count)."""
+    that value mod 32 lies in the residue table.  The classes are
+    streamed one unit chart at a time.  Returns (all_covered, attained
+    values, class count)."""
     if table is None:
         table = RESIDUE_TABLE_MOD32
+    in_table = np.zeros(32 * 32, dtype=bool)
+    for a, b in table:
+        in_table[32 * a + b] = True
+    covered = True
+    seen = np.zeros(32 * 32, dtype=bool)
+    count = 0
+    for _, coords, t in _chart_cells(*SURFACE75, 2, depth, 2 ** 27):
+        chart_covered, chart_seen, chart_count = _chart_membership(
+            coords, t, depth, in_table)
+        covered &= chart_covered
+        seen |= chart_seen
+        count += chart_count
+    attained = frozenset((int(c) >> 5, int(c) & 31)
+                         for c in np.flatnonzero(seen))
+    return covered, attained, count
+
+
+def _chart_membership(coords, t, depth, in_table):
+    """mod32_membership on the classes of one unit chart: (all covered,
+    seen values as a 1024-entry mask of 32 re + im, class count).  All
+    moduli are powers of two, so every reduction is a mask.  Its arrays
+    are freed on return, before the next chart is enumerated."""
     prec = 2 ** (depth - 1)  # component precision; w/2 costs one bit
+    mask = prec - 1
     cap = depth - 1
-    w, x, y, z = _liftable_cells_2adic(depth)
+    w, x, y, z = (c[depth >= 2 * t + 1] for c in coords)
     if len(w) == 0:
         raise AssertionError("no liftable 2-adic classes found")
-    if not ((w % 4 == 2).all() and (x % 2 == 1).all()
-            and (y % 2 == 1).all() and (z % 2 == 1).all()):
+    if not ((w & 3 == 2).all() and (x & 1).all() and (y & 1).all()
+            and (z & 1).all()):
         raise AssertionError("unexpected 2-adic parities")
-    hw = w // 2
+    hw, xz, yy = w >> 1, 17 * x * z, y * y
     components = (
         # f1 = (17(1+i)xz + iy^2 - w/2) / (17(-1+i)xz + iy^2 + w/2)
-        ((17 * x * z - hw) % prec, (17 * x * z + y * y) % prec,
-         (-17 * x * z + hw) % prec, (17 * x * z + y * y) % prec),
+        ((xz - hw) & mask, (xz + yy) & mask,
+         (hw - xz) & mask, (xz + yy) & mask),
         # f2 = (17(1-i)xz + iy^2 + w/2) / (17(1+i)xz - iy^2 + w/2)
-        ((17 * x * z + hw) % prec, (-17 * x * z + y * y) % prec,
-         (17 * x * z + hw) % prec, (17 * x * z - y * y) % prec),
+        ((xz + hw) & mask, (yy - xz) & mask,
+         (xz + hw) & mask, (xz - yy) & mask),
     )
     inv_odd = np.zeros(32, dtype=np.int64)
     for odd in range(1, 32, 2):
         inv_odd[odd] = pow(odd, -1, 32)
-    table_codes = np.array([32 * a + b for a, b in table], dtype=np.int64)
-    covered = np.zeros(len(w), dtype=bool)
-    attained = set()
+    hit = np.zeros(len(w), dtype=bool)
+    seen = np.zeros(32 * 32, dtype=bool)
     for nr, ni, dr, di in components:
-        norm_d = (dr * dr + di * di) % (2 * prec)
-        norm_n = (nr * nr + ni * ni) % (2 * prec)
-        sd = _vec_val2(norm_d, cap)
-        sn = _vec_val2(norm_n, cap)
-        prod_r = (nr * dr + ni * di) % prec
-        prod_i = (ni * dr - nr * di) % prec
+        norm_d = (dr * dr + di * di) & (2 * prec - 1)
+        norm_n = (nr * nr + ni * ni) & (2 * prec - 1)
+        sd = _vec_val(norm_d, 2, cap)
+        sn = _vec_val(norm_n, 2, cap)
+        prod_r = (nr * dr + ni * di) & mask
+        prod_i = (ni * dr - nr * di) & mask
         # value = n conj(d)/2^s * (|d|^2/2^s)^-1 needs 2^s * 32 <= prec
         determined = (sn == sd) & (sd <= cap - 6)
         shift = np.where(determined, sd, 0)
-        inv = inv_odd[(norm_d >> shift) % 32]
-        res = (prod_r >> shift) * inv % 32
-        ims = (prod_i >> shift) * inv % 32
-        codes = 32 * res + ims
-        covered |= determined & np.isin(codes, table_codes)
-        uniq = np.unique(codes[determined])
-        attained |= {(int(c) // 32, int(c) % 32) for c in uniq}
-    return bool(covered.all()), frozenset(attained), len(w)
+        inv = inv_odd[(norm_d >> shift) & 31]
+        res = (prod_r >> shift) * inv & 31
+        ims = (prod_i >> shift) * inv & 31
+        codes = res << 5 | ims
+        hit |= determined & in_table[codes]
+        seen[codes[determined]] = True
+    return bool(hit.all()), seen, len(w)
 
 
 # --- 17-adic quartic residues --------------------------------------------

@@ -88,6 +88,28 @@ def test_obstruct_family_instance():
     assert by_place["R"]["method"] == "sampling"
 
 
+def test_obstruct_depth_does_not_leak_into_later_calls():
+    from dp2.local import padic
+
+    caps = dict(padic.DEPTH_CAP)
+    argv = ["obstruct", "-A", "-6", "-B", "-3", "-C", "2", "--json"]
+    code, out, _ = run(argv + ["--depth", "2"])
+    assert code == 4
+    assert json.loads(out)["verdict"]["conclusion"] == "inconclusive"
+    d = run_json(argv)
+    assert d["verdict"]["conclusion"] == "obstructed"
+    assert padic.DEPTH_CAP == caps
+
+
+def test_no_subcommand_has_threads_option():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions
+                if a.dest == "command").choices
+    assert subs
+    for name, sub in subs.items():
+        assert all(a.dest != "threads" for a in sub._actions), name
+
+
 def test_obstruct_unimplemented_recipe_exit_2():
     code, _, err = run(["obstruct", "-A", "2", "-B", "3", "-C", "5"])
     assert code == 2

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -10,7 +11,11 @@ from dp2.local.padic import (
     X,
     Y,
     Z,
+    _eval_vec,
+    _gradient_terms,
     _is_padic_square,
+    _surface_terms,
+    _vec_val,
     compile_poly,
     eval_terms,
     invariant_profile,
@@ -125,3 +130,43 @@ def test_point_class_modulus():
     cells = padic_point_classes(1, 1, 1, 3, 2)
     assert cells[0].modulus == 9
     assert {c.unit_coordinate for c in cells} == {"x", "y", "z"}
+
+
+def _val(v, p, cap):
+    if v == 0:
+        return cap
+    k = 0
+    while v % p == 0:
+        v //= p
+        k += 1
+    return min(k, cap)
+
+
+@pytest.mark.parametrize("p, cap", [(2, 1), (2, 5), (2, 9), (2, 12),
+                                    (2, 14), (17, 1), (17, 3)])
+def test_vec_val_matches_python_valuation(p, cap):
+    n = 2 ** 12 if p == 2 else 17 ** 3
+    vals = np.arange(n, dtype=np.int64)
+    got = _vec_val(vals, p, cap)
+    assert got.dtype == np.int64
+    assert got.tolist() == [_val(v, p, cap) for v in range(n)]
+
+
+def test_eval_vec_matches_eval_terms():
+    # the (-9826, -2, 136) surface and gradient terms carry negative
+    # coefficients; the numerator is that of the 2-torsion class there
+    A, B, C = -9826, -2, 136
+    num = QuaternionClass(Fraction(-2), (136 * X ** 2 + Y ** 2
+                                         + 18 * Z ** 2) / X ** 2)
+    polys = [_surface_terms(A, B, C), *_gradient_terms(A, B, C),
+             num.numerator_terms()]
+    assert any(c < 0 for terms in polys for c, *_ in terms)
+    rng = np.random.default_rng(7)
+    for m in [2 ** j for j in range(1, 13)] + [17 ** 3]:
+        coords = tuple(rng.integers(0, m, 200, dtype=np.int64)
+                       for _ in range(4))
+        for terms in polys:
+            got = _eval_vec(terms, coords, m)
+            want = [eval_terms(terms, *map(int, pt), m)
+                    for pt in zip(*coords)]
+            assert got.tolist() == want

@@ -73,8 +73,8 @@ def test_norm_image_check_covers_table():
 def test_mod32_membership():
     covered, attained, count = mod32_membership()
     assert covered
-    assert count > 0
-    assert attained <= set(RESIDUE_TABLE_MOD32)
+    assert count == 6291456
+    assert attained == frozenset(RESIDUE_TABLE_MOD32)
 
 
 def test_mod32_membership_fault_injection():
