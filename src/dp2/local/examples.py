@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 from .fields import FieldTower
@@ -16,8 +17,12 @@ from .padic import (
     X,
     Y,
     Z,
+    _chart_cells,
+    _eval_vec,
+    _is_padic_square,
+    _real_sheets,
+    compile_poly,
     invariant_profile,
-    padic_point_classes,
     real_profile,
 )
 from .profiles import LocalProfile, Verdict, verdict
@@ -249,13 +254,11 @@ def build_ex73(A: int, B: int, C: int, point=None, bound=12) \
 def square_d_profile(d, A, B, C, p, n_classes=1, k=3) -> LocalProfile:
     """The place p when d is a p-adic square: the class is split at
     every point; liftable points are confirmed to exist."""
-    from .padic import _is_padic_square
-
     _check(_is_padic_square(d, p), f"{d} is a square in Q_{p}")
     depth = None
     for trial in range(1, k + 1):
-        pts = padic_point_classes(A, B, C, p, trial)
-        if any(q.liftable for q in pts):
+        if any((trial >= 2 * t + 1).any() for _, _, t in
+               _chart_cells(A, B, C, p, trial, 2 ** 27)):
             depth = trial
             break
     _check(depth is not None, f"S(Q_{p}) is nonempty")
@@ -267,8 +270,6 @@ def square_d_profile(d, A, B, C, p, n_classes=1, k=3) -> LocalProfile:
 
 def obstruct_ex73(A: int, B: int, C: int, point=None, bound=12,
                   samples=200000, depth=None) -> Verdict:
-    from .padic import _is_padic_square
-
     ex = build_ex73(A, B, C, point=point, bound=bound)
     d = ex.classes[0].d
     profiles = [real_profile(ex.classes, A, B, C, samples=samples)]
@@ -435,19 +436,13 @@ def ex74_17adic_liftable_check():
     classes mod 17^2: every class certified liftable (via the digit
     criterion u^2 = 2 sigma with sigma = (x^4+y^4+z^4)/17 a unit) shows
     exactly two of the three unit reductions as nonsquares."""
-    import numpy as np
-
-    from .padic import _eval_vec, compile_poly
-
     p = 17
     ex = build_ex74()
     terms = [compile_poly(q.g.subs(W, 0) * X ** 4)
              for q in ex.classes[:3]]
-    cells = padic_point_classes(34, 34, 34, p, 2)
-    w = np.array([c.w for c in cells], dtype=np.int64)
-    x = np.array([c.x for c in cells], dtype=np.int64)
-    y = np.array([c.y for c in cells], dtype=np.int64)
-    z = np.array([c.z for c in cells], dtype=np.int64)
+    charts = [coords for _, coords, _ in
+              _chart_cells(34, 34, 34, p, 2, 2 ** 27)]
+    w, x, y, z = (np.concatenate(c) for c in zip(*charts))
     if (w % p).any():
         raise AssertionError("class with w a unit mod 17")
     sigma = _eval_vec(compile_poly(X ** 4 + Y ** 4 + Z ** 4),
@@ -477,34 +472,16 @@ def ex74_real_check(samples=200000, seed=0):
     points of S(R) with w > 0 and negative where w < 0, so each
     (-17, h_i) is unramified on the w > 0 sheet and ramified on the
     w < 0 sheet (sampling, not a certificate)."""
-    import numpy as np
-
     ex = build_ex74()
     terms = [q.numerator_terms() for q in ex.classes]
-    rng = np.random.default_rng(seed)
-    per_chart = max(samples // 6, 1)
     checked = 0
-    for unit in ("x", "y", "z"):
-        for scale in (1.0, 10.0):
-            aa = rng.uniform(-scale, scale, per_chart)
-            bb = rng.uniform(-scale, scale, per_chart)
-            one = np.ones_like(aa)
-            x, y, z = {"x": (one, aa, bb), "y": (aa, one, bb),
-                       "z": (aa, bb, one)}[unit]
-            rhs = 34.0 * (x ** 4 + y ** 4 + z ** 4)
-            w = np.sqrt(rhs)
-            for sheet, expect_pos in ((w, True), (-w, False)):
-                for tm in terms:
-                    acc = np.zeros_like(sheet)
-                    for co, ew, exx, ey, ez in tm:
-                        acc = acc + float(co) * sheet ** ew * x ** exx \
-                            * y ** ey * z ** ez
-                    good = acc > 0 if expect_pos else acc < 0
-                    ok = good | (np.abs(acc) <= 1e-9)
-                    if not ok.all():
-                        raise AssertionError(
-                            "sign of h_i disagrees with the w-sheet")
-                    checked += int(ok.sum())
+    for sign, vals in _real_sheets(terms, 34, 34, 34, samples, seed):
+        for acc in vals:
+            ok = (sign * acc > 0) | (np.abs(acc) <= 1e-9)
+            if not ok.all():
+                raise AssertionError(
+                    "sign of h_i disagrees with the w-sheet")
+            checked += int(ok.sum())
     return checked
 
 

@@ -57,12 +57,3 @@ class FieldTower:
 
     def is_zero(self, expr, extra_symbols=()) -> bool:
         return self.reduce(expr, extra_symbols) == 0
-
-
-def reduce_mod_ideal(expr, relations, gens):
-    """Remainder of expr under multivariate division by the relations
-    (valid as an ideal-membership test when the leading terms of the
-    relations are pairwise coprime in the chosen order)."""
-    _, rem = sympy.reduced(sympy.expand(expr), list(relations),
-                           gens=gens, order="lex")
-    return sympy.expand(rem)

@@ -1,17 +1,24 @@
 """p-adic point enumeration on w^2 = A x^4 + B y^4 + C z^4 and exact
 invariant profiles of quaternion classes over the enumerated points.
 
-Residue classes are refined digit by digit (vectorized, one level at a
-time); a class is kept only while the surface congruence can still
-hold, certified liftable by the multivariate Hensel criterion (depth
->= 2t+1 where t is the minimal valuation in the gradient), and
-deepened automatically until every quaternion invariant is determined
-or a depth cap is reached.
+One chart enumerator, _chart_cells, refines residue classes digit by
+digit (vectorized, one level at a time), per unit chart, from the
+single class mod p^0.  A class is kept only while the surface
+congruence can still hold, and is certified liftable by the
+multivariate Hensel criterion (depth >= 2t+1 where t is the minimal
+valuation in the gradient).  The cells expanded at every level, the
+first included, count against one budget, which is checked before any
+level is allocated.  A consumer may pass a settle callback that sees
+the cells of every level and drops the decided ones, so invariant
+profiles deepen automatically until every quaternion invariant is
+determined or a depth cap is reached; a consumer that needs only the
+classes at a fixed depth gets them one unit chart at a time, and never
+holds all three charts at once.
 
 Modulo a power of two, residues are reduced with a bit mask and 2-adic
-valuations are counted from the lowest set bit in one pass.  The cells
-at a fixed depth come from one chart enumerator that yields a unit
-chart at a time, so a consumer never holds all three charts at once."""
+valuations are counted from the lowest set bit in one pass.  The real
+place has one sampler, _real_sheets, which evaluates polynomials on
+points of both w-sheets over the three affine charts."""
 
 from __future__ import annotations
 
@@ -164,12 +171,6 @@ def _coords(unit, w, a, b):
     return (w, a, b, one)
 
 
-def _initial_cells(p):
-    r = np.arange(p, dtype=np.int64)
-    w, a, b = np.meshgrid(r, r, r, indexing="ij")
-    return w.ravel(), a.ravel(), b.ravel()
-
-
 def _expand_filtered(cells, unit, p, j, f, budget_left):
     """Digit extensions of level-(j-1) cells on which the surface
     congruence holds mod p^j, expanded and filtered in bounded chunks."""
@@ -202,28 +203,37 @@ def _min_gradient_val(grads, coords, p, j):
     return np.minimum.reduce(vals)
 
 
-def _chart_cells(A, B, C, p, k, budget):
+def _chart_cells(A, B, C, p, k, budget, settle=None):
     """Per unit chart x, y, z in turn: (unit, coords, t) for the
     residue classes mod p^k, with that coordinate normalized to 1, on
     which the surface congruence holds, and t the per-class minimal
-    gradient valuation.  Only one chart's cells are held at a time; the
-    cells expanded over all charts count against budget."""
+    gradient valuation.  Each chart starts from the one class mod p^0
+    and is refined a digit per level; the cells expanded at every level
+    of every chart count against budget, and only one chart's cells
+    are held at a time.
+
+    settle, when given, is called as settle(j, coords, t) on the
+    nonempty cells of each level j and returns the mask of classes
+    still undecided; only those are refined further and yielded."""
     f = _surface_terms(A, B, C)
     grads = _gradient_terms(A, B, C)
+    root = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
     spent = 0
     for unit in ("x", "y", "z"):
-        cells = _initial_cells(p)
-        spent += p ** 3
+        cells = root
+        coords, t = _coords(unit, *root), root[0]  # t = 0 at depth 0
         for j in range(1, k + 1):
-            if j > 1:
-                spent += len(cells[0]) * p ** 3
-                cells = _expand_filtered(cells, unit, p, j, f,
-                                         budget - spent)
-            else:
-                keep = _eval_vec(f, _coords(unit, *cells), p) == 0
-                cells = tuple(c[keep] for c in cells)
-        coords = _coords(unit, *cells)
-        yield unit, coords, _min_gradient_val(grads, coords, p, k)
+            spent += len(cells[0]) * p ** 3
+            cells = _expand_filtered(cells, unit, p, j, f, budget - spent)
+            if settle is None and j < k:
+                continue
+            coords = _coords(unit, *cells)
+            t = _min_gradient_val(grads, coords, p, j)
+            if settle is not None and len(t):
+                undecided = settle(j, coords, t)
+                cells, t = tuple(c[undecided] for c in cells), t[undecided]
+                coords = _coords(unit, *cells)
+        yield unit, coords, t
 
 
 def padic_point_classes(A, B, C, p, k, budget=2 ** 27):
@@ -307,111 +317,92 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=2 ** 27,
     error."""
     if k_cap is None:
         k_cap = DEPTH_CAP.get(p, DEPTH_CAP_ODD)
-    f = _surface_terms(A, B, C)
-    grads = _gradient_terms(A, B, C)
     cls_terms = [(q.numerator_terms(), q.d) for q in classes]
     attained = set()
-    undetermined = 0
-    spent = 0
     max_depth = 1
-    for unit in ("x", "y", "z"):
-        cells = _initial_cells(p)
-        spent += p ** 3
-        for j in range(1, k_cap + 1):
-            if j > 1:
-                spent += len(cells[0]) * p ** 3
-                cells = _expand_filtered(cells, unit, p, j, f,
-                                         budget - spent)
-            else:
-                keep = _eval_vec(f, _coords(unit, *cells), p) == 0
-                cells = tuple(c[keep] for c in cells)
-            if not len(cells[0]):
-                break
-            max_depth = max(max_depth, j)
-            coords = _coords(unit, *cells)
-            t = _min_gradient_val(grads, coords, p, j)
-            liftable = j >= 2 * t + 1
-            cols = _quaternion_columns(cls_terms, coords, p, j, tvals=t)
-            if merge is not None:
-                merged = []
-                for group in merge:
-                    acc = np.full(len(cells[0]), -1, dtype=np.int64)
-                    for idx in group:
-                        col = cols[idx]
-                        clash = (acc >= 0) & (col >= 0) & (acc != col)
-                        if clash.any():
-                            raise AssertionError(
-                                "merged class representatives disagree")
-                        acc = np.where((acc < 0) & (col >= 0), col, acc)
-                    merged.append(acc)
-                cols = merged
-            decided = np.ones(len(cells[0]), dtype=bool)
-            for col in cols:
-                decided &= col >= 0
-            done = liftable & decided
-            if done.any():
-                rows = np.stack([col[done] for col in cols], axis=1)
-                for row in np.unique(rows, axis=0):
-                    attained.add(tuple(Fraction(int(r), 2) for r in row))
-            pending = ~done
-            if j == k_cap:
-                undetermined += int(pending.sum())
-                break
-            cells = tuple(c[pending] for c in cells)
-            if not len(cells[0]):
-                break
+
+    def settle(j, coords, t):
+        nonlocal max_depth
+        max_depth = max(max_depth, j)
+        cols = _quaternion_columns(cls_terms, coords, p, j, tvals=t)
+        if merge is not None:
+            merged = []
+            for group in merge:
+                acc = np.full(len(t), -1, dtype=np.int64)
+                for idx in group:
+                    col = cols[idx]
+                    clash = (acc >= 0) & (col >= 0) & (acc != col)
+                    if clash.any():
+                        raise AssertionError(
+                            "merged class representatives disagree")
+                    acc = np.where((acc < 0) & (col >= 0), col, acc)
+                merged.append(acc)
+            cols = merged
+        decided = np.ones(len(t), dtype=bool)
+        for col in cols:
+            decided &= col >= 0
+        done = (j >= 2 * t + 1) & decided
+        if done.any():
+            rows = np.stack([col[done] for col in cols], axis=1)
+            for row in np.unique(rows, axis=0):
+                attained.add(tuple(Fraction(int(r), 2) for r in row))
+        return ~done
+
+    undetermined = sum(len(t) for _, _, t in _chart_cells(
+        A, B, C, p, k_cap, budget, settle))
     return LocalProfile(place=p, modulus=p ** max_depth,
                         invariants=frozenset(attained),
                         undetermined=undetermined,
                         method="exact-enumeration")
 
 
-def real_profile(classes, A, B, C, samples=10 ** 6, seed=0):
-    """Sign analysis of each class over sampled real points, both
-    w-sheets, stratified over the three affine charts."""
+def _real_sheets(term_lists, A, B, C, samples, seed):
+    """Sampled real points of the surface, stratified over the three
+    affine charts at scales 1 and 10: per chart, scale and w-sheet,
+    (sign of w, the values of each term list at the points)."""
     rng = np.random.default_rng(seed)
-    num_polys = [(q.numerator_terms(), q.d) for q in classes]
-    attained = set()
     per_chart = max(samples // 6, 1)
     for unit in ("x", "y", "z"):
         for scale in (1.0, 10.0):
             a = rng.uniform(-scale, scale, per_chart)
             b = rng.uniform(-scale, scale, per_chart)
-            one = np.ones_like(a)
-            if unit == "x":
-                x, y, z = one, a, b
-            elif unit == "y":
-                x, y, z = a, one, b
-            else:
-                x, y, z = a, b, one
+            _, x, y, z = _coords(unit, a, a, b)  # w gives the shape
             rhs = A * x ** 4 + B * y ** 4 + C * z ** 4
             mask = rhs > 0
             if not mask.any():
                 continue
             x, y, z = x[mask], y[mask], z[mask]
             w = np.sqrt(rhs[mask])
-            for sheet in (w, -w):
-                vals = []
-                for terms, d in num_polys:
-                    acc = np.zeros_like(sheet)
-                    for c, ew, ex, ey, ez in terms:
-                        acc = acc + float(c) * sheet ** ew * x ** ex \
-                            * y ** ey * z ** ez
-                    vals.append(acc)
-                ok = np.ones_like(sheet, dtype=bool)
-                for acc in vals:
-                    ok &= np.abs(acc) > 1e-9
-                if not ok.any():
-                    continue
-                cols = []
-                for (terms, d), acc in zip(num_polys, vals):
-                    if d >= 0:
-                        cols.append(np.zeros(int(ok.sum()), dtype=int))
-                    else:
-                        cols.append((acc[ok] < 0).astype(int))
-                stacked = np.stack(cols, axis=1)
-                for row in np.unique(stacked, axis=0):
-                    attained.add(tuple(Fraction(int(r), 2) for r in row))
+            for sign in (1, -1):
+                sheet = sign * w
+                yield sign, [sum((float(c) * sheet ** ew * x ** ex
+                                  * y ** ey * z ** ez
+                                  for c, ew, ex, ey, ez in terms),
+                                 np.zeros_like(sheet))
+                             for terms in term_lists]
+
+
+def real_profile(classes, A, B, C, samples=10 ** 6, seed=0):
+    """Sign analysis of each class over sampled real points, both
+    w-sheets, stratified over the three affine charts."""
+    attained = set()
+    sheets = _real_sheets([q.numerator_terms() for q in classes],
+                          A, B, C, samples, seed)
+    for _, vals in sheets:
+        ok = np.ones(len(vals[0]), dtype=bool)
+        for acc in vals:
+            ok &= np.abs(acc) > 1e-9
+        if not ok.any():
+            continue
+        cols = []
+        for q, acc in zip(classes, vals):
+            if q.d >= 0:
+                cols.append(np.zeros(int(ok.sum()), dtype=int))
+            else:
+                cols.append((acc[ok] < 0).astype(int))
+        stacked = np.stack(cols, axis=1)
+        for row in np.unique(stacked, axis=0):
+            attained.add(tuple(Fraction(int(r), 2) for r in row))
     return LocalProfile(place="R", modulus=None,
                         invariants=frozenset(attained),
                         undetermined=0, method="sampling")

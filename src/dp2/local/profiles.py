@@ -6,8 +6,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 
 @dataclass(frozen=True)
 class LocalProfile:
@@ -15,7 +13,7 @@ class LocalProfile:
 
     invariants holds tuples in Q/Z (one entry per class); method is
     "exact-enumeration", "analytic" (a machine-checked valuation
-    argument), "sampling", or "good-reduction"."""
+    argument) or "sampling"."""
 
     place: object  # prime or "R"
     modulus: int | None
@@ -25,8 +23,8 @@ class LocalProfile:
 
     @property
     def exact(self) -> bool:
-        return self.method in ("exact-enumeration", "analytic",
-                               "good-reduction") and self.undetermined == 0
+        return (self.method in ("exact-enumeration", "analytic")
+                and self.undetermined == 0)
 
 
 @dataclass(frozen=True)
@@ -37,35 +35,6 @@ class Verdict:
 
 def render_place(place) -> str:
     return "R" if place == "R" else f"Q_{place}"
-
-
-def good_reduction_profile(p: int, n_classes: int) -> LocalProfile:
-    """The assumed profile {0} at a place of good reduction."""
-    zero = tuple(Fraction(0) for _ in range(n_classes))
-    return LocalProfile(place=p, modulus=None,
-                        invariants=frozenset({zero}),
-                        undetermined=0, method="good-reduction")
-
-
-def certify_good_reduction(A: int, B: int, C: int, p: int) -> bool:
-    """Local solvability at a place of good reduction: exhaustive smooth
-    point count for p <= 37; for p > 37 the smooth projective quartic
-    curve w^2 = A x^4 + B y^4 (and its reduction count by the Weil
-    bound q + 1 - 6 sqrt(q) > 0) guarantees a smooth point."""
-    if p == 2 or (A * B * C) % p == 0:
-        return False
-    if p > 37:
-        return True
-    for x in range(p):
-        for y in range(p):
-            for z in range(p):
-                if x == y == z == 0:
-                    continue
-                rhs = (A * x ** 4 + B * y ** 4 + C * z ** 4) % p
-                if rhs and sympy.legendre_symbol(rhs, p) == 1:
-                    # w != 0: the gradient entry -2w is a unit
-                    return True
-    return False
 
 
 def verdict(profiles) -> Verdict:

@@ -101,6 +101,15 @@ def test_obstruct_depth_does_not_leak_into_later_calls():
     assert padic.DEPTH_CAP == caps
 
 
+def test_obstruct_large_prime_exceeds_capacity():
+    # 1009 divides A, and level 1 at p = 1009 alone is 1009^3 cells
+    # per chart, which the enumeration budget refuses before allocating
+    code, _, err = run(["obstruct", "-A", "1009", "-B", "-1012", "-C", "3",
+                        "--json"])
+    assert code == 4
+    assert "capacity:" in err
+
+
 def test_no_subcommand_has_threads_option():
     parser = cli.build_parser()
     subs = next(a for a in parser._actions

@@ -23,7 +23,7 @@ from dp2.local.examples import (
     obstruct_ex75_two_torsion,
     represent_u2_plus_2v2,
 )
-from dp2.local.padic import X, Y, Z
+from dp2.local.padic import X, Y, Z, invariant_profile
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -172,3 +172,30 @@ def test_order4_two_torsion_alone_does_not_obstruct():
     assert v.conclusion == "not_obstructed_by_class"
     for pr in v.profiles:
         assert pr.invariants == frozenset({(ZERO,)})
+
+
+# --- exact 2-adic and odd-place profiles ---------------------------------
+
+MERGE74 = ((0, 3), (1, 4), (2, 5))
+
+
+@pytest.mark.parametrize("build, p, k_cap, merge, modulus, invariants, "
+                         "undetermined", [
+    (build_ex71, 2, None, None, 128, {(HALF,)}, 0),
+    (build_ex71, 2, 3, None, 8, set(), 128),
+    (build_ex71, 3, None, None, 9, {(ZERO,)}, 0),
+    (build_ex71, 5, None, None, 125, {(ZERO,)}, 0),
+    (build_ex74, 2, None, MERGE74, 128, {(ZERO,) * 3, (HALF,) * 3}, 0),
+    (build_ex74, 2, 4, MERGE74, 16, set(), 1536),
+    (lambda: build_ex73(-126, -91, 78), 2, 3, None, 8, set(), 64),
+    (lambda: build_ex73(-126, -91, 78), 7, None, None, 343, {(ZERO,)}, 0),
+    (lambda: build_ex73(-126, -91, 78), 13, None, None, 13, {(ZERO,)}, 0),
+    (lambda: build_ex72(3), 2, 2, None, 4, set(), 48),
+])
+def test_invariant_profile_pinned(build, p, k_cap, merge, modulus,
+                                  invariants, undetermined):
+    ex = build()
+    pr = invariant_profile(ex.classes, *ex.surface, p, k_cap=k_cap,
+                           merge=merge)
+    assert (pr.modulus, pr.invariants, pr.undetermined) \
+        == (modulus, frozenset(invariants), undetermined)

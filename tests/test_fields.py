@@ -1,7 +1,7 @@
 import pytest
 import sympy
 
-from dp2.local.fields import FieldTower, reduce_mod_ideal
+from dp2.local.fields import FieldTower
 
 S, T = sympy.symbols("s t")
 
@@ -53,10 +53,3 @@ def test_tower_rejects_reducible_relation():
     with pytest.raises(ValueError):
         FieldTower(gens=(S,), relations=(S ** 2 - 4,),
                    embeddings=(sympy.Integer(2),))
-
-
-def test_reduce_mod_ideal():
-    x = sympy.Symbol("x")
-    rem = reduce_mod_ideal(x ** 2 * S + x, (S ** 2 - 2, x ** 2 - 3),
-                           (x, S))
-    assert sympy.expand(rem - (3 * S + x)) == 0

@@ -11,6 +11,7 @@ from dp2.local.padic import (
     X,
     Y,
     Z,
+    _chart_cells,
     _eval_vec,
     _gradient_terms,
     _is_padic_square,
@@ -44,6 +45,14 @@ def test_refutable_depth_keeps_no_cells():
 def test_budget_exhaustion_raises():
     with pytest.raises(CapacityError):
         padic_point_classes(1, 1, 1, 5, 4, budget=10 ** 4)
+    # level 1 expands the root class into p^3 digits and is checked
+    # like any other level
+    with pytest.raises(CapacityError):
+        padic_point_classes(1, 1, 1, 5, 1, budget=2 * 5 ** 3 - 1)
+    q = QuaternionClass(Fraction(-1), (X ** 2 + Y ** 2) / Z ** 2)
+    with pytest.raises(CapacityError):
+        invariant_profile([q], -25, -5, 45, 3, k_cap=1,
+                          budget=2 * 3 ** 3 - 1)
 
 
 def test_first_surface_2adic_pairs_mod_8():
@@ -170,3 +179,49 @@ def test_eval_vec_matches_eval_terms():
             want = [eval_terms(terms, *map(int, pt), m)
                     for pt in zip(*coords)]
             assert got.tolist() == want
+
+
+def _brute_chart_cells(A, B, C, p, j, unit):
+    """Pure-Python oracle: (w, x, y, z, t) for every class mod p^j in
+    the unit chart on which the surface congruence holds."""
+    f = _surface_terms(A, B, C)
+    grads = _gradient_terms(A, B, C)
+    m = p ** j
+    out = []
+    for w in range(m):
+        for a in range(m):
+            for b in range(m):
+                pt = {"x": (w, 1, a, b), "y": (w, a, 1, b),
+                      "z": (w, a, b, 1)}[unit]
+                if eval_terms(f, *pt, m):
+                    continue
+                t = min(_val(eval_terms(g, *pt, m), p, j) for g in grads)
+                out.append((*pt, t))
+    return sorted(out)
+
+
+def _rows(coords, t):
+    return sorted(zip(*(c.tolist() for c in coords), t.tolist()))
+
+
+@pytest.mark.parametrize("A, B, C", [(1, 1, 1), (-25, -5, 45),
+                                     (3, 6, -9)])
+def test_chart_cells_match_brute_force(A, B, C):
+    p, k = 3, 2
+    seen = []
+
+    def settle(j, coords, t):
+        seen.append((j, _rows(coords, t)))
+        return np.ones(len(t), dtype=bool)
+
+    plain = list(_chart_cells(A, B, C, p, k, 2 ** 27))
+    settled = list(_chart_cells(A, B, C, p, k, 2 ** 27, settle))
+    assert [unit for unit, _, _ in plain] == ["x", "y", "z"]
+    for (unit, coords, t), (_, coords_s, t_s) in zip(plain, settled):
+        want = _brute_chart_cells(A, B, C, p, k, unit)
+        assert _rows(coords, t) == want
+        assert _rows(coords_s, t_s) == want
+    # settle sees every nonempty level of every chart, in order
+    want_seen = [(j, _brute_chart_cells(A, B, C, p, j, unit))
+                 for unit in ("x", "y", "z") for j in (1, 2)]
+    assert seen == [entry for entry in want_seen if entry[1]]

@@ -4,8 +4,6 @@ import pytest
 
 from dp2.local.profiles import (
     LocalProfile,
-    certify_good_reduction,
-    good_reduction_profile,
     render_place,
     verdict,
 )
@@ -24,12 +22,6 @@ def test_render_place():
     assert render_place("R") == "R"
     assert render_place(2) == "Q_2"
     assert render_place(17) == "Q_17"
-
-
-def test_good_reduction_profile():
-    pr = good_reduction_profile(7, 3)
-    assert pr.invariants == frozenset({(ZERO, ZERO, ZERO)})
-    assert pr.exact
 
 
 def test_exact_property():
@@ -86,12 +78,3 @@ def test_verdict_inconclusive_cases():
 def test_verdict_rejects_mismatched_class_vectors():
     with pytest.raises(ValueError):
         verdict([_profile(2, {(ZERO,)}), _profile(3, {(ZERO, ZERO)})])
-
-
-def test_certify_good_reduction():
-    assert not certify_good_reduction(-25, -5, 45, 2)
-    assert not certify_good_reduction(-25, -5, 45, 5)  # divides ABC
-    assert certify_good_reduction(-25, -5, 45, 7)
-    assert certify_good_reduction(-25, -5, 45, 11)
-    assert certify_good_reduction(-25, -5, 45, 41)  # Weil-bound regime
-    assert not certify_good_reduction(34, 34, 34, 17)
