@@ -215,6 +215,8 @@ def obstruct_surface(A: int, B: int, C: int, samples: int = 200000,
     """(verdict, transcript) by the recipe matching the coefficients.
     depth, when given, caps the 2-adic enumeration depth; the order-4
     recipe on (-9826, -2, 136) ignores it (its check is fixed at 2^10)."""
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     if (A, B, C) == (-25, -5, 45):
         return (obstruct_ex71(samples=samples, depth=depth),
                 build_ex71().transcript)
@@ -384,6 +386,13 @@ def _run_cubic(args, out) -> int:
 
 # --- argument parsing -----------------------------------------------------
 
+def _depth_arg(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"depth must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub, coeffs="ABC"):
     for name in coeffs:
         sub.add_argument(f"-{name}", type=int, required=True)
@@ -413,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("obstruct", help="local invariant verdict")
     _add_common(p)
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=_depth_arg, default=None,
                    help="2-adic depth-cap override; not applied to "
                         "(-9826, -2, 136), whose 2-adic check is fixed "
                         "at 2^10")

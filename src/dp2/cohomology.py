@@ -829,85 +829,3 @@ def _d2_is_zero(ext, mod, h_mod, h_elements, t_elements, h_basis, q_mod, u):
     # equations over the 2*rq unknowns
     sol, _ = ColumnEchelon(rows2).solve(target)
     return sol is not None
-
-
-# --- index-2 subgroups --------------------------------------------------
-
-@dataclass(frozen=True)
-class Index2Result:
-    subgroup_elements: tuple
-    invariant_basis: tuple
-    h1: CohomologyResult
-    minus_eigen_classes: tuple   # class coords of (-1)-eigenvectors
-
-
-def index2_cyclic_generators(mod: GModule) -> list[Index2Result]:
-    """For each index-2 subgroup H of the acting group: M^H, the induced
-    Z/2 action, H^1(G/H, M^H), and which (-1)-eigenvector classes
-    generate it."""
-    els = list(mod.elements)
-    n = len(els)
-    if n == 1:
-        return []
-    # Frattini-style quotient over F2: squares and commutators
-    sq_comm = set()
-    for g in els:
-        sq_comm.add(mod.mul(g, g))
-    for g in els:
-        gi = _inv_in(mod, g)
-        for h in els:
-            hi = _inv_in(mod, h)
-            sq_comm.add(mod.mul(mod.mul(gi, hi), mod.mul(g, h)))
-    frat = _closure_in(mod, sq_comm)
-    # coset basis of G/frat
-    cosets = {}
-    for g in els:
-        key = frozenset(mod.mul(g, f) for f in frat)
-        cosets.setdefault(key, g)
-    reps = [g for key, g in cosets.items() if g != mod.identity
-            and mod.identity not in key]
-    basis = []
-    spanned = frat
-    for g in sorted(reps, key=str):
-        if g in spanned:
-            continue
-        basis.append(g)
-        spanned = _closure_in(mod, spanned | {g})
-    r = len(basis)
-    results = []
-    for phi in range(1, 2 ** r):
-        nonker = [basis[i] for i in range(r) if phi >> i & 1]
-        ker_gens = set(frat)
-        ker_gens |= {basis[i] for i in range(r) if not phi >> i & 1}
-        for i in range(len(nonker)):
-            for j in range(i + 1, len(nonker)):
-                ker_gens.add(mod.mul(nonker[i], nonker[j]))
-        sub = _closure_in(mod, ker_gens)
-        if len(sub) * 2 != n:
-            raise AssertionError("index-2 construction failed")
-        g_out = nonker[0]
-        h_basis, q_mod = submodule_on_invariants(
-            mod, tuple(sorted(sub, key=str)), (mod.identity, g_out),
-            gens=(g_out,))
-        two = GModule(elements=(0, 1), identity=0,
-                      mul=lambda a, b: (a + b) % 2, dim=q_mod.dim,
-                      matrices={0: _identity_mat(q_mod.dim),
-                                1: q_mod.mat(g_out)},
-                      generators=(1,))
-        h1 = h1_via_resolution("cyclic", two, gens=(1,))
-        # (-1)-eigenvectors of the induced action, as H^1 classes
-        mat = q_mod.mat(g_out)
-        rows = [[mat[i][j] + (1 if i == j else 0) for j in range(q_mod.dim)]
-                for i in range(q_mod.dim)]
-        eig = ColumnEchelon(rows).kernel()
-        classes = []
-        for v in eig:
-            try:
-                classes.append(h1._subq.class_coords(v))
-            except ValueError:
-                pass
-        results.append(Index2Result(
-            subgroup_elements=tuple(sorted(sub, key=str)),
-            invariant_basis=tuple(h_basis), h1=h1,
-            minus_eigen_classes=tuple(classes)))
-    return results

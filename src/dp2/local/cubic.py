@@ -9,7 +9,21 @@ lambda^3 + (B/A) mu^3 + (B/A)^2 nu^3 - 3 (B/A) lambda mu nu = -C/A,
 and then finds, by linear algebra, linear forms l0, l1, l2 making
 h = g0 l0 + g1 l1 + g2 l2 rational and not proportional to the cubic
 form.  The resulting cyclic algebra is presented by r^3 = AD/BC,
-s^3 = h/x^3, s r = theta r s."""
+s^3 = h/x^3, s r = theta r s.
+
+The symbolic work runs in sparse polynomial rings over Q
+(sympy.polys.rings).  Reduction modulo theta^2 + theta + 1 and
+gamma^3 = AD/BC is the ring remainder, which is canonical because the
+leading monomials are coprime.  h is linear in the 72 unknown
+coefficients of l0, l1, l2, so it is kept as one reduced polynomial
+per unknown; the gamma-free conditions are an exact linear system
+over Q (80 x 72 for (1, 2, 3, 4)), brought to reduced row echelon
+form by DomainMatrix.  The
+nullspace basis is read off the RREF as Matrix.nullspace builds it
+(one vector per free column, in column order, 1 there and minus the
+RREF column at the pivots); the RREF is unique, so the first accepted
+h depends on the system alone.  Only h and the l_i become sympy
+expressions, for the report."""
 
 from __future__ import annotations
 
@@ -18,6 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
 
 X, Y, Z, T = sympy.symbols("x y z t")
 THETA, GAMMA = sympy.symbols("theta gamma")
@@ -44,36 +62,49 @@ def is_cube_free_generic(A: int, B: int, C: int, D: int) -> bool:
     return not any(_is_rational_cube(r) for r in ratios)
 
 
-def _g_polynomials(A, B):
+def _g_polynomials(r, lam, mu, nu, th, gm, x, y, z, t):
     """The three components of the descended twisted-cubic equation g =
-    g0 + g1 alpha + g2 alpha^2 with symbolic lambda, mu, nu."""
-    r = sympy.Rational(B, A)
-    th, gm = THETA, GAMMA
-    g0 = (X ** 2 + LAM * X * Z + r * NU * X * T * gm
-          + th ** 2 * r * MU * Y * T * gm + th ** 2 * r * NU * Y * Z
-          + (LAM ** 2 - r * MU * NU) * Z ** 2
-          + r * (LAM * NU - MU ** 2) * Z * T * gm
-          + r * (r * NU ** 2 - LAM * MU) * T ** 2 * gm ** 2)
-    g1 = (-X * Y + th ** 2 * MU * X * Z + th ** 2 * LAM * X * T * gm
-          + th * LAM * Y * Z + th * r * NU * Y * T * gm
-          + (r * NU ** 2 - LAM * MU) * Z ** 2
-          + (r * MU * NU - LAM ** 2) * Z * T * gm
-          + r * (MU ** 2 - LAM * NU) * T ** 2 * gm ** 2)
-    g2 = (th * NU * X * Z + th * MU * X * T * gm + Y ** 2 + MU * Y * Z
-          + LAM * Y * T * gm
-          + (MU ** 2 - LAM * NU) * Z ** 2
-          + (LAM * MU - r * NU ** 2) * Z * T * gm
-          + (LAM ** 2 - r * MU * NU) * T ** 2 * gm ** 2)
+    g0 + g1 alpha + g2 alpha^2, for r = B/A; lambda, mu, nu are ring
+    generators or rational constants."""
+    g0 = (x ** 2 + lam * x * z + r * nu * x * t * gm
+          + th ** 2 * r * mu * y * t * gm + th ** 2 * r * nu * y * z
+          + (lam ** 2 - r * mu * nu) * z ** 2
+          + r * (lam * nu - mu ** 2) * z * t * gm
+          + r * (r * nu ** 2 - lam * mu) * t ** 2 * gm ** 2)
+    g1 = (-x * y + th ** 2 * mu * x * z + th ** 2 * lam * x * t * gm
+          + th * lam * y * z + th * r * nu * y * t * gm
+          + (r * nu ** 2 - lam * mu) * z ** 2
+          + (r * mu * nu - lam ** 2) * z * t * gm
+          + r * (mu ** 2 - lam * nu) * t ** 2 * gm ** 2)
+    g2 = (th * nu * x * z + th * mu * x * t * gm + y ** 2 + mu * y * z
+          + lam * y * t * gm
+          + (mu ** 2 - lam * nu) * z ** 2
+          + (lam * mu - r * nu ** 2) * z * t * gm
+          + (lam ** 2 - r * mu * nu) * t ** 2 * gm ** 2)
     return g0, g1, g2
 
 
-def _relations(A, B, C, D):
-    r = sympy.Rational(B, A)
-    norm = (LAM ** 3 + r * MU ** 3 + r ** 2 * NU ** 3
-            - 3 * r * LAM * MU * NU + sympy.Rational(C, A))
-    return (THETA ** 2 + THETA + 1,
-            GAMMA ** 3 - sympy.Rational(A * D, B * C),
-            norm)
+def _column_remainder(A, B, C, D, form):
+    """g0 (Ax - A lam z - B nu gamma t) + g1 (-B nu z - B mu gamma t) +
+    g2 (By - B mu z - B lam gamma t) minus the cubic form with the
+    coefficients form, reduced modulo theta^2 + theta + 1, gamma^3 -
+    AD/BC and the norm relation in Q[theta, gamma, lam, mu, nu, x, y,
+    z, t] under lex.  The leading monomials theta^2, gamma^3, lam^3
+    are pairwise coprime, so the relations are a Groebner basis and the
+    remainder is zero exactly when the expression lies in their
+    ideal."""
+    R, th, gm, lam, mu, nu, x, y, z, t = ring(
+        (THETA, GAMMA, LAM, MU, NU, X, Y, Z, T), QQ, lex)
+    r = QQ(B, A)
+    g0, g1, g2 = _g_polynomials(r, lam, mu, nu, th, gm, x, y, z, t)
+    a, b, c, d = form
+    expr = (g0 * (A * x - A * lam * z - B * nu * gm * t)
+            + g1 * (-B * nu * z - B * mu * gm * t)
+            + g2 * (B * y - B * mu * z - B * lam * gm * t)
+            - (a * x ** 3 + b * y ** 3 + c * z ** 3 + d * t ** 3))
+    norm = (lam ** 3 + r * mu ** 3 + r ** 2 * nu ** 3
+            - 3 * r * lam * mu * nu + QQ(C, A))
+    return expr.rem([th ** 2 + th + 1, gm ** 3 - QQ(A * D, B * C), norm])
 
 
 def column_identity_check(A: int, B: int, C: int, D: int) -> bool:
@@ -81,16 +112,7 @@ def column_identity_check(A: int, B: int, C: int, D: int) -> bool:
     relation, g0 (Ax - A lam z - B nu gamma t) + g1 (-B nu z -
     B mu gamma t) + g2 (By - B mu z - B lam gamma t) equals
     A x^3 + B y^3 + C z^3 + D t^3 exactly."""
-    g0, g1, g2 = _g_polynomials(A, B)
-    expr = (g0 * (A * X - A * LAM * Z - B * NU * GAMMA * T)
-            + g1 * (-B * NU * Z - B * MU * GAMMA * T)
-            + g2 * (B * Y - B * MU * Z - B * LAM * GAMMA * T)
-            - (A * X ** 3 + B * Y ** 3 + C * Z ** 3 + D * T ** 3))
-    gens = (THETA, GAMMA, LAM, MU, NU, X, Y, Z, T)
-    _, rem = sympy.reduced(sympy.expand(expr),
-                           list(_relations(A, B, C, D)),
-                           gens=gens, order="lex")
-    return sympy.expand(rem) == 0
+    return not _column_remainder(A, B, C, D, (A, B, C, D))
 
 
 def norm_residual(A, B, C, D, solution):
@@ -115,76 +137,56 @@ def solve_norm_equation(A, B, C, D, bound=5):
     return None
 
 
-def _component_split(expr, gamma_cube):
-    """Coefficients of expr along the k'-basis theta^a gamma^b, after
-    reducing theta^2 -> -theta - 1 and gamma^3 -> AD/BC."""
-    _, rem = sympy.reduced(
-        sympy.expand(expr),
-        [THETA ** 2 + THETA + 1, GAMMA ** 3 - gamma_cube],
-        gens=(THETA, GAMMA, X, Y, Z, T), order="lex")
-    poly = sympy.Poly(rem, THETA, GAMMA)
-    out = {}
-    for (a, b), coeff in zip(poly.monoms(), poly.coeffs()):
-        out[(a, b)] = sympy.expand(coeff)
-    return out
-
-
 def find_rational_h(A, B, C, D, solution):
     """Linear forms l0, l1, l2 over k' = k(gamma), k = Q(theta), such
     that h = g0 l0 + g1 l1 + g2 l2 lies in k[x,y,z,t] (gamma-free) and
     is not proportional over k to the cubic form; returns
     (h, (l0, l1, l2))."""
-    lam, mu, nu = solution
-    subs = {LAM: sympy.Rational(lam.numerator, lam.denominator),
-            MU: sympy.Rational(mu.numerator, mu.denominator),
-            NU: sympy.Rational(nu.numerator, nu.denominator)}
-    gs = [g.subs(subs) for g in _g_polynomials(A, B)]
-    gamma_cube = sympy.Rational(A * D, B * C)
-    coords = (X, Y, Z, T)
-    unknowns = []
-    lines = []
-    for i in range(3):
-        line = sympy.Integer(0)
-        for v in coords:
-            for a in range(2):
-                for b in range(3):
-                    c = sympy.Symbol(f"c_{i}_{v}_{a}_{b}")
-                    unknowns.append(c)
-                    line += c * THETA ** a * GAMMA ** b * v
-        lines.append(line)
-    h_expr = sum(g * line for g, line in zip(gs, lines))
-    components = _component_split(h_expr, gamma_cube)
-    equations = []
-    for (a, b), coeff in components.items():
-        if b == 0:
-            continue  # theta is in the ground field; only gamma must go
-        poly = sympy.Poly(coeff, X, Y, Z, T)
-        equations.extend(poly.coeffs())
-    mat, _ = sympy.linear_eq_to_matrix(equations, unknowns)
+    R, th, gm, x, y, z, t = ring((THETA, GAMMA, X, Y, Z, T), QQ, lex)
+    rels = [th ** 2 + th + 1, gm ** 3 - QQ(A * D, B * C)]
+    lam, mu, nu = (QQ(q.numerator, q.denominator) for q in solution)
+    gs = _g_polynomials(QQ(B, A), lam, mu, nu, th, gm, x, y, z, t)
+    # unknown j = (i, v, a, b) is the coefficient of theta^a gamma^b v
+    # in l_i; h is linear in the unknowns, h = sum_j c_j H_j
+    basis = [th ** a * gm ** b * v for v in (x, y, z, t)
+             for a in range(2) for b in range(3)]
+    H = [(g * e).rem(rels) for g in gs for e in basis]
+    # one equation per term theta^a gamma^b (b != 0) times a monomial
+    rows = {}
+    for j, Hj in enumerate(H):
+        for monom, coeff in Hj.terms():
+            if monom[1]:
+                rows.setdefault(monom, {})[j] = coeff
+    system = DomainMatrix(dict(enumerate(rows.values())),
+                          (len(rows), len(H)), QQ)
+    rref, pivots = system.rref()
+    reduced = rref.to_list()
     monoms = [(a, b, c, 3 - a - b - c)
               for a in range(4) for b in range(4 - a)
               for c in range(4 - a - b)]
-
-    def coeff_vector(poly):
-        return sympy.Matrix([poly.coeff_monomial(m) or 0 for m in monoms])
-
-    form_vec = coeff_vector(sympy.Poly(
-        A * X ** 3 + B * Y ** 3 + C * Z ** 3 + D * T ** 3, X, Y, Z, T))
-    for vec in mat.nullspace():
-        assignment = dict(zip(unknowns, vec))
-        parts = _component_split(h_expr.subs(assignment), gamma_cube)
-        h0 = parts.get((0, 0), sympy.Integer(0))
-        h1 = parts.get((1, 0), sympy.Integer(0))
-        if h0 == 0 and h1 == 0:
+    diagonal = {(3, 0, 0, 0): A, (0, 3, 0, 0): B, (0, 0, 3, 0): C,
+                (0, 0, 0, 3): D}
+    form_vec = [QQ(diagonal.get(m, 0)) for m in monoms]
+    # the nullspace basis as Matrix.nullspace reads it off the RREF
+    for free in (f for f in range(len(H)) if f not in pivots):
+        vec = [QQ(0)] * len(H)
+        vec[free] = QQ(1)
+        for row, col in enumerate(pivots):
+            vec[col] -= reduced[row][free]
+        h = sum((c * Hj for c, Hj in zip(vec, H) if c), R.zero)
+        if not h:
             continue
         # h = h0 + theta h1 is proportional to the form over Q(theta)
         # exactly when both components lie in its rational span
-        v0 = coeff_vector(sympy.Poly(h0, X, Y, Z, T))
-        v1 = coeff_vector(sympy.Poly(h1, X, Y, Z, T))
-        if sympy.Matrix.hstack(v0, v1, form_vec).rank() >= 2:
-            ls = tuple(sympy.expand(line.subs(assignment))
-                       for line in lines)
-            return sympy.expand(h0 + THETA * h1), ls
+        terms = dict(h.terms())
+        v0, v1 = ([terms.get((a, 0) + m, QQ(0)) for m in monoms]
+                  for a in range(2))
+        if DomainMatrix([v0, v1, form_vec], (3, len(monoms)),
+                        QQ).rank() >= 2:
+            n = len(basis)
+            lines = (sum((c * e for c, e in zip(vec[n * i:], basis)),
+                         R.zero) for i in range(3))
+            return h.as_expr(), tuple(line.as_expr() for line in lines)
     return None
 
 

@@ -3,14 +3,15 @@ classes, together with their local-invariant verdicts."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import sympy
+from sympy.polys.domains import QQ
 
 from .fields import FieldTower
-from .hilbert import hilbert_symbol
 from .padic import (
     QuaternionClass,
     W,
@@ -296,92 +297,107 @@ def _ex74_tower() -> FieldTower:
                                   sympy.I * sympy.sqrt(17)))
 
 
-def _ex74_act(tower: FieldTower, chi: int, es: int, expr):
-    """Coefficient action of the Galois element (chi, es): zeta maps to
-    zeta^chi and sqrt(34) flips by (-1)^es.  Writing sqrt(-17) =
-    zeta^2 sqrt(34)/(zeta - zeta^3), its sign under chi is +1 for
-    chi in {1, 3} and -1 for chi in {5, 7}, times (-1)^es."""
+def _ex74_act(zeta, s17, chi: int, es: int, f):
+    """Coefficient action of the Galois element (chi, es) on the ring
+    element f, unreduced: zeta maps to zeta^chi and sqrt(34) flips by
+    (-1)^es.  Writing sqrt(-17) = zeta^2 sqrt(34)/(zeta - zeta^3), its
+    sign under chi is +1 for chi in {1, 3} and -1 for chi in {5, 7},
+    times (-1)^es."""
     sign = (-1) ** es * (1 if chi % 8 in (1, 3) else -1)
-    hold = sympy.Symbol("_hold")
-    out = expr.subs({ZETA: hold ** chi, S17: sign * S17})
-    return tower.reduce(out.subs(hold, ZETA), (W, X, Y, Z))
+    return f.compose([(zeta, zeta ** chi), (s17, sign * s17)])
 
 
-def _cyc(expr):
-    """The substitution x -> y -> z -> x."""
-    return expr.subs({X: Y, Y: Z, Z: X}, simultaneous=True)
-
-
+@functools.cache
 def build_ex74() -> ExampleClass:
     """The surface (34, 34, 34): six quaternion classes (-17, h_i/x^4)
-    produced by Galois descent through Q(zeta, sqrt(-17))."""
+    produced by Galois descent through Q(zeta, sqrt(-17)).  The
+    arithmetic runs in Q[w, x, y, z, sqrt(-17), zeta], reduced by ring
+    remainder modulo the tower relations; the result is built once per
+    process."""
     tower = _ex74_tower()
-    half = sympy.Rational(1, 2)
+    R, rels = tower.polyring((W, X, Y, Z))
+    w, x, y, z, s17, zeta = R.gens
+
+    def cyc(f):  # the substitution x -> y -> z -> x
+        return f.compose([(x, y), (y, z), (z, x)])
+
+    half = QQ(1, 2)
     # rho acts by zeta -> zeta^7 and sqrt(34) -> -sqrt(34);
     # tau acts by zeta -> zeta^3 fixing sqrt(34)
     rho, tau = (7, 1), (3, 0)
-    delta = S17 * ZETA - 4 * ZETA ** 3
-    eps = 4 * ZETA + S17 * ZETA ** 3
-    rel1 = tower.is_zero(delta * _ex74_act(tower, *rho, delta) + 1)
-    rel2 = tower.is_zero(eps * _ex74_act(tower, *tau, eps) - 1)
-    rel3 = tower.is_zero(delta * _ex74_act(tower, *rho, eps)
-                         - _ex74_act(tower, *tau, delta) * eps)
+    delta = s17 * zeta - 4 * zeta ** 3
+    eps = 4 * zeta + s17 * zeta ** 3
+    rel1 = delta * _ex74_act(zeta, s17, *rho, delta) + 1
+    rel2 = eps * _ex74_act(zeta, s17, *tau, eps) - 1
+    rel3 = (delta * _ex74_act(zeta, s17, *rho, eps)
+            - _ex74_act(zeta, s17, *tau, delta) * eps)
     transcript = [
-        _check(rel1, "delta rho(delta) = -1"),
-        _check(rel2, "eps tau(eps) = 1"),
-        _check(rel3, "delta rho(eps) = tau(delta) eps"),
+        _check(not rel1.rem(rels), "delta rho(delta) = -1"),
+        _check(not rel2.rem(rels), "eps tau(eps) = 1"),
+        _check(not rel3.rem(rels), "delta rho(eps) = tau(delta) eps"),
     ]
     # assemble the descended function and split it along powers of zeta
-    i_ = ZETA ** 2
-    sqrt2 = ZETA - ZETA ** 3
-    inv34 = -(ZETA + ZETA ** 3) * S17 / 34  # 1/sqrt(34)
-    coef = 4 * ZETA - S17 * ZETA ** 3
-    gfun = ((X ** 2 + i_ * Y ** 2 + Z ** 2 + W * inv34)
-            * (Y ** 2 + i_ * Z ** 2
-               + coef * (Y ** 2 + sqrt2 * Y * Z + Z ** 2))
-            + (X ** 2 + i_ * Y ** 2 - Z ** 2 - W * inv34)
-            * (Y ** 2 + sqrt2 * Y * Z + Z ** 2
-               + coef * (-Y ** 2 + i_ * Z ** 2)))
-    gred = sympy.Poly(tower.reduce(gfun, (W, X, Y, Z)), ZETA)
-    parts = [sympy.expand(gred.coeff_monomial(ZETA ** k)) for k in range(4)]
-    h1 = tower.reduce(half * parts[0] + (4 - S17) / 2 * parts[1]
-                      + half * parts[2] - (4 + S17) / 2 * parts[3],
-                      (W, X, Y, Z))
-    target = (W * Y ** 2 + W * Z ** 2 + X ** 2 * Y ** 2
-              + 8 * X ** 2 * Y * Z + X ** 2 * Z ** 2 + Y ** 4 - Z ** 4)
+    i_ = zeta ** 2
+    sqrt2 = zeta - zeta ** 3
+    inv34 = -(zeta + zeta ** 3) * s17 * QQ(1, 34)  # 1/sqrt(34)
+    coef = 4 * zeta - s17 * zeta ** 3
+    gfun = ((x ** 2 + i_ * y ** 2 + z ** 2 + w * inv34)
+            * (y ** 2 + i_ * z ** 2
+               + coef * (y ** 2 + sqrt2 * y * z + z ** 2))
+            + (x ** 2 + i_ * y ** 2 - z ** 2 - w * inv34)
+            * (y ** 2 + sqrt2 * y * z + z ** 2
+               + coef * (-y ** 2 + i_ * z ** 2)))
+    gred = gfun.rem(rels)
+    parts = [gred.coeff_wrt(zeta, k) for k in range(4)]
+    h1 = (half * parts[0] + (4 - s17) * half * parts[1]
+          + half * parts[2] - (4 + s17) * half * parts[3]).rem(rels)
+    target = (w * y ** 2 + w * z ** 2 + x ** 2 * y ** 2
+              + 8 * x ** 2 * y * z + x ** 2 * z ** 2 + y ** 4 - z ** 4)
     transcript.append(_check(
-        sympy.expand(h1 - target) == 0,
+        h1 == target,
         "h1 = w y^2 + w z^2 + x^2 y^2 + 8 x^2 y z + x^2 z^2 + y^4 - z^4"))
-    h4 = sympy.expand(h1 - 2 * Y ** 4 + 2 * Z ** 4)
-    hs = [h1, _cyc(h1), _cyc(_cyc(h1)), h4, _cyc(h4), _cyc(_cyc(h4))]
+    h4 = h1 - 2 * y ** 4 + 2 * z ** 4
+    hs = [h1, cyc(h1), cyc(cyc(h1)), h4, cyc(h4), cyc(cyc(h4))]
     # the product of partnered classes is a norm form from Q(sqrt(-17))
     # plus a multiple of the surface relation, so q_i = q_{i+3} on S
-    a = (half * W * Y ** 2 + 4 * W * Y * Z + half * W * Z ** 2
-         + 17 * X ** 2 * Y ** 2 + 17 * X ** 2 * Z ** 2
-         - 4 * Y ** 4 + Y ** 3 * Z + Y * Z ** 3 - 4 * Z ** 4)
-    b = (sympy.Rational(1, 34) * W * Y ** 2
-         + sympy.Rational(4, 17) * W * Y * Z
-         + sympy.Rational(1, 34) * W * Z ** 2
-         + X ** 2 * Y ** 2 + X ** 2 * Z ** 2
-         + 4 * Y ** 4 - Y ** 3 * Z - Y * Z ** 3 + 4 * Z ** 4)
-    c = (-33 * Y ** 4 + 16 * Y ** 3 * Z - 2 * Y ** 2 * Z ** 2
-         + 16 * Y * Z ** 3 - 33 * Z ** 4)
-    surf = X ** 4 + Y ** 4 + Z ** 4 - W ** 2 / 34
+    a = (half * w * y ** 2 + 4 * w * y * z + half * w * z ** 2
+         + 17 * x ** 2 * y ** 2 + 17 * x ** 2 * z ** 2
+         - 4 * y ** 4 + y ** 3 * z + y * z ** 3 - 4 * z ** 4)
+    b = (QQ(1, 34) * w * y ** 2 + QQ(4, 17) * w * y * z
+         + QQ(1, 34) * w * z ** 2
+         + x ** 2 * y ** 2 + x ** 2 * z ** 2
+         + 4 * y ** 4 - y ** 3 * z - y * z ** 3 + 4 * z ** 4)
+    c = (-33 * y ** 4 + 16 * y ** 3 * z - 2 * y ** 2 * z ** 2
+         + 16 * y * z ** 3 - 33 * z ** 4)
+    surf = x ** 4 + y ** 4 + z ** 4 - QQ(1, 34) * w ** 2
     for k, name in ((0, "h1 h4"), (1, "h2 h5"), (2, "h3 h6")):
-        ak, bk, ck = a, b, c
-        for _ in range(k):
-            ak, bk, ck = _cyc(ak), _cyc(bk), _cyc(ck)
-        ident = sympy.expand(
-            hs[k] * hs[k + 3]
-            - sympy.Rational(1, 9) * (ak ** 2 + 17 * bk ** 2) - ck * surf)
+        ident = (hs[k] * hs[k + 3] - QQ(1, 9) * (a ** 2 + 17 * b ** 2)
+                 - c * surf)
         transcript.append(_check(
-            ident == 0,
+            not ident,
             f"{name} = (1/9)(a^2 + 17 b^2) + c (x^4+y^4+z^4-w^2/34)"))
+        a, b, c = cyc(a), cyc(b), cyc(c)
     classes = tuple(
-        QuaternionClass(Fraction(-17), h / X ** 4, label=f"(-17, h{k}/x^4)")
+        QuaternionClass(Fraction(-17), h.as_expr() / X ** 4,
+                        label=f"(-17, h{k}/x^4)")
         for k, h in enumerate(hs, start=1))
     return ExampleClass(surface=(34, 34, 34), classes=classes,
                         transcript=tuple(transcript))
+
+
+def _ex74_unit_terms():
+    """Integer term lists of h1, h2, h3 with w = 0: every point of
+    (34, 34, 34) has v17(w) >= 1, so w y^2 + w z^2 vanishes mod 17."""
+    return [compile_poly(q.g.subs(W, 0) * X ** 4)
+            for q in build_ex74().classes[:3]]
+
+
+def _squares_mask(p: int):
+    """Boolean table of the nonzero squares mod p."""
+    is_square = np.zeros(p, dtype=bool)
+    for t in range(1, p):
+        is_square[t * t % p] = True
+    return is_square
 
 
 def ex74_17adic_check():
@@ -403,28 +419,18 @@ def ex74_17adic_check():
                "x^4+y^4+z^4 = 0 mod 17 lifts to a point once a digit "
                "choice makes (x^4+y^4+z^4)/17 a nonzero square"),
     ]
-    ex = build_ex74()
-    # w-free reductions (v(w) >= 1 kills the w y^2 + w z^2 part mod 17)
-    reduced = [sympy.Poly(q.g.subs(W, 0) * X ** 4, X, Y, Z)
-               for q in ex.classes[:3]]
-    squares = {pow(t, 2, p) for t in range(1, p)}
-    patterns = set()
-    n_cells = 0
-    for x in range(p):
-        for y in range(p):
-            for z in range(p):
-                if (x, y, z) == (0, 0, 0):
-                    continue
-                if (x ** 4 + y ** 4 + z ** 4) % p:
-                    continue
-                n_cells += 1
-                vals = [int(h.as_expr().subs({X: x, Y: y, Z: z})) % p
-                        for h in reduced]
-                if any(v == 0 for v in vals):
-                    raise AssertionError(
-                        "h_i not a unit on a residue class")
-                patterns.add(tuple(0 if v in squares else 1 for v in vals))
-    transcript.append(_check(n_cells > 0, "residue classes exist"))
+    r = np.arange(p, dtype=np.int64)
+    x, y, z = (g.ravel() for g in np.meshgrid(r, r, r, indexing="ij"))
+    cells = ((x ** 4 + y ** 4 + z ** 4) % p == 0) & ((x | y | z) != 0)
+    coords = (np.zeros(int(cells.sum()), dtype=np.int64),
+              x[cells], y[cells], z[cells])
+    vals = [_eval_vec(tm, coords, p) for tm in _ex74_unit_terms()]
+    if any((v == 0).any() for v in vals):
+        raise AssertionError("h_i not a unit on a residue class")
+    is_square = _squares_mask(p)
+    rows = np.stack([~is_square[v] for v in vals], axis=1).astype(int)
+    patterns = set(map(tuple, rows.tolist()))
+    transcript.append(_check(cells.any(), "residue classes exist"))
     transcript.append(_check(
         all(sum(pt) == 2 for pt in patterns),
         "exactly two of {q1, q2, q3} ramified on every residue class"))
@@ -437,9 +443,7 @@ def ex74_17adic_liftable_check():
     criterion u^2 = 2 sigma with sigma = (x^4+y^4+z^4)/17 a unit) shows
     exactly two of the three unit reductions as nonsquares."""
     p = 17
-    ex = build_ex74()
-    terms = [compile_poly(q.g.subs(W, 0) * X ** 4)
-             for q in ex.classes[:3]]
+    terms = _ex74_unit_terms()
     charts = [coords for _, coords, _ in
               _chart_cells(34, 34, 34, p, 2, 2 ** 27)]
     w, x, y, z = (np.concatenate(c) for c in zip(*charts))
@@ -452,9 +456,7 @@ def ex74_17adic_liftable_check():
     n_lift = int(certified.sum())
     if n_lift == 0:
         raise AssertionError("no liftable classes mod 17^2")
-    is_square = np.zeros(p, dtype=bool)
-    for t in range(1, p):
-        is_square[t * t % p] = True
+    is_square = _squares_mask(p)
     ram = np.zeros(n_lift, dtype=np.int64)
     coords = tuple(a[certified] for a in (w, x, y, z))
     for tm in terms:

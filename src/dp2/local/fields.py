@@ -1,11 +1,20 @@
 """Small number fields as explicit towers, with exact reduction of
-polynomial expressions modulo the defining relations."""
+polynomial expressions modulo the defining relations.
+
+Reduction is the remainder in a sparse polynomial ring over Q
+(sympy.polys.rings) under lex order, extra symbols first and then the
+tower generators from the top floor down.  Each relation is monic in its own generator, so
+the leading monomials g_i^(d_i) are pairwise coprime: the relations
+form a Groebner basis, and the remainder is the canonical form."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
 
 
 @dataclass(frozen=True)
@@ -47,13 +56,17 @@ class FieldTower:
         if sympy.degree(minpoly) != degree:
             raise ValueError("declared relations are not irreducible")
 
+    def polyring(self, extra_symbols=()):
+        """(R, relations): the ring Q[extra_symbols, gens reversed]
+        under lex, and the defining relations as elements of it."""
+        R = ring(tuple(extra_symbols) + tuple(reversed(self.gens)), QQ,
+                 lex)[0]
+        return R, [R(rel) for rel in self.relations]
+
     def reduce(self, expr, extra_symbols=()):
         """Canonical form of expr modulo the defining relations."""
-        expr = sympy.expand(expr)
-        syms = tuple(extra_symbols) + tuple(reversed(self.gens))
-        _, rem = sympy.reduced(expr, list(self.relations), gens=syms,
-                               order="lex")
-        return sympy.expand(rem)
+        R, rels = self.polyring(extra_symbols)
+        return R(expr).rem(rels).as_expr()
 
     def is_zero(self, expr, extra_symbols=()) -> bool:
         return self.reduce(expr, extra_symbols) == 0

@@ -223,8 +223,9 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
         cells = root
         coords, t = _coords(unit, *root), root[0]  # t = 0 at depth 0
         for j in range(1, k + 1):
-            spent += len(cells[0]) * p ** 3
+            n = len(cells[0])
             cells = _expand_filtered(cells, unit, p, j, f, budget - spent)
+            spent += n * p ** 3
             if settle is None and j < k:
                 continue
             coords = _coords(unit, *cells)

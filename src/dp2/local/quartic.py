@@ -192,6 +192,23 @@ def mod32_membership(depth=10, table=None):
     return covered, attained, count
 
 
+def _components(hw, xz, yy, mask):
+    """(n_re, n_im, d_re, d_im) of the two cocycle functions, each
+    component masked to the precision mask + 1, from hw = w/2, xz =
+    17xz and yy = y^2.  The denominator is (-n_re, n_im) for f1 and
+    (n_re, -n_im) for f2, so |n|^2 = |d|^2 modulo twice the precision:
+    the numerator norm carries the same valuation as the denominator
+    norm and is never computed."""
+    return (
+        # f1 = (17(1+i)xz + iy^2 - w/2) / (17(-1+i)xz + iy^2 + w/2)
+        ((xz - hw) & mask, (xz + yy) & mask,
+         (hw - xz) & mask, (xz + yy) & mask),
+        # f2 = (17(1-i)xz + iy^2 + w/2) / (17(1+i)xz - iy^2 + w/2)
+        ((xz + hw) & mask, (yy - xz) & mask,
+         (xz + hw) & mask, (xz - yy) & mask),
+    )
+
+
 def _chart_membership(coords, t, depth, in_table):
     """mod32_membership on the classes of one unit chart: (all covered,
     seen values as a 1024-entry mask of 32 re + im, class count).  All
@@ -206,29 +223,18 @@ def _chart_membership(coords, t, depth, in_table):
     if not ((w & 3 == 2).all() and (x & 1).all() and (y & 1).all()
             and (z & 1).all()):
         raise AssertionError("unexpected 2-adic parities")
-    hw, xz, yy = w >> 1, 17 * x * z, y * y
-    components = (
-        # f1 = (17(1+i)xz + iy^2 - w/2) / (17(-1+i)xz + iy^2 + w/2)
-        ((xz - hw) & mask, (xz + yy) & mask,
-         (hw - xz) & mask, (xz + yy) & mask),
-        # f2 = (17(1-i)xz + iy^2 + w/2) / (17(1+i)xz - iy^2 + w/2)
-        ((xz + hw) & mask, (yy - xz) & mask,
-         (xz + hw) & mask, (xz - yy) & mask),
-    )
     inv_odd = np.zeros(32, dtype=np.int64)
     for odd in range(1, 32, 2):
         inv_odd[odd] = pow(odd, -1, 32)
     hit = np.zeros(len(w), dtype=bool)
     seen = np.zeros(32 * 32, dtype=bool)
-    for nr, ni, dr, di in components:
+    for nr, ni, dr, di in _components(w >> 1, 17 * x * z, y * y, mask):
         norm_d = (dr * dr + di * di) & (2 * prec - 1)
-        norm_n = (nr * nr + ni * ni) & (2 * prec - 1)
         sd = _vec_val(norm_d, 2, cap)
-        sn = _vec_val(norm_n, 2, cap)
         prod_r = (nr * dr + ni * di) & mask
         prod_i = (ni * dr - nr * di) & mask
         # value = n conj(d)/2^s * (|d|^2/2^s)^-1 needs 2^s * 32 <= prec
-        determined = (sn == sd) & (sd <= cap - 6)
+        determined = sd <= cap - 6
         shift = np.where(determined, sd, 0)
         inv = inv_odd[(norm_d >> shift) & 31]
         res = (prod_r >> shift) * inv & 31

@@ -101,6 +101,17 @@ def test_obstruct_depth_does_not_leak_into_later_calls():
     assert padic.DEPTH_CAP == caps
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_obstruct_depth_below_one_is_input_error(depth, capsys):
+    code, out, _ = run(["obstruct", "-A", "-25", "-B", "-5", "-C", "45",
+                        "--depth", depth])
+    assert code == 2
+    assert out == ""
+    assert "depth must be an integer of at least 1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        cli.obstruct_surface(-25, -5, 45, depth=int(depth))
+
+
 def test_obstruct_large_prime_exceeds_capacity():
     # 1009 divides A, and level 1 at p = 1009 alone is 1009^3 cells
     # per chart, which the enumeration budget refuses before allocating

@@ -11,7 +11,6 @@ from dp2.cohomology import (
     h1_presentation,
     h1_standard,
     h1_via_resolution,
-    index2_cyclic_generators,
     invariants_H0,
     pic_module,
     sigma1_to_standard,
@@ -212,37 +211,6 @@ def test_dihedral_quotient_of_order16_group():
                                     lat.cls(Triple(0, 1, 3))))
     diff = tuple(a - b for a, b in zip(w, mod.act(g, w)))
     assert diff == (0, 0, -2, 0, -1, -1, -2, 2)
-
-
-def test_index2_on_elementary_abelian():
-    rho = IOTA_A * IOTA_B * IOTA_C * SIGMA
-    s = generate_subgroup([rho, TAU, SIGMA])
-    assert s.order == 8
-    results = index2_cyclic_generators(pic_module(s))
-    assert len(results) == 7
-    target = set(generate_subgroup([rho, TAU]).elements)
-    hit = [r for r in results if set(r.subgroup_elements) == target]
-    assert len(hit) == 1
-    r = hit[0]
-    assert len(r.invariant_basis) == 4
-    assert r.h1.group.divisors == (2, 2, 2)
-    # the (-1)-eigenvector classes generate the whole group
-    seen = set()
-    for c in r.minus_eigen_classes:
-        seen.add(c)
-    assert len({c for c in seen if any(c)}) == 3
-
-
-def test_index2_trivial_action_sanity():
-    s = generate_subgroup([SIGMA])
-    mats = {g: tuple(tuple(1 if i == j else 0 for j in range(8))
-                     for i in range(8)) for g in s.elements}
-    mod = GModule(elements=s.elements, identity=IDENTITY,
-                  mul=lambda a, b: a * b, dim=8, matrices=mats,
-                  generators=s.generators)
-    results = index2_cyclic_generators(mod)
-    assert len(results) == 1
-    assert results[0].h1.group.divisors == ()
 
 
 def test_backend_agreement_random_subgroups():

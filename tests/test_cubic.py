@@ -5,6 +5,7 @@ import sympy
 
 from dp2.local.cubic import (
     GAMMA,
+    _column_remainder,
     column_identity_check,
     cubic_pipeline,
     find_rational_h,
@@ -12,6 +13,27 @@ from dp2.local.cubic import (
     norm_residual,
     solve_norm_equation,
 )
+
+
+# str(h) of the first accepted h as the sympy-Expr solver (Matrix.nullspace)
+# printed it
+PINNED_H = {
+    (1, 2, 3, 4): (
+        "-2*t**3*theta/3 + 2*t**3/3 - 7*theta*x**3/16"
+        " + theta*x**2*y/2 - 3*theta*x*y**2/4 - 5*theta*z**3/16"
+        " + x**3/8 - x**2*y/4 - 9*x**2*z/16 + x*y**2/4 + 3*x*y*z/4"
+        " + 3*x*z**2/16 - 3*y**2*z/4 - 3*y*z**2/4 + 5*z**3/16"),
+    (2, 3, 5, 7): (
+        "-7*t**3*theta/9 + 7*t**3/9 - 8*theta*x**3/27"
+        " + 2*theta*x**2*y/3 - 10*theta*x**2*z/9 + 10*theta*x*z**2/9"
+        " - 5*theta*y**2*z/3 + 5*theta*y*z**2/3 - 65*theta*z**3/27"
+        " - 10*x**3/27 + 2*x**2*y/3 - 2*x*y**2/3 - 10*z**3/27"),
+    (1, 2, 3, 5): (
+        "-5*t**3*theta/6 + 5*t**3/6 - 7*theta*x**3/16"
+        " + theta*x**2*y/2 - 3*theta*x*y**2/4 - 5*theta*z**3/16"
+        " + x**3/8 - x**2*y/4 - 9*x**2*z/16 + x*y**2/4 + 3*x*y*z/4"
+        " + 3*x*z**2/16 - 3*y**2*z/4 - 3*y*z**2/4 + 5*z**3/16"),
+}
 
 
 def test_cube_free_gate():
@@ -30,6 +52,13 @@ def test_column_identity_three_coefficient_sets():
     assert column_identity_check(1, 2, 3, 4)
     assert column_identity_check(2, 3, 5, 7)
     assert column_identity_check(1, 2, 3, 5)
+
+
+def test_column_identity_remainder_negative_control():
+    # the same expression with D replaced by D + 1 in the form
+    assert not _column_remainder(1, 2, 3, 4, (1, 2, 3, 4))
+    wrong = _column_remainder(1, 2, 3, 4, (1, 2, 3, 5))
+    assert wrong.as_expr() == -sympy.Symbol("t") ** 3
 
 
 def test_norm_equation_search_and_residual():
@@ -52,6 +81,12 @@ def test_rational_h_not_proportional():
     form = x ** 3 + 2 * y ** 3 + 3 * z ** 3 + 4 * t ** 3
     ratio = sympy.cancel(h / form)
     assert ratio.has(x) or ratio.has(y) or ratio.has(z) or ratio.has(t)
+
+
+@pytest.mark.parametrize("coeffs", sorted(PINNED_H))
+def test_first_accepted_h_pinned(coeffs):
+    h, _ = find_rational_h(*coeffs, solve_norm_equation(*coeffs))
+    assert str(h) == PINNED_H[coeffs]
 
 
 def test_pipeline_report():

@@ -149,6 +149,24 @@ def test_descent_verdict_obstructed():
     assert by_place["R"].invariants == agree
 
 
+def test_descent_classes_built_once_per_request(monkeypatch):
+    import dp2.cli as cli
+    import dp2.local.examples as examples
+
+    built = []
+    original = examples._check
+
+    def counting(condition, message):
+        if message == "delta rho(delta) = -1":  # first fact of a build
+            built.append(message)
+        return original(condition, message)
+
+    examples.build_ex74.cache_clear()
+    monkeypatch.setattr(examples, "_check", counting)
+    cli.obstruct_surface(34, 34, 34, samples=3000)
+    assert len(built) == 1
+
+
 # --- the order-4 class on (-9826, -2, 136) --------------------------------
 
 def test_order4_cocycle_identities():

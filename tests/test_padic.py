@@ -55,6 +55,17 @@ def test_budget_exhaustion_raises():
                           budget=2 * 3 ** 3 - 1)
 
 
+def test_budget_charges_each_expansion_once():
+    # level 1 expands the root class of each of the three charts into
+    # 5^3 cells, 375 in all; a budget of exactly 375 suffices
+    with pytest.raises(CapacityError):
+        padic_point_classes(1, 1, 1, 5, 1, budget=374)
+    full = padic_point_classes(1, 1, 1, 5, 1, budget=500)
+    assert full
+    for budget in (375, 499):
+        assert padic_point_classes(1, 1, 1, 5, 1, budget=budget) == full
+
+
 def test_first_surface_2adic_pairs_mod_8():
     """Liftable 2-adic classes of (-25,-5,45): x, z odd, y even, and in
     the z = 1 chart (x, y) mod 8 takes exactly eight values."""

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dp2.local.quartic import (
@@ -8,6 +9,7 @@ from dp2.local.quartic import (
     RING_ONE,
     WITNESS_FOURTH_ROOT,
     WITNESS_ROW_GENERATOR,
+    _components,
     conjugate_ratio_mod32,
     ex75_17adic_profile,
     ex75_17adic_values,
@@ -75,6 +77,27 @@ def test_mod32_membership():
     assert covered
     assert count == 6291456
     assert attained == frozenset(RESIDUE_TABLE_MOD32)
+
+
+def _assert_norms_agree(hw, xz, yy, depth):
+    prec = 2 ** (depth - 1)
+    for nr, ni, dr, di in _components(hw, xz, yy, prec - 1):
+        diff = (nr * nr + ni * ni) - (dr * dr + di * di)
+        assert not (diff & (2 * prec - 1)).any()
+
+
+def test_numerator_norm_equals_denominator_norm():
+    # _chart_membership takes the valuation of |n|^2 to be that of
+    # |d|^2; both component maps keep |n|^2 = |d|^2 mod 2 prec.  The
+    # components depend only on hw, xz, yy mod prec, so the small
+    # depths are exhaustive; depth 10 (the one used) is sampled
+    for depth in range(1, 7):
+        r = np.arange(2 ** (depth - 1), dtype=np.int64)
+        grid = np.meshgrid(r, r, r, indexing="ij")
+        _assert_norms_agree(*(g.ravel() for g in grid), depth)
+    rng = np.random.default_rng(10)
+    w, x, y, z = rng.integers(0, 2 ** 20, size=(4, 200000))
+    _assert_norms_agree(w >> 1, 17 * x * z, y * y, 10)
 
 
 def test_mod32_membership_fault_injection():
