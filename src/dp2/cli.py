@@ -13,8 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-import sympy
-
+from .arith import is_prime
 from .cohomology import (
     h1_of_subgroup,
     h1_presentation,
@@ -25,23 +24,8 @@ from .cohomology import (
 from .galois0 import IDENTITY, enumerate_subgroups_onto_Q, fingerprint, \
     fixed_sublattice, is_abelian
 from .kummer import galois_group, table2_match
-from .local.cubic import cubic_pipeline
-from .local.examples import (
-    build_ex71,
-    build_ex72,
-    build_ex73,
-    build_ex74,
-    build_ex75,
-    is_generic_triple,
-    obstruct_ex71,
-    obstruct_ex72,
-    obstruct_ex73,
-    obstruct_ex74,
-    obstruct_ex75,
-)
 from .local.hilbert import hilbert_symbol, relevant_places
-from .local.padic import CapacityError
-from .local.profiles import render_place
+from .local.profiles import CapacityError, render_place
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -205,7 +189,7 @@ def scan_theorem() -> dict:
 
 def _family_prime(A: int, B: int, C: int):
     p = -B
-    if A == -2 * p and C == 2 and p % 16 == 3 and sympy.isprime(p):
+    if A == -2 * p and C == 2 and p % 16 == 3 and is_prime(p):
         return p
     return None
 
@@ -217,6 +201,11 @@ def obstruct_surface(A: int, B: int, C: int, samples: int = 200000,
     recipe on (-9826, -2, 136) ignores it (its check is fixed at 2^10)."""
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
+    from .local.examples import (build_ex71, build_ex72, build_ex73,
+                                 build_ex74, build_ex75, is_generic_triple,
+                                 obstruct_ex71, obstruct_ex72, obstruct_ex73,
+                                 obstruct_ex74, obstruct_ex75)
+
     if (A, B, C) == (-25, -5, 45):
         return (obstruct_ex71(samples=samples, depth=depth),
                 build_ex71().transcript)
@@ -318,7 +307,7 @@ def _parse_place(text: str):
     if text == "R":
         return "R"
     p = int(text)
-    if p != 2 and not sympy.isprime(p):
+    if p != 2 and not is_prime(p):
         raise ValueError(f"place must be R or a prime, got {text}")
     return p
 
@@ -350,6 +339,9 @@ def _run_hilbert(args, out) -> int:
 
 def _run_verify(args, out) -> int:
     """Re-derive every worked-example identity and print the transcript."""
+    from .local.examples import (build_ex71, build_ex72, build_ex73,
+                                 build_ex74, build_ex75)
+
     sections = (
         ("conic tangency (-25, -5, 45)", build_ex71),
         ("conic tangency family, p = 3", lambda: build_ex72(3)),
@@ -367,6 +359,8 @@ def _run_verify(args, out) -> int:
 
 
 def _run_cubic(args, out) -> int:
+    from .local.cubic import cubic_pipeline
+
     rep = cubic_pipeline(args.A, args.B, args.C, args.D,
                          search_bound=args.bound)
     report = {

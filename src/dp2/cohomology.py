@@ -82,10 +82,9 @@ class GModule:
 def pic_module(s) -> GModule:
     """The Picard lattice as a module over a subgroup of the generic
     Galois group."""
-    from .galois0 import IDENTITY, matrix_of
+    from .galois0 import IDENTITY, pic_rows
 
-    mats = {g: matrix_of(g).to_rows() for g in s.elements}
-    mats = {g: tuple(tuple(r) for r in m) for g, m in mats.items()}
+    mats = {g: pic_rows(g) for g in s.elements}
     return GModule(elements=s.elements, identity=IDENTITY, mul=operator.mul,
                    dim=8, matrices=mats,
                    generators=s.generators if s.generators else (IDENTITY,))

@@ -177,6 +177,19 @@ def matrix_of(g: GroupElement) -> IntMatrix:
     return m
 
 
+@lru_cache(maxsize=None)
+def pic_rows(g: GroupElement) -> tuple:
+    """matrix_of(g) as a tuple of rows."""
+    return tuple(map(tuple, matrix_of(g).to_rows()))
+
+
+@lru_cache(maxsize=1)
+def _traces() -> tuple[int, ...]:
+    """Trace of matrix_of(g) on Pic, for every element in index order."""
+    return tuple(sum(m[i][i] for i in range(8))
+                 for m in map(pic_rows, ALL_ELEMENTS))
+
+
 @dataclass(frozen=True)
 class Subgroup:
     elements: tuple[GroupElement, ...]  # sorted
@@ -434,9 +447,9 @@ def fixed_sublattice(s: Subgroup):
     """Kernel basis of the stacked (matrix_of(g) - I) maps: M^s."""
     rows = []
     for g in s.generators if s.generators else ():
-        m = matrix_of(g)
+        m = pic_rows(g)
         for i in range(8):
-            rows.append([m[(i, j)] - (1 if i == j else 0) for j in range(8)])
+            rows.append([m[i][j] - (1 if i == j else 0) for j in range(8)])
     if not rows:
         rows = [[0] * 8]
     ech = ColumnEchelon(rows)
@@ -471,8 +484,8 @@ def curve_orbit_lengths(s: Subgroup) -> tuple[int, ...]:
 def fingerprint(s: Subgroup, include_h1: bool = True) -> tuple:
     """Conjugation-invariant summary used to group subgroups that could be
     identified by a lattice automorphism."""
-    traces = tuple(sorted(sum(matrix_of(g)[(i, i)] for i in range(8))
-                          for g in s.elements))
+    trace = _traces()
+    traces = tuple(sorted(trace[_INDEX[g]] for g in s.elements))
     fp = (
         s.order,
         abelianization(s),

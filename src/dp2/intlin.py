@@ -3,7 +3,8 @@
 Smith normal form, integer kernels and solves, and subquotient structure
 of lattices.  Everything is computed over arbitrary-precision integers;
 a numpy int64 elimination fast path is used for large systems, guarded
-by magnitude bounds so that it is only taken when provably exact.
+by magnitude bounds so that it is only taken when provably exact (numpy
+is imported only when that path runs).
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 _INT64_LIMIT = 2 ** 62
 
@@ -288,6 +287,8 @@ class ColumnEchelon:
         self.pivot_rows = pivot_rows
 
     def _echelon_numpy(self, a):
+        import numpy as np
+
         m, n = self.nrows, self.ncols
         arr = np.array(a, dtype=object)
         if arr.size and max(int(abs(x)) for x in arr.flat) >= _INT64_LIMIT:
@@ -373,22 +374,6 @@ class ColumnEchelon:
                 for i in range(self.ncols):
                     x[i] += yi * vt[i]
         return tuple(x), True
-
-
-def kernel_and_solve(m, b: Optional[Sequence[int]] = None):
-    """Kernel lattice basis of M, and one integral solution of M x = b.
-
-    Returns ``(kernel, solution, rational_solvable)``.  ``solution`` is
-    None when b is omitted or no integral solution exists;
-    ``rational_solvable`` distinguishes failure over Z from failure
-    over Q (it is True when b is omitted).
-    """
-    ech = ColumnEchelon(m)
-    kernel = ech.kernel()
-    if b is None:
-        return kernel, None, True
-    sol, rat = ech.solve(b)
-    return kernel, sol, rat
 
 
 def _unimodular_inverse(u: IntMatrix) -> list[list[int]]:

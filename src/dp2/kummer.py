@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
+from .arith import factorint
 from .galois0 import (
     ALL_ELEMENTS,
     IOTA_A,
@@ -58,7 +57,7 @@ class ExponentVector:
 def _factor(n: int) -> dict:
     if abs(n) > _FACTOR_CAP:
         raise ValueError(f"coefficient {n} exceeds the factorization cap")
-    return sympy.factorint(abs(n))
+    return factorint(abs(n))
 
 
 def exponent_vector(n: int, root_degree: int) -> ExponentVector:

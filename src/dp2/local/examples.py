@@ -11,6 +11,7 @@ import numpy as np
 import sympy
 from sympy.polys.domains import QQ
 
+from ..arith import factorint, is_prime, legendre
 from .fields import FieldTower
 from .padic import (
     QuaternionClass,
@@ -86,7 +87,7 @@ def obstruct_ex71(samples=200000, depth=None) -> Verdict:
 
 def represent_u2_plus_2v2(p: int):
     """Positive odd u, v with p = u^2 + 2 v^2, and s = (-1)^((u-v)/2)."""
-    if not sympy.isprime(p) or p % 16 != 3:
+    if not is_prime(p) or p % 16 != 3:
         raise ValueError("requires a prime congruent to 3 mod 16")
     u = 1
     while u * u < p:
@@ -143,9 +144,9 @@ def ex72_profile_at_p(p: int) -> LocalProfile:
     valuation, and y^4 = -2 (mod p); then g = -2su (mod p), a unit, so
     the class is unramified.  Each finite ingredient is checked."""
     u, v, s = represent_u2_plus_2v2(p)
-    _check(sympy.legendre_symbol(2, p) == -1,
+    _check(legendre(2, p) == -1,
            "2 is a nonsquare mod p, so v(z) > 0 at every p-adic point")
-    _check(sympy.legendre_symbol(-2, p) == 1,
+    _check(legendre(-2, p) == 1,
            "-2 is a square mod p (fourth roots exist in pairs)")
     _check(lemma_check(p), "the quartic-residue lemma holds")
     _check((-2 * s * u) % p != 0, "g reduces to the unit -2su mod p")
@@ -274,7 +275,7 @@ def obstruct_ex73(A: int, B: int, C: int, point=None, bound=12,
     ex = build_ex73(A, B, C, point=point, bound=bound)
     d = ex.classes[0].d
     profiles = [real_profile(ex.classes, A, B, C, samples=samples)]
-    places = sorted({2} | set(sympy.factorint(abs(A * B * C))))
+    places = sorted({2} | set(factorint(abs(A * B * C))))
     for p in places:
         if p != 2 and _is_padic_square(d, p):
             profiles.append(square_d_profile(d, A, B, C, p))
@@ -411,10 +412,10 @@ def ex74_17adic_check():
     transcript = [
         _check(34 % p == 0,
                "w^2 = 34(x^4+y^4+z^4) forces w = 0 mod 17 at every point"),
-        _check(sympy.legendre_symbol(-1, p) == 1,
+        _check(legendre(-1, p) == 1,
                "-1 is a square mod 17, so inv(-17, h) = inv(17, h) is "
                "the Legendre symbol of the unit part of h"),
-        _check(sympy.legendre_symbol(2, p) == 1,
+        _check(legendre(2, p) == 1,
                "2 is a square mod 17: a residue class (x,y,z) with "
                "x^4+y^4+z^4 = 0 mod 17 lifts to a point once a digit "
                "choice makes (x^4+y^4+z^4)/17 a nonzero square"),

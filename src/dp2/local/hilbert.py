@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
+from ..arith import factorint, is_prime, legendre
 
 REAL_PLACE = "R"
 
@@ -41,7 +41,7 @@ def hilbert_symbol(a, b, place) -> int:
     if place == REAL_PLACE:
         return -1 if (a < 0 and b < 0) else 1
     p = int(place)
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"not a place: {place!r}")
     alpha, beta = _valuation(a, p), _valuation(b, p)
     if p == 2:
@@ -56,9 +56,9 @@ def hilbert_symbol(a, b, place) -> int:
     e = alpha * beta * ((p - 1) // 2)
     sign = (-1) ** (e % 2)
     if beta % 2:
-        sign *= sympy.legendre_symbol(u, p)
+        sign *= legendre(u, p)
     if alpha % 2:
-        sign *= sympy.legendre_symbol(v, p)
+        sign *= legendre(v, p)
     return sign
 
 
@@ -96,7 +96,7 @@ def relevant_places(a, b) -> list:
     a, b = Fraction(a), Fraction(b)
     primes = {2}
     for q in (a.numerator, a.denominator, b.numerator, b.denominator):
-        primes.update(sympy.factorint(abs(q)))
+        primes.update(factorint(abs(q)))
     return [REAL_PLACE] + sorted(primes)
 
 

@@ -22,23 +22,21 @@ points of both w-sheets over the three affine charts."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import sympy
 
+from ..arith import factorint, legendre
 from .hilbert import hilbert_symbol
-from .profiles import LocalProfile
+from .profiles import CapacityError, LocalProfile
 
 W, X, Y, Z = sympy.symbols("w x y z")
 
 DEPTH_CAP = {2: 12}
 DEPTH_CAP_ODD = 6
-
-
-class CapacityError(RuntimeError):
-    """Enumeration exceeded its cell budget or depth cap."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +86,10 @@ class QuaternionClass:
     def numerator_terms(self):
         """Terms of num * squarefree(den): a representative of the same
         square class as g at every point, polynomial in w, x, y, z."""
+        return self._numerator_terms
+
+    @functools.cached_property
+    def _numerator_terms(self):  # built once per class
         num, den = sympy.fraction(sympy.together(self.g))
         return compile_poly(sympy.expand(num * _squarefree_part(den)))
 
@@ -99,7 +101,7 @@ def _squarefree_part(den):
     coeff = sympy.Rational(coeff)
     c_int = coeff.p * coeff.q
     sf = 1
-    for prime, e in sympy.factorint(abs(c_int)).items():
+    for prime, e in factorint(abs(c_int)).items():
         if e % 2:
             sf *= prime
     if c_int < 0:
@@ -264,7 +266,7 @@ def _is_padic_square(d, p: int) -> bool:
         return False
     if p == 2:
         return _unit_part_mod(d, 2, 8) == 1
-    return sympy.legendre_symbol(_unit_part_mod(d, p, p), p) == 1
+    return legendre(_unit_part_mod(d, p, p), p) == 1
 
 
 def _quaternion_columns(cls_terms, coords, p, j, tvals=None):

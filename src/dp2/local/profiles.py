@@ -7,6 +7,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+class CapacityError(RuntimeError):
+    """Enumeration exceeded its cell budget or depth cap."""
+
+
 @dataclass(frozen=True)
 class LocalProfile:
     """Attained invariant vectors of the analyzed classes at one place.

@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
+from ..arith import factorint, legendre
 from .padic import _chart_cells, _vec_val, padic_point_classes
 from .profiles import LocalProfile
 
@@ -271,16 +271,16 @@ def ex75_17adic_values(k: int = 1):
     (value set, residue flags, transcript)."""
     A, B, C = SURFACE75
     p = 17
-    fac = sympy.factorint(A)
+    fac = factorint(abs(A))
     transcript = [
         "valuations v17(A), v17(B), v17(C) = 3, 0, 1: the three "
         "monomial valuations are distinct mod 4 when y = 0 mod 17, so "
         "v(w^2) would be odd - every 17-adic point has y, w units",
     ]
-    if not (fac.get(17, 0) == 3 and sympy.factorint(B).get(17, 0) == 0
-            and sympy.factorint(C).get(17, 0) == 1):
+    if not (fac.get(17, 0) == 3 and factorint(abs(B)).get(17, 0) == 0
+            and factorint(abs(C)).get(17, 0) == 1):
         raise AssertionError("unexpected 17-adic valuations")
-    if sympy.legendre_symbol(-2, p) != 1:
+    if legendre(-2, p) != 1:
         raise AssertionError("-2 must be a square mod 17")
     transcript.append("-2 is a square mod 17, so unit classes exist")
     roots = [r for r in range(2, p) if (r * r + 1) % p == 0]

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -172,3 +175,20 @@ def test_cubic_subcommand():
 def test_unknown_subcommand_exit_2():
     code, _, _ = run(["frobnicate"])
     assert code == 2
+
+
+def test_group_subcommands_load_neither_sympy_nor_numpy():
+    script = (
+        "import io, sys\n"
+        "import dp2.cli as cli\n"
+        "for argv in (['analyze', '-A', '3', '-B', '5', '-C', '7'],\n"
+        "             ['scan'], ['hilbert', '-A', '3', '-B', '5']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('sympy', 'numpy')))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -167,6 +167,28 @@ def test_descent_classes_built_once_per_request(monkeypatch):
     assert len(built) == 1
 
 
+def test_class_numerators_compiled_once_per_request(monkeypatch):
+    import dp2.cli as cli
+    import dp2.local.examples as examples
+    import dp2.local.padic as padic
+
+    compiled = []
+    original = padic.compile_poly
+
+    def counting(expr):
+        compiled.append(original(expr))
+        return compiled[-1]
+
+    examples.build_ex74.cache_clear()
+    monkeypatch.setattr(padic, "compile_poly", counting)
+    cli.obstruct_surface(34, 34, 34, samples=3000)
+    runs = list(compiled)
+    classes = examples.build_ex74().classes
+    assert len(classes) == 6
+    for q in classes:
+        assert runs.count(q.numerator_terms()) == 1
+
+
 # --- the order-4 class on (-9826, -2, 136) --------------------------------
 
 def test_order4_cocycle_identities():

@@ -260,3 +260,13 @@ def test_orbit_canonical_forms_match_bruteforce(monkeypatch):
         moved = rng.choice(images)
         assert g0._canon_conj_s3(moved) == min(images) \
             == g0._canon_conj_s3(mask)
+
+
+def test_fingerprint_traces_match_matrix_sums():
+    # the trace entry read from the one 128-entry table equals the
+    # diagonal sum of matrix_of on every element, on all 243 classes
+    for s in enumerate_subgroups_onto_Q():
+        fp = fingerprint(s, include_h1=False)
+        assert fp[5] == tuple(sorted(sum(matrix_of(g)[(i, i)]
+                                         for i in range(8))
+                                     for g in s.elements))

@@ -7,7 +7,6 @@ from dp2.intlin import (
     AbelianGroupType,
     ColumnEchelon,
     IntMatrix,
-    kernel_and_solve,
     smith_normal_form,
     subquotient_structure,
 )
@@ -63,28 +62,24 @@ def test_snf_2468():
 
 
 def test_kernel_and_solve_simple():
-    kern, sol, rat = kernel_and_solve([[1, 0]], [5])
-    assert sol == (5, 0)
-    assert kern == [(0, 1)]
+    ech = ColumnEchelon([[1, 0]])
+    assert ech.solve([5]) == ((5, 0), True)
+    assert ech.kernel() == [(0, 1)]
 
 
 def test_kernel_and_solve_parity():
-    kern, sol, rat = kernel_and_solve([[2]], [1])
-    assert sol is None
-    assert rat is True
-    assert kern == []
+    ech = ColumnEchelon([[2]])
+    assert ech.solve([1]) == (None, True)
+    assert ech.kernel() == []
 
 
 def test_kernel_and_solve_unsolvable_over_q():
-    kern, sol, rat = kernel_and_solve([[0]], [1])
-    assert sol is None
-    assert rat is False
+    assert ColumnEchelon([[0]]).solve([1]) == (None, False)
 
 
 def test_kernel_trivial_action_klein_four():
     # d^1 of Z^2 -> Z via (Delta_g, Delta_h) with trivial action: zero map
-    kern, _, _ = kernel_and_solve([[0, 0]], None)
-    assert sorted(kern) == [(0, 1), (1, 0)]
+    assert sorted(ColumnEchelon([[0, 0]]).kernel()) == [(0, 1), (1, 0)]
 
 
 def test_subquotient_z2_mod_2z2():
@@ -153,8 +148,7 @@ def test_snf_invariant_under_unimodular(rows, rnd):
 @settings(max_examples=30, deadline=None)
 @given(small_matrix)
 def test_kernel_is_kernel(rows):
-    kern, _, _ = kernel_and_solve(rows)
-    for v in kern:
+    for v in ColumnEchelon(rows).kernel():
         assert all(sum(r[j] * v[j] for j in range(len(v))) == 0 for r in rows)
 
 
