@@ -1,14 +1,16 @@
 """H^0 and H^1 of integer modules over finite groups, by four routes.
 
-Backends: the standard inhomogeneous complex (oracle, small groups only),
-efficient resolutions for cyclic/bicyclic/tricyclic/dihedral groups, a
-polycyclic-presentation cocycle solver (default, any order), and the
-five-term exact sequence of a group extension with an explicit chase for
-the transgression d2.
+Backends: the standard inhomogeneous complex (oracle, order <= 32), whose
+cocycles are cut out by one row block per edge g -> g.s of the Cayley
+graph; efficient resolutions for cyclic/bicyclic/tricyclic/dihedral
+groups; a polycyclic-presentation cocycle solver (default, any order);
+and the five-term exact sequence of a group extension with an explicit
+chase for the transgression d2.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -103,6 +105,13 @@ def cyclic_module(n: int, mat: Mat) -> GModule:
                    generators=(1 % n,) if n > 1 else (0,))
 
 
+def _fixed_basis(mod: GModule, elements) -> list[Vec]:
+    """Basis of the sublattice of M fixed by every element given."""
+    rows = [[x - (1 if i == j else 0) for j, x in enumerate(row)]
+            for g in elements for i, row in enumerate(mod.mat(g))]
+    return ColumnEchelon(rows or [[0] * mod.dim]).kernel()
+
+
 def submodule_on_invariants(mod: GModule, h_elements, acting, gens=()) -> \
         tuple[list[Vec], GModule]:
     """Basis of M^H and the induced module of `acting` elements on it.
@@ -110,15 +119,7 @@ def submodule_on_invariants(mod: GModule, h_elements, acting, gens=()) -> \
     `acting` must normalize H so that M^H is stable.  Matrices of the
     induced action are written in the returned basis.
     """
-    rows = []
-    for h in h_elements:
-        m = mod.mat(h)
-        for i in range(mod.dim):
-            rows.append([m[i][j] - (1 if i == j else 0)
-                         for j in range(mod.dim)])
-    if not rows:
-        rows = [[0] * mod.dim]
-    basis = ColumnEchelon(rows).kernel()
+    basis = _fixed_basis(mod, h_elements)
     r = len(basis)
     # solve basis-coordinates of g.b for each basis vector b
     bas_cols = [[basis[j][i] for j in range(r)] for i in range(mod.dim)]
@@ -147,59 +148,72 @@ class CohomologyResult:
                                                compare=False)
 
 
+def _h1_result(z1, b1, nslots: int, d: int, backend: str) -> CohomologyResult:
+    """H^1 = span(z1)/span(b1) on cochains of `nslots` d-blocks, with each
+    representative split into its blocks."""
+    res = subquotient_structure(z1, b1, ambient_dim=nslots * d)
+    reps = tuple(tuple(rep[t * d:(t + 1) * d] for t in range(nslots))
+                 for rep in res.reps)
+    return CohomologyResult(group=res.group, representatives=reps,
+                            backend=backend, _subq=res)
+
+
+def _coboundaries(mod: GModule, slots) -> list[Vec]:
+    """Generators of B^1 on cochains with one block per element of
+    `slots`: for each basis vector e, the cochain g -> g.e - e."""
+    return [tuple(x for g in slots for x in _vec_sub(mod.act(g, e), e))
+            for e in _identity_mat(mod.dim)]
+
+
 def invariants_H0(mod: GModule) -> tuple[int, list[Vec]]:
-    rows = []
-    for g in mod.gens():
-        m = mod.mat(g)
-        for i in range(mod.dim):
-            rows.append([m[i][j] - (1 if i == j else 0)
-                         for j in range(mod.dim)])
-    if not rows:
-        rows = [[0] * mod.dim]
-    basis = ColumnEchelon(rows).kernel()
-    return len(basis), list(basis)
+    basis = _fixed_basis(mod, mod.gens())
+    return len(basis), basis
 
 
-# --- standard-resolution backend ----------------------------------------
+# --- standard-complex backend -------------------------------------------
 
 _STANDARD_LIMIT = 32
 
 
+def _cayley_cocycles(mod: GModule) -> list[Vec]:
+    """Basis of Z^1 inside C^1 = M^n (one d-block per element, in
+    `mod.elements` order): the kernel of the rows
+    g.c(s) - c(gs) + c(g) = 0 for every g and every s in `mod.gens()`.
+    With s generating, induction on word length gives the cocycle law
+    for every pair, and g = e forces c(e) = 0."""
+    els = mod.elements
+    n, d = len(els), mod.dim
+    idx = {g: i for i, g in enumerate(els)}
+    rows = []
+    for g in els:
+        mg, cg = mod.mat(g), idx[g] * d
+        for s in mod.gens():
+            cs, cgs = idx[s] * d, idx[mod.mul(g, s)] * d
+            for i in range(d):
+                row = [0] * (n * d)
+                row[cs:cs + d] = mg[i]
+                row[cgs + i] -= 1
+                row[cg + i] += 1
+                rows.append(row)
+    return ColumnEchelon(rows).kernel()
+
+
 def h1_standard(mod: GModule) -> CohomologyResult:
-    """Oracle backend from the full inhomogeneous complex; refuses groups
-    of order beyond the guard since d1 grows with the square of |G|."""
+    """Oracle backend on the inhomogeneous cochains C^1 = M^n, with Z^1
+    cut out by the Cayley-graph rows of `_cayley_cocycles` (n.|S| row
+    blocks for the generating set S) and B^1 spanned by g -> g.e - e.
+    It uses no polycyclic series, so it stays independent of the
+    presentation backend; it refuses groups beyond `_STANDARD_LIMIT`."""
     els = mod.elements
     n, d = len(els), mod.dim
     if n > _STANDARD_LIMIT:
         raise ValueError(
             f"standard backend limited to order {_STANDARD_LIMIT}; "
             f"got {n} (use the presentation backend)")
-    idx = {g: i for i, g in enumerate(els)}
-    rows = []
-    for g in els:
-        mg = mod.mat(g)
-        for h in els:
-            gh = mod.mul(g, h)
-            row_block = [[0] * (n * d) for _ in range(d)]
-            for i in range(d):
-                for j in range(d):
-                    row_block[i][idx[h] * d + j] += mg[i][j]
-                row_block[i][idx[gh] * d + i] -= 1
-                row_block[i][idx[g] * d + i] += 1
-            rows.extend(row_block)
-    z1 = ColumnEchelon(rows).kernel()
-    b1 = []
-    for j in range(d):
-        e = tuple(1 if t == j else 0 for t in range(d))
-        col = []
-        for g in els:
-            col.extend(_vec_sub(mod.act(g, e), e))
-        b1.append(tuple(col))
-    res = subquotient_structure(list(z1), b1, ambient_dim=n * d)
-    reps = tuple(tuple(rep[i * d:(i + 1) * d] for i in range(n))
-                 for rep in res.reps)
-    return CohomologyResult(group=res.group, representatives=reps,
-                            backend="standard", _subq=res)
+    if _closure_in(mod, mod.gens()) != set(els):
+        raise AssertionError("module generators do not generate the group")
+    return _h1_result(_cayley_cocycles(mod), _coboundaries(mod, els), n, d,
+                      "standard")
 
 
 def standard_cocycle_checks(mod: GModule, c: dict) -> bool:
@@ -400,19 +414,9 @@ def h1_presentation(mod: GModule) -> CohomologyResult:
                             block[i][col0 + j] += sign * m[i][j]
                 prefix = mul[prefix][y]
         rows.extend(block)
-    z1 = ColumnEchelon(rows).kernel()
-    b1 = []
-    for j in range(d):
-        e = tuple(1 if t == j else 0 for t in range(d))
-        col = []
-        for y in gens:
-            col.extend(_vec_sub(mod.act(els[y], e), e))
-        b1.append(tuple(col))
-    res = subquotient_structure(list(z1), b1, ambient_dim=k * d)
-    reps = tuple(tuple(rep[t * d:(t + 1) * d] for t in range(k))
-                 for rep in res.reps)
-    return CohomologyResult(group=res.group, representatives=reps,
-                            backend="presentation", _subq=res)
+    return _h1_result(ColumnEchelon(rows).kernel(),
+                      _coboundaries(mod, [els[y] for y in gens]), k, d,
+                      "presentation")
 
 
 _H1_BY_MASK: dict[int, AbelianGroupType] = {}
@@ -512,12 +516,8 @@ def h1_via_resolution(kind: str, mod: GModule, gens=None) -> CohomologyResult:
     gens = tuple(gens) if gens is not None else tuple(mod.gens())
     rows, b1, nslots = _resolution_maps(kind, mod, gens)
     d = mod.dim
-    z1 = ColumnEchelon(rows).kernel()
-    res = subquotient_structure(list(z1), b1, ambient_dim=nslots * d)
-    reps = tuple(tuple(rep[t * d:(t + 1) * d] for t in range(nslots))
-                 for rep in res.reps)
-    return CohomologyResult(group=res.group, representatives=reps,
-                            backend=f"resolution:{kind}", _subq=res)
+    return _h1_result(ColumnEchelon(rows).kernel(), b1, nslots, d,
+                      f"resolution:{kind}")
 
 
 def sigma1_to_standard(kind: str, mod: GModule, gens, u) -> dict:
@@ -630,16 +630,7 @@ def five_term_with_d2(ext: ExtensionData, mod: GModule) -> FiveTermResult:
         return tuple(cc[g] for g in ext.h_gens)
 
     divisors = h1h.group.divisors
-    all_classes = []
-
-    def enumerate_classes(idx, coeffs):
-        if idx == len(divisors):
-            all_classes.append(tuple(coeffs))
-            return
-        for cval in range(divisors[idx]):
-            enumerate_classes(idx + 1, coeffs + [cval])
-
-    enumerate_classes(0, [])
+    all_classes = list(itertools.product(*map(range, divisors)))
 
     def lift(coords):
         u = tuple((0,) * mod.dim for _ in range(len(ext.h_gens)))

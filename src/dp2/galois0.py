@@ -21,6 +21,7 @@ public face.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -155,6 +156,7 @@ def verify_action_homomorphism() -> None:
 
 
 _MATRIX_LABELS = BASIS_LABELS + [Axis("z", 7, -1)]
+_LABEL_CLASSES = [(lab, _LATTICE.cls(lab)) for lab in _LABELS]
 
 
 @lru_cache(maxsize=None)
@@ -162,19 +164,18 @@ def matrix_of(g: GroupElement) -> IntMatrix:
     """8x8 matrix of g on Pic coordinates, verified on all 56 curves."""
     cols = [list(_LATTICE.cls(act_on_curve(g, lab))) for lab in _MATRIX_LABELS]
     # the eighth basis label has class v8 - v6 - v7, so correct its column
-    col8 = [cols[7][i] + cols[5][i] + cols[6][i] for i in range(8)]
-    cols[7] = col8
-    m = IntMatrix.from_rows([[cols[j][i] for j in range(8)] for i in range(8)])
+    cols[7] = [a + b + c for a, b, c in zip(*cols[5:])]
+    rows = [[cols[j][i] for j in range(8)] for i in range(8)]
 
     def apply(vec: Vec) -> Vec:
-        return tuple(sum(m[(i, j)] * vec[j] for j in range(8)) for i in range(8))
+        return tuple(sum(map(operator.mul, row, vec)) for row in rows)
 
-    for lab in _LABELS:
-        if apply(_LATTICE.cls(lab)) != _LATTICE.cls(act_on_curve(g, lab)):
+    for lab, cls in _LABEL_CLASSES:
+        if apply(cls) != _LATTICE.cls(act_on_curve(g, lab)):
             raise AssertionError(f"induced matrix inconsistent for {g} at {lab}")
     if apply(ANTICANONICAL) != ANTICANONICAL:
         raise AssertionError(f"matrix of {g} moves the anticanonical class")
-    return m
+    return IntMatrix.from_rows(rows)
 
 
 @lru_cache(maxsize=None)

@@ -290,10 +290,11 @@ class ColumnEchelon:
         import numpy as np
 
         m, n = self.nrows, self.ncols
-        arr = np.array(a, dtype=object)
-        if arr.size and max(int(abs(x)) for x in arr.flat) >= _INT64_LIMIT:
-            raise _Int64Overflow
+        # entries of 2^63 or more raise OverflowError here; not np.abs,
+        # which wraps at -2^63
         A = np.array(a, dtype=np.int64)
+        if A.max() >= _INT64_LIMIT or A.min() <= -_INT64_LIMIT:
+            raise _Int64Overflow
         V = np.eye(n, dtype=np.int64)
         pivot_rows = []
         c = 0
@@ -331,8 +332,8 @@ class ColumnEchelon:
                 V[:, [c, j0]] = V[:, [j0, c]]
             pivot_rows.append(r)
             c += 1
-        self._cols = [[int(A[i, j]) for i in range(m)] for j in range(n)]
-        self._vcols = [[int(V[i, j]) for i in range(n)] for j in range(n)]
+        self._cols = A.T.tolist()
+        self._vcols = V.T.tolist()
         self.rank = c
         self.pivot_rows = pivot_rows
 
@@ -351,12 +352,19 @@ class ColumnEchelon:
         """
         if len(b) != self.nrows:
             raise ValueError("dimension mismatch")
-        rem = [Fraction(x) for x in b]
+        # forward substitution over Z while every pivot divides; after
+        # the first that does not there is no integral solution, and the
+        # rest runs over Q only to settle rational solvability
+        rem = list(map(int, b))
         ys = []
+        integral = True
         for t in range(self.rank):
             r = self.pivot_rows[t]
             col = self._cols[t]
-            coeff = rem[r] / col[r]
+            coeff, frac = divmod(rem[r], col[r])
+            if frac:
+                integral = False
+                coeff = Fraction(rem[r], col[r])
             ys.append(coeff)
             if coeff:
                 for i in range(r, self.nrows):
@@ -364,15 +372,14 @@ class ColumnEchelon:
                         rem[i] -= coeff * col[i]
         if any(rem):
             return None, False
-        if any(y.denominator != 1 for y in ys):
+        if not integral:
             return None, True
         x = [0] * self.ncols
         for t, y in enumerate(ys):
             if y:
-                yi = int(y)
                 vt = self._vcols[t]
                 for i in range(self.ncols):
-                    x[i] += yi * vt[i]
+                    x[i] += y * vt[i]
         return tuple(x), True
 
 

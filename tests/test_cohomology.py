@@ -16,6 +16,7 @@ from dp2.cohomology import (
     sigma1_to_standard,
     standard_cocycle_checks,
     submodule_on_invariants,
+    _cayley_cocycles,
     _resolution_maps,
 )
 from dp2.galois0 import (
@@ -92,6 +93,72 @@ def test_h1_trivial_action_is_zero():
 def test_standard_guard():
     with pytest.raises(ValueError):
         h1_standard(pic_module(G0))
+
+
+def test_standard_refuses_non_generating_generators():
+    s = generate_subgroup([IOTA_A, IOTA_B])
+    base = pic_module(s)
+    mod = GModule(elements=s.elements, identity=IDENTITY, mul=base.mul,
+                  dim=8, matrices=base.matrices, generators=(IOTA_A,))
+    with pytest.raises(AssertionError):
+        h1_standard(mod)
+
+
+def _pairwise_cocycles(mod):
+    """Z^1 from the full inhomogeneous complex: one row block
+    g.c(h) - c(gh) + c(g) = 0 for every pair (g, h)."""
+    els, d = mod.elements, mod.dim
+    n = len(els)
+    idx = {g: i for i, g in enumerate(els)}
+    rows = []
+    for g in els:
+        mg = mod.mat(g)
+        for h in els:
+            gh = mod.mul(g, h)
+            for i in range(d):
+                row = [0] * (n * d)
+                for j in range(d):
+                    row[idx[h] * d + j] += mg[i][j]
+                row[idx[gh] * d + i] -= 1
+                row[idx[g] * d + i] += 1
+                rows.append(row)
+    return ColumnEchelon(rows).kernel()
+
+
+def _contains(basis, vecs):
+    if not basis:
+        return not any(any(v) for v in vecs)
+    ech = ColumnEchelon([[b[i] for b in basis] for i in range(len(basis[0]))])
+    return all(ech.solve(list(v))[0] is not None for v in vecs)
+
+
+@pytest.mark.parametrize("mod", [
+    cyclic_module(2, ((-1,),)),
+    cyclic_module(2, ((0, 1), (1, 0))),
+    cyclic_module(3, ((1,),)),
+    cyclic_module(4, ((0, -1), (1, 0))),
+], ids=["negation", "swap", "trivial3", "rotation4"])
+def test_cayley_rows_cut_out_the_pairwise_cocycles_cyclic(mod):
+    pairwise, cayley = _pairwise_cocycles(mod), _cayley_cocycles(mod)
+    assert len(pairwise) == len(cayley)
+    assert _contains(pairwise, cayley) and _contains(cayley, pairwise)
+
+
+def test_cayley_rows_cut_out_the_pairwise_cocycles_small_classes():
+    # the same lattice Z^1, by mutual membership, on every onto-Q class
+    # of order <= 8
+    from dp2.galois0 import enumerate_subgroups_onto_Q
+    checked = 0
+    for s in enumerate_subgroups_onto_Q():
+        if s.order > 8:
+            continue
+        mod = pic_module(s)
+        pairwise, cayley = _pairwise_cocycles(mod), _cayley_cocycles(mod)
+        assert len(pairwise) == len(cayley), s.generators
+        assert _contains(pairwise, cayley), s.generators
+        assert _contains(cayley, pairwise), s.generators
+        checked += 1
+    assert checked == 83
 
 
 def test_generic_h_tricyclic(generic_h):
@@ -288,10 +355,10 @@ def test_backend_agreement_every_onto_q_class():
         if res is not None:
             assert res.group == pres, (s.generators, res.backend)
             resolved += 1
-        if s.order <= 8:
+        if s.order <= 32:
             assert h1_standard(pic_module(s)).group == pres, s.generators
             standard += 1
-    assert (resolved, standard) == (83, 83)
+    assert (resolved, standard) == (83, 230)
 
 
 def test_scan_computes_h1_once_per_class(monkeypatch):

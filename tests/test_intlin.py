@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,3 +212,80 @@ def test_echelon_numpy_matches_python():
     if s1 is not None:
         for r, bv in zip(rows, b):
             assert sum(x * y for x, y in zip(r, s1)) == bv
+
+
+@pytest.mark.parametrize("big", [2 ** 62, -2 ** 62, 2 ** 63, -2 ** 63,
+                                 2 ** 64, -2 ** 64])
+def test_echelon_numpy_falls_back_beyond_int64_limit(big, monkeypatch):
+    rows = [[big, 3, 0], [1, 2, 5], [4, 0, 1], [2, 2, 2]]
+    reference = ColumnEchelon(rows, use_numpy=False)
+    calls = []
+    python_path = ColumnEchelon._echelon_python
+
+    def counting(self, a):
+        calls.append(a)
+        return python_path(self, a)
+
+    monkeypatch.setattr(ColumnEchelon, "_echelon_python", counting)
+    ech = ColumnEchelon(rows, use_numpy=True)
+    assert len(calls) == 1
+    assert (ech.rank, ech.pivot_rows, ech._cols, ech._vcols) == (
+        reference.rank, reference.pivot_rows, reference._cols,
+        reference._vcols)
+
+
+def test_echelon_numpy_keeps_entries_below_int64_limit():
+    rows = [[2 ** 62 - 1, 0], [0, 1]]
+    ech = ColumnEchelon(rows, use_numpy=True)
+    reference = ColumnEchelon(rows, use_numpy=False)
+    assert (ech._cols, ech._vcols) == (reference._cols, reference._vcols)
+    assert all(type(x) is int for col in ech._cols + ech._vcols for x in col)
+
+
+def _fraction_solve(ech, b):
+    """Forward substitution over Q on the echelon form of `ech`."""
+    rem = [Fraction(x) for x in b]
+    ys = []
+    for t in range(ech.rank):
+        r, col = ech.pivot_rows[t], ech._cols[t]
+        coeff = rem[r] / col[r]
+        ys.append(coeff)
+        for i in range(r, ech.nrows):
+            rem[i] -= coeff * col[i]
+    if any(rem):
+        return None, False
+    if any(y.denominator != 1 for y in ys):
+        return None, True
+    x = [0] * ech.ncols
+    for t, y in enumerate(ys):
+        for i in range(ech.ncols):
+            x[i] += int(y) * ech._vcols[t][i]
+    return tuple(x), True
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrix, st.sampled_from(["integral", "scaled", "arbitrary"]),
+       st.integers(2, 3), st.booleans(), st.data())
+def test_solve_matches_fraction_reference(rows, kind, k, use_numpy, data):
+    # integral: b in the image; scaled: (kA) x = A y, often not integral;
+    # arbitrary: b drawn freely, often not even rational-solvable
+    ncols = len(rows[0])
+    y = data.draw(st.lists(st.integers(-4, 4), min_size=ncols,
+                           max_size=ncols))
+    b = [sum(a * v for a, v in zip(r, y)) for r in rows]
+    if kind == "scaled":
+        rows = [[k * a for a in r] for r in rows]
+    elif kind == "arbitrary":
+        b = data.draw(st.lists(st.integers(-9, 9), min_size=len(rows),
+                               max_size=len(rows)))
+    ech = ColumnEchelon(rows, use_numpy=use_numpy)
+    assert ech.solve(b) == _fraction_solve(ech, b)
+
+
+@pytest.mark.parametrize("rows,b,expected", [
+    ([[2, 0], [0, 3]], [4, 9], ((2, 3), True)),
+    ([[2, 0], [0, 3]], [4, 8], (None, True)),
+    ([[2, 4], [1, 2]], [2, 2], (None, False)),
+])
+def test_solve_outcomes(rows, b, expected):
+    assert ColumnEchelon(rows).solve(b) == expected
