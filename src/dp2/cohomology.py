@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from functools import cached_property
+from typing import Any, Callable, NamedTuple, Optional
 
 from .intlin import (
     AbelianGroupType,
@@ -52,10 +53,23 @@ def _mat_mul(a: Mat, b: Mat) -> Mat:
                        for j in range(len(b[0]))) for i in range(n))
 
 
+class IndexTable(NamedTuple):
+    """A module's group on integers: i stands for `mod.elements[i]`, idx
+    maps each element to its i, mul[a][b] is the index of a.b, inv[a]
+    that of a^-1, and e that of the identity."""
+
+    idx: dict
+    mul: list
+    inv: list
+    e: int
+
+
 @dataclass(frozen=True)
 class GModule:
     """A finite group with an integral action: elements are hashable,
-    multiplication is supplied, matrices give the action on Z^dim."""
+    multiplication is supplied, matrices give the action on Z^dim.  The
+    generators (all elements when none are given) must generate the
+    elements; `table` enforces this for every backend."""
 
     elements: tuple
     identity: Any
@@ -70,15 +84,51 @@ class GModule:
     def act(self, g, v) -> Vec:
         return _mat_vec(self.matrices[g], v)
 
-    def order_of(self, g) -> int:
-        n, cur = 1, g
-        while cur != self.identity:
-            cur = self.mul(cur, g)
-            n += 1
-        return n
-
     def gens(self) -> tuple:
         return self.generators if self.generators else self.elements
+
+    @cached_property
+    def table(self) -> IndexTable:
+        """The product table from n.|S| calls of `mul`: the rows
+        x -> x.s for the generators s, a breadth-first search from the
+        identity along them that writes each element y as parent.s, and
+        then g.y = (g.parent).s by integer lookups."""
+        els = self.elements
+        n = len(els)
+        idx = {g: i for i, g in enumerate(els)}
+        e = idx[self.identity]
+        right = [[idx[self.mul(x, s)] for x in els] for s in self.gens()]
+        tree, seen = [(e, None, None)], {e}
+        for y, _, _ in tree:  # breadth first: the loop reaches what it adds
+            for row in right:
+                if row[y] not in seen:
+                    seen.add(row[y])
+                    tree.append((row[y], y, row))
+        if len(tree) != n:
+            raise AssertionError(
+                "module generators do not generate the group")
+        mul = []
+        for g in range(n):
+            prod = [0] * n
+            prod[e] = g
+            for y, parent, row in tree[1:]:
+                prod[y] = row[prod[parent]]
+            mul.append(prod)
+        return IndexTable(idx, mul, [prod.index(e) for prod in mul], e)
+
+    def inverse(self, g):
+        t = self.table
+        return self.elements[t.inv[t.idx[g]]]
+
+    def powers(self, g) -> list:
+        """g^0, g^1, ..., g^(k-1) for k the order of g."""
+        t = self.table
+        i = t.idx[g]
+        out, cur = [self.identity], i
+        while cur != t.e:
+            out.append(self.elements[cur])
+            cur = t.mul[cur][i]
+        return out
 
 
 def pic_module(s) -> GModule:
@@ -181,14 +231,14 @@ def _cayley_cocycles(mod: GModule) -> list[Vec]:
     g.c(s) - c(gs) + c(g) = 0 for every g and every s in `mod.gens()`.
     With s generating, induction on word length gives the cocycle law
     for every pair, and g = e forces c(e) = 0."""
-    els = mod.elements
+    els, t = mod.elements, mod.table
     n, d = len(els), mod.dim
-    idx = {g: i for i, g in enumerate(els)}
+    gens = [t.idx[s] for s in mod.gens()]
     rows = []
-    for g in els:
-        mg, cg = mod.mat(g), idx[g] * d
-        for s in mod.gens():
-            cs, cgs = idx[s] * d, idx[mod.mul(g, s)] * d
+    for g, prod in enumerate(t.mul):
+        mg, cg = mod.mat(els[g]), g * d
+        for s in gens:
+            cs, cgs = s * d, prod[s] * d
             for i in range(d):
                 row = [0] * (n * d)
                 row[cs:cs + d] = mg[i]
@@ -203,15 +253,14 @@ def h1_standard(mod: GModule) -> CohomologyResult:
     cut out by the Cayley-graph rows of `_cayley_cocycles` (n.|S| row
     blocks for the generating set S) and B^1 spanned by g -> g.e - e.
     It uses no polycyclic series, so it stays independent of the
-    presentation backend; it refuses groups beyond `_STANDARD_LIMIT`."""
+    presentation backend; it refuses groups beyond `_STANDARD_LIMIT`, and
+    `mod.table` refuses generators that do not generate."""
     els = mod.elements
     n, d = len(els), mod.dim
     if n > _STANDARD_LIMIT:
         raise ValueError(
             f"standard backend limited to order {_STANDARD_LIMIT}; "
             f"got {n} (use the presentation backend)")
-    if _closure_in(mod, mod.gens()) != set(els):
-        raise AssertionError("module generators do not generate the group")
     return _h1_result(_cayley_cocycles(mod), _coboundaries(mod, els), n, d,
                       "standard")
 
@@ -227,20 +276,6 @@ def standard_cocycle_checks(mod: GModule, c: dict) -> bool:
 
 
 # --- presentation backend -----------------------------------------------
-
-def _closure_in(mod: GModule, gens) -> set:
-    out = {mod.identity}
-    frontier = [mod.identity]
-    gens = list(gens)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = mod.mul(cur, g)
-            if nxt not in out:
-                out.add(nxt)
-                frontier.append(nxt)
-    return out
-
 
 def _smallest_prime(n: int) -> int:
     p = 2
@@ -328,13 +363,6 @@ def polycyclic_chain(mul, inv, e: int):
     return gens, chain
 
 
-def _pow(mod: GModule, g, n: int):
-    out = mod.identity
-    for _ in range(n):
-        out = mod.mul(out, g)
-    return out
-
-
 def _normal_form(mul, inv, gens, chain, orders, x: int) -> list[int]:
     exps = []
     for i, y in enumerate(gens):
@@ -353,20 +381,18 @@ def h1_presentation(mod: GModule) -> CohomologyResult:
     """Cocycles determined by their values on a polycyclic generating
     sequence, constrained by the power and conjugation relators.
 
-    The group work runs on a local index table: the elements, in str
-    order, are numbered 0..n-1, `mod.mul` fills the n x n product table
-    once, and the subgroups of the polycyclic chain are bitmasks."""
+    The group work runs on the module's index table (`mod.table`, built
+    from n.|gens| calls of `mod.mul`), whose numbering follows
+    `mod.elements` and so fixes the chain and the representatives; the
+    subgroups of the polycyclic chain are bitmasks over its indices."""
     d = mod.dim
     if len(mod.elements) == 1:
         return CohomologyResult(group=AbelianGroupType((), 0),
                                 representatives=(), backend="presentation",
                                 _subq=subquotient_structure(
                                     [(0,) * max(d, 1)], [], ambient_dim=max(d, 1)))
-    els = sorted(mod.elements, key=str)
-    idx = {g: i for i, g in enumerate(els)}
-    mul = [[idx[mod.mul(a, b)] for b in els] for a in els]
-    ident = idx[mod.identity]
-    inv = [row.index(ident) for row in mul]
+    els, t = mod.elements, mod.table
+    mul, inv, ident = t.mul, t.inv, t.e
     gens, chain = polycyclic_chain(mul, inv, ident)
     k = len(gens)
     orders = [chain[i].bit_count() // chain[i + 1].bit_count()
@@ -446,12 +472,9 @@ def _delta_rows(mod: GModule, g) -> Mat:
 
 def _norm_rows(mod: GModule, g) -> Mat:
     total = _identity_mat(mod.dim)
-    cur = g
-    while cur != mod.identity:
-        m = mod.mat(cur)
+    for cur in mod.powers(g)[1:]:
         total = tuple(tuple(a + b for a, b in zip(r1, r2))
-                      for r1, r2 in zip(total, m))
-        cur = mod.mul(cur, g)
+                      for r1, r2 in zip(total, mod.mat(cur)))
     return total
 
 
@@ -525,39 +548,29 @@ def sigma1_to_standard(kind: str, mod: GModule, gens, u) -> dict:
     into a standard cocycle on the whole group via the comparison map."""
     d = mod.dim
     c = {}
-    orders = [mod.order_of(g) for g in gens]
+    powers = [mod.powers(g) for g in gens]
 
-    def prefix_sum(base, g, count, vec):
-        # -base * (1 + g + ... + g^{count-1}) applied to vec
+    def prefix_sum(base, pw, count, vec):
+        # -base * (1 + g + ... + g^{count-1}) applied to vec, for pw the
+        # powers of g
         out = (0,) * d
-        cur = base
-        for _ in range(count):
-            out = _vec_sub(out, mod.act(cur, vec))
-            cur = mod.mul(cur, g)
+        for p in pw[:count]:
+            out = _vec_sub(out, mod.act(mod.mul(base, p), vec))
         return out
 
     if kind == "dihedral":
-        g, h = gens
-        n = orders[0]
-        for i in range(n):
-            gi = _pow(mod, g, i)
-            c[gi] = prefix_sum(mod.identity, g, i, u[0])
+        h = gens[1]
+        for i, gi in enumerate(powers[0]):
+            c[gi] = prefix_sum(mod.identity, powers[0], i, u[0])
             c[mod.mul(gi, h)] = _vec_sub(c[gi], mod.act(gi, u[1]))
         return c
     # abelian kinds: exponents run over the full direct-product box
-    def rec(idx, exps):
-        if idx == len(gens):
-            val = (0,) * d
-            cur = mod.identity
-            for t, (g, e) in enumerate(zip(gens, exps)):
-                val = _vec_add(val, prefix_sum(cur, g, e, u[t]))
-                cur = mod.mul(cur, _pow(mod, g, e))
-            c[cur] = val
-            return
-        for e in range(orders[idx]):
-            rec(idx + 1, exps + [e])
-
-    rec(0, [])
+    for exps in itertools.product(*(range(len(pw)) for pw in powers)):
+        val, cur = (0,) * d, mod.identity
+        for pw, e, vec in zip(powers, exps, u):
+            val = _vec_add(val, prefix_sum(cur, pw, e, vec))
+            cur = mod.mul(cur, pw[e])
+        c[cur] = val
     if len(c) != len(mod.elements):
         raise AssertionError("generators do not enumerate the group freely")
     return c
@@ -597,8 +610,14 @@ def _group_order(t: AbelianGroupType) -> int:
 
 
 def five_term_with_d2(ext: ExtensionData, mod: GModule) -> FiveTermResult:
-    h_elements = tuple(sorted(_closure_in(mod, ext.h_gens), key=str))
-    t_elements = tuple(sorted(_closure_in(mod, ext.q_gens), key=str))
+    t = mod.table
+
+    def span(gens) -> tuple:
+        mask = _closure_mask(t.mul, [t.idx[g] for g in gens], t.e)
+        return tuple(sorted((mod.elements[i] for i in _members(mask)),
+                            key=str))
+
+    h_elements, t_elements = span(ext.h_gens), span(ext.q_gens)
     if len(h_elements) * len(t_elements) != len(mod.elements):
         raise ValueError("h_gens/q_gens do not decompose the group")
     hset = set(h_elements)
@@ -624,7 +643,7 @@ def five_term_with_d2(ext: ExtensionData, mod: GModule) -> FiveTermResult:
 
     def conj_class_rep(u, r):
         c = sigma1_to_standard(ext.h_kind(), h_mod, ext.h_gens, u)
-        ri = _inv_in(mod, r)
+        ri = mod.inverse(r)
         cc = {h: mod.act(r, c[mod.mul(mod.mul(ri, h), r)])
               for h in h_elements}
         return tuple(cc[g] for g in ext.h_gens)
@@ -670,10 +689,6 @@ def five_term_with_d2(ext: ExtensionData, mod: GModule) -> FiveTermResult:
         non_invariant_reported=tuple(non_invariant))
 
 
-def _inv_in(mod: GModule, g):
-    return _pow(mod, g, mod.order_of(g) - 1)
-
-
 def _finite_subgroup_type(coord_list, divisors) -> AbelianGroupType:
     if not divisors:
         return AbelianGroupType((), 0)
@@ -701,7 +716,7 @@ def _d2_is_zero(ext, mod, h_mod, h_elements, t_elements, h_basis, q_mod, u):
         t = proj_cache.get(x)
         if t is None:
             for cand in t_elements:
-                if mod.mul(x, _inv_in(mod, cand)) in hset:
+                if mod.mul(x, mod.inverse(cand)) in hset:
                     t = cand
                     break
             else:
@@ -715,7 +730,7 @@ def _d2_is_zero(ext, mod, h_mod, h_elements, t_elements, h_basis, q_mod, u):
 
     # v_i = Delta_{r_i} X, constant in (q, q') only through the action
     def q_act1(r, fn):
-        ri = _inv_in(mod, r)
+        ri = mod.inverse(r)
 
         def out(q, hp, qp):
             return mod.act(r, fn(proj_t(mod.mul(ri, q)),
@@ -757,7 +772,7 @@ def _d2_is_zero(ext, mod, h_mod, h_elements, t_elements, h_basis, q_mod, u):
 
     # horizontal d1 on E0^{.,0}
     def q_act0(r, vec_list):
-        ri = _inv_in(mod, r)
+        ri = mod.inverse(r)
         return [mod.act(r, vec_list[t_idx[proj_t(mod.mul(ri, q))]])
                 for q in t_elements]
 
@@ -767,11 +782,9 @@ def _d2_is_zero(ext, mod, h_mod, h_elements, t_elements, h_basis, q_mod, u):
 
     def norm0(r, vl):
         total = list(vl)
-        cur = r
-        while cur != mod.identity:
+        for cur in mod.powers(r)[1:]:
             acted = q_act0(cur, vl)
             total = [_vec_add(a, b) for a, b in zip(total, acted)]
-            cur = mod.mul(cur, r)
         return total
 
     if ext.q_kind() == "cyclic":

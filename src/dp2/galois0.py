@@ -14,18 +14,20 @@ bit i set for each element index i it contains.  `_tables()` builds the
 product table by arithmetic on the coordinates (row g is the left
 multiplication x -> g x), the conjugation permutations x -> g x g^-1 from
 it, and the six S3 relabelings as index permutations.  A map moves a mask
-by permuting its bits; that helper and the mask closure are shared with the
-presentation backend in `cohomology`.  GroupElement and Subgroup remain the
-public face.
+by permuting its bits (`cohomology._apply_perm`).  Every subgroup here,
+from `generate_subgroup` to the Kummer constraints, is closed over that
+table by `cohomology._closure_mask`, the one subgroup-closure routine of
+the package, which the H^1 backends run on each module's own index table.
+GroupElement and Subgroup remain the public face.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .cohomology import _apply_perm, _closure_mask, h1_of_subgroup
+from .cohomology import _apply_perm, _closure_mask, _members, h1_of_subgroup
 from .intlin import ColumnEchelon, IntMatrix
 from .picard import (
     ANTICANONICAL,
@@ -201,39 +203,35 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def mask(self) -> int:
+    @cached_property
+    def _mask(self) -> int:
         return sum(1 << _INDEX[g] for g in self.elements)
 
+    def mask(self) -> int:
+        return self._mask
+
     def __contains__(self, g: GroupElement) -> bool:
-        return g in set(self.elements)
+        return bool(self._mask >> _INDEX[g] & 1)
 
 
-def _closure(gens) -> set[GroupElement]:
-    elems = {IDENTITY}
-    frontier = [IDENTITY]
-    gens = list(gens)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = cur * g
-            if nxt not in elems:
-                elems.add(nxt)
-                frontier.append(nxt)
-    return elems
+# the four cosets of H in G0 (one per value of chi), as masks
+_CHI_COSETS = tuple(((1 << 32) - 1) << (32 * c) for c in range(4))
 
 
-def _onto_q(elems) -> bool:
-    return {g.chi for g in elems} == {1, 3, 5, 7}
+def _subgroup(mask: int, gens=None) -> Subgroup:
+    """The subgroup with the given mask, with the given generators or,
+    when gens is None, minimal ones."""
+    elems = tuple(ALL_ELEMENTS[i] for i in _members(mask))
+    return Subgroup(
+        elements=elems,
+        generators=_minimal_generators(elems) if gens is None else gens,
+        onto_q=all(mask & coset for coset in _CHI_COSETS))
 
 
 def generate_subgroup(gens) -> Subgroup:
     gens = tuple(gens)
-    elems = tuple(sorted(_closure(gens)))
-    return Subgroup(elements=elems, generators=gens, onto_q=_onto_q(elems))
-
-
-G0 = generate_subgroup([SIGMA, TAU, IOTA_A, IOTA_B, IOTA_C])
-H_SUBGROUP = generate_subgroup([IOTA_A, IOTA_B, IOTA_A * IOTA_B * IOTA_C])
+    return _subgroup(_closure_mask(_tables()[0], [_INDEX[g] for g in gens], 0),
+                     gens)
 
 # the six relabelings of the roles of A, B, C, as automorphisms of G0
 _PHI_AB = lambda g: GroupElement(g.chi, (g.e_s + g.e_k) % 2,
@@ -270,10 +268,6 @@ def verify_s3_automorphisms() -> None:
 
 # --- subgroup enumeration ------------------------------------------------
 
-# the four cosets of H in G0 (one per value of chi), as masks
-_CHI_COSETS = tuple(((1 << 32) - 1) << (32 * c) for c in range(4))
-
-
 @lru_cache(maxsize=1)
 def _tables():
     """Product table, conjugation permutations (x -> g x g^-1, one per g)
@@ -290,6 +284,9 @@ def _tables():
           for phi in S3_MAPS.values()]
     return mul, conj, s3
 
+
+G0 = generate_subgroup([SIGMA, TAU, IOTA_A, IOTA_B, IOTA_C])
+H_SUBGROUP = generate_subgroup([IOTA_A, IOTA_B, IOTA_A * IOTA_B * IOTA_C])
 
 _ORBITS: dict[tuple[int, bool], frozenset[int]] = {}
 
@@ -325,12 +322,6 @@ def _canon_conj_s3(mask: int) -> int:
     """Least image of the subgroup mask under conjugation and the S3
     relabelings."""
     return min(_orbit(mask, with_s3=True))
-
-
-def _subgroup_from_mask(mask: int) -> Subgroup:
-    elems = tuple(ALL_ELEMENTS[i] for i in range(128) if mask >> i & 1)
-    gens = _minimal_generators(elems)
-    return Subgroup(elements=elems, generators=gens, onto_q=_onto_q(elems))
 
 
 def _minimal_generators(elems) -> tuple[GroupElement, ...]:
@@ -388,7 +379,7 @@ def enumerate_subgroups_onto_Q() -> tuple[Subgroup, ...]:
             continue
         canon = _canon_conj_s3(mask)
         if canon not in out:
-            out[canon] = _subgroup_from_mask(canon)
+            out[canon] = _subgroup(canon)
     return tuple(s for _, s in sorted(out.items(),
                                       key=lambda kv: (kv[1].order, kv[0])))
 
@@ -517,9 +508,9 @@ def _complement_search(s: Subgroup, n_set: set) -> Subgroup | None:
             t = _closure_mask(_tables()[0], [t1, t2], 0)
             if t.bit_count() != need or (t & n_mask).bit_count() != 1:
                 continue
-            elems = tuple(ALL_ELEMENTS[j] for j in range(128) if t >> j & 1)
+            elems = tuple(ALL_ELEMENTS[j] for j in _members(t))
             if is_abelian(elems):
-                return generate_subgroup(_minimal_generators(elems))
+                return _subgroup(t)
     return None
 
 

@@ -26,10 +26,9 @@ from .galois0 import (
     TAU,
     GroupElement,
     Subgroup,
-    _closure,
-    _minimal_generators,
-    _onto_q,
     _orbit,
+    _subgroup,
+    generate_subgroup,
 )
 
 _FACTOR_CAP = 10 ** 18
@@ -160,15 +159,12 @@ def galois_group(A: int, B: int, C: int) -> Subgroup:
     if A == 0 or B == 0 or C == 0:
         raise ValueError("coefficients must be nonzero")
     cons = constraints(A, B, C)
-    elems = [g for g in ALL_ELEMENTS
-             if all(c.satisfied_by(g) for c in cons)]
-    closed = _closure(_minimal_generators(tuple(elems)))
-    if closed != set(elems):
+    mask = sum(1 << i for i, g in enumerate(ALL_ELEMENTS)
+               if all(c.satisfied_by(g) for c in cons))
+    s = _subgroup(mask)
+    if generate_subgroup(s.generators).mask() != mask:
         raise AssertionError("constraint solution set is not a subgroup")
-    elems = tuple(sorted(elems))
-    return Subgroup(elements=elems,
-                    generators=_minimal_generators(elems),
-                    onto_q=_onto_q(elems))
+    return s
 
 
 def is_generic(A: int, B: int, C: int) -> bool:
@@ -232,9 +228,7 @@ def condition_holds(row: Table2Row, A: int, B: int, C: int) -> bool:
 
 
 def row_subgroup(row: Table2Row) -> Subgroup:
-    elems = tuple(sorted(_closure(row.generators)))
-    return Subgroup(elements=elems, generators=row.generators,
-                    onto_q=_onto_q(elems))
+    return generate_subgroup(row.generators)
 
 
 def contained_up_to_symmetry(s: Subgroup, big: Subgroup) -> bool:

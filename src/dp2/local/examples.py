@@ -156,8 +156,8 @@ def ex72_profile_at_p(p: int) -> LocalProfile:
 
 
 ex73_point_error = (
-    "no conic point found within the search bound; the Hasse principle "
-    "guarantees one exists for generic coefficients - supply a point")
+    "no conic point found by the search up to --bound; the search is "
+    "not exhaustive, so raise --bound")
 
 
 def is_generic_triple(A: int, B: int, C: int) -> bool:

@@ -62,11 +62,3 @@ class FieldTower:
         R = ring(tuple(extra_symbols) + tuple(reversed(self.gens)), QQ,
                  lex)[0]
         return R, [R(rel) for rel in self.relations]
-
-    def reduce(self, expr, extra_symbols=()):
-        """Canonical form of expr modulo the defining relations."""
-        R, rels = self.polyring(extra_symbols)
-        return R(expr).rem(rels).as_expr()
-
-    def is_zero(self, expr, extra_symbols=()) -> bool:
-        return self.reduce(expr, extra_symbols) == 0

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dp2.cli as cli
 
@@ -137,6 +138,30 @@ def test_obstruct_unimplemented_recipe_exit_2():
     code, _, err = run(["obstruct", "-A", "2", "-B", "3", "-C", "5"])
     assert code == 2
     assert "recipe not implemented" in err
+
+
+def test_obstruct_conic_miss_message():
+    code, out, err = run(["obstruct", "-A", "3", "-B", "5", "-C", "7",
+                          "--bound", "2"])
+    assert code == cli.EXIT_INPUT and out == ""
+    assert "no conic point found" in err and "Hasse" not in err
+
+
+_nonzero = st.integers(-50, 50).filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_nonzero, _nonzero, _nonzero)
+def test_analyze_random_triples_admissible_and_deterministic(a, b, c):
+    argv = ["analyze", "-A", str(a), "-B", str(b), "-C", str(c), "--json"]
+    first, second = run(argv), run(argv)
+    assert first == second
+    code, out, err = first
+    if code == cli.EXIT_INPUT:
+        return
+    assert code == cli.EXIT_OK, err
+    divisors = tuple(json.loads(out)["brauer"]["divisors"])
+    assert divisors in cli.THEOREM_GROUPS
 
 
 def test_hilbert_product_and_single_place():

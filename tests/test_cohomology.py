@@ -104,6 +104,69 @@ def test_standard_refuses_non_generating_generators():
         h1_standard(mod)
 
 
+def test_presentation_refuses_non_generating_generators():
+    s = generate_subgroup([IOTA_A, IOTA_B])
+    base = pic_module(s)
+    mod = GModule(elements=s.elements, identity=IDENTITY, mul=base.mul,
+                  dim=8, matrices=base.matrices, generators=(IOTA_A,))
+    with pytest.raises(AssertionError,
+                       match="module generators do not generate the group"):
+        h1_presentation(mod)
+
+
+def _product_table_oracle(mod):
+    """The n x n product table from n^2 calls of `mod.mul`, numbered in
+    `mod.elements` order, with its inverses."""
+    idx = {g: i for i, g in enumerate(mod.elements)}
+    mul = [[idx[mod.mul(a, b)] for b in mod.elements] for a in mod.elements]
+    e = idx[mod.identity]
+    return mul, [row.index(e) for row in mul], e
+
+
+def _assert_table_matches_oracle(mod):
+    mul, inv, e = _product_table_oracle(mod)
+    t = mod.table
+    assert (t.mul, t.inv, t.e) == (mul, inv, e)
+    assert t.idx == {g: i for i, g in enumerate(mod.elements)}
+
+
+cyclic_cases = pytest.mark.parametrize("mod", [
+    cyclic_module(2, ((-1,),)),
+    cyclic_module(2, ((0, 1), (1, 0))),
+    cyclic_module(3, ((1,),)),
+    cyclic_module(4, ((0, -1), (1, 0))),
+], ids=["negation", "swap", "trivial3", "rotation4"])
+
+
+@cyclic_cases
+def test_index_table_matches_full_product_table_cyclic(mod):
+    _assert_table_matches_oracle(mod)
+
+
+def test_index_table_matches_full_product_table_every_onto_q_class():
+    from dp2.galois0 import enumerate_subgroups_onto_Q
+    subs = enumerate_subgroups_onto_Q()
+    for s in subs:
+        _assert_table_matches_oracle(pic_module(s))
+    assert len(subs) == 243
+
+
+def test_presentation_calls_mul_n_times_generators():
+    # the order-128 table comes from the 128.|gens| right multiplications,
+    # not from the 128^2 products of a full fill
+    base = pic_module(G0)
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return a * b
+
+    mod = GModule(elements=base.elements, identity=IDENTITY, mul=counting,
+                  dim=8, matrices=base.matrices, generators=base.generators)
+    assert h1_presentation(mod).group.divisors == (2,)
+    assert 0 < len(calls) <= 128 * len(base.generators)
+
+
 def _pairwise_cocycles(mod):
     """Z^1 from the full inhomogeneous complex: one row block
     g.c(h) - c(gh) + c(g) = 0 for every pair (g, h)."""
@@ -132,12 +195,7 @@ def _contains(basis, vecs):
     return all(ech.solve(list(v))[0] is not None for v in vecs)
 
 
-@pytest.mark.parametrize("mod", [
-    cyclic_module(2, ((-1,),)),
-    cyclic_module(2, ((0, 1), (1, 0))),
-    cyclic_module(3, ((1,),)),
-    cyclic_module(4, ((0, -1), (1, 0))),
-], ids=["negation", "swap", "trivial3", "rotation4"])
+@cyclic_cases
 def test_cayley_rows_cut_out_the_pairwise_cocycles_cyclic(mod):
     pairwise, cayley = _pairwise_cocycles(mod), _cayley_cocycles(mod)
     assert len(pairwise) == len(cayley)

@@ -138,6 +138,34 @@ def test_generate_subgroup_orders():
     assert not generate_subgroup([]).onto_q
 
 
+def _bruteforce_closure(gens) -> set:
+    """The subgroup generated by gens, by GroupElement products."""
+    out, frontier = {IDENTITY}, [IDENTITY]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            if cur * g not in out:
+                out.add(cur * g)
+                frontier.append(cur * g)
+    return out
+
+
+def test_generate_subgroup_matches_element_closure():
+    from dp2.kummer import TABLE2
+    index = {g: i for i, g in enumerate(ALL_ELEMENTS)}
+    gen_sets = [s.generators for s in enumerate_subgroups_onto_Q()]
+    gen_sets += [row.generators for row in TABLE2]
+    for gens in gen_sets:
+        s = generate_subgroup(gens)
+        closed = _bruteforce_closure(gens)
+        assert s.mask() == sum(1 << index[g] for g in closed), gens
+        assert s.elements == tuple(sorted(closed))
+        assert s.onto_q == ({g.chi for g in closed} == {1, 3, 5, 7})
+        assert all(g in s for g in closed)
+        assert not any(g in s for g in ALL_ELEMENTS if g not in closed)
+    assert len(gen_sets) == 243 + 12
+
+
 def test_quotient_by_H_is_klein_four():
     assert G0.order // H_SUBGROUP.order == 4
     chis = {g.chi for g in G0.elements}
