@@ -5,7 +5,11 @@ Elements are stored in radical coordinates (chi, e_s, e_k, e_m): chi in
 the sign on sqrt(A), and e_k, e_m in Z/4 the powers of i applied to the
 fourth roots of B/A and C/A.  Composition twists the (e_k, e_m) part by
 chi mod 4.  The five named generators act on the 56 exceptional curves by
-an explicit table; everything else is derived from that.
+an explicit table; everything else is derived from that.  Each generator's
+table is turned once into a permutation of the curve indices, an element's
+permutation is composed from those on integers along its word, and
+`matrix_of` reads its columns from the table of curve classes and checks
+the matrix on all 56 curve classes and on -K.
 
 The subgroup machinery runs on integers.  An element has the index
 32 * (chi // 2) + 16 * e_s + 4 * e_k + e_m, its position in the sorted
@@ -23,7 +27,6 @@ GroupElement and Subgroup remain the public face.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -34,12 +37,9 @@ from .picard import (
     Axis,
     BASIS_LABELS,
     CurveLabel,
-    Triple,
-    Vec,
     all_labels,
     axis,
     build_lattice,
-    intersection,
     triple,
 )
 
@@ -71,11 +71,7 @@ class GroupElement:
                             (-tw * self.e_k) % 4, (-tw * self.e_m) % 4)
 
     def order(self) -> int:
-        n, g = 1, self
-        while g != IDENTITY:
-            g = g * self
-            n += 1
-        return n
+        return _orders()[_INDEX[self]]
 
 
 IDENTITY = GroupElement(1, 0, 0, 0)
@@ -157,27 +153,55 @@ def verify_action_homomorphism() -> None:
                     raise AssertionError(f"action not a homomorphism at {g}, {name}")
 
 
-_MATRIX_LABELS = BASIS_LABELS + [Axis("z", 7, -1)]
-_LABEL_CLASSES = [(lab, _LATTICE.cls(lab)) for lab in _LABELS]
+_LABEL_INDEX = {lab: i for i, lab in enumerate(_LABELS)}
+# class of each curve, in _LABELS order, and its nonzero coordinates
+_CLASSES = tuple(_LATTICE.cls(lab) for lab in _LABELS)
+_SUPPORTS = tuple(tuple((j, c) for j, c in enumerate(v) if c) for v in _CLASSES)
+_MATRIX_COLUMNS = [_LABEL_INDEX[lab]
+                   for lab in BASIS_LABELS + [Axis("z", 7, -1)]]
+
+
+@lru_cache(maxsize=1)
+def _generator_perms() -> dict[str, tuple[int, ...]]:
+    """Each named generator on the 56 curves, as label indices."""
+    return {name: tuple(_LABEL_INDEX[_gen_act(name, lab)] for lab in _LABELS)
+            for name in GENERATORS}
+
+
+@lru_cache(maxsize=None)
+def _curve_indices(g: GroupElement) -> tuple[int, ...]:
+    """g on the 56 curves: entry i is the index of g(_LABELS[i]), composed
+    from the generator permutations along _word(g)."""
+    perm, gens = range(56), _generator_perms()
+    for name in reversed(_word(g)):
+        p = gens[name]
+        perm = [p[i] for i in perm]
+    return tuple(perm)
 
 
 @lru_cache(maxsize=None)
 def matrix_of(g: GroupElement) -> IntMatrix:
     """8x8 matrix of g on Pic coordinates, verified on all 56 curves."""
-    cols = [list(_LATTICE.cls(act_on_curve(g, lab))) for lab in _MATRIX_LABELS]
+    perm = _curve_indices(g)
+    cols = [_CLASSES[perm[i]] for i in _MATRIX_COLUMNS]
     # the eighth basis label has class v8 - v6 - v7, so correct its column
-    cols[7] = [a + b + c for a, b, c in zip(*cols[5:])]
-    rows = [[cols[j][i] for j in range(8)] for i in range(8)]
+    cols[7] = tuple(map(sum, zip(*cols[5:])))
 
-    def apply(vec: Vec) -> Vec:
-        return tuple(sum(map(operator.mul, row, vec)) for row in rows)
+    def apply(support) -> list[int]:  # M v, summed over the nonzero v_j
+        out = [0] * 8
+        for j, c in support:
+            col = cols[j]
+            for i in range(8):
+                out[i] += c * col[i]
+        return out
 
-    for lab, cls in _LABEL_CLASSES:
-        if apply(cls) != _LATTICE.cls(act_on_curve(g, lab)):
-            raise AssertionError(f"induced matrix inconsistent for {g} at {lab}")
-    if apply(ANTICANONICAL) != ANTICANONICAL:
+    for i, support in enumerate(_SUPPORTS):
+        if apply(support) != list(_CLASSES[perm[i]]):
+            raise AssertionError(
+                f"induced matrix inconsistent for {g} at {_LABELS[i]}")
+    if apply(tuple(enumerate(ANTICANONICAL))) != list(ANTICANONICAL):
         raise AssertionError(f"matrix of {g} moves the anticanonical class")
-    return IntMatrix.from_rows(rows)
+    return IntMatrix.from_rows(zip(*cols))
 
 
 @lru_cache(maxsize=None)
@@ -285,6 +309,13 @@ def _tables():
     return mul, conj, s3
 
 
+@lru_cache(maxsize=1)
+def _orders() -> tuple[int, ...]:
+    """Order of every element, in index order: the size of <g>."""
+    mul = _tables()[0]
+    return tuple(_closure_mask(mul, [g], 0).bit_count() for g in range(128))
+
+
 G0 = generate_subgroup([SIGMA, TAU, IOTA_A, IOTA_B, IOTA_C])
 H_SUBGROUP = generate_subgroup([IOTA_A, IOTA_B, IOTA_A * IOTA_B * IOTA_C])
 
@@ -388,29 +419,16 @@ def enumerate_subgroups_onto_Q() -> tuple[Subgroup, ...]:
 
 def _abelian_type_from_orders(orders) -> tuple[int, ...]:
     """Invariant factors of a finite abelian 2-group from its element
-    orders: counting elements of order dividing 2^k determines the type."""
-    n = len(orders)
-    if n == 1:
-        return ()
-    counts = {}
-    for o in orders:
-        counts[o] = counts.get(o, 0) + 1
-    # exponents e_j of the cyclic decomposition Z/2^{e_1} x ... (descending)
-    exps = []
-    k = 1
-    prev = 1
-    while prev < n:
-        le = sum(c for o, c in counts.items() if o <= 2 ** k)
-        # number of cyclic factors with exponent >= k is log2(le/prev)
-        exps.append((le // prev).bit_length() - 1)
-        prev = le
-        k += 1
-    # multiplicity of the exponent-j factor is exps[j-1] - exps[j]
-    factors = []
-    for j in range(len(exps), 0, -1):
-        mult = exps[j - 1] - (exps[j] if j < len(exps) else 0)
-        factors.extend([2 ** j] * mult)
-    return tuple(sorted(factors))
+    orders.  The elements of order dividing 2^k number 2^(r_1 + ... + r_k),
+    where r_k counts the cyclic factors of exponent at least k, so the
+    exponents form the partition conjugate to (r_1, r_2, ...)."""
+    ranks, below = [], 1
+    while below < len(orders):
+        upto = sum(o <= 2 ** (len(ranks) + 1) for o in orders)
+        ranks.append((upto // below).bit_length() - 1)
+        below = upto
+    return tuple(2 ** sum(r > i for r in ranks)
+                 for i in reversed(range(ranks[0] if ranks else 0)))
 
 
 def abelianization(s: Subgroup) -> tuple[int, ...]:
@@ -448,29 +466,10 @@ def fixed_sublattice(s: Subgroup):
     return ech.kernel()
 
 
-@lru_cache(maxsize=None)
-def _curve_perm(g: GroupElement) -> dict:
-    return {lab: act_on_curve(g, lab) for lab in _LABELS}
-
-
 def curve_orbit_lengths(s: Subgroup) -> tuple[int, ...]:
-    perms = [_curve_perm(g) for g in s.generators] or [_curve_perm(IDENTITY)]
-    remaining = set(_LABELS)
-    lengths = []
-    while remaining:
-        start = remaining.pop()
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for p in perms:
-                nxt = p[cur]
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        remaining -= orbit
-        lengths.append(len(orbit))
-    return tuple(sorted(lengths))
+    perms = [_curve_indices(g) for g in s.elements]
+    orbits = {frozenset(p[i] for p in perms) for i in range(56)}
+    return tuple(sorted(map(len, orbits)))
 
 
 def fingerprint(s: Subgroup, include_h1: bool = True) -> tuple:

@@ -164,6 +164,16 @@ def test_analyze_random_triples_admissible_and_deterministic(a, b, c):
     assert divisors in cli.THEOREM_GROUPS
 
 
+@settings(max_examples=25, deadline=None)
+@given(_nonzero, _nonzero, _nonzero)
+def test_obstruct_random_triples_never_invariant_violation(a, b, c):
+    # a verdict (0), a recipe or conic miss (2) or a capacity limit (4),
+    # but never a failed internal check (3)
+    code, _, err = run(["obstruct", "-A", str(a), "-B", str(b), "-C", str(c),
+                        "--bound", "2", "--depth", "4", "--json"])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CAPACITY), err
+
+
 def test_hilbert_product_and_single_place():
     d = run_json(["hilbert", "-A", "3", "-B", "5", "--json"])
     assert d["product"] == 1

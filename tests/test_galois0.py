@@ -30,6 +30,7 @@ from dp2.galois0 import (
 from dp2.picard import (
     ANTICANONICAL,
     Axis,
+    BASIS_LABELS,
     GRAM,
     Triple,
     all_labels,
@@ -54,6 +55,14 @@ def test_group_axioms_random_sample():
 def test_element_count_and_orders():
     assert len(ALL_ELEMENTS) == 128
     assert max(g.order() for g in ALL_ELEMENTS) == 4
+
+
+def test_order_table_matches_power_loop():
+    for g in ALL_ELEMENTS:
+        n, x = 1, g
+        while x != IDENTITY:
+            x, n = x * g, n + 1
+        assert g.order() == n, g
 
 
 def test_named_generator_coordinates():
@@ -118,6 +127,76 @@ def test_matrix_preserves_gram_and_anticanonical():
             w = tuple(rng.randrange(-2, 3) for _ in range(8))
             dot = lambda x, y: sum(gi * a * b for gi, a, b in zip(GRAM, x, y))
             assert dot(apply(u), apply(w)) == dot(u, w)
+
+
+def _curve_image_rows(g):
+    """Test oracle: the matrix of g built label by label from the curve
+    images act_on_curve(g, lab), checked on all 56 classes and on -K."""
+    cols = [list(LAT.cls(act_on_curve(g, lab)))
+            for lab in BASIS_LABELS + [Axis("z", 7, -1)]]
+    # the eighth basis label has class v8 - v6 - v7, so correct its column
+    cols[7] = [a + b + c for a, b, c in zip(*cols[5:])]
+    rows = tuple(tuple(cols[j][i] for j in range(8)) for i in range(8))
+
+    def apply(vec):
+        return tuple(sum(a * b for a, b in zip(row, vec)) for row in rows)
+
+    for lab, cls in LAT.class_table.items():
+        assert apply(cls) == LAT.cls(act_on_curve(g, lab)), (g, lab)
+    assert apply(ANTICANONICAL) == ANTICANONICAL
+    return rows
+
+
+def test_matrix_of_matches_curve_image_oracle():
+    from dp2.galois0 import pic_rows
+    for g in ALL_ELEMENTS:
+        assert pic_rows(g) == _curve_image_rows(g), g
+
+
+@pytest.fixture
+def cold_matrix_caches():
+    """Empty the Picard-matrix caches before and after the test, so that
+    the test builds its matrices from the generator permutations and
+    leaves nothing it built behind."""
+    import dp2.galois0 as g0
+    caches = (g0.matrix_of, g0.pic_rows, g0._traces, g0._curve_indices,
+              g0._generator_perms)
+    for f in caches:
+        f.cache_clear()
+    yield g0
+    for f in caches:
+        f.cache_clear()
+
+
+def test_matrix_of_rejects_a_wrong_generator_permutation(
+        cold_matrix_caches, monkeypatch):
+    g0 = cold_matrix_caches
+    perms = dict(g0._generator_perms())
+    # swap the images of two curves under sigma: no longer an isometry
+    wrong = list(perms["sigma"])
+    wrong[0], wrong[30] = wrong[30], wrong[0]
+    perms["sigma"] = tuple(wrong)
+    monkeypatch.setattr(g0, "_generator_perms", lambda: perms)
+    with pytest.raises(AssertionError, match="inconsistent"):
+        matrix_of(SIGMA)
+
+
+def test_matrices_need_only_the_generator_actions(cold_matrix_caches,
+                                                  monkeypatch):
+    g0 = cold_matrix_caches
+    calls = {"n": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls["n"] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(g0, "_gen_act", counted(g0._gen_act))
+    monkeypatch.setattr(g0, "act_on_curve", counted(g0.act_on_curve))
+    for g in ALL_ELEMENTS:
+        matrix_of(g)
+    assert 0 < calls["n"] <= 5 * 56
 
 
 def test_matrix_iota_c_on_v5():
@@ -227,6 +306,19 @@ def test_fingerprint_trivial_group():
     assert fp[4] == 8  # full lattice fixed
 
 
+@pytest.mark.parametrize("exps", [(), (1,), (3,), (1, 1), (1, 2), (2, 2),
+                                  (1, 1, 3), (1, 2, 3), (2, 4), (1, 1, 1, 1)])
+def test_abelian_type_of_cyclic_products(exps):
+    # element orders of Z/2^e1 x ... x Z/2^ek, listed directly
+    from itertools import product
+    from math import gcd
+    from dp2.galois0 import _abelian_type_from_orders
+    orders = [max([2 ** e // gcd(x, 2 ** e) for x, e in zip(xs, exps)],
+                  default=1)
+              for xs in product(*(range(2 ** e) for e in exps))]
+    assert _abelian_type_from_orders(orders) == tuple(2 ** e for e in exps)
+
+
 def test_fixed_sublattice_G0_rank_one():
     assert len(fixed_sublattice(G0)) == 1
 
@@ -235,6 +327,28 @@ def test_orbit_lengths_G0():
     lens = curve_orbit_lengths(G0)
     assert sum(lens) == 56
     assert lens == (8, 8, 8, 32)
+
+
+def _orbit_lengths_by_labels(s):
+    """Test oracle: curve orbits from per-label dicts of act_on_curve."""
+    labels = all_labels()
+    perms = [{lab: act_on_curve(g, lab) for lab in labels}
+             for g in s.generators]
+    remaining, lengths = set(labels), []
+    while remaining:
+        orbit, frontier = set(), [remaining.pop()]
+        while frontier:
+            cur = frontier.pop()
+            orbit.add(cur)
+            frontier.extend(p[cur] for p in perms if p[cur] not in orbit)
+        remaining -= orbit
+        lengths.append(len(orbit))
+    return tuple(sorted(lengths))
+
+
+def test_orbit_lengths_match_label_oracle():
+    for s in (G0,) + enumerate_subgroups_onto_Q():
+        assert curve_orbit_lengths(s) == _orbit_lengths_by_labels(s)
 
 
 def test_semidirect_decomposition_all_classes():
