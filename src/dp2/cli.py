@@ -380,11 +380,18 @@ def _run_cubic(args, out) -> int:
 
 # --- argument parsing -----------------------------------------------------
 
-def _depth_arg(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"depth must be an integer of at least 1, got {text!r}")
-    return int(text)
+def _positive_int(option: str):
+    """argparse type for an integer option that must be at least 1."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{option} must be an integer of at least 1, got {text!r}")
+        return value
+    return parse
 
 
 def _add_common(sub, coeffs="ABC"):
@@ -416,11 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("obstruct", help="local invariant verdict")
     _add_common(p)
-    p.add_argument("--depth", type=_depth_arg, default=None,
+    p.add_argument("--depth", type=_positive_int("depth"), default=None,
                    help="2-adic depth-cap override; not applied to "
                         "(-9826, -2, 136), whose 2-adic check is fixed "
                         "at 2^10")
-    p.add_argument("--bound", type=int, default=12,
+    p.add_argument("--bound", type=_positive_int("bound"), default=12,
                    help="conic point search bound")
     p.set_defaults(run=_run_obstruct)
 
@@ -441,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cyclic-algebra pipeline for A x^3 + B y^3 "
                              "+ C z^3 + D t^3")
     _add_common(p, coeffs="ABCD")
-    p.add_argument("--bound", type=int, default=5,
+    p.add_argument("--bound", type=_positive_int("bound"), default=5,
                    help="norm-equation search bound")
     p.set_defaults(run=_run_cubic)
     return parser

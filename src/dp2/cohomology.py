@@ -1,11 +1,11 @@
 """H^0 and H^1 of integer modules over finite groups, by four routes.
 
-Backends: the standard inhomogeneous complex (oracle, order <= 32), whose
-cocycles are cut out by one row block per edge g -> g.s of the Cayley
-graph; efficient resolutions for cyclic/bicyclic/tricyclic/dihedral
-groups; a polycyclic-presentation cocycle solver (default, any order);
-and the five-term exact sequence of a group extension with an explicit
-chase for the transgression d2.
+Backends: the standard complex (oracle, order <= 32), whose cocycles are
+solved for in generator coordinates along a spanning tree of the Cayley
+graph, one row block per non-tree edge; efficient resolutions for
+cyclic/bicyclic/tricyclic/dihedral groups; a polycyclic-presentation
+cocycle solver (default, any order); and the five-term exact sequence of
+a group extension with an explicit chase for the transgression d2.
 """
 
 from __future__ import annotations
@@ -56,12 +56,16 @@ def _mat_mul(a: Mat, b: Mat) -> Mat:
 class IndexTable(NamedTuple):
     """A module's group on integers: i stands for `mod.elements[i]`, idx
     maps each element to its i, mul[a][b] is the index of a.b, inv[a]
-    that of a^-1, and e that of the identity."""
+    that of a^-1, and e that of the identity.  tree is the breadth-first
+    spanning tree of the Cayley graph: (y, parent, k) with
+    y = parent.s_k for the k-th module generator, root (e, None, None)
+    first and every parent before its children."""
 
     idx: dict
     mul: list
     inv: list
     e: int
+    tree: list
 
 
 @dataclass(frozen=True)
@@ -100,10 +104,10 @@ class GModule:
         right = [[idx[self.mul(x, s)] for x in els] for s in self.gens()]
         tree, seen = [(e, None, None)], {e}
         for y, _, _ in tree:  # breadth first: the loop reaches what it adds
-            for row in right:
+            for k, row in enumerate(right):
                 if row[y] not in seen:
                     seen.add(row[y])
-                    tree.append((row[y], y, row))
+                    tree.append((row[y], y, k))
         if len(tree) != n:
             raise AssertionError(
                 "module generators do not generate the group")
@@ -111,10 +115,11 @@ class GModule:
         for g in range(n):
             prod = [0] * n
             prod[e] = g
-            for y, parent, row in tree[1:]:
-                prod[y] = row[prod[parent]]
+            for y, parent, k in tree[1:]:
+                prod[y] = right[k][prod[parent]]
             mul.append(prod)
-        return IndexTable(idx, mul, [prod.index(e) for prod in mul], e)
+        return IndexTable(idx, mul, [prod.index(e) for prod in mul], e,
+                          tree)
 
     def inverse(self, g):
         t = self.table
@@ -225,44 +230,50 @@ def invariants_H0(mod: GModule) -> tuple[int, list[Vec]]:
 _STANDARD_LIMIT = 32
 
 
-def _cayley_cocycles(mod: GModule) -> list[Vec]:
-    """Basis of Z^1 inside C^1 = M^n (one d-block per element, in
-    `mod.elements` order): the kernel of the rows
-    g.c(s) - c(gs) + c(g) = 0 for every g and every s in `mod.gens()`.
-    With s generating, induction on word length gives the cocycle law
-    for every pair, and g = e forces c(e) = 0."""
+def _tree_cocycles(mod: GModule) -> list[Vec]:
+    """Basis of Z^1 in generator coordinates x = (c(s))_s in Z^(|S|.d).
+    Along the tree of `mod.table`, c(y) = L_y.x with L_e = 0 and
+    L_(p.s) = L_p + M_p.E_s, from c(p.s) = c(p) + p.c(s); each Cayley
+    edge y -> y.s off the tree adds the row block L_(y.s) - L_y - M_y.E_s.
+    With S generating, induction on word length gives the cocycle law
+    for every pair."""
     els, t = mod.elements, mod.table
-    n, d = len(els), mod.dim
-    gens = [t.idx[s] for s in mod.gens()]
-    rows = []
-    for g, prod in enumerate(t.mul):
-        mg, cg = mod.mat(els[g]), g * d
-        for s in gens:
-            cs, cgs = s * d, prod[s] * d
-            for i in range(d):
-                row = [0] * (n * d)
-                row[cs:cs + d] = mg[i]
-                row[cgs + i] -= 1
-                row[cg + i] += 1
-                rows.append(row)
+    d, gens = mod.dim, [t.idx[s] for s in mod.gens()]
+
+    def step(y, k) -> list[list[int]]:
+        """L_y + M_y.E_k as d rows."""
+        out = [list(row) for row in L[y]]
+        for row, mrow in zip(out, mod.mat(els[y])):
+            row[k * d:(k + 1) * d] = map(operator.add,
+                                         row[k * d:(k + 1) * d], mrow)
+        return out
+
+    L = {t.e: [[0] * (len(gens) * d) for _ in range(d)]}
+    for y, parent, k in t.tree[1:]:
+        L[y] = step(parent, k)
+    on_tree = {(parent, k) for _, parent, k in t.tree[1:]}
+    rows = [list(map(operator.sub, lz, ly))
+            for y, prod in enumerate(t.mul)
+            for k, s in enumerate(gens) if (y, k) not in on_tree
+            for lz, ly in zip(L[prod[s]], step(y, k))]
     return ColumnEchelon(rows).kernel()
 
 
 def h1_standard(mod: GModule) -> CohomologyResult:
-    """Oracle backend on the inhomogeneous cochains C^1 = M^n, with Z^1
-    cut out by the Cayley-graph rows of `_cayley_cocycles` (n.|S| row
-    blocks for the generating set S) and B^1 spanned by g -> g.e - e.
-    It uses no polycyclic series, so it stays independent of the
-    presentation backend; it refuses groups beyond `_STANDARD_LIMIT`, and
-    `mod.table` refuses generators that do not generate."""
-    els = mod.elements
-    n, d = len(els), mod.dim
+    """Oracle backend on the standard complex, in generator coordinates:
+    Z^1 from the non-tree Cayley edges of `_tree_cocycles` and B^1
+    spanned by s -> s.e - e, one d-block per module generator.  It uses
+    no polycyclic series, so it stays independent of the presentation
+    backend; it refuses groups beyond `_STANDARD_LIMIT`, and `mod.table`
+    refuses generators that do not generate."""
+    n = len(mod.elements)
     if n > _STANDARD_LIMIT:
         raise ValueError(
             f"standard backend limited to order {_STANDARD_LIMIT}; "
             f"got {n} (use the presentation backend)")
-    return _h1_result(_cayley_cocycles(mod), _coboundaries(mod, els), n, d,
-                      "standard")
+    gens = mod.gens()
+    return _h1_result(_tree_cocycles(mod), _coboundaries(mod, gens),
+                      len(gens), mod.dim, "standard")
 
 
 def standard_cocycle_checks(mod: GModule, c: dict) -> bool:

@@ -1,10 +1,9 @@
 """Exact integer linear algebra.
 
 Smith normal form, integer kernels and solves, and subquotient structure
-of lattices.  Everything is computed over arbitrary-precision integers;
-a numpy int64 elimination fast path is used for large systems, guarded
-by magnitude bounds so that it is only taken when provably exact (numpy
-is imported only when that path runs).
+of lattices.  Everything is computed over arbitrary-precision Python
+integers, by one column elimination (`ColumnEchelon`) and one Smith
+reduction; no entry is ever bounded or rounded.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
-
-_INT64_LIMIT = 2 ** 62
 
 
 def _as_rows(m) -> list[list[int]]:
@@ -213,10 +210,6 @@ def smith_normal_form(m) -> SmithDecomposition:
     )
 
 
-class _Int64Overflow(Exception):
-    pass
-
-
 class ColumnEchelon:
     """Column echelon form A*V = E with V unimodular.
 
@@ -225,26 +218,10 @@ class ColumnEchelon:
     solves of A x = b and yields an integer kernel basis.
     """
 
-    def __init__(self, rows_in, use_numpy: Optional[bool] = None):
+    def __init__(self, rows_in):
         a = _as_rows(rows_in)
-        self.nrows = len(a)
-        self.ncols = len(a[0]) if a else 0
-        if use_numpy is None:
-            use_numpy = self.nrows * self.ncols >= 20000
-        done = False
-        if use_numpy and self.nrows and self.ncols:
-            try:
-                self._echelon_numpy(a)
-                done = True
-            except (_Int64Overflow, OverflowError):
-                done = False
-        if not done:
-            self._echelon_python(a)
-
-    # -- elimination backends -------------------------------------------
-
-    def _echelon_python(self, a):
-        m, n = self.nrows, self.ncols
+        m = self.nrows = len(a)
+        n = self.ncols = len(a[0]) if a else 0
         cols = [[a[i][j] for i in range(m)] for j in range(n)]
         v = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
         pivot_rows = []
@@ -283,57 +260,6 @@ class ColumnEchelon:
             c += 1
         self._cols = cols
         self._vcols = v
-        self.rank = c
-        self.pivot_rows = pivot_rows
-
-    def _echelon_numpy(self, a):
-        import numpy as np
-
-        m, n = self.nrows, self.ncols
-        # entries of 2^63 or more raise OverflowError here; not np.abs,
-        # which wraps at -2^63
-        A = np.array(a, dtype=np.int64)
-        if A.max() >= _INT64_LIMIT or A.min() <= -_INT64_LIMIT:
-            raise _Int64Overflow
-        V = np.eye(n, dtype=np.int64)
-        pivot_rows = []
-        c = 0
-        for r in range(m):
-            if c >= n:
-                break
-            idx = np.nonzero(A[r, c:])[0]
-            if idx.size == 0:
-                continue
-            active = idx + c
-            while active.size > 1:
-                vals = A[r, active]
-                j0 = active[int(np.argmin(np.abs(vals)))]
-                pa = int(A[r, j0])
-                others = active[active != j0]
-                q = A[r, others] // pa
-                # guard both the matrix and transform against overflow
-                bound_a = int(np.abs(A[:, active]).max())
-                bound_p = int(np.abs(A[:, j0]).max())
-                bound_v = int(np.abs(V[:, active]).max())
-                bound_pv = int(np.abs(V[:, j0]).max())
-                qm = int(np.abs(q).max()) if others.size else 0
-                if (bound_a + qm * bound_p >= _INT64_LIMIT
-                        or bound_v + qm * bound_pv >= _INT64_LIMIT):
-                    raise _Int64Overflow
-                A[:, others] -= A[:, j0:j0 + 1] * q
-                V[:, others] -= V[:, j0:j0 + 1] * q
-                active = active[A[r, active] != 0]
-            j0 = int(active[0])
-            if A[r, j0] < 0:
-                A[:, j0] = -A[:, j0]
-                V[:, j0] = -V[:, j0]
-            if j0 != c:
-                A[:, [c, j0]] = A[:, [j0, c]]
-                V[:, [c, j0]] = V[:, [j0, c]]
-            pivot_rows.append(r)
-            c += 1
-        self._cols = A.T.tolist()
-        self._vcols = V.T.tolist()
         self.rank = c
         self.pivot_rows = pivot_rows
 
@@ -385,7 +311,7 @@ class ColumnEchelon:
 
 def _unimodular_inverse(u: IntMatrix) -> list[list[int]]:
     n = u.rows
-    ech = ColumnEchelon(u.to_rows(), use_numpy=False)
+    ech = ColumnEchelon(u.to_rows())
     inv_cols = []
     for j in range(n):
         e = [1 if i == j else 0 for i in range(n)]

@@ -11,7 +11,6 @@ t^(1/4) = |t|^(1/4) zeta.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,26 +131,6 @@ def constraints(A: int, B: int, C: int) -> list[KummerConstraint]:
                     monomial=RadicalMonomial(s, k, m), eps=eps,
                     phi=vec.phase % 8, rational=q))
     return out
-
-
-def _float_value(A, B, C, s, k, m) -> complex:
-    qa = complex(A) ** 0.25
-    return (complex(A) ** 0.5) ** s * (complex(B) ** 0.25 / qa) ** k \
-        * (complex(C) ** 0.25 / qa) ** m
-
-
-def float_oracle_agrees(A: int, B: int, C: int) -> bool:
-    """Numeric cross-check of every emitted constraint: the monomial's
-    complex value must match q * sqrt(2)^eps * zeta^phi."""
-    zeta = cmath.exp(1j * cmath.pi / 4)
-    for con in constraints(A, B, C):
-        s, k, m = con.monomial.s, con.monomial.k, con.monomial.m
-        val = _float_value(A, B, C, s, k, m)
-        expected = float(con.rational) * math.sqrt(2) ** con.eps \
-            * zeta ** con.phi
-        if abs(val - expected) > 1e-9 * (1 + abs(expected)):
-            return False
-    return True
 
 
 def galois_group(A: int, B: int, C: int) -> Subgroup:

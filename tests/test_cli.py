@@ -116,6 +116,17 @@ def test_obstruct_depth_below_one_is_input_error(depth, capsys):
         cli.obstruct_surface(-25, -5, 45, depth=int(depth))
 
 
+@pytest.mark.parametrize("argv", [
+    ["-A", "3", "-B", "5", "-C", "7", "--bound", "0"],
+    ["-A", "34", "-B", "34", "-C", "34", "--bound", "-5"],
+], ids=["3-5-7-bound0", "34-34-34-bound-5"])
+def test_obstruct_bound_below_one_is_input_error(argv, capsys):
+    code, out, _ = run(["obstruct"] + argv)
+    assert code == 2
+    assert out == ""
+    assert "bound must be an integer of at least 1" in capsys.readouterr().err
+
+
 def test_obstruct_large_prime_exceeds_capacity():
     # 1009 divides A, and level 1 at p = 1009 alone is 1009^3 cells
     # per chart, which the enumeration budget refuses before allocating
@@ -200,11 +211,20 @@ def test_cubic_subcommand():
     assert d["column_identity"]
     assert d["h"] is not None
     assert d["presentation"]["r_cubed"] == "2/3"
-    code, _, _ = run(["cubic", "-A", "1", "-B", "2", "-C", "3", "-D", "4",
-                      "--bound", "0"])
-    assert code == 4
+    code, _, _ = run(["cubic", "-A", "1", "-B", "3", "-C", "5", "-D", "11",
+                      "--bound", "1"])
+    assert code == 4  # no norm-equation solution within the bound
     code, _, _ = run(["cubic", "-A", "1", "-B", "1", "-C", "2", "-D", "3"])
     assert code == 2  # a coefficient ratio is a rational cube
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_cubic_bound_below_one_is_input_error(bound, capsys):
+    code, out, _ = run(["cubic", "-A", "1", "-B", "2", "-C", "3", "-D", "4",
+                        "--bound", bound])
+    assert code == 2
+    assert out == ""
+    assert "bound must be an integer of at least 1" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exit_2():
@@ -217,6 +237,10 @@ def test_group_subcommands_load_neither_sympy_nor_numpy():
         "import io, sys\n"
         "import dp2.cli as cli\n"
         "for argv in (['analyze', '-A', '3', '-B', '5', '-C', '7'],\n"
+        "             ['analyze', '-A', '-10', '-B', '49', '-C', '36',\n"
+        "              '--backend', 'all'],\n"
+        "             ['analyze', '-A', '-10', '-B', '49', '-C', '36',\n"
+        "              '--backend', 'standard'],\n"
         "             ['scan'], ['hilbert', '-A', '3', '-B', '5']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
         "print(sorted(m for m in sys.modules\n"

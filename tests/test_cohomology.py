@@ -16,8 +16,8 @@ from dp2.cohomology import (
     sigma1_to_standard,
     standard_cocycle_checks,
     submodule_on_invariants,
-    _cayley_cocycles,
     _resolution_maps,
+    _tree_cocycles,
 )
 from dp2.galois0 import (
     ALL_ELEMENTS,
@@ -188,6 +188,27 @@ def _pairwise_cocycles(mod):
     return ColumnEchelon(rows).kernel()
 
 
+def _cayley_cocycles(mod):
+    """Z^1 inside C^1 = M^n (one d-block per element, in `mod.elements`
+    order): the kernel of the rows g.c(s) - c(gs) + c(g) = 0 for every g
+    and every module generator s."""
+    els, t = mod.elements, mod.table
+    n, d = len(els), mod.dim
+    gens = [t.idx[s] for s in mod.gens()]
+    rows = []
+    for g, prod in enumerate(t.mul):
+        mg, cg = mod.mat(els[g]), g * d
+        for s in gens:
+            cs, cgs = s * d, prod[s] * d
+            for i in range(d):
+                row = [0] * (n * d)
+                row[cs:cs + d] = mg[i]
+                row[cgs + i] -= 1
+                row[cg + i] += 1
+                rows.append(row)
+    return ColumnEchelon(rows).kernel()
+
+
 def _contains(basis, vecs):
     if not basis:
         return not any(any(v) for v in vecs)
@@ -195,26 +216,36 @@ def _contains(basis, vecs):
     return all(ech.solve(list(v))[0] is not None for v in vecs)
 
 
+def _same_lattice(a, b):
+    return len(a) == len(b) and _contains(a, b) and _contains(b, a)
+
+
+def _assert_three_cocycle_lattices_agree(mod):
+    """The pairwise Z^1 equals the Cayley-row Z^1 in M^n, and the
+    spanning-tree Z^1 equals the Cayley-row Z^1 read on the generator
+    blocks (a cocycle is determined by its values there)."""
+    cayley = _cayley_cocycles(mod)
+    assert _same_lattice(_pairwise_cocycles(mod), cayley), mod.generators
+    t, d = mod.table, mod.dim
+    blocks = [t.idx[s] * d for s in mod.gens()]
+    on_gens = [tuple(x for b in blocks for x in v[b:b + d]) for v in cayley]
+    assert _same_lattice(_tree_cocycles(mod), on_gens), mod.generators
+
+
 @cyclic_cases
 def test_cayley_rows_cut_out_the_pairwise_cocycles_cyclic(mod):
-    pairwise, cayley = _pairwise_cocycles(mod), _cayley_cocycles(mod)
-    assert len(pairwise) == len(cayley)
-    assert _contains(pairwise, cayley) and _contains(cayley, pairwise)
+    _assert_three_cocycle_lattices_agree(mod)
 
 
 def test_cayley_rows_cut_out_the_pairwise_cocycles_small_classes():
-    # the same lattice Z^1, by mutual membership, on every onto-Q class
+    # the same lattices Z^1, by mutual membership, on every onto-Q class
     # of order <= 8
     from dp2.galois0 import enumerate_subgroups_onto_Q
     checked = 0
     for s in enumerate_subgroups_onto_Q():
         if s.order > 8:
             continue
-        mod = pic_module(s)
-        pairwise, cayley = _pairwise_cocycles(mod), _cayley_cocycles(mod)
-        assert len(pairwise) == len(cayley), s.generators
-        assert _contains(pairwise, cayley), s.generators
-        assert _contains(cayley, pairwise), s.generators
+        _assert_three_cocycle_lattices_agree(pic_module(s))
         checked += 1
     assert checked == 83
 

@@ -199,49 +199,6 @@ def test_subquotient_matches_bruteforce_enumeration():
         assert len(seen) == order
 
 
-def test_echelon_numpy_matches_python():
-    rng = random.Random(3)
-    rows = [[rng.randrange(-5, 6) for _ in range(30)] for _ in range(200)]
-    b = [sum(r[: 10]) for r in rows]
-    e1 = ColumnEchelon(rows, use_numpy=True)
-    e2 = ColumnEchelon(rows, use_numpy=False)
-    assert e1.rank == e2.rank
-    s1, _ = e1.solve(b)
-    s2, _ = e2.solve(b)
-    assert (s1 is None) == (s2 is None)
-    if s1 is not None:
-        for r, bv in zip(rows, b):
-            assert sum(x * y for x, y in zip(r, s1)) == bv
-
-
-@pytest.mark.parametrize("big", [2 ** 62, -2 ** 62, 2 ** 63, -2 ** 63,
-                                 2 ** 64, -2 ** 64])
-def test_echelon_numpy_falls_back_beyond_int64_limit(big, monkeypatch):
-    rows = [[big, 3, 0], [1, 2, 5], [4, 0, 1], [2, 2, 2]]
-    reference = ColumnEchelon(rows, use_numpy=False)
-    calls = []
-    python_path = ColumnEchelon._echelon_python
-
-    def counting(self, a):
-        calls.append(a)
-        return python_path(self, a)
-
-    monkeypatch.setattr(ColumnEchelon, "_echelon_python", counting)
-    ech = ColumnEchelon(rows, use_numpy=True)
-    assert len(calls) == 1
-    assert (ech.rank, ech.pivot_rows, ech._cols, ech._vcols) == (
-        reference.rank, reference.pivot_rows, reference._cols,
-        reference._vcols)
-
-
-def test_echelon_numpy_keeps_entries_below_int64_limit():
-    rows = [[2 ** 62 - 1, 0], [0, 1]]
-    ech = ColumnEchelon(rows, use_numpy=True)
-    reference = ColumnEchelon(rows, use_numpy=False)
-    assert (ech._cols, ech._vcols) == (reference._cols, reference._vcols)
-    assert all(type(x) is int for col in ech._cols + ech._vcols for x in col)
-
-
 def _fraction_solve(ech, b):
     """Forward substitution over Q on the echelon form of `ech`."""
     rem = [Fraction(x) for x in b]
@@ -265,8 +222,8 @@ def _fraction_solve(ech, b):
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrix, st.sampled_from(["integral", "scaled", "arbitrary"]),
-       st.integers(2, 3), st.booleans(), st.data())
-def test_solve_matches_fraction_reference(rows, kind, k, use_numpy, data):
+       st.integers(2, 3), st.data())
+def test_solve_matches_fraction_reference(rows, kind, k, data):
     # integral: b in the image; scaled: (kA) x = A y, often not integral;
     # arbitrary: b drawn freely, often not even rational-solvable
     ncols = len(rows[0])
@@ -278,8 +235,23 @@ def test_solve_matches_fraction_reference(rows, kind, k, use_numpy, data):
     elif kind == "arbitrary":
         b = data.draw(st.lists(st.integers(-9, 9), min_size=len(rows),
                                max_size=len(rows)))
-    ech = ColumnEchelon(rows, use_numpy=use_numpy)
+    ech = ColumnEchelon(rows)
     assert ech.solve(b) == _fraction_solve(ech, b)
+
+
+@pytest.mark.parametrize("big", [2 ** 62, -2 ** 62, 2 ** 63, -2 ** 63,
+                                 2 ** 64, -2 ** 64, 2 ** 100, -2 ** 100])
+def test_echelon_exact_on_large_entries(big):
+    # entries at and beyond the int64 range stay exact Python integers
+    rows = [[big, 3, 0, big, 1], [1, 2, 5, big - 1, 0], [4, 0, big, 1, 7]]
+    ech = ColumnEchelon(rows)
+    kernel = ech.kernel()
+    assert ech.rank == 3 and len(kernel) == 2
+    for v in kernel:
+        assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
+    image = [sum(a * x for a, x in zip(r, (1, -1, 2, 0, 3))) for r in rows]
+    for b in (image, [2 * x for x in image], [1, 1, 1], [big, 0, 1]):
+        assert ech.solve(b) == _fraction_solve(ech, b)
 
 
 @pytest.mark.parametrize("rows,b,expected", [

@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,6 @@ from dp2.kummer import (
     constraints,
     contained_up_to_symmetry,
     exponent_vector,
-    float_oracle_agrees,
     galois_group,
     is_generic,
     row_subgroup,
@@ -81,6 +82,26 @@ def test_order64_example_contained_in_maximal_class():
     g = galois_group(2, 3, 5)
     big = generate_subgroup([IOTA_A * TAU, IOTA_B, IOTA_C, SIGMA])
     assert contained_up_to_symmetry(g, big)
+
+
+def _float_value(A, B, C, s, k, m) -> complex:
+    qa = complex(A) ** 0.25
+    return (complex(A) ** 0.5) ** s * (complex(B) ** 0.25 / qa) ** k \
+        * (complex(C) ** 0.25 / qa) ** m
+
+
+def float_oracle_agrees(A: int, B: int, C: int) -> bool:
+    """Numeric cross-check of every emitted constraint: the monomial's
+    complex value must match q * sqrt(2)^eps * zeta^phi."""
+    zeta = cmath.exp(1j * cmath.pi / 4)
+    for con in constraints(A, B, C):
+        s, k, m = con.monomial.s, con.monomial.k, con.monomial.m
+        val = _float_value(A, B, C, s, k, m)
+        expected = float(con.rational) * math.sqrt(2) ** con.eps \
+            * zeta ** con.phi
+        if abs(val - expected) > 1e-9 * (1 + abs(expected)):
+            return False
+    return True
 
 
 def test_float_oracle_on_worked_examples():
