@@ -6,10 +6,15 @@ digit (vectorized, one level at a time), per unit chart, from the
 single class mod p^0.  A class is kept only while the surface
 congruence can still hold, and is certified liftable by the
 multivariate Hensel criterion (depth >= 2t+1 where t is the minimal
-valuation in the gradient).  The cells expanded at every level, the
-first included, count against one budget, which is checked before any
-level is allocated.  A consumer may pass a settle callback that sees
-the cells of every level and drops the decided ones, so invariant
+valuation in the gradient).  Past the first level, the congruence on
+the p^3 digit extensions of a class is linear in the new digit (an
+exact Taylor step), so each level evaluates f and the gradient once
+per class, not f once per extension; t passes from a class to its
+extensions and is evaluated again only where it was capped by the
+precision.  The cells expanded at every level, the first included,
+count against one budget, which is checked before any level is
+allocated.  A consumer may pass a settle callback that sees the cells
+of every level and drops the decided ones, so invariant
 profiles deepen automatically until every quaternion invariant is
 determined or a depth cap is reached; a consumer that needs only the
 classes at a fixed depth gets them one unit chart at a time, and never
@@ -173,31 +178,51 @@ def _coords(unit, w, a, b):
     return (w, a, b, one)
 
 
-def _expand_filtered(cells, unit, p, j, f, budget_left):
-    """Digit extensions of level-(j-1) cells on which the surface
-    congruence holds mod p^j, expanded and filtered in bounded chunks."""
-    w, a, b = cells
-    n = len(w)
+#: gradient components along the chart variables (w, a, b) of each chart
+_CHART_GRADS = {"x": (0, 2, 3), "y": (0, 1, 3), "z": (0, 1, 2)}
+
+
+def _expand_filtered(cells, unit, p, j, f, grads, budget_left):
+    """(children, parents): the digit extensions x + p^(j-1) delta of
+    the level-(j-1) cells x on which the surface congruence holds mod
+    p^j, in parent order and, per parent, in digit order, with the
+    index of each child's parent.
+
+    Level 1 evaluates f on the p^3 digit vectors of the root.  From
+    level 2 on it takes the exact Taylor step: with h = p^(j-1),
+    f(x + h delta) = f(x) + h grad f(x).delta mod p^j, because the
+    Taylor coefficients of an integer polynomial are integers and
+    h^2 = 0 mod p^j.  A kept parent has f(x) = 0 mod h, so a child is
+    kept exactly when f(x)/h + grad f(x).delta = 0 mod p: f is
+    evaluated once per parent mod p^j and the three chart-variable
+    partials once per parent mod p, and only the kept children are
+    materialized, in bounded chunks of parents."""
+    n = len(cells[0])
     if n == 0:
-        return cells
+        return cells, np.zeros(0, dtype=np.int64)
     if n * p ** 3 > budget_left:
         raise CapacityError("residue enumeration budget exceeded")
-    step = p ** (j - 1)
-    r = np.arange(p, dtype=np.int64) * step
-    dw, da, db = np.meshgrid(r, r, r, indexing="ij")
-    dw, da, db = dw.ravel(), da.ravel(), db.ravel()
+    r = np.arange(p, dtype=np.int64)
+    grid = [d.ravel() for d in np.meshgrid(r, r, r, indexing="ij")]
+    if j == 1:
+        keep = _eval_vec(f, _coords(unit, *grid), p) == 0
+        return (tuple(d[keep] for d in grid),
+                np.zeros(int(keep.sum()), dtype=np.int64))
+    h = p ** (j - 1)
     chunk = max(1, 2 ** 21 // p ** 3)
-    parts = []
+    parents, digits = [], []
     for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        m = hi - lo
-        cw = np.repeat(w[lo:hi], p ** 3) + np.tile(dw, m)
-        ca = np.repeat(a[lo:hi], p ** 3) + np.tile(da, m)
-        cb = np.repeat(b[lo:hi], p ** 3) + np.tile(db, m)
-        keep = _eval_vec(f, _coords(unit, cw, ca, cb), p ** j) == 0
-        parts.append((cw[keep], ca[keep], cb[keep]))
-    return tuple(np.concatenate([part[i] for part in parts])
-                 for i in range(3))
+        part = _coords(unit, *(c[lo:lo + chunk] for c in cells))
+        acc = (_eval_vec(f, part, p ** j) // h)[:, None]
+        for i, d in zip(_CHART_GRADS[unit], grid):
+            acc = acc + _eval_vec(grads[i], part, p)[:, None] * d
+        _reduce(acc, p)
+        parent, digit = np.nonzero(acc == 0)
+        parents.append(parent + lo)
+        digits.append(digit)
+    parent, digit = np.concatenate(parents), np.concatenate(digits)
+    return (tuple(c[parent] + h * d[digit] for c, d in zip(cells, grid)),
+            parent)
 
 
 def _min_gradient_val(grads, coords, p, j):
@@ -210,9 +235,15 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
     residue classes mod p^k, with that coordinate normalized to 1, on
     which the surface congruence holds, and t the per-class minimal
     gradient valuation.  Each chart starts from the one class mod p^0
-    and is refined a digit per level; the cells expanded at every level
-    of every chart count against budget, and only one chart's cells
-    are held at a time.
+    and is refined a digit per level by _expand_filtered's Taylor
+    step; the cells expanded at every level of every chart count
+    against budget, and only one chart's cells are held at a time.
+
+    t is carried from level to level.  At level j it is the valuation
+    of the gradient mod p^j, capped at j.  A parent with t < j - 1 has
+    its true valuation there, and every child agrees with it mod
+    p^(j-1), so the child has the same t; only the children of capped
+    parents (t = j - 1) are evaluated again.
 
     settle, when given, is called as settle(j, coords, t) on the
     nonempty cells of each level j and returns the mask of classes
@@ -226,12 +257,15 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
         coords, t = _coords(unit, *root), root[0]  # t = 0 at depth 0
         for j in range(1, k + 1):
             n = len(cells[0])
-            cells = _expand_filtered(cells, unit, p, j, f, budget - spent)
+            cells, parent = _expand_filtered(cells, unit, p, j, f, grads,
+                                             budget - spent)
             spent += n * p ** 3
-            if settle is None and j < k:
-                continue
             coords = _coords(unit, *cells)
-            t = _min_gradient_val(grads, coords, p, j)
+            t = t[parent]
+            capped = np.flatnonzero(t >= j - 1)
+            if len(capped):
+                t[capped] = _min_gradient_val(
+                    grads, tuple(c[capped] for c in coords), p, j)
             if settle is not None and len(t):
                 undecided = settle(j, coords, t)
                 cells, t = tuple(c[undecided] for c in cells), t[undecided]
@@ -346,8 +380,11 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=2 ** 27,
             decided &= col >= 0
         done = (j >= 2 * t + 1) & decided
         if done.any():
-            rows = np.stack([col[done] for col in cols], axis=1)
-            for row in np.unique(rows, axis=0):
+            # a decided row of 0/1 columns is one index in a 2 x ... x 2 box
+            shape = (2,) * len(cols)
+            codes = np.ravel_multi_index([col[done] for col in cols], shape)
+            for code in np.unique(codes):
+                row = np.unravel_index(code, shape)
                 attained.add(tuple(Fraction(int(r), 2) for r in row))
         return ~done
 

@@ -7,9 +7,12 @@ norm-image computation in the truncated ring Z[i][T]/(T^4 - 17), and
 its nontriviality at 17 reduces to quartic residues, because the norm
 group of Q_17(17^(1/4))/Q_17 is generated by 17 and fourth powers.
 
-The membership check runs over all liftable classes mod 2^10, streamed
-one unit chart at a time from the shared chart enumerator in padic;
-all of its moduli are powers of two, so reductions are bit masks."""
+The membership check covers all liftable classes mod 2^10 without
+visiting each: the shared chart enumerator in padic refines one unit
+chart at a time, and a class is settled, with its exact number of
+descendants mod 2^10 as its weight, as soon as both cocycle values are
+decided for every descendant.  All moduli are powers of two, so
+reductions are bit masks."""
 
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from ..arith import factorint, legendre
-from .padic import _chart_cells, _vec_val, padic_point_classes
+from .padic import (_chart_cells, _eval_vec, _surface_terms, _vec_val,
+                    padic_point_classes)
 from .profiles import LocalProfile
 
 SURFACE75 = (-9826, -2, 136)
@@ -168,25 +172,98 @@ def norm_image_check():
 # --- 2-adic residue-table membership -------------------------------------
 
 def mod32_membership(depth=10, table=None):
-    """At every liftable 2-adic residue class of the surface, at least
-    one of the two cocycle functions has a determined unit value, and
-    that value mod 32 lies in the residue table.  The classes are
-    streamed one unit chart at a time.  Returns (all_covered, attained
-    values, class count)."""
+    """At every liftable 2-adic residue class mod 2^depth of the
+    surface, at least one of the two cocycle functions has a determined
+    unit value, and that value mod 32 lies in the residue table.
+    Returns (all_covered, attained values, class count), each equal to
+    what a walk over every liftable class mod 2^depth gives.
+
+    The classes are refined one unit chart at a time by the chart
+    enumerator of padic.  Its settle hook drops a class c at level j
+    as the stand-in for all of its descendants at depth D once c is
+    liftable (j >= 2t + 1), 2j >= D, and both cocycle values are
+    decided.  Let s be the valuation of |d|^2, read mod 2^j and capped
+    at j - 1.  A value is
+
+    - known when s <= min(j - 6, D - 7).  The value n conj(d)/2^s *
+      (|d|^2/2^s)^-1 mod 32 needs n conj(d) and |d|^2 mod 2^(s+5).  c
+      fixes the components mod 2^(j-1) and |d|^2 mod 2^j, so every
+      descendant has this value, and at depth D it is determined.
+    - void when s >= D - 6.  Every descendant has 2^(D-6) | |d|^2, so
+      at depth D its value is undetermined.
+
+    At level D every value is known or void.  A descendant agrees with
+    c mod 2^j, and t < j, so it has the same t and is liftable at D.
+
+    The weight of c is its exact number of descendants at depth D, not
+    4^(D-j): on this surface (t = 2) a liftable class at level 9 has 0
+    or 8 children.  Let m = min(t, D - j).  Then c has
+
+        2^(2(D-j)+m) descendants if 2^(j+m) | f(c), and none otherwise.
+
+    Proof.  The descendants are the classes c + 2^j e, e mod 2^(D-j),
+    on which f = 0 mod 2^D.  The Taylor coefficients of the integer
+    polynomial f are integers and 2j >= D, so f(c + 2^j e) = f(c) +
+    2^j grad f(c).e mod 2^D, with grad f the partials in the three
+    chart variables.  They have valuation exactly t: by Euler's
+    relation 2w f_w + x f_x + y f_y + z f_z = 4f, the partial in the
+    unit coordinate is 4f(c) minus the others, and v(4f(c)) >= j > t.
+    Write grad f(c) = 2^t g with g primitive.  The condition reads
+    f(c) + 2^(j+t) g.e = 0 mod 2^D.  If D <= j + t it is f(c) = 0 mod
+    2^D, for all 2^(3(D-j)) vectors e or for none.  Otherwise it needs
+    2^(j+t) | f(c), and then f(c)/2^(j+t) + g.e = 0 mod 2^(D-j-t) is a
+    linear condition with a unit coefficient on e mod 2^(D-j-t): it
+    has 2^(2(D-j-t)) solutions there, each with 2^(3t) lifts to e mod
+    2^(D-j), which makes 2^(2(D-j)+t).  The weight is 0 exactly for
+    the classes without a liftable descendant, and those are left out
+    of the attained values and the coverage test too.
+
+    A uniform weight is exact per block only: the 2^(3t) classes c =
+    c0 + 2^(j-t) u over one class c0 at level j - t.  If D <= 2(j - t),
+    f(c) = f(c0) + 2^j g0.u mod 2^D with g0 primitive, so 2^(j+m) |
+    f(c) is a linear condition mod 2^m with a unit coefficient on u;
+    2^(3t-m) classes pass it, and the block has |block| 4^(D-j)
+    descendants."""
     if table is None:
         table = RESIDUE_TABLE_MOD32
     in_table = np.zeros(32 * 32, dtype=bool)
     for a, b in table:
         in_table[32 * a + b] = True
-    covered = True
+    f = _surface_terms(*SURFACE75)
+    covered, count, chart_count = True, 0, 0
     seen = np.zeros(32 * 32, dtype=bool)
-    count = 0
-    for _, coords, t in _chart_cells(*SURFACE75, 2, depth, 2 ** 27):
-        chart_covered, chart_seen, chart_count = _chart_membership(
-            coords, t, depth, in_table)
-        covered &= chart_covered
-        seen |= chart_seen
-        count += chart_count
+
+    def settle(j, coords, t):
+        nonlocal covered, chart_count
+        ready = (j >= 2 * t + 1) & (2 * j >= depth)
+        if not ready.any():
+            return ~ready
+        values = _cocycle_values(coords, j, depth)
+        for _, known, void in values:
+            ready &= known | void
+        idx = np.flatnonzero(ready)
+        m = np.minimum(t[idx], depth - j)
+        if j < depth:  # at depth, m = 0 and each class is its own lift
+            fc = _eval_vec(f, tuple(c[idx] for c in coords), 2 ** depth)
+            lifts = fc & ((1 << (j + m)) - 1) == 0
+            idx, m = idx[lifts], m[lifts]
+        w, x, y, z = (c[idx] for c in coords)
+        if not ((w & 3 == 2).all() and (x & 1).all() and (y & 1).all()
+                and (z & 1).all()):
+            raise AssertionError("unexpected 2-adic parities")
+        hit = np.zeros(len(idx), dtype=bool)
+        for codes, known, _ in values:
+            codes, known = codes[idx], known[idx]
+            hit |= known & in_table[codes]
+            seen[codes[known]] = True
+        covered &= bool(hit.all())
+        chart_count += int((4 ** (depth - j) << m).sum())
+        return ~ready
+
+    for _ in _chart_cells(*SURFACE75, 2, depth, 2 ** 27, settle):
+        if not chart_count:
+            raise AssertionError("no liftable 2-adic classes found")
+        count, chart_count = count + chart_count, 0
     attained = frozenset((int(c) >> 5, int(c) & 31)
                          for c in np.flatnonzero(seen))
     return covered, attained, count
@@ -209,40 +286,33 @@ def _components(hw, xz, yy, mask):
     )
 
 
-def _chart_membership(coords, t, depth, in_table):
-    """mod32_membership on the classes of one unit chart: (all covered,
-    seen values as a 1024-entry mask of 32 re + im, class count).  All
-    moduli are powers of two, so every reduction is a mask.  Its arrays
-    are freed on return, before the next chart is enumerated."""
-    prec = 2 ** (depth - 1)  # component precision; w/2 costs one bit
+def _cocycle_values(coords, j, depth):
+    """Per cocycle function, (codes, known, void) at classes mod 2^j:
+    known where the class fixes the value mod 32, codes = 32 re + im,
+    and the value counts as determined at depth; void where the value
+    is undetermined at depth in every descendant.  All moduli are
+    powers of two, so every reduction is a mask."""
+    prec = 2 ** (j - 1)  # component precision; w/2 costs one bit
     mask = prec - 1
-    cap = depth - 1
-    w, x, y, z = (c[depth >= 2 * t + 1] for c in coords)
-    if len(w) == 0:
-        raise AssertionError("no liftable 2-adic classes found")
-    if not ((w & 3 == 2).all() and (x & 1).all() and (y & 1).all()
-            and (z & 1).all()):
-        raise AssertionError("unexpected 2-adic parities")
+    w, x, y, z = coords
     inv_odd = np.zeros(32, dtype=np.int64)
     for odd in range(1, 32, 2):
         inv_odd[odd] = pow(odd, -1, 32)
-    hit = np.zeros(len(w), dtype=bool)
-    seen = np.zeros(32 * 32, dtype=bool)
+    out = []
     for nr, ni, dr, di in _components(w >> 1, 17 * x * z, y * y, mask):
         norm_d = (dr * dr + di * di) & (2 * prec - 1)
-        sd = _vec_val(norm_d, 2, cap)
+        sd = _vec_val(norm_d, 2, j - 1)
         prod_r = (nr * dr + ni * di) & mask
         prod_i = (ni * dr - nr * di) & mask
-        # value = n conj(d)/2^s * (|d|^2/2^s)^-1 needs 2^s * 32 <= prec
-        determined = sd <= cap - 6
-        shift = np.where(determined, sd, 0)
+        # value = n conj(d)/2^s * (|d|^2/2^s)^-1 needs n conj(d) mod
+        # 2^(s+5), known mod prec; at depth it counts when s <= depth - 7
+        known = sd <= min(j - 6, depth - 7)
+        shift = np.where(known, sd, 0)
         inv = inv_odd[(norm_d >> shift) & 31]
         res = (prod_r >> shift) * inv & 31
         ims = (prod_i >> shift) * inv & 31
-        codes = res << 5 | ims
-        hit |= determined & in_table[codes]
-        seen[codes[determined]] = True
-    return bool(hit.all()), seen, len(w)
+        out.append((res << 5 | ims, known, sd >= depth - 6))
+    return out
 
 
 # --- 17-adic quartic residues --------------------------------------------
@@ -324,7 +394,7 @@ def ex75_17adic_profile() -> LocalProfile:
 
 def ex75_2adic_profile() -> LocalProfile:
     """The 2-adic profile {0}: every point's cocycle value lies in the
-    residue table (exhaustive over liftable classes) and every table
+    residue table (over all liftable classes mod 2^10) and every table
     value is a g-norm of a norm-one element (exact witnesses), so the
     cocycle is a coboundary at every 2-adic point."""
     covered, attained, _ = mod32_membership()

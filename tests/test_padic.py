@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from dp2.local.padic import (
     CapacityError,
@@ -12,6 +13,7 @@ from dp2.local.padic import (
     Y,
     Z,
     _chart_cells,
+    _coords,
     _eval_vec,
     _gradient_terms,
     _is_padic_square,
@@ -101,6 +103,17 @@ def test_first_surface_2adic_profile_is_half():
     pr = invariant_profile([q], -25, -5, 45, 2)
     assert pr.invariants == frozenset({(HALF,)})
     assert pr.undetermined == 0
+
+
+def test_profile_vectors_keep_class_order():
+    # a split class beside the (-1, g) class of the 2-adic test above
+    g = (-5 * X ** 2 - 2 * Y ** 2 + 9 * Z ** 2) / Z ** 2
+    half = QuaternionClass(Fraction(-1), g)
+    split = QuaternionClass(Fraction(1), X ** 2 / Z ** 2)
+    pr = invariant_profile([split, half], -25, -5, 45, 2)
+    assert pr.invariants == frozenset({(ZERO, HALF)})
+    pr = invariant_profile([half, split], -25, -5, 45, 2)
+    assert pr.invariants == frozenset({(HALF, ZERO)})
 
 
 def test_split_algebra_profile_is_zero():
@@ -215,10 +228,7 @@ def _rows(coords, t):
     return sorted(zip(*(c.tolist() for c in coords), t.tolist()))
 
 
-@pytest.mark.parametrize("A, B, C", [(1, 1, 1), (-25, -5, 45),
-                                     (3, 6, -9)])
-def test_chart_cells_match_brute_force(A, B, C):
-    p, k = 3, 2
+def _check_chart_cells(A, B, C, p, k):
     seen = []
 
     def settle(j, coords, t):
@@ -234,5 +244,77 @@ def test_chart_cells_match_brute_force(A, B, C):
         assert _rows(coords_s, t_s) == want
     # settle sees every nonempty level of every chart, in order
     want_seen = [(j, _brute_chart_cells(A, B, C, p, j, unit))
-                 for unit in ("x", "y", "z") for j in (1, 2)]
+                 for unit in ("x", "y", "z") for j in range(1, k + 1)]
     assert seen == [entry for entry in want_seen if entry[1]]
+    return seen
+
+
+SURFACES = [(1, 1, 1), (-25, -5, 45), (3, 6, -9)]
+
+
+@pytest.mark.parametrize("A, B, C", SURFACES)
+def test_chart_cells_match_brute_force(A, B, C):
+    _check_chart_cells(A, B, C, 3, 2)
+
+
+@pytest.mark.parametrize("p, k", [(2, 4), (5, 2)])
+@pytest.mark.parametrize("A, B, C", SURFACES)
+def test_chart_cells_inherited_t_match_brute_force(A, B, C, p, k):
+    seen = _check_chart_cells(A, B, C, p, k)
+    if p == 2:
+        # every gradient component is even, so t >= 1 throughout; a
+        # level-j class with t < j - 1 took its t from its parent
+        assert any(1 <= row[-1] < j - 1 for j, rows in seen
+                   for row in rows)
+
+
+def _direct_chart_cells(A, B, C, p, k):
+    """The enumerator without the Taylor step or inherited t: every
+    level evaluates f mod p^j on all p^3 digit extensions of every kept
+    cell, and t is evaluated at level k.  Yields (unit, coords, t) in
+    the order _chart_cells does."""
+    f = _surface_terms(A, B, C)
+    grads = _gradient_terms(A, B, C)
+    r = np.arange(p, dtype=np.int64)
+    grid = [d.ravel() for d in np.meshgrid(r, r, r, indexing="ij")]
+    chunk = max(1, 2 ** 21 // p ** 3)
+    for unit in ("x", "y", "z"):
+        cells = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
+        for j in range(1, k + 1):
+            parts = []
+            for lo in range(0, len(cells[0]), chunk):
+                block = [c[lo:lo + chunk] for c in cells]
+                ext = tuple(np.repeat(c, p ** 3)
+                            + np.tile(d * p ** (j - 1), len(c))
+                            for c, d in zip(block, grid))
+                keep = _eval_vec(f, _coords(unit, *ext), p ** j) == 0
+                parts.append(tuple(c[keep] for c in ext))
+            cells = tuple(np.concatenate([part[i] for part in parts])
+                          if parts else cells[i][:0] for i in range(3))
+        coords = _coords(unit, *cells)
+        t = np.minimum.reduce([_vec_val(_eval_vec(g, coords, p ** k), p, k)
+                               for g in grads])
+        yield unit, coords, t
+
+
+def _assert_same_charts(A, B, C, p, k):
+    got = list(_chart_cells(A, B, C, p, k, 2 ** 27))
+    want = list(_direct_chart_cells(A, B, C, p, k))
+    assert [u for u, _, _ in got] == [u for u, _, _ in want]
+    for (_, coords, t), (_, coords_d, t_d) in zip(got, want):
+        assert [c.tolist() for c in coords] == [c.tolist() for c in coords_d]
+        assert t.tolist() == t_d.tolist()
+
+
+@pytest.mark.parametrize("A, B, C, p, k", [
+    (-9826, -2, 136, 2, 6), (34, 34, 34, 17, 2), (-6, -3, 2, 3, 4),
+    (1, 1, 1, 5, 3), (40, -11, -46, 11, 2)])
+def test_taylor_step_matches_direct_evaluation(A, B, C, p, k):
+    _assert_same_charts(A, B, C, p, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
+       st.sampled_from([2, 3, 5, 7]), st.integers(1, 3))
+def test_taylor_step_matches_direct_evaluation_property(A, B, C, p, k):
+    _assert_same_charts(A, B, C, p, k)

@@ -3,10 +3,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dp2.local import quartic
+from dp2.local.padic import (
+    _chart_cells,
+    _eval_vec,
+    _surface_terms,
+    _vec_val,
+)
 from dp2.local.quartic import (
     FIRST_ROW,
     RESIDUE_TABLE_MOD32,
     RING_ONE,
+    SURFACE75,
     WITNESS_FOURTH_ROOT,
     WITNESS_ROW_GENERATOR,
     _components,
@@ -104,6 +112,135 @@ def test_mod32_membership_fault_injection():
     # dropping one table entry must break coverage: the check is real
     covered, _, _ = mod32_membership(table=RESIDUE_TABLE_MOD32[:-1])
     assert not covered
+
+
+def _chart_membership(coords, t, depth, in_table):
+    """mod32_membership on the classes of one unit chart, without
+    settling: (all covered, seen values as a 1024-entry mask of 32 re +
+    im, class count) over every liftable class mod 2^depth."""
+    prec = 2 ** (depth - 1)  # component precision; w/2 costs one bit
+    mask = prec - 1
+    cap = depth - 1
+    w, x, y, z = (c[depth >= 2 * t + 1] for c in coords)
+    if len(w) == 0:
+        raise AssertionError("no liftable 2-adic classes found")
+    if not ((w & 3 == 2).all() and (x & 1).all() and (y & 1).all()
+            and (z & 1).all()):
+        raise AssertionError("unexpected 2-adic parities")
+    inv_odd = np.zeros(32, dtype=np.int64)
+    for odd in range(1, 32, 2):
+        inv_odd[odd] = pow(odd, -1, 32)
+    hit = np.zeros(len(w), dtype=bool)
+    seen = np.zeros(32 * 32, dtype=bool)
+    for nr, ni, dr, di in _components(w >> 1, 17 * x * z, y * y, mask):
+        norm_d = (dr * dr + di * di) & (2 * prec - 1)
+        sd = _vec_val(norm_d, 2, cap)
+        prod_r = (nr * dr + ni * di) & mask
+        prod_i = (ni * dr - nr * di) & mask
+        # value = n conj(d)/2^s * (|d|^2/2^s)^-1 needs 2^s * 32 <= prec
+        determined = sd <= cap - 6
+        shift = np.where(determined, sd, 0)
+        inv = inv_odd[(norm_d >> shift) & 31]
+        res = (prod_r >> shift) * inv & 31
+        ims = (prod_i >> shift) * inv & 31
+        codes = res << 5 | ims
+        hit |= determined & in_table[codes]
+        seen[codes[determined]] = True
+    return bool(hit.all()), seen, len(w)
+
+
+def _exhaustive_membership(depth, tables):
+    """The oracle: (covered, attained, count) per table over every
+    liftable class mod 2^depth, from one enumeration."""
+    in_tables = []
+    for table in tables:
+        in_table = np.zeros(32 * 32, dtype=bool)
+        for a, b in table:
+            in_table[32 * a + b] = True
+        in_tables.append(in_table)
+    results = [[True, np.zeros(32 * 32, dtype=bool), 0] for _ in tables]
+    for _, coords, t in _chart_cells(*SURFACE75, 2, depth, 2 ** 27):
+        for res, in_table in zip(results, in_tables):
+            covered, seen, count = _chart_membership(coords, t, depth,
+                                                     in_table)
+            res[0] &= covered
+            res[1] |= seen
+            res[2] += count
+    return [(covered, frozenset((int(c) >> 5, int(c) & 31)
+                                for c in np.flatnonzero(seen)), count)
+            for covered, seen, count in results]
+
+
+@pytest.mark.parametrize("depth", [9, 10])
+def test_settled_membership_matches_exhaustive(depth, monkeypatch):
+    tables = (RESIDUE_TABLE_MOD32, RESIDUE_TABLE_MOD32[:-1])
+    want = _exhaustive_membership(depth, tables)
+    if depth == 10:
+        assert want[0][0] and not want[1][0]
+    levels = set()
+
+    def traced(*args):
+        *head, settle = args
+
+        def record(j, coords, t):
+            levels.add(j)
+            return settle(j, coords, t)
+
+        return _chart_cells(*head, record)
+
+    monkeypatch.setattr(quartic, "_chart_cells", traced)
+    assert [mod32_membership(depth, table) for table in tables] == want
+    # every class is settled before the last level is expanded
+    assert max(levels) == depth - 1
+
+
+def _keys(coords, j):
+    """One integer per class mod 2^j, from its four coordinates."""
+    key = np.zeros(len(coords[0]), dtype=np.int64)
+    for c in coords:
+        key = key << j | c & ((1 << j) - 1)
+    return key
+
+
+def test_descendant_counts_per_block_and_per_class():
+    # chart x of the surface, every level kept, counted at depth D = 10
+    depth = 10
+    levels = {}
+
+    def keep_all(j, coords, t):
+        levels[j] = (coords, t)
+        return np.ones(len(t), dtype=bool)
+
+    next(_chart_cells(*SURFACE75, 2, depth, 2 ** 27, keep_all))
+    final = levels[depth][0]
+    f = _surface_terms(*SURFACE75)
+    for j in (7, 8, 9):
+        coords, t = levels[j]
+        assert (t == 2).all()
+        # descendants of each level-j class at depth D
+        cells, index = np.unique(_keys(coords, j), return_inverse=True)
+        found, counts = np.unique(_keys(final, j), return_counts=True)
+        assert np.isin(found, cells).all()
+        children = np.zeros(len(cells), dtype=np.int64)
+        children[np.searchsorted(cells, found)] = counts
+        children = children[index]
+        # per class: 2^(2(D-j)+m) if 2^(j+m) | f(c), else 0
+        m = np.minimum(t, depth - j)
+        fc = _eval_vec(f, coords, 2 ** depth)
+        lifts = fc & ((1 << (j + m)) - 1) == 0
+        assert children.tolist() == np.where(
+            lifts, 1 << (2 * (depth - j) + m), 0).tolist()
+        # per block of the 2^(3t) classes over one level-(j-t) class:
+        # |block| 4^(D-j) descendants, as depth <= 2(j - t)
+        _, block, size = np.unique(_keys(coords, j - 2),
+                                   return_inverse=True, return_counts=True)
+        assert (size == 2 ** 6).all()
+        assert (np.bincount(block, weights=children)
+                == size * 4 ** (depth - j)).all()
+        if j == 9:
+            # so a uniform per-class weight 4^(D-j) would be unsound
+            assert (children == 0).any()
+            assert set(children.tolist()) == {0, 8}
 
 
 def test_quartic_residues_mod_17():
