@@ -215,9 +215,12 @@ def _h1_result(z1, b1, nslots: int, d: int, backend: str) -> CohomologyResult:
 
 def _coboundaries(mod: GModule, slots) -> list[Vec]:
     """Generators of B^1 on cochains with one block per element of
-    `slots`: for each basis vector e, the cochain g -> g.e - e."""
-    return [tuple(x for g in slots for x in _vec_sub(mod.act(g, e), e))
-            for e in _identity_mat(mod.dim)]
+    `slots`: for each basis vector e_j, the cochain g -> g.e_j - e_j,
+    whose g-block is column j of M_g - I."""
+    d, mats = mod.dim, [mod.mat(g) for g in slots]
+    return [tuple(m[i][j] - (1 if i == j else 0)
+                  for m in mats for i in range(d))
+            for j in range(d)]
 
 
 def invariants_H0(mod: GModule) -> tuple[int, list[Vec]]:

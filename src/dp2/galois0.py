@@ -18,10 +18,12 @@ bit i set for each element index i it contains.  `_tables()` builds the
 product table by arithmetic on the coordinates (row g is the left
 multiplication x -> g x), the conjugation permutations x -> g x g^-1 from
 it, and the six S3 relabelings as index permutations.  A map moves a mask
-by permuting its bits (`cohomology._apply_perm`).  Every subgroup here,
-from `generate_subgroup` to the Kummer constraints, is closed over that
-table by `cohomology._closure_mask`, the one subgroup-closure routine of
-the package, which the H^1 backends run on each module's own index table.
+by permuting its bits; the enumeration and the orbits decode each mask
+once (`cohomology._members`) and permute its member list.  Every
+subgroup here, from `generate_subgroup` to the Kummer constraints, is
+closed over that table by `cohomology._closure_mask`, the one
+subgroup-closure routine of the package, which the H^1 backends run on
+each module's own index table.
 GroupElement and Subgroup remain the public face.
 """
 
@@ -333,9 +335,9 @@ def _orbit(mask: int, with_s3: bool = False) -> frozenset[int]:
             perms += s3[1:3]  # ab and bc: transpositions generating S3
         found, frontier = {mask}, [mask]
         while frontier:
-            cur = frontier.pop()
-            for p in perms:
-                img = _apply_perm(cur, p)
+            members = _members(frontier.pop())
+            for p in perms:  # a permutation: distinct bits, so sum = union
+                img = sum(1 << p[h] for h in members)
                 if img not in found:
                     found.add(img)
                     frontier.append(img)
@@ -382,15 +384,18 @@ def all_subgroup_classes() -> tuple[int, ...]:
     while layer:
         nxt = set()
         for mask in layer:
+            members = _members(mask)
             done = mask  # elements whose extension has been taken
             for i in range(128):
+                # conj[i] is a bijection, so i normalises mask once it maps
+                # every member into mask
                 if done >> i & 1 or not mask >> mul[i][i] & 1 \
-                        or _apply_perm(mask, conj[i]) != mask:
+                        or not all(mask >> conj[i][h] & 1 for h in members):
                     continue
                 # i normalises mask and i^2 lies in it, so <mask, i> is
                 # the union of mask and its coset i.mask; every element of
                 # that coset gives the same extension
-                new = mask | _apply_perm(mask, mul[i])
+                new = mask | sum(1 << mul[i][h] for h in members)
                 done |= new
                 canon = _canon_conj(new)
                 if canon not in seen:

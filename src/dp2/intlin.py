@@ -216,6 +216,13 @@ class ColumnEchelon:
     Pivot rows are strictly increasing across the leading columns; all
     columns past ``rank`` are zero.  Supports exact integer/rational
     solves of A x = b and yields an integer kernel basis.
+
+    When row r is reached with c pivots placed, every column from c on
+    is zero on rows 0..r-1: each earlier row either gave a pivot, whose
+    column now sits below c, or had no nonzero entry from there on, and
+    the steps since only combined columns from c on.  So a column
+    update runs over the pivot column's nonzero entries in rows r..m-1,
+    and the V update over the pivot's nonzero V entries.
     """
 
     def __init__(self, rows_in):
@@ -236,6 +243,8 @@ class ColumnEchelon:
                 j0 = min(active, key=lambda j: (abs(cols[j][r]), j))
                 pa = cols[j0][r]
                 pcol, pv = cols[j0], v[j0]
+                live = [(i, x) for i, x in enumerate(pcol[r:], r) if x]
+                vlive = [(i, x) for i, x in enumerate(pv) if x]
                 nxt = [j0]
                 for j in active:
                     if j == j0:
@@ -243,10 +252,10 @@ class ColumnEchelon:
                     q = cols[j][r] // pa
                     if q:
                         cj, vj = cols[j], v[j]
-                        for i in range(m):
-                            cj[i] -= q * pcol[i]
-                        for i in range(n):
-                            vj[i] -= q * pv[i]
+                        for i, x in live:
+                            cj[i] -= q * x
+                        for i, x in vlive:
+                            vj[i] -= q * x
                     if cols[j][r]:
                         nxt.append(j)
                 active = nxt

@@ -399,7 +399,14 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=2 ** 27,
 def _real_sheets(term_lists, A, B, C, samples, seed):
     """Sampled real points of the surface, stratified over the three
     affine charts at scales 1 and 10: per chart, scale and w-sheet,
-    (sign of w, the values of each term list at the points)."""
+    (sign of w, the values of each term list at the points).  Each power
+    of a coordinate is computed once per chart and scale, and each power
+    of w once per sheet; the terms multiply them left to right."""
+
+    def powers(base, k):  # base ** e for every exponent e in slot k
+        return {e: base ** e
+                for e in {t[k] for terms in term_lists for t in terms}}
+
     rng = np.random.default_rng(seed)
     per_chart = max(samples // 6, 1)
     for unit in ("x", "y", "z"):
@@ -413,10 +420,12 @@ def _real_sheets(term_lists, A, B, C, samples, seed):
                 continue
             x, y, z = x[mask], y[mask], z[mask]
             w = np.sqrt(rhs[mask])
+            xs, ys, zs = powers(x, 2), powers(y, 3), powers(z, 4)
             for sign in (1, -1):
                 sheet = sign * w
-                yield sign, [sum((float(c) * sheet ** ew * x ** ex
-                                  * y ** ey * z ** ez
+                ws = powers(sheet, 1)
+                yield sign, [sum((float(c) * ws[ew] * xs[ex]
+                                  * ys[ey] * zs[ez]
                                   for c, ew, ex, ey, ez in terms),
                                  np.zeros_like(sheet))
                              for terms in term_lists]

@@ -16,6 +16,7 @@ from dp2.cohomology import (
     sigma1_to_standard,
     standard_cocycle_checks,
     submodule_on_invariants,
+    _coboundaries,
     _resolution_maps,
     _tree_cocycles,
 )
@@ -235,6 +236,34 @@ def _assert_three_cocycle_lattices_agree(mod):
 @cyclic_cases
 def test_cayley_rows_cut_out_the_pairwise_cocycles_cyclic(mod):
     _assert_three_cocycle_lattices_agree(mod)
+
+
+def _assert_coboundaries_match_action(mod):
+    """B^1 generators read from the matrices equal the definition
+    e -> (g.e - e)_g, on the generator slots and on all elements."""
+    d = mod.dim
+    for slots in (mod.gens(), mod.elements):
+        expected = []
+        for j in range(d):
+            e = tuple(int(i == j) for i in range(d))
+            expected.append(tuple(x - y for g in slots
+                                  for x, y in zip(mod.act(g, e), e)))
+        assert _coboundaries(mod, slots) == expected, mod.generators
+
+
+@cyclic_cases
+def test_coboundaries_match_action_cyclic(mod):
+    _assert_coboundaries_match_action(mod)
+
+
+def test_coboundaries_match_action_small_classes():
+    from dp2.galois0 import enumerate_subgroups_onto_Q
+    checked = 0
+    for s in enumerate_subgroups_onto_Q():
+        if s.order <= 8:
+            _assert_coboundaries_match_action(pic_module(s))
+            checked += 1
+    assert checked == 83
 
 
 def test_cayley_rows_cut_out_the_pairwise_cocycles_small_classes():

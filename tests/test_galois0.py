@@ -412,3 +412,36 @@ def test_fingerprint_traces_match_matrix_sums():
         assert fp[5] == tuple(sorted(sum(matrix_of(g)[(i, i)]
                                          for i in range(8))
                                      for g in s.elements))
+
+
+def _all_subgroup_classes_oracle():
+    """The layered extension with the per-element bit permutations: the
+    normaliser test compares the whole conjugate mask, and the coset is
+    the permuted mask."""
+    import dp2.galois0 as g0
+    mul, conj, _ = g0._tables()
+    layer = {1 << g0._INDEX[IDENTITY]}
+    seen = set(layer)
+    while layer:
+        nxt = set()
+        for mask in layer:
+            done = mask
+            for i in range(128):
+                if done >> i & 1 or not mask >> mul[i][i] & 1 \
+                        or g0._apply_perm(mask, conj[i]) != mask:
+                    continue
+                new = mask | g0._apply_perm(mask, mul[i])
+                done |= new
+                canon = g0._canon_conj(new)
+                if canon not in seen:
+                    seen.add(canon)
+                    nxt.add(canon)
+        layer = nxt
+    return tuple(sorted(seen))
+
+
+def test_subgroup_classes_match_permuted_mask_oracle():
+    from dp2.galois0 import all_subgroup_classes
+    classes = all_subgroup_classes()
+    assert classes == _all_subgroup_classes_oracle()
+    assert len(classes) == 1500

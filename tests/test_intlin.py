@@ -261,3 +261,105 @@ def test_echelon_exact_on_large_entries(big):
 ])
 def test_solve_outcomes(rows, b, expected):
     assert ColumnEchelon(rows).solve(b) == expected
+
+
+def _full_column_echelon(rows):
+    """The column elimination with every update over whole columns:
+    (cols, vcols, rank, pivot_rows), the reference for `ColumnEchelon`."""
+    a = [list(map(int, r)) for r in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    cols = [[a[i][j] for i in range(m)] for j in range(n)]
+    v = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    pivot_rows = []
+    c = 0
+    for r in range(m):
+        if c >= n:
+            break
+        active = [j for j in range(c, n) if cols[j][r]]
+        if not active:
+            continue
+        while len(active) > 1:
+            j0 = min(active, key=lambda j: (abs(cols[j][r]), j))
+            pa = cols[j0][r]
+            pcol, pv = cols[j0], v[j0]
+            nxt = [j0]
+            for j in active:
+                if j == j0:
+                    continue
+                q = cols[j][r] // pa
+                if q:
+                    cj, vj = cols[j], v[j]
+                    for i in range(m):
+                        cj[i] -= q * pcol[i]
+                    for i in range(n):
+                        vj[i] -= q * pv[i]
+                if cols[j][r]:
+                    nxt.append(j)
+            active = nxt
+        j0 = active[0]
+        if cols[j0][r] < 0:
+            cols[j0] = [-x for x in cols[j0]]
+            v[j0] = [-x for x in v[j0]]
+        cols[c], cols[j0] = cols[j0], cols[c]
+        v[c], v[j0] = v[j0], v[c]
+        pivot_rows.append(r)
+        c += 1
+    return cols, v, c, pivot_rows
+
+
+def _assert_echelon_matches_full_elimination(rows):
+    ech = ColumnEchelon(rows)
+    assert (ech._cols, ech._vcols, ech.rank, ech.pivot_rows) == \
+        _full_column_echelon(rows)
+
+
+@st.composite
+def echelon_matrix(draw):
+    """Sparse integer matrices with zero rows, repeated rows and entries
+    far beyond the int64 range."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
+                      st.integers(-2 ** 80, 2 ** 80))
+    row = st.one_of(st.just([0] * ncols),
+                    st.lists(entry, min_size=ncols, max_size=ncols))
+    rows = draw(st.lists(row, min_size=1, max_size=9))
+    for _ in range(draw(st.integers(0, 3))):
+        src = draw(st.sampled_from(rows))
+        k = draw(st.sampled_from([1, -1, 2]))
+        rows.insert(draw(st.integers(0, len(rows))), [k * x for x in src])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_matrix())
+def test_echelon_matches_full_column_elimination(rows):
+    # updates over the live rows and nonzero entries only give the same
+    # columns, V, rank and pivot rows as updates over whole columns
+    _assert_echelon_matches_full_elimination(rows)
+
+
+def test_echelon_matches_full_elimination_on_every_relator_system(
+        monkeypatch):
+    # every system the presentation backend eliminates over the 243
+    # onto-Q classes: its relator rows and the subquotient solves
+    import dp2.cohomology as cohomology
+    import dp2.intlin as intlin
+    from dp2.galois0 import enumerate_subgroups_onto_Q
+
+    systems = []
+
+    class Recording(ColumnEchelon):
+        def __init__(self, rows_in):
+            systems.append(intlin._as_rows(rows_in))
+            super().__init__(rows_in)
+
+    monkeypatch.setattr(cohomology, "ColumnEchelon", Recording)
+    monkeypatch.setattr(intlin, "ColumnEchelon", Recording)
+    subs = enumerate_subgroups_onto_Q()
+    for s in subs:
+        cohomology.h1_presentation(cohomology.pic_module(s))
+    assert len(subs) == 243
+    assert max(len(r) for r in systems) == 224
+    for rows in systems:
+        _assert_echelon_matches_full_elimination(rows)

@@ -17,6 +17,7 @@ from dp2.local.padic import (
     _eval_vec,
     _gradient_terms,
     _is_padic_square,
+    _real_sheets,
     _surface_terms,
     _vec_val,
     compile_poly,
@@ -318,3 +319,43 @@ def test_taylor_step_matches_direct_evaluation(A, B, C, p, k):
        st.sampled_from([2, 3, 5, 7]), st.integers(1, 3))
 def test_taylor_step_matches_direct_evaluation_property(A, B, C, p, k):
     _assert_same_charts(A, B, C, p, k)
+
+
+def _real_sheets_per_term(term_lists, A, B, C, samples, seed):
+    """The sampler with every power recomputed in each term evaluation:
+    the reference for `_real_sheets`."""
+    rng = np.random.default_rng(seed)
+    per_chart = max(samples // 6, 1)
+    for unit in ("x", "y", "z"):
+        for scale in (1.0, 10.0):
+            a = rng.uniform(-scale, scale, per_chart)
+            b = rng.uniform(-scale, scale, per_chart)
+            _, x, y, z = _coords(unit, a, a, b)
+            rhs = A * x ** 4 + B * y ** 4 + C * z ** 4
+            mask = rhs > 0
+            if not mask.any():
+                continue
+            x, y, z = x[mask], y[mask], z[mask]
+            w = np.sqrt(rhs[mask])
+            for sign in (1, -1):
+                sheet = sign * w
+                yield sign, [sum((float(c) * sheet ** ew * x ** ex
+                                  * y ** ey * z ** ez
+                                  for c, ew, ex, ey, ez in terms),
+                                 np.zeros_like(sheet))
+                             for terms in term_lists]
+
+
+@pytest.mark.parametrize("recipe", ["ex71", "ex74"])
+def test_real_sheets_match_per_term_powers(recipe):
+    # powers computed once per chart and sheet give bit-identical floats
+    from dp2.local import examples
+    ex = getattr(examples, f"build_{recipe}")()
+    A, B, C = {"ex71": (-25, -5, 45), "ex74": (34, 34, 34)}[recipe]
+    terms = [q.numerator_terms() for q in ex.classes]
+    got = list(_real_sheets(terms, A, B, C, 200000, 0))
+    want = list(_real_sheets_per_term(terms, A, B, C, 200000, 0))
+    assert len(got) == len(want) > 0
+    for (sign, vals), (ref_sign, ref_vals) in zip(got, want):
+        assert sign == ref_sign and len(vals) == len(ref_vals)
+        assert all(np.array_equal(v, r) for v, r in zip(vals, ref_vals))
