@@ -16,7 +16,6 @@ from fractions import Fraction
 from .arith import is_prime
 from .cohomology import (
     h1_of_subgroup,
-    h1_presentation,
     h1_standard,
     h1_via_resolution,
     pic_module,
@@ -98,7 +97,7 @@ def h1_with_backend(s, backend: str):
     """(AbelianGroupType, label) for the chosen backend; "all" runs every
     applicable backend and raises InvariantViolation on disagreement."""
     if backend == "presentation":
-        return h1_presentation(pic_module(s)).group, "presentation"
+        return h1_of_subgroup(s), "presentation"
     if backend == "standard":
         try:
             return h1_standard(pic_module(s)).group, "standard"
@@ -111,7 +110,7 @@ def h1_with_backend(s, backend: str):
                 "no short resolution implemented for this group shape")
         return res.group, res.backend
     if backend == "all":
-        results = {"presentation": h1_presentation(pic_module(s)).group}
+        results = {"presentation": h1_of_subgroup(s)}
         if s.order <= 32:
             results["standard"] = h1_standard(pic_module(s)).group
         res = resolution_h1(s)

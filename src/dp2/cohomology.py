@@ -2,15 +2,19 @@
 
 Backends: the standard complex (oracle, order <= 32), whose cocycles are
 solved for in generator coordinates along a spanning tree of the Cayley
-graph, one row block per non-tree edge; efficient resolutions for
-cyclic/bicyclic/tricyclic/dihedral groups; a polycyclic-presentation
-cocycle solver (default, any order); and the five-term exact sequence of
-a group extension with an explicit chase for the transgression d2.
+graph, one row block per non-tree edge; short resolutions, one
+product-resolution formula for up to three cyclic factors plus the
+dihedral one; a polycyclic-presentation cocycle solver (default, any
+order); and the five-term exact sequence of a group extension with an
+explicit chase for the transgression d2.  Each reaches H^1 = Z^1/B^1
+through one elimination of Z^1 and one Smith step
+(`intlin.subquotient_structure`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -400,11 +404,6 @@ def h1_presentation(mod: GModule) -> CohomologyResult:
     `mod.elements` and so fixes the chain and the representatives; the
     subgroups of the polycyclic chain are bitmasks over its indices."""
     d = mod.dim
-    if len(mod.elements) == 1:
-        return CohomologyResult(group=AbelianGroupType((), 0),
-                                representatives=(), backend="presentation",
-                                _subq=subquotient_structure(
-                                    [(0,) * max(d, 1)], [], ambient_dim=max(d, 1)))
     els, t = mod.elements, mod.table
     mul, inv, ident = t.mul, t.inv, t.e
     gens, chain = polycyclic_chain(mul, inv, ident)
@@ -474,10 +473,6 @@ def h1_of_subgroup(s) -> AbelianGroupType:
 
 # --- efficient resolutions ----------------------------------------------
 
-def _delta(mod: GModule, g, v: Vec) -> Vec:
-    return _vec_sub(v, mod.act(g, v))
-
-
 def _delta_rows(mod: GModule, g) -> Mat:
     m = mod.mat(g)
     return tuple(tuple((1 if i == j else 0) - m[i][j]
@@ -492,30 +487,18 @@ def _norm_rows(mod: GModule, g) -> Mat:
     return total
 
 
+_PRODUCT_KINDS = {1: "cyclic", 2: "bicyclic", 3: "tricyclic"}
+
+
 def _resolution_maps(kind: str, mod: GModule, gens):
-    """(d1 rows as a block matrix over slots, d0 columns) for H^1 = ker d1/im d0."""
+    """(d1 rows as a block matrix over slots, B^1 generators, slot count)
+    for H^1 = ker d1/im d0.  For a product of k cyclic groups d1 comes from
+    the tensor product of their periodic resolutions (Brown, GTM 87,
+    V.1): N_j on slot j, and for each pair i < j the block Delta_j on
+    slot i, -Delta_i on slot j.  The generators must be a direct-product
+    basis: their orders multiply to |G|."""
     d = mod.dim
-    if kind == "cyclic":
-        (g,) = gens
-        d1_blocks = [[_norm_rows(mod, g)]]
-    elif kind == "bicyclic":
-        g, h = gens
-        d1_blocks = [
-            [_norm_rows(mod, g), None],
-            [_delta_rows(mod, h), _neg(_delta_rows(mod, g))],
-            [None, _norm_rows(mod, h)],
-        ]
-    elif kind == "tricyclic":
-        g, h, u = gens
-        d1_blocks = [
-            [_norm_rows(mod, g), None, None],
-            [_delta_rows(mod, h), _neg(_delta_rows(mod, g)), None],
-            [None, _norm_rows(mod, h), None],
-            [_delta_rows(mod, u), None, _neg(_delta_rows(mod, g))],
-            [None, _delta_rows(mod, u), _neg(_delta_rows(mod, h))],
-            [None, None, _norm_rows(mod, u)],
-        ]
-    elif kind == "dihedral":
+    if kind == "dihedral":
         g, h = gens
         gh = mod.mul(g, h)
         d1_blocks = [
@@ -523,9 +506,25 @@ def _resolution_maps(kind: str, mod: GModule, gens):
             [None, _norm_rows(mod, h)],
             [_norm_rows(mod, gh), _neg(_norm_rows(mod, gh))],
         ]
+    elif kind in _PRODUCT_KINDS.values():
+        k = len(gens)
+        order = math.prod(len(mod.powers(g)) for g in gens)
+        if _PRODUCT_KINDS.get(k) != kind or order != len(mod.elements):
+            raise ValueError(f"{kind} generators are not a direct-product "
+                             f"basis of the group of order "
+                             f"{len(mod.elements)}")
+        d1_blocks = []
+        for j in range(k):
+            for i in range(j):
+                block = [None] * k
+                block[i] = _delta_rows(mod, gens[j])
+                block[j] = _neg(_delta_rows(mod, gens[i]))
+                d1_blocks.append(block)
+            block = [None] * k
+            block[j] = _norm_rows(mod, gens[j])
+            d1_blocks.append(block)
     else:
         raise ValueError(f"unknown resolution kind {kind!r}")
-    nslots = len(d1_blocks[0])
     rows = []
     for block_row in d1_blocks:
         for i in range(d):
@@ -533,14 +532,7 @@ def _resolution_maps(kind: str, mod: GModule, gens):
             for blk in block_row:
                 row.extend([0] * d if blk is None else list(blk[i]))
             rows.append(row)
-    b1 = []
-    for j in range(d):
-        e = tuple(1 if t == j else 0 for t in range(d))
-        col = []
-        for g in gens:
-            col.extend(_delta(mod, g, e))
-        b1.append(tuple(col))
-    return rows, b1, nslots
+    return rows, _coboundaries(mod, gens), len(gens)
 
 
 def _neg(m: Mat) -> Mat:
@@ -552,8 +544,7 @@ def h1_via_resolution(kind: str, mod: GModule, gens=None) -> CohomologyResult:
     dihedral group with the given distinguished generators."""
     gens = tuple(gens) if gens is not None else tuple(mod.gens())
     rows, b1, nslots = _resolution_maps(kind, mod, gens)
-    d = mod.dim
-    return _h1_result(ColumnEchelon(rows).kernel(), b1, nslots, d,
+    return _h1_result(ColumnEchelon(rows).kernel(), b1, nslots, mod.dim,
                       f"resolution:{kind}")
 
 
@@ -602,7 +593,7 @@ class ExtensionData:
     q_gens: tuple     # generators of the complement (cyclic or bicyclic)
 
     def h_kind(self) -> str:
-        return {1: "cyclic", 2: "bicyclic", 3: "tricyclic"}[len(self.h_gens)]
+        return _PRODUCT_KINDS[len(self.h_gens)]
 
     def q_kind(self) -> str:
         return {1: "cyclic", 2: "bicyclic"}[len(self.q_gens)]
@@ -801,17 +792,13 @@ def _d2_is_zero(ext, mod, h_mod, h_elements, t_elements, h_basis, q_mod, u):
             total = [_vec_add(a, b) for a, b in zip(total, acted)]
         return total
 
-    if ext.q_kind() == "cyclic":
-        (r1,) = ext.q_gens
-        w_components = [norm0(r1, v0[0])]
-    else:
-        r1, r2 = ext.q_gens
-        w_components = [
-            norm0(r1, v0[0]),
-            [_vec_sub(a, b) for a, b in
-             zip(delta0(r2, v0[0]), delta0(r1, v0[1]))],
-            norm0(r2, v0[1]),
-        ]
+    # the block rows of `_resolution_maps`, applied to v0
+    w_components = []
+    for j, rj in enumerate(ext.q_gens):
+        for i, ri in enumerate(ext.q_gens[:j]):
+            w_components.append([_vec_sub(a, b) for a, b in
+                                 zip(delta0(rj, v0[i]), delta0(ri, v0[j]))])
+        w_components.append(norm0(rj, v0[j]))
 
     # pull back along the inclusion (m)_q = q.m of the bottom row
     bas_cols = [[h_basis[j][i] for j in range(len(h_basis))]
@@ -828,21 +815,8 @@ def _d2_is_zero(ext, mod, h_mod, h_elements, t_elements, h_basis, q_mod, u):
             raise AssertionError("chase output not H-invariant")
         ms.append(tuple(sol))
 
-    # coboundary test against the image of the degree-1 map of the bottom
-    # complex (on M^H coordinates)
-    rq = q_mod.dim
-    if ext.q_kind() == "cyclic":
-        cols = []
-        nr = _norm_rows(q_mod, ext.q_gens[0])
-        for j in range(rq):
-            cols.append(tuple(nr[i][j] for i in range(rq)))
-        target = list(ms[0])
-        sol, _ = ColumnEchelon([[cols[j][i] for j in range(rq)]
-                                for i in range(rq)]).solve(target)
-        return sol is not None
-    rows2, _, _ = _resolution_maps("bicyclic", q_mod, ext.q_gens)
-    target = [x for m in ms for x in m]
-    # rows2 is d1 (domain (M^H)^2); transpose convention: rows are
-    # equations over the 2*rq unknowns
-    sol, _ = ColumnEchelon(rows2).solve(target)
+    # coboundary test against the image of d1 of the bottom complex (on
+    # M^H coordinates): its rows are equations over the slot unknowns
+    rows, _, _ = _resolution_maps(ext.q_kind(), q_mod, ext.q_gens)
+    sol, _ = ColumnEchelon(rows).solve([x for m in ms for x in m])
     return sol is not None

@@ -477,22 +477,19 @@ def curve_orbit_lengths(s: Subgroup) -> tuple[int, ...]:
     return tuple(sorted(map(len, orbits)))
 
 
-def fingerprint(s: Subgroup, include_h1: bool = True) -> tuple:
+def fingerprint(s: Subgroup) -> tuple:
     """Conjugation-invariant summary used to group subgroups that could be
     identified by a lattice automorphism."""
     trace = _traces()
-    traces = tuple(sorted(trace[_INDEX[g]] for g in s.elements))
-    fp = (
+    return (
         s.order,
         abelianization(s),
         max(g.order() for g in s.elements),
         curve_orbit_lengths(s),
         len(fixed_sublattice(s)),
-        traces,
+        tuple(sorted(trace[_INDEX[g]] for g in s.elements)),
+        h1_of_subgroup(s).divisors,
     )
-    if include_h1:
-        fp = fp + (h1_of_subgroup(s).divisors,)
-    return fp
 
 
 def is_abelian(elems) -> bool:

@@ -3,7 +3,8 @@
 Smith normal form, integer kernels and solves, and subquotient structure
 of lattices.  Everything is computed over arbitrary-precision Python
 integers, by one column elimination (`ColumnEchelon`) and one Smith
-reduction; no entry is ever bounded or rounded.
+reduction, which carries the inverse of its row transform along (Cohen,
+GTM 138, 2.4); no entry is ever bounded or rounded.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ class SmithDecomposition:
     U: IntMatrix
     V: IntMatrix
     divisors: tuple[int, ...]
+    U_inv: IntMatrix
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -112,17 +114,21 @@ def smith_normal_form(m) -> SmithDecomposition:
     """Smith normal form with unimodular transforms: U*M*V = S.
 
     Pivoting minimizes absolute value, ties broken by lowest row then
-    column index, for reproducible transforms.
+    column index, for reproducible transforms.  U^-1 is kept alongside
+    U: each row operation E on U is the column operation E^-1 on U^-1.
     """
     a = _as_rows(m)
     nr = len(a)
     nc = len(a[0]) if a else 0
     u = _identity_rows(nr)
+    w = _identity_rows(nr)  # U^-1
     v = _identity_rows(nc)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for row in w:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -137,6 +143,8 @@ def smith_normal_form(m) -> SmithDecomposition:
         ud, usrc = u[dst], u[src]
         for j in range(nr):
             ud[j] += q * usrc[j]
+        for row in w:
+            row[src] -= q * row[dst]
 
     def addmul_col(dst, src, q):
         for row in a:
@@ -198,6 +206,8 @@ def smith_normal_form(m) -> SmithDecomposition:
                 a[t][j] = -a[t][j]
             for j in range(nr):
                 u[t][j] = -u[t][j]
+            for row in w:
+                row[t] = -row[t]
         t += 1
 
     divisors = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i])
@@ -207,6 +217,7 @@ def smith_normal_form(m) -> SmithDecomposition:
         U=IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ()),
         V=IntMatrix.from_rows(v) if nc else IntMatrix(0, 0, ()),
         divisors=divisors,
+        U_inv=IntMatrix.from_rows(w) if nr else IntMatrix(0, 0, ()),
     )
 
 
@@ -226,10 +237,9 @@ class ColumnEchelon:
     """
 
     def __init__(self, rows_in):
-        a = _as_rows(rows_in)
-        m = self.nrows = len(a)
-        n = self.ncols = len(a[0]) if a else 0
-        cols = [[a[i][j] for i in range(m)] for j in range(n)]
+        cols = [list(map(int, col)) for col in zip(*rows_in)]
+        m = self.nrows = len(rows_in)
+        n = self.ncols = len(cols)
         v = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
         pivot_rows = []
         c = 0
@@ -278,18 +288,16 @@ class ColumnEchelon:
         """Basis of the integer kernel (columns of V past the rank)."""
         return [tuple(self._vcols[j]) for j in range(self.rank, self.ncols)]
 
-    def solve(self, b: Sequence[int]):
-        """Solve A x = b over Z.
+    def coords(self, b: Sequence[int]):
+        """Coordinates y of b on the first ``rank`` echelon columns, by
+        forward substitution, and whether they are all integers.
 
-        Returns ``(solution, rational_solvable)``; solution is None when
-        there is no integral solution, with the flag telling whether a
-        rational one exists.
+        Returns ``(y, integral)``, with y None when b is outside the
+        rational column span.  Over Z while every pivot divides; after
+        the first that does not, the rest runs over Q.
         """
         if len(b) != self.nrows:
             raise ValueError("dimension mismatch")
-        # forward substitution over Z while every pivot divides; after
-        # the first that does not there is no integral solution, and the
-        # rest runs over Q only to settle rational solvability
         rem = list(map(int, b))
         ys = []
         integral = True
@@ -307,8 +315,18 @@ class ColumnEchelon:
                         rem[i] -= coeff * col[i]
         if any(rem):
             return None, False
+        return ys, integral
+
+    def solve(self, b: Sequence[int]):
+        """Solve A x = b over Z as x = V y for the echelon coordinates y.
+
+        Returns ``(solution, rational_solvable)``; solution is None when
+        there is no integral solution, with the flag telling whether a
+        rational one exists.
+        """
+        ys, integral = self.coords(b)
         if not integral:
-            return None, True
+            return None, ys is not None
         x = [0] * self.ncols
         for t, y in enumerate(ys):
             if y:
@@ -316,19 +334,6 @@ class ColumnEchelon:
                 for i in range(self.ncols):
                     x[i] += y * vt[i]
         return tuple(x), True
-
-
-def _unimodular_inverse(u: IntMatrix) -> list[list[int]]:
-    n = u.rows
-    ech = ColumnEchelon(u.to_rows())
-    inv_cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        sol, _ = ech.solve(e)
-        if sol is None:
-            raise ValueError("matrix is not unimodular")
-        inv_cols.append(sol)
-    return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
 
 
 @dataclass
@@ -365,40 +370,24 @@ def subquotient_structure(z_gens, b_gens, ambient_dim: Optional[int] = None) -> 
     if any(len(v) != n for v in z_gens + b_gens):
         raise ValueError("dimension mismatch")
 
-    # lattice basis of span(Z): nonzero columns of the echelon form
-    zmat = [[g[i] for g in z_gens] for i in range(n)]
-    zech = ColumnEchelon(zmat) if z_gens else None
-    if zech is not None:
-        r = zech.rank
-        basis = [[zech._cols[j][i] for i in range(n)] for j in range(r)]
-    else:
-        r = 0
-        basis = []
-    bas_mat = [[basis[j][i] for j in range(r)] for i in range(n)]
-    bas_ech = ColumnEchelon(bas_mat) if r else None
+    # lattice basis of span(Z): the first `rank` echelon columns, which
+    # are already in echelon form, so coordinates on them are the
+    # forward substitution of the same elimination
+    zech = ColumnEchelon([[g[i] for g in z_gens] for i in range(n)])
+    r = zech.rank
+    basis = zech._cols[:r]
 
-    # express B in that basis (must be integral)
-    xcols = []
-    for bvec in b_gens:
-        if r == 0:
-            if any(bvec):
-                raise ValueError("B is not contained in the span of Z")
-            continue
-        sol, _ = bas_ech.solve(bvec)
-        if sol is None:
-            raise ValueError("B is not contained in the span of Z")
-        xcols.append(sol)
+    def basis_coords(vec, message):
+        ys, integral = zech.coords(vec)
+        if not integral:
+            raise ValueError(message)
+        return ys
 
-    xrows = [[col[i] for col in xcols] for i in range(r)]
-    if xcols:
-        dec = smith_normal_form(xrows)
-        uinv = _unimodular_inverse(dec.U)
-        diag = [dec.S[i, i] if i < len(xcols) else 0 for i in range(r)]
-        urows = dec.U.to_rows()
-    else:
-        uinv = _identity_rows(r)
-        diag = [0] * r
-        urows = _identity_rows(r)
+    xcols = [basis_coords(bvec, "B is not contained in the span of Z")
+             for bvec in b_gens]
+    dec = smith_normal_form([[col[i] for col in xcols] for i in range(r)])
+    diag = [dec.S[i, i] if i < len(xcols) else 0 for i in range(r)]
+    urows, uinv = dec.U.to_rows(), dec.U_inv.to_rows()
 
     tors_idx = [i for i in range(r) if abs(diag[i]) >= 2]
     free_idx = [i for i in range(r) if diag[i] == 0]
@@ -418,14 +407,7 @@ def subquotient_structure(z_gens, b_gens, ambient_dim: Optional[int] = None) -> 
     orders = [abs(diag[i]) for i in tors_idx] + [None for _ in free_idx]
 
     def coords(vec):
-        vec = list(map(int, vec))
-        if r == 0:
-            if any(vec):
-                raise ValueError("vector not in span(Z)")
-            return ()
-        sol, _ = bas_ech.solve(vec)
-        if sol is None:
-            raise ValueError("vector not in span(Z)")
+        sol = basis_coords(vec, "vector not in span(Z)")
         y = [sum(urows[i][j] * sol[j] for j in range(r)) for i in range(r)]
         out = [y[i] % abs(diag[i]) for i in tors_idx]
         out += [y[i] for i in free_idx]

@@ -146,11 +146,6 @@ def galois_group(A: int, B: int, C: int) -> Subgroup:
     return s
 
 
-def is_generic(A: int, B: int, C: int) -> bool:
-    """No nontrivial product (-1)^d 2^e A^a B^b C^c is a perfect square."""
-    return len(constraints(A, B, C)) == 0 and galois_group(A, B, C).order == 128
-
-
 # --- the twelve maximal classes -----------------------------------------
 
 @dataclass(frozen=True)

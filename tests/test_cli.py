@@ -1,6 +1,9 @@
+import ast
+import importlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -251,3 +254,18 @@ def test_group_subcommands_load_neither_sympy_nor_numpy():
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_trace_layer_names_resolve():
+    # the benchmark's trace child wraps each LAYERS name with a getattr
+    # that has no default, so a deleted function breaks every traced run
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
+        "trace_child.py"
+    tree = ast.parse(path.read_text())
+    (layers,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["LAYERS"]]
+    for modname, names in layers.items():
+        module = importlib.import_module(modname)
+        for name in names:
+            assert callable(getattr(module, name, None)), (modname, name)

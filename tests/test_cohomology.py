@@ -1,3 +1,5 @@
+import collections
+import operator
 import random
 
 import pytest
@@ -31,7 +33,7 @@ from dp2.galois0 import (
     TAU,
     generate_subgroup,
 )
-from dp2.intlin import ColumnEchelon
+from dp2.intlin import AbelianGroupType, ColumnEchelon
 from dp2.picard import Triple, build_lattice
 
 H_GENS = (IOTA_A, IOTA_B, IOTA_A * IOTA_B * IOTA_C)
@@ -491,9 +493,118 @@ def test_scan_computes_h1_once_per_class(monkeypatch):
         calls.append(len(mod.elements))
         return original(mod)
 
-    # the per-class cache starts empty; both module bindings count
+    # the per-class cache starts empty; the CLI reaches the backend only
+    # through h1_of_subgroup
     monkeypatch.setattr(cohomology, "_H1_BY_MASK", {}, raising=False)
     monkeypatch.setattr(cohomology, "h1_presentation", counting)
-    monkeypatch.setattr(cli, "h1_presentation", counting)
     cli.scan_theorem()
     assert len(calls) == len(enumerate_subgroups_onto_Q()) == 243
+
+
+def _resolution_oracle(kind, mod, gens):
+    """The hand-written cyclic, bicyclic and tricyclic d1 block rows, with
+    B^1 spanned by e -> (e - g.e)_g: (rows, b1)."""
+    d = mod.dim
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+
+    def delta(g):
+        return [[a - b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(eye, mod.mat(g))]
+
+    def norm(g):
+        return [[sum(mod.mat(p)[i][j] for p in mod.powers(g))
+                 for j in range(d)] for i in range(d)]
+
+    def neg(m):
+        return [[-x for x in row] for row in m]
+
+    if kind == "cyclic":
+        (g,) = gens
+        blocks = [[norm(g)]]
+    elif kind == "bicyclic":
+        g, h = gens
+        blocks = [[norm(g), None],
+                  [delta(h), neg(delta(g))],
+                  [None, norm(h)]]
+    else:
+        g, h, u = gens
+        blocks = [[norm(g), None, None],
+                  [delta(h), neg(delta(g)), None],
+                  [None, norm(h), None],
+                  [delta(u), None, neg(delta(g))],
+                  [None, delta(u), neg(delta(h))],
+                  [None, None, norm(u)]]
+    rows = [[x for blk in block_row
+             for x in ([0] * d if blk is None else blk[i])]
+            for block_row in blocks for i in range(d)]
+    b1 = [tuple(x for g in gens for x in map(operator.sub, e,
+                                             mod.act(g, e)))
+          for e in map(tuple, eye)]
+    return rows, b1
+
+
+def _assert_resolution_matches_oracle(kind, mod, gens):
+    rows, b1, nslots = _resolution_maps(kind, mod, gens)
+    assert nslots == len(gens)
+    rows_o, b1_o = _resolution_oracle(kind, mod, gens)
+    assert rows == rows_o
+    assert b1 == [tuple(-x for x in v) for v in b1_o]
+
+
+def test_product_resolution_matches_hand_written_tricyclic(generic_h):
+    _assert_resolution_matches_oracle("tricyclic", generic_h, H_GENS)
+
+
+@cyclic_cases
+def test_product_resolution_matches_hand_written_cyclic(mod):
+    _assert_resolution_matches_oracle("cyclic", mod, mod.gens())
+
+
+def test_product_resolution_matches_hand_written_every_abelian_class():
+    # the one loop gives the hand-written rows on every onto-Q class where
+    # resolution_h1 takes an abelian product resolution
+    from dp2.cli import _abelian_generators
+    from dp2.galois0 import enumerate_subgroups_onto_Q, is_abelian
+    kinds = {1: "cyclic", 2: "bicyclic", 3: "tricyclic"}
+    seen = collections.Counter()
+    for s in enumerate_subgroups_onto_Q():
+        gens = _abelian_generators(s) if is_abelian(s.elements) else None
+        if gens is not None:
+            kind = kinds[len(gens)]
+            _assert_resolution_matches_oracle(kind, pic_module(s), gens)
+            seen[kind] += 1
+    assert seen == {"bicyclic": 20, "tricyclic": 39}
+
+
+@pytest.mark.parametrize("mod", [
+    cyclic_module(1, ((1, 0), (0, 1))),
+    pic_module(generate_subgroup([])),
+], ids=["cyclic1", "pic-trivial"])
+def test_trivial_group_through_every_backend(mod):
+    for res in (h1_presentation(mod), h1_standard(mod),
+                h1_via_resolution("cyclic", mod)):
+        assert res.group == AbelianGroupType((), 0), res.backend
+        assert res.representatives == ()
+
+
+def test_product_resolution_refuses_a_non_basis():
+    rot = cyclic_module(4, ((0, -1), (1, 0)))
+    with pytest.raises(ValueError, match="direct-product basis"):
+        _resolution_maps("bicyclic", rot, (1, 1))      # orders 4.4 != 4
+    with pytest.raises(ValueError, match="direct-product basis"):
+        _resolution_maps("bicyclic", rot, (1,))
+
+
+def test_five_term_refuses_the_order8_normal_part_of_class_204():
+    # semidirect_decomposition hands class 204 two order-4 generators of
+    # an order-8 normal part; the product resolution of Z/4 x Z/4 gave
+    # |H^1(G)| = 2 against the true 4
+    from dp2.galois0 import enumerate_subgroups_onto_Q, \
+        semidirect_decomposition
+    s = enumerate_subgroups_onto_Q()[204]
+    n, t = semidirect_decomposition(s)
+    assert n.order == 8 and [g.order() for g in n.generators] == [4, 4]
+    assert h1_of_subgroup(s).divisors == (4,)
+    with pytest.raises(ValueError, match="direct-product basis"):
+        five_term_with_d2(ExtensionData(h_gens=n.generators,
+                                        q_gens=t.generators), pic_module(s))

@@ -295,15 +295,15 @@ def test_conjugate_subgroups_share_fingerprint():
         gi = g.inverse()
         conj = generate_subgroup([g * x * gi for x in s.generators])
         assert conj.order == s.order
-        assert fingerprint(conj, include_h1=False) == \
-            fingerprint(s, include_h1=False)
+        assert fingerprint(conj) == fingerprint(s)
 
 
 def test_fingerprint_trivial_group():
-    fp = fingerprint(generate_subgroup([]), include_h1=False)
+    fp = fingerprint(generate_subgroup([]))
     assert fp[0] == 1
     assert fp[3] == tuple([1] * 56)
     assert fp[4] == 8  # full lattice fixed
+    assert fp[6] == ()  # trivial H^1
 
 
 @pytest.mark.parametrize("exps", [(), (1,), (3,), (1, 1), (1, 2), (2, 2),
@@ -367,7 +367,7 @@ def test_semidirect_decomposition_all_classes():
 
 def test_fingerprint_includes_h1():
     pytest.importorskip("dp2.cohomology")
-    fp = fingerprint(G0, include_h1=True)
+    fp = fingerprint(G0)
     assert fp[-1] == (2,)
 
 
@@ -408,7 +408,7 @@ def test_fingerprint_traces_match_matrix_sums():
     # the trace entry read from the one 128-entry table equals the
     # diagonal sum of matrix_of on every element, on all 243 classes
     for s in enumerate_subgroups_onto_Q():
-        fp = fingerprint(s, include_h1=False)
+        fp = fingerprint(s)
         assert fp[5] == tuple(sorted(sum(matrix_of(g)[(i, i)]
                                          for i in range(8))
                                      for g in s.elements))

@@ -41,6 +41,7 @@ def check_umv(m_rows, dec):
     m = IntMatrix.from_rows(m_rows) if m_rows else IntMatrix(0, 0, ())
     lhs = dec.U.mul(m).mul(dec.V)
     assert lhs.entries == dec.S.entries
+    assert dec.U.mul(dec.U_inv) == IntMatrix.identity(dec.U.rows)
     assert abs(det(dec.U.to_rows())) == 1
     assert abs(det(dec.V.to_rows())) == 1
 
@@ -351,7 +352,7 @@ def test_echelon_matches_full_elimination_on_every_relator_system(
 
     class Recording(ColumnEchelon):
         def __init__(self, rows_in):
-            systems.append(intlin._as_rows(rows_in))
+            systems.append([list(row) for row in rows_in])
             super().__init__(rows_in)
 
     monkeypatch.setattr(cohomology, "ColumnEchelon", Recording)
@@ -363,3 +364,99 @@ def test_echelon_matches_full_elimination_on_every_relator_system(
     assert max(len(r) for r in systems) == 224
     for rows in systems:
         _assert_echelon_matches_full_elimination(rows)
+
+
+def _unimodular_inverse(u):
+    """U^-1 by one elimination of U and a solve per unit vector."""
+    n = u.rows
+    ech = ColumnEchelon(u.to_rows())
+    cols = [ech.solve([int(i == j) for i in range(n)])[0] for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _subquotient_oracle(z_gens, b_gens, n):
+    """span(Z)/span(B) with span(Z)'s echelon basis eliminated a second
+    time and the Smith transform inverted by `_unimodular_inverse`:
+    (group, reps, orders, class_coords)."""
+    zech = ColumnEchelon([[g[i] for g in z_gens] for i in range(n)])
+    r = zech.rank
+    basis = zech._cols[:r]
+    bas_ech = ColumnEchelon([[col[i] for col in basis] for i in range(n)])
+
+    def basis_solve(vec):
+        sol, _ = bas_ech.solve(vec)
+        if sol is None:
+            raise ValueError("outside span(Z)")
+        return sol
+
+    xcols = [basis_solve(b) for b in b_gens]
+    dec = smith_normal_form([[col[i] for col in xcols] for i in range(r)])
+    uinv, urows = _unimodular_inverse(dec.U), dec.U.to_rows()
+    diag = [dec.S[i, i] if i < len(xcols) else 0 for i in range(r)]
+    tors = [i for i in range(r) if abs(diag[i]) >= 2]
+    free = [i for i in range(r) if diag[i] == 0]
+    reps = [tuple(sum(uinv[j][c] * basis[j][i] for j in range(r))
+                  for i in range(n)) for c in tors + free]
+    orders = [abs(diag[i]) for i in tors] + [None] * len(free)
+
+    def coords(vec):
+        sol = basis_solve(vec)
+        y = [sum(urows[i][j] * sol[j] for j in range(r)) for i in range(r)]
+        return tuple([y[i] % abs(diag[i]) for i in tors]
+                     + [y[i] for i in free])
+
+    group = AbelianGroupType(tuple(abs(diag[i]) for i in tors), len(free))
+    return group, reps, orders, coords
+
+
+def _coords_or_error(coords, vec):
+    try:
+        return coords(vec)
+    except ValueError:
+        return "outside"
+
+
+def _assert_subquotient_matches_oracle(z_gens, b_gens, n, probes=()):
+    res = subquotient_structure(z_gens, b_gens, ambient_dim=n)
+    group, reps, orders, coords = _subquotient_oracle(z_gens, b_gens, n)
+    assert (res.group, res.reps, res.rep_orders) == (group, reps, orders)
+    for vec in [*z_gens, *b_gens, *reps, *probes]:
+        assert _coords_or_error(res.class_coords, vec) == \
+            _coords_or_error(coords, vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrix, st.data())
+def test_subquotient_matches_second_elimination_oracle(z_gens, data):
+    # B drawn inside span(Z); probes drawn freely, often outside it
+    n = len(z_gens[0])
+    coeff = st.lists(st.integers(-3, 3), min_size=len(z_gens),
+                     max_size=len(z_gens))
+    b_gens = [[sum(c * z[i] for c, z in zip(cs, z_gens)) for i in range(n)]
+              for cs in data.draw(st.lists(coeff, max_size=4))]
+    probes = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n,
+                                         max_size=n), max_size=3))
+    _assert_subquotient_matches_oracle(z_gens, b_gens, n, probes)
+
+
+def test_subquotient_matches_oracle_on_every_presentation_system(
+        monkeypatch):
+    # every (Z^1, B^1) pair the presentation backend builds over the 243
+    # onto-Q classes
+    import dp2.cohomology as cohomology
+    from dp2.galois0 import enumerate_subgroups_onto_Q
+
+    systems = []
+    original = cohomology.subquotient_structure
+
+    def recording(z_gens, b_gens, ambient_dim=None):
+        systems.append((z_gens, b_gens, ambient_dim))
+        return original(z_gens, b_gens, ambient_dim=ambient_dim)
+
+    monkeypatch.setattr(cohomology, "subquotient_structure", recording)
+    for s in enumerate_subgroups_onto_Q():
+        cohomology.h1_presentation(cohomology.pic_module(s))
+    assert len(systems) == 243
+    for z_gens, b_gens, n in systems:
+        total = [sum(col) for col in zip(*z_gens)] or [0] * n
+        _assert_subquotient_matches_oracle(z_gens, b_gens, n, [total])
