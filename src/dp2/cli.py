@@ -20,7 +20,7 @@ from .cohomology import (
     h1_via_resolution,
     pic_module,
 )
-from .galois0 import IDENTITY, enumerate_subgroups_onto_Q, fingerprint, \
+from .galois0 import enumerate_subgroups_onto_Q, fingerprint, \
     fixed_sublattice, is_abelian
 from .kummer import galois_group, table2_match
 from .local.hilbert import hilbert_symbol, relevant_places
@@ -79,8 +79,6 @@ def resolution_h1(s):
     """H^1 via the short resolution appropriate to the group shape, or
     None when no implemented resolution applies."""
     mod = pic_module(s)
-    if s.order == 1:
-        return h1_via_resolution("cyclic", mod, gens=(IDENTITY,))
     if is_abelian(s.elements):
         gens = _abelian_generators(s)
         if gens is not None:
@@ -220,7 +218,8 @@ def obstruct_surface(A: int, B: int, C: int, samples: int = 200000,
     if is_generic_triple(A, B, C):
         return (obstruct_ex73(A, B, C, bound=bound, samples=samples,
                               depth=depth),
-                build_ex73(A, B, C, bound=bound).transcript)
+                # the call obstruct_ex73 makes, so the cached build is reused
+                build_ex73(A, B, C, point=None, bound=bound).transcript)
     raise ValueError(
         f"recipe not implemented for coefficients ({A}, {B}, {C}): "
         "implemented are the generic conic-bundle recipe, the "

@@ -4,21 +4,15 @@ classes, together with their local-invariant verdicts."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
-from sympy.polys.domains import QQ
 
 from ..arith import factorint, is_prime, legendre
-from .fields import FieldTower
 from .padic import (
     QuaternionClass,
-    W,
-    X,
-    Y,
-    Z,
     _chart_cells,
     _eval_vec,
     _is_padic_square,
@@ -27,6 +21,7 @@ from .padic import (
     invariant_profile,
     real_profile,
 )
+from .poly import T, W, X, Y, Z, Poly
 from .profiles import LocalProfile, Verdict, verdict
 
 ZERO = Fraction(0)
@@ -46,14 +41,18 @@ def _check(condition: bool, message: str) -> str:
     return message
 
 
-def _divides(divisor, expr, *gens) -> bool:
-    _, rem = sympy.div(sympy.expand(expr), sympy.expand(divisor),
-                       *gens)
-    return sympy.expand(rem) == 0
+def _vanishes(expr, *relations) -> bool:
+    """Whether expr reduces to 0 by lex remainders modulo each relation
+    in turn: their leading monomials are pairwise coprime (t^2, w^2),
+    so they form a Groebner basis and 0 means expr is in their ideal."""
+    for rel in relations:
+        expr = expr.rem(rel)
+    return not expr
 
 
 # --- conic-tangency family, first instance -------------------------------
 
+@functools.cache
 def build_ex71() -> ExampleClass:
     """The surface (-25, -5, 45) with the class (-1, g) coming from a
     conic everywhere tangent to the branch curve."""
@@ -62,7 +61,7 @@ def build_ex71() -> ExampleClass:
     wsq = (3 * Y ** 2 - 6 * Z ** 2) ** 2
     quartic = A * X ** 4 + B * Y ** 4 + C * Z ** 4
     transcript = (
-        _check(_divides(conic, quartic + wsq, X, Y, Z),
+        _check(_vanishes(quartic + wsq, conic),
                "A x^4 + B y^4 + C z^4 + (3y^2-6z^2)^2 "
                "vanishes on the conic -5x^2-2y^2+9z^2 = 0"),
     )
@@ -94,10 +93,10 @@ def represent_u2_plus_2v2(p: int):
         rest = p - u * u
         if rest % 2 == 0:
             v2 = rest // 2
-            v = sympy.integer_nthroot(v2, 2)[0]
+            v = math.isqrt(v2)
             if v * v == v2:
                 s = (-1) ** (((u - v) // 2) % 2)
-                return u, int(v), s
+                return u, v, s
         u += 2
     raise AssertionError(f"no representation found for {p}")
 
@@ -114,6 +113,7 @@ def lemma_check(p: int) -> bool:
     return found
 
 
+@functools.cache
 def build_ex72(p: int) -> ExampleClass:
     """The surface (-2p, -p, 2) for p = 3 mod 16, with its conic class."""
     u, v, s = represent_u2_plus_2v2(p)
@@ -125,7 +125,7 @@ def build_ex72(p: int) -> ExampleClass:
         _check(u % 2 == 1 and v % 2 == 1 and u > 0 and v > 0
                and p == u * u + 2 * v * v,
                f"{p} = {u}^2 + 2*{v}^2 with u, v odd positive"),
-        _check(_divides(conic, quartic + wsq, X, Y, Z),
+        _check(_vanishes(quartic + wsq, conic),
                "A x^4 + B y^4 + C z^4 + (-2v x^2 + su y^2)^2 "
                "vanishes on the conic -su x^2 - v y^2 + z^2 = 0"),
         _check(lemma_check(p),
@@ -171,7 +171,7 @@ def is_generic_triple(A: int, B: int, C: int) -> bool:
                         if not (d or e or a or b or c):
                             continue
                         val = (-1) ** d * 2 ** e * A ** a * B ** b * C ** c
-                        if val > 0 and sympy.integer_nthroot(val, 2)[1]:
+                        if val > 0 and math.isqrt(val) ** 2 == val:
                             return False
     return True
 
@@ -204,6 +204,7 @@ def _find_conic_point(A, B, C, bound):
     return None
 
 
+@functools.cache
 def build_ex73(A: int, B: int, C: int, point=None, bound=12) \
         -> ExampleClass:
     """The generic conic-bundle recipe: a conic point over Q(theta),
@@ -215,23 +216,19 @@ def build_ex73(A: int, B: int, C: int, point=None, bound=12) \
         if point is None:
             raise ValueError(ex73_point_error)
     r1, r2, s1, s2, t0 = point
-    theta = sympy.Symbol("theta")
+    theta = T  # theta^2 = -ABC
     r0 = r1 + r2 * theta
     s0 = s1 + s2 * theta
-    conic_value = sympy.expand(A * r0 ** 2 + B * s0 ** 2 + C * t0 ** 2)
-    conic_value = sympy.rem(conic_value, theta ** 2 + A * B * C, theta)
     quartic = A * X ** 4 + B * Y ** 4 + C * Z ** 4
     lhs = (C ** 2 * t0 ** 2 * quartic
            + A * B * C * (s0 * X ** 2 - r0 * Y ** 2) ** 2
            + C * (A * r0 * X ** 2 + B * s0 * Y ** 2 + C * t0 * Z ** 2)
            * (A * r0 * X ** 2 + B * s0 * Y ** 2 - C * t0 * Z ** 2))
-    lhs = sympy.expand(lhs)
-    lhs = sympy.rem(sympy.Poly(lhs, theta).as_expr(),
-                    theta ** 2 + A * B * C, theta)
+    relation = theta ** 2 + A * B * C
     transcript = (
-        _check(conic_value == 0,
+        _check(_vanishes(A * r0 ** 2 + B * s0 ** 2 + C * t0 ** 2, relation),
                f"A r0^2 + B s0^2 + C t0^2 = 0 for the point {point}"),
-        _check(sympy.expand(lhs) == 0,
+        _check(_vanishes(lhs, relation),
                "C^2 t0^2 (A x^4 + B y^4 + C z^4) + ABC (s0 x^2 - "
                "r0 y^2)^2 + C (A r0 x^2 + B s0 y^2 + C t0 z^2)"
                "(A r0 x^2 + B s0 y^2 - C t0 z^2) = 0"),
@@ -242,11 +239,10 @@ def build_ex73(A: int, B: int, C: int, point=None, bound=12) \
              + A * C * r2 * t0 * W * X ** 2)
     # strip the rational content: a constant factor moves the class by
     # a constant algebra, which is trivial in Br(S)/Br(Q)
-    content, prim = sympy.Poly(g_num, W, X, Y, Z).primitive()
-    lead = sympy.LC(sympy.Poly(prim, W, X, Y, Z))
-    if lead < 0:
+    _, prim = g_num.primitive()
+    if prim.LC() < 0:
         prim = -prim
-    g = prim.as_expr() / X ** 4
+    g = prim / X ** 4
     return ExampleClass(surface=(A, B, C),
                         classes=(QuaternionClass(Fraction(-A * B * C), g,
                                                  label="(-ABC, g)"),),
@@ -287,13 +283,15 @@ def obstruct_ex73(A: int, B: int, C: int, point=None, bound=12,
 
 # --- descent-constructed classes on (34, 34, 34) -------------------------
 
-ZETA, S17 = sympy.symbols("zeta s17")
-
-
-def _ex74_tower() -> FieldTower:
+def _ex74_tower():
     """Q(zeta, sqrt(-17)) with zeta a primitive 8th root of unity."""
-    return FieldTower(gens=(ZETA, S17),
-                      relations=(ZETA ** 4 + 1, S17 ** 2 + 17),
+    import sympy
+
+    from .fields import FieldTower
+
+    zeta, s17 = sympy.symbols("zeta s17")
+    return FieldTower(gens=(zeta, s17),
+                      relations=(zeta ** 4 + 1, s17 ** 2 + 17),
                       embeddings=(sympy.exp(sympy.I * sympy.pi / 4),
                                   sympy.I * sympy.sqrt(17)))
 
@@ -314,9 +312,12 @@ def build_ex74() -> ExampleClass:
     produced by Galois descent through Q(zeta, sqrt(-17)).  The
     arithmetic runs in Q[w, x, y, z, sqrt(-17), zeta], reduced by ring
     remainder modulo the tower relations; the result is built once per
-    process."""
+    process.  The six h_i leave the ring as Polys."""
+    import sympy
+    from sympy.polys.domains import QQ
+
     tower = _ex74_tower()
-    R, rels = tower.polyring((W, X, Y, Z))
+    R, rels = tower.polyring(sympy.symbols("w x y z"))
     w, x, y, z, s17, zeta = R.gens
 
     def cyc(f):  # the substitution x -> y -> z -> x
@@ -379,17 +380,25 @@ def build_ex74() -> ExampleClass:
             f"{name} = (1/9)(a^2 + 17 b^2) + c (x^4+y^4+z^4-w^2/34)"))
         a, b, c = cyc(a), cyc(b), cyc(c)
     classes = tuple(
-        QuaternionClass(Fraction(-17), h.as_expr() / X ** 4,
+        QuaternionClass(Fraction(-17), _from_ring(h) / X ** 4,
                         label=f"(-17, h{k}/x^4)")
         for k, h in enumerate(hs, start=1))
     return ExampleClass(surface=(34, 34, 34), classes=classes,
                         transcript=tuple(transcript))
 
 
+def _from_ring(h) -> Poly:
+    """An element of Q[w, x, y, z, s17, zeta] free of s17 and zeta."""
+    if any(any(m[4:]) for m in h.monoms()):
+        raise AssertionError("tower generator left in h_i")
+    return Poly({(*m[:4], 0): Fraction(int(c.numerator), int(c.denominator))
+                 for m, c in h.terms()})
+
+
 def _ex74_unit_terms():
     """Integer term lists of h1, h2, h3 with w = 0: every point of
     (34, 34, 34) has v17(w) >= 1, so w y^2 + w z^2 vanishes mod 17."""
-    return [compile_poly(q.g.subs(W, 0) * X ** 4)
+    return [compile_poly(q.g[0].subs(W, 0))  # g = (h_i, x^4)
             for q in build_ex74().classes[:3]]
 
 
@@ -525,20 +534,22 @@ def obstruct_ex72(p: int, samples=200000, depth=None) -> Verdict:
 
 def ex75_cocycle_functions():
     """The two function-field cocycle representatives (numerator,
-    denominator) over Q(i), for the surface (-9826, -2, 136)."""
-    I = sympy.I
+    denominator) over Q(i), for the surface (-9826, -2, 136); i is the
+    adjoined root T."""
+    i, half = T, Fraction(1, 2)
     p = 17
-    f1 = (p * (1 + I) * X * Z + I * Y ** 2 - sympy.Rational(1, 2) * W,
-          p * (-1 + I) * X * Z + I * Y ** 2 + sympy.Rational(1, 2) * W)
-    f2 = (p * (1 - I) * X * Z + I * Y ** 2 + sympy.Rational(1, 2) * W,
-          p * (1 + I) * X * Z - I * Y ** 2 + sympy.Rational(1, 2) * W)
+    f1 = (p * (1 + i) * X * Z + i * Y ** 2 - half * W,
+          p * (-1 + i) * X * Z + i * Y ** 2 + half * W)
+    f2 = (p * (1 - i) * X * Z + i * Y ** 2 + half * W,
+          p * (1 + i) * X * Z - i * Y ** 2 + half * W)
     return f1, f2
 
 
 def _conj_i(expr):
-    return sympy.expand(expr).xreplace({sympy.I: -sympy.I})
+    return expr.subs(T, -T)
 
 
+@functools.cache
 def build_ex75() -> ExampleClass:
     """The surface (-9826, -2, 136): an order-4 obstruction class.  The
     transcript verifies the unit-modulus identities f h(f) = 1 on the
@@ -555,10 +566,9 @@ def build_ex75() -> ExampleClass:
     surf = W ** 2 - (A * X ** 4 + B * Y ** 4 + C * Z ** 4)
     transcript = []
     for tag, (num, den) in zip(("f1", "f2"), ex75_cocycle_functions()):
-        diff = sympy.expand(num * _conj_i(num) - den * _conj_i(den))
-        _, rem = sympy.div(diff, surf, W, X, Y, Z)
+        diff = num * _conj_i(num) - den * _conj_i(den)
         transcript.append(_check(
-            sympy.expand(rem) == 0,
+            _vanishes(diff, T ** 2 + 1, surf),
             f"{tag} h({tag}) = 1 modulo the surface relation"))
     # dihedral cocycle data: G' = <g, h> acting on the curve classes
     g = IOTA_A * IOTA_A * IOTA_A * IOTA_C

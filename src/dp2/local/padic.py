@@ -23,22 +23,22 @@ holds all three charts at once.
 Modulo a power of two, residues are reduced with a bit mask and 2-adic
 valuations are counted from the lowest set bit in one pass.  The real
 place has one sampler, _real_sheets, which evaluates polynomials on
-points of both w-sheets over the three affine charts."""
+points of both w-sheets over the three affine charts.  Polynomials
+are the standard-library Polys of dp2.local.poly: no sympy here."""
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from ..arith import factorint, legendre
 from .hilbert import hilbert_symbol
+from .poly import W, X, Y, Z, Poly
 from .profiles import CapacityError, LocalProfile
-
-W, X, Y, Z = sympy.symbols("w x y z")
 
 DEPTH_CAP = {2: 12}
 DEPTH_CAP_ODD = 6
@@ -60,17 +60,16 @@ class PointClass:
         return self.p ** self.k
 
 
-def compile_poly(expr):
-    """Integer term list ((coeff, ew, ex, ey, ez), ...) for a polynomial
-    with rational coefficients, scaled by the square of the coefficient
-    denominator lcm (a square factor does not move a quaternion class)."""
-    poly = sympy.Poly(sympy.expand(expr), W, X, Y, Z)
-    denom = 1
-    for c in poly.coeffs():
-        denom = sympy.ilcm(denom, sympy.Rational(c).q)
-    poly = sympy.Poly(poly.as_expr() * denom ** 2, W, X, Y, Z)
-    return tuple((int(c), *map(int, mono))
-                 for mono, c in zip(poly.monoms(), poly.coeffs()))
+def compile_poly(poly):
+    """Integer term list ((coeff, ew, ex, ey, ez), ...), lex descending,
+    for a polynomial in w, x, y, z with rational coefficients, scaled by
+    the square of the coefficient denominator lcm (a square factor does
+    not move a quaternion class)."""
+    if not poly:  # sympy.Poly lists the zero polynomial as one zero term
+        return ((0, 0, 0, 0, 0),)
+    denom = math.lcm(*(Fraction(c).denominator for c in poly.terms.values()))
+    return tuple((int(poly.terms[m] * denom ** 2), *m[:4])
+                 for m in sorted(poly.terms, reverse=True))
 
 
 def eval_terms(terms, w, x, y, z, mod=None):
@@ -85,7 +84,7 @@ class QuaternionClass:
     """The class of the quaternion algebra (d, g) on the surface."""
 
     d: Fraction
-    g: object  # sympy expression in w, x, y, z (rational function)
+    g: object  # a Poly, or (numerator, single-term denominator) Polys
     label: str = ""
 
     def numerator_terms(self):
@@ -95,27 +94,27 @@ class QuaternionClass:
 
     @functools.cached_property
     def _numerator_terms(self):  # built once per class
-        num, den = sympy.fraction(sympy.together(self.g))
-        return compile_poly(sympy.expand(num * _squarefree_part(den)))
-
-
-def _squarefree_part(den):
-    if den == 1:
-        return sympy.Integer(1)
-    coeff, factors = sympy.sqf_list(sympy.Poly(den, W, X, Y, Z))
-    coeff = sympy.Rational(coeff)
-    c_int = coeff.p * coeff.q
-    sf = 1
-    for prime, e in factorint(abs(c_int)).items():
-        if e % 2:
-            sf *= prime
-    if c_int < 0:
-        sf = -sf
-    out = sympy.Integer(sf)
-    for fac, mult in factors:
-        if mult % 2:
-            out *= fac.as_expr()
-    return out
+        """num and den as sympy's fraction(together(g)) gives them: the
+        monomial factor they share is cancelled, and the rational content
+        q moves to den; if den cancels fully, q * prim stays over 1."""
+        num, den = self.g if isinstance(self.g, tuple) else (self.g, X ** 0)
+        if not num:
+            return compile_poly(num)
+        ((dmono, dcoef),) = den.terms.items()
+        shared = tuple(map(min, zip(*num.terms)))  # num's monomial factor
+        common = tuple(map(min, dmono, shared))
+        num = Poly({tuple(a - b for a, b in zip(m, common)): c
+                    for m, c in num.terms.items()})
+        content, prim = num.primitive()
+        q = content / dcoef
+        squarefree = math.prod(p for p, e in factorint(q.denominator).items()
+                               if e % 2)
+        if shared == dmono and any(dmono) and len(num.terms) > 1:
+            squarefree = q.denominator  # compile_poly's lcm^2 scaling
+        for gen, a, b in zip((W, X, Y, Z), dmono, common):
+            if (a - b) % 2:
+                squarefree = gen * squarefree
+        return compile_poly(q.numerator * prim * squarefree)
 
 
 def _surface_terms(A, B, C):
@@ -124,7 +123,7 @@ def _surface_terms(A, B, C):
 
 def _gradient_terms(A, B, C):
     f = A * X ** 4 + B * Y ** 4 + C * Z ** 4 - W ** 2
-    return tuple(compile_poly(sympy.diff(f, v)) for v in (W, X, Y, Z))
+    return tuple(compile_poly(f.diff(v)) for v in (W, X, Y, Z))
 
 
 def _eval_vec(terms, coords, m):
@@ -443,15 +442,14 @@ def real_profile(classes, A, B, C, samples=10 ** 6, seed=0):
             ok &= np.abs(acc) > 1e-9
         if not ok.any():
             continue
-        cols = []
-        for q, acc in zip(classes, vals):
-            if q.d >= 0:
-                cols.append(np.zeros(int(ok.sum()), dtype=int))
-            else:
-                cols.append((acc[ok] < 0).astype(int))
-        stacked = np.stack(cols, axis=1)
-        for row in np.unique(stacked, axis=0):
-            attained.add(tuple(Fraction(int(r), 2) for r in row))
+        # one int per point, bit k set when class k is ramified there
+        codes = np.zeros(int(ok.sum()), dtype=np.int64)
+        for k, (q, acc) in enumerate(zip(classes, vals)):
+            if q.d < 0:
+                codes |= (acc[ok] < 0).astype(np.int64) << k
+        for code in np.unique(codes).tolist():
+            attained.add(tuple(Fraction(code >> k & 1, 2)
+                               for k in range(len(classes))))
     return LocalProfile(place="R", modulus=None,
                         invariants=frozenset(attained),
                         undetermined=0, method="sampling")

@@ -256,6 +256,54 @@ def test_group_subcommands_load_neither_sympy_nor_numpy():
     assert done.stdout.strip() == "[]"
 
 
+def test_ported_obstruct_recipes_load_no_sympy():
+    # only (34, 34, 34), whose field tower certifies its degree with
+    # sympy.minimal_polynomial, still loads sympy among the recipes
+    script = (
+        "import io, sys\n"
+        "import dp2.cli as cli\n"
+        "for a, b, c in ((-25, -5, 45), (-6, -3, 2), (-38, -19, 2),\n"
+        "                (-126, -91, 78), (-9826, -2, 136)):\n"
+        "    argv = ['obstruct', '-A', str(a), '-B', str(b), '-C', str(c)]\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'sympy'))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def _imports(node, on_import_only):
+    """(module, level) of each import under node; with on_import_only,
+    not those in function bodies, which run only when called."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from ((alias.name, 0) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            yield child.module or "", child.level
+        elif not (on_import_only and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            yield from _imports(child, on_import_only)
+
+
+def test_sympy_imported_at_top_level_only_where_it_belongs():
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "dp2"
+    allowed = {"local/fields.py", "local/cubic.py"}
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text())
+        for module, level in _imports(tree, on_import_only=True):
+            if level == 0 and module.split(".")[0] == "sympy":
+                assert rel in allowed, (rel, module)
+        if rel == "local/poly.py":
+            for module, level in _imports(tree, on_import_only=False):
+                assert level == 0 and module.split(".")[0] \
+                    in sys.stdlib_module_names, module
+
+
 def test_trace_layer_names_resolve():
     # the benchmark's trace child wraps each LAYERS name with a getattr
     # that has no default, so a deleted function breaks every traced run

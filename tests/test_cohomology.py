@@ -587,6 +587,18 @@ def test_trivial_group_through_every_backend(mod):
         assert res.representatives == ()
 
 
+def test_resolution_h1_on_the_trivial_group():
+    # the abelian path gives what the removed order-1 branch returned
+    from dp2.cli import resolution_h1
+    from dp2.galois0 import IDENTITY
+    s = generate_subgroup([])
+    got = resolution_h1(s)
+    want = h1_via_resolution("cyclic", pic_module(s), gens=(IDENTITY,))
+    assert (got.group, got.representatives, got.backend) \
+        == (want.group, want.representatives, want.backend) \
+        == (AbelianGroupType((), 0), (), "resolution:cyclic")
+
+
 def test_product_resolution_refuses_a_non_basis():
     rot = cyclic_module(4, ((0, -1), (1, 0)))
     with pytest.raises(ValueError, match="direct-product basis"):

@@ -23,7 +23,8 @@ from dp2.local.examples import (
     obstruct_ex75_two_torsion,
     represent_u2_plus_2v2,
 )
-from dp2.local.padic import X, Y, Z, invariant_profile
+from dp2.local.padic import invariant_profile
+from dp2.local.poly import W, X, Y, Z, Poly
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -94,9 +95,9 @@ def test_generic_surface_class_and_verdict():
     ex = build_ex73(-126, -91, 78)
     q = ex.classes[0]
     assert q.d == Fraction(-(-126) * (-91) * 78)
-    expected = (3 * X ** 4 + 2 * X ** 2 * Y ** 2
-                + 3 * X ** 2 * Z ** 2) / X ** 4
-    assert sympy.simplify(q.g - expected) == 0
+    num, den = q.g
+    assert num == 3 * X ** 4 + 2 * X ** 2 * Y ** 2 + 3 * X ** 2 * Z ** 2
+    assert den == X ** 4
     v = obstruct_ex73(-126, -91, 78, samples=20000)
     assert v.conclusion == "obstructed"
     for pr in v.profiles:
@@ -112,6 +113,63 @@ def test_generic_recipe_accepts_supplied_point():
 def test_generic_recipe_rejects_wrong_point():
     with pytest.raises(AssertionError):
         build_ex73(-126, -91, 78, point=(1, 0, 1, 0, 1))
+
+
+#: a conic point over Q(theta) with theta^2 = -ABC = 585: r0 = theta
+THETA_POINT = (0, 1, 39, 0, 18)
+
+
+def test_generic_recipe_theta_point_class():
+    ex = build_ex73(-15, 3, 13, point=THETA_POINT)
+    assert len(ex.transcript) == 2
+    num, den = ex.classes[0].g
+    assert num == 5 * W * X ** 2 + 6 * X ** 2 * Y ** 2 - 13 * X ** 2 * Z ** 2
+    assert den == X ** 4
+
+
+def test_generic_recipe_rejects_wrong_theta_point():
+    for point in ((0, 1, 38, 0, 18), (0, 2, 39, 0, 18), (1, 1, 39, 0, 18)):
+        with pytest.raises(AssertionError, match="verification failed"):
+            build_ex73(-15, 3, 13, point=point)
+
+
+def _perturb(expr):
+    """expr with 1 added to its lex leading coefficient."""
+    return expr + Poly({max(expr.terms, default=(0,) * 5): 1})
+
+
+#: (builder, index of its polynomial identity among the _vanishes calls)
+IDENTITIES = [
+    (build_ex71, 0),
+    (lambda: build_ex72(19), 0),
+    (lambda: build_ex73(-126, -91, 78), 0),
+    (lambda: build_ex73(-126, -91, 78), 1),
+    (lambda: build_ex73(-15, 3, 13, point=THETA_POINT), 0),
+    (lambda: build_ex73(-15, 3, 13, point=THETA_POINT), 1),
+    (build_ex75, 0),
+    (build_ex75, 1),
+]
+
+
+@pytest.mark.parametrize("build, index", IDENTITIES)
+def test_perturbed_identity_fails_verification(monkeypatch, build, index):
+    import dp2.local.examples as examples
+
+    calls = []
+    original = examples._vanishes
+
+    def perturbed(expr, *relations):
+        calls.append(expr)
+        if len(calls) == index + 1:
+            expr = _perturb(expr)
+        return original(expr, *relations)
+
+    for name in ("build_ex71", "build_ex72", "build_ex73", "build_ex75"):
+        getattr(examples, name).cache_clear()
+    monkeypatch.setattr(examples, "_vanishes", perturbed)
+    with pytest.raises(AssertionError, match="verification failed"):
+        build()
+    assert len(calls) == index + 1
 
 
 # --- descent-constructed classes on (34, 34, 34) --------------------------
@@ -149,7 +207,18 @@ def test_descent_verdict_obstructed():
     assert by_place["R"].invariants == agree
 
 
+#: (coefficients, builder, start of the first fact of a build)
+RECIPE_BUILDS = [
+    ((-25, -5, 45), "build_ex71", "A x^4 + B y^4 + C z^4 + (3y^2"),
+    ((-38, -19, 2), "build_ex72", "19 = 1^2 + 2*3^2"),
+    ((-126, -91, 78), "build_ex73", "A r0^2 + B s0^2 + C t0^2 = 0"),
+    ((34, 34, 34), "build_ex74", "delta rho(delta) = -1"),
+    ((-9826, -2, 136), "build_ex75", "f1 h(f1) = 1"),
+]
+
+
 def test_descent_classes_built_once_per_request(monkeypatch):
+    # every recipe, not only the descent classes, is built once
     import dp2.cli as cli
     import dp2.local.examples as examples
 
@@ -157,14 +226,15 @@ def test_descent_classes_built_once_per_request(monkeypatch):
     original = examples._check
 
     def counting(condition, message):
-        if message == "delta rho(delta) = -1":  # first fact of a build
-            built.append(message)
+        built.extend(first for _, _, first in RECIPE_BUILDS
+                     if message.startswith(first))
         return original(condition, message)
 
-    examples.build_ex74.cache_clear()
     monkeypatch.setattr(examples, "_check", counting)
-    cli.obstruct_surface(34, 34, 34, samples=3000)
-    assert len(built) == 1
+    for coeffs, builder, first_fact in RECIPE_BUILDS:
+        getattr(examples, builder).cache_clear()
+        cli.obstruct_surface(*coeffs, samples=3000)
+        assert built.count(first_fact) == 1, builder
 
 
 def test_class_numerators_compiled_once_per_request(monkeypatch):
