@@ -2,6 +2,10 @@
 obstruction recipes, Hilbert symbols, verification suites, and the
 diagonal-cubic pipeline.
 
+The group layers (kummer, galois0, cohomology) and the local recipes
+are imported inside the functions that use them, so each subcommand
+compiles and loads only its own modules.
+
 Exit codes: 0 success, 2 invalid input, 3 internal invariant
 violation, 4 capacity exhausted or analysis inconclusive."""
 
@@ -14,15 +18,6 @@ import sys
 from fractions import Fraction
 
 from .arith import is_prime
-from .cohomology import (
-    h1_of_subgroup,
-    h1_standard,
-    h1_via_resolution,
-    pic_module,
-)
-from .galois0 import enumerate_subgroups_onto_Q, fingerprint, \
-    fixed_sublattice, is_abelian
-from .kummer import galois_group, table2_match
 from .local.hilbert import hilbert_symbol, relevant_places
 from .local.profiles import CapacityError, render_place
 
@@ -78,6 +73,9 @@ def _dihedral_generators(s):
 def resolution_h1(s):
     """H^1 via the short resolution appropriate to the group shape, or
     None when no implemented resolution applies."""
+    from .cohomology import h1_via_resolution, pic_module
+    from .galois0 import is_abelian
+
     mod = pic_module(s)
     if is_abelian(s.elements):
         gens = _abelian_generators(s)
@@ -94,6 +92,8 @@ def resolution_h1(s):
 def h1_with_backend(s, backend: str):
     """(AbelianGroupType, label) for the chosen backend; "all" runs every
     applicable backend and raises InvariantViolation on disagreement."""
+    from .cohomology import h1_of_subgroup, h1_standard, pic_module
+
     if backend == "presentation":
         return h1_of_subgroup(s), "presentation"
     if backend == "standard":
@@ -126,6 +126,9 @@ def analyze_surface(A: int, B: int, C: int,
                     backend: str = "presentation") -> dict:
     """The full report for w^2 = A x^4 + B y^4 + C z^4: Galois group,
     Picard rank, Brauer quotient and the matched classification row."""
+    from .galois0 import fixed_sublattice
+    from .kummer import galois_group, table2_match
+
     s = galois_group(A, B, C)
     pic_rank = len(fixed_sublattice(s))
     br, used = h1_with_backend(s, backend)
@@ -157,6 +160,10 @@ def scan_theorem() -> dict:
     the coefficient radicals: H^1 lies in the six-group list, trivial
     H^1 forces fixed rank >= 2, and the fingerprint/class counts
     sandwich the true conjugacy-class count 194."""
+    from .cohomology import h1_of_subgroup
+    from .galois0 import enumerate_subgroups_onto_Q, fingerprint, \
+        fixed_sublattice
+
     subs = enumerate_subgroups_onto_Q()
     attained = set()
     for s in subs:

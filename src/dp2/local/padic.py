@@ -325,19 +325,15 @@ def _quaternion_columns(cls_terms, coords, p, j, tvals=None):
         unit = np.where(decided,
                         vals // np.power(p, np.minimum(v, j - 1))
                         % p ** need, 1)
-        col = np.full(vals.shape, -1, dtype=np.int64)
-        # the symbol depends only on v mod 2 and the unit mod p^need
-        for parity in (0, 1):
-            for u in range(1, p ** need):
-                if p == 2 and u % 2 == 0:
-                    continue
-                if p != 2 and u % p == 0:
-                    continue
-                mask = decided & (v % 2 == parity) & (unit == u)
-                if mask.any():
-                    sym = hilbert_symbol(d, Fraction(p) ** parity * u, p)
-                    col[mask] = 0 if sym == 1 else 1
-        cols.append(col)
+        # the symbol depends only on v mod 2 and the unit mod p^need:
+        # one table entry per pair that occurs, code = parity p^need + u
+        code = np.where(decided, v % 2 * p ** need + unit, 0)
+        table = np.full(2 * p ** need, -1, dtype=np.int64)
+        for c in np.flatnonzero(np.bincount(code[decided])).tolist():
+            parity, u = divmod(c, p ** need)
+            sym = hilbert_symbol(d, Fraction(p) ** parity * u, p)
+            table[c] = 0 if sym == 1 else 1
+        cols.append(np.where(decided, table[code], -1))
     return cols
 
 
@@ -382,7 +378,7 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=2 ** 27,
             # a decided row of 0/1 columns is one index in a 2 x ... x 2 box
             shape = (2,) * len(cols)
             codes = np.ravel_multi_index([col[done] for col in cols], shape)
-            for code in np.unique(codes):
+            for code in np.flatnonzero(np.bincount(codes)):
                 row = np.unravel_index(code, shape)
                 attained.add(tuple(Fraction(int(r), 2) for r in row))
         return ~done
@@ -447,7 +443,7 @@ def real_profile(classes, A, B, C, samples=10 ** 6, seed=0):
         for k, (q, acc) in enumerate(zip(classes, vals)):
             if q.d < 0:
                 codes |= (acc[ok] < 0).astype(np.int64) << k
-        for code in np.unique(codes).tolist():
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
             attained.add(tuple(Fraction(code >> k & 1, 2)
                                for k in range(len(classes))))
     return LocalProfile(place="R", modulus=None,

@@ -276,6 +276,30 @@ def test_ported_obstruct_recipes_load_no_sympy():
     assert done.stdout.strip() == "[]"
 
 
+def test_local_subcommands_load_no_group_modules():
+    # the Galois, Picard and H^1 layers load only where a request uses
+    # them: analyze, scan, verify and the (-9826, -2, 136) transcript
+    script = (
+        "import io, sys\n"
+        "import dp2.cli as cli\n"
+        "for argv in (['hilbert', '-A', '3', '-B', '5'],\n"
+        "             ['obstruct', '-A', '-25', '-B', '-5', '-C', '45'],\n"
+        "             ['obstruct', '-A', '-6', '-B', '-3', '-C', '2'],\n"
+        "             ['obstruct', '-A', '-126', '-B', '-91', '-C', '78'],\n"
+        "             ['obstruct', '-A', '34', '-B', '34', '-C', '34'],\n"
+        "             ['cubic', '-A', '1', '-B', '2', '-C', '3', '-D', '4']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m in (\n"
+        "    'dp2.cohomology', 'dp2.galois0', 'dp2.intlin', 'dp2.kummer',\n"
+        "    'dp2.picard')))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def _imports(node, on_import_only):
     """(module, level) of each import under node; with on_import_only,
     not those in function bodies, which run only when called."""

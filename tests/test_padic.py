@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from dp2.local.hilbert import hilbert_symbol
 from dp2.local.padic import (
     CapacityError,
     QuaternionClass,
@@ -17,6 +18,7 @@ from dp2.local.padic import (
     _eval_vec,
     _gradient_terms,
     _is_padic_square,
+    _quaternion_columns,
     _real_sheets,
     _surface_terms,
     _vec_val,
@@ -122,6 +124,58 @@ def test_split_algebra_profile_is_zero():
     q = QuaternionClass(Fraction(1), (X ** 2 + 7 * Y ** 2) / Z ** 2)
     pr = invariant_profile([q], 1, 1, 1, 3)
     assert pr.invariants == frozenset({(ZERO,)})
+
+
+def _columns_per_cell(cls_terms, coords, p, j, t):
+    """The invariant columns of _quaternion_columns, one cell at a time:
+    decided where the value's valuation v (capped at j) leaves at least
+    need digits of unit below the effective precision j - t."""
+    need = 3 if p == 2 else 1
+    cols = []
+    for terms, d in cls_terms:
+        col = []
+        for i in range(len(t)):
+            if _is_padic_square(d, p):
+                col.append(0)
+                continue
+            val = eval_terms(terms, *(int(c[i]) for c in coords), p ** j)
+            v = 0
+            while v < j and val % p ** (v + 1) == 0:
+                v += 1
+            jeff = j - int(t[i])
+            if v < jeff and jeff - v >= need:
+                u = val // p ** v % p ** need
+                sym = hilbert_symbol(d, Fraction(p) ** (v % 2) * u, p)
+                col.append(0 if sym == 1 else 1)
+            else:
+                col.append(-1)
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("A, B, C, p, k", [
+    (-25, -5, 45, 2, 6), (-25, -5, 45, 3, 3), (-25, -5, 45, 5, 2),
+    (3, 6, -9, 3, 3), (1, 1, 1, 2, 5)])
+def test_quaternion_columns_match_per_cell(A, B, C, p, k):
+    g = (-5 * X ** 2 - 2 * Y ** 2 + 9 * Z ** 2) / Z ** 2
+    classes = [QuaternionClass(Fraction(-1), g),
+               QuaternionClass(Fraction(3), (X ** 2 + 7 * Y ** 2) / Z ** 2),
+               QuaternionClass(Fraction(-6), W * X + Y ** 2),
+               QuaternionClass(Fraction(4), X ** 2 / Z ** 2)]
+    cls_terms = [(q.numerator_terms(), q.d) for q in classes]
+    seen = 0
+
+    def settle(j, coords, t):
+        nonlocal seen
+        got = _quaternion_columns(cls_terms, coords, p, j, tvals=t)
+        want = _columns_per_cell(cls_terms, coords, p, j, t)
+        assert [col.tolist() for col in got] == want
+        seen += sum(v >= 0 for col in want for v in col)
+        return np.ones(len(t), dtype=bool)
+
+    for _ in _chart_cells(A, B, C, p, k, 2 ** 27, settle):
+        pass
+    assert seen  # some invariants were decided
 
 
 def test_real_profile_split_and_sign():
