@@ -51,12 +51,6 @@ def _identity_mat(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _mat_mul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(len(b[0]))) for i in range(n))
-
-
 class IndexTable(NamedTuple):
     """A module's group on integers: i stands for `mod.elements[i]`, idx
     maps each element to its i, mul[a][b] is the index of a.b, inv[a]
@@ -151,19 +145,6 @@ def pic_module(s) -> GModule:
                    generators=s.generators if s.generators else (IDENTITY,))
 
 
-def cyclic_module(n: int, mat: Mat) -> GModule:
-    """Z/n acting on Z^dim with a given generator matrix (mat^n = 1)."""
-    dim = len(mat)
-    mats = {0: _identity_mat(dim)}
-    for i in range(1, n):
-        mats[i] = _mat_mul(mat, mats[i - 1])
-    if _mat_mul(mat, mats[n - 1]) != mats[0]:
-        raise ValueError("matrix order does not divide n")
-    return GModule(elements=tuple(range(n)), identity=0,
-                   mul=lambda a, b: (a + b) % n, dim=dim, matrices=mats,
-                   generators=(1 % n,) if n > 1 else (0,))
-
-
 def _fixed_basis(mod: GModule, elements) -> list[Vec]:
     """Basis of the sublattice of M fixed by every element given."""
     rows = [[x - (1 if i == j else 0) for j, x in enumerate(row)]
@@ -225,11 +206,6 @@ def _coboundaries(mod: GModule, slots) -> list[Vec]:
     return [tuple(m[i][j] - (1 if i == j else 0)
                   for m in mats for i in range(d))
             for j in range(d)]
-
-
-def invariants_H0(mod: GModule) -> tuple[int, list[Vec]]:
-    basis = _fixed_basis(mod, mod.gens())
-    return len(basis), basis
 
 
 # --- standard-complex backend -------------------------------------------

@@ -281,17 +281,6 @@ S3_MAPS = {
 }
 
 
-def verify_s3_automorphisms() -> None:
-    for name, phi in S3_MAPS.items():
-        imgs = {phi(g) for g in ALL_ELEMENTS}
-        if len(imgs) != 128:
-            raise AssertionError(f"{name} is not a bijection")
-        for g in ALL_ELEMENTS:
-            for h in (SIGMA, TAU, IOTA_A, IOTA_B, IOTA_C):
-                if phi(g * h) != phi(g) * phi(h):
-                    raise AssertionError(f"{name} is not a homomorphism")
-
-
 # --- subgroup enumeration ------------------------------------------------
 
 @lru_cache(maxsize=1)

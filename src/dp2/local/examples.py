@@ -21,7 +21,7 @@ from .padic import (
     invariant_profile,
     real_profile,
 )
-from .poly import T, W, X, Y, Z, Poly
+from .poly import T, U, W, X, Y, Z, Poly
 from .profiles import LocalProfile, Verdict, verdict
 
 ZERO = Fraction(0)
@@ -41,13 +41,19 @@ def _check(condition: bool, message: str) -> str:
     return message
 
 
-def _vanishes(expr, *relations) -> bool:
-    """Whether expr reduces to 0 by lex remainders modulo each relation
-    in turn: their leading monomials are pairwise coprime (t^2, w^2),
-    so they form a Groebner basis and 0 means expr is in their ideal."""
+def _reduce(expr, *relations):
+    """The lex remainder of expr modulo each relation in turn."""
     for rel in relations:
         expr = expr.rem(rel)
-    return not expr
+    return expr
+
+
+def _vanishes(expr, *relations) -> bool:
+    """Whether expr reduces to 0 by lex remainders modulo each relation
+    in turn: their leading monomials are pairwise coprime (t^2, w^2 or
+    u^4, t^2), so they form a Groebner basis and 0 means expr is in
+    their ideal."""
+    return not _reduce(expr, *relations)
 
 
 # --- conic-tangency family, first instance -------------------------------
@@ -283,116 +289,112 @@ def obstruct_ex73(A: int, B: int, C: int, point=None, bound=12,
 
 # --- descent-constructed classes on (34, 34, 34) -------------------------
 
-def _ex74_tower():
-    """Q(zeta, sqrt(-17)) with zeta a primitive 8th root of unity."""
-    import sympy
+def _ex74_degree_certificate(d=-17, shifted=(1, 4, 6, 4, 2)) -> None:
+    """Certify exactly that Q(zeta, sqrt(d)) has degree 8 over Q, zeta a
+    root of u^4 + 1.  shifted lists Phi_8(x + 1) = x^4 + 4x^3 + 6x^2 +
+    4x + 2, which is Eisenstein at 2, so [Q(zeta) : Q] = 4.  The
+    quadratic subfields of Q(zeta) are Q(i), Q(sqrt 2) and Q(sqrt -2),
+    so sqrt(d) lies outside Q(zeta) exactly when d is not in
+    <-1, 2> Q*^2: when the squarefree part of d is none of 1, -1, 2, -2
+    (Neukirch, Algebraic Number Theory, on cyclotomic fields)."""
+    lead, *rest = shifted
+    _check(lead % 2 and not any(c % 2 for c in rest) and rest[-1] % 4,
+           "Phi_8(x + 1) is Eisenstein at 2")
+    squarefree = (-1 if d < 0 else 1) * math.prod(
+        p for p, e in factorint(abs(d)).items() if e % 2)
+    _check(squarefree not in (1, -1, 2, -2), f"sqrt({d}) is not in Q(zeta_8)")
 
-    from .fields import FieldTower
 
-    zeta, s17 = sympy.symbols("zeta s17")
-    return FieldTower(gens=(zeta, s17),
-                      relations=(zeta ** 4 + 1, s17 ** 2 + 17),
-                      embeddings=(sympy.exp(sympy.I * sympy.pi / 4),
-                                  sympy.I * sympy.sqrt(17)))
-
-
-def _ex74_act(zeta, s17, chi: int, es: int, f):
-    """Coefficient action of the Galois element (chi, es) on the ring
-    element f, unreduced: zeta maps to zeta^chi and sqrt(34) flips by
-    (-1)^es.  Writing sqrt(-17) = zeta^2 sqrt(34)/(zeta - zeta^3), its
-    sign under chi is +1 for chi in {1, 3} and -1 for chi in {5, 7},
-    times (-1)^es."""
+def _ex74_act(chi: int, es: int, f):
+    """Coefficient action of the Galois element (chi, es) on f,
+    unreduced: zeta = U maps to zeta^chi and sqrt(34) flips by (-1)^es.
+    Writing sqrt(-17) = zeta^2 sqrt(34)/(zeta - zeta^3), the sign of
+    T = sqrt(-17) under chi is +1 for chi in {1, 3} and -1 for chi in
+    {5, 7}, times (-1)^es."""
     sign = (-1) ** es * (1 if chi % 8 in (1, 3) else -1)
-    return f.compose([(zeta, zeta ** chi), (s17, sign * s17)])
+    return f.subs(U, U ** chi).subs(T, sign * T)
 
 
 @functools.cache
 def build_ex74() -> ExampleClass:
     """The surface (34, 34, 34): six quaternion classes (-17, h_i/x^4)
     produced by Galois descent through Q(zeta, sqrt(-17)).  The
-    arithmetic runs in Q[w, x, y, z, sqrt(-17), zeta], reduced by ring
-    remainder modulo the tower relations; the result is built once per
-    process.  The six h_i leave the ring as Polys."""
-    import sympy
-    from sympy.polys.domains import QQ
-
-    tower = _ex74_tower()
-    R, rels = tower.polyring(sympy.symbols("w x y z"))
-    w, x, y, z, s17, zeta = R.gens
+    arithmetic runs in Q[w, x, y, z, t, u] with t = sqrt(-17) and
+    u = zeta, reduced by lex remainder modulo u^4 + 1 and then
+    t^2 + 17.  Each relation is monic in its own generator, so their
+    leading monomials are coprime, they form a Groebner basis, and the
+    remainder is the canonical form; the result is built once per
+    process."""
+    _ex74_degree_certificate(-17)
+    rels = (U ** 4 + 1, T ** 2 + 17)
 
     def cyc(f):  # the substitution x -> y -> z -> x
-        return f.compose([(x, y), (y, z), (z, x)])
+        return Poly({(w, z, x, y, t, u): c
+                     for (w, x, y, z, t, u), c in f.terms.items()})
 
-    half = QQ(1, 2)
     # rho acts by zeta -> zeta^7 and sqrt(34) -> -sqrt(34);
     # tau acts by zeta -> zeta^3 fixing sqrt(34)
     rho, tau = (7, 1), (3, 0)
-    delta = s17 * zeta - 4 * zeta ** 3
-    eps = 4 * zeta + s17 * zeta ** 3
-    rel1 = delta * _ex74_act(zeta, s17, *rho, delta) + 1
-    rel2 = eps * _ex74_act(zeta, s17, *tau, eps) - 1
-    rel3 = (delta * _ex74_act(zeta, s17, *rho, eps)
-            - _ex74_act(zeta, s17, *tau, delta) * eps)
+    delta = T * U - 4 * U ** 3
+    eps = 4 * U + T * U ** 3
+    rel1 = delta * _ex74_act(*rho, delta) + 1
+    rel2 = eps * _ex74_act(*tau, eps) - 1
+    rel3 = delta * _ex74_act(*rho, eps) - _ex74_act(*tau, delta) * eps
     transcript = [
-        _check(not rel1.rem(rels), "delta rho(delta) = -1"),
-        _check(not rel2.rem(rels), "eps tau(eps) = 1"),
-        _check(not rel3.rem(rels), "delta rho(eps) = tau(delta) eps"),
+        _check(_vanishes(rel1, *rels), "delta rho(delta) = -1"),
+        _check(_vanishes(rel2, *rels), "eps tau(eps) = 1"),
+        _check(_vanishes(rel3, *rels), "delta rho(eps) = tau(delta) eps"),
     ]
     # assemble the descended function and split it along powers of zeta
-    i_ = zeta ** 2
-    sqrt2 = zeta - zeta ** 3
-    inv34 = -(zeta + zeta ** 3) * s17 * QQ(1, 34)  # 1/sqrt(34)
-    coef = 4 * zeta - s17 * zeta ** 3
-    gfun = ((x ** 2 + i_ * y ** 2 + z ** 2 + w * inv34)
-            * (y ** 2 + i_ * z ** 2
-               + coef * (y ** 2 + sqrt2 * y * z + z ** 2))
-            + (x ** 2 + i_ * y ** 2 - z ** 2 - w * inv34)
-            * (y ** 2 + sqrt2 * y * z + z ** 2
-               + coef * (-y ** 2 + i_ * z ** 2)))
-    gred = gfun.rem(rels)
-    parts = [gred.coeff_wrt(zeta, k) for k in range(4)]
-    h1 = (half * parts[0] + (4 - s17) * half * parts[1]
-          + half * parts[2] - (4 + s17) * half * parts[3]).rem(rels)
-    target = (w * y ** 2 + w * z ** 2 + x ** 2 * y ** 2
-              + 8 * x ** 2 * y * z + x ** 2 * z ** 2 + y ** 4 - z ** 4)
+    i_ = U ** 2
+    sqrt2 = U - U ** 3
+    inv34 = -(U + U ** 3) * T * Fraction(1, 34)  # 1/sqrt(34)
+    coef = 4 * U - T * U ** 3
+    gfun = ((X ** 2 + i_ * Y ** 2 + Z ** 2 + W * inv34)
+            * (Y ** 2 + i_ * Z ** 2
+               + coef * (Y ** 2 + sqrt2 * Y * Z + Z ** 2))
+            + (X ** 2 + i_ * Y ** 2 - Z ** 2 - W * inv34)
+            * (Y ** 2 + sqrt2 * Y * Z + Z ** 2
+               + coef * (-Y ** 2 + i_ * Z ** 2)))
+    gred = _reduce(gfun, *rels)
+    parts = [Poly({(*m[:5], 0): c for m, c in gred.terms.items()
+                   if m[5] == k}) for k in range(4)]
+    h1 = (HALF * parts[0] + (4 - T) * HALF * parts[1]
+          + HALF * parts[2] - (4 + T) * HALF * parts[3])
+    target = (W * Y ** 2 + W * Z ** 2 + X ** 2 * Y ** 2
+              + 8 * X ** 2 * Y * Z + X ** 2 * Z ** 2 + Y ** 4 - Z ** 4)
     transcript.append(_check(
-        h1 == target,
+        _vanishes(h1 - target, *rels),
         "h1 = w y^2 + w z^2 + x^2 y^2 + 8 x^2 y z + x^2 z^2 + y^4 - z^4"))
-    h4 = h1 - 2 * y ** 4 + 2 * z ** 4
+    h1 = _reduce(h1, *rels)
+    h4 = h1 - 2 * Y ** 4 + 2 * Z ** 4
     hs = [h1, cyc(h1), cyc(cyc(h1)), h4, cyc(h4), cyc(cyc(h4))]
+    if any(any(m[4:]) for h in hs for m in h.terms):
+        raise AssertionError("tower generator left in h_i")
     # the product of partnered classes is a norm form from Q(sqrt(-17))
     # plus a multiple of the surface relation, so q_i = q_{i+3} on S
-    a = (half * w * y ** 2 + 4 * w * y * z + half * w * z ** 2
-         + 17 * x ** 2 * y ** 2 + 17 * x ** 2 * z ** 2
-         - 4 * y ** 4 + y ** 3 * z + y * z ** 3 - 4 * z ** 4)
-    b = (QQ(1, 34) * w * y ** 2 + QQ(4, 17) * w * y * z
-         + QQ(1, 34) * w * z ** 2
-         + x ** 2 * y ** 2 + x ** 2 * z ** 2
-         + 4 * y ** 4 - y ** 3 * z - y * z ** 3 + 4 * z ** 4)
-    c = (-33 * y ** 4 + 16 * y ** 3 * z - 2 * y ** 2 * z ** 2
-         + 16 * y * z ** 3 - 33 * z ** 4)
-    surf = x ** 4 + y ** 4 + z ** 4 - QQ(1, 34) * w ** 2
+    a = (HALF * W * Y ** 2 + 4 * W * Y * Z + HALF * W * Z ** 2
+         + 17 * X ** 2 * Y ** 2 + 17 * X ** 2 * Z ** 2
+         - 4 * Y ** 4 + Y ** 3 * Z + Y * Z ** 3 - 4 * Z ** 4)
+    b = (Fraction(1, 34) * W * Y ** 2 + Fraction(4, 17) * W * Y * Z
+         + Fraction(1, 34) * W * Z ** 2
+         + X ** 2 * Y ** 2 + X ** 2 * Z ** 2
+         + 4 * Y ** 4 - Y ** 3 * Z - Y * Z ** 3 + 4 * Z ** 4)
+    c = (-33 * Y ** 4 + 16 * Y ** 3 * Z - 2 * Y ** 2 * Z ** 2
+         + 16 * Y * Z ** 3 - 33 * Z ** 4)
+    surf = X ** 4 + Y ** 4 + Z ** 4 - Fraction(1, 34) * W ** 2
     for k, name in ((0, "h1 h4"), (1, "h2 h5"), (2, "h3 h6")):
-        ident = (hs[k] * hs[k + 3] - QQ(1, 9) * (a ** 2 + 17 * b ** 2)
+        ident = (hs[k] * hs[k + 3] - Fraction(1, 9) * (a ** 2 + 17 * b ** 2)
                  - c * surf)
         transcript.append(_check(
-            not ident,
+            _vanishes(ident),
             f"{name} = (1/9)(a^2 + 17 b^2) + c (x^4+y^4+z^4-w^2/34)"))
         a, b, c = cyc(a), cyc(b), cyc(c)
     classes = tuple(
-        QuaternionClass(Fraction(-17), _from_ring(h) / X ** 4,
-                        label=f"(-17, h{k}/x^4)")
+        QuaternionClass(Fraction(-17), h / X ** 4, label=f"(-17, h{k}/x^4)")
         for k, h in enumerate(hs, start=1))
     return ExampleClass(surface=(34, 34, 34), classes=classes,
                         transcript=tuple(transcript))
-
-
-def _from_ring(h) -> Poly:
-    """An element of Q[w, x, y, z, s17, zeta] free of s17 and zeta."""
-    if any(any(m[4:]) for m in h.monoms()):
-        raise AssertionError("tower generator left in h_i")
-    return Poly({(*m[:4], 0): Fraction(int(c.numerator), int(c.denominator))
-                 for m, c in h.terms()})
 
 
 def _ex74_unit_terms():

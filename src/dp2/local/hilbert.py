@@ -62,35 +62,6 @@ def hilbert_symbol(a, b, place) -> int:
     return sign
 
 
-def solubility_oracle(a, b, p: int) -> int:
-    """Brute-force check whether z^2 = a x^2 + b y^2 has a primitive
-    p-adic solution, by enumeration to Hensel-sufficient depth.
-    Returns +1 or -1 in the Hilbert-symbol convention."""
-    a, b = Fraction(a), Fraction(b)
-    # scale by squares to reach integers
-    a = Fraction(a.numerator * a.denominator)
-    b = Fraction(b.numerator * b.denominator)
-    ai, bi = int(a), int(b)
-    k = _valuation(Fraction(4 * ai * bi), p) + (3 if p == 2 else 2)
-    mod = p ** k
-    squares: dict[int, bool] = {}
-    unit_square: dict[int, bool] = {}
-    for z in range(mod):
-        t = z * z % mod
-        squares[t] = True
-        if z % p:
-            unit_square[t] = True
-    for x in range(mod):
-        for y in range(mod):
-            t = (ai * x * x + bi * y * y) % mod
-            if x % p or y % p:
-                if t in squares:
-                    return 1
-            elif t in unit_square:
-                return 1
-    return -1
-
-
 def relevant_places(a, b) -> list:
     """The real place, 2, and every odd prime dividing a or b."""
     a, b = Fraction(a), Fraction(b)
@@ -98,10 +69,3 @@ def relevant_places(a, b) -> list:
     for q in (a.numerator, a.denominator, b.numerator, b.denominator):
         primes.update(factorint(abs(q)))
     return [REAL_PLACE] + sorted(primes)
-
-
-def product_over_places(a, b) -> int:
-    out = 1
-    for place in relevant_places(a, b):
-        out *= hilbert_symbol(a, b, place)
-    return out

@@ -1,21 +1,22 @@
-"""Sparse polynomials over Q in w, x, y, z and one adjoined root t, for
-the exact identities of the obstruction recipes.
+"""Sparse polynomials over Q in w, x, y, z and up to two adjoined roots
+t and u, for the exact identities of the obstruction recipes.
 
-A polynomial maps exponent tuples (w, x, y, z, t) to nonzero int or
+A polynomial maps exponent tuples (w, x, y, z, t, u) to nonzero int or
 Fraction coefficients; a float operand raises TypeError.  Tuples
 compare lexicographically, so the monomial order is lex with
-w > x > y > z > t, the order of sympy.Poly(..., w, x, y, z).  t is the
-root a recipe adjoins, theta = sqrt(-ABC) for the generic conic bundle
-and i for the order-4 class, and the recipe reduces by its relation
-with `rem`.  Dividing by a single term gives the pair (numerator,
-denominator), the form in which a quaternion class carries g."""
+w > x > y > z > t > u, the order of sympy.Poly(..., w, x, y, z).  t and
+u are the roots a recipe adjoins: theta = sqrt(-ABC) for the generic
+conic bundle, i for the order-4 class, and sqrt(-17) and zeta_8 for the
+descent classes.  The recipe reduces by its relations with `rem`.
+Dividing by a single term gives the pair (numerator, denominator), the
+form in which a quaternion class carries g."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-_CONST = (0, 0, 0, 0, 0)
+_CONST = (0, 0, 0, 0, 0, 0)
 
 
 class Poly:
@@ -136,5 +137,5 @@ class Poly:
         return Poly(out)
 
 
-W, X, Y, Z, T = (Poly({tuple(int(k == j) for j in range(5)): 1})
-                 for k in range(5))
+W, X, Y, Z, T, U = (Poly({tuple(int(k == j) for j in range(6)): 1})
+                    for k in range(6))

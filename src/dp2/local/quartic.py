@@ -76,11 +76,6 @@ def ring_g(c):
     return tuple(_i_times(r, im, j) for j, (r, im) in enumerate(c))
 
 
-def ring_h(c):
-    """The automorphism i -> -i, T -> iT."""
-    return tuple(_i_times(r, -im, j) for j, (r, im) in enumerate(c))
-
-
 def ring_gh(c):
     """The composite automorphism i -> -i, T -> -T."""
     return tuple((r if j % 2 == 0 else -r, -im if j % 2 == 0 else im)

@@ -257,15 +257,16 @@ def test_group_subcommands_load_neither_sympy_nor_numpy():
 
 
 def test_ported_obstruct_recipes_load_no_sympy():
-    # only (34, 34, 34), whose field tower certifies its degree with
-    # sympy.minimal_polynomial, still loads sympy among the recipes
+    # every recipe, (34, 34, 34) with its exact degree certificate
+    # included, and verify run on dp2.local.poly; only cubic loads sympy
     script = (
         "import io, sys\n"
         "import dp2.cli as cli\n"
         "for a, b, c in ((-25, -5, 45), (-6, -3, 2), (-38, -19, 2),\n"
-        "                (-126, -91, 78), (-9826, -2, 136)):\n"
+        "                (-126, -91, 78), (-9826, -2, 136), (34, 34, 34)):\n"
         "    argv = ['obstruct', '-A', str(a), '-B', str(b), '-C', str(c)]\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "assert cli.main(['verify'], out=io.StringIO()) == 0\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] == 'sympy'))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -315,7 +316,7 @@ def _imports(node, on_import_only):
 
 def test_sympy_imported_at_top_level_only_where_it_belongs():
     root = pathlib.Path(__file__).resolve().parents[1] / "src" / "dp2"
-    allowed = {"local/fields.py", "local/cubic.py"}
+    allowed = {"local/cubic.py"}
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         tree = ast.parse(path.read_text())

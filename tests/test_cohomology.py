@@ -7,18 +7,18 @@ import pytest
 from dp2.cohomology import (
     ExtensionData,
     GModule,
-    cyclic_module,
     five_term_with_d2,
     h1_of_subgroup,
     h1_presentation,
     h1_standard,
     h1_via_resolution,
-    invariants_H0,
     pic_module,
     sigma1_to_standard,
     standard_cocycle_checks,
     submodule_on_invariants,
     _coboundaries,
+    _fixed_basis,
+    _identity_mat,
     _resolution_maps,
     _tree_cocycles,
 )
@@ -37,6 +37,30 @@ from dp2.intlin import AbelianGroupType, ColumnEchelon
 from dp2.picard import Triple, build_lattice
 
 H_GENS = (IOTA_A, IOTA_B, IOTA_A * IOTA_B * IOTA_C)
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
+                       for j in range(len(b[0]))) for i in range(n))
+
+
+def cyclic_module(n: int, mat) -> GModule:
+    """Z/n acting on Z^dim with a given generator matrix (mat^n = 1)."""
+    dim = len(mat)
+    mats = {0: _identity_mat(dim)}
+    for i in range(1, n):
+        mats[i] = _mat_mul(mat, mats[i - 1])
+    if _mat_mul(mat, mats[n - 1]) != mats[0]:
+        raise ValueError("matrix order does not divide n")
+    return GModule(elements=tuple(range(n)), identity=0,
+                   mul=lambda a, b: (a + b) % n, dim=dim, matrices=mats,
+                   generators=(1 % n,) if n > 1 else (0,))
+
+
+def invariants_H0(mod: GModule):
+    basis = _fixed_basis(mod, mod.gens())
+    return len(basis), basis
 
 
 def _module_with_gens(gens):

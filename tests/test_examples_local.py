@@ -4,6 +4,7 @@ import pytest
 import sympy
 
 from dp2.local.examples import (
+    _ex74_degree_certificate,
     build_ex71,
     build_ex72,
     build_ex73,
@@ -24,7 +25,7 @@ from dp2.local.examples import (
     represent_u2_plus_2v2,
 )
 from dp2.local.padic import invariant_profile
-from dp2.local.poly import W, X, Y, Z, Poly
+from dp2.local.poly import U, W, X, Y, Z, Poly
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -135,7 +136,7 @@ def test_generic_recipe_rejects_wrong_theta_point():
 
 def _perturb(expr):
     """expr with 1 added to its lex leading coefficient."""
-    return expr + Poly({max(expr.terms, default=(0,) * 5): 1})
+    return expr + Poly({max(expr.terms, default=(0,) * 6): 1})
 
 
 #: (builder, index of its polynomial identity among the _vanishes calls)
@@ -148,6 +149,8 @@ IDENTITIES = [
     (lambda: build_ex73(-15, 3, 13, point=THETA_POINT), 1),
     (build_ex75, 0),
     (build_ex75, 1),
+    # three descent relations, h1, and three product identities
+    *((build_ex74, k) for k in range(7)),
 ]
 
 
@@ -164,7 +167,8 @@ def test_perturbed_identity_fails_verification(monkeypatch, build, index):
             expr = _perturb(expr)
         return original(expr, *relations)
 
-    for name in ("build_ex71", "build_ex72", "build_ex73", "build_ex75"):
+    for name in ("build_ex71", "build_ex72", "build_ex73", "build_ex74",
+                 "build_ex75"):
         getattr(examples, name).cache_clear()
     monkeypatch.setattr(examples, "_vanishes", perturbed)
     with pytest.raises(AssertionError, match="verification failed"):
@@ -180,6 +184,30 @@ def test_descent_relations_and_products():
     assert len(ex.classes) == 6
     assert len(ex.transcript) == 7  # 3 relations + h1 + 3 product identities
     assert all(q.d == Fraction(-17) for q in ex.classes)
+
+
+def test_degree_certificate_accepts_the_descent_tower():
+    _ex74_degree_certificate()
+    _ex74_degree_certificate(-17 * 9)
+    # the default coefficients are those of Phi_8(x + 1) = (x + 1)^4 + 1
+    shifted = (U + 1) ** 4 + 1
+    assert tuple(shifted.terms.get((0,) * 5 + (k,), 0)
+                 for k in range(4, -1, -1)) == (1, 4, 6, 4, 2)
+
+
+@pytest.mark.parametrize("d", [-1, 2, -2, -18, 1, 4, -4, 8])
+def test_degree_certificate_refuses_d_in_zeta8(d):
+    # each d lies in <-1, 2> Q*^2, so sqrt(d) is already in Q(zeta_8)
+    with pytest.raises(AssertionError, match="verification failed"):
+        _ex74_degree_certificate(d)
+
+
+@pytest.mark.parametrize("shifted", [(1, 4, 6, 4, 4), (1, 4, 6, 4, 0),
+                                     (2, 4, 6, 4, 2), (1, 4, 5, 4, 2),
+                                     (1, 0, 0, 0, 1)])
+def test_degree_certificate_refuses_non_eisenstein_phi8(shifted):
+    with pytest.raises(AssertionError, match="verification failed"):
+        _ex74_degree_certificate(shifted=shifted)
 
 
 def test_descent_17adic_patterns():

@@ -1,7 +1,12 @@
+"""The sympy field tower of the test oracle, and the oracle against the
+standard-library build_ex74."""
+
 import pytest
 import sympy
+from field_tower import FieldTower, build_ex74_sympy
 
-from dp2.local.fields import FieldTower
+from dp2.local import examples
+from dp2.local.padic import compile_poly
 
 S, T = sympy.symbols("s t")
 
@@ -60,3 +65,16 @@ def test_tower_rejects_reducible_relation():
     with pytest.raises(ValueError):
         FieldTower(gens=(S,), relations=(S ** 2 - 4,),
                    embeddings=(sympy.Integer(2),))
+
+
+def test_build_ex74_matches_sympy_tower_route():
+    examples.build_ex74.cache_clear()
+    new, old = examples.build_ex74(), build_ex74_sympy()
+    assert new.transcript == old.transcript
+    assert len(new.classes) == len(old.classes) == 6
+    for q_new, q_old in zip(new.classes, old.classes):
+        assert q_new.label == q_old.label and q_new.d == q_old.d
+        assert q_new.numerator_terms() == q_old.numerator_terms()
+        assert [compile_poly(p) for p in q_new.g] \
+            == [compile_poly(p) for p in q_old.g]
+        assert [p.terms for p in q_new.g] == [p.terms for p in q_old.g]

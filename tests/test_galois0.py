@@ -25,7 +25,6 @@ from dp2.galois0 import (
     matrix_of,
     semidirect_decomposition,
     verify_action_homomorphism,
-    verify_s3_automorphisms,
 )
 from dp2.picard import (
     ANTICANONICAL,
@@ -90,6 +89,17 @@ def test_action_matches_published_table():
 
 def test_action_is_homomorphism():
     verify_action_homomorphism()
+
+
+def verify_s3_automorphisms() -> None:
+    for name, phi in S3_MAPS.items():
+        imgs = {phi(g) for g in ALL_ELEMENTS}
+        if len(imgs) != 128:
+            raise AssertionError(f"{name} is not a bijection")
+        for g in ALL_ELEMENTS:
+            for h in (SIGMA, TAU, IOTA_A, IOTA_B, IOTA_C):
+                if phi(g * h) != phi(g) * phi(h):
+                    raise AssertionError(f"{name} is not a homomorphism")
 
 
 def test_s3_maps_are_automorphisms():

@@ -20,10 +20,10 @@ from dp2.local.padic import (
     _surface_terms,
     compile_poly,
 )
-from dp2.local.poly import T, W, X, Y, Z, Poly
+from dp2.local.poly import T, U, W, X, Y, Z, Poly
 
-SYMS = sympy.symbols("w x y z t")
-SW, SX, SY, SZ, _ = SYMS
+SYMS = sympy.symbols("w x y z t u")
+SW, SX, SY, SZ, _, _ = SYMS
 RING, *RING_GENS = ring(SYMS, QQ, lex)
 
 
@@ -81,11 +81,11 @@ def _oracle_numerator_terms(g):
 
 # --- arithmetic against sympy.polys.rings -------------------------------
 
-_monomials = st.tuples(*(st.integers(0, 3) for _ in range(5)))
+_monomials = st.tuples(*(st.integers(0, 3) for _ in range(6)))
 _coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 _polys = st.dictionaries(_monomials, _coefficients, max_size=5).map(Poly)
 _nonzero = _polys.filter(bool)
-_gens = st.sampled_from(range(5))
+_gens = st.sampled_from(range(6))
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,7 +93,7 @@ _gens = st.sampled_from(range(5))
        st.integers(-3, 3))
 def test_arithmetic_matches_sympy_rings(f, g, d, k, n, c):
     F, G, D = _to_ring(f), _to_ring(g), _to_ring(d)
-    gen, ring_gen = (W, X, Y, Z, T)[k], RING_GENS[k]
+    gen, ring_gen = (W, X, Y, Z, T, U)[k], RING_GENS[k]
     assert (f + g).terms == _from_ring(F + G)
     assert (f - g).terms == _from_ring(F - G)
     assert (f * g).terms == _from_ring(F * G)
@@ -184,10 +184,10 @@ _numerators = st.dictionaries(st.tuples(*(st.integers(0, 3)
                         Fraction(-5, 8)]), st.booleans())
 def test_random_class_numerator_terms_match_sympy_route(num, den, coeff,
                                                         cancels):
-    num = Poly({(*m, 0): c for m, c in num.items()})
+    num = Poly({(*m, 0, 0): c for m, c in num.items()})
     if cancels:  # den is the monomial factor of num
         den = tuple(map(min, zip(*num.terms)))[:4]
-    g = num / Poly({(*den, 0): coeff})
+    g = num / Poly({(*den, 0, 0): coeff})
     assert QuaternionClass(Fraction(-1), g).numerator_terms() \
         == _oracle_numerator_terms(g)
 

@@ -18,6 +18,7 @@ from dp2.local.quartic import (
     WITNESS_FOURTH_ROOT,
     WITNESS_ROW_GENERATOR,
     _components,
+    _i_times,
     conjugate_ratio_mod32,
     ex75_17adic_profile,
     ex75_17adic_values,
@@ -31,9 +32,13 @@ from dp2.local.quartic import (
     quartic_residues,
     ring_g,
     ring_gh,
-    ring_h,
     ring_mul,
 )
+
+
+def ring_h(c):
+    """The automorphism i -> -i, T -> iT."""
+    return tuple(_i_times(r, -im, j) for j, (r, im) in enumerate(c))
 
 T = ((0, 0), (1, 0), (0, 0), (0, 0))  # the fourth root of 17
 I_ELT = ((0, 1), (0, 0), (0, 0), (0, 0))
