@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 
 from .arith import is_prime
-from .local.hilbert import hilbert_symbol, relevant_places
-from .local.profiles import CapacityError, render_place
+from .local import CapacityError
+from .local.hilbert import hilbert_symbol, relevant_places, render_place
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -160,14 +160,14 @@ def scan_theorem() -> dict:
     the coefficient radicals: H^1 lies in the six-group list, trivial
     H^1 forces fixed rank >= 2, and the fingerprint/class counts
     sandwich the true conjugacy-class count 194."""
-    from .cohomology import h1_of_subgroup
+    from .cohomology import h1_type
     from .galois0 import enumerate_subgroups_onto_Q, fingerprint, \
         fixed_sublattice
 
     subs = enumerate_subgroups_onto_Q()
     attained = set()
     for s in subs:
-        t = h1_of_subgroup(s)
+        t = h1_type(s)
         if tuple(t.divisors) not in THEOREM_GROUPS or t.rank:
             raise InvariantViolation(
                 f"H^1 = {t.render()} for generators {s.generators}")

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .cohomology import _apply_perm, _closure_mask, _members, h1_of_subgroup
+from .cohomology import _apply_perm, _closure_mask, _members, h1_type
 from .intlin import ColumnEchelon, IntMatrix
 from .picard import (
     ANTICANONICAL,
@@ -477,7 +477,7 @@ def fingerprint(s: Subgroup) -> tuple:
         curve_orbit_lengths(s),
         len(fixed_sublattice(s)),
         tuple(sorted(trace[_INDEX[g]] for g in s.elements)),
-        h1_of_subgroup(s).divisors,
+        h1_type(s).divisors,
     )
 
 

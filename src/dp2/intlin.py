@@ -284,6 +284,11 @@ class ColumnEchelon:
 
     # -- queries --------------------------------------------------------
 
+    def image_basis(self) -> list[list[int]]:
+        """The first ``rank`` echelon columns: a basis of the lattice
+        spanned by the columns of A (they are A V for V unimodular)."""
+        return self._cols[:self.rank]
+
     def kernel(self) -> list[tuple[int, ...]]:
         """Basis of the integer kernel (columns of V past the rank)."""
         return [tuple(self._vcols[j]) for j in range(self.rank, self.ncols)]
@@ -375,7 +380,7 @@ def subquotient_structure(z_gens, b_gens, ambient_dim: Optional[int] = None) -> 
     # forward substitution of the same elimination
     zech = ColumnEchelon([[g[i] for g in z_gens] for i in range(n)])
     r = zech.rank
-    basis = zech._cols[:r]
+    basis = zech.image_basis()
 
     def basis_coords(vec, message):
         ys, integral = zech.coords(vec)

@@ -2,3 +2,7 @@
 profiles of Azumaya classes, exact polynomial identities over small
 number fields, and the diagonal-cubic pipeline.  Only `cubic` loads
 sympy; the recipes use the standard-library polynomials of `poly`."""
+
+
+class CapacityError(RuntimeError):
+    """Enumeration exceeded its cell budget or depth cap."""

@@ -10,6 +10,10 @@ from ..arith import factorint, is_prime, legendre
 REAL_PLACE = "R"
 
 
+def render_place(place) -> str:
+    return "R" if place == REAL_PLACE else f"Q_{place}"
+
+
 def _valuation(q: Fraction, p: int) -> int:
     v = 0
     num, den = q.numerator, q.denominator

@@ -6,9 +6,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-
-class CapacityError(RuntimeError):
-    """Enumeration exceeded its cell budget or depth cap."""
+# re-exported: both live in modules without dataclasses, which keeps
+# `import dp2.cli` light
+from . import CapacityError
+from .hilbert import render_place
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,6 @@ class LocalProfile:
 class Verdict:
     profiles: tuple
     conclusion: str  # obstructed | not_obstructed_by_class | inconclusive
-
-
-def render_place(place) -> str:
-    return "R" if place == "R" else f"Q_{place}"
 
 
 def verdict(profiles) -> Verdict:

@@ -279,10 +279,18 @@ def test_ported_obstruct_recipes_load_no_sympy():
 
 def test_local_subcommands_load_no_group_modules():
     # the Galois, Picard and H^1 layers load only where a request uses
-    # them: analyze, scan, verify and the (-9826, -2, 136) transcript
+    # them: analyze, scan, verify and the (-9826, -2, 136) transcript;
+    # and `import dp2.cli` plus a hilbert request load no dataclasses
+    # (with inspect, dis and ast behind it) and no profiles module
     script = (
         "import io, sys\n"
+        "before = set(sys.modules)\n"
         "import dp2.cli as cli\n"
+        "assert cli.main(['hilbert', '-A', '3', '-B', '5'],\n"
+        "                out=io.StringIO()) == 0\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'dis', 'ast',\n"
+        "                         'dp2.local.profiles')\n"
+        "             if m in sys.modules and m not in before))\n"
         "for argv in (['hilbert', '-A', '3', '-B', '5'],\n"
         "             ['obstruct', '-A', '-25', '-B', '-5', '-C', '45'],\n"
         "             ['obstruct', '-A', '-6', '-B', '-3', '-C', '2'],\n"
@@ -298,7 +306,7 @@ def test_local_subcommands_load_no_group_modules():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == ["[]", "[]"]
 
 
 def _imports(node, on_import_only):

@@ -3,6 +3,7 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dp2.cohomology import (
     ExtensionData,
@@ -11,6 +12,7 @@ from dp2.cohomology import (
     h1_of_subgroup,
     h1_presentation,
     h1_standard,
+    h1_type,
     h1_via_resolution,
     pic_module,
     sigma1_to_standard,
@@ -18,6 +20,7 @@ from dp2.cohomology import (
     submodule_on_invariants,
     _coboundaries,
     _fixed_basis,
+    _h1_cokernel,
     _identity_mat,
     _resolution_maps,
     _tree_cocycles,
@@ -31,7 +34,11 @@ from dp2.galois0 import (
     IOTA_C,
     SIGMA,
     TAU,
+    Subgroup,
+    all_subgroup_classes,
+    enumerate_subgroups_onto_Q,
     generate_subgroup,
+    _subgroup,
 )
 from dp2.intlin import AbelianGroupType, ColumnEchelon
 from dp2.picard import Triple, build_lattice
@@ -495,6 +502,7 @@ def test_backend_agreement_every_onto_q_class():
     resolved = standard = 0
     for s in enumerate_subgroups_onto_Q():
         pres = h1_of_subgroup(s)
+        assert h1_type(s) == pres, s.generators
         res = resolution_h1(s)
         if res is not None:
             assert res.group == pres, (s.generators, res.backend)
@@ -506,23 +514,74 @@ def test_backend_agreement_every_onto_q_class():
 
 
 def test_scan_computes_h1_once_per_class(monkeypatch):
+    # scan_theorem and fingerprint both read h1_type, which computes once
+    # per class; the presentation backend is not run at all
     import dp2.cli as cli
     import dp2.cohomology as cohomology
-    from dp2.galois0 import enumerate_subgroups_onto_Q
 
-    calls = []
-    original = cohomology.h1_presentation
+    computed, presented = [], []
+    cokernel, presentation = cohomology._h1_cokernel, \
+        cohomology.h1_presentation
 
-    def counting(mod):
-        calls.append(len(mod.elements))
-        return original(mod)
+    def counting_cokernel(s):
+        computed.append(s.mask())
+        return cokernel(s)
 
-    # the per-class cache starts empty; the CLI reaches the backend only
-    # through h1_of_subgroup
-    monkeypatch.setattr(cohomology, "_H1_BY_MASK", {}, raising=False)
-    monkeypatch.setattr(cohomology, "h1_presentation", counting)
+    def counting_presentation(mod):
+        presented.append(len(mod.elements))
+        return presentation(mod)
+
+    monkeypatch.setattr(cohomology, "_H1_TYPE_BY_MASK", {})
+    monkeypatch.setattr(cohomology, "_h1_cokernel", counting_cokernel)
+    monkeypatch.setattr(cohomology, "h1_presentation", counting_presentation)
     cli.scan_theorem()
-    assert len(calls) == len(enumerate_subgroups_onto_Q()) == 243
+    assert len(computed) == len(set(computed)) \
+        == len(enumerate_subgroups_onto_Q()) == 243
+    assert presented == []
+
+
+def test_h1_type_matches_presentation_on_every_class():
+    # all 1,500 conjugacy classes of subgroups of G0, onto Q or not
+    classes = all_subgroup_classes()
+    assert len(classes) == 1500
+    for mask in classes:
+        s = _subgroup(mask)
+        assert h1_type(s) == h1_presentation(pic_module(s)).group, \
+            s.generators
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_h1_type_ignores_redundant_generators(data):
+    subs = enumerate_subgroups_onto_Q()
+    s = subs[data.draw(st.integers(0, len(subs) - 1))]
+    extra = data.draw(st.lists(st.sampled_from(s.elements), max_size=4))
+    gens = data.draw(st.permutations(list(s.generators) + extra))
+    redundant = generate_subgroup(gens)
+    assert redundant.mask() == s.mask()
+    assert _h1_cokernel(redundant) == h1_type(s)
+
+
+def test_h1_type_refuses_non_generating_generators():
+    short = Subgroup(elements=G0.elements, generators=(SIGMA, TAU),
+                     onto_q=True)
+    with pytest.raises(AssertionError, match="do not generate"):
+        _h1_cokernel(short)
+
+
+def test_h1_type_checks_that_the_order_kills_h1(monkeypatch):
+    import dataclasses
+
+    import dp2.cohomology as cohomology
+    from dp2.intlin import smith_normal_form
+
+    def with_a_three(m):
+        dec = smith_normal_form(m)
+        return dataclasses.replace(dec, divisors=dec.divisors + (3,))
+
+    monkeypatch.setattr(cohomology, "smith_normal_form", with_a_three)
+    with pytest.raises(AssertionError, match="do not divide"):
+        _h1_cokernel(G0)
 
 
 def _resolution_oracle(kind, mod, gens):
