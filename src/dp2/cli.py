@@ -12,7 +12,6 @@ violation, 4 capacity exhausted or analysis inconclusive."""
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -40,41 +39,12 @@ class Inconclusive(Exception):
 
 # --- cohomology backends --------------------------------------------------
 
-def _abelian_generators(s):
-    """Elements realizing a direct-product decomposition: the product of
-    their orders equals |s| and together they generate s."""
-    from .galois0 import generate_subgroup
-
-    els = sorted(s.elements, key=lambda g: -g.order())
-    for r in range(1, 4):
-        for gens in itertools.combinations(els, r):
-            prod = 1
-            for g in gens:
-                prod *= g.order()
-            if prod != s.order:
-                continue
-            if generate_subgroup(list(gens)).order == s.order:
-                return gens
-    return None
-
-
-def _dihedral_generators(s):
-    """Two involutions generating s with their product of order |s|/2."""
-    from .galois0 import generate_subgroup
-
-    invs = [g for g in s.elements if g.order() == 2]
-    for a, b in itertools.combinations(invs, 2):
-        if (a * b).order() * 2 == s.order \
-                and generate_subgroup([a, b]).order == s.order:
-            return a, b
-    return None
-
-
 def resolution_h1(s):
     """H^1 via the short resolution appropriate to the group shape, or
     None when no implemented resolution applies."""
     from .cohomology import h1_via_resolution, pic_module
-    from .galois0 import is_abelian
+    from .galois0 import _abelian_generators, _dihedral_generators, \
+        is_abelian
 
     mod = pic_module(s)
     if is_abelian(s.elements):
@@ -160,9 +130,8 @@ def scan_theorem() -> dict:
     the coefficient radicals: H^1 lies in the six-group list, trivial
     H^1 forces fixed rank >= 2, and the fingerprint/class counts
     sandwich the true conjugacy-class count 194."""
-    from .cohomology import h1_type
     from .galois0 import enumerate_subgroups_onto_Q, fingerprint, \
-        fixed_sublattice
+        fixed_sublattice, h1_type
 
     subs = enumerate_subgroups_onto_Q()
     attained = set()

@@ -8,8 +8,10 @@ dihedral one; a polycyclic-presentation cocycle solver (default, any
 order); and the five-term exact sequence of a group extension with an
 explicit chase for the transgression d2.  Each reaches H^1 = Z^1/B^1
 through one elimination of Z^1 and one Smith step
-(`intlin.subquotient_structure`).  `h1_type` reads the type alone, with
-no representatives, from one Smith form of the stacked (g - 1) matrices.
+(`intlin.subquotient_structure`).  The group work runs on subgroup
+bitmasks with the helpers of `galois0`, which also owns `h1_type`: the
+type alone, with no representatives, from one Smith form of the stacked
+(g - 1) matrices.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional
 
+from .galois0 import IDENTITY, _apply_perm, _closure_mask, _members, pic_rows
 from .intlin import (
     AbelianGroupType,
     ColumnEchelon,
     SubquotientResult,
-    smith_normal_form,
     subquotient_structure,
 )
 
@@ -139,8 +141,6 @@ class GModule:
 def pic_module(s) -> GModule:
     """The Picard lattice as a module over a subgroup of the generic
     Galois group."""
-    from .galois0 import IDENTITY, pic_rows
-
     mats = {g: pic_rows(g) for g in s.elements}
     return GModule(elements=s.elements, identity=IDENTITY, mul=operator.mul,
                    dim=8, matrices=mats,
@@ -280,39 +280,6 @@ def _smallest_prime(n: int) -> int:
     return p
 
 
-def _members(mask: int) -> list[int]:
-    """Indices of the set bits of a subgroup mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _apply_perm(mask: int, perm) -> int:
-    """The image of a mask under an index permutation; with a row of the
-    product table, the left coset x.mask."""
-    out = 0
-    for i in _members(mask):
-        out |= 1 << perm[i]
-    return out
-
-
-def _closure_mask(mul, gens, e: int) -> int:
-    """Mask of the subgroup generated by the indices `gens`, for the
-    product table `mul` with identity e."""
-    out, frontier = 1 << e, [e]
-    while frontier:
-        row = mul[frontier.pop()]
-        for g in gens:
-            nxt = row[g]
-            if not out >> nxt & 1:
-                out |= 1 << nxt
-                frontier.append(nxt)
-    return out
-
-
 def polycyclic_chain(mul, inv, e: int):
     """Subnormal chain with prime cyclic quotients, plus the generator
     descending into each step, for the group with product table `mul`,
@@ -440,66 +407,6 @@ def h1_of_subgroup(s) -> AbelianGroupType:
     """H^1 of a Galois subgroup acting on Pic, by the presentation
     backend."""
     return h1_presentation(pic_module(s)).group
-
-
-# --- the type alone: one Smith form -------------------------------------
-
-_H1_TYPE_BY_MASK: dict[int, AbelianGroupType] = {}
-
-
-def h1_type(s) -> AbelianGroupType:
-    """The type of H^1(s, Pic) for a Galois subgroup s, computed once per
-    element set by `_h1_cokernel`; no presentation, no representatives.
-
-    Let G be generated by g_1, ..., g_k and act on the lattice M = Z^d,
-    and let D = [g_1 - 1; ...; g_k - 1] be the stacked kd x d matrix.
-    Then H^1(G, M) is the torsion of M^k / D.M, so its type is read off
-    the Smith divisors > 1 of D.  Proof, with cocycles as crossed
-    homomorphisms, c(gh) = c(g) + g.c(h) (Brown, Cohomology of Groups,
-    GTM 87):
-
-    - Z^1 -> M^k, c -> (c(g_i))_i, is injective.  G is finite, so every
-      element is a positive word in the g_i (g^-1 = g^(ord g - 1)), and
-      c(g_i1 ... g_im) = sum_j g_i1 ... g_i(j-1).c(g_ij) is fixed by the
-      values on the generators.
-    - Its image is saturated.  If every c(g_i) lies in n.M, the same sum
-      puts every c(g) in n.M, so c/n is M-valued, and it satisfies the
-      cocycle law because M is torsion-free: (c(g_i)/n)_i is in the image.
-    - B^1 maps onto D.M: the coboundary of m is g -> g.m - m.
-    - H^1(G, M (x) Q) = 0, as |G| is invertible in Q, so Z^1 and B^1
-      have the same rank.  A saturated sublattice of M^k containing B^1
-      with the same rank is the saturation of B^1.
-
-    Hence H^1 = Z^1/B^1 = sat(D.M)/D.M = tors(M^k / D.M), with no
-    relators and no basis of Z^1."""
-    key = s.mask()
-    t = _H1_TYPE_BY_MASK.get(key)
-    if t is None:
-        t = _H1_TYPE_BY_MASK[key] = _h1_cokernel(s)
-    return t
-
-
-def _h1_cokernel(s) -> AbelianGroupType:
-    """tors(M^k / D.M) for D the stacked (g - 1) over the generators of s
-    (the identity for the trivial group), by one column echelon of D^T,
-    D^T V = E, and one Smith form of its at most d x d nonzero part: D
-    and E^T differ by the unimodular V^T, so they share Smith divisors.
-    Two runtime checks: the generators generate s, and |s| kills H^1."""
-    from .galois0 import IDENTITY, _INDEX, _tables, pic_rows
-
-    gens = s.generators if s.generators else (IDENTITY,)
-    if _closure_mask(_tables()[0], [_INDEX[g] for g in gens], 0) \
-            != s.mask():
-        raise AssertionError("generators do not generate the subgroup")
-    d_rows = [[x - (1 if i == j else 0) for j, x in enumerate(row)]
-              for g in gens for i, row in enumerate(pic_rows(g))]
-    ech = ColumnEchelon(list(zip(*d_rows)))
-    divisors = tuple(q for q in smith_normal_form(ech.image_basis()).divisors
-                     if q > 1)
-    if any(s.order % q for q in divisors):
-        raise AssertionError(
-            f"H^1 divisors {divisors} do not divide |G| = {s.order}")
-    return AbelianGroupType(divisors)
 
 
 # --- efficient resolutions ----------------------------------------------

@@ -19,21 +19,25 @@ product table by arithmetic on the coordinates (row g is the left
 multiplication x -> g x), the conjugation permutations x -> g x g^-1 from
 it, and the six S3 relabelings as index permutations.  A map moves a mask
 by permuting its bits; the enumeration and the orbits decode each mask
-once (`cohomology._members`) and permute its member list.  Every
-subgroup here, from `generate_subgroup` to the Kummer constraints, is
-closed over that table by `cohomology._closure_mask`, the one
-subgroup-closure routine of the package, which the H^1 backends run on
-each module's own index table.
+once (`_members`) and permute its member list.  Every subgroup here,
+from `generate_subgroup` to the Kummer constraints and the generating
+sets of the short resolutions, is closed over that table by
+`_closure_mask`, the one subgroup-closure routine of the package, which
+the H^1 backends of `cohomology` import and run on each module's own
+index table.  `fixed_sublattice` and `h1_type` read Pic^s and the type of
+H^1(s, Pic) from the same stacked (g - 1) rows.
 GroupElement and Subgroup remain the public face.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .cohomology import _apply_perm, _closure_mask, _members, h1_type
-from .intlin import ColumnEchelon, IntMatrix
+from .intlin import (AbelianGroupType, ColumnEchelon, IntMatrix,
+                     smith_normal_form)
 from .picard import (
     ANTICANONICAL,
     Axis,
@@ -238,6 +242,39 @@ class Subgroup:
 
     def __contains__(self, g: GroupElement) -> bool:
         return bool(self._mask >> _INDEX[g] & 1)
+
+
+def _members(mask: int) -> list[int]:
+    """Indices of the set bits of a subgroup mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _apply_perm(mask: int, perm) -> int:
+    """The image of a mask under an index permutation; with a row of the
+    product table, the left coset x.mask."""
+    out = 0
+    for i in _members(mask):
+        out |= 1 << perm[i]
+    return out
+
+
+def _closure_mask(mul, gens, e: int) -> int:
+    """Mask of the subgroup generated by the indices `gens`, for the
+    product table `mul` with identity e."""
+    out, frontier = 1 << e, [e]
+    while frontier:
+        row = mul[frontier.pop()]
+        for g in gens:
+            nxt = row[g]
+            if not out >> nxt & 1:
+                out |= 1 << nxt
+                frontier.append(nxt)
+    return out
 
 
 # the four cosets of H in G0 (one per value of chi), as masks
@@ -447,17 +484,71 @@ def abelianization(s: Subgroup) -> tuple[int, ...]:
     return _abelian_type_from_orders(orders)
 
 
+def _pic_differences(s: Subgroup) -> list[list[int]]:
+    """D = [g_1 - 1; ...; g_k - 1], the stacked 8k x 8 matrix of the
+    (matrix_of(g) - I) over the generators of s (the identity for the
+    trivial group)."""
+    return [[x - (1 if i == j else 0) for j, x in enumerate(row)]
+            for g in s.generators or (IDENTITY,)
+            for i, row in enumerate(pic_rows(g))]
+
+
 def fixed_sublattice(s: Subgroup):
-    """Kernel basis of the stacked (matrix_of(g) - I) maps: M^s."""
-    rows = []
-    for g in s.generators if s.generators else ():
-        m = pic_rows(g)
-        for i in range(8):
-            rows.append([m[i][j] - (1 if i == j else 0) for j in range(8)])
-    if not rows:
-        rows = [[0] * 8]
-    ech = ColumnEchelon(rows)
-    return ech.kernel()
+    """Kernel basis of `_pic_differences(s)`: M^s."""
+    return ColumnEchelon(_pic_differences(s)).kernel()
+
+
+_H1_TYPE_BY_MASK: dict[int, AbelianGroupType] = {}
+
+
+def h1_type(s: Subgroup) -> AbelianGroupType:
+    """The type of H^1(s, Pic) for a Galois subgroup s, computed once per
+    element set by `_h1_cokernel`; no presentation, no representatives.
+
+    Let G be generated by g_1, ..., g_k and act on the lattice M = Z^d,
+    and let D = [g_1 - 1; ...; g_k - 1] be the stacked kd x d matrix.
+    Then H^1(G, M) is the torsion of M^k / D.M, so its type is read off
+    the Smith divisors > 1 of D.  Proof, with cocycles as crossed
+    homomorphisms, c(gh) = c(g) + g.c(h) (Brown, Cohomology of Groups,
+    GTM 87):
+
+    - Z^1 -> M^k, c -> (c(g_i))_i, is injective.  G is finite, so every
+      element is a positive word in the g_i (g^-1 = g^(ord g - 1)), and
+      c(g_i1 ... g_im) = sum_j g_i1 ... g_i(j-1).c(g_ij) is fixed by the
+      values on the generators.
+    - Its image is saturated.  If every c(g_i) lies in n.M, the same sum
+      puts every c(g) in n.M, so c/n is M-valued, and it satisfies the
+      cocycle law because M is torsion-free: (c(g_i)/n)_i is in the image.
+    - B^1 maps onto D.M: the coboundary of m is g -> g.m - m.
+    - H^1(G, M (x) Q) = 0, as |G| is invertible in Q, so Z^1 and B^1
+      have the same rank.  A saturated sublattice of M^k containing B^1
+      with the same rank is the saturation of B^1.
+
+    Hence H^1 = Z^1/B^1 = sat(D.M)/D.M = tors(M^k / D.M), with no
+    relators and no basis of Z^1."""
+    key = s.mask()
+    t = _H1_TYPE_BY_MASK.get(key)
+    if t is None:
+        t = _H1_TYPE_BY_MASK[key] = _h1_cokernel(s)
+    return t
+
+
+def _h1_cokernel(s: Subgroup) -> AbelianGroupType:
+    """tors(M^k / D.M) for D = `_pic_differences(s)`, by one column
+    echelon of D^T, D^T V = E, and one Smith form of its at most d x d
+    nonzero part: D and E^T differ by the unimodular V^T, so they share
+    Smith divisors.  Two runtime checks: the generators generate s, and
+    |s| kills H^1."""
+    if _closure_mask(_tables()[0], [_INDEX[g] for g in s.generators], 0) \
+            != s.mask():
+        raise AssertionError("generators do not generate the subgroup")
+    ech = ColumnEchelon(list(zip(*_pic_differences(s))))
+    divisors = tuple(q for q in smith_normal_form(ech.image_basis()).divisors
+                     if q > 1)
+    if any(s.order % q for q in divisors):
+        raise AssertionError(
+            f"H^1 divisors {divisors} do not divide |G| = {s.order}")
+    return AbelianGroupType(divisors)
 
 
 def curve_orbit_lengths(s: Subgroup) -> tuple[int, ...]:
@@ -485,6 +576,30 @@ def is_abelian(elems) -> bool:
     mul = _tables()[0]
     idx = [_INDEX[g] for g in elems]
     return all(mul[g][h] == mul[h][g] for g in idx for h in idx)
+
+
+def _abelian_generators(s: Subgroup):
+    """Elements realizing a direct-product decomposition: the product of
+    their orders equals |s| and together they generate s."""
+    orders, mul = _orders(), _tables()[0]
+    els = sorted(_members(s.mask()), key=lambda i: -orders[i])
+    for r in range(1, 4):
+        for gens in itertools.combinations(els, r):
+            if math.prod(orders[i] for i in gens) == s.order \
+                    and _closure_mask(mul, gens, 0) == s.mask():
+                return tuple(ALL_ELEMENTS[i] for i in gens)
+    return None
+
+
+def _dihedral_generators(s: Subgroup):
+    """Two involutions generating s with their product of order |s|/2."""
+    orders, mul = _orders(), _tables()[0]
+    invs = [i for i in _members(s.mask()) if orders[i] == 2]
+    for a, b in itertools.combinations(invs, 2):
+        if orders[mul[a][b]] * 2 == s.order \
+                and _closure_mask(mul, (a, b), 0) == s.mask():
+            return ALL_ELEMENTS[a], ALL_ELEMENTS[b]
+    return None
 
 
 def _complement_search(s: Subgroup, n_set: set) -> Subgroup | None:

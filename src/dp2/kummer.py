@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import factorint
 from .galois0 import (
@@ -133,8 +134,10 @@ def constraints(A: int, B: int, C: int) -> list[KummerConstraint]:
     return out
 
 
+@lru_cache(maxsize=1)
 def galois_group(A: int, B: int, C: int) -> Subgroup:
-    """The subgroup of the generic group cut out by all constraints."""
+    """The subgroup of the generic group cut out by all constraints.  The
+    last one is cached: `analyze` and its `table2_match` share it."""
     if A == 0 or B == 0 or C == 0:
         raise ValueError("coefficients must be nonzero")
     cons = constraints(A, B, C)

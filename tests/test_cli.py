@@ -70,6 +70,26 @@ def test_analyze_invalid_input_exit_2():
     assert "nonzero" in err
 
 
+def test_analyze_computes_the_galois_group_once(monkeypatch):
+    # analyze_surface and table2_match share one cached galois_group, and
+    # the zero-coefficient error is raised again, not cached
+    import dp2.kummer as kummer
+    calls = []
+    constraints = kummer.constraints
+
+    def counting(*args):
+        calls.append(args)
+        return constraints(*args)
+
+    monkeypatch.setattr(kummer, "constraints", counting)
+    kummer.galois_group.cache_clear()
+    d = run_json(["analyze", "-A", "-63", "-B", "-7", "-C", "5", "--json"])
+    assert d["table2_row"] is not None
+    assert calls == [(-63, -7, 5)]
+    for _ in range(2):
+        assert run(["analyze", "-A", "0", "-B", "1", "-C", "1"])[0] == 2
+
+
 def test_analyze_invariant_violation_exit_3(monkeypatch):
     monkeypatch.setattr(cli, "THEOREM_GROUPS", frozenset({()}))
     code, _, err = run(["analyze", "-A", "3", "-B", "5", "-C", "7"])
@@ -320,6 +340,58 @@ def _imports(node, on_import_only):
         elif not (on_import_only and isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef))):
             yield from _imports(child, on_import_only)
+
+
+def test_dp2_import_graph_has_no_cycle():
+    # every import between dp2 modules, function-level ones included,
+    # points one way: galois0 owns the index group and the Pic algebra,
+    # cohomology imports galois0, and cli imports both
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "dp2"
+    graph = {}
+    for path in sorted(root.rglob("*.py")):
+        parts = ("dp2",) + path.relative_to(root).with_suffix("").parts
+        package = parts[:-1]
+        name = ".".join(package if parts[-1] == "__init__" else parts)
+        graph[name] = set()
+        for module, level in _imports(ast.parse(path.read_text()),
+                                      on_import_only=False):
+            if level:
+                base = package[:len(package) - level + 1]
+                module = ".".join(base + tuple(filter(None, [module])))
+            if module.split(".")[0] == "dp2":
+                graph[name].add(module)
+    assert graph["dp2.cohomology"] >= {"dp2.galois0"}
+    state = {}
+
+    def visit(node, path):
+        state[node] = "open"
+        for nxt in sorted(graph.get(node, ())):
+            assert state.get(nxt) != "open", path + [nxt]
+            if nxt not in state:
+                visit(nxt, path + [nxt])
+        state[node] = "done"
+
+    for node in sorted(graph):
+        if node not in state:
+            visit(node, [node])
+
+
+def test_scan_and_order_four_obstruct_load_no_cohomology():
+    # H^1 types come from galois0; the (-9826, -2, 136) transcript reads
+    # Picard matrices only
+    script = (
+        "import io, sys\n"
+        "import dp2.cli as cli\n"
+        "for argv in (['scan', '--json'],\n"
+        "             ['obstruct', '-A', '-9826', '-B', '-2', '-C', '136']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "    print('dp2.cohomology' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
 
 
 def test_sympy_imported_at_top_level_only_where_it_belongs():

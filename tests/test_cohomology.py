@@ -12,7 +12,6 @@ from dp2.cohomology import (
     h1_of_subgroup,
     h1_presentation,
     h1_standard,
-    h1_type,
     h1_via_resolution,
     pic_module,
     sigma1_to_standard,
@@ -20,7 +19,6 @@ from dp2.cohomology import (
     submodule_on_invariants,
     _coboundaries,
     _fixed_basis,
-    _h1_cokernel,
     _identity_mat,
     _resolution_maps,
     _tree_cocycles,
@@ -38,6 +36,8 @@ from dp2.galois0 import (
     all_subgroup_classes,
     enumerate_subgroups_onto_Q,
     generate_subgroup,
+    h1_type,
+    _h1_cokernel,
     _subgroup,
 )
 from dp2.intlin import AbelianGroupType, ColumnEchelon
@@ -518,9 +518,10 @@ def test_scan_computes_h1_once_per_class(monkeypatch):
     # per class; the presentation backend is not run at all
     import dp2.cli as cli
     import dp2.cohomology as cohomology
+    import dp2.galois0 as galois0
 
     computed, presented = [], []
-    cokernel, presentation = cohomology._h1_cokernel, \
+    cokernel, presentation = galois0._h1_cokernel, \
         cohomology.h1_presentation
 
     def counting_cokernel(s):
@@ -531,8 +532,8 @@ def test_scan_computes_h1_once_per_class(monkeypatch):
         presented.append(len(mod.elements))
         return presentation(mod)
 
-    monkeypatch.setattr(cohomology, "_H1_TYPE_BY_MASK", {})
-    monkeypatch.setattr(cohomology, "_h1_cokernel", counting_cokernel)
+    monkeypatch.setattr(galois0, "_H1_TYPE_BY_MASK", {})
+    monkeypatch.setattr(galois0, "_h1_cokernel", counting_cokernel)
     monkeypatch.setattr(cohomology, "h1_presentation", counting_presentation)
     cli.scan_theorem()
     assert len(computed) == len(set(computed)) \
@@ -572,14 +573,14 @@ def test_h1_type_refuses_non_generating_generators():
 def test_h1_type_checks_that_the_order_kills_h1(monkeypatch):
     import dataclasses
 
-    import dp2.cohomology as cohomology
+    import dp2.galois0 as galois0
     from dp2.intlin import smith_normal_form
 
     def with_a_three(m):
         dec = smith_normal_form(m)
         return dataclasses.replace(dec, divisors=dec.divisors + (3,))
 
-    monkeypatch.setattr(cohomology, "smith_normal_form", with_a_three)
+    monkeypatch.setattr(galois0, "smith_normal_form", with_a_three)
     with pytest.raises(AssertionError, match="do not divide"):
         _h1_cokernel(G0)
 
@@ -646,8 +647,8 @@ def test_product_resolution_matches_hand_written_cyclic(mod):
 def test_product_resolution_matches_hand_written_every_abelian_class():
     # the one loop gives the hand-written rows on every onto-Q class where
     # resolution_h1 takes an abelian product resolution
-    from dp2.cli import _abelian_generators
-    from dp2.galois0 import enumerate_subgroups_onto_Q, is_abelian
+    from dp2.galois0 import _abelian_generators, \
+        enumerate_subgroups_onto_Q, is_abelian
     kinds = {1: "cyclic", 2: "bicyclic", 3: "tricyclic"}
     seen = collections.Counter()
     for s in enumerate_subgroups_onto_Q():

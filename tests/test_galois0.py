@@ -376,7 +376,6 @@ def test_semidirect_decomposition_all_classes():
 
 
 def test_fingerprint_includes_h1():
-    pytest.importorskip("dp2.cohomology")
     fp = fingerprint(G0)
     assert fp[-1] == (2,)
 
@@ -455,3 +454,49 @@ def test_subgroup_classes_match_permuted_mask_oracle():
     classes = all_subgroup_classes()
     assert classes == _all_subgroup_classes_oracle()
     assert len(classes) == 1500
+
+
+def _abelian_generators_oracle(s):
+    """The direct-product basis search on Subgroups: the first
+    combination, by descending element order, whose orders multiply to
+    |s| and whose `generate_subgroup` is s."""
+    import itertools
+    order = {g: g.order() for g in s.elements}
+    els = sorted(s.elements, key=lambda g: -order[g])
+    for r in range(1, 4):
+        for gens in itertools.combinations(els, r):
+            prod = 1
+            for g in gens:
+                prod *= order[g]
+            if prod == s.order \
+                    and generate_subgroup(list(gens)).order == s.order:
+                return gens
+    return None
+
+
+def _dihedral_generators_oracle(s):
+    """The first pair of involutions whose product has order |s|/2 and
+    whose `generate_subgroup` is s."""
+    import itertools
+    invs = [g for g in s.elements if g.order() == 2]
+    for a, b in itertools.combinations(invs, 2):
+        if (a * b).order() * 2 == s.order \
+                and generate_subgroup([a, b]).order == s.order:
+            return a, b
+    return None
+
+
+def test_generator_searches_match_subgroup_oracle():
+    # both searches on every onto-Q class, abelian or not: the index
+    # closure finds the same tuple as the Subgroup closure
+    from dp2.galois0 import _abelian_generators, _dihedral_generators
+    subs = enumerate_subgroups_onto_Q()
+    assert len(subs) == 243
+    found = [0, 0]
+    for s in subs:
+        ab, di = _abelian_generators(s), _dihedral_generators(s)
+        assert ab == _abelian_generators_oracle(s), s.generators
+        assert di == _dihedral_generators_oracle(s), s.generators
+        found[0] += ab is not None
+        found[1] += di is not None
+    assert found == [175, 44]
