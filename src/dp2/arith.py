@@ -3,13 +3,15 @@
 is_prime is a Miller-Rabin test with the twelve prime bases 2, 3, ...,
 37, which is deterministic for n < 318665857834031151167461 (about
 3.18e23; Sorenson and Webster, Math. Comp. 86 (2017)), so exact for
-every n < 2^64.  factorint splits off small primes by trial division
-and the rest by Pollard's rho (Brent's variant), proves every factor
-prime with is_prime, and checks that the product gives n back.
-
-Above 2^64, is_prime and factorint delegate to sympy, imported only
-then; none of dp2's own inputs come near that size, but a Hilbert
-symbol of huge arguments keeps its answer.
+every n < 2^64.  From 2^64 on it also runs the strong Lucas test with
+Selfridge's parameters, which makes it the Baillie-PSW test (Baillie
+and Wagstaff, Math. Comp. 35 (1980)) with eleven more bases: no
+composite is known to pass it, and sympy.isprime applies the same test
+there.  factorint splits off small primes by trial division and the
+rest by Pollard's rho (Brent's variant), proves every factor prime
+with is_prime, and checks that the product gives n back.
+integer_nthroot takes exact integer roots by Newton's method on
+integers, with no float step, so it stays exact at any size.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ _TRIAL = 1000
 
 
 def is_prime(n: int) -> bool:
-    if n >= _LIMIT:
-        import sympy
-
-        return bool(sympy.isprime(n))
     if n < 2:
         return False
     for p in _BASES:
@@ -45,7 +43,64 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _LIMIT or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd n > 0, by quadratic
+    reciprocity."""
+    a %= n
+    out = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test for an odd n with no prime
+    factor below 40: P = 1 and Q = (1 - D) / 4 for the first D in 5,
+    -7, 9, -11, ... with (D/n) = -1 (Selfridge's method A); with
+    n + 1 = d 2^s, d odd, n passes when U_d = 0 or V_(d 2^r) = 0 for
+    some r < s (mod n)."""
+    if math.isqrt(n) ** 2 == n:  # no such D exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+
+    def half(v):
+        v %= n
+        return (v + n if v & 1 else v) // 2
+
+    # U_k, V_k and Q^k from k = 1 along the bits of d: doubling
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k; and the step k -> k + 1
+    # U = (P U + V) / 2, V = (D U + P V) / 2 with P = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _rho(n: int) -> int:
@@ -80,10 +135,6 @@ def factorint(n: int) -> dict[int, int]:
     """{prime: exponent} for n >= 1, in increasing order of the primes."""
     if n < 1:
         raise ValueError(f"factorint needs a positive integer, got {n}")
-    if n >= _LIMIT:
-        import sympy
-
-        return dict(sorted(sympy.factorint(n).items()))
     out: dict[int, int] = {}
     m = n
     for p in range(2, _TRIAL):
@@ -106,6 +157,24 @@ def factorint(n: int) -> dict[int, int]:
     if prod != n:
         raise AssertionError(f"factorization of {n} does not multiply back")
     return dict(sorted(out.items()))
+
+
+def integer_nthroot(n: int, k: int) -> tuple[int, bool]:
+    """(floor of the k-th root of n, whether it is exact) for n >= 0 and
+    k >= 1.  Newton's step x -> ((k - 1) x + n // x^(k - 1)) // k never
+    goes below the root from a start above it, and decreases strictly
+    until it reaches the floor."""
+    if n < 0 or k < 1:
+        raise ValueError(f"integer_nthroot needs n >= 0 and k >= 1, "
+                         f"got {n}, {k}")
+    if n < 2:
+        return n, True
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits / k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x, x ** k == n
+        x = y
 
 
 def legendre(a: int, p: int) -> int:

@@ -344,8 +344,15 @@ def _orders() -> tuple[int, ...]:
     return tuple(_closure_mask(mul, [g], 0).bit_count() for g in range(128))
 
 
-G0 = generate_subgroup([SIGMA, TAU, IOTA_A, IOTA_B, IOTA_C])
-H_SUBGROUP = generate_subgroup([IOTA_A, IOTA_B, IOTA_A * IOTA_B * IOTA_C])
+def __getattr__(name: str):
+    """G0, the whole group, built on first use: no subcommand reads it,
+    and building it at import would run _tables() in every process
+    that imports galois0."""
+    if name == "G0":
+        globals()["G0"] = g0 = generate_subgroup(GENERATORS.values())
+        return g0
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _ORBITS: dict[tuple[int, bool], frozenset[int]] = {}
 

@@ -11,19 +11,26 @@ h = g0 l0 + g1 l1 + g2 l2 rational and not proportional to the cubic
 form.  The resulting cyclic algebra is presented by r^3 = AD/BC,
 s^3 = h/x^3, s r = theta r s.
 
-The symbolic work runs in sparse polynomial rings over Q
-(sympy.polys.rings).  Reduction modulo theta^2 + theta + 1 and
-gamma^3 = AD/BC is the ring remainder, which is canonical because the
-leading monomials are coprime.  h is linear in the 72 unknown
+The symbolic work runs on the standard-library polynomials of
+dp2.local.poly, lex in the generator order of `ring`.  Reduction is
+the successive remainder by theta^2 + theta + 1, gamma^3 - AD/BC and,
+for the column identity, the norm relation.  Their leading monomials
+theta^2, gamma^3 and lam^3 lie in disjoint variables, and every other
+term of a relation has a lower degree in that relation's variable and
+does not involve the variables of the other two.  So a remainder step
+by one relation keeps the theta-, gamma- and lam-exponents that the
+other two look at, a term reduced by an earlier relation stays
+reduced, and the successive remainder is fully reduced.  It is the
+canonical form modulo the ideal, because relations with coprime
+leading monomials are a Groebner basis.  h is linear in the 72 unknown
 coefficients of l0, l1, l2, so it is kept as one reduced polynomial
-per unknown; the gamma-free conditions are an exact linear system
-over Q (80 x 72 for (1, 2, 3, 4)), brought to reduced row echelon
-form by DomainMatrix.  The
-nullspace basis is read off the RREF as Matrix.nullspace builds it
-(one vector per free column, in column order, 1 there and minus the
-RREF column at the pivots); the RREF is unique, so the first accepted
-h depends on the system alone.  Only h and the l_i become sympy
-expressions, for the report."""
+per unknown; the gamma-free conditions are an exact linear system over
+Q (80 x 72 for (1, 2, 3, 4)), brought to reduced row echelon form by a
+sparse Fraction Gauss-Jordan.  The nullspace basis is read off the
+RREF as sympy's Matrix.nullspace builds it (one vector per free
+column, in column order, 1 there and minus the RREF column at the
+pivots); the RREF is unique, so the first accepted h depends on the
+system alone.  h prints as sympy's str prints the same expression."""
 
 from __future__ import annotations
 
@@ -31,22 +38,31 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-from sympy.polys.domains import QQ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.orderings import lex
-from sympy.polys.rings import ring
+from ..arith import integer_nthroot
+from .poly import Poly, ring
 
-X, Y, Z, T = sympy.symbols("x y z t")
-THETA, GAMMA = sympy.symbols("theta gamma")
-LAM, MU, NU = sympy.symbols("lam mu nu")
+
+class _Poly(Poly):
+    """A Poly that sympy can read, so that h keeps working in sympy
+    arithmetic (sympy.sympify(h), sympy.cancel(h / form))."""
+
+    __slots__ = ()
+
+    def _sympy_(self):
+        # only a caller that already holds sympy gets here
+        import sympy
+
+        gens = sympy.symbols(self.names)
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(g ** e for g, e in zip(gens, m)))
+            for m, c in self.terms.items()))
 
 
 def _is_rational_cube(q: Fraction) -> bool:
     q = Fraction(q)
-    num = sympy.integer_nthroot(abs(q.numerator), 3)
-    den = sympy.integer_nthroot(q.denominator, 3)
-    return num[1] and den[1]
+    return (integer_nthroot(abs(q.numerator), 3)[1]
+            and integer_nthroot(q.denominator, 3)[1])
 
 
 def is_cube_free_generic(A: int, B: int, C: int, D: int) -> bool:
@@ -89,13 +105,12 @@ def _column_remainder(A, B, C, D, form):
     g2 (By - B mu z - B lam gamma t) minus the cubic form with the
     coefficients form, reduced modulo theta^2 + theta + 1, gamma^3 -
     AD/BC and the norm relation in Q[theta, gamma, lam, mu, nu, x, y,
-    z, t] under lex.  The leading monomials theta^2, gamma^3, lam^3
-    are pairwise coprime, so the relations are a Groebner basis and the
-    remainder is zero exactly when the expression lies in their
-    ideal."""
-    R, th, gm, lam, mu, nu, x, y, z, t = ring(
-        (THETA, GAMMA, LAM, MU, NU, X, Y, Z, T), QQ, lex)
-    r = QQ(B, A)
+    z, t] under lex.  The remainder is the canonical form (module
+    docstring), so it is zero exactly when the expression lies in the
+    ideal of the relations."""
+    th, gm, lam, mu, nu, x, y, z, t = ring(
+        "theta", "gamma", "lam", "mu", "nu", "x", "y", "z", "t", base=_Poly)
+    r = Fraction(B, A)
     g0, g1, g2 = _g_polynomials(r, lam, mu, nu, th, gm, x, y, z, t)
     a, b, c, d = form
     expr = (g0 * (A * x - A * lam * z - B * nu * gm * t)
@@ -103,8 +118,9 @@ def _column_remainder(A, B, C, D, form):
             + g2 * (B * y - B * mu * z - B * lam * gm * t)
             - (a * x ** 3 + b * y ** 3 + c * z ** 3 + d * t ** 3))
     norm = (lam ** 3 + r * mu ** 3 + r ** 2 * nu ** 3
-            - 3 * r * lam * mu * nu + QQ(C, A))
-    return expr.rem([th ** 2 + th + 1, gm ** 3 - QQ(A * D, B * C), norm])
+            - 3 * r * lam * mu * nu + Fraction(C, A))
+    return _reduce(expr, (th ** 2 + th + 1,
+                          gm ** 3 - Fraction(A * D, B * C), norm))
 
 
 def column_identity_check(A: int, B: int, C: int, D: int) -> bool:
@@ -137,56 +153,94 @@ def solve_norm_equation(A, B, C, D, bound=5):
     return None
 
 
+def _reduce(poly, relations):
+    """The successive remainder of poly by the relations."""
+    for rel in relations:
+        poly = poly.rem(rel)
+    return poly
+
+
+def _rref(rows):
+    """Sparse Gauss-Jordan over Q.  rows are dicts column -> number;
+    returns the pivot columns in increasing order and the nonzero rows
+    of the reduced row echelon form, as dicts column -> Fraction.  Each
+    new row is cleared at the known pivots, scaled to 1 at its least
+    column, and then cleared from the known rows, so the known rows
+    stay reduced; the RREF is unique, so the row order does not
+    matter."""
+    reduced = {}  # pivot column -> row, 1 there and 0 at other pivots
+    for row in rows:
+        row = dict(row)
+        for p, known in reduced.items():
+            c = row.get(p)
+            if c:
+                for k, v in known.items():
+                    row[k] = row.get(k, 0) - c * v
+        row = {k: v for k, v in row.items() if v}
+        if not row:
+            continue
+        p = min(row)
+        scale = 1 / Fraction(row[p])
+        row = {k: v * scale for k, v in row.items()}
+        for q, known in reduced.items():
+            c = known.get(p)
+            if c:
+                for k, v in row.items():
+                    known[k] = known.get(k, 0) - c * v
+                reduced[q] = {k: v for k, v in known.items() if v}
+        reduced[p] = row
+    pivots = sorted(reduced)
+    return pivots, [reduced[p] for p in pivots]
+
+
 def find_rational_h(A, B, C, D, solution):
     """Linear forms l0, l1, l2 over k' = k(gamma), k = Q(theta), such
     that h = g0 l0 + g1 l1 + g2 l2 lies in k[x,y,z,t] (gamma-free) and
     is not proportional over k to the cubic form; returns
-    (h, (l0, l1, l2))."""
-    R, th, gm, x, y, z, t = ring((THETA, GAMMA, X, Y, Z, T), QQ, lex)
-    rels = [th ** 2 + th + 1, gm ** 3 - QQ(A * D, B * C)]
-    lam, mu, nu = (QQ(q.numerator, q.denominator) for q in solution)
-    gs = _g_polynomials(QQ(B, A), lam, mu, nu, th, gm, x, y, z, t)
+    (h, (l0, l1, l2)), polynomials in theta, gamma, x, y, z, t."""
+    th, gm, x, y, z, t = ring("theta", "gamma", "x", "y", "z", "t",
+                              base=_Poly)
+    zero = 0 * th
+    rels = (th ** 2 + th + 1, gm ** 3 - Fraction(A * D, B * C))
+    lam, mu, nu = (Fraction(q) for q in solution)
+    gs = _g_polynomials(Fraction(B, A), lam, mu, nu, th, gm, x, y, z, t)
     # unknown j = (i, v, a, b) is the coefficient of theta^a gamma^b v
     # in l_i; h is linear in the unknowns, h = sum_j c_j H_j
     basis = [th ** a * gm ** b * v for v in (x, y, z, t)
              for a in range(2) for b in range(3)]
-    H = [(g * e).rem(rels) for g in gs for e in basis]
+    H = [_reduce(g * e, rels) for g in gs for e in basis]
     # one equation per term theta^a gamma^b (b != 0) times a monomial
     rows = {}
     for j, Hj in enumerate(H):
-        for monom, coeff in Hj.terms():
+        for monom, coeff in Hj.terms.items():
             if monom[1]:
                 rows.setdefault(monom, {})[j] = coeff
-    system = DomainMatrix(dict(enumerate(rows.values())),
-                          (len(rows), len(H)), QQ)
-    rref, pivots = system.rref()
-    reduced = rref.to_list()
+    pivots, reduced = _rref(rows.values())
     monoms = [(a, b, c, 3 - a - b - c)
               for a in range(4) for b in range(4 - a)
               for c in range(4 - a - b)]
     diagonal = {(3, 0, 0, 0): A, (0, 3, 0, 0): B, (0, 0, 3, 0): C,
                 (0, 0, 0, 3): D}
-    form_vec = [QQ(diagonal.get(m, 0)) for m in monoms]
+    form_row = {k: diagonal[m] for k, m in enumerate(monoms)
+                if m in diagonal}
     # the nullspace basis as Matrix.nullspace reads it off the RREF
     for free in (f for f in range(len(H)) if f not in pivots):
-        vec = [QQ(0)] * len(H)
-        vec[free] = QQ(1)
-        for row, col in enumerate(pivots):
-            vec[col] -= reduced[row][free]
-        h = sum((c * Hj for c, Hj in zip(vec, H) if c), R.zero)
+        vec = [0] * len(H)
+        vec[free] = 1
+        for row, col in zip(reduced, pivots):
+            vec[col] -= row.get(free, 0)
+        h = sum((c * Hj for c, Hj in zip(vec, H) if c), zero)
         if not h:
             continue
         # h = h0 + theta h1 is proportional to the form over Q(theta)
         # exactly when both components lie in its rational span
-        terms = dict(h.terms())
-        v0, v1 = ([terms.get((a, 0) + m, QQ(0)) for m in monoms]
-                  for a in range(2))
-        if DomainMatrix([v0, v1, form_vec], (3, len(monoms)),
-                        QQ).rank() >= 2:
+        v0, v1 = ({k: h.terms.get((a, 0) + m, 0)
+                   for k, m in enumerate(monoms)} for a in range(2))
+        if len(_rref([v0, v1, form_row])[0]) >= 2:
             n = len(basis)
             lines = (sum((c * e for c, e in zip(vec[n * i:], basis)),
-                         R.zero) for i in range(3))
-            return h.as_expr(), tuple(line.as_expr() for line in lines)
+                         zero) for i in range(3))
+            return h, tuple(lines)
     return None
 
 
@@ -195,7 +249,7 @@ class CubicReport:
     coefficients: tuple
     column_identity: bool
     norm_solution: tuple | None
-    h: object  # rational cubic polynomial, or None
+    h: object  # rational cubic Poly in theta, x, y, z, t, or None
     presentation: tuple  # (r^3 value, "h/x^3", "sr = theta rs")
     transcript: tuple
 
@@ -232,7 +286,7 @@ def cubic_pipeline(A: int, B: int, C: int, D: int,
                 "proportional to the cubic form")
         else:
             transcript.append("no rational non-proportional h found")
-    presentation = (sympy.Rational(A * D, B * C),
+    presentation = (Fraction(A * D, B * C),
                     "s^3 = h/x^3", "s r = theta r s")
     return CubicReport(coefficients=(A, B, C, D),
                        column_identity=True,

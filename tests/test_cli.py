@@ -278,7 +278,7 @@ def test_group_subcommands_load_neither_sympy_nor_numpy():
 
 def test_ported_obstruct_recipes_load_no_sympy():
     # every recipe, (34, 34, 34) with its exact degree certificate
-    # included, and verify run on dp2.local.poly; only cubic loads sympy
+    # included, verify and cubic run on dp2.local.poly
     script = (
         "import io, sys\n"
         "import dp2.cli as cli\n"
@@ -287,6 +287,10 @@ def test_ported_obstruct_recipes_load_no_sympy():
         "    argv = ['obstruct', '-A', str(a), '-B', str(b), '-C', str(c)]\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
         "assert cli.main(['verify'], out=io.StringIO()) == 0\n"
+        "for argv in (['cubic', '-A', '1', '-B', '2', '-C', '3', '-D', '4'],\n"
+        "             ['cubic', '-A', '1', '-B', '2', '-C', '3', '-D', '4',\n"
+        "              '--json']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] == 'sympy'))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -295,6 +299,34 @@ def test_ported_obstruct_recipes_load_no_sympy():
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_every_subcommand_runs_without_sympy():
+    # with sympy made unimportable, as after `pip install .` without the
+    # test extra, every subcommand still answers, a Hilbert symbol above
+    # 2^64 included
+    script = (
+        "import io, sys\n"
+        "sys.modules['sympy'] = None\n"
+        "import dp2.cli as cli\n"
+        "for argv in (['analyze', '-A', '3', '-B', '5', '-C', '7'],\n"
+        "             ['scan'], ['verify'],\n"
+        "             ['hilbert', '-A', '3', '-B', '5'],\n"
+        "             ['hilbert', '-A', str(2 ** 70 + 1), '-B', '5'],\n"
+        "             ['cubic', '-A', '1', '-B', '2', '-C', '3',\n"
+        "              '-D', '4']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "for a, b, c in ((-25, -5, 45), (-6, -3, 2), (-126, -91, 78),\n"
+        "                (34, 34, 34), (-9826, -2, 136)):\n"
+        "    argv = ['obstruct', '-A', str(a), '-B', str(b), '-C', str(c)]\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print('ok')\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_local_subcommands_load_no_group_modules():
@@ -395,8 +427,9 @@ def test_scan_and_order_four_obstruct_load_no_cohomology():
 
 
 def test_sympy_imported_at_top_level_only_where_it_belongs():
+    # nowhere: sympy is a test-only oracle
     root = pathlib.Path(__file__).resolve().parents[1] / "src" / "dp2"
-    allowed = {"local/cubic.py"}
+    allowed = set()
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         tree = ast.parse(path.read_text())

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
+import cubic_sympy
 from dp2.local.cubic import (
-    GAMMA,
+    _Poly,
     _column_remainder,
     column_identity_check,
     cubic_pipeline,
@@ -13,6 +15,9 @@ from dp2.local.cubic import (
     norm_residual,
     solve_norm_equation,
 )
+from dp2.local.poly import ring
+
+GAMMA = sympy.Symbol("gamma")
 
 
 # str(h) of the first accepted h as the sympy-Expr solver (Matrix.nullspace)
@@ -58,7 +63,7 @@ def test_column_identity_remainder_negative_control():
     # the same expression with D replaced by D + 1 in the form
     assert not _column_remainder(1, 2, 3, 4, (1, 2, 3, 4))
     wrong = _column_remainder(1, 2, 3, 4, (1, 2, 3, 5))
-    assert wrong.as_expr() == -sympy.Symbol("t") ** 3
+    assert sympy.sympify(wrong) == -sympy.Symbol("t") ** 3
 
 
 def test_norm_equation_search_and_residual():
@@ -75,7 +80,7 @@ def test_rational_h_not_proportional():
     found = find_rational_h(1, 2, 3, 4, sol)
     assert found is not None
     h, lines = found
-    assert not h.has(GAMMA)
+    assert not sympy.sympify(h).has(GAMMA)
     assert len(lines) == 3
     x, y, z, t = sympy.symbols("x y z t")
     form = x ** 3 + 2 * y ** 3 + 3 * z ** 3 + 4 * t ** 3
@@ -93,7 +98,7 @@ def test_pipeline_report():
     rep = cubic_pipeline(1, 2, 3, 4)
     assert rep.column_identity
     assert rep.norm_solution is not None
-    assert rep.h is not None and not rep.h.has(GAMMA)
+    assert rep.h is not None and not sympy.sympify(rep.h).has(GAMMA)
     assert rep.presentation[0] == sympy.Rational(4, 6)
     assert len(rep.transcript) == 4
 
@@ -102,3 +107,57 @@ def test_pipeline_without_norm_solution():
     rep = cubic_pipeline(1, 2, 3, 4, search_bound=0)
     assert rep.norm_solution is None and rep.h is None
     assert "no norm-equation solution" in rep.transcript[-1]
+
+
+# --- the standard-library route against the sympy oracle ----------------
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*(st.integers(1, 12) for _ in range(4))))
+def test_pipeline_matches_sympy_oracle(coeffs):
+    # generic positive coefficients: equal h (as printed), l_i, norm
+    # solution and column remainder, zero or not
+    assume(is_cube_free_generic(*coeffs))
+    A, B, C, D = coeffs
+    for form in (coeffs, (A, B, C, D + 1)):
+        ours = _column_remainder(A, B, C, D, form)
+        theirs = cubic_sympy._column_remainder(A, B, C, D, form)
+        assert bool(ours) == bool(theirs)
+        assert sympy.sympify(ours) == theirs.as_expr()
+    sol = solve_norm_equation(*coeffs, bound=2)
+    rep = cubic_pipeline(*coeffs, search_bound=2)
+    assert rep.norm_solution == sol
+    if sol is None:
+        assert rep.h is None
+        return
+    found = find_rational_h(*coeffs, sol)
+    expected = cubic_sympy.find_rational_h(*coeffs, sol)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        (h, lines), (h_ref, lines_ref) = found, expected
+        assert str(h) == str(h_ref) == str(rep.h)
+        assert list(map(str, lines)) == list(map(str, lines_ref))
+
+
+_NAMES = ("theta", "gamma", "x", "y", "z", "t")
+_monomials = st.tuples(*(st.integers(0, 3) for _ in _NAMES))
+_coefficients = st.sampled_from([1, -1, 2, -3]) | st.builds(
+    Fraction, st.integers(-20, 20), st.integers(1, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_monomials, _coefficients, max_size=6),
+       st.sampled_from([0, 1, -1, 5, Fraction(-2, 3)]))
+@example({}, 0)
+@example({(0, 0, 0, 0, 0, 1): -1}, Fraction(-5, 16))
+@example({(0, 0, 0, 0, 0, 2): Fraction(-1, 2)}, 1)
+@example({(0, 0, 1, 0, 0, 1): -1}, 1)
+def test_printer_matches_sympy_str(terms, constant):
+    # unit and integer coefficients and constant terms included
+    gen = ring(*_NAMES, base=_Poly)[0]
+    poly = type(gen)(terms) + constant
+    expected = sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(sympy.Symbol(n) ** e for n, e in zip(_NAMES, m)))
+        for m, c in poly.terms.items()))
+    assert str(poly) == str(expected)
+    assert sympy.sympify(poly) == expected

@@ -6,7 +6,6 @@ from dp2.galois0 import (
     ALL_ELEMENTS,
     G0,
     GENERATORS,
-    H_SUBGROUP,
     IDENTITY,
     IOTA_A,
     IOTA_B,
@@ -38,6 +37,9 @@ from dp2.picard import (
 )
 
 LAT = build_lattice()
+
+#: the index-4 subgroup H, the kernel of chi
+H_SUBGROUP = generate_subgroup([IOTA_A, IOTA_B, IOTA_A * IOTA_B * IOTA_C])
 
 
 def test_group_axioms_random_sample():
