@@ -9,7 +9,11 @@ and Wagstaff, Math. Comp. 35 (1980)) with eleven more bases: no
 composite is known to pass it, and sympy.isprime applies the same test
 there.  factorint splits off small primes by trial division and the
 rest by Pollard's rho (Brent's variant), proves every factor prime
-with is_prime, and checks that the product gives n back.
+with is_prime, and checks that the product gives n back.  Rho needs
+about sqrt(p) steps to split off a prime p, so its cycle search is
+capped at rounds of _RHO_CAP steps (about 1.7e7 squarings in all),
+enough for prime factors of up to about 14 digits; past the cap it
+raises CapacityError (exit 4) rather than run for hours.
 integer_nthroot takes exact integer roots by Newton's method on
 integers, with no float step, so it stays exact at any size.
 """
@@ -21,6 +25,7 @@ import math
 _LIMIT = 2 ** 64
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL = 1000
+_RHO_CAP = 2 ** 22
 
 
 def is_prime(n: int) -> bool:
@@ -105,10 +110,16 @@ def _strong_lucas(n: int) -> bool:
 
 def _rho(n: int) -> int:
     """A nontrivial factor of the odd composite n (Brent's cycle search
-    with batched gcds)."""
+    with batched gcds), or CapacityError past rounds of _RHO_CAP."""
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if r > _RHO_CAP:
+                from .local import CapacityError
+
+                raise CapacityError(
+                    f"Pollard rho found no factor of the {len(str(n))}-digit"
+                    f" composite {n} within its step cap")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -39,24 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..arith import integer_nthroot
-from .poly import Poly, ring
-
-
-class _Poly(Poly):
-    """A Poly that sympy can read, so that h keeps working in sympy
-    arithmetic (sympy.sympify(h), sympy.cancel(h / form))."""
-
-    __slots__ = ()
-
-    def _sympy_(self):
-        # only a caller that already holds sympy gets here
-        import sympy
-
-        gens = sympy.symbols(self.names)
-        return sympy.Add(*(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(g ** e for g, e in zip(gens, m)))
-            for m, c in self.terms.items()))
+from .poly import ring
 
 
 def _is_rational_cube(q: Fraction) -> bool:
@@ -109,7 +92,7 @@ def _column_remainder(A, B, C, D, form):
     docstring), so it is zero exactly when the expression lies in the
     ideal of the relations."""
     th, gm, lam, mu, nu, x, y, z, t = ring(
-        "theta", "gamma", "lam", "mu", "nu", "x", "y", "z", "t", base=_Poly)
+        "theta", "gamma", "lam", "mu", "nu", "x", "y", "z", "t")
     r = Fraction(B, A)
     g0, g1, g2 = _g_polynomials(r, lam, mu, nu, th, gm, x, y, z, t)
     a, b, c, d = form
@@ -119,8 +102,8 @@ def _column_remainder(A, B, C, D, form):
             - (a * x ** 3 + b * y ** 3 + c * z ** 3 + d * t ** 3))
     norm = (lam ** 3 + r * mu ** 3 + r ** 2 * nu ** 3
             - 3 * r * lam * mu * nu + Fraction(C, A))
-    return _reduce(expr, (th ** 2 + th + 1,
-                          gm ** 3 - Fraction(A * D, B * C), norm))
+    return expr.rem(th ** 2 + th + 1, gm ** 3 - Fraction(A * D, B * C),
+                    norm)
 
 
 def column_identity_check(A: int, B: int, C: int, D: int) -> bool:
@@ -151,13 +134,6 @@ def solve_norm_equation(A, B, C, D, bound=5):
             if norm_residual(A, B, C, D, cand) == target:
                 return cand
     return None
-
-
-def _reduce(poly, relations):
-    """The successive remainder of poly by the relations."""
-    for rel in relations:
-        poly = poly.rem(rel)
-    return poly
 
 
 def _rref(rows):
@@ -198,8 +174,7 @@ def find_rational_h(A, B, C, D, solution):
     that h = g0 l0 + g1 l1 + g2 l2 lies in k[x,y,z,t] (gamma-free) and
     is not proportional over k to the cubic form; returns
     (h, (l0, l1, l2)), polynomials in theta, gamma, x, y, z, t."""
-    th, gm, x, y, z, t = ring("theta", "gamma", "x", "y", "z", "t",
-                              base=_Poly)
+    th, gm, x, y, z, t = ring("theta", "gamma", "x", "y", "z", "t")
     zero = 0 * th
     rels = (th ** 2 + th + 1, gm ** 3 - Fraction(A * D, B * C))
     lam, mu, nu = (Fraction(q) for q in solution)
@@ -208,7 +183,7 @@ def find_rational_h(A, B, C, D, solution):
     # in l_i; h is linear in the unknowns, h = sum_j c_j H_j
     basis = [th ** a * gm ** b * v for v in (x, y, z, t)
              for a in range(2) for b in range(3)]
-    H = [_reduce(g * e, rels) for g in gs for e in basis]
+    H = [(g * e).rem(*rels) for g in gs for e in basis]
     # one equation per term theta^a gamma^b (b != 0) times a monomial
     rows = {}
     for j, Hj in enumerate(H):

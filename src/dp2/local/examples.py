@@ -41,19 +41,12 @@ def _check(condition: bool, message: str) -> str:
     return message
 
 
-def _reduce(expr, *relations):
-    """The lex remainder of expr modulo each relation in turn."""
-    for rel in relations:
-        expr = expr.rem(rel)
-    return expr
-
-
 def _vanishes(expr, *relations) -> bool:
     """Whether expr reduces to 0 by lex remainders modulo each relation
     in turn: their leading monomials are pairwise coprime (t^2, w^2 or
     u^4, t^2), so they form a Groebner basis and 0 means expr is in
     their ideal."""
-    return not _reduce(expr, *relations)
+    return not expr.rem(*relations)
 
 
 # --- conic-tangency family, first instance -------------------------------
@@ -356,7 +349,7 @@ def build_ex74() -> ExampleClass:
             + (X ** 2 + i_ * Y ** 2 - Z ** 2 - W * inv34)
             * (Y ** 2 + sqrt2 * Y * Z + Z ** 2
                + coef * (-Y ** 2 + i_ * Z ** 2)))
-    gred = _reduce(gfun, *rels)
+    gred = gfun.rem(*rels)
     parts = [Poly({(*m[:5], 0): c for m, c in gred.terms.items()
                    if m[5] == k}) for k in range(4)]
     h1 = (HALF * parts[0] + (4 - T) * HALF * parts[1]
@@ -366,7 +359,7 @@ def build_ex74() -> ExampleClass:
     transcript.append(_check(
         _vanishes(h1 - target, *rels),
         "h1 = w y^2 + w z^2 + x^2 y^2 + 8 x^2 y z + x^2 z^2 + y^4 - z^4"))
-    h1 = _reduce(h1, *rels)
+    h1 = h1.rem(*rels)
     h4 = h1 - 2 * Y ** 4 + 2 * Z ** 4
     hs = [h1, cyc(h1), cyc(cyc(h1)), h4, cyc(h4), cyc(cyc(h4))]
     if any(any(m[4:]) for h in hs for m in h.terms):

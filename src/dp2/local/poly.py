@@ -16,12 +16,14 @@ class carries g.
 
 `ring(*names)` gives the generators of Q[names], lex in the order
 given, as sympy.polys.rings.ring does.  Every Poly prints as sympy's
-str prints the same expression over its names.  This module imports
-the standard library only."""
+str prints the same expression over its names, and sympy reads it
+through the _sympy_ hook (sympy.sympify(h), sympy.cancel(h / form)).
+This module imports the standard library only."""
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 
@@ -129,6 +131,17 @@ class Poly:
                 text = ("-" if c < 0 else "") + term
         return text or "0"
 
+    def _sympy_(self):
+        """The same expression in sympy.  sympy calls this hook only
+        once it is loaded, so the hook takes it from sys.modules and
+        this module never imports it."""
+        sympy = sys.modules["sympy"]
+        gens = sympy.symbols(self.names)
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(g ** e for g, e in zip(gens, m)))
+            for m, c in self.terms.items()))
+
     def subs(self, gen, value):
         """Substitute the number or polynomial value for the generator
         gen, e.g. subs(W, 0) or subs(T, -T)."""
@@ -157,9 +170,16 @@ class Poly:
                            math.lcm(*(c.denominator for c in coeffs)))
         return content, (self / content if content else self)
 
-    def rem(self, divisor):
-        """The remainder of lex division by divisor over Q: no term of
-        it is divisible by the leading monomial of divisor."""
+    def rem(self, *divisors):
+        """The remainder of lex division over Q by each divisor in turn:
+        no term of the remainder by one divisor is divisible by its
+        leading monomial."""
+        out = self
+        for divisor in divisors:
+            out = out._rem(divisor)
+        return out
+
+    def _rem(self, divisor):
         lead = max(divisor.terms)
         lc = divisor.terms[lead]
         rest = {m: c for m, c in divisor.terms.items() if m != lead}
@@ -184,10 +204,10 @@ def _generators(cls):
                  for k in range(n))
 
 
-def ring(*names, base=Poly):
+def ring(*names):
     """The generators of Q[names] under lex in the order given: Polys of
-    a subclass of base that prints over names."""
-    return _generators(type(base.__name__, (base,),
+    a subclass that prints over names."""
+    return _generators(type("Poly", (Poly,),
                             {"__slots__": (), "names": names}))
 
 

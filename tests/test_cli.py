@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dp2.cli as cli
+from dp2 import arith
 
 
 def run(argv):
@@ -219,6 +220,14 @@ def test_hilbert_product_and_single_place():
     assert code == 2
     code, _, _ = run(["hilbert", "-A", "3", "-B", "5", "--place", "6"])
     assert code == 2
+
+
+def test_hilbert_past_the_rho_cap_exits_capacity(monkeypatch):
+    monkeypatch.setattr(arith, "_RHO_CAP", 2 ** 8)
+    code, out, err = run(["hilbert", "-A", str((10 ** 9 + 7) * (10 ** 9 + 9)),
+                          "-B", "5"])
+    assert (code, out) == (cli.EXIT_CAPACITY, "")
+    assert err.startswith("capacity: Pollard rho found no factor")
 
 
 def test_verify_sections():

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import cubic_sympy
 from dp2.local.cubic import (
-    _Poly,
     _column_remainder,
     column_identity_check,
     cubic_pipeline,
@@ -153,7 +152,7 @@ _coefficients = st.sampled_from([1, -1, 2, -3]) | st.builds(
 @example({(0, 0, 1, 0, 0, 1): -1}, 1)
 def test_printer_matches_sympy_str(terms, constant):
     # unit and integer coefficients and constant terms included
-    gen = ring(*_NAMES, base=_Poly)[0]
+    gen = ring(*_NAMES)[0]
     poly = type(gen)(terms) + constant
     expected = sympy.Add(*(
         sympy.Rational(c.numerator, c.denominator)

@@ -101,6 +101,8 @@ def test_arithmetic_matches_sympy_rings(f, g, d, k, n, c):
         assert (f ** n).terms == _from_ring(F ** n)
     assert (c - f).terms == _from_ring(c - F)
     assert f.rem(d).terms == _from_ring(F.rem(D))
+    if g:
+        assert f.rem(d, g).terms == _from_ring(F.rem(D).rem(G))
     assert f.diff(gen).terms == _from_ring(F.diff(ring_gen))
     assert f.subs(gen, c).terms == _from_ring(F.subs(ring_gen, c))
     assert f.subs(gen, -gen).terms \
@@ -114,6 +116,7 @@ def test_arithmetic_matches_sympy_rings(f, g, d, k, n, c):
         assert f.LC() == Fraction(int(F.LC.numerator), int(F.LC.denominator))
     if c:
         assert (f / c).terms == _from_ring(F.quo_ground(QQ(c)))
+    assert sympy.sympify(f) == _to_sympy(f)
 
 
 def test_no_float_coefficients():
