@@ -2,7 +2,6 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from dp2 import arith
 from dp2.arith import (
     _jacobi,
     _strong_lucas,
@@ -11,7 +10,6 @@ from dp2.arith import (
     is_prime,
     legendre,
 )
-from dp2.local import CapacityError
 
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
               321197185, 5394826801, 232250619601, 9746347772161)
@@ -82,14 +80,6 @@ def test_factorint_hard_cases():
              2 ** 70 + 1, (2 ** 61 - 1) * (2 ** 31 - 1) ** 2]
     for n in cases:
         assert factorint(n) == sympy.factorint(n), n
-
-
-def test_factorint_raises_capacity_error_past_the_rho_cap(monkeypatch):
-    # with rounds cut to 2^8 steps, rho cannot split two 10-digit primes
-    monkeypatch.setattr(arith, "_RHO_CAP", 2 ** 8)
-    with pytest.raises(CapacityError, match="19-digit composite"):
-        factorint((10 ** 9 + 7) * (10 ** 9 + 9))
-    assert factorint(1009 * 1013) == {1009: 1, 1013: 1}
 
 
 def test_legendre_matches_sympy():
