@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -70,19 +69,22 @@ class IndexTable(NamedTuple):
     tree: list
 
 
-@dataclass(frozen=True)
 class GModule:
     """A finite group with an integral action: elements are hashable,
-    multiplication is supplied, matrices give the action on Z^dim.  The
-    generators (all elements when none are given) must generate the
-    elements; `table` enforces this for every backend."""
+    multiplication is supplied, matrices give the action on Z^dim (any
+    mapping read by key).  The generators (all elements when none are
+    given) must generate the elements; `table` enforces this for every
+    backend."""
 
-    elements: tuple
-    identity: Any
-    mul: Callable[[Any, Any], Any]
-    dim: int
-    matrices: dict
-    generators: tuple = ()
+    def __init__(self, elements: tuple, identity: Any,
+                 mul: Callable[[Any, Any], Any], dim: int, matrices,
+                 generators: tuple = ()):
+        self.elements = elements
+        self.identity = identity
+        self.mul = mul
+        self.dim = dim
+        self.matrices = matrices
+        self.generators = generators
 
     def mat(self, g) -> Mat:
         return self.matrices[g]
@@ -138,12 +140,31 @@ class GModule:
         return out
 
 
+class _PicMatrices(dict):
+    """pic_rows(g) for the elements g of one subgroup, each built on its
+    first read, so through `matrix_of` and its check on the 56 curves and
+    -K; any other key raises KeyError, as a dict of all of them would."""
+
+    __slots__ = ("_group",)
+
+    def __init__(self, s):
+        super().__init__()
+        self._group = s
+
+    def __missing__(self, g):
+        if g not in self._group:
+            raise KeyError(g)
+        rows = self[g] = pic_rows(g)
+        return rows
+
+
 def pic_module(s) -> GModule:
     """The Picard lattice as a module over a subgroup of the generic
-    Galois group."""
-    mats = {g: pic_rows(g) for g in s.elements}
+    Galois group.  Its matrices are built on first read: a backend pays
+    only for the elements it reads (the presentation backend reads about
+    ten of 128)."""
     return GModule(elements=s.elements, identity=IDENTITY, mul=operator.mul,
-                   dim=8, matrices=mats,
+                   dim=8, matrices=_PicMatrices(s),
                    generators=s.generators if s.generators else (IDENTITY,))
 
 
@@ -181,13 +202,21 @@ def submodule_on_invariants(mod: GModule, h_elements, acting, gens=()) -> \
     return list(basis), sub
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class _CohomologyResult(NamedTuple):
     group: AbelianGroupType
     representatives: tuple
     backend: str
-    _subq: Optional[SubquotientResult] = field(default=None, repr=False,
-                                               compare=False)
+
+
+class CohomologyResult(_CohomologyResult):
+    """H^1 with its representatives; `_subq`, the subquotient they come
+    from, is kept beside the fields, out of the repr and of ==."""
+
+    def __new__(cls, group: AbelianGroupType, representatives: tuple,
+                backend: str, _subq: Optional[SubquotientResult] = None):
+        self = super().__new__(cls, group, representatives, backend)
+        self._subq = _subq
+        return self
 
 
 def _h1_result(z1, b1, nslots: int, d: int, backend: str) -> CohomologyResult:
@@ -521,8 +550,7 @@ def sigma1_to_standard(kind: str, mod: GModule, gens, u) -> dict:
 
 # --- extensions: 5-term sequence and the d2 chase -----------------------
 
-@dataclass(frozen=True)
-class ExtensionData:
+class ExtensionData(NamedTuple):
     """A semidirect decomposition of a group: abelian normal part with
     distinguished generators, and a complement whose elements serve as
     coset representatives."""
@@ -537,8 +565,7 @@ class ExtensionData:
         return {1: "cyclic", 2: "bicyclic"}[len(self.q_gens)]
 
 
-@dataclass(frozen=True)
-class FiveTermResult:
+class FiveTermResult(NamedTuple):
     h1_q_inv: CohomologyResult        # H^1(Q, M^H)
     h1_h: CohomologyResult            # H^1(H, M)
     invariant_coords: tuple           # coords of H^1(H,M)^Q elements

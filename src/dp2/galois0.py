@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .intlin import (AbelianGroupType, ColumnEchelon, IntMatrix,
                      smith_normal_form)
@@ -50,17 +50,22 @@ from .picard import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
+class _GroupElement(NamedTuple):
     chi: int
     e_s: int
     e_k: int
     e_m: int
 
-    def __post_init__(self):
-        if self.chi not in (1, 3, 5, 7) or self.e_s not in (0, 1) \
-                or not (0 <= self.e_k <= 3 and 0 <= self.e_m <= 3):
+
+class GroupElement(_GroupElement):
+    __slots__ = ()
+
+    def __new__(cls, chi: int, e_s: int, e_k: int, e_m: int):
+        self = super().__new__(cls, chi, e_s, e_k, e_m)
+        if chi not in (1, 3, 5, 7) or e_s not in (0, 1) \
+                or not (0 <= e_k <= 3 and 0 <= e_m <= 3):
             raise ValueError(f"bad element {self!r}")
+        return self
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         tw = self.chi % 4  # how self twists the (e_k, e_m) part of other
@@ -223,11 +228,28 @@ def _traces() -> tuple[int, ...]:
                  for m in map(pic_rows, ALL_ELEMENTS))
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    elements: tuple[GroupElement, ...]  # sorted
-    generators: tuple[GroupElement, ...]
-    onto_q: bool
+    """A subgroup of G0: its elements (sorted), the generators it was
+    built from, and whether it maps onto Q = G0/H."""
+
+    def __init__(self, elements: tuple[GroupElement, ...],
+                 generators: tuple[GroupElement, ...], onto_q: bool):
+        self.elements = elements
+        self.generators = generators
+        self.onto_q = onto_q
+
+    def _key(self) -> tuple:
+        return self.elements, self.generators, self.onto_q
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Subgroup and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("Subgroup(elements=%r, generators=%r, onto_q=%r)"
+                % self._key())
 
     @property
     def order(self) -> int:

@@ -9,9 +9,8 @@ GTM 138, 2.4); no entry is ever bounded or rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 
 def _as_rows(m) -> list[list[int]]:
@@ -20,19 +19,23 @@ def _as_rows(m) -> list[list[int]]:
     return [list(map(int, row)) for row in m]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major, exact entries."""
-
+class _IntMatrix(NamedTuple):
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+
+class IntMatrix(_IntMatrix):
+    """Dense integer matrix, row-major, exact entries."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count mismatch")
+        return super().__new__(cls, rows, cols, entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -63,25 +66,29 @@ class IntMatrix:
         return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
 
 
-@dataclass(frozen=True)
-class AbelianGroupType:
+class _AbelianGroupType(NamedTuple):
+    divisors: tuple[int, ...]
+    rank: int = 0
+
+
+class AbelianGroupType(_AbelianGroupType):
     """Isomorphism type of a finitely generated abelian group.
 
     ``divisors`` is the torsion part in divisibility-chain order (each
     entry >= 2, each dividing the next); ``rank`` is the free rank.
     """
 
-    divisors: tuple[int, ...]
-    rank: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, d in enumerate(self.divisors):
+    def __new__(cls, divisors: tuple[int, ...], rank: int = 0):
+        for i, d in enumerate(divisors):
             if d < 2:
                 raise ValueError("divisors must be >= 2")
-            if i and self.divisors[i] % self.divisors[i - 1]:
+            if i and divisors[i] % divisors[i - 1]:
                 raise ValueError("divisors must form a chain")
-        if self.rank < 0:
+        if rank < 0:
             raise ValueError("negative rank")
+        return super().__new__(cls, divisors, rank)
 
     @property
     def order(self) -> Optional[int]:
@@ -97,8 +104,7 @@ class AbelianGroupType:
         return " + ".join(parts) if parts else "(1)"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     S: IntMatrix
     U: IntMatrix
     V: IntMatrix
@@ -341,20 +347,16 @@ class ColumnEchelon:
         return tuple(x), True
 
 
-@dataclass
-class SubquotientResult:
+class SubquotientResult(NamedTuple):
+    """span(Z)/span(B) with lifted generators.  ``class_coords(vec)``
+    gives the coordinates of a vector's class w.r.t. the generators,
+    torsion coordinates reduced modulo the matching divisor; it raises
+    ValueError when the vector is outside span(Z)."""
+
     group: AbelianGroupType
     reps: list[tuple[int, ...]]       # torsion generators then free generators
     rep_orders: list[Optional[int]]   # matching orders (None = infinite)
-    _coords: Callable = None
-
-    def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of a vector's class w.r.t. the generators.
-
-        Torsion coordinates are reduced modulo the matching divisor.
-        Raises ValueError when the vector is outside span(Z).
-        """
-        return self._coords(vec)
+    class_coords: Callable[[Sequence[int]], tuple[int, ...]]
 
 
 def subquotient_structure(z_gens, b_gens, ambient_dim: Optional[int] = None) -> SubquotientResult:
@@ -418,4 +420,5 @@ def subquotient_structure(z_gens, b_gens, ambient_dim: Optional[int] = None) -> 
         out += [y[i] for i in free_idx]
         return tuple(out)
 
-    return SubquotientResult(group=group, reps=reps, rep_orders=orders, _coords=coords)
+    return SubquotientResult(group=group, reps=reps, rep_orders=orders,
+                             class_coords=coords)

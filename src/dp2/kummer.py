@@ -12,9 +12,9 @@ t^(1/4) = |t|^(1/4) zeta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import factorint
 from .galois0 import (
@@ -34,8 +34,7 @@ from .galois0 import (
 _FACTOR_CAP = 10 ** 18
 
 
-@dataclass(frozen=True)
-class ExponentVector:
+class ExponentVector(NamedTuple):
     """Finitely supported prime -> exponent map with a zeta_8 phase."""
 
     exps: tuple  # sorted tuples (prime, Fraction)
@@ -72,15 +71,13 @@ def exponent_vector(n: int, root_degree: int) -> ExponentVector:
     return ExponentVector(exps, phase)
 
 
-@dataclass(frozen=True)
-class RadicalMonomial:
+class RadicalMonomial(NamedTuple):
     s: int  # Z/2
     k: int  # Z/4
     m: int  # Z/4
 
 
-@dataclass(frozen=True)
-class KummerConstraint:
+class KummerConstraint(NamedTuple):
     monomial: RadicalMonomial
     eps: int    # exponent of sqrt(2)
     phi: int    # zeta_8 phase
@@ -151,8 +148,7 @@ def galois_group(A: int, B: int, C: int) -> Subgroup:
 
 # --- the twelve maximal classes -----------------------------------------
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(NamedTuple):
     index: int
     generators: tuple
     br_divisors: tuple

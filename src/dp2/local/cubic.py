@@ -35,8 +35,8 @@ system alone.  h prints as sympy's str prints the same expression."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..arith import integer_nthroot
 from .poly import ring
@@ -219,8 +219,7 @@ def find_rational_h(A, B, C, D, solution):
     return None
 
 
-@dataclass(frozen=True)
-class CubicReport:
+class CubicReport(NamedTuple):
     coefficients: tuple
     column_identity: bool
     norm_solution: tuple | None

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class ExampleClass:
+class ExampleClass(NamedTuple):
     surface: tuple
     classes: tuple
     transcript: tuple  # human-readable lines, each a verified fact

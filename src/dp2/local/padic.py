@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ DEPTH_CAP = {2: 12}
 DEPTH_CAP_ODD = 6
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(NamedTuple):
     w: int
     x: int
     y: int
@@ -79,13 +78,14 @@ def eval_terms(terms, w, x, y, z, mod=None):
     return acc % mod if mod is not None else acc
 
 
-@dataclass(frozen=True)
 class QuaternionClass:
-    """The class of the quaternion algebra (d, g) on the surface."""
+    """The class of the quaternion algebra (d, g) on the surface: g is a
+    Poly, or a (numerator, single-term denominator) pair of Polys."""
 
-    d: Fraction
-    g: object  # a Poly, or (numerator, single-term denominator) Polys
-    label: str = ""
+    def __init__(self, d: Fraction, g, label: str = ""):
+        self.d = d
+        self.g = g
+        self.label = label
 
     def numerator_terms(self):
         """Terms of num * squarefree(den): a representative of the same

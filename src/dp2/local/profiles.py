@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-# re-exported: both live in modules without dataclasses, which keeps
-# `import dp2.cli` light
+# re-exported: both live in the modules `import dp2.cli` loads, so the
+# CLI does not load this one
 from . import CapacityError
 from .hilbert import render_place
 
 
-@dataclass(frozen=True)
-class LocalProfile:
+class LocalProfile(NamedTuple):
     """Attained invariant vectors of the analyzed classes at one place.
 
     invariants holds tuples in Q/Z (one entry per class); method is
@@ -32,8 +31,7 @@ class LocalProfile:
                 and self.undetermined == 0)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     profiles: tuple
     conclusion: str  # obstructed | not_obstructed_by_class | inconclusive
 

@@ -10,8 +10,7 @@ forcing the alpha-exponent into {0, 1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 Vec = tuple[int, ...]
 
@@ -19,38 +18,48 @@ GRAM = (-1, -1, -1, -1, -1, -1, -1, 1)
 ANTICANONICAL: Vec = (-1, -1, -1, -1, -1, -1, -1, 3)
 
 
-@dataclass(frozen=True, order=True)
-class Axis:
+class _Axis(NamedTuple):
+    axis: str
+    d: int
+    sign: int
+
+
+class Axis(_Axis):
     """Curve above a line delta*?x + ?y = 0: axis names the quadratic sheet.
 
     ``axis`` is the coordinate whose square appears in w = +- (root)^2 * axis^2;
     ``d`` is the exponent of delta = zeta^d (odd mod 8); ``sign`` is +-1.
     """
 
-    axis: str
-    d: int
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.axis not in ("x", "y", "z") or self.d % 2 == 0 or self.d % 8 != self.d \
-                or self.sign not in (1, -1):
+    def __new__(cls, axis: str, d: int, sign: int):
+        self = super().__new__(cls, axis, d, sign)
+        if axis not in ("x", "y", "z") or d % 2 == 0 or d % 8 != d \
+                or sign not in (1, -1):
             raise ValueError(f"bad axis label {self!r}")
+        return self
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
+class _Triple(NamedTuple):
+    a: int
+    b: int
+    c: int
+
+
+class Triple(_Triple):
     """Curve above alpha*ax + beta*by + gamma*cz = 0, exponents mod 4.
 
     Canonical representative of the mu_2-quotient: a in {0, 1}.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.a <= 1 and 0 <= self.b <= 3 and 0 <= self.c <= 3):
+    def __new__(cls, a: int, b: int, c: int):
+        self = super().__new__(cls, a, b, c)
+        if not (0 <= a <= 1 and 0 <= b <= 3 and 0 <= c <= 3):
             raise ValueError(f"bad triple label {self!r}")
+        return self
 
 
 CurveLabel = Union[Axis, Triple]
@@ -128,8 +137,7 @@ def table1_identities() -> dict[CurveLabel, Vec]:
     return {lab: _add(_e(i, -1), _e(j, -1), V8) for lab, i, j in _TABLE1}
 
 
-@dataclass(frozen=True)
-class PicLattice:
+class PicLattice(NamedTuple):
     gram: Vec
     anticanonical: Vec
     class_table: dict  # CurveLabel -> Vec, all 56
@@ -207,8 +215,7 @@ def enumerate_roots() -> list[Vec]:
     return out
 
 
-@dataclass
-class LatticeReport:
+class LatticeReport(NamedTuple):
     ok: bool
     mismatches: list[str]
 

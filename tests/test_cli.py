@@ -98,6 +98,52 @@ def test_analyze_invariant_violation_exit_3(monkeypatch):
     assert "invariant violation" in err
 
 
+def test_analyze_builds_only_the_matrices_it_reads(cold_matrix_caches,
+                                                   monkeypatch):
+    # an order-128 group: the generators for Pic^s and the few elements
+    # the presentation backend reads, not all 128 matrices
+    g0 = cold_matrix_caches
+    calls = []
+    matrix_of = g0.matrix_of
+
+    def counting(g):
+        calls.append(g)
+        return matrix_of(g)
+
+    monkeypatch.setattr(g0, "matrix_of", counting)
+    d = run_json(["analyze", "-A", "28", "-B", "22", "-C", "3", "--json"])
+    assert d["galois"]["order"] == 128
+    assert 0 < len(calls) <= 16
+
+
+def test_analyze_checks_each_matrix_it_reads(cold_matrix_caches,
+                                             monkeypatch):
+    # a wrong curve permutation on an element that only the presentation
+    # backend reads is caught by matrix_of's check on the 56 curves
+    from dp2.cohomology import h1_presentation, pic_module
+    from dp2.kummer import galois_group
+
+    g0 = cold_matrix_caches
+    s = galois_group(28, 22, 3)
+    mod = pic_module(s)
+    h1_presentation(mod)
+    target = min(set(mod.matrices) - set(s.generators))
+    g0.matrix_of.cache_clear()
+    g0.pic_rows.cache_clear()
+    curve_indices = g0._curve_indices
+
+    def wrong(g):
+        perm = list(curve_indices(g))
+        if g == target:  # swap two curves: no longer an isometry
+            perm[0], perm[30] = perm[30], perm[0]
+        return tuple(perm)
+
+    monkeypatch.setattr(g0, "_curve_indices", wrong)
+    code, out, err = run(["analyze", "-A", "28", "-B", "22", "-C", "3"])
+    assert code == 3 and not out
+    assert f"induced matrix inconsistent for {target}" in err
+
+
 def test_resolution_backend_on_abelian_group():
     d = run_json(["analyze", "-A", "1", "-B", "1", "-C", "1", "--json",
                   "--backend", "resolution"])
@@ -370,6 +416,41 @@ def test_local_subcommands_load_no_group_modules():
     assert done.stdout.split() == ["[]", "[]"]
 
 
+def test_no_subcommand_loads_dataclasses():
+    # records in src/dp2 are NamedTuples or plain classes: dataclasses
+    # and the inspect, dis and ast it imports cost about 25 ms a request.
+    # numpy imports those three as well, so after the local requests,
+    # which load numpy, only dataclasses is checked
+    script = (
+        "import io, sys\n"
+        "import dp2.cli as cli\n"
+        "for argv in (['analyze', '-A', '28', '-B', '22', '-C', '3'],\n"
+        "             ['analyze', '-A', '-5', '-B', '-5', '-C', '-14',\n"
+        "              '--backend', 'all', '--json'],\n"
+        "             ['analyze', '-A', '-10', '-B', '49', '-C', '36',\n"
+        "              '--backend', 'standard'],\n"
+        "             ['analyze', '-A', '1', '-B', '1', '-C', '1',\n"
+        "              '--backend', 'resolution'],\n"
+        "             ['scan'], ['hilbert', '-A', '3', '-B', '5'],\n"
+        "             ['cubic', '-A', '1', '-B', '2', '-C', '3', '-D', '4']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'dis', 'ast')\n"
+        "             if m in sys.modules))\n"
+        "assert cli.main(['verify'], out=io.StringIO()) == 0\n"
+        "for a, b, c in ((-25, -5, 45), (-6, -3, 2), (-126, -91, 78),\n"
+        "                (34, 34, 34), (-9826, -2, 136)):\n"
+        "    argv = ['obstruct', '-A', str(a), '-B', str(b), '-C', str(c)]\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print(sorted(m for m in ('dataclasses', 'numpy')\n"
+        "             if m in sys.modules))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[]", "['numpy']"]
+
+
 def _imports(node, on_import_only):
     """(module, level) of each import under node; with on_import_only,
     not those in function bodies, which run only when called."""
@@ -449,6 +530,14 @@ def test_sympy_imported_at_top_level_only_where_it_belongs():
             for module, level in _imports(tree, on_import_only=False):
                 assert level == 0 and module.split(".")[0] \
                     in sys.stdlib_module_names, module
+
+
+def test_no_dp2_module_imports_dataclasses():
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "dp2"
+    for path in sorted(root.rglob("*.py")):
+        for module, level in _imports(ast.parse(path.read_text()),
+                                      on_import_only=False):
+            assert (level, module.split(".")[0]) != (0, "dataclasses"), path
 
 
 def test_trace_layer_names_resolve():

@@ -129,6 +129,23 @@ def test_standard_guard():
         h1_standard(pic_module(G0))
 
 
+def test_pic_module_builds_each_matrix_on_first_read():
+    from dp2.galois0 import pic_rows
+
+    s = generate_subgroup([IOTA_A, IOTA_B, SIGMA])
+    mats = pic_module(s).matrices
+    outside = next(g for g in ALL_ELEMENTS if g not in s)
+    with pytest.raises(KeyError):
+        mats[outside]
+    assert not mats
+    assert mats[SIGMA] == pic_rows(SIGMA) and list(mats) == [SIGMA]
+    # the standard complex reads every element's matrix
+    mod = pic_module(s)
+    assert s.order <= 32
+    assert h1_standard(mod).group == h1_presentation(pic_module(s)).group
+    assert sorted(mod.matrices) == list(s.elements)
+
+
 def test_standard_refuses_non_generating_generators():
     s = generate_subgroup([IOTA_A, IOTA_B])
     base = pic_module(s)
@@ -571,14 +588,12 @@ def test_h1_type_refuses_non_generating_generators():
 
 
 def test_h1_type_checks_that_the_order_kills_h1(monkeypatch):
-    import dataclasses
-
     import dp2.galois0 as galois0
     from dp2.intlin import smith_normal_form
 
     def with_a_three(m):
         dec = smith_normal_form(m)
-        return dataclasses.replace(dec, divisors=dec.divisors + (3,))
+        return dec._replace(divisors=dec.divisors + (3,))
 
     monkeypatch.setattr(galois0, "smith_normal_form", with_a_three)
     with pytest.raises(AssertionError, match="do not divide"):

@@ -165,21 +165,6 @@ def test_matrix_of_matches_curve_image_oracle():
         assert pic_rows(g) == _curve_image_rows(g), g
 
 
-@pytest.fixture
-def cold_matrix_caches():
-    """Empty the Picard-matrix caches before and after the test, so that
-    the test builds its matrices from the generator permutations and
-    leaves nothing it built behind."""
-    import dp2.galois0 as g0
-    caches = (g0.matrix_of, g0.pic_rows, g0._traces, g0._curve_indices,
-              g0._generator_perms)
-    for f in caches:
-        f.cache_clear()
-    yield g0
-    for f in caches:
-        f.cache_clear()
-
-
 def test_matrix_of_rejects_a_wrong_generator_permutation(
         cold_matrix_caches, monkeypatch):
     g0 = cold_matrix_caches
