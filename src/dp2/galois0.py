@@ -238,19 +238,6 @@ class Subgroup:
         self.generators = generators
         self.onto_q = onto_q
 
-    def _key(self) -> tuple:
-        return self.elements, self.generators, self.onto_q
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Subgroup and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return ("Subgroup(elements=%r, generators=%r, onto_q=%r)"
-                % self._key())
-
     @property
     def order(self) -> int:
         return len(self.elements)

@@ -149,7 +149,7 @@ def galois_group(A: int, B: int, C: int) -> Subgroup:
 # --- the twelve maximal classes -----------------------------------------
 
 class Table2Row(NamedTuple):
-    index: int
+    index: int  # the row number; the field shadows tuple.index
     generators: tuple
     br_divisors: tuple
     pic_rank: int
