@@ -131,7 +131,7 @@ def scan_theorem() -> dict:
     H^1 forces fixed rank >= 2, and the fingerprint/class counts
     sandwich the true conjugacy-class count 194."""
     from .galois0 import enumerate_subgroups_onto_Q, fingerprint, \
-        fixed_sublattice, h1_type
+        fixed_rank, h1_type
 
     subs = enumerate_subgroups_onto_Q()
     attained = set()
@@ -141,7 +141,7 @@ def scan_theorem() -> dict:
             raise InvariantViolation(
                 f"H^1 = {t.render()} for generators {s.generators}")
         attained.add(tuple(t.divisors))
-        if not t.divisors and len(fixed_sublattice(s)) < 2:
+        if not t.divisors and fixed_rank(s) < 2:
             raise InvariantViolation(
                 f"trivial H^1 with fixed rank < 2 for generators "
                 f"{s.generators}")

@@ -14,18 +14,28 @@ the matrix on all 56 curve classes and on -K.
 The subgroup machinery runs on integers.  An element has the index
 32 * (chi // 2) + 16 * e_s + 4 * e_k + e_m, its position in the sorted
 ALL_ELEMENTS (the identity is 0), and a subgroup is the 128-bit mask with
-bit i set for each element index i it contains.  `_tables()` builds the
-product table by arithmetic on the coordinates (row g is the left
-multiplication x -> g x), the conjugation permutations x -> g x g^-1 from
-it, and the six S3 relabelings as index permutations.  A map moves a mask
-by permuting its bits; the enumeration and the orbits decode each mask
-once (`_members`) and permute its member list.  Every subgroup here,
-from `generate_subgroup` to the Kummer constraints and the generating
-sets of the short resolutions, is closed over that table by
-`_closure_mask`, the one subgroup-closure routine of the package, which
-the H^1 backends of `cohomology` import and run on each module's own
-index table.  `fixed_sublattice` and `h1_type` read Pic^s and the type of
-H^1(s, Pic) from the same stacked (g - 1) rows.
+bit i set for each element index i it contains.  Each table is built on
+first use, so a request pays only for those it reads.  `_mul()` is the
+product table, by arithmetic on the coordinates (row g is the left
+multiplication x -> g x), and `_inverses()` reads the inverses from it.
+Every subgroup here, from `generate_subgroup` to the Kummer constraints
+and the generating sets of the short resolutions, is closed over that
+table by `_closure_mask`, the one subgroup-closure routine of the
+package, which the H^1 backends of `cohomology` import and run on each
+module's own index table.  Orbits under conjugation and the S3
+relabelings read nibble tables of the five generator conjugations and
+of two transpositions of S3 (`_orbit_tables`), which move a mask four
+bits at a time.  Only the subgroup enumeration of `scan` builds all 128
+conjugation permutations and the six S3 maps (`_tables()`) and, from
+them, the masks of square roots and of conjugators (`_extension_tables`)
+that read its normaliser test off a generating set.
+
+A subgroup's invariants are read from its generators, once checked to
+generate it: s / [s, s] with [s, s] the normal closure of their
+commutators, the curve orbits of their permutations, and the type of
+H^1(s, Pic) with the rank of Pic^s from one column echelon of the
+stacked (g - 1) rows, cached per element set.  `fixed_sublattice` reads
+a basis of Pic^s from the same rows.
 GroupElement and Subgroup remain the public face.
 """
 
@@ -296,13 +306,13 @@ def _subgroup(mask: int, gens=None) -> Subgroup:
     elems = tuple(ALL_ELEMENTS[i] for i in _members(mask))
     return Subgroup(
         elements=elems,
-        generators=_minimal_generators(elems) if gens is None else gens,
+        generators=_minimal_generators(mask) if gens is None else gens,
         onto_q=all(mask & coset for coset in _CHI_COSETS))
 
 
 def generate_subgroup(gens) -> Subgroup:
     gens = tuple(gens)
-    return _subgroup(_closure_mask(_tables()[0], [_INDEX[g] for g in gens], 0),
+    return _subgroup(_closure_mask(_mul(), [_INDEX[g] for g in gens], 0),
                      gens)
 
 # the six relabelings of the roles of A, B, C, as automorphisms of G0
@@ -330,37 +340,101 @@ S3_MAPS = {
 # --- subgroup enumeration ------------------------------------------------
 
 @lru_cache(maxsize=1)
+def _mul() -> list[list[int]]:
+    """Product table on element indices: row g is the left multiplication
+    x -> g x.  By the composition law, chi and e_s of g x fix its block
+    of 16 indices, and its (e_k, e_m) part depends only on that of g,
+    that of x and the twist chi mod 4 of g.  So row g is one twisted
+    (e_k, e_m) row, offset by each of the eight block bases in turn."""
+    twisted = {tw: [[(k1 + tw * k2) % 4 * 4 + (m1 + tw * m2) % 4
+                     for k2 in range(4) for m2 in range(4)]
+                    for k1 in range(4) for m1 in range(4)]
+               for tw in (1, 3)}
+    chis = (1, 3, 5, 7)
+    return [[base + v
+             for base in [c1 * c2 % 8 // 2 * 32 + (s1 ^ s2) * 16
+                          for c2 in chis for s2 in (0, 1)]
+             for v in twisted[c1 % 4][km]]
+            for c1 in chis for s1 in (0, 1) for km in range(16)]
+
+
+@lru_cache(maxsize=1)
+def _inverses() -> tuple[int, ...]:
+    """Index of the inverse of every element, in index order."""
+    return tuple(row.index(0) for row in _mul())
+
+
+def _conjugation(g: int) -> list[int]:
+    """x -> g x g^-1 on element indices."""
+    mul, gi = _mul(), _inverses()[g]
+    return [mul[y][gi] for y in mul[g]]
+
+
+@lru_cache(maxsize=1)
 def _tables():
     """Product table, conjugation permutations (x -> g x g^-1, one per g)
-    and the six S3 relabelings, all on element indices."""
-    coords = [(g.chi, g.e_s, g.e_k, g.e_m) for g in ALL_ELEMENTS]
-    mul = [[c1 * c2 % 8 // 2 * 32 + (s1 + s2) % 2 * 16
-            + (k1 + c1 % 4 * k2) % 4 * 4 + (m1 + c1 % 4 * m2) % 4
-            for c2, s2, k2, m2 in coords]
-           for c1, s1, k1, m1 in coords]
-    inv = [row.index(0) for row in mul]
-    conj = [tuple(mul[mul[g][x]][inv[g]] for x in range(128))
-            for g in range(128)]
+    and the six S3 relabelings, all on element indices.  Of the last
+    two, `_extension_tables` reads the conjugations: `analyze` builds
+    none of them, and `_orbit` reads nibble tables of its own."""
+    conj = [tuple(_conjugation(g)) for g in range(128)]
     s3 = [tuple(_INDEX[phi(x)] for x in ALL_ELEMENTS)
           for phi in S3_MAPS.values()]
-    return mul, conj, s3
+    return _mul(), conj, s3
+
+
+@lru_cache(maxsize=1)
+def _extension_tables():
+    """roots[h], the mask of the i with i^2 = h, and into[g][h], the mask
+    of the i with i g i^-1 = h."""
+    mul, conj, _ = _tables()
+    roots = [0] * 128
+    into = [[0] * 128 for _ in range(128)]
+    for i, perm in enumerate(conj):
+        bit = 1 << i
+        roots[mul[i][i]] |= bit
+        for g, h in enumerate(perm):
+            into[g][h] |= bit
+    return roots, into
 
 
 @lru_cache(maxsize=1)
 def _orders() -> tuple[int, ...]:
     """Order of every element, in index order: the size of <g>."""
-    mul = _tables()[0]
+    mul = _mul()
     return tuple(_closure_mask(mul, [g], 0).bit_count() for g in range(128))
 
 
 def __getattr__(name: str):
     """G0, the whole group, built on first use: no subcommand reads it,
-    and building it at import would run _tables() in every process
-    that imports galois0."""
+    and building it at import would run _mul() in every process that
+    imports galois0."""
     if name == "G0":
         globals()["G0"] = g0 = generate_subgroup(GENERATORS.values())
         return g0
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _nibble_table(perm) -> list[int]:
+    """An index permutation on masks, four bits at a time: entry
+    16 k + v is the image of the bits v << 4k."""
+    out = [0] * 512
+    for j in range(512):
+        v = j & 15
+        if v:
+            low = v & -v
+            out[j] = out[j ^ low] | 1 << perm[j >> 4 << 2
+                                               | low.bit_length() - 1]
+    return out
+
+
+@lru_cache(maxsize=1)
+def _orbit_tables() -> tuple[list[int], ...]:
+    """Nibble tables of the conjugations by the five generators, then of
+    the ab and bc relabelings, the two transpositions generating S3."""
+    perms = [_conjugation(_INDEX[g]) for g in GENERATORS.values()]
+    perms += [[_INDEX[phi(x)] for x in ALL_ELEMENTS]
+              for phi in (_PHI_AB, _PHI_BC)]
+    return tuple(map(_nibble_table, perms))
 
 
 _ORBITS: dict[tuple[int, bool], frozenset[int]] = {}
@@ -371,15 +445,19 @@ def _orbit(mask: int, with_s3: bool = False) -> frozenset[int]:
     relabelings too when with_s3; memoised for every member."""
     orbit = _ORBITS.get((mask, with_s3))
     if orbit is None:
-        _, conj, s3 = _tables()
-        perms = [conj[_INDEX[g]] for g in GENERATORS.values()]
-        if with_s3:
-            perms += s3[1:3]  # ab and bc: transpositions generating S3
+        tables = _orbit_tables()[:7 if with_s3 else 5]
         found, frontier = {mask}, [mask]
         while frontier:
-            members = _members(frontier.pop())
-            for p in perms:  # a permutation: distinct bits, so sum = union
-                img = sum(1 << p[h] for h in members)
+            cur, keys, k = frontier.pop(), [], 0
+            while cur:  # one table key per nonzero nibble
+                if cur & 15:
+                    keys.append(k | cur & 15)
+                cur >>= 4
+                k += 16
+            for table in tables:
+                img = 0
+                for j in keys:
+                    img |= table[j]
                 if img not in found:
                     found.add(img)
                     frontier.append(img)
@@ -399,15 +477,17 @@ def _canon_conj_s3(mask: int) -> int:
     return min(_orbit(mask, with_s3=True))
 
 
-def _minimal_generators(elems) -> tuple[GroupElement, ...]:
+def _minimal_generators(mask: int) -> tuple[GroupElement, ...]:
+    """Generators of the subgroup mask, taken greedily by descending
+    order, then by index."""
+    orders, mul = _orders(), _mul()
     chosen: list[int] = []
     have = 1
-    for g in sorted(elems, key=lambda e: (-e.order(), e)):
-        i = _INDEX[g]
+    for i in sorted(_members(mask), key=lambda i: -orders[i]):
         if not have >> i & 1:
             chosen.append(i)
-            have = _closure_mask(_tables()[0], chosen, 0)
-            if have.bit_count() == len(elems):
+            have = _closure_mask(mul, chosen, 0)
+            if have == mask:
                 break
     return tuple(ALL_ELEMENTS[i] for i in chosen)
 
@@ -419,30 +499,48 @@ def all_subgroup_classes() -> tuple[int, ...]:
     Every subgroup of a 2-group of order 2^{n+1} is generated by an
     index-2 (hence normal) subgroup together with one extra element, so a
     layered extension of conjugacy-class representatives is exhaustive.
+
+    Each new class is carried as the subgroup actually built, with the
+    generators of its parent and the one extra element, which is a
+    conjugate c M c^-1 of the canonical mask M, not M itself.  That finds
+    the same classes: i normalises c M c^-1 with i^2 in it exactly when
+    c^-1 i c normalises M with its square in M, and then
+    <c M c^-1, i> = c <M, c^-1 i c> c^-1.  So the extensions of the
+    conjugate are the conjugates of the extensions of M, and their
+    canonical masks are the same.
+
+    The generators make the normaliser test a few ORs: conjugation by i
+    is an automorphism, so i normalises a subgroup once it maps each
+    generator g into it, that is once i lies in into[g][h] for a member h.
     """
-    mul, conj, _ = _tables()
-    layer = {1 << _INDEX[IDENTITY]}
-    seen = set(layer)
+    mul = _mul()
+    roots, into = _extension_tables()
+    trivial = 1 << _INDEX[IDENTITY]
+    layer, seen = [(trivial, ())], {trivial}
     while layer:
-        nxt = set()
-        for mask in layer:
+        nxt = []
+        for mask, gens in layer:
             members = _members(mask)
-            done = mask  # elements whose extension has been taken
-            for i in range(128):
-                # conj[i] is a bijection, so i normalises mask once it maps
-                # every member into mask
-                if done >> i & 1 or not mask >> mul[i][i] & 1 \
-                        or not all(mask >> conj[i][h] & 1 for h in members):
-                    continue
-                # i normalises mask and i^2 lies in it, so <mask, i> is
-                # the union of mask and its coset i.mask; every element of
-                # that coset gives the same extension
-                new = mask | sum(1 << mul[i][h] for h in members)
-                done |= new
+            cands = 0  # the i with i^2 in mask that normalise it
+            for h in members:
+                cands |= roots[h]
+            for g in gens:
+                row, into_mask = into[g], 0
+                for h in members:
+                    into_mask |= row[h]
+                cands &= into_mask
+            cands &= ~mask
+            while cands:
+                # <mask, i> is the union of mask and its coset i.mask;
+                # every element of that coset gives the same extension
+                i = (cands & -cands).bit_length() - 1
+                row = mul[i]
+                new = mask | sum(1 << row[h] for h in members)
+                cands &= ~new
                 canon = _canon_conj(new)
                 if canon not in seen:
                     seen.add(canon)
-                    nxt.add(canon)
+                    nxt.append((new, gens + (i,)))
         layer = nxt
     return tuple(sorted(seen))
 
@@ -478,17 +576,39 @@ def _abelian_type_from_orders(orders) -> tuple[int, ...]:
                  for i in reversed(range(ranks[0] if ranks else 0)))
 
 
+def _generator_indices(s: Subgroup) -> list[int]:
+    """Indices of s.generators, checked to generate s: what is read from
+    the generators alone holds for s only then."""
+    gens = [_INDEX[g] for g in s.generators]
+    if _closure_mask(_mul(), gens, 0) != s.mask():
+        raise AssertionError("generators do not generate the subgroup")
+    return gens
+
+
 def abelianization(s: Subgroup) -> tuple[int, ...]:
     """Invariant factors (ascending) of s / [s, s]."""
-    mul, _, _ = _tables()
-    idx = [_INDEX[g] for g in s.elements]
-    inv = {g: mul[g].index(0) for g in idx}
-    derived = _closure_mask(mul, {mul[mul[inv[g]][inv[h]]][mul[g][h]]
-                                  for g in idx for h in idx}, 0)
+    return _abelian_type(s.mask(), _generator_indices(s))
+
+
+def _abelian_type(mask: int, gens: list[int]) -> tuple[int, ...]:
+    """Invariant factors of s / [s, s] for the subgroup mask and checked
+    generator indices.  [s, s] is the normal closure in s of the
+    commutators of the generators: s modulo that closure is generated by
+    commuting images, so abelian."""
+    mul, inv = _mul(), _inverses()
+    normal = list({mul[mul[inv[g]][inv[h]]][mul[g][h]]
+                   for g in gens for h in gens})
+    derived = _closure_mask(mul, normal, 0)
+    for x in normal:  # grows by the conjugates that fall outside
+        for g in gens:
+            y = mul[mul[g][x]][inv[g]]
+            if not derived >> y & 1:
+                normal.append(y)
+                derived = _closure_mask(mul, normal, 0)
     # the order of each coset g[s, s] in the quotient
     orders = []
     done = 0
-    for g in idx:
+    for g in _members(mask):
         if done >> g & 1:
             continue
         done |= _apply_perm(derived, mul[g])
@@ -515,6 +635,26 @@ def fixed_sublattice(s: Subgroup):
 
 
 _H1_TYPE_BY_MASK: dict[int, AbelianGroupType] = {}
+# the rank of Pic^s, 8 - rank D, recorded by `_h1_cokernel`
+_FIXED_RANK_BY_MASK: dict[int, int] = {}
+
+
+def _h1_and_fixed_rank(s: Subgroup) -> tuple[AbelianGroupType, int]:
+    """h1_type(s) and the rank of Pic^s, from one column echelon per
+    element set.  Every call checks that the generators generate s,
+    which `_h1_cokernel` does on a miss."""
+    key = s.mask()
+    t = _H1_TYPE_BY_MASK.get(key)
+    if t is None:
+        t = _H1_TYPE_BY_MASK[key] = _h1_cokernel(s)
+    else:
+        _generator_indices(s)
+    return t, _FIXED_RANK_BY_MASK[key]
+
+
+def fixed_rank(s: Subgroup) -> int:
+    """len(fixed_sublattice(s)), read from the echelon `h1_type` builds."""
+    return _h1_and_fixed_rank(s)[1]
 
 
 def h1_type(s: Subgroup) -> AbelianGroupType:
@@ -542,11 +682,7 @@ def h1_type(s: Subgroup) -> AbelianGroupType:
 
     Hence H^1 = Z^1/B^1 = sat(D.M)/D.M = tors(M^k / D.M), with no
     relators and no basis of Z^1."""
-    key = s.mask()
-    t = _H1_TYPE_BY_MASK.get(key)
-    if t is None:
-        t = _H1_TYPE_BY_MASK[key] = _h1_cokernel(s)
-    return t
+    return _h1_and_fixed_rank(s)[0]
 
 
 def _h1_cokernel(s: Subgroup) -> AbelianGroupType:
@@ -554,42 +690,63 @@ def _h1_cokernel(s: Subgroup) -> AbelianGroupType:
     echelon of D^T, D^T V = E, and one Smith form of its at most d x d
     nonzero part: D and E^T differ by the unimodular V^T, so they share
     Smith divisors.  Two runtime checks: the generators generate s, and
-    |s| kills H^1."""
-    if _closure_mask(_tables()[0], [_INDEX[g] for g in s.generators], 0) \
-            != s.mask():
-        raise AssertionError("generators do not generate the subgroup")
+    |s| kills H^1.  The kernel of D is Pic^s, so its rank 8 - rank E is
+    recorded in `_FIXED_RANK_BY_MASK`."""
+    _generator_indices(s)
     ech = ColumnEchelon(list(zip(*_pic_differences(s))))
     divisors = tuple(q for q in smith_normal_form(ech.image_basis()).divisors
                      if q > 1)
     if any(s.order % q for q in divisors):
         raise AssertionError(
             f"H^1 divisors {divisors} do not divide |G| = {s.order}")
+    _FIXED_RANK_BY_MASK[s.mask()] = 8 - ech.rank
     return AbelianGroupType(divisors)
 
 
 def curve_orbit_lengths(s: Subgroup) -> tuple[int, ...]:
-    perms = [_curve_indices(g) for g in s.elements]
-    orbits = {frozenset(p[i] for p in perms) for i in range(56)}
-    return tuple(sorted(map(len, orbits)))
+    """Lengths (ascending) of the orbits of s on the 56 curves."""
+    _generator_indices(s)
+    return _curve_orbit_lengths(s.generators)
+
+
+def _curve_orbit_lengths(gens) -> tuple[int, ...]:
+    """Orbit lengths of the group generated by gens on the 56 curves:
+    those of the generator permutations, as the group is finite."""
+    perms = [_curve_indices(g) for g in gens]
+    lengths, seen = [], 0
+    for start in range(56):
+        if seen >> start & 1:
+            continue
+        seen |= 1 << start
+        orbit = [start]
+        for x in orbit:  # grows by each new image
+            for p in perms:
+                if not seen >> p[x] & 1:
+                    seen |= 1 << p[x]
+                    orbit.append(p[x])
+        lengths.append(len(orbit))
+    return tuple(sorted(lengths))
 
 
 def fingerprint(s: Subgroup) -> tuple:
     """Conjugation-invariant summary used to group subgroups that could be
     identified by a lattice automorphism."""
-    trace = _traces()
+    h1, rank = _h1_and_fixed_rank(s)  # checks the generators
+    mask = s.mask()
+    members, orders, trace = _members(mask), _orders(), _traces()
     return (
         s.order,
-        abelianization(s),
-        max(g.order() for g in s.elements),
-        curve_orbit_lengths(s),
-        len(fixed_sublattice(s)),
-        tuple(sorted(trace[_INDEX[g]] for g in s.elements)),
-        h1_type(s).divisors,
+        _abelian_type(mask, [_INDEX[g] for g in s.generators]),
+        max(orders[i] for i in members),
+        _curve_orbit_lengths(s.generators),
+        rank,
+        tuple(sorted(trace[i] for i in members)),
+        h1.divisors,
     )
 
 
 def is_abelian(elems) -> bool:
-    mul = _tables()[0]
+    mul = _mul()
     idx = [_INDEX[g] for g in elems]
     return all(mul[g][h] == mul[h][g] for g in idx for h in idx)
 
@@ -597,7 +754,7 @@ def is_abelian(elems) -> bool:
 def _abelian_generators(s: Subgroup):
     """Elements realizing a direct-product decomposition: the product of
     their orders equals |s| and together they generate s."""
-    orders, mul = _orders(), _tables()[0]
+    orders, mul = _orders(), _mul()
     els = sorted(_members(s.mask()), key=lambda i: -orders[i])
     for r in range(1, 4):
         for gens in itertools.combinations(els, r):
@@ -609,7 +766,7 @@ def _abelian_generators(s: Subgroup):
 
 def _dihedral_generators(s: Subgroup):
     """Two involutions generating s with their product of order |s|/2."""
-    orders, mul = _orders(), _tables()[0]
+    orders, mul = _orders(), _mul()
     invs = [i for i in _members(s.mask()) if orders[i] == 2]
     for a, b in itertools.combinations(invs, 2):
         if orders[mul[a][b]] * 2 == s.order \
@@ -626,7 +783,7 @@ def _complement_search(s: Subgroup, n_set: set) -> Subgroup | None:
     n_mask = sum(1 << _INDEX[g] for g in n_set)
     for i, t1 in enumerate(cands):
         for t2 in cands[i:]:
-            t = _closure_mask(_tables()[0], [t1, t2], 0)
+            t = _closure_mask(_mul(), [t1, t2], 0)
             if t.bit_count() != need or (t & n_mask).bit_count() != 1:
                 continue
             elems = tuple(ALL_ELEMENTS[j] for j in _members(t))
@@ -649,5 +806,5 @@ def semidirect_decomposition(s: Subgroup):
             continue
         t = _complement_search(s, set(n_elems))
         if t is not None:
-            return (generate_subgroup(_minimal_generators(n_elems)), t)
+            return _subgroup(sum(1 << _INDEX[g] for g in n_elems)), t
     return None

@@ -516,6 +516,36 @@ def test_scan_and_order_four_obstruct_load_no_cohomology():
     assert done.stdout.split() == ["False", "False"]
 
 
+def test_analyze_builds_no_conjugation_or_extension_tables():
+    # analyze reads the product table and the conjugations by the five
+    # generators (in table2_match's orbits); the 128 conjugation
+    # permutations, the six S3 maps and the roots/into masks are the
+    # subgroup enumeration's, which only scan runs
+    script = (
+        "import io\n"
+        "import dp2.cli as cli\n"
+        "import dp2.galois0 as g0\n"
+        "for argv in (['analyze', '-A', '-5', '-B', '-5', '-C', '-14',\n"
+        "              '--backend', 'all'],\n"
+        "             ['analyze', '-A', '-16', '-B', '-35', '-C', '29'],\n"
+        "             ['analyze', '-A', '-13', '-B', '-6', '-C', '23',\n"
+        "              '--json'],\n"
+        "             ['analyze', '-A', '1', '-B', '1', '-C', '1',\n"
+        "              '--backend', 'resolution'],\n"
+        "             ['analyze', '-A', '-10', '-B', '49', '-C', '36',\n"
+        "              '--backend', 'standard']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print(g0._tables.cache_info().currsize,\n"
+        "      g0._extension_tables.cache_info().currsize,\n"
+        "      bool(g0._ORBITS))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "True"]
+
+
 def test_sympy_imported_at_top_level_only_where_it_belongs():
     # nowhere: sympy is a test-only oracle
     root = pathlib.Path(__file__).resolve().parents[1] / "src" / "dp2"

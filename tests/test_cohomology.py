@@ -558,6 +558,33 @@ def test_scan_computes_h1_once_per_class(monkeypatch):
     assert presented == []
 
 
+def test_scan_builds_one_echelon_per_class(monkeypatch):
+    # the fixed rank is read from the column echelon behind H^1, so
+    # scan_theorem runs no fixed_sublattice and one echelon per class
+    import dp2.cli as cli
+    import dp2.galois0 as galois0
+    from dp2.intlin import ColumnEchelon
+
+    kernels, echelons = [], []
+    fixed_sublattice, init = galois0.fixed_sublattice, ColumnEchelon.__init__
+
+    def counting_fixed_sublattice(s):
+        kernels.append(s.mask())
+        return fixed_sublattice(s)
+
+    def counting_init(self, rows_in):
+        echelons.append(len(rows_in))
+        init(self, rows_in)
+
+    monkeypatch.setattr(galois0, "_H1_TYPE_BY_MASK", {})
+    monkeypatch.setattr(galois0, "_FIXED_RANK_BY_MASK", {})
+    monkeypatch.setattr(galois0, "fixed_sublattice", counting_fixed_sublattice)
+    monkeypatch.setattr(ColumnEchelon, "__init__", counting_init)
+    cli.scan_theorem()
+    assert kernels == []
+    assert len(echelons) == 243
+
+
 def test_h1_type_matches_presentation_on_every_class():
     # all 1,500 conjugacy classes of subgroups of G0, onto Q or not
     classes = all_subgroup_classes()

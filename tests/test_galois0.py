@@ -14,11 +14,13 @@ from dp2.galois0 import (
     SIGMA,
     TAU,
     GroupElement,
+    Subgroup,
     abelianization,
     act_on_curve,
     curve_orbit_lengths,
     enumerate_subgroups_onto_Q,
     fingerprint,
+    fixed_rank,
     fixed_sublattice,
     generate_subgroup,
     matrix_of,
@@ -441,6 +443,62 @@ def test_subgroup_classes_match_permuted_mask_oracle():
     classes = all_subgroup_classes()
     assert classes == _all_subgroup_classes_oracle()
     assert len(classes) == 1500
+
+
+def _abelianization_oracle(s):
+    """s / [s, s] with [s, s] closed over all |s|^2 commutators, and
+    each inverse found by a search of its product-table row."""
+    import dp2.galois0 as g0
+    mul = g0._mul()
+    idx = [g0._INDEX[g] for g in s.elements]
+    inv = {g: mul[g].index(0) for g in idx}
+    derived = g0._closure_mask(mul, {mul[mul[inv[g]][inv[h]]][mul[g][h]]
+                                     for g in idx for h in idx}, 0)
+    orders, done = [], 0
+    for g in idx:
+        if done >> g & 1:
+            continue
+        done |= g0._apply_perm(derived, mul[g])
+        o, cur = 1, g
+        while not derived >> cur & 1:
+            cur = mul[cur][g]
+            o += 1
+        orders.append(o)
+    return g0._abelian_type_from_orders(orders)
+
+
+def _curve_orbit_lengths_oracle(s):
+    """Curve orbits as the sets of images of each curve under every
+    element of s."""
+    from dp2.galois0 import _curve_indices
+    perms = [_curve_indices(g) for g in s.elements]
+    orbits = {frozenset(p[i] for p in perms) for i in range(56)}
+    return tuple(sorted(map(len, orbits)))
+
+
+def test_generator_invariants_match_element_oracles_on_every_class():
+    # all 1,500 conjugacy classes: the invariants read from a generating
+    # set equal those read from every element, and the fixed rank read
+    # from the echelon behind H^1 equals the size of a kernel basis
+    from dp2.galois0 import _subgroup, all_subgroup_classes
+    classes = all_subgroup_classes()
+    assert len(classes) == 1500
+    for mask in classes:
+        s = _subgroup(mask)
+        assert abelianization(s) == _abelianization_oracle(s), s.generators
+        assert curve_orbit_lengths(s) == _curve_orbit_lengths_oracle(s), \
+            s.generators
+        assert fixed_rank(s) == len(fixed_sublattice(s)), s.generators
+
+
+def test_generator_invariants_refuse_non_generating_generators():
+    # a cached H^1 for the mask does not skip the check
+    fingerprint(G0)
+    short = Subgroup(G0.elements, (SIGMA, TAU), True)
+    for invariant in (fingerprint, abelianization, curve_orbit_lengths,
+                      fixed_rank):
+        with pytest.raises(AssertionError, match="do not generate"):
+            invariant(short)
 
 
 def _abelian_generators_oracle(s):
