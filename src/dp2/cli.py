@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .arith import is_prime
 from .local import CapacityError
-from .local.hilbert import hilbert_symbol, relevant_places, render_place
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -209,6 +208,8 @@ def _fraction_str(q: Fraction) -> str:
 
 
 def verdict_report(v) -> dict:
+    from .local.hilbert import render_place
+
     return {
         "conclusion": v.conclusion,
         "profiles": [
@@ -287,6 +288,8 @@ def _parse_place(text: str):
 
 
 def _run_hilbert(args, out) -> int:
+    from .local.hilbert import hilbert_symbol, relevant_places, render_place
+
     a, b = Fraction(args.A), Fraction(args.B)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol arguments must be nonzero")

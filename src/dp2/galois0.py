@@ -25,17 +25,20 @@ package, which the H^1 backends of `cohomology` import and run on each
 module's own index table.  Orbits under conjugation and the S3
 relabelings read nibble tables of the five generator conjugations and
 of two transpositions of S3 (`_orbit_tables`), which move a mask four
-bits at a time.  Only the subgroup enumeration of `scan` builds all 128
-conjugation permutations and the six S3 maps (`_tables()`) and, from
-them, the masks of square roots and of conjugators (`_extension_tables`)
-that read its normaliser test off a generating set.
+bits at a time; the S3 classes of `scan` merge conjugacy classes under
+the two transpositions.  Only the subgroup enumeration of `scan` builds
+all 128 conjugation permutations and the six S3 maps (`_tables()`) and,
+from them, the masks of square roots and of conjugators
+(`_extension_tables`) that read its normaliser test off a generating
+set.
 
 A subgroup's invariants are read from its generators, once checked to
 generate it: s / [s, s] with [s, s] the normal closure of their
 commutators, the curve orbits of their permutations, and the type of
 H^1(s, Pic) with the rank of Pic^s from one column echelon of the
-stacked (g - 1) rows, cached per element set.  `fixed_sublattice` reads
-a basis of Pic^s from the same rows.
+stacked (g - 1) rows and one Smith form, neither of which builds its
+unimodular transforms, cached per element set.  `fixed_sublattice`
+reads a basis of Pic^s from the same rows.
 GroupElement and Subgroup remain the public face.
 """
 
@@ -437,6 +440,24 @@ def _orbit_tables() -> tuple[list[int], ...]:
     return tuple(map(_nibble_table, perms))
 
 
+def _nibble_images(mask: int, tables) -> list[int]:
+    """The image of a mask under each `_nibble_table` given, read from one
+    key per nonzero nibble."""
+    keys, k = [], 0
+    while mask:
+        if mask & 15:
+            keys.append(k | mask & 15)
+        mask >>= 4
+        k += 16
+    images = []
+    for table in tables:
+        img = 0
+        for j in keys:
+            img |= table[j]
+        images.append(img)
+    return images
+
+
 _ORBITS: dict[tuple[int, bool], frozenset[int]] = {}
 
 
@@ -448,16 +469,7 @@ def _orbit(mask: int, with_s3: bool = False) -> frozenset[int]:
         tables = _orbit_tables()[:7 if with_s3 else 5]
         found, frontier = {mask}, [mask]
         while frontier:
-            cur, keys, k = frontier.pop(), [], 0
-            while cur:  # one table key per nonzero nibble
-                if cur & 15:
-                    keys.append(k | cur & 15)
-                cur >>= 4
-                k += 16
-            for table in tables:
-                img = 0
-                for j in keys:
-                    img |= table[j]
+            for img in _nibble_images(frontier.pop(), tables):
                 if img not in found:
                     found.add(img)
                     frontier.append(img)
@@ -469,12 +481,6 @@ def _orbit(mask: int, with_s3: bool = False) -> frozenset[int]:
 def _canon_conj(mask: int) -> int:
     """Least G0-conjugate of the subgroup mask."""
     return min(_orbit(mask))
-
-
-def _canon_conj_s3(mask: int) -> int:
-    """Least image of the subgroup mask under conjugation and the S3
-    relabelings."""
-    return min(_orbit(mask, with_s3=True))
 
 
 def _minimal_generators(mask: int) -> tuple[GroupElement, ...]:
@@ -548,16 +554,31 @@ def all_subgroup_classes() -> tuple[int, ...]:
 @lru_cache(maxsize=1)
 def enumerate_subgroups_onto_Q() -> tuple[Subgroup, ...]:
     """Subgroups surjecting onto Q = G0/H, up to conjugacy and the S3
-    relabeling of the (A, B, C) roles, in deterministic order."""
-    out = {}
+    relabeling of the (A, B, C) roles, in deterministic order.
+
+    The relabelings are automorphisms of G0, so they permute the
+    conjugacy classes of subgroups, and the orbit of a subgroup under
+    conjugation and the relabelings is the union of the conjugation
+    orbits of the classes in its S3 orbit.  As ab and bc generate S3,
+    those classes are reached from any of them by ab and bc, each image
+    read back to its canonical mask.  Taken in ascending order, the
+    first class of each S3 orbit is its least mask: the least image of
+    any of its members under conjugation and the relabelings."""
+    ab_bc = _orbit_tables()[5:7]
+    out, merged = [], set()
     for mask in all_subgroup_classes():
-        if not all(mask & coset for coset in _CHI_COSETS):
+        if mask in merged or not all(mask & coset for coset in _CHI_COSETS):
             continue
-        canon = _canon_conj_s3(mask)
-        if canon not in out:
-            out[canon] = _subgroup(canon)
-    return tuple(s for _, s in sorted(out.items(),
-                                      key=lambda kv: (kv[1].order, kv[0])))
+        merged.add(mask)
+        frontier = [mask]
+        while frontier:
+            for img in map(_canon_conj,
+                           _nibble_images(frontier.pop(), ab_bc)):
+                if img not in merged:
+                    merged.add(img)
+                    frontier.append(img)
+        out.append(_subgroup(mask))
+    return tuple(sorted(out, key=lambda s: (s.order, s.mask())))
 
 
 # --- invariants ----------------------------------------------------------
@@ -689,12 +710,14 @@ def _h1_cokernel(s: Subgroup) -> AbelianGroupType:
     """tors(M^k / D.M) for D = `_pic_differences(s)`, by one column
     echelon of D^T, D^T V = E, and one Smith form of its at most d x d
     nonzero part: D and E^T differ by the unimodular V^T, so they share
-    Smith divisors.  Two runtime checks: the generators generate s, and
-    |s| kills H^1.  The kernel of D is Pic^s, so its rank 8 - rank E is
-    recorded in `_FIXED_RANK_BY_MASK`."""
+    Smith divisors.  Only the rank, E and the divisors are read, so
+    neither elimination builds its transforms.  Two runtime checks: the
+    generators generate s, and |s| kills H^1.  The kernel of D is Pic^s,
+    so its rank 8 - rank E is recorded in `_FIXED_RANK_BY_MASK`."""
     _generator_indices(s)
-    ech = ColumnEchelon(list(zip(*_pic_differences(s))))
-    divisors = tuple(q for q in smith_normal_form(ech.image_basis()).divisors
+    ech = ColumnEchelon(list(zip(*_pic_differences(s))), transform=False)
+    divisors = tuple(q for q in smith_normal_form(ech.image_basis(),
+                                                  transforms=False).divisors
                      if q > 1)
     if any(s.order % q for q in divisors):
         raise AssertionError(

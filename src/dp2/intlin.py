@@ -106,57 +106,67 @@ class AbelianGroupType(_AbelianGroupType):
 
 class SmithDecomposition(NamedTuple):
     S: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
+    U: Optional[IntMatrix]
+    V: Optional[IntMatrix]
     divisors: tuple[int, ...]
-    U_inv: IntMatrix
+    U_inv: Optional[IntMatrix]
 
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(m) -> SmithDecomposition:
+def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
     """Smith normal form with unimodular transforms: U*M*V = S.
 
     Pivoting minimizes absolute value, ties broken by lowest row then
     column index, for reproducible transforms.  U^-1 is kept alongside
     U: each row operation E on U is the column operation E^-1 on U^-1.
+    With transforms False, U, V and U^-1 are neither updated nor
+    returned (they are None): S and the divisors come from the same
+    steps on the matrix alone.
     """
     a = _as_rows(m)
     nr = len(a)
     nc = len(a[0]) if a else 0
-    u = _identity_rows(nr)
-    w = _identity_rows(nr)  # U^-1
-    v = _identity_rows(nc)
+    if transforms:
+        u = _identity_rows(nr)
+        w = _identity_rows(nr)  # U^-1
+        v = _identity_rows(nc)
+    else:
+        u = w = v = None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for row in w:
-            row[i], row[j] = row[j], row[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+            for row in w:
+                row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def addmul_row(dst, src, q):
         ad, asrc = a[dst], a[src]
         for j in range(nc):
             ad[j] += q * asrc[j]
-        ud, usrc = u[dst], u[src]
-        for j in range(nr):
-            ud[j] += q * usrc[j]
-        for row in w:
-            row[src] -= q * row[dst]
+        if u is not None:
+            ud, usrc = u[dst], u[src]
+            for j in range(nr):
+                ud[j] += q * usrc[j]
+            for row in w:
+                row[src] -= q * row[dst]
 
     def addmul_col(dst, src, q):
         for row in a:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] += q * row[src]
 
     t = 0
     limit = min(nr, nc)
@@ -210,16 +220,20 @@ def smith_normal_form(m) -> SmithDecomposition:
         if a[t][t] < 0:
             for j in range(nc):
                 a[t][j] = -a[t][j]
-            for j in range(nr):
-                u[t][j] = -u[t][j]
-            for row in w:
-                row[t] = -row[t]
+            if u is not None:
+                for j in range(nr):
+                    u[t][j] = -u[t][j]
+                for row in w:
+                    row[t] = -row[t]
         t += 1
 
     divisors = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i])
-    empty_s = IntMatrix(nr, nc, tuple(x for row in a for x in row))
+    s = IntMatrix(nr, nc, tuple(x for row in a for x in row))
+    if not transforms:
+        return SmithDecomposition(S=s, U=None, V=None, divisors=divisors,
+                                  U_inv=None)
     return SmithDecomposition(
-        S=empty_s,
+        S=s,
         U=IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ()),
         V=IntMatrix.from_rows(v) if nc else IntMatrix(0, 0, ()),
         divisors=divisors,
@@ -240,13 +254,18 @@ class ColumnEchelon:
     the steps since only combined columns from c on.  So a column
     update runs over the pivot column's nonzero entries in rows r..m-1,
     and the V update over the pivot's nonzero V entries.
+
+    With transform False, V is not built: the rank, pivot rows, image
+    basis and `coords` are the same, and `kernel` and `solve`, which
+    read V, raise ValueError.
     """
 
-    def __init__(self, rows_in):
+    def __init__(self, rows_in, transform: bool = True):
         cols = [list(map(int, col)) for col in zip(*rows_in)]
         m = self.nrows = len(rows_in)
         n = self.ncols = len(cols)
-        v = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        v = [[1 if i == j else 0 for i in range(n)] for j in range(n)] \
+            if transform else None
         pivot_rows = []
         c = 0
         for r in range(m):
@@ -258,29 +277,33 @@ class ColumnEchelon:
             while len(active) > 1:
                 j0 = min(active, key=lambda j: (abs(cols[j][r]), j))
                 pa = cols[j0][r]
-                pcol, pv = cols[j0], v[j0]
-                live = [(i, x) for i, x in enumerate(pcol[r:], r) if x]
-                vlive = [(i, x) for i, x in enumerate(pv) if x]
+                live = [(i, x) for i, x in enumerate(cols[j0][r:], r) if x]
+                vlive = [(i, x) for i, x in enumerate(v[j0]) if x] \
+                    if v is not None else ()
                 nxt = [j0]
                 for j in active:
                     if j == j0:
                         continue
                     q = cols[j][r] // pa
                     if q:
-                        cj, vj = cols[j], v[j]
+                        cj = cols[j]
                         for i, x in live:
                             cj[i] -= q * x
-                        for i, x in vlive:
-                            vj[i] -= q * x
+                        if vlive:  # empty only without V
+                            vj = v[j]
+                            for i, x in vlive:
+                                vj[i] -= q * x
                     if cols[j][r]:
                         nxt.append(j)
                 active = nxt
             j0 = active[0]
             if cols[j0][r] < 0:
                 cols[j0] = [-x for x in cols[j0]]
-                v[j0] = [-x for x in v[j0]]
+                if v is not None:
+                    v[j0] = [-x for x in v[j0]]
             cols[c], cols[j0] = cols[j0], cols[c]
-            v[c], v[j0] = v[j0], v[c]
+            if v is not None:
+                v[c], v[j0] = v[j0], v[c]
             pivot_rows.append(r)
             c += 1
         self._cols = cols
@@ -295,9 +318,15 @@ class ColumnEchelon:
         spanned by the columns of A (they are A V for V unimodular)."""
         return self._cols[:self.rank]
 
+    def _transform(self) -> list[list[int]]:
+        if self._vcols is None:
+            raise ValueError("echelon built without its transform V")
+        return self._vcols
+
     def kernel(self) -> list[tuple[int, ...]]:
         """Basis of the integer kernel (columns of V past the rank)."""
-        return [tuple(self._vcols[j]) for j in range(self.rank, self.ncols)]
+        v = self._transform()
+        return [tuple(v[j]) for j in range(self.rank, self.ncols)]
 
     def coords(self, b: Sequence[int]):
         """Coordinates y of b on the first ``rank`` echelon columns, by
@@ -335,13 +364,14 @@ class ColumnEchelon:
         there is no integral solution, with the flag telling whether a
         rational one exists.
         """
+        v = self._transform()
         ys, integral = self.coords(b)
         if not integral:
             return None, ys is not None
         x = [0] * self.ncols
         for t, y in enumerate(ys):
             if y:
-                vt = self._vcols[t]
+                vt = v[t]
                 for i in range(self.ncols):
                     x[i] += y * vt[i]
         return tuple(x), True

@@ -453,12 +453,18 @@ def test_no_subcommand_loads_dataclasses():
 
 def _imports(node, on_import_only):
     """(module, level) of each import under node; with on_import_only,
-    not those in function bodies, which run only when called."""
+    not those in function bodies, which run only when called.  For
+    `from . import name` the module is the name, which may be a
+    submodule or an attribute of the package."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Import):
             yield from ((alias.name, 0) for alias in child.names)
         elif isinstance(child, ast.ImportFrom):
-            yield child.module or "", child.level
+            if child.module is None:
+                yield from ((alias.name, child.level)
+                            for alias in child.names)
+            else:
+                yield child.module, child.level
         elif not (on_import_only and isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef))):
             yield from _imports(child, on_import_only)
@@ -467,22 +473,43 @@ def _imports(node, on_import_only):
 def test_dp2_import_graph_has_no_cycle():
     # every import between dp2 modules, function-level ones included,
     # points one way: galois0 owns the index group and the Pic algebra,
-    # cohomology imports galois0, and cli imports both
+    # cohomology imports galois0, and cli imports both.  The one import
+    # kept apart is the lazy re-export in cohomology's module __getattr__,
+    # which runs only on a failed attribute read, after cohomology has
+    # loaded: it hands out the five-term names that fiveterm, built on
+    # cohomology, defines
     root = pathlib.Path(__file__).resolve().parents[1] / "src" / "dp2"
-    graph = {}
+    sources = {}
     for path in sorted(root.rglob("*.py")):
         parts = ("dp2",) + path.relative_to(root).with_suffix("").parts
         package = parts[:-1]
         name = ".".join(package if parts[-1] == "__init__" else parts)
-        graph[name] = set()
-        for module, level in _imports(ast.parse(path.read_text()),
-                                      on_import_only=False):
+        sources[name] = package, ast.parse(path.read_text())
+
+    def targets(package, node) -> set:
+        out = set()
+        for module, level in _imports(node, on_import_only=False):
             if level:
                 base = package[:len(package) - level + 1]
                 module = ".".join(base + tuple(filter(None, [module])))
+            if module not in sources:  # an attribute of a package
+                module = module.rpartition(".")[0] or module
             if module.split(".")[0] == "dp2":
-                graph[name].add(module)
+                out.add(module)
+        return out
+
+    graph, lazy = {}, {}
+    for name, (package, tree) in sources.items():
+        reexports = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "__getattr__"]
+        graph[name] = targets(package, ast.Module(
+            [node for node in tree.body if node not in reexports], []))
+        lazy[name] = targets(package, ast.Module(reexports, []))
     assert graph["dp2.cohomology"] >= {"dp2.galois0"}
+    assert {k: v for k, v in lazy.items() if v} \
+        == {"dp2.cohomology": {"dp2.fiveterm"}}
+    assert "dp2.cohomology" in graph["dp2.fiveterm"]
     state = {}
 
     def visit(node, path):
@@ -544,6 +571,34 @@ def test_analyze_builds_no_conjugation_or_extension_tables():
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "0", "True"]
+
+
+def test_analyze_and_scan_load_neither_hilbert_nor_fiveterm():
+    # Hilbert symbols are read by the hilbert and obstruct subcommands,
+    # and the five-term route only by its cross-checks
+    script = (
+        "import io, sys\n"
+        "import dp2.cli as cli\n"
+        "for argv in (['analyze', '-A', '-5', '-B', '-5', '-C', '-14',\n"
+        "              '--backend', 'all'],\n"
+        "             ['analyze', '-A', '-13', '-B', '-6', '-C', '23',\n"
+        "              '--json'],\n"
+        "             ['analyze', '-A', '1', '-B', '1', '-C', '1',\n"
+        "              '--backend', 'resolution'],\n"
+        "             ['analyze', '-A', '-10', '-B', '49', '-C', '36',\n"
+        "              '--backend', 'standard'],\n"
+        "             ['scan', '--json']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print(sorted(m for m in ('dp2.local.hilbert', 'dp2.fiveterm')\n"
+        "             if m in sys.modules))\n"
+        "from dp2.cohomology import five_term_with_d2\n"
+        "print(five_term_with_d2.__module__)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "dp2.fiveterm"]
 
 
 def test_sympy_imported_at_top_level_only_where_it_belongs():

@@ -560,7 +560,8 @@ def test_scan_computes_h1_once_per_class(monkeypatch):
 
 def test_scan_builds_one_echelon_per_class(monkeypatch):
     # the fixed rank is read from the column echelon behind H^1, so
-    # scan_theorem runs no fixed_sublattice and one echelon per class
+    # scan_theorem runs no fixed_sublattice and one echelon per class,
+    # none of which builds its transform V
     import dp2.cli as cli
     import dp2.galois0 as galois0
     from dp2.intlin import ColumnEchelon
@@ -572,9 +573,9 @@ def test_scan_builds_one_echelon_per_class(monkeypatch):
         kernels.append(s.mask())
         return fixed_sublattice(s)
 
-    def counting_init(self, rows_in):
-        echelons.append(len(rows_in))
-        init(self, rows_in)
+    def counting_init(self, rows_in, transform=True):
+        echelons.append(transform)
+        init(self, rows_in, transform)
 
     monkeypatch.setattr(galois0, "_H1_TYPE_BY_MASK", {})
     monkeypatch.setattr(galois0, "_FIXED_RANK_BY_MASK", {})
@@ -582,7 +583,7 @@ def test_scan_builds_one_echelon_per_class(monkeypatch):
     monkeypatch.setattr(ColumnEchelon, "__init__", counting_init)
     cli.scan_theorem()
     assert kernels == []
-    assert len(echelons) == 243
+    assert echelons == [False] * 243
 
 
 def test_h1_type_matches_presentation_on_every_class():
@@ -618,8 +619,8 @@ def test_h1_type_checks_that_the_order_kills_h1(monkeypatch):
     import dp2.galois0 as galois0
     from dp2.intlin import smith_normal_form
 
-    def with_a_three(m):
-        dec = smith_normal_form(m)
+    def with_a_three(m, transforms=True):
+        dec = smith_normal_form(m, transforms)
         return dec._replace(divisors=dec.divisors + (3,))
 
     monkeypatch.setattr(galois0, "smith_normal_form", with_a_three)

@@ -251,6 +251,14 @@ def test_quotient_by_H_is_klein_four():
     assert all(g.chi == 1 for g in H_SUBGROUP.elements)
 
 
+def _canon_conj_s3(mask: int) -> int:
+    """Least image of the subgroup mask under conjugation and the S3
+    relabelings, over its whole orbit: the oracle of the S3 classes of
+    `enumerate_subgroups_onto_Q`."""
+    import dp2.galois0 as g0
+    return min(g0._orbit(mask, with_s3=True))
+
+
 def test_enumeration_contains_G0_and_is_ontoQ():
     subs = enumerate_subgroups_onto_Q()
     assert all(s.onto_q for s in subs)
@@ -281,7 +289,6 @@ def test_enumeration_matches_bruteforce_within_order32_subgroup():
     assert len(found) > 0
     # cross-check: each found subgroup is conjugate (in G0, up to S3) to
     # something the global enumeration lists
-    from dp2.galois0 import _canon_conj_s3
     listed = {_canon_conj_s3(s.mask()) for s in enumerate_subgroups_onto_Q()}
     for m in found:
         assert _canon_conj_s3(m) in listed
@@ -398,8 +405,40 @@ def test_orbit_canonical_forms_match_bruteforce(monkeypatch):
         images = [g0._apply_perm(g0._apply_perm(mask, sp), p)
                   for sp in s3 for p in conj]
         moved = rng.choice(images)
-        assert g0._canon_conj_s3(moved) == min(images) \
-            == g0._canon_conj_s3(mask)
+        assert _canon_conj_s3(moved) == min(images) == _canon_conj_s3(mask)
+
+
+def test_s3_classes_match_per_class_orbit_oracle(monkeypatch):
+    # merging the conjugacy classes under the ab and bc relabelings gives
+    # the classes of the least image over each class's whole conjugation
+    # and relabeling orbit: the same masks, order and generators.  The
+    # orbit memo is emptied while all_subgroup_classes stays cached, and
+    # the enumeration runs past its own cache
+    import dp2.galois0 as g0
+    monkeypatch.setattr(g0, "_ORBITS", {})
+    got = enumerate_subgroups_onto_Q.__wrapped__()
+    oracle = {}
+    for mask in g0.all_subgroup_classes():
+        if all(mask & coset for coset in g0._CHI_COSETS):
+            canon = _canon_conj_s3(mask)
+            oracle.setdefault(canon, g0._subgroup(canon))
+    want = sorted(oracle.items(), key=lambda kv: (kv[1].order, kv[0]))
+    assert [(s.mask(), s.generators, s.onto_q) for s in got] \
+        == [(m, s.generators, s.onto_q) for m, s in want]
+    assert len(got) == 243
+
+
+def test_h1_eliminations_without_transforms_match_on_every_class():
+    # on each of the 243 onto-Q classes, the rank and H^1 divisors that
+    # h1_type and fixed_rank read without U, V and U^-1 are those of the
+    # echelon and Smith form with every transform kept
+    import dp2.galois0 as g0
+    from dp2.intlin import ColumnEchelon, smith_normal_form
+    for s in enumerate_subgroups_onto_Q():
+        ech = ColumnEchelon(list(zip(*g0._pic_differences(s))))
+        divisors = smith_normal_form(ech.image_basis()).divisors
+        assert g0.h1_type(s).divisors == tuple(q for q in divisors if q > 1)
+        assert fixed_rank(s) == 8 - ech.rank
 
 
 def test_fingerprint_traces_match_matrix_sums():

@@ -460,3 +460,39 @@ def test_subquotient_matches_oracle_on_every_presentation_system(
     for z_gens, b_gens, n in systems:
         total = [sum(col) for col in zip(*z_gens)] or [0] * n
         _assert_subquotient_matches_oracle(z_gens, b_gens, n, [total])
+
+
+@st.composite
+def sparse_tall_matrix(draw):
+    """Up to 40 x 8 with entries in [-3, 3], zero rows and zero columns
+    included."""
+    ncols = draw(st.integers(1, 8))
+    row = st.one_of(st.just([0] * ncols),
+                    st.lists(st.integers(-3, 3), min_size=ncols,
+                             max_size=ncols))
+    rows = draw(st.lists(row, min_size=1, max_size=40))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    return [[0 if j in zero_cols else x for j, x in enumerate(r)]
+            for r in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_tall_matrix())
+def test_eliminations_without_transforms_match_with_them(rows):
+    # skipping V, and U, V and U^-1, changes no step on the matrix: the
+    # same echelon columns, rank, pivot rows and coordinates, the same
+    # Smith form and divisors; what reads a skipped transform refuses
+    kept, bare = ColumnEchelon(rows), ColumnEchelon(rows, transform=False)
+    assert (bare._cols, bare.rank, bare.pivot_rows) \
+        == (kept._cols, kept.rank, kept.pivot_rows)
+    total = [sum(r) for r in rows]
+    assert bare.coords(total) == kept.coords(total)
+    with pytest.raises(ValueError, match="without its transform"):
+        bare.kernel()
+    with pytest.raises(ValueError, match="without its transform"):
+        bare.solve(total)
+    for m in (rows, kept.image_basis()):
+        full = smith_normal_form(m)
+        lean = smith_normal_form(m, transforms=False)
+        assert (lean.S, lean.divisors) == (full.S, full.divisors)
+        assert lean.U is lean.V is lean.U_inv is None
