@@ -442,13 +442,14 @@ def _orbit_tables() -> tuple[list[int], ...]:
 
 def _nibble_images(mask: int, tables) -> list[int]:
     """The image of a mask under each `_nibble_table` given, read from one
-    key per nonzero nibble."""
-    keys, k = [], 0
-    while mask:
-        if mask & 15:
-            keys.append(k | mask & 15)
-        mask >>= 4
-        k += 16
+    key per nonzero nibble; byte k holds nibbles 2k and 2k + 1."""
+    keys = []
+    for k, b in enumerate(mask.to_bytes(16, "little")):
+        if b:
+            if b & 15:
+                keys.append(k << 5 | b & 15)
+            if b > 15:
+                keys.append(k << 5 | 16 | b >> 4)
     images = []
     for table in tables:
         img = 0
