@@ -61,7 +61,8 @@ def resolution_h1(s):
 def h1_with_backend(s, backend: str):
     """(AbelianGroupType, label) for the chosen backend; "all" runs every
     applicable backend and raises InvariantViolation on disagreement."""
-    from .cohomology import h1_of_subgroup, h1_standard, pic_module
+    from .cohomology import (_STANDARD_LIMIT, h1_of_subgroup, h1_standard,
+                             pic_module)
 
     if backend == "presentation":
         return h1_of_subgroup(s), "presentation"
@@ -78,7 +79,7 @@ def h1_with_backend(s, backend: str):
         return res.group, res.backend
     if backend == "all":
         results = {"presentation": h1_of_subgroup(s)}
-        if s.order <= 32:
+        if s.order <= _STANDARD_LIMIT:
             results["standard"] = h1_standard(pic_module(s)).group
         res = resolution_h1(s)
         if res is not None:

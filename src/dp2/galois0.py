@@ -14,31 +14,32 @@ the matrix on all 56 curve classes and on -K.
 The subgroup machinery runs on integers.  An element has the index
 32 * (chi // 2) + 16 * e_s + 4 * e_k + e_m, its position in the sorted
 ALL_ELEMENTS (the identity is 0), and a subgroup is the 128-bit mask with
-bit i set for each element index i it contains.  Each table is built on
-first use, so a request pays only for those it reads.  `_mul()` is the
-product table, by arithmetic on the coordinates (row g is the left
-multiplication x -> g x), and `_inverses()` reads the inverses from it.
-Every subgroup here, from `generate_subgroup` to the Kummer constraints
-and the generating sets of the short resolutions, is closed over that
-table by `_closure_mask`, the one subgroup-closure routine of the
-package, which the H^1 backends of `cohomology` import and run on each
-module's own index table.  Orbits under conjugation and the S3
-relabelings read nibble tables of the five generator conjugations and
-of two transpositions of S3 (`_orbit_tables`), which move a mask four
-bits at a time; the S3 classes of `scan` merge conjugacy classes under
-the two transpositions.  Only the subgroup enumeration of `scan` builds
-all 128 conjugation permutations and the six S3 maps (`_tables()`) and,
-from them, the masks of square roots and of conjugators
-(`_extension_tables`) that read its normaliser test off a generating
-set.
+bit i set for each element index i it contains: a `Subgroup` holds its
+mask and its generators, and reads its order, its elements and whether it
+maps onto Q off the mask.  Each table is built on first use, so a request
+pays only for those it reads.  `_mul()` is the product table, by
+arithmetic on the coordinates (row g is the left multiplication
+x -> g x), and `_inverses()` reads the inverses from it.  Every subgroup
+here, from `generate_subgroup` to the Kummer constraints and the
+generating sets of the short resolutions, is closed over that table by
+`_closure_mask`, the one subgroup-closure routine of the package, which
+the H^1 backends of `cohomology` import and run on each module's own
+index table.  Conjugation orbits read nibble tables of the five
+generator conjugations, and the six relabelings of (A, B, C) those of
+the two transpositions ab and bc (`_orbit_tables`), which move a mask
+four bits at a time; `_s3_images` is the one routine that relabels a
+mask.  Only the subgroup enumeration of `scan` builds all 128
+conjugation permutations, and from them the masks of square roots and
+of conjugators (`_extension_tables`) that read its normaliser test off a
+generating set.
 
 A subgroup's invariants are read from its generators, once checked to
 generate it: s / [s, s] with [s, s] the normal closure of their
 commutators, the curve orbits of their permutations, and the type of
 H^1(s, Pic) with the rank of Pic^s from one column echelon of the
 stacked (g - 1) rows and one Smith form, neither of which builds its
-unimodular transforms, cached per element set.  `fixed_sublattice`
-reads a basis of Pic^s from the same rows.
+unimodular transforms, cached per mask.  `fixed_sublattice` reads a
+basis of Pic^s from the same rows.
 GroupElement and Subgroup remain the public face.
 """
 
@@ -242,25 +243,29 @@ def _traces() -> tuple[int, ...]:
 
 
 class Subgroup:
-    """A subgroup of G0: its elements (sorted), the generators it was
-    built from, and whether it maps onto Q = G0/H."""
+    """A subgroup of G0: its mask and the generators it was built from,
+    or minimal ones when none are given.  Its order, its elements
+    (sorted) and whether it maps onto Q = G0/H are read off the mask."""
 
-    def __init__(self, elements: tuple[GroupElement, ...],
-                 generators: tuple[GroupElement, ...], onto_q: bool):
-        self.elements = elements
-        self.generators = generators
-        self.onto_q = onto_q
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def _mask(self) -> int:
-        return sum(1 << _INDEX[g] for g in self.elements)
+    def __init__(self, mask: int, generators=None):
+        self._mask = mask
+        self.generators = _minimal_generators(mask) if generators is None \
+            else tuple(generators)
 
     def mask(self) -> int:
         return self._mask
+
+    @property
+    def order(self) -> int:
+        return self._mask.bit_count()
+
+    @property
+    def onto_q(self) -> bool:
+        return all(self._mask & coset for coset in _CHI_COSETS)
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return tuple(ALL_ELEMENTS[i] for i in _members(self._mask))
 
     def __contains__(self, g: GroupElement) -> bool:
         return bool(self._mask >> _INDEX[g] & 1)
@@ -303,20 +308,11 @@ def _closure_mask(mul, gens, e: int) -> int:
 _CHI_COSETS = tuple(((1 << 32) - 1) << (32 * c) for c in range(4))
 
 
-def _subgroup(mask: int, gens=None) -> Subgroup:
-    """The subgroup with the given mask, with the given generators or,
-    when gens is None, minimal ones."""
-    elems = tuple(ALL_ELEMENTS[i] for i in _members(mask))
-    return Subgroup(
-        elements=elems,
-        generators=_minimal_generators(mask) if gens is None else gens,
-        onto_q=all(mask & coset for coset in _CHI_COSETS))
-
-
 def generate_subgroup(gens) -> Subgroup:
     gens = tuple(gens)
-    return _subgroup(_closure_mask(_mul(), [_INDEX[g] for g in gens], 0),
-                     gens)
+    return Subgroup(_closure_mask(_mul(), [_INDEX[g] for g in gens], 0),
+                    gens)
+
 
 # the six relabelings of the roles of A, B, C, as automorphisms of G0
 _PHI_AB = lambda g: GroupElement(g.chi, (g.e_s + g.e_k) % 2,
@@ -374,28 +370,16 @@ def _conjugation(g: int) -> list[int]:
 
 
 @lru_cache(maxsize=1)
-def _tables():
-    """Product table, conjugation permutations (x -> g x g^-1, one per g)
-    and the six S3 relabelings, all on element indices.  Of the last
-    two, `_extension_tables` reads the conjugations: `analyze` builds
-    none of them, and `_orbit` reads nibble tables of its own."""
-    conj = [tuple(_conjugation(g)) for g in range(128)]
-    s3 = [tuple(_INDEX[phi(x)] for x in ALL_ELEMENTS)
-          for phi in S3_MAPS.values()]
-    return _mul(), conj, s3
-
-
-@lru_cache(maxsize=1)
 def _extension_tables():
     """roots[h], the mask of the i with i^2 = h, and into[g][h], the mask
     of the i with i g i^-1 = h."""
-    mul, conj, _ = _tables()
+    mul = _mul()
     roots = [0] * 128
     into = [[0] * 128 for _ in range(128)]
-    for i, perm in enumerate(conj):
+    for i in range(128):
         bit = 1 << i
         roots[mul[i][i]] |= bit
-        for g, h in enumerate(perm):
+        for g, h in enumerate(_conjugation(i)):
             into[g][h] |= bit
     return roots, into
 
@@ -459,23 +443,34 @@ def _nibble_images(mask: int, tables) -> list[int]:
     return images
 
 
-_ORBITS: dict[tuple[int, bool], frozenset[int]] = {}
+def _images(mask: int, tables) -> set[int]:
+    """The images of the mask under the group that the index permutations
+    of the `_nibble_table`s given generate."""
+    found, frontier = {mask}, [mask]
+    while frontier:
+        for img in _nibble_images(frontier.pop(), tables):
+            if img not in found:
+                found.add(img)
+                frontier.append(img)
+    return found
 
 
-def _orbit(mask: int, with_s3: bool = False) -> frozenset[int]:
-    """Images of the subgroup mask under G0-conjugation, and under the S3
-    relabelings too when with_s3; memoised for every member."""
-    orbit = _ORBITS.get((mask, with_s3))
+def _s3_images(mask: int) -> set[int]:
+    """The images of the subgroup mask under the six relabelings of the
+    roles of A, B, C, which the transpositions ab and bc generate."""
+    return _images(mask, _orbit_tables()[5:])
+
+
+_ORBITS: dict[int, frozenset[int]] = {}
+
+
+def _orbit(mask: int) -> frozenset[int]:
+    """Images of the subgroup mask under G0-conjugation, memoised for
+    every member."""
+    orbit = _ORBITS.get(mask)
     if orbit is None:
-        tables = _orbit_tables()[:7 if with_s3 else 5]
-        found, frontier = {mask}, [mask]
-        while frontier:
-            for img in _nibble_images(frontier.pop(), tables):
-                if img not in found:
-                    found.add(img)
-                    frontier.append(img)
-        orbit = frozenset(found)
-        _ORBITS.update(((m, with_s3), orbit) for m in orbit)
+        orbit = frozenset(_images(mask, _orbit_tables()[:5]))
+        _ORBITS.update(dict.fromkeys(orbit, orbit))
     return orbit
 
 
@@ -558,27 +553,16 @@ def enumerate_subgroups_onto_Q() -> tuple[Subgroup, ...]:
     relabeling of the (A, B, C) roles, in deterministic order.
 
     The relabelings are automorphisms of G0, so they permute the
-    conjugacy classes of subgroups, and the orbit of a subgroup under
-    conjugation and the relabelings is the union of the conjugation
-    orbits of the classes in its S3 orbit.  As ab and bc generate S3,
-    those classes are reached from any of them by ab and bc, each image
-    read back to its canonical mask.  Taken in ascending order, the
-    first class of each S3 orbit is its least mask: the least image of
-    any of its members under conjugation and the relabelings."""
-    ab_bc = _orbit_tables()[5:7]
+    conjugacy classes of subgroups: the classes in the S3 orbit of a
+    class are those of the relabeled images of any one member.  Taken in
+    ascending order, the first class of each S3 orbit is its least mask:
+    the least image of any of its members under conjugation and the
+    relabelings."""
     out, merged = [], set()
     for mask in all_subgroup_classes():
-        if mask in merged or not all(mask & coset for coset in _CHI_COSETS):
-            continue
-        merged.add(mask)
-        frontier = [mask]
-        while frontier:
-            for img in map(_canon_conj,
-                           _nibble_images(frontier.pop(), ab_bc)):
-                if img not in merged:
-                    merged.add(img)
-                    frontier.append(img)
-        out.append(_subgroup(mask))
+        if mask not in merged and all(mask & coset for coset in _CHI_COSETS):
+            merged.update(map(_canon_conj, _s3_images(mask)))
+            out.append(Subgroup(mask))
     return tuple(sorted(out, key=lambda s: (s.order, s.mask())))
 
 
@@ -656,22 +640,20 @@ def fixed_sublattice(s: Subgroup):
     return ColumnEchelon(_pic_differences(s)).kernel()
 
 
-_H1_TYPE_BY_MASK: dict[int, AbelianGroupType] = {}
-# the rank of Pic^s, 8 - rank D, recorded by `_h1_cokernel`
-_FIXED_RANK_BY_MASK: dict[int, int] = {}
+#: h1_type and the rank of Pic^s, per mask, from `_h1_cokernel`
+_H1_BY_MASK: dict[int, tuple[AbelianGroupType, int]] = {}
 
 
 def _h1_and_fixed_rank(s: Subgroup) -> tuple[AbelianGroupType, int]:
     """h1_type(s) and the rank of Pic^s, from one column echelon per
-    element set.  Every call checks that the generators generate s,
-    which `_h1_cokernel` does on a miss."""
-    key = s.mask()
-    t = _H1_TYPE_BY_MASK.get(key)
-    if t is None:
-        t = _H1_TYPE_BY_MASK[key] = _h1_cokernel(s)
+    mask.  Every call checks that the generators generate s, which
+    `_h1_cokernel` does on a miss."""
+    got = _H1_BY_MASK.get(s.mask())
+    if got is None:
+        got = _H1_BY_MASK[s.mask()] = _h1_cokernel(s)
     else:
         _generator_indices(s)
-    return t, _FIXED_RANK_BY_MASK[key]
+    return got
 
 
 def fixed_rank(s: Subgroup) -> int:
@@ -707,14 +689,14 @@ def h1_type(s: Subgroup) -> AbelianGroupType:
     return _h1_and_fixed_rank(s)[0]
 
 
-def _h1_cokernel(s: Subgroup) -> AbelianGroupType:
+def _h1_cokernel(s: Subgroup) -> tuple[AbelianGroupType, int]:
     """tors(M^k / D.M) for D = `_pic_differences(s)`, by one column
     echelon of D^T, D^T V = E, and one Smith form of its at most d x d
     nonzero part: D and E^T differ by the unimodular V^T, so they share
     Smith divisors.  Only the rank, E and the divisors are read, so
     neither elimination builds its transforms.  Two runtime checks: the
     generators generate s, and |s| kills H^1.  The kernel of D is Pic^s,
-    so its rank 8 - rank E is recorded in `_FIXED_RANK_BY_MASK`."""
+    so its rank 8 - rank E comes with the type."""
     _generator_indices(s)
     ech = ColumnEchelon(list(zip(*_pic_differences(s))), transform=False)
     divisors = tuple(q for q in smith_normal_form(ech.image_basis(),
@@ -723,8 +705,7 @@ def _h1_cokernel(s: Subgroup) -> AbelianGroupType:
     if any(s.order % q for q in divisors):
         raise AssertionError(
             f"H^1 divisors {divisors} do not divide |G| = {s.order}")
-    _FIXED_RANK_BY_MASK[s.mask()] = 8 - ech.rank
-    return AbelianGroupType(divisors)
+    return AbelianGroupType(divisors), 8 - ech.rank
 
 
 def curve_orbit_lengths(s: Subgroup) -> tuple[int, ...]:
@@ -796,39 +777,4 @@ def _dihedral_generators(s: Subgroup):
         if orders[mul[a][b]] * 2 == s.order \
                 and _closure_mask(mul, (a, b), 0) == s.mask():
             return ALL_ELEMENTS[a], ALL_ELEMENTS[b]
-    return None
-
-
-def _complement_search(s: Subgroup, n_set: set) -> Subgroup | None:
-    need = s.order // len(n_set)
-    if need == 1:
-        return generate_subgroup([])
-    cands = [_INDEX[g] for g in s.elements]
-    n_mask = sum(1 << _INDEX[g] for g in n_set)
-    for i, t1 in enumerate(cands):
-        for t2 in cands[i:]:
-            t = _closure_mask(_mul(), [t1, t2], 0)
-            if t.bit_count() != need or (t & n_mask).bit_count() != 1:
-                continue
-            elems = tuple(ALL_ELEMENTS[j] for j in _members(t))
-            if is_abelian(elems):
-                return _subgroup(t)
-    return None
-
-
-def semidirect_decomposition(s: Subgroup):
-    """Find an abelian normal subgroup with an abelian complement.
-
-    Returns (N, T) as Subgroups, or None if the search fails.  Candidate
-    normal subgroups are the preimages in s of subgroups of the image of
-    chi (these are automatically normal); complements are searched among
-    subgroups generated by at most two elements.
-    """
-    for u in ({1}, {1, 3}, {1, 5}, {1, 7}, {1, 3, 5, 7}):
-        n_elems = tuple(sorted(g for g in s.elements if g.chi in u))
-        if not is_abelian(n_elems):
-            continue
-        t = _complement_search(s, set(n_elems))
-        if t is not None:
-            return _subgroup(sum(1 << _INDEX[g] for g in n_elems)), t
     return None

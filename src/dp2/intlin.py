@@ -2,9 +2,11 @@
 
 Smith normal form, integer kernels and solves, and subquotient structure
 of lattices.  Everything is computed over arbitrary-precision Python
-integers, by one column elimination (`ColumnEchelon`) and one Smith
-reduction, which carries the inverse of its row transform along (Cohen,
-GTM 138, 2.4); no entry is ever bounded or rounded.
+integers, by one column elimination (`ColumnEchelon`), which builds its
+transform V only for kernels and solves, and one Smith reduction, which
+returns its divisors and, on request, its row transform with that
+transform's inverse (Cohen, GTM 138, 2.4), never its column transform;
+no entry is ever bounded or rounded.
 """
 
 from __future__ import annotations
@@ -105,10 +107,8 @@ class AbelianGroupType(_AbelianGroupType):
 
 
 class SmithDecomposition(NamedTuple):
-    S: IntMatrix
-    U: Optional[IntMatrix]
-    V: Optional[IntMatrix]
     divisors: tuple[int, ...]
+    U: Optional[IntMatrix]
     U_inv: Optional[IntMatrix]
 
 
@@ -117,14 +117,15 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms: U*M*V = S.
+    """Smith normal form U*M*V = S, with its nonzero diagonal entries as
+    the divisors, and the row transform U with its inverse.
 
     Pivoting minimizes absolute value, ties broken by lowest row then
     column index, for reproducible transforms.  U^-1 is kept alongside
     U: each row operation E on U is the column operation E^-1 on U^-1.
-    With transforms False, U, V and U^-1 are neither updated nor
-    returned (they are None): S and the divisors come from the same
-    steps on the matrix alone.
+    The column transform V is not kept.  With transforms False, U and
+    U^-1 are neither updated nor returned (they are None): the divisors
+    come from the same steps on the matrix alone.
     """
     a = _as_rows(m)
     nr = len(a)
@@ -132,9 +133,8 @@ def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
     if transforms:
         u = _identity_rows(nr)
         w = _identity_rows(nr)  # U^-1
-        v = _identity_rows(nc)
     else:
-        u = w = v = None
+        u = w = None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -146,9 +146,6 @@ def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     def addmul_row(dst, src, q):
         ad, asrc = a[dst], a[src]
@@ -164,9 +161,6 @@ def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
     def addmul_col(dst, src, q):
         for row in a:
             row[dst] += q * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += q * row[src]
 
     t = 0
     limit = min(nr, nc)
@@ -228,15 +222,11 @@ def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
         t += 1
 
     divisors = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i])
-    s = IntMatrix(nr, nc, tuple(x for row in a for x in row))
     if not transforms:
-        return SmithDecomposition(S=s, U=None, V=None, divisors=divisors,
-                                  U_inv=None)
+        return SmithDecomposition(divisors=divisors, U=None, U_inv=None)
     return SmithDecomposition(
-        S=s,
-        U=IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ()),
-        V=IntMatrix.from_rows(v) if nc else IntMatrix(0, 0, ()),
         divisors=divisors,
+        U=IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ()),
         U_inv=IntMatrix.from_rows(w) if nr else IntMatrix(0, 0, ()),
     )
 
@@ -410,7 +400,8 @@ def subquotient_structure(z_gens, b_gens, ambient_dim: Optional[int] = None) -> 
     # lattice basis of span(Z): the first `rank` echelon columns, which
     # are already in echelon form, so coordinates on them are the
     # forward substitution of the same elimination
-    zech = ColumnEchelon([[g[i] for g in z_gens] for i in range(n)])
+    zech = ColumnEchelon([[g[i] for g in z_gens] for i in range(n)],
+                         transform=False)
     r = zech.rank
     basis = zech.image_basis()
 
@@ -423,12 +414,13 @@ def subquotient_structure(z_gens, b_gens, ambient_dim: Optional[int] = None) -> 
     xcols = [basis_coords(bvec, "B is not contained in the span of Z")
              for bvec in b_gens]
     dec = smith_normal_form([[col[i] for col in xcols] for i in range(r)])
-    diag = [dec.S[i, i] if i < len(xcols) else 0 for i in range(r)]
+    # the diagonal of the Smith form: its divisors, then zeros
+    diag = list(dec.divisors) + [0] * (r - len(dec.divisors))
     urows, uinv = dec.U.to_rows(), dec.U_inv.to_rows()
 
-    tors_idx = [i for i in range(r) if abs(diag[i]) >= 2]
+    tors_idx = [i for i in range(r) if diag[i] >= 2]
     free_idx = [i for i in range(r) if diag[i] == 0]
-    divisors = tuple(abs(diag[i]) for i in tors_idx)
+    divisors = tuple(diag[i] for i in tors_idx)
     group = AbelianGroupType(divisors, rank=len(free_idx))
 
     def lift(col_idx):
@@ -441,12 +433,12 @@ def subquotient_structure(z_gens, b_gens, ambient_dim: Optional[int] = None) -> 
         return tuple(vec)
 
     reps = [lift(i) for i in tors_idx] + [lift(i) for i in free_idx]
-    orders = [abs(diag[i]) for i in tors_idx] + [None for _ in free_idx]
+    orders = [diag[i] for i in tors_idx] + [None for _ in free_idx]
 
     def coords(vec):
         sol = basis_coords(vec, "vector not in span(Z)")
         y = [sum(urows[i][j] * sol[j] for j in range(r)) for i in range(r)]
-        out = [y[i] % abs(diag[i]) for i in tors_idx]
+        out = [y[i] % diag[i] for i in tors_idx]
         out += [y[i] for i in free_idx]
         return tuple(out)
 

@@ -27,7 +27,7 @@ from .galois0 import (
     GroupElement,
     Subgroup,
     _orbit,
-    _subgroup,
+    _s3_images,
     generate_subgroup,
 )
 
@@ -91,24 +91,22 @@ class KummerConstraint(NamedTuple):
         return lhs == rhs
 
 
-def _monomial_vector(A: int, B: int, C: int, s: int, k: int, m: int) \
-        -> ExponentVector:
-    va = exponent_vector(A, 2).scale(s)
-    vb = exponent_vector(B, 4) + exponent_vector(A, 4).scale(-1)
-    vc = exponent_vector(C, 4) + exponent_vector(A, 4).scale(-1)
-    return va + vb.scale(k) + vc.scale(m)
-
-
 def constraints(A: int, B: int, C: int) -> list[KummerConstraint]:
     """Scan all 32 monomials; emit a constraint for each one that lands in
-    Q(zeta_8), i.e. equals q * sqrt(2)^eps * zeta^phi with q in Q_+."""
+    Q(zeta_8), i.e. equals q * sqrt(2)^eps * zeta^phi with q in Q_+.
+    Each monomial is built from the fourth roots of A, B and C, each
+    factored once."""
+    root_a, root_b, root_c = (exponent_vector(n, 4) for n in (A, B, C))
+    sqrt_a = root_a.scale(2)
+    b_over_a = root_b + root_a.scale(-1)
+    c_over_a = root_c + root_a.scale(-1)
     out = []
     for s in range(2):
         for k in range(4):
             for m in range(4):
                 if s == k == m == 0:
                     continue
-                vec = _monomial_vector(A, B, C, s, k, m)
+                vec = sqrt_a.scale(s) + b_over_a.scale(k) + c_over_a.scale(m)
                 ok = True
                 two_exp = Fraction(0)
                 q = Fraction(1)
@@ -140,7 +138,7 @@ def galois_group(A: int, B: int, C: int) -> Subgroup:
     cons = constraints(A, B, C)
     mask = sum(1 << i for i, g in enumerate(ALL_ELEMENTS)
                if all(c.satisfied_by(g) for c in cons))
-    s = _subgroup(mask)
+    s = Subgroup(mask)
     if generate_subgroup(s.generators).mask() != mask:
         raise AssertionError("constraint solution set is not a subgroup")
     return s
@@ -205,9 +203,11 @@ def row_subgroup(row: Table2Row) -> Subgroup:
 
 
 def contained_up_to_symmetry(s: Subgroup, big: Subgroup) -> bool:
-    """Is s contained in big up to G0-conjugacy and the S3 relabeling?"""
+    """Is s contained in big up to G0-conjugacy and the S3 relabeling:
+    does a conjugate of a relabeled image of s lie in big?"""
     outside = ~big.mask()
-    return any(not m & outside for m in _orbit(s.mask(), with_s3=True))
+    return any(not m & outside
+               for image in _s3_images(s.mask()) for m in _orbit(image))
 
 
 def table2_match(A: int, B: int, C: int) -> int | None:

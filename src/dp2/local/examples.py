@@ -12,6 +12,7 @@ import numpy as np
 
 from ..arith import factorint, is_prime, legendre
 from .padic import (
+    CELL_BUDGET,
     QuaternionClass,
     _chart_cells,
     _eval_vec,
@@ -247,20 +248,20 @@ def build_ex73(A: int, B: int, C: int, point=None, bound=12) \
                         transcript=transcript)
 
 
-def square_d_profile(d, A, B, C, p, n_classes=1, k=3) -> LocalProfile:
-    """The place p when d is a p-adic square: the class is split at
-    every point; liftable points are confirmed to exist."""
+def square_d_profile(d, A, B, C, p) -> LocalProfile:
+    """The place p when d is a p-adic square: the one class is split at
+    every point; liftable points are confirmed to exist, at a depth of
+    at most 3."""
     _check(_is_padic_square(d, p), f"{d} is a square in Q_{p}")
     depth = None
-    for trial in range(1, k + 1):
+    for trial in (1, 2, 3):
         if any((trial >= 2 * t + 1).any() for _, _, t in
-               _chart_cells(A, B, C, p, trial, 2 ** 27)):
+               _chart_cells(A, B, C, p, trial, CELL_BUDGET)):
             depth = trial
             break
     _check(depth is not None, f"S(Q_{p}) is nonempty")
-    zero = tuple(ZERO for _ in range(n_classes))
     return LocalProfile(place=p, modulus=p ** depth,
-                        invariants=frozenset({zero}),
+                        invariants=frozenset({(ZERO,)}),
                         undetermined=0, method="analytic")
 
 
@@ -449,7 +450,7 @@ def ex74_17adic_liftable_check():
     p = 17
     terms = _ex74_unit_terms()
     charts = [coords for _, coords, _ in
-              _chart_cells(34, 34, 34, p, 2, 2 ** 27)]
+              _chart_cells(34, 34, 34, p, 2, CELL_BUDGET)]
     w, x, y, z = (np.concatenate(c) for c in zip(*charts))
     if (w % p).any():
         raise AssertionError("class with w a unit mod 17")

@@ -42,6 +42,8 @@ from .profiles import CapacityError, LocalProfile
 
 DEPTH_CAP = {2: 12}
 DEPTH_CAP_ODD = 6
+#: residue cells one enumeration may expand, over all its levels
+CELL_BUDGET = 2 ** 27
 
 
 class PointClass(NamedTuple):
@@ -272,7 +274,7 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
         yield unit, coords, t
 
 
-def padic_point_classes(A, B, C, p, k, budget=2 ** 27):
+def padic_point_classes(A, B, C, p, k, budget=CELL_BUDGET):
     """All residue classes mod p^k, with some coordinate among x, y, z
     normalized to 1, on which the surface congruence holds; each is
     tagged liftable when the Hensel criterion (k >= 2t+1 for t the
@@ -337,7 +339,7 @@ def _quaternion_columns(cls_terms, coords, p, j, tvals=None):
     return cols
 
 
-def invariant_profile(classes, A, B, C, p, k_cap=None, budget=2 ** 27,
+def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
                       merge=None):
     """Attained invariant vectors of the given quaternion classes over
     all liftable p-adic point classes, with auto-deepening.

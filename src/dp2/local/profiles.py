@@ -47,8 +47,7 @@ def verdict(profiles) -> Verdict:
     if len(lengths) != 1:
         raise ValueError("profiles analyze different class vectors")
     n = lengths.pop()
-    if any(pr.place != "R" and pr.method == "exact-enumeration"
-           and pr.undetermined > 0 for pr in profiles):
+    if any(pr.place != "R" and not pr.exact for pr in profiles):
         return Verdict(profiles, "inconclusive")
     zero = tuple(Fraction(0) for _ in range(n))
     for choice in itertools.product(*(pr.invariants for pr in profiles)):

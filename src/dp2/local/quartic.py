@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from ..arith import factorint, legendre
-from .padic import (_chart_cells, _eval_vec, _surface_terms, _vec_val,
-                    padic_point_classes)
+from .padic import (CELL_BUDGET, _chart_cells, _eval_vec, _surface_terms,
+                    _vec_val, padic_point_classes)
 from .profiles import LocalProfile
 
 SURFACE75 = (-9826, -2, 136)
@@ -255,7 +255,7 @@ def mod32_membership(depth=10, table=None):
         chart_count += int((4 ** (depth - j) << m).sum())
         return ~ready
 
-    for _ in _chart_cells(*SURFACE75, 2, depth, 2 ** 27, settle):
+    for _ in _chart_cells(*SURFACE75, 2, depth, CELL_BUDGET, settle):
         if not chart_count:
             raise AssertionError("no liftable 2-adic classes found")
         count, chart_count = count + chart_count, 0

@@ -545,13 +545,15 @@ def test_scan_and_order_four_obstruct_load_no_cohomology():
 
 def test_analyze_builds_no_conjugation_or_extension_tables():
     # analyze reads the product table and the conjugations by the five
-    # generators (in table2_match's orbits); the 128 conjugation
-    # permutations, the six S3 maps and the roots/into masks are the
-    # subgroup enumeration's, which only scan runs
+    # generators (in table2_match's orbits); the other 123 conjugation
+    # permutations and the roots/into masks are the subgroup
+    # enumeration's, which only scan runs
     script = (
         "import io\n"
         "import dp2.cli as cli\n"
         "import dp2.galois0 as g0\n"
+        "built, conjugation = [], g0._conjugation\n"
+        "g0._conjugation = lambda g: built.append(g) or conjugation(g)\n"
         "for argv in (['analyze', '-A', '-5', '-B', '-5', '-C', '-14',\n"
         "              '--backend', 'all'],\n"
         "             ['analyze', '-A', '-16', '-B', '-35', '-C', '29'],\n"
@@ -562,7 +564,7 @@ def test_analyze_builds_no_conjugation_or_extension_tables():
         "             ['analyze', '-A', '-10', '-B', '49', '-C', '36',\n"
         "              '--backend', 'standard']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
-        "print(g0._tables.cache_info().currsize,\n"
+        "print(len(built),\n"
         "      g0._extension_tables.cache_info().currsize,\n"
         "      bool(g0._ORBITS))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -570,7 +572,7 @@ def test_analyze_builds_no_conjugation_or_extension_tables():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0", "True"]
+    assert done.stdout.split() == ["5", "0", "True"]
 
 
 def test_analyze_and_scan_load_neither_hilbert_nor_fiveterm():

@@ -35,13 +35,14 @@ from dp2.galois0 import (
     Subgroup,
     all_subgroup_classes,
     enumerate_subgroups_onto_Q,
+    fixed_rank,
     generate_subgroup,
     h1_type,
     _h1_cokernel,
-    _subgroup,
 )
 from dp2.intlin import AbelianGroupType, ColumnEchelon
 from dp2.picard import Triple, build_lattice
+from semidirect import semidirect_decomposition
 
 H_GENS = (IOTA_A, IOTA_B, IOTA_A * IOTA_B * IOTA_C)
 
@@ -485,7 +486,6 @@ def test_resolution_boundary_squared_zero(generic_h):
 
 def test_five_term_consistency_sampled():
     # |H^1(G,M)| = |H^1(Q,M^H)| * |ker d2| against the presentation backend
-    from dp2.galois0 import semidirect_decomposition, enumerate_subgroups_onto_Q
     rng = random.Random(23)
     subs = [s for s in enumerate_subgroups_onto_Q() if s.order <= 32]
     for s in rng.sample(subs, 8):
@@ -549,7 +549,7 @@ def test_scan_computes_h1_once_per_class(monkeypatch):
         presented.append(len(mod.elements))
         return presentation(mod)
 
-    monkeypatch.setattr(galois0, "_H1_TYPE_BY_MASK", {})
+    monkeypatch.setattr(galois0, "_H1_BY_MASK", {})
     monkeypatch.setattr(galois0, "_h1_cokernel", counting_cokernel)
     monkeypatch.setattr(cohomology, "h1_presentation", counting_presentation)
     cli.scan_theorem()
@@ -577,8 +577,7 @@ def test_scan_builds_one_echelon_per_class(monkeypatch):
         echelons.append(transform)
         init(self, rows_in, transform)
 
-    monkeypatch.setattr(galois0, "_H1_TYPE_BY_MASK", {})
-    monkeypatch.setattr(galois0, "_FIXED_RANK_BY_MASK", {})
+    monkeypatch.setattr(galois0, "_H1_BY_MASK", {})
     monkeypatch.setattr(galois0, "fixed_sublattice", counting_fixed_sublattice)
     monkeypatch.setattr(ColumnEchelon, "__init__", counting_init)
     cli.scan_theorem()
@@ -591,7 +590,7 @@ def test_h1_type_matches_presentation_on_every_class():
     classes = all_subgroup_classes()
     assert len(classes) == 1500
     for mask in classes:
-        s = _subgroup(mask)
+        s = Subgroup(mask)
         assert h1_type(s) == h1_presentation(pic_module(s)).group, \
             s.generators
 
@@ -605,12 +604,11 @@ def test_h1_type_ignores_redundant_generators(data):
     gens = data.draw(st.permutations(list(s.generators) + extra))
     redundant = generate_subgroup(gens)
     assert redundant.mask() == s.mask()
-    assert _h1_cokernel(redundant) == h1_type(s)
+    assert _h1_cokernel(redundant) == (h1_type(s), fixed_rank(s))
 
 
 def test_h1_type_refuses_non_generating_generators():
-    short = Subgroup(elements=G0.elements, generators=(SIGMA, TAU),
-                     onto_q=True)
+    short = Subgroup(G0.mask(), (SIGMA, TAU))
     with pytest.raises(AssertionError, match="do not generate"):
         _h1_cokernel(short)
 
@@ -738,8 +736,6 @@ def test_five_term_refuses_the_order8_normal_part_of_class_204():
     # semidirect_decomposition hands class 204 two order-4 generators of
     # an order-8 normal part; the product resolution of Z/4 x Z/4 gave
     # |H^1(G)| = 2 against the true 4
-    from dp2.galois0 import enumerate_subgroups_onto_Q, \
-        semidirect_decomposition
     s = enumerate_subgroups_onto_Q()[204]
     n, t = semidirect_decomposition(s)
     assert n.order == 8 and [g.order() for g in n.generators] == [4, 4]

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -24,7 +25,6 @@ from dp2.galois0 import (
     fixed_sublattice,
     generate_subgroup,
     matrix_of,
-    semidirect_decomposition,
     verify_action_homomorphism,
 )
 from dp2.picard import (
@@ -37,6 +37,8 @@ from dp2.picard import (
     build_lattice,
     triple,
 )
+
+from semidirect import semidirect_decomposition
 
 LAT = build_lattice()
 
@@ -251,12 +253,30 @@ def test_quotient_by_H_is_klein_four():
     assert all(g.chi == 1 for g in H_SUBGROUP.elements)
 
 
+@functools.cache
+def _conjugation_perms() -> list[tuple[int, ...]]:
+    """x -> g x g^-1 on element indices, one per g, by GroupElement
+    products."""
+    index = {g: i for i, g in enumerate(ALL_ELEMENTS)}
+    return [tuple(index[g * x * g.inverse()] for x in ALL_ELEMENTS)
+            for g in ALL_ELEMENTS]
+
+
+@functools.cache
+def _s3_perms() -> list[tuple[int, ...]]:
+    """The six S3_MAPS on element indices."""
+    index = {g: i for i, g in enumerate(ALL_ELEMENTS)}
+    return [tuple(index[phi(x)] for x in ALL_ELEMENTS)
+            for phi in S3_MAPS.values()]
+
+
 def _canon_conj_s3(mask: int) -> int:
-    """Least image of the subgroup mask under conjugation and the S3
-    relabelings, over its whole orbit: the oracle of the S3 classes of
-    `enumerate_subgroups_onto_Q`."""
-    import dp2.galois0 as g0
-    return min(g0._orbit(mask, with_s3=True))
+    """Least image of the subgroup mask under each of the six S3_MAPS
+    followed by each of the 128 conjugations: the oracle of the S3
+    classes of `enumerate_subgroups_onto_Q`."""
+    members = [i for i in range(128) if mask >> i & 1]
+    return min(sum(1 << cp[sp[i]] for i in members)
+               for sp in _s3_perms() for cp in _conjugation_perms())
 
 
 def test_enumeration_contains_G0_and_is_ontoQ():
@@ -377,16 +397,27 @@ def test_fingerprint_includes_h1():
 
 
 def test_index_tables_match_group_elements():
-    from dp2.galois0 import _INDEX, _tables
-    mul, conj, s3 = _tables()
+    # the product table, the conjugations, and the nibble tables of the
+    # generator conjugations and of the ab and bc relabelings on every
+    # one-element mask
+    import dp2.galois0 as g0
+    from dp2.galois0 import _INDEX
+    mul = g0._mul()
     for a in ALL_ELEMENTS:
         ia = _INDEX[a]
         ai = a.inverse()
+        conj = g0._conjugation(ia)
         for b in ALL_ELEMENTS:
             assert mul[ia][_INDEX[b]] == _INDEX[a * b]
-            assert conj[ia][_INDEX[b]] == _INDEX[a * b * ai]
-    for perm, phi in zip(s3, S3_MAPS.values()):
-        assert perm == tuple(_INDEX[phi(x)] for x in ALL_ELEMENTS)
+            assert conj[_INDEX[b]] == _INDEX[a * b * ai]
+    maps = [lambda x, g=g: g * x * g.inverse() for g in GENERATORS.values()]
+    maps += [S3_MAPS["ab"], S3_MAPS["bc"]]
+    tables = g0._orbit_tables()
+    assert len(tables) == len(maps) == 7
+    for table, phi in zip(tables, maps):
+        for x in ALL_ELEMENTS:
+            assert g0._nibble_images(1 << _INDEX[x], [table]) \
+                == [1 << _INDEX[phi(x)]]
 
 
 def test_orbit_canonical_forms_match_bruteforce(monkeypatch):
@@ -394,7 +425,7 @@ def test_orbit_canonical_forms_match_bruteforce(monkeypatch):
     # the S3 form, every relabeling followed by a conjugation)
     import dp2.galois0 as g0
     monkeypatch.setattr(g0, "_ORBITS", {})
-    _, conj, s3 = g0._tables()
+    conj, s3 = _conjugation_perms(), _s3_perms()
     rng = random.Random(7)
     for mask in g0.all_subgroup_classes():
         brute = min(g0._apply_perm(mask, p) for p in conj)
@@ -408,12 +439,21 @@ def test_orbit_canonical_forms_match_bruteforce(monkeypatch):
         assert _canon_conj_s3(moved) == min(images) == _canon_conj_s3(mask)
 
 
+def test_s3_images_match_s3_maps():
+    # the one relabeling routine gives the images under the six S3_MAPS,
+    # on every conjugacy class of subgroups
+    import dp2.galois0 as g0
+    for mask in g0.all_subgroup_classes():
+        assert g0._s3_images(mask) \
+            == {g0._apply_perm(mask, sp) for sp in _s3_perms()}
+
+
 def test_s3_classes_match_per_class_orbit_oracle(monkeypatch):
-    # merging the conjugacy classes under the ab and bc relabelings gives
-    # the classes of the least image over each class's whole conjugation
-    # and relabeling orbit: the same masks, order and generators.  The
-    # orbit memo is emptied while all_subgroup_classes stays cached, and
-    # the enumeration runs past its own cache
+    # merging each conjugacy class with the classes of its relabeled
+    # images gives the classes of the least image over each class's whole
+    # conjugation and relabeling orbit: the same masks, order and
+    # generators.  The orbit memo is emptied while all_subgroup_classes
+    # stays cached, and the enumeration runs past its own cache
     import dp2.galois0 as g0
     monkeypatch.setattr(g0, "_ORBITS", {})
     got = enumerate_subgroups_onto_Q.__wrapped__()
@@ -421,7 +461,7 @@ def test_s3_classes_match_per_class_orbit_oracle(monkeypatch):
     for mask in g0.all_subgroup_classes():
         if all(mask & coset for coset in g0._CHI_COSETS):
             canon = _canon_conj_s3(mask)
-            oracle.setdefault(canon, g0._subgroup(canon))
+            oracle.setdefault(canon, Subgroup(canon))
     want = sorted(oracle.items(), key=lambda kv: (kv[1].order, kv[0]))
     assert [(s.mask(), s.generators, s.onto_q) for s in got] \
         == [(m, s.generators, s.onto_q) for m, s in want]
@@ -456,7 +496,7 @@ def _all_subgroup_classes_oracle():
     normaliser test compares the whole conjugate mask, and the coset is
     the permuted mask."""
     import dp2.galois0 as g0
-    mul, conj, _ = g0._tables()
+    mul, conj = g0._mul(), _conjugation_perms()
     layer = {1 << g0._INDEX[IDENTITY]}
     seen = set(layer)
     while layer:
@@ -519,11 +559,11 @@ def test_generator_invariants_match_element_oracles_on_every_class():
     # all 1,500 conjugacy classes: the invariants read from a generating
     # set equal those read from every element, and the fixed rank read
     # from the echelon behind H^1 equals the size of a kernel basis
-    from dp2.galois0 import _subgroup, all_subgroup_classes
+    from dp2.galois0 import all_subgroup_classes
     classes = all_subgroup_classes()
     assert len(classes) == 1500
     for mask in classes:
-        s = _subgroup(mask)
+        s = Subgroup(mask)
         assert abelianization(s) == _abelianization_oracle(s), s.generators
         assert curve_orbit_lengths(s) == _curve_orbit_lengths_oracle(s), \
             s.generators
@@ -533,7 +573,7 @@ def test_generator_invariants_match_element_oracles_on_every_class():
 def test_generator_invariants_refuse_non_generating_generators():
     # a cached H^1 for the mask does not skip the check
     fingerprint(G0)
-    short = Subgroup(G0.elements, (SIGMA, TAU), True)
+    short = Subgroup(G0.mask(), (SIGMA, TAU))
     for invariant in (fingerprint, abelianization, curve_orbit_lengths,
                       fixed_rank):
         with pytest.raises(AssertionError, match="do not generate"):

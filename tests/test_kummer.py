@@ -1,10 +1,14 @@
 import cmath
+import functools
+import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
 from dp2.galois0 import (
+    ALL_ELEMENTS,
     G0,
     IOTA_A,
     IOTA_B,
@@ -132,6 +136,41 @@ def test_table2_condition_iff_containment():
             holds = condition_holds(row, *src.example)
             inside = contained_up_to_symmetry(g, row_subgroup(row))
             assert holds == inside, (src.index, row.index)
+
+
+@functools.cache
+def _relabel_then_conjugate() -> list[list[int]]:
+    """Each of the six S3_MAPS followed by each of the 128 conjugations,
+    as index permutations built from GroupElement products."""
+    index = {g: i for i, g in enumerate(ALL_ELEMENTS)}
+    return [[index[g * phi(x) * g.inverse()] for x in ALL_ELEMENTS]
+            for phi in S3_MAPS.values() for g in ALL_ELEMENTS]
+
+
+def _contained_oracle(s, big) -> bool:
+    """Some relabeling followed by some conjugation maps every generator
+    of s into big."""
+    gens = [ALL_ELEMENTS.index(x) for x in s.generators]
+    return any(all(big.mask() >> perm[i] & 1 for i in gens)
+               for perm in _relabel_then_conjugate())
+
+
+def test_contained_up_to_symmetry_matches_oracle():
+    # every TABLE2 row against the Galois group of every analyze
+    # reference triple of the benchmark: 960 pairs, 100 of them inside
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "references.json")
+    with open(path) as f:
+        keys = json.load(f)["analyze"]
+    rows = [(row.index, row_subgroup(row)) for row in TABLE2]
+    inside = 0
+    for key in keys:
+        g = galois_group(*map(int, key.split(",")))
+        for index, big in rows:
+            got = contained_up_to_symmetry(g, big)
+            assert got == _contained_oracle(g, big), (key, index)
+            inside += got
+    assert (len(keys) * len(rows), inside) == (960, 100)
 
 
 def test_table2_row_groups_have_index_two():
