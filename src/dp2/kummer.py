@@ -97,9 +97,8 @@ def constraints(A: int, B: int, C: int) -> list[KummerConstraint]:
     Each monomial is built from the fourth roots of A, B and C, each
     factored once."""
     root_a, root_b, root_c = (exponent_vector(n, 4) for n in (A, B, C))
-    sqrt_a = root_a.scale(2)
-    b_over_a = root_b + root_a.scale(-1)
-    c_over_a = root_c + root_a.scale(-1)
+    sqrt_a, inv_a = root_a.scale(2), root_a.scale(-1)
+    b_over_a, c_over_a = root_b + inv_a, root_c + inv_a
     out = []
     for s in range(2):
         for k in range(4):
