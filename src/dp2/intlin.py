@@ -47,10 +47,6 @@ class IntMatrix(_IntMatrix):
             raise ValueError("ragged rows")
         return IntMatrix(len(rows), ncols, tuple(x for r in rows for x in r))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def to_rows(self) -> list[list[int]]:
         e, c = self.entries, self.cols
         return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
@@ -58,14 +54,6 @@ class IntMatrix(_IntMatrix):
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = [[sum(a[i][k] * b[k][j] for k in range(self.cols))
-                for j in range(other.cols)] for i in range(self.rows)]
-        return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
 
 
 class _AbelianGroupType(NamedTuple):

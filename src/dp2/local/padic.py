@@ -2,8 +2,13 @@
 invariant profiles of quaternion classes over the enumerated points.
 
 One chart enumerator, _chart_cells, refines residue classes digit by
-digit (vectorized, one level at a time), per unit chart, from the
-single class mod p^0.  A class is kept only while the surface
+digit (vectorized, one level at a time), per chart, from the single
+class mod p^0.  Its three charts are a disjoint cover of the primitive
+points, each normalized at its first unit coordinate: chart x has
+x = 1, chart y has x = 0 mod p and y = 1, chart z has x = y = 0 mod p
+and z = 1.  So each point is enumerated once, up to a unit rescaling,
+and no consumer can tell the rescalings apart (_chart_cells gives the
+argument).  A class is kept only while the surface
 congruence can still hold, and is certified liftable by the
 multivariate Hensel criterion (depth >= 2t+1 where t is the minimal
 valuation in the gradient).  Past the first level, the congruence on
@@ -17,7 +22,7 @@ allocated.  A consumer may pass a settle callback that sees the cells
 of every level and drops the decided ones, so invariant
 profiles deepen automatically until every quaternion invariant is
 determined or a depth cap is reached; a consumer that needs only the
-classes at a fixed depth gets them one unit chart at a time, and never
+classes at a fixed depth gets them one chart at a time, and never
 holds all three charts at once.
 
 Modulo a power of two, residues are reduced with a bit mask and 2-adic
@@ -189,7 +194,8 @@ def _expand_filtered(cells, unit, p, j, f, grads, budget_left):
     p^j, in parent order and, per parent, in digit order, with the
     index of each child's parent.
 
-    Level 1 evaluates f on the p^3 digit vectors of the root.  From
+    Level 1 evaluates f on the p^3 digit vectors of the root and keeps
+    the ones in the chart's part of the disjoint cover.  From
     level 2 on it takes the exact Taylor step: with h = p^(j-1),
     f(x + h delta) = f(x) + h grad f(x).delta mod p^j, because the
     Taylor coefficients of an integer polynomial are integers and
@@ -207,6 +213,10 @@ def _expand_filtered(cells, unit, p, j, f, grads, budget_left):
     grid = [d.ravel() for d in np.meshgrid(r, r, r, indexing="ij")]
     if j == 1:
         keep = _eval_vec(f, _coords(unit, *grid), p) == 0
+        # the disjoint cover: the coordinates before the unit one are
+        # divisible by p (chart y: x; chart z: x and y)
+        for d in grid[1:"xyz".index(unit) + 1]:
+            keep &= d == 0
         return (tuple(d[keep] for d in grid),
                 np.zeros(int(keep.sum()), dtype=np.int64))
     h = p ** (j - 1)
@@ -232,13 +242,35 @@ def _min_gradient_val(grads, coords, p, j):
 
 
 def _chart_cells(A, B, C, p, k, budget, settle=None):
-    """Per unit chart x, y, z in turn: (unit, coords, t) for the
-    residue classes mod p^k, with that coordinate normalized to 1, on
-    which the surface congruence holds, and t the per-class minimal
-    gradient valuation.  Each chart starts from the one class mod p^0
-    and is refined a digit per level by _expand_filtered's Taylor
-    step; the cells expanded at every level of every chart count
-    against budget, and only one chart's cells are held at a time.
+    """Per chart x, y, z in turn: (unit, coords, t) for the residue
+    classes mod p^k of the chart on which the surface congruence holds,
+    and t the per-class minimal gradient valuation.  The charts are a
+    disjoint cover of the primitive points, each normalized at its
+    first unit coordinate: chart x has x = 1, chart y has x = 0 mod p
+    and y = 1, chart z has x = y = 0 mod p and z = 1.  Each chart
+    starts from the one class mod p^0 and is refined a digit per level
+    by _expand_filtered's Taylor step; the cells expanded at every level
+    of every chart count against budget, p^3 per chart root at level 1,
+    and only one chart's cells are held at a time.
+
+    The overlapping unit charts x = 1, y = 1, z = 1 would list a point
+    once per unit coordinate.  Every class they add is the image of a
+    cover class under a rescaling (w, x, y, z) -> (l^2 w, l x, l y, l z)
+    by a unit l, and mod p^j that rescaling is an isometry:
+
+    - f is multiplied by l^4 and its partials by l^2 (in w) and l^3, so
+      f = 0 mod p^j, the gradient valuation t and liftability are kept;
+    - a polynomial homogeneous of even weighted degree e, w of weight
+      2, is multiplied by the square l^e, which keeps its valuation and
+      square class; every numerator_terms is one, so every quaternion
+      invariant is kept;
+    - a quotient of two homogeneous polynomials of one weighted degree,
+      such as the cocycle functions of dp2.local.quartic, keeps its
+      value.
+
+    So an attained set, a decision and a depth reached on the cover are
+    those of the overlapping charts; only counts of classes differ, by
+    the number of unit coordinates of each class.
 
     t is carried from level to level.  At level j it is the valuation
     of the gradient mod p^j, capped at j.  A parent with t < j - 1 has
@@ -276,21 +308,31 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
 
 def padic_point_classes(A, B, C, p, k, budget=CELL_BUDGET):
     """All residue classes mod p^k, with some coordinate among x, y, z
-    normalized to 1, on which the surface congruence holds; each is
-    tagged liftable when the Hensel criterion (k >= 2t+1 for t the
-    minimal gradient valuation) certifies a p-adic point within
-    distance p^(t-k) of the representative.  Every actual point lies
-    in a liftable class, but for t > 0 a liftable class need not
-    itself contain a point; coordinates are guaranteed only to the
-    effective precision p^(k-t)."""
+    normalized to 1, on which the surface congruence holds, grouped by
+    that coordinate; each is tagged liftable when the Hensel criterion
+    (k >= 2t+1 for t the minimal gradient valuation) certifies a p-adic
+    point within distance p^(t-k) of the representative.  Every actual
+    point lies in a liftable class, but for t > 0 a liftable class need
+    not itself contain a point; coordinates are guaranteed only to the
+    effective precision p^(k-t).
+
+    A class of _chart_cells' disjoint cover is listed once per unit
+    coordinate, rescaled by that coordinate's inverse l mod p^k to
+    (l^2 w, l x, l y, l z), with the same t (the rescaling is an
+    isometry, see _chart_cells)."""
+    m = p ** k
     out = []
-    for unit, coords, t in _chart_cells(A, B, C, p, k, budget):
-        liftable = k >= 2 * t + 1
-        for i in range(len(coords[0])):
-            out.append(PointClass(int(coords[0][i]), int(coords[1][i]),
-                                  int(coords[2][i]), int(coords[3][i]),
-                                  p=p, k=k, unit_coordinate=unit,
-                                  liftable=bool(liftable[i])))
+    for _, coords, t in _chart_cells(A, B, C, p, k, budget):
+        liftable = (k >= 2 * t + 1).tolist()
+        for w, *xyz, lift in zip(*(c.tolist() for c in coords), liftable):
+            for unit, u in zip("xyz", xyz):
+                if u % p:
+                    inv = pow(u, -1, m)
+                    out.append(PointClass(inv * inv * w % m,
+                                          *(inv * c % m for c in xyz),
+                                          p=p, k=k, unit_coordinate=unit,
+                                          liftable=lift))
+    out.sort(key=lambda c: c.unit_coordinate)  # stable: chart order kept
     return out
 
 
@@ -342,7 +384,9 @@ def _quaternion_columns(cls_terms, coords, p, j, tvals=None):
 def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
                       merge=None):
     """Attained invariant vectors of the given quaternion classes over
-    all liftable p-adic point classes, with auto-deepening.
+    all liftable p-adic point classes, with auto-deepening.  The classes
+    are those of _chart_cells' disjoint cover, so undetermined counts
+    each undecided point class once, up to a unit rescaling.
 
     merge optionally groups class indices, e.g. ((0, 3), (1, 4)): the
     grouped classes are equal in the Brauer group (different function
@@ -352,6 +396,12 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
     if k_cap is None:
         k_cap = DEPTH_CAP.get(p, DEPTH_CAP_ODD)
     cls_terms = [(q.numerator_terms(), q.d) for q in classes]
+    for terms, _ in cls_terms:
+        # the cover decides for all unit rescalings only when g is a
+        # function on the surface: w of weight 2, one even degree
+        degrees = {2 * ew + ex + ey + ez for _, ew, ex, ey, ez in terms}
+        if len(degrees) != 1 or degrees.pop() % 2:
+            raise ValueError("numerator not homogeneous of even degree")
     attained = set()
     max_depth = 1
 

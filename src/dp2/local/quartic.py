@@ -8,8 +8,8 @@ its nontriviality at 17 reduces to quartic residues, because the norm
 group of Q_17(17^(1/4))/Q_17 is generated by 17 and fourth powers.
 
 The membership check covers all liftable classes mod 2^10 without
-visiting each: the shared chart enumerator in padic refines one unit
-chart at a time, and a class is settled, with its exact number of
+visiting each: the shared chart enumerator in padic refines one chart
+of its disjoint cover at a time, and a class is settled, with its exact number of
 descendants mod 2^10 as its weight, as soon as both cocycle values are
 decided for every descendant.  All moduli are powers of two, so
 reductions are bit masks."""
@@ -171,9 +171,13 @@ def mod32_membership(depth=10, table=None):
     surface, at least one of the two cocycle functions has a determined
     unit value, and that value mod 32 lies in the residue table.
     Returns (all_covered, attained values, class count), each equal to
-    what a walk over every liftable class mod 2^depth gives.
+    what a walk over every liftable class mod 2^depth gives.  The count
+    is of the classes of padic's disjoint chart cover, one per point up
+    to a unit rescaling, which keeps both cocycle values (each is a
+    quotient of two forms of one weighted degree).  On this surface x
+    is a unit at every 2-adic point, so all of them lie in chart x.
 
-    The classes are refined one unit chart at a time by the chart
+    The classes are refined one chart at a time by the chart
     enumerator of padic.  Its settle hook drops a class c at level j
     as the stand-in for all of its descendants at depth D once c is
     liftable (j >= 2t + 1), 2j >= D, and both cocycle values are
@@ -225,11 +229,11 @@ def mod32_membership(depth=10, table=None):
     for a, b in table:
         in_table[32 * a + b] = True
     f = _surface_terms(*SURFACE75)
-    covered, count, chart_count = True, 0, 0
+    covered, count = True, 0
     seen = np.zeros(32 * 32, dtype=bool)
 
     def settle(j, coords, t):
-        nonlocal covered, chart_count
+        nonlocal covered, count
         ready = (j >= 2 * t + 1) & (2 * j >= depth)
         if not ready.any():
             return ~ready
@@ -252,13 +256,13 @@ def mod32_membership(depth=10, table=None):
             hit |= known & in_table[codes]
             seen[codes[known]] = True
         covered &= bool(hit.all())
-        chart_count += int((4 ** (depth - j) << m).sum())
+        count += int((4 ** (depth - j) << m).sum())
         return ~ready
 
     for _ in _chart_cells(*SURFACE75, 2, depth, CELL_BUDGET, settle):
-        if not chart_count:
-            raise AssertionError("no liftable 2-adic classes found")
-        count, chart_count = count + chart_count, 0
+        pass
+    if not count:
+        raise AssertionError("no liftable 2-adic classes found")
     attained = frozenset((int(c) >> 5, int(c) & 31)
                          for c in np.flatnonzero(seen))
     return covered, attained, count

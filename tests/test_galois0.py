@@ -124,8 +124,10 @@ def test_matrix_of_identity_and_homomorphism():
     gens = list(GENERATORS.values())
     for g in gens:
         for h in gens:
-            prod = matrix_of(g).mul(matrix_of(h))
-            assert prod.entries == matrix_of(g * h).entries
+            a, b = matrix_of(g), matrix_of(h)
+            prod = tuple(sum(a[i, k] * b[k, j] for k in range(8))
+                         for i in range(8) for j in range(8))
+            assert prod == matrix_of(g * h).entries
 
 
 def test_matrix_preserves_gram_and_anticanonical():

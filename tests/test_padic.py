@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -262,7 +263,9 @@ def test_eval_vec_matches_eval_terms():
 
 def _brute_chart_cells(A, B, C, p, j, unit):
     """Pure-Python oracle: (w, x, y, z, t) for every class mod p^j in
-    the unit chart on which the surface congruence holds."""
+    the unit chart of the disjoint cover on which the surface
+    congruence holds; in chart y, p divides x, and in chart z, p
+    divides x and y."""
     f = _surface_terms(A, B, C)
     grads = _gradient_terms(A, B, C)
     m = p ** j
@@ -272,7 +275,8 @@ def _brute_chart_cells(A, B, C, p, j, unit):
             for b in range(m):
                 pt = {"x": (w, 1, a, b), "y": (w, a, 1, b),
                       "z": (w, a, b, 1)}[unit]
-                if eval_terms(f, *pt, m):
+                before = pt[1:"xyz".index(unit) + 1]
+                if any(c % p for c in before) or eval_terms(f, *pt, m):
                     continue
                 t = min(_val(eval_terms(g, *pt, m), p, j) for g in grads)
                 out.append((*pt, t))
@@ -323,18 +327,25 @@ def test_chart_cells_inherited_t_match_brute_force(A, B, C, p, k):
                    for row in rows)
 
 
-def _direct_chart_cells(A, B, C, p, k):
+def _direct_chart_cells(A, B, C, p, k, budget=None, settle=None,
+                        disjoint=True):
     """The enumerator without the Taylor step or inherited t: every
     level evaluates f mod p^j on all p^3 digit extensions of every kept
-    cell, and t is evaluated at level k.  Yields (unit, coords, t) in
-    the order _chart_cells does."""
+    cell, and t mod p^j on the kept ones.  With disjoint, the charts
+    are those of the cover _chart_cells refines: chart y keeps the
+    classes with p | x, chart z those with p | x and p | y.  Without,
+    they are the three overlapping unit charts x = 1, y = 1, z = 1,
+    which list a point once per unit coordinate.  settle is called as
+    _chart_cells calls it; budget is not charged.  Yields (unit,
+    coords, t) in the order _chart_cells does."""
     f = _surface_terms(A, B, C)
     grads = _gradient_terms(A, B, C)
     r = np.arange(p, dtype=np.int64)
     grid = [d.ravel() for d in np.meshgrid(r, r, r, indexing="ij")]
     chunk = max(1, 2 ** 21 // p ** 3)
-    for unit in ("x", "y", "z"):
+    for before, unit in enumerate("xyz"):
         cells = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
+        t = cells[0]
         for j in range(1, k + 1):
             parts = []
             for lo in range(0, len(cells[0]), chunk):
@@ -343,13 +354,18 @@ def _direct_chart_cells(A, B, C, p, k):
                             + np.tile(d * p ** (j - 1), len(c))
                             for c, d in zip(block, grid))
                 keep = _eval_vec(f, _coords(unit, *ext), p ** j) == 0
+                for c in ext[1:before + 1] if disjoint else ():
+                    keep &= c % p == 0
                 parts.append(tuple(c[keep] for c in ext))
             cells = tuple(np.concatenate([part[i] for part in parts])
                           if parts else cells[i][:0] for i in range(3))
-        coords = _coords(unit, *cells)
-        t = np.minimum.reduce([_vec_val(_eval_vec(g, coords, p ** k), p, k)
-                               for g in grads])
-        yield unit, coords, t
+            coords = _coords(unit, *cells)
+            t = np.minimum.reduce([_vec_val(_eval_vec(g, coords, p ** j),
+                                            p, j) for g in grads])
+            if settle is not None and len(t):
+                undecided = settle(j, coords, t)
+                cells, t = tuple(c[undecided] for c in cells), t[undecided]
+        yield unit, _coords(unit, *cells), t
 
 
 def _assert_same_charts(A, B, C, p, k):
@@ -373,6 +389,90 @@ def test_taylor_step_matches_direct_evaluation(A, B, C, p, k):
        st.sampled_from([2, 3, 5, 7]), st.integers(1, 3))
 def test_taylor_step_matches_direct_evaluation_property(A, B, C, p, k):
     _assert_same_charts(A, B, C, p, k)
+
+
+def _overlapping_rows(A, B, C, p, k):
+    """(unit, w, x, y, z, t) for every class of the overlapping unit
+    charts, by direct evaluation."""
+    return sorted((unit, *pt, tt) for unit, coords, t in
+                  _direct_chart_cells(A, B, C, p, k, disjoint=False)
+                  for *pt, tt in zip(*(c.tolist() for c in coords),
+                                     t.tolist()))
+
+
+@pytest.mark.parametrize("A, B, C, p, k", [
+    (1, 1, 1, 2, 4), (-25, -5, 45, 2, 5), (-9826, -2, 136, 2, 5),
+    (1, 1, 1, 3, 2), (-6, -3, 2, 3, 3), (3, 6, -9, 3, 2),
+    (1, 1, 1, 5, 2), (-25, -5, 45, 5, 2), (34, 34, 34, 17, 2),
+    (-9826, -2, 136, 17, 1)])
+def test_rescaled_cover_is_the_overlapping_enumeration(A, B, C, p, k):
+    # each class of the disjoint cover, rescaled by the inverse l of
+    # each of its unit coordinates to (l^2 w, l x, l y, l z), is a class
+    # of that unit chart, with the same t, and together they are all
+    want = _overlapping_rows(A, B, C, p, k)
+    assert want
+    m = p ** k
+    got = []
+    for _, coords, t in _chart_cells(A, B, C, p, k, 2 ** 27):
+        for w, *xyz, tt in zip(*(c.tolist() for c in coords), t.tolist()):
+            for unit, u in zip("xyz", xyz):
+                if u % p:
+                    inv = pow(u, -1, m)
+                    got.append((unit, inv * inv * w % m,
+                                *(inv * c % m for c in xyz), tt))
+    assert sorted(got) == want
+    # padic_point_classes lists those classes, grouped by unit coordinate
+    cells = padic_point_classes(A, B, C, p, k)
+    assert sorted((c.unit_coordinate, c.w, c.x, c.y, c.z, c.liftable)
+                  for c in cells) \
+        == sorted((unit, w, x, y, z, k >= 2 * tt + 1)
+                  for unit, w, x, y, z, tt in want)
+    units = [c.unit_coordinate for c in cells]
+    assert units == sorted(units)
+
+
+#: the five recipes' classes, with the places of their enumerations
+RECIPE_PLACES = [
+    ("build_ex71", (), (2, 3, 5), None),
+    ("build_ex72", (3,), (2,), None),
+    ("build_ex73", (-126, -91, 78), (2, 3, 7, 13), None),
+    ("build_ex74", (), (2,), ((0, 3), (1, 4), (2, 5))),
+    ("build_ex75", (), (2,), None),
+]
+
+
+@pytest.mark.parametrize("k_cap", [1, 2, 3, 4])
+@pytest.mark.parametrize("builder, args, places, merge", RECIPE_PLACES,
+                         ids=[row[0] for row in RECIPE_PLACES])
+def test_invariant_profile_same_on_both_covers(builder, args, places,
+                                               merge, k_cap, monkeypatch):
+    from dp2.local import examples, padic
+    ex = getattr(examples, builder)(*args)
+    for p in places:
+        got = invariant_profile(ex.classes, *ex.surface, p, k_cap=k_cap,
+                                merge=merge)
+        with monkeypatch.context() as patch:
+            patch.setattr(padic, "_chart_cells",
+                          functools.partial(_direct_chart_cells,
+                                            disjoint=False))
+            want = invariant_profile(ex.classes, *ex.surface, p,
+                                     k_cap=k_cap, merge=merge)
+        assert (got.invariants, got.modulus, got.exact) \
+            == (want.invariants, want.modulus, want.exact), p
+        # each undecided class of the overlapping charts is a rescaling
+        # of one of the cover's, so both counts are zero or neither
+        assert (got.undetermined == 0) == (want.undetermined == 0)
+        assert got.undetermined <= want.undetermined <= 3 * got.undetermined
+
+
+def test_invariant_profile_refuses_a_numerator_of_mixed_degree():
+    # w x + y^2 has weighted degrees 3 and 2: no function on the surface
+    q = QuaternionClass(Fraction(-6), W * X + Y ** 2)
+    with pytest.raises(ValueError, match="homogeneous"):
+        invariant_profile([q], -25, -5, 45, 3, k_cap=1)
+    q = QuaternionClass(Fraction(-6), W * X)  # odd weighted degree 3
+    with pytest.raises(ValueError, match="homogeneous"):
+        invariant_profile([q], -25, -5, 45, 3, k_cap=1)
 
 
 def _real_sheets_per_term(term_lists, A, B, C, samples, seed):

@@ -88,7 +88,9 @@ def test_norm_image_check_covers_table():
 def test_mod32_membership():
     covered, attained, count = mod32_membership()
     assert covered
-    assert count == 6291456
+    # one class per point up to a unit rescaling: x, y and z are odd
+    # at every 2-adic point, so each is counted in chart x alone
+    assert count == 2097152
     assert attained == frozenset(RESIDUE_TABLE_MOD32)
 
 
@@ -120,15 +122,13 @@ def test_mod32_membership_fault_injection():
 
 
 def _chart_membership(coords, t, depth, in_table):
-    """mod32_membership on the classes of one unit chart, without
+    """mod32_membership on the classes of one chart, without
     settling: (all covered, seen values as a 1024-entry mask of 32 re +
     im, class count) over every liftable class mod 2^depth."""
     prec = 2 ** (depth - 1)  # component precision; w/2 costs one bit
     mask = prec - 1
     cap = depth - 1
     w, x, y, z = (c[depth >= 2 * t + 1] for c in coords)
-    if len(w) == 0:
-        raise AssertionError("no liftable 2-adic classes found")
     if not ((w & 3 == 2).all() and (x & 1).all() and (y & 1).all()
             and (z & 1).all()):
         raise AssertionError("unexpected 2-adic parities")
@@ -171,6 +171,8 @@ def _exhaustive_membership(depth, tables):
             res[0] &= covered
             res[1] |= seen
             res[2] += count
+    if not results[0][2]:
+        raise AssertionError("no liftable 2-adic classes found")
     return [(covered, frozenset((int(c) >> 5, int(c) & 31)
                                 for c in np.flatnonzero(seen)), count)
             for covered, seen, count in results]
