@@ -461,7 +461,10 @@ def _real_sheets(term_lists, A, B, C, samples, seed):
             a = rng.uniform(-scale, scale, per_chart)
             b = rng.uniform(-scale, scale, per_chart)
             _, x, y, z = _coords(unit, a, a, b)  # w gives the shape
-            rhs = A * x ** 4 + B * y ** 4 + C * z ** 4
+            # two squarings: ** 4 calls pow for every element, about 30
+            # times slower, and is most of the time of a sampled profile
+            rhs = (A * np.square(x * x) + B * np.square(y * y)
+                   + C * np.square(z * z))
             mask = rhs > 0
             if not mask.any():
                 continue

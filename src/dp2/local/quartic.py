@@ -9,9 +9,9 @@ group of Q_17(17^(1/4))/Q_17 is generated by 17 and fourth powers.
 
 The membership check covers all liftable classes mod 2^10 without
 visiting each: the shared chart enumerator in padic refines one chart
-of its disjoint cover at a time, and a class is settled, with its exact number of
-descendants mod 2^10 as its weight, as soon as both cocycle values are
-decided for every descendant.  All moduli are powers of two, so
+of its disjoint cover at a time, and a class is settled, with its
+exact number of descendants mod 2^10 as its weight, as soon as both
+cocycle values are decided for every descendant.  All moduli are powers of two, so
 reductions are bit masks."""
 
 from __future__ import annotations

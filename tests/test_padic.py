@@ -485,7 +485,8 @@ def _real_sheets_per_term(term_lists, A, B, C, samples, seed):
             a = rng.uniform(-scale, scale, per_chart)
             b = rng.uniform(-scale, scale, per_chart)
             _, x, y, z = _coords(unit, a, a, b)
-            rhs = A * x ** 4 + B * y ** 4 + C * z ** 4
+            rhs = (A * np.square(x * x) + B * np.square(y * y)
+                   + C * np.square(z * z))
             mask = rhs > 0
             if not mask.any():
                 continue
