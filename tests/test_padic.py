@@ -19,6 +19,7 @@ from dp2.local.padic import (
     _eval_vec,
     _gradient_terms,
     _is_padic_square,
+    _power,
     _quaternion_columns,
     _real_sheets,
     _surface_terms,
@@ -485,8 +486,7 @@ def _real_sheets_per_term(term_lists, A, B, C, samples, seed):
             a = rng.uniform(-scale, scale, per_chart)
             b = rng.uniform(-scale, scale, per_chart)
             _, x, y, z = _coords(unit, a, a, b)
-            rhs = (A * np.square(x * x) + B * np.square(y * y)
-                   + C * np.square(z * z))
+            rhs = A * _power(x, 4) + B * _power(y, 4) + C * _power(z, 4)
             mask = rhs > 0
             if not mask.any():
                 continue
@@ -494,11 +494,23 @@ def _real_sheets_per_term(term_lists, A, B, C, samples, seed):
             w = np.sqrt(rhs[mask])
             for sign in (1, -1):
                 sheet = sign * w
-                yield sign, [sum((float(c) * sheet ** ew * x ** ex
-                                  * y ** ey * z ** ez
+                yield sign, [sum((float(c) * _power(sheet, ew)
+                                  * _power(x, ex) * _power(y, ey)
+                                  * _power(z, ez)
                                   for c, ew, ex, ey, ez in terms),
                                  np.zeros_like(sheet))
                              for terms in term_lists]
+
+
+def test_power_matches_numpy_power():
+    # products round once per factor: exact up to the square, within a
+    # few ulps above it
+    x = np.random.default_rng(3).uniform(-10, 10, 10000)
+    for e in range(3):
+        assert np.array_equal(_power(x, e), x ** e)
+    for e in range(3, 7):
+        np.testing.assert_allclose(_power(x, e), x ** e,
+                                   rtol=e * np.finfo(float).eps, atol=0)
 
 
 @pytest.mark.parametrize("recipe", ["ex71", "ex74"])
