@@ -181,10 +181,12 @@ def _find_conic_point(A, B, C, bound):
     (r1, r2, s1, s2, t0) meaning r0 = r1 + r2 theta, s0 = s1 + s2 theta."""
     for t0 in range(1, bound * 2 + 1):
         for r0 in range(-2 * bound, 2 * bound + 1):
-            for s0 in range(-2 * bound, 2 * bound + 1):
-                if (r0 or s0) and A * r0 ** 2 + B * s0 ** 2 \
-                        + C * t0 ** 2 == 0:
-                    return (r0, 0, s0, 0, t0)
+            # s0^2 = -(A r0^2 + C t0^2) / B; of the roots +-s, the
+            # search over s0 from -2 bound up meets -s first
+            rest, rem = divmod(-(A * r0 * r0 + C * t0 * t0), B)
+            s = math.isqrt(max(rest, 0))
+            if not rem and s * s == rest and s <= 2 * bound and (r0 or s):
+                return (r0, 0, -s, 0, t0)
     rng = range(-bound, bound + 1)
     for t0 in range(1, bound + 1):
         for r1 in rng:

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import sympy
 
 from dp2.local.examples import (
     _ex74_degree_certificate,
+    _find_conic_point,
     build_ex71,
     build_ex72,
     build_ex73,
@@ -104,6 +107,42 @@ def test_generic_surface_class_and_verdict():
     for pr in v.profiles:
         want = {(HALF,)} if pr.place == 2 else {(ZERO,)}
         assert pr.invariants == frozenset(want), pr.place
+
+
+def _conic_point_by_scan(A, B, C, bound):
+    """_find_conic_point with every s0 of the rational search tried in
+    turn: the reference for its square-root step."""
+    for t0 in range(1, bound * 2 + 1):
+        for r0 in range(-2 * bound, 2 * bound + 1):
+            for s0 in range(-2 * bound, 2 * bound + 1):
+                if (r0 or s0) and A * r0 ** 2 + B * s0 ** 2 \
+                        + C * t0 ** 2 == 0:
+                    return (r0, 0, s0, 0, t0)
+    rng = range(-bound, bound + 1)
+    for t0 in range(1, bound + 1):
+        for r1, r2, s1, s2 in itertools.product(rng, repeat=4):
+            if (r1 or r2 or s1 or s2) \
+                    and A * (r1 * r1 - A * B * C * r2 * r2) \
+                    + B * (s1 * s1 - A * B * C * s2 * s2) + C * t0 * t0 == 0 \
+                    and A * r1 * r2 + B * s1 * s2 == 0:
+                return (r1, r2, s1, s2, t0)
+    return None
+
+
+def test_conic_point_matches_scan():
+    rng = random.Random(11)
+    triples = [(-126, -91, 78), (1, 1, -2), (2, -1, -1), (3, 5, 7)]
+    triples += [tuple(rng.choice([-1, 1]) * rng.randint(1, 60)
+                      for _ in range(3)) for _ in range(150)]
+    found = 0
+    for A, B, C in triples:
+        for bound in (1, 2, 3):
+            want = _conic_point_by_scan(A, B, C, bound)
+            assert _find_conic_point(A, B, C, bound) == want, (A, B, C)
+            found += want is not None and want[1] == want[3] == 0
+    assert found  # the rational search was taken
+    assert _find_conic_point(-126, -91, 78, 12) \
+        == _conic_point_by_scan(-126, -91, 78, 12) == (-13, 0, -12, 0, 21)
 
 
 def test_generic_recipe_accepts_supplied_point():
