@@ -27,13 +27,17 @@ holds all three charts at once.
 
 Modulo a power of two, residues are reduced with a bit mask and 2-adic
 valuations are counted from the lowest set bit in one pass.  The real
-place has one sampler, _real_sheets, which evaluates polynomials on
-points of both w-sheets over the three affine charts.  Polynomials
-are the standard-library Polys of dp2.local.poly: no sympy here."""
+place is decided in integers: a class of Br(S) is locally constant on
+S(R), whose components are known from the signs of A, B, C, so
+real_profile reads each component at one integer witness point, with
+the sign of every numerator at w = +-sqrt(F) decided exactly (no float
+and no sampling).  Polynomials are the standard-library Polys of
+dp2.local.poly: no sympy here."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -49,6 +53,11 @@ DEPTH_CAP = {2: 12}
 DEPTH_CAP_ODD = 6
 #: residue cells one enumeration may expand, over all its levels
 CELL_BUDGET = 2 ** 27
+#: moduli stay below this, so that the product of two residues fits in
+#: int64 (_eval_vec multiplies them before it reduces)
+INT64_MODULUS_CAP = math.isqrt(2 ** 63 - 1)  # 3,037,000,499
+#: the largest height max(|x|, |y|, |z|) real_witness tries
+WITNESS_HEIGHT = 12
 
 
 class PointClass(NamedTuple):
@@ -203,7 +212,10 @@ def _expand_filtered(cells, unit, p, j, f, grads, budget_left):
     kept exactly when f(x)/h + grad f(x).delta = 0 mod p: f is
     evaluated once per parent mod p^j and the three chart-variable
     partials once per parent mod p, and only the kept children are
-    materialized, in bounded chunks of parents."""
+    materialized, in bounded chunks of parents.  At odd p the kept
+    digits are solved for (_solved_digits); at p = 2 the p^3 digit
+    vectors are tested.  Either way the budget is charged p^3 per
+    parent."""
     n = len(cells[0])
     if n == 0:
         return cells, np.zeros(0, dtype=np.int64)
@@ -224,16 +236,55 @@ def _expand_filtered(cells, unit, p, j, f, grads, budget_left):
     parents, digits = [], []
     for lo in range(0, n, chunk):
         part = _coords(unit, *(c[lo:lo + chunk] for c in cells))
-        acc = (_eval_vec(f, part, p ** j) // h)[:, None]
-        for i, d in zip(_CHART_GRADS[unit], grid):
-            acc = acc + _eval_vec(grads[i], part, p)[:, None] * d
-        _reduce(acc, p)
-        parent, digit = np.nonzero(acc == 0)
+        f0 = _eval_vec(f, part, p ** j) // h
+        partials = [_eval_vec(grads[i], part, p)
+                    for i in _CHART_GRADS[unit]]
+        if p == 2:
+            acc = f0[:, None]
+            for g, d in zip(partials, grid):
+                acc = acc + g[:, None] * d
+            _reduce(acc, p)
+            keep = acc == 0
+        else:
+            keep = _solved_digits(f0, partials, p)
+        parent, digit = np.nonzero(keep)
         parents.append(parent + lo)
         digits.append(digit)
     parent, digit = np.concatenate(parents), np.concatenate(digits)
     return (tuple(c[parent] + h * d[digit] for c, d in zip(cells, grid)),
             parent)
+
+
+def _solved_digits(f0, partials, p):
+    """The mask, parent by digit vector in the order of
+    _expand_filtered's grid, of the solutions delta of f0 +
+    partials . delta = 0 mod p at odd p.  Where some partial is a unit
+    mod p, the first one, g_i, fixes delta_i = -(f0 + the other two
+    terms) / g_i for each of the p^2 choices of the other two digits;
+    where none is, every digit vector solves it when f0 = 0 mod p and
+    none does otherwise.  At p = 2 testing the 8 vectors is faster."""
+    g = np.stack(partials)
+    unit = g != 0
+    i = unit.argmax(axis=0)  # the first unit partial of each parent
+    others = ((i + 1) % 3, (i + 2) % 3)
+    col = np.arange(len(f0))
+    r = np.arange(p, dtype=np.int64)
+    free = (np.repeat(r, p), np.tile(r, p))  # the p^2 pairs of digits
+    inv = np.array([0] + [pow(c, -1, p) for c in range(1, p)],
+                   dtype=np.int64)
+    acc = f0[:, None]
+    for k, d in zip(others, free):
+        acc = acc + g[k, col][:, None] * d
+    weight = p ** np.arange(2, -1, -1)  # of delta_0, delta_1, delta_2
+    index = (-acc * inv[g[i, col]][:, None] % p) * weight[i][:, None]
+    for k, d in zip(others, free):
+        index += weight[k][:, None] * d
+    solvable = unit.any(axis=0)
+    keep = np.zeros((len(f0), p ** 3), dtype=bool)
+    rows = np.flatnonzero(solvable)
+    keep[rows[:, None], index[rows]] = True
+    keep[~solvable & (f0 == 0)] = True
+    return keep
 
 
 def _min_gradient_val(grads, coords, p, j):
@@ -280,7 +331,15 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
 
     settle, when given, is called as settle(j, coords, t) on the
     nonempty cells of each level j and returns the mask of classes
-    still undecided; only those are refined further and yielded."""
+    still undecided; only those are refined further and yielded.
+
+    Residues are int64, and _eval_vec multiplies two of them before it
+    reduces, which is exact only while the modulus p^k stays below
+    INT64_MODULUS_CAP; a larger p^k raises CapacityError before any
+    level is run."""
+    if p ** k >= INT64_MODULUS_CAP:
+        raise CapacityError(
+            f"modulus {p}^{k} is past the int64 range of the residues")
     f = _surface_terms(A, B, C)
     grads = _gradient_terms(A, B, C)
     root = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
@@ -395,6 +454,8 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
     error."""
     if k_cap is None:
         k_cap = DEPTH_CAP.get(p, DEPTH_CAP_ODD)
+        while k_cap > 1 and p ** k_cap >= INT64_MODULUS_CAP:
+            k_cap -= 1  # from p = 41 on, depth 6 is past the int64 range
     cls_terms = [(q.numerator_terms(), q.d) for q in classes]
     for terms, _ in cls_terms:
         # the cover decides for all unit rescalings only when g is a
@@ -443,70 +504,88 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
                         method="exact-enumeration")
 
 
-def _power(base, e):
-    """base ** e by repeated products: for e > 2 numpy's ** calls pow
-    on every element, about 30 times slower."""
-    out = np.ones_like(base) if e == 0 else base
-    for _ in range(e - 1):
-        out = out * base
-    return out
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
 
 
-def _real_sheets(term_lists, A, B, C, samples, seed):
-    """Sampled real points of the surface, stratified over the three
-    affine charts at scales 1 and 10: per chart, scale and w-sheet,
-    (sign of w, the values of each term list at the points).  Each power
-    of a coordinate is computed once per chart and scale, and each power
-    of w once per sheet; the terms multiply them left to right."""
+def _sheet_sign(terms, x, y, z, F, s):
+    """The exact sign of a numerator at the real point (s sqrt(F), x, y,
+    z), F > 0, in integers only.  With w^2 -> F the numerator reads
+    P + Q w; put b = s Q, so its value is P + b sqrt(F).  When P and b
+    do not have opposite signs, that is the sign of whichever is
+    nonzero.  Otherwise P + b sqrt(F) and P - b sqrt(F) have the sign
+    of P, and their product is P^2 - Q^2 F; so the sign is that of P
+    times that of P^2 - Q^2 F, and 0 exactly when P^2 = Q^2 F."""
+    P = Q = 0
+    for c, ew, ex, ey, ez in terms:
+        v = c * F ** (ew // 2) * x ** ex * y ** ey * z ** ez
+        if ew % 2:
+            Q += v
+        else:
+            P += v
+    sp, sb = _sign(P), s * _sign(Q)
+    if sp * sb >= 0:
+        return sp or sb
+    return sp * _sign(P * P - Q * Q * F)
 
-    def powers(base, k):  # base ** e for every exponent e in slot k
-        return {e: _power(base, e)
-                for e in {t[k] for terms in term_lists for t in terms}}
 
-    rng = np.random.default_rng(seed)
-    per_chart = max(samples // 6, 1)
-    for unit in ("x", "y", "z"):
-        for scale in (1.0, 10.0):
-            a = rng.uniform(-scale, scale, per_chart)
-            b = rng.uniform(-scale, scale, per_chart)
-            _, x, y, z = _coords(unit, a, a, b)  # w gives the shape
-            rhs = A * _power(x, 4) + B * _power(y, 4) + C * _power(z, 4)
-            mask = rhs > 0
-            if not mask.any():
+def real_witness(term_lists, A, B, C):
+    """((x, y, z), signs): the first integer point by height
+    max(|x|, |y|, |z|) <= WITNESS_HEIGHT with F = A x^4 + B y^4 + C z^4
+    > 0 at which no term list vanishes on either w-sheet, and signs[i]
+    the exact sign of each term list on the sheet w = (1, -1)[i]
+    sqrt(F).  Of (x, y, z) and (-x, -y, -z), one point of P^2(R), only
+    the one whose first nonzero coordinate is positive is tried: a
+    numerator homogeneous of even weighted degree takes one value at
+    both.  CapacityError when no point under the bound qualifies."""
+    for h in range(1, WITNESS_HEIGHT + 1):
+        for x, y, z in itertools.product(range(-h, h + 1), repeat=3):
+            if h not in (abs(x), abs(y), abs(z)) or (x, y, z) < (0, 0, 0):
+                continue  # met at a lower height, or as -(x, y, z)
+            F = A * x ** 4 + B * y ** 4 + C * z ** 4
+            if F <= 0:
                 continue
-            x, y, z = x[mask], y[mask], z[mask]
-            w = np.sqrt(rhs[mask])
-            xs, ys, zs = powers(x, 2), powers(y, 3), powers(z, 4)
-            for sign in (1, -1):
-                sheet = sign * w
-                ws = powers(sheet, 1)
-                yield sign, [sum((float(c) * ws[ew] * xs[ex]
-                                  * ys[ey] * zs[ez]
-                                  for c, ew, ex, ey, ez in terms),
-                                 np.zeros_like(sheet))
-                             for terms in term_lists]
+            signs = [[_sheet_sign(t, x, y, z, F, s) for t in term_lists]
+                     for s in (1, -1)]
+            if all(map(all, signs)):
+                return (x, y, z), signs
+    raise CapacityError(
+        f"no real witness point of height at most {WITNESS_HEIGHT}")
 
 
-def real_profile(classes, A, B, C, samples=10 ** 6, seed=0):
-    """Sign analysis of each class over sampled real points, both
-    w-sheets, stratified over the three affine charts."""
-    attained = set()
-    sheets = _real_sheets([q.numerator_terms() for q in classes],
-                          A, B, C, samples, seed)
-    for _, vals in sheets:
-        ok = np.ones(len(vals[0]), dtype=bool)
-        for acc in vals:
-            ok &= np.abs(acc) > 1e-9
-        if not ok.any():
-            continue
-        # one int per point, bit k set when class k is ramified there
-        codes = np.zeros(int(ok.sum()), dtype=np.int64)
-        for k, (q, acc) in enumerate(zip(classes, vals)):
-            if q.d < 0:
-                codes |= (acc[ok] < 0).astype(np.int64) << k
-        for code in np.flatnonzero(np.bincount(codes)).tolist():
-            attained.add(tuple(Fraction(code >> k & 1, 2)
-                               for k in range(len(classes))))
-    return LocalProfile(place="R", modulus=None,
-                        invariants=frozenset(attained),
+def real_profile(classes, A, B, C, samples=None, seed=None):
+    """The attained invariant vectors at R, decided at one exact witness
+    point per w-sheet (real_witness).
+
+    The evaluation of a class of Br(S) is locally constant on S(R)
+    (Colliot-Thelene and Skorobogatov, The Brauer-Grothendieck Group,
+    2021), so the attained set has one vector per connected component,
+    read at any point of it where the class numerators do not vanish.
+    Since w has weight 2, its sign is defined on real points, and:
+
+    - A, B, C all negative: F < 0 off the origin, so S(R) is empty;
+    - all positive: F > 0 off the origin, so S(R) is two copies of
+      P^2(R), one per w-sheet, each connected; the witness is read on
+      both;
+    - mixed signs: {F >= 0} in P^2(R) is the inside of the oval F = 0
+      (a disc) or its complement (a Moebius band), both connected, and
+      the two sheets meet along F = 0, so S(R) is connected; the two
+      sheets of the witness must give the same vector, and an
+      AssertionError says they did not.
+
+    At a point, the invariant of (d, g) is 1/2 exactly when d < 0 and g
+    is negative there.  The profile keeps method "sampling" until the
+    recorded outputs are re-recorded with the exact label.  samples and
+    seed are accepted and unused."""
+    attained = frozenset()
+    if max(A, B, C) > 0:
+        _, signs = real_witness([q.numerator_terms() for q in classes],
+                                A, B, C)
+        attained = frozenset(
+            tuple(Fraction(int(q.d < 0 and sign < 0), 2)
+                  for q, sign in zip(classes, row)) for row in signs)
+        if min(A, B, C) <= 0 and len(attained) > 1:
+            raise AssertionError(
+                "the w-sheets of the connected S(R) disagree")
+    return LocalProfile(place="R", modulus=None, invariants=attained,
                         undetermined=0, method="sampling")

@@ -17,7 +17,10 @@ class LocalProfile(NamedTuple):
 
     invariants holds tuples in Q/Z (one entry per class); method is
     "exact-enumeration", "analytic" (a machine-checked valuation
-    argument) or "sampling"."""
+    argument) or "sampling".  "sampling" labels the real place of
+    padic.real_profile, which is decided exactly at integer witness
+    points; the label is kept so that reported outputs stay byte
+    for byte those recorded, and exact stays False for it."""
 
     place: object  # prime or "R"
     modulus: int | None
@@ -39,7 +42,8 @@ class Verdict(NamedTuple):
 def verdict(profiles) -> Verdict:
     """Minkowski-sum rule: obstructed only when no choice of one
     attained vector per place sums to zero in (Q/Z)^n and every finite
-    profile is exact (real profiles are sampled and tagged)."""
+    profile is exact (the real profile, decided at witness points, is
+    still tagged sampling)."""
     profiles = tuple(profiles)
     if any(not pr.invariants for pr in profiles):
         return Verdict(profiles, "inconclusive")

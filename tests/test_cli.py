@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import io
 import json
@@ -333,14 +334,19 @@ def test_group_subcommands_load_neither_sympy_nor_numpy():
 
 def test_ported_obstruct_recipes_load_no_sympy():
     # every recipe, (34, 34, 34) with its exact degree certificate
-    # included, verify and cubic run on dp2.local.poly
+    # included, verify and cubic run on dp2.local.poly; and the real
+    # place of the four sampled recipes, decided at exact witness
+    # points, loads no numpy.random
     script = (
         "import io, sys\n"
         "import dp2.cli as cli\n"
         "for a, b, c in ((-25, -5, 45), (-6, -3, 2), (-38, -19, 2),\n"
-        "                (-126, -91, 78), (-9826, -2, 136), (34, 34, 34)):\n"
+        "                (-126, -91, 78), (34, 34, 34)):\n"
         "    argv = ['obstruct', '-A', str(a), '-B', str(b), '-C', str(c)]\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print('numpy.random' in sys.modules)\n"
+        "argv = ['obstruct', '-A', '-9826', '-B', '-2', '-C', '136']\n"
+        "assert cli.main(argv, out=io.StringIO()) == 0\n"
         "assert cli.main(['verify'], out=io.StringIO()) == 0\n"
         "for argv in (['cubic', '-A', '1', '-B', '2', '-C', '3', '-D', '4'],\n"
         "             ['cubic', '-A', '1', '-B', '2', '-C', '3', '-D', '4',\n"
@@ -353,7 +359,21 @@ def test_ported_obstruct_recipes_load_no_sympy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == ["False", "[]"]
+
+
+def test_obstruct_reference_pool_prints_recorded_bytes():
+    # every obstruct key of the benchmark references, the 22 members of
+    # the (-2p, -p, 2) family included, prints the recorded bytes
+    path = pathlib.Path(__file__).parent.parent / "bench" / "references.json"
+    refs = json.loads(path.read_text())["obstruct"]
+    assert len(refs) == 26
+    for key, ref in refs.items():
+        a, b, c = key.split(",")
+        code, out, err = run(["obstruct", "-A", a, "-B", b, "-C", c,
+                              "--json"])
+        assert code == 0, (key, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"], key
 
 
 def test_every_subcommand_runs_without_sympy():

@@ -262,6 +262,22 @@ def test_descent_real_signs():
     assert ex74_real_check(samples=30000) > 0
 
 
+@pytest.mark.parametrize("flip", range(6))
+def test_descent_real_check_refuses_a_flipped_sign(flip, monkeypatch):
+    # h_i -> -h_i turns its sign against the w-sheet at the witness
+    import dp2.local.examples as examples
+    from dp2.local.padic import QuaternionClass
+
+    ex = build_ex74()
+    q = ex.classes[flip]
+    classes = list(ex.classes)
+    classes[flip] = QuaternionClass(q.d, (-q.g[0], q.g[1]), q.label)
+    monkeypatch.setattr(examples, "build_ex74",
+                        lambda: ex._replace(classes=tuple(classes)))
+    with pytest.raises(AssertionError, match="disagrees with the w-sheet"):
+        ex74_real_check()
+
+
 def test_descent_verdict_obstructed():
     v = obstruct_ex74(samples=30000)
     assert v.conclusion == "obstructed"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dp2.local.hilbert import hilbert_symbol
 from dp2.local.padic import (
@@ -19,9 +19,8 @@ from dp2.local.padic import (
     _eval_vec,
     _gradient_terms,
     _is_padic_square,
-    _power,
     _quaternion_columns,
-    _real_sheets,
+    _sheet_sign,
     _surface_terms,
     _vec_val,
     compile_poly,
@@ -29,7 +28,9 @@ from dp2.local.padic import (
     invariant_profile,
     padic_point_classes,
     real_profile,
+    real_witness,
 )
+from real_sampler import _power, _real_sheets, sampled_real_invariants
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -188,6 +189,172 @@ def test_real_profile_split_and_sign():
     signed = QuaternionClass(Fraction(-1), -(X ** 2 + Y ** 2) / Z ** 2)
     pr = real_profile([signed], 1, 1, 1, samples=5000)
     assert pr.invariants == frozenset({(HALF,)})
+
+
+def _sign_by_fractions(P, Q, F, s):
+    """The sign of P + s Q sqrt(F), F > 0, by comparing sqrt(F) with
+    the rational t = -P / (s Q) through t^2 and F."""
+    b = s * Q
+    if b == 0:
+        return (P > 0) - (P < 0)
+    t = Fraction(-P, b)
+    above = 1 if t < 0 else (Fraction(F) > t * t) - (Fraction(F) < t * t)
+    return above if b > 0 else -above  # sign(b) * sign(sqrt(F) - t)
+
+
+def _p_plus_q_w(P, Q):
+    """Terms of P + Q w, with a monomial in x, y, z on each part so that
+    the point's coordinates enter (they are 1 below)."""
+    return ((P, 0, 2, 0, 0), (Q, 1, 0, 0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(1, 10 ** 6), st.sampled_from([1, -1]))
+def test_sheet_sign_matches_fraction_comparison(P, Q, F, s):
+    assert _sheet_sign(_p_plus_q_w(P, Q), 1, 1, 1, F, s) \
+        == _sign_by_fractions(P, Q, F, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1000, 1000), st.integers(1, 1000),
+       st.integers(-1, 1), st.sampled_from([1, -1]))
+def test_sheet_sign_on_ties_and_near_ties(Q, root, nudge, s):
+    # P^2 = Q^2 F exactly when nudge = 0: P + s Q sqrt(F) is 0 on one
+    # sheet and 2P on the other; a nudge of F by one breaks the tie
+    P = Q * root
+    F = root * root + nudge
+    if F <= 0:
+        return
+    got = _sheet_sign(_p_plus_q_w(P, Q), 1, 1, 1, F, s)
+    assert got == _sign_by_fractions(P, Q, F, s)
+    if nudge == 0 and Q:
+        assert got == (0 if s == -1 else (1 if P > 0 else -1))
+
+
+#: (builder, its arguments) of the five recipes
+RECIPES = [("build_ex71", ()), ("build_ex72", (3,)),
+           ("build_ex73", (-126, -91, 78)), ("build_ex74", ()),
+           ("build_ex75", ())]
+
+
+@pytest.mark.parametrize("builder, args", RECIPES,
+                         ids=[row[0] for row in RECIPES])
+def test_real_witness_matches_sampler_on_recipes(builder, args):
+    from dp2.local import examples
+    ex = getattr(examples, builder)(*args)
+    got = real_profile(ex.classes, *ex.surface)
+    assert got.invariants == sampled_real_invariants(ex.classes,
+                                                     *ex.surface)
+    assert got.invariants and got.method == "sampling"
+
+
+def test_real_witness_matches_sampler_on_family_primes():
+    from dp2.arith import is_prime
+    from dp2.local.examples import build_ex72
+    primes = [p for p in range(3, 1000, 16) if is_prime(p)]
+    assert len(primes) == 22
+    for p in primes:
+        ex = build_ex72(p)
+        got = real_profile(ex.classes, *ex.surface).invariants
+        assert got == {(ZERO,)}, p
+        assert got == sampled_real_invariants(ex.classes, *ex.surface,
+                                              samples=30000), p
+
+
+SIGN_PATTERNS = [(a, b, c) for a in (1, -1) for b in (1, -1)
+                 for c in (1, -1)]
+
+
+@pytest.mark.parametrize("signs", SIGN_PATTERNS)
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 5),
+       st.integers(1, 5), st.data())
+def test_real_witness_matches_sampler_on_generic_triples(signs, a, b, r, s,
+                                                         data):
+    """Mixed signs: the conic-bundle class of a generic triple built
+    around the rational conic point (r, s, 1), with the coefficient of
+    the odd sign moved to its place.  All positive: classes whose
+    numerator is w times a form that is nonnegative on real points; w
+    vanishes nowhere on S(R) there, so their evaluation is locally
+    constant on S(R), although they need not lie in Br(S).  All
+    negative: S(R) is empty."""
+    from dp2.local.examples import build_ex73, is_generic_triple
+    if len(set(signs)) == 1:
+        A, B, C = (sg * data.draw(st.integers(1, 60)) for sg in signs)
+        classes = [QuaternionClass(Fraction(-1), W),
+                   QuaternionClass(Fraction(-3), -W * (X ** 2 + Y ** 2)),
+                   QuaternionClass(Fraction(2), W * Z ** 2)]
+    else:
+        odd = [signs.count(sg) for sg in signs].index(1)
+        sign = -signs[odd]
+        coeffs = [sign * a, sign * b, -sign * (a * r * r + b * s * s)]
+        point = [r, s, 1]
+        order = [0, 1]
+        order.insert(odd, 2)  # position -> index into coeffs and point
+        A, B, C = (coeffs[k] for k in order)
+        r0, s0, t0 = (point[k] for k in order)
+        assume(is_generic_triple(A, B, C))
+        classes = build_ex73(A, B, C, point=(r0, 0, s0, 0, t0)).classes
+    assert tuple(map(np.sign, (A, B, C))) == signs
+    got = real_profile(classes, A, B, C).invariants
+    assert got == sampled_real_invariants(classes, A, B, C, samples=60000)
+    assert len(got) == (0 if max(signs) < 0 else
+                        2 if min(signs) > 0 else 1)
+
+
+def test_real_profile_refuses_disagreeing_sheets_of_connected_s():
+    # (-1, w) is ramified along w = 0, which meets S(R) when the signs
+    # are mixed: its sign differs between the sheets
+    with pytest.raises(AssertionError, match="disagree"):
+        real_profile([QuaternionClass(Fraction(-1), W)], 1, 1, -1)
+
+
+def test_chart_cells_refuses_a_modulus_past_int64(monkeypatch):
+    # the check comes before any level: with the level step replaced by
+    # a failure, a modulus at the cap raises CapacityError and one just
+    # below it reaches the first level
+    from dp2.local import padic
+
+    def no_level(*args):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(padic, "_expand_filtered", no_level)
+    cap = padic.INT64_MODULUS_CAP
+    assert (cap - 1) ** 2 < 2 ** 63 <= (cap + 1) ** 2
+    assert 3 ** 19 < cap < 3 ** 20 and 41 ** 5 < cap < 41 ** 6
+    for p, k in ((3, 20), (41, 6), (cap, 1)):
+        with pytest.raises(CapacityError, match="int64"):
+            next(_chart_cells(1, 1, 1, p, k, 2 ** 27))
+    for p, k in ((3, 19), (41, 5), (37, 6), (cap - 1, 1)):
+        with pytest.raises(AssertionError, match="a level ran"):
+            next(_chart_cells(1, 1, 1, p, k, 2 ** 27))
+
+
+@pytest.mark.parametrize("p, depth", [(2, 12), (37, 6), (41, 5),
+                                      (1741, 2), (55109, 1)])
+def test_default_odd_depth_stays_in_int64(p, depth, monkeypatch):
+    # the default depth cap is lowered where p^6 would be past the cap
+    from dp2.local import padic
+    seen = []
+
+    def record(A, B, C, p, k, budget, settle=None):
+        seen.append(k)
+        return iter(())
+
+    monkeypatch.setattr(padic, "_chart_cells", record)
+    q = QuaternionClass(Fraction(-1), (X ** 2 + Y ** 2) / Z ** 2)
+    invariant_profile([q], 1, 1, 1, p)
+    assert seen == [depth]
+    assert p ** depth < padic.INT64_MODULUS_CAP
+
+
+def test_real_witness_bound_is_a_capacity_limit():
+    # F = x^4 - 10^30 (y^4 + z^4) is positive at height at most 12 only
+    # where y = z = 0, and there x y z^2 vanishes
+    with pytest.raises(CapacityError, match="witness"):
+        real_witness([compile_poly(X * Y * Z ** 2)], 1, -10 ** 30,
+                     -10 ** 30)
 
 
 def test_compile_poly_scales_by_square_denominator():
