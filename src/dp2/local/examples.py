@@ -476,15 +476,14 @@ def ex74_17adic_liftable_check():
     return n_lift
 
 
-def ex74_real_check(samples=None, seed=None):
+def ex74_real_check():
     """Real-place sign analysis at the exact witness of real_witness:
     all six h_i are positive on the w > 0 sheet and negative on the
     w < 0 sheet, so each (-17, h_i) is unramified on the first and
     ramified on the second.  Each (-17, h_i) lies in Br(S), so its
     evaluation is locally constant on S(R), and S(R) is the two
     w-sheets, each a copy of the connected P^2(R): the witness decides
-    each sheet.  Returns the number of signs checked; samples and seed
-    are accepted and unused."""
+    each sheet.  Returns the number of signs checked."""
     ex = build_ex74()
     _, signs = real_witness([q.numerator_terms() for q in ex.classes],
                             34, 34, 34)

@@ -212,10 +212,7 @@ def _expand_filtered(cells, unit, p, j, f, grads, budget_left):
     kept exactly when f(x)/h + grad f(x).delta = 0 mod p: f is
     evaluated once per parent mod p^j and the three chart-variable
     partials once per parent mod p, and only the kept children are
-    materialized, in bounded chunks of parents.  At odd p the kept
-    digits are solved for (_solved_digits); at p = 2 the p^3 digit
-    vectors are tested.  Either way the budget is charged p^3 per
-    parent."""
+    materialized, in bounded chunks of parents."""
     n = len(cells[0])
     if n == 0:
         return cells, np.zeros(0, dtype=np.int64)
@@ -236,18 +233,11 @@ def _expand_filtered(cells, unit, p, j, f, grads, budget_left):
     parents, digits = [], []
     for lo in range(0, n, chunk):
         part = _coords(unit, *(c[lo:lo + chunk] for c in cells))
-        f0 = _eval_vec(f, part, p ** j) // h
-        partials = [_eval_vec(grads[i], part, p)
-                    for i in _CHART_GRADS[unit]]
-        if p == 2:
-            acc = f0[:, None]
-            for g, d in zip(partials, grid):
-                acc = acc + g[:, None] * d
-            _reduce(acc, p)
-            keep = acc == 0
-        else:
-            keep = _solved_digits(f0, partials, p)
-        parent, digit = np.nonzero(keep)
+        acc = (_eval_vec(f, part, p ** j) // h)[:, None]
+        for i, d in zip(_CHART_GRADS[unit], grid):
+            acc = acc + _eval_vec(grads[i], part, p)[:, None] * d
+        _reduce(acc, p)
+        parent, digit = np.nonzero(acc == 0)
         parents.append(parent + lo)
         digits.append(digit)
     parent, digit = np.concatenate(parents), np.concatenate(digits)
@@ -255,36 +245,12 @@ def _expand_filtered(cells, unit, p, j, f, grads, budget_left):
             parent)
 
 
-def _solved_digits(f0, partials, p):
-    """The mask, parent by digit vector in the order of
-    _expand_filtered's grid, of the solutions delta of f0 +
-    partials . delta = 0 mod p at odd p.  Where some partial is a unit
-    mod p, the first one, g_i, fixes delta_i = -(f0 + the other two
-    terms) / g_i for each of the p^2 choices of the other two digits;
-    where none is, every digit vector solves it when f0 = 0 mod p and
-    none does otherwise.  At p = 2 testing the 8 vectors is faster."""
-    g = np.stack(partials)
-    unit = g != 0
-    i = unit.argmax(axis=0)  # the first unit partial of each parent
-    others = ((i + 1) % 3, (i + 2) % 3)
-    col = np.arange(len(f0))
-    r = np.arange(p, dtype=np.int64)
-    free = (np.repeat(r, p), np.tile(r, p))  # the p^2 pairs of digits
-    inv = np.array([0] + [pow(c, -1, p) for c in range(1, p)],
-                   dtype=np.int64)
-    acc = f0[:, None]
-    for k, d in zip(others, free):
-        acc = acc + g[k, col][:, None] * d
-    weight = p ** np.arange(2, -1, -1)  # of delta_0, delta_1, delta_2
-    index = (-acc * inv[g[i, col]][:, None] % p) * weight[i][:, None]
-    for k, d in zip(others, free):
-        index += weight[k][:, None] * d
-    solvable = unit.any(axis=0)
-    keep = np.zeros((len(f0), p ** 3), dtype=bool)
-    rows = np.flatnonzero(solvable)
-    keep[rows[:, None], index[rows]] = True
-    keep[~solvable & (f0 == 0)] = True
-    return keep
+def _int64_depth(p):
+    """The deepest k with p^k below INT64_MODULUS_CAP (0 if p is not)."""
+    k = 0
+    while p ** (k + 1) < INT64_MODULUS_CAP:
+        k += 1
+    return k
 
 
 def _min_gradient_val(grads, coords, p, j):
@@ -335,9 +301,9 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
 
     Residues are int64, and _eval_vec multiplies two of them before it
     reduces, which is exact only while the modulus p^k stays below
-    INT64_MODULUS_CAP; a larger p^k raises CapacityError before any
-    level is run."""
-    if p ** k >= INT64_MODULUS_CAP:
+    INT64_MODULUS_CAP; a k past _int64_depth(p) raises CapacityError
+    before any level is run."""
+    if k > _int64_depth(p):
         raise CapacityError(
             f"modulus {p}^{k} is past the int64 range of the residues")
     f = _surface_terms(A, B, C)
@@ -453,9 +419,9 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
     member's is, and disagreement between decided members is an
     error."""
     if k_cap is None:
-        k_cap = DEPTH_CAP.get(p, DEPTH_CAP_ODD)
-        while k_cap > 1 and p ** k_cap >= INT64_MODULUS_CAP:
-            k_cap -= 1  # from p = 41 on, depth 6 is past the int64 range
+        # from p = 41 on, depth 6 is past the int64 range; a p past it
+        # is left for _chart_cells to refuse
+        k_cap = max(1, min(DEPTH_CAP.get(p, DEPTH_CAP_ODD), _int64_depth(p)))
     cls_terms = [(q.numerator_terms(), q.d) for q in classes]
     for terms, _ in cls_terms:
         # the cover decides for all unit rescalings only when g is a
@@ -553,7 +519,7 @@ def real_witness(term_lists, A, B, C):
         f"no real witness point of height at most {WITNESS_HEIGHT}")
 
 
-def real_profile(classes, A, B, C, samples=None, seed=None):
+def real_profile(classes, A, B, C):
     """The attained invariant vectors at R, decided at one exact witness
     point per w-sheet (real_witness).
 
@@ -575,8 +541,7 @@ def real_profile(classes, A, B, C, samples=None, seed=None):
 
     At a point, the invariant of (d, g) is 1/2 exactly when d < 0 and g
     is negative there.  The profile keeps method "sampling" until the
-    recorded outputs are re-recorded with the exact label.  samples and
-    seed are accepted and unused."""
+    recorded outputs are re-recorded with the exact label."""
     attained = frozenset()
     if max(A, B, C) > 0:
         _, signs = real_witness([q.numerator_terms() for q in classes],

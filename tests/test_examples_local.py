@@ -259,7 +259,7 @@ def test_descent_17adic_liftable_classes():
 
 
 def test_descent_real_signs():
-    assert ex74_real_check(samples=30000) > 0
+    assert ex74_real_check() > 0
 
 
 @pytest.mark.parametrize("flip", range(6))

@@ -183,11 +183,11 @@ def test_quaternion_columns_match_per_cell(A, B, C, p, k):
 
 def test_real_profile_split_and_sign():
     split = QuaternionClass(Fraction(2), X ** 2 / Z ** 2)
-    pr = real_profile([split], 1, 1, 1, samples=5000)
+    pr = real_profile([split], 1, 1, 1)
     assert pr.invariants == frozenset({(ZERO,)})
     assert pr.method == "sampling"
     signed = QuaternionClass(Fraction(-1), -(X ** 2 + Y ** 2) / Z ** 2)
-    pr = real_profile([signed], 1, 1, 1, samples=5000)
+    pr = real_profile([signed], 1, 1, 1)
     assert pr.invariants == frozenset({(HALF,)})
 
 
@@ -347,6 +347,13 @@ def test_default_odd_depth_stays_in_int64(p, depth, monkeypatch):
     invariant_profile([q], 1, 1, 1, p)
     assert seen == [depth]
     assert p ** depth < padic.INT64_MODULUS_CAP
+
+
+@pytest.mark.parametrize("p", [2, 3, 17, 41, 1741, 55109])
+def test_int64_depth_is_the_deepest_modulus_below_the_cap(p):
+    from dp2.local import padic
+    k = padic._int64_depth(p)
+    assert p ** k < padic.INT64_MODULUS_CAP <= p ** (k + 1)
 
 
 def test_real_witness_bound_is_a_capacity_limit():
