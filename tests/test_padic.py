@@ -349,13 +349,6 @@ def test_default_odd_depth_stays_in_int64(p, depth, monkeypatch):
     assert p ** depth < padic.INT64_MODULUS_CAP
 
 
-@pytest.mark.parametrize("p", [2, 3, 17, 41, 1741, 55109])
-def test_int64_depth_is_the_deepest_modulus_below_the_cap(p):
-    from dp2.local import padic
-    k = padic._int64_depth(p)
-    assert p ** k < padic.INT64_MODULUS_CAP <= p ** (k + 1)
-
-
 def test_real_witness_bound_is_a_capacity_limit():
     # F = x^4 - 10^30 (y^4 + z^4) is positive at height at most 12 only
     # where y = z = 0, and there x y z^2 vanishes
