@@ -167,8 +167,7 @@ def _family_prime(A: int, B: int, C: int):
     return None
 
 
-def obstruct_surface(A: int, B: int, C: int, samples: int = 200000,
-                     bound: int = 12, depth=None):
+def obstruct_surface(A: int, B: int, C: int, bound: int = 12, depth=None):
     """(verdict, transcript) by the recipe matching the coefficients.
     depth, when given, caps the 2-adic enumeration depth; the order-4
     recipe on (-9826, -2, 136) ignores it (its check is fixed at 2^10)."""
@@ -180,22 +179,20 @@ def obstruct_surface(A: int, B: int, C: int, samples: int = 200000,
                                  obstruct_ex74, obstruct_ex75)
 
     if (A, B, C) == (-25, -5, 45):
-        return (obstruct_ex71(samples=samples, depth=depth),
+        return (obstruct_ex71(depth=depth),
                 build_ex71().transcript)
     p = _family_prime(A, B, C)
     if p is not None:
-        return (obstruct_ex72(p, samples=samples, depth=depth),
+        return (obstruct_ex72(p, depth=depth),
                 build_ex72(p).transcript)
     if (A, B, C) == (34, 34, 34):
-        return (obstruct_ex74(samples=samples, depth=depth),
+        return (obstruct_ex74(depth=depth),
                 build_ex74().transcript)
     if (A, B, C) == (-9826, -2, 136):
         return obstruct_ex75(), build_ex75().transcript
     if is_generic_triple(A, B, C):
-        return (obstruct_ex73(A, B, C, bound=bound, samples=samples,
-                              depth=depth),
-                # the call obstruct_ex73 makes, so the cached build is reused
-                build_ex73(A, B, C, point=None, bound=bound).transcript)
+        return (obstruct_ex73(A, B, C, bound=bound, depth=depth),
+                build_ex73(A, B, C, bound=bound).transcript)
     raise ValueError(
         f"recipe not implemented for coefficients ({A}, {B}, {C}): "
         "implemented are the generic conic-bundle recipe, the "

@@ -314,26 +314,11 @@ def generate_subgroup(gens) -> Subgroup:
                     gens)
 
 
-# the six relabelings of the roles of A, B, C, as automorphisms of G0
+# two transpositions of the roles of A, B, C, as automorphisms of G0;
+# they generate the six relabelings
 _PHI_AB = lambda g: GroupElement(g.chi, (g.e_s + g.e_k) % 2,
                                  (-g.e_k) % 4, (g.e_m - g.e_k) % 4)
 _PHI_BC = lambda g: GroupElement(g.chi, g.e_s, g.e_m, g.e_k)
-_PHI_AC = lambda g: GroupElement(g.chi, (g.e_s + g.e_m) % 2,
-                                 (g.e_k - g.e_m) % 4, (-g.e_m) % 4)
-
-
-def _compose(f, h):
-    return lambda g: f(h(g))
-
-
-S3_MAPS = {
-    "id": lambda g: g,
-    "ab": _PHI_AB,
-    "bc": _PHI_BC,
-    "ac": _PHI_AC,
-    "abc": _compose(_PHI_AB, _PHI_BC),
-    "acb": _compose(_PHI_BC, _PHI_AB),
-}
 
 
 # --- subgroup enumeration ------------------------------------------------

@@ -8,8 +8,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from ..arith import factorint, is_prime, legendre
 from .padic import (
     CELL_BUDGET,
@@ -17,6 +15,7 @@ from .padic import (
     _chart_cells,
     _eval_vec,
     _is_padic_square,
+    _quaternion_columns,
     compile_poly,
     invariant_profile,
     real_profile,
@@ -267,9 +266,9 @@ def square_d_profile(d, A, B, C, p) -> LocalProfile:
                         undetermined=0, method="analytic")
 
 
-def obstruct_ex73(A: int, B: int, C: int, point=None, bound=12,
-                  samples=200000, depth=None) -> Verdict:
-    ex = build_ex73(A, B, C, point=point, bound=bound)
+def obstruct_ex73(A: int, B: int, C: int, bound=12, samples=200000,
+                  depth=None) -> Verdict:
+    ex = build_ex73(A, B, C, bound=bound)
     d = ex.classes[0].d
     profiles = [real_profile(ex.classes, A, B, C)]
     places = sorted({2} | set(factorint(abs(A * B * C))))
@@ -392,28 +391,25 @@ def build_ex74() -> ExampleClass:
                         transcript=tuple(transcript))
 
 
-def _ex74_unit_terms():
-    """Integer term lists of h1, h2, h3 with w = 0: every point of
-    (34, 34, 34) has v17(w) >= 1, so w y^2 + w z^2 vanishes mod 17."""
-    return [compile_poly(q.g[0].subs(W, 0))  # g = (h_i, x^4)
-            for q in build_ex74().classes[:3]]
+def _ex74_17adic():
+    """(transcript, ramification patterns, liftable class count) of
+    (34, 34, 34) at 17, from one run of the chart cover to depth 2.
 
+    Level 1 holds the 307 projective classes mod 17, and w = 0 mod 17
+    on all of them, so each h_i reduces mod 17 to its w-free part, one
+    value per class.  The classes with x^4+y^4+z^4 = 0 mod 17 are the
+    ones that can carry a point, and their rows of q1, q2, q3 are the
+    patterns.  At a unit h the invariant of (-17, h) is the Hilbert
+    symbol, the Legendre symbol of h, which _quaternion_columns reads
+    at j = 1 from the table every place uses.  The value mod 17 holds
+    at every point of the class, not only within a Hensel distance, so
+    no gradient valuation is passed.
 
-def _squares_mask(p: int):
-    """Boolean table of the nonzero squares mod p."""
-    is_square = np.zeros(p, dtype=bool)
-    for t in range(1, p):
-        is_square[t * t % p] = True
-    return is_square
-
-
-def ex74_17adic_check():
-    """17-adic analysis for (34, 34, 34): on every residue class that
-    can carry a Q_17-point, exactly two of the first three classes are
-    ramified.  Every point has v(w) >= 1, so each h_i reduces mod 17
-    to a polynomial in x, y, z alone; with -1 a square mod 17 the
-    invariant of (-17, h_i) is decided by the Legendre symbol of that
-    unit reduction.  Returns (transcript, ramification patterns)."""
+    Level 2 counts the classes that the digit criterion u^2 = 2 sigma,
+    w = 17 u and sigma = (x^4+y^4+z^4)/17 a unit, certifies liftable.
+    Their rows need no second reading: f = 0 mod 17^2 forces sigma = 0
+    mod 17, so each level-2 class lies over a level-1 class whose row
+    was read, and that is asserted."""
     p = 17
     transcript = [
         _check(34 % p == 0,
@@ -426,54 +422,56 @@ def ex74_17adic_check():
                "x^4+y^4+z^4 = 0 mod 17 lifts to a point once a digit "
                "choice makes (x^4+y^4+z^4)/17 a nonzero square"),
     ]
-    r = np.arange(p, dtype=np.int64)
-    x, y, z = (g.ravel() for g in np.meshgrid(r, r, r, indexing="ij"))
-    cells = ((x ** 4 + y ** 4 + z ** 4) % p == 0) & ((x | y | z) != 0)
-    coords = (np.zeros(int(cells.sum()), dtype=np.int64),
-              x[cells], y[cells], z[cells])
-    vals = [_eval_vec(tm, coords, p) for tm in _ex74_unit_terms()]
-    if any((v == 0).any() for v in vals):
-        raise AssertionError("h_i not a unit on a residue class")
-    is_square = _squares_mask(p)
-    rows = np.stack([~is_square[v] for v in vals], axis=1).astype(int)
-    patterns = set(map(tuple, rows.tolist()))
-    transcript.append(_check(cells.any(), "residue classes exist"))
+    cls_terms = [(q.numerator_terms(), q.d)
+                 for q in build_ex74().classes[:3]]
+    sigma_terms = compile_poly(X ** 4 + Y ** 4 + Z ** 4)
+    patterns, n_lift = set(), 0
+
+    def settle(j, coords, t):
+        nonlocal n_lift
+        w = coords[0]
+        sigma = _eval_vec(sigma_terms, coords, p ** j)
+        if j == 1:
+            if w.any():
+                raise AssertionError("class with w a unit mod 17")
+            on = sigma == 0
+            cols = _quaternion_columns(
+                cls_terms, tuple(c[on] for c in coords), p, 1)
+            if any((col < 0).any() for col in cols):
+                raise AssertionError("h_i not a unit on a residue class")
+            patterns.update(zip(*(col.tolist() for col in cols)))
+            return t >= 0  # every class goes on to level 2
+        if (sigma % p).any():
+            raise AssertionError(
+                "class mod 17^2 over a class whose row was not read")
+        sigma, u = sigma // p, w // p
+        n_lift += int(((sigma != 0) & ((u * u - 2 * sigma) % p == 0)).sum())
+        return t < 0  # nothing is left to refine
+
+    for _ in _chart_cells(34, 34, 34, p, 2, CELL_BUDGET, settle):
+        pass
+    transcript.append(_check(bool(patterns), "residue classes exist"))
     transcript.append(_check(
         all(sum(pt) == 2 for pt in patterns),
         "exactly two of {q1, q2, q3} ramified on every residue class"))
-    return tuple(transcript), patterns
+    if n_lift == 0:
+        raise AssertionError("no liftable classes mod 17^2")
+    return tuple(transcript), patterns, n_lift
+
+
+def ex74_17adic_check():
+    """17-adic analysis for (34, 34, 34): on every residue class that
+    can carry a Q_17-point, exactly two of the first three classes are
+    ramified (_ex74_17adic).  Returns (transcript, ramification
+    patterns)."""
+    transcript, patterns, _ = _ex74_17adic()
+    return transcript, patterns
 
 
 def ex74_17adic_liftable_check():
-    """The same conclusion cross-checked on the engine's enumerated
-    classes mod 17^2: every class certified liftable (via the digit
-    criterion u^2 = 2 sigma with sigma = (x^4+y^4+z^4)/17 a unit) shows
-    exactly two of the three unit reductions as nonsquares."""
-    p = 17
-    terms = _ex74_unit_terms()
-    charts = [coords for _, coords, _ in
-              _chart_cells(34, 34, 34, p, 2, CELL_BUDGET)]
-    w, x, y, z = (np.concatenate(c) for c in zip(*charts))
-    if (w % p).any():
-        raise AssertionError("class with w a unit mod 17")
-    sigma = _eval_vec(compile_poly(X ** 4 + Y ** 4 + Z ** 4),
-                      (w, x, y, z), p * p) // p % p
-    u = w // p % p
-    certified = (sigma != 0) & ((u * u - 2 * sigma) % p == 0)
-    n_lift = int(certified.sum())
-    if n_lift == 0:
-        raise AssertionError("no liftable classes mod 17^2")
-    is_square = _squares_mask(p)
-    ram = np.zeros(n_lift, dtype=np.int64)
-    coords = tuple(a[certified] for a in (w, x, y, z))
-    for tm in terms:
-        vals = _eval_vec(tm, coords, p)
-        if (vals == 0).any():
-            raise AssertionError("h_i vanishes on a liftable class")
-        ram += ~is_square[vals]
-    if not (ram == 2).all():
-        raise AssertionError("liftable class violates the pattern")
-    return n_lift
+    """The number of classes mod 17^2 certified liftable by the digit
+    criterion u^2 = 2 sigma (_ex74_17adic); positive."""
+    return _ex74_17adic()[2]
 
 
 def ex74_real_check():
@@ -501,8 +499,7 @@ def obstruct_ex74(samples=200000, depth=None) -> Verdict:
     while at 2 and at the real place the three invariants agree, so no
     choice of attained vectors sums to zero."""
     ex = build_ex74()
-    _, patterns = ex74_17adic_check()
-    ex74_17adic_liftable_check()
+    _, patterns, _ = _ex74_17adic()
     p17 = LocalProfile(place=17, modulus=17,
                        invariants=frozenset(
                            tuple(HALF if r else ZERO for r in pt)

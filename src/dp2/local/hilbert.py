@@ -1,5 +1,6 @@
-"""Hilbert symbols over the rationals, with a brute-force solubility
-oracle and the product formula as cross-checks."""
+"""Hilbert symbols over the rationals by the closed formula at each
+place, and the places at which a symbol can be -1; the hilbert
+subcommand checks the product formula over those places."""
 
 from __future__ import annotations
 

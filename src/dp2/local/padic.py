@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..arith import factorint, legendre
-from .hilbert import hilbert_symbol
+from .hilbert import _unit_part_mod, _valuation, hilbert_symbol
 from .poly import W, X, Y, Z, Poly
 from .profiles import CapacityError, LocalProfile
 
@@ -363,7 +363,6 @@ def padic_point_classes(A, B, C, p, k, budget=CELL_BUDGET):
 
 def _is_padic_square(d, p: int) -> bool:
     d = Fraction(d)
-    from .hilbert import _unit_part_mod, _valuation
     if _valuation(d, p) % 2:
         return False
     if p == 2:

@@ -11,8 +11,11 @@ The membership check covers all liftable classes mod 2^10 without
 visiting each: the shared chart enumerator in padic refines one chart
 of its disjoint cover at a time, and a class is settled, with its
 exact number of descendants mod 2^10 as its weight, as soon as both
-cocycle values are decided for every descendant.  All moduli are powers of two, so
-reductions are bit masks."""
+cocycle values are decided for every descendant.  All moduli are
+powers of two, so reductions are bit masks.  The 17-adic values of the
+cocycle function are read on the liftable classes of the same cover:
+the function is a quotient of two forms of one weighted degree, so a
+class gives the value of all its unit rescalings."""
 
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import numpy as np
 
 from ..arith import factorint, legendre
 from .padic import (CELL_BUDGET, _chart_cells, _eval_vec, _surface_terms,
-                    _vec_val, padic_point_classes)
+                    _vec_val)
 from .profiles import LocalProfile
 
 SURFACE75 = (-9826, -2, 136)
@@ -45,9 +48,6 @@ FIRST_ROW = RESIDUE_TABLE_MOD32[:8]
 
 # --- exact arithmetic in Z[i][T] / (T^4 - 17) ----------------------------
 # an element is a 4-tuple of Gaussian integers (re, im), the T-digits
-
-RING_ONE = ((1, 0), (0, 0), (0, 0), (0, 0))
-
 
 def ring_mul(a, b):
     out = [[0, 0] for _ in range(7)]
@@ -88,10 +88,6 @@ def norm_g(c):
         cur = ring_g(cur)
         out = ring_mul(out, cur)
     return out
-
-
-def norm_gh(c):
-    return ring_mul(c, ring_gh(c))
 
 
 def conjugate_ratio_mod32(re: int, im: int):
@@ -334,10 +330,14 @@ def quartic_invariant(value: int, p: int) -> Fraction:
 
 
 def ex75_17adic_values(k: int = 1):
-    """Evaluates f1 over the liftable 17-adic residue classes for each
-    square root of -1; every liftable class has y and w units, so both
-    numerator and denominator are determined mod 17.  Returns
-    (value set, residue flags, transcript)."""
+    """Evaluates f1 over the liftable 17-adic residue classes mod 17^k
+    of padic's chart cover (k >= 2t + 1), for each square root of -1;
+    every liftable class has y and w units, so both numerator and
+    denominator are determined mod 17.  f1 is a quotient of two forms
+    of one weighted degree, so it takes one value on every unit
+    rescaling of a class (_chart_cells), and the cover's classes give
+    the value set of all of them.  Returns (value set, residue flags,
+    transcript)."""
     A, B, C = SURFACE75
     p = 17
     fac = factorint(abs(A))
@@ -353,27 +353,26 @@ def ex75_17adic_values(k: int = 1):
         raise AssertionError("-2 must be a square mod 17")
     transcript.append("-2 is a square mod 17, so unit classes exist")
     roots = [r for r in range(2, p) if (r * r + 1) % p == 0]
-    cells = [c for c in padic_point_classes(A, B, C, p, k) if c.liftable]
-    if not cells:
+    values, n_lift = set(), 0
+    for _, coords, t in _chart_cells(A, B, C, p, k, CELL_BUDGET):
+        lift = k >= 2 * t + 1
+        for w, x, y, z in zip(*(c[lift].tolist() for c in coords)):
+            n_lift += 1
+            if y % p == 0 or w % p == 0:
+                raise AssertionError("liftable class without y, w units")
+            for r in roots:
+                # 2*f1 components with i -> r: (34xz - w) + i(34xz + 2y^2)
+                # over (-34xz + w) + i(34xz + 2y^2)
+                num = (34 * x * z - w + r * (34 * x * z + 2 * y * y)) % p
+                den = (-34 * x * z + w + r * (34 * x * z + 2 * y * y)) % p
+                if den == 0:
+                    raise AssertionError("denominator not a unit")
+                values.add(num * pow(den, -1, p) % p)
+    if not n_lift:
         raise AssertionError("no liftable 17-adic classes")
-    for c in cells:
-        if c.y % p == 0 or c.w % p == 0:
-            raise AssertionError("liftable class without y, w units")
-    values = set()
-    for c in cells:
-        for r in roots:
-            # 2*f1 components with i -> r: (34xz - w) + i(34xz + 2y^2)
-            # over (-34xz + w) + i(34xz + 2y^2)
-            num = (34 * c.x * c.z - c.w + r * (34 * c.x * c.z
-                                               + 2 * c.y * c.y)) % p
-            den = (-34 * c.x * c.z + c.w + r * (34 * c.x * c.z
-                                                + 2 * c.y * c.y)) % p
-            if den == 0:
-                raise AssertionError("denominator not a unit")
-            values.add(num * pow(den, -1, p) % p)
     flags = {v: v in quartic_residues(p) for v in values}
     transcript.append(
-        f"f1 value set mod 17 over {len(cells)} liftable classes: "
+        f"f1 value set mod 17 over {n_lift} liftable classes: "
         f"{sorted(values)}")
     return frozenset(values), flags, tuple(transcript)
 

@@ -254,8 +254,101 @@ def test_descent_17adic_patterns():
     assert patterns == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
 
 
+def _ex74_17adic_patterns_oracle():
+    """The rows of q1, q2, q3 at 17 over all 17^3 residues (x, y, z)
+    with x^4 + y^4 + z^4 = 0 mod 17, off the origin, by Euler's
+    criterion on h_i at w = 0: 1 where h_i is a nonsquare mod 17."""
+    hs = [q.g[0] for q in build_ex74().classes[:3]]
+    rows = set()
+    for x, y, z in itertools.product(range(17), repeat=3):
+        if (x, y, z) == (0, 0, 0) or (x ** 4 + y ** 4 + z ** 4) % 17:
+            continue
+        row = []
+        for h in hs:
+            value = sum(c * x ** ex * y ** ey * z ** ez
+                        for (ew, ex, ey, ez, _, _), c in h.terms.items()
+                        if ew == 0)
+            assert value.denominator == 1 and value % 17
+            row.append(int(pow(int(value), 8, 17) == 16))
+        rows.add(tuple(row))
+    return rows
+
+
+def test_descent_17adic_patterns_match_the_residue_oracle():
+    _, patterns = ex74_17adic_check()
+    assert patterns == _ex74_17adic_patterns_oracle()
+
+
 def test_descent_17adic_liftable_classes():
     assert ex74_17adic_liftable_check() > 0
+
+
+def test_descent_17adic_reads_one_cover_run(monkeypatch):
+    import dp2.local.examples as examples
+
+    runs = []
+    real = examples._chart_cells
+
+    def counting(A, B, C, p, *args):
+        runs.append(p)
+        return real(A, B, C, p, *args)
+
+    monkeypatch.setattr(examples, "_chart_cells", counting)
+    assert obstruct_ex74().conclusion == "obstructed"
+    assert runs.count(17) == 1
+
+
+@pytest.mark.parametrize("scaled", range(3))
+def test_descent_17adic_check_refuses_a_nonsquare_multiple(scaled,
+                                                           monkeypatch):
+    # 3 is a nonsquare mod 17: 3 h_i flips its column on every class
+    import dp2.local.examples as examples
+    from dp2.local.padic import QuaternionClass
+
+    ex = build_ex74()
+    q = ex.classes[scaled]
+    classes = list(ex.classes)
+    classes[scaled] = QuaternionClass(q.d, (3 * q.g[0], q.g[1]), q.label)
+    monkeypatch.setattr(examples, "build_ex74",
+                        lambda: ex._replace(classes=tuple(classes)))
+    with pytest.raises(AssertionError, match="exactly two"):
+        ex74_17adic_check()
+
+
+def test_descent_17adic_check_refuses_a_nonunit_h(monkeypatch):
+    import dp2.local.examples as examples
+    from dp2.local.padic import QuaternionClass
+
+    ex = build_ex74()
+    q = ex.classes[0]
+    classes = (QuaternionClass(q.d, (17 * q.g[0], q.g[1]), q.label),
+               *ex.classes[1:])
+    monkeypatch.setattr(examples, "build_ex74",
+                        lambda: ex._replace(classes=classes))
+    with pytest.raises(AssertionError, match="h_i not a unit"):
+        ex74_17adic_check()
+
+
+@pytest.mark.parametrize("level, fault, message", [
+    (1, lambda w, x, y, z: (w + 1, x, y, z), "w a unit mod 17"),
+    (2, lambda w, x, y, z: (w, x, y, z + 1), "row was not read"),
+    (2, lambda w, x, y, z: (0 * w, x, y, z), "no liftable classes"),
+])
+def test_descent_17adic_check_refuses_a_faulty_cover(level, fault, message,
+                                                     monkeypatch):
+    # the cover's classes reach the settle hook altered at one level
+    import dp2.local.examples as examples
+
+    real = examples._chart_cells
+
+    def faulty(A, B, C, p, k, budget, settle):
+        def altered(j, coords, t):
+            return settle(j, fault(*coords) if j == level else coords, t)
+        return real(A, B, C, p, k, budget, altered)
+
+    monkeypatch.setattr(examples, "_chart_cells", faulty)
+    with pytest.raises(AssertionError, match=message):
+        ex74_17adic_check()
 
 
 def test_descent_real_signs():
@@ -315,9 +408,13 @@ def test_descent_classes_built_once_per_request(monkeypatch):
 
     monkeypatch.setattr(examples, "_check", counting)
     for coeffs, builder, first_fact in RECIPE_BUILDS:
-        getattr(examples, builder).cache_clear()
-        cli.obstruct_surface(*coeffs, samples=3000)
+        build = getattr(examples, builder)
+        build.cache_clear()
+        cli.obstruct_surface(*coeffs)
         assert built.count(first_fact) == 1, builder
+        # the verdict and the printed transcript read one cached build
+        info = build.cache_info()
+        assert info.misses == 1 and info.hits >= 1, builder
 
 
 def test_class_numerators_compiled_once_per_request(monkeypatch):
@@ -334,7 +431,7 @@ def test_class_numerators_compiled_once_per_request(monkeypatch):
 
     examples.build_ex74.cache_clear()
     monkeypatch.setattr(padic, "compile_poly", counting)
-    cli.obstruct_surface(34, 34, 34, samples=3000)
+    cli.obstruct_surface(34, 34, 34)
     runs = list(compiled)
     classes = examples.build_ex74().classes
     assert len(classes) == 6

@@ -11,7 +11,6 @@ from dp2.galois0 import (
     IOTA_A,
     IOTA_B,
     IOTA_C,
-    S3_MAPS,
     SIGMA,
     TAU,
     GroupElement,
@@ -38,6 +37,7 @@ from dp2.picard import (
     triple,
 )
 
+from s3_maps import S3_MAPS
 from semidirect import semidirect_decomposition
 
 LAT = build_lattice()

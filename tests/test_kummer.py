@@ -13,7 +13,6 @@ from dp2.galois0 import (
     IOTA_A,
     IOTA_B,
     IOTA_C,
-    S3_MAPS,
     SIGMA,
     TAU,
     GroupElement,
@@ -30,6 +29,8 @@ from dp2.kummer import (
     row_subgroup,
     table2_match,
 )
+
+from s3_maps import S3_MAPS
 
 
 def test_exponent_vector_branches():

@@ -599,6 +599,20 @@ def test_rescaled_cover_is_the_overlapping_enumeration(A, B, C, p, k):
     assert units == sorted(units)
 
 
+def test_descent_liftable_count_matches_direct_cover():
+    # the digit criterion u^2 = 2 sigma, w = 17 u and sigma =
+    # (x^4+y^4+z^4)/17 a unit, over the classes mod 17^2 of the direct
+    # enumeration of the cover
+    from dp2.local.examples import ex74_17adic_liftable_check
+    count = 0
+    for _, (w, x, y, z), _ in _direct_chart_cells(34, 34, 34, 17, 2):
+        sigma = (x ** 4 + y ** 4 + z ** 4) % 17 ** 2 // 17
+        u = w // 17
+        count += int(((sigma != 0) & ((u * u - 2 * sigma) % 17 == 0)).sum())
+    assert count > 0
+    assert ex74_17adic_liftable_check() == count
+
+
 #: the five recipes' classes, with the places of their enumerations
 RECIPE_PLACES = [
     ("build_ex71", (), (2, 3, 5), None),

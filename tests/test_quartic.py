@@ -9,11 +9,11 @@ from dp2.local.padic import (
     _eval_vec,
     _surface_terms,
     _vec_val,
+    padic_point_classes,
 )
 from dp2.local.quartic import (
     FIRST_ROW,
     RESIDUE_TABLE_MOD32,
-    RING_ONE,
     SURFACE75,
     WITNESS_FOURTH_ROOT,
     WITNESS_ROW_GENERATOR,
@@ -26,7 +26,6 @@ from dp2.local.quartic import (
     ex75_real_profile,
     mod32_membership,
     norm_g,
-    norm_gh,
     norm_image_check,
     quartic_invariant,
     quartic_residues,
@@ -34,6 +33,13 @@ from dp2.local.quartic import (
     ring_gh,
     ring_mul,
 )
+
+
+RING_ONE = ((1, 0), (0, 0), (0, 0), (0, 0))
+
+
+def norm_gh(c):
+    return ring_mul(c, ring_gh(c))
 
 
 def ring_h(c):
@@ -268,6 +274,22 @@ def test_17adic_value_set():
     assert values == frozenset({8, 15})
     assert not any(flags.values())  # both are quartic non-residues
     assert transcript
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_17adic_value_set_on_the_rescaled_classes(k):
+    # f1 at every liftable class of the overlapping unit charts, each
+    # cover class rescaled into each of its unit charts; the value
+    # depends on the class mod 17 only, so each residue is read once
+    residues = {(c.w % 17, c.x % 17, c.y % 17, c.z % 17) for c in
+                padic_point_classes(*SURFACE75, 17, k) if c.liftable}
+    values = set()
+    for w, x, y, z in residues:
+        for r in (4, 13):  # the square roots of -1 mod 17
+            num = 34 * x * z - w + r * (34 * x * z + 2 * y * y)
+            den = -34 * x * z + w + r * (34 * x * z + 2 * y * y)
+            values.add(num * pow(den, -1, 17) % 17)
+    assert ex75_17adic_values(k)[0] == values
 
 
 def test_local_profiles():
