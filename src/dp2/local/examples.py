@@ -4,6 +4,7 @@ classes, together with their local-invariant verdicts."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -12,11 +13,11 @@ from ..arith import factorint, is_prime, legendre
 from .padic import (
     CELL_BUDGET,
     QuaternionClass,
+    _CHART_VARS,
     _chart_cells,
-    _eval_vec,
     _is_padic_square,
-    _quaternion_columns,
-    compile_poly,
+    _quaternion_rows,
+    _shift,
     invariant_profile,
     real_profile,
     real_witness,
@@ -256,8 +257,9 @@ def square_d_profile(d, A, B, C, p) -> LocalProfile:
     _check(_is_padic_square(d, p), f"{d} is a square in Q_{p}")
     depth = None
     for trial in (1, 2, 3):
-        if any((trial >= 2 * t + 1).any() for _, _, t in
-               _chart_cells(A, B, C, p, trial, CELL_BUDGET)):
+        if any(trial >= 2 * t + 1 for _, cells in
+               _chart_cells(A, B, C, p, trial, CELL_BUDGET)
+               for *_, t in cells):
             depth = trial
             break
     _check(depth is not None, f"S(Q_{p}) is nonempty")
@@ -400,16 +402,20 @@ def _ex74_17adic():
     value per class.  The classes with x^4+y^4+z^4 = 0 mod 17 are the
     ones that can carry a point, and their rows of q1, q2, q3 are the
     patterns.  At a unit h the invariant of (-17, h) is the Hilbert
-    symbol, the Legendre symbol of h, which _quaternion_columns reads
-    at j = 1 from the table every place uses.  The value mod 17 holds
-    at every point of the class, not only within a Hensel distance, so
-    no gradient valuation is passed.
+    symbol, the Legendre symbol of h, which _quaternion_rows reads at
+    j = 1 from the table every place uses.  The value mod 17 holds at
+    every point of the class, not only within a Hensel distance, so it
+    is read at full precision.
 
-    Level 2 counts the classes that the digit criterion u^2 = 2 sigma,
-    w = 17 u and sigma = (x^4+y^4+z^4)/17 a unit, certifies liftable.
-    Their rows need no second reading: f = 0 mod 17^2 forces sigma = 0
-    mod 17, so each level-2 class lies over a level-1 class whose row
-    was read, and that is asserted."""
+    Level 2 counts the classes mod 17^2 that the digit criterion u^2 =
+    2 sigma, w = 17 u and sigma = (x^4+y^4+z^4)/17 a unit, certifies
+    liftable.  Every partial of f vanishes mod 17 at level 1 (17 | 34
+    and 17 | w), so level 2 holds one block of all 17^3 lifts over each
+    class with 17^2 | f, that is with sigma = 0 mod 17 on its
+    representative, which is asserted: so every class mod 17^2 lies
+    over a class whose row was read.  On a block, sigma mod 17 is read
+    on the 17^2 lifts of its two chart variables among x, y, z, and
+    each sigma = s, a unit, has 1 + (2s/17) digits u with u^2 = 2s."""
     p = 17
     transcript = [
         _check(34 % p == 0,
@@ -424,29 +430,34 @@ def _ex74_17adic():
     ]
     cls_terms = [(q.numerator_terms(), q.d)
                  for q in build_ex74().classes[:3]]
-    sigma_terms = compile_poly(X ** 4 + Y ** 4 + Z ** 4)
     patterns, n_lift = set(), 0
 
-    def settle(j, coords, t):
+    def sigma(w, x, y, z):
+        return x ** 4 + y ** 4 + z ** 4
+
+    def settle(unit, j, cells):
         nonlocal n_lift
-        w = coords[0]
-        sigma = _eval_vec(sigma_terms, coords, p ** j)
         if j == 1:
-            if w.any():
+            if any(cell[0] for cell in cells):
                 raise AssertionError("class with w a unit mod 17")
-            on = sigma == 0
-            cols = _quaternion_columns(
-                cls_terms, tuple(c[on] for c in coords), p, 1)
-            if any((col < 0).any() for col in cols):
+            on = [cell for cell in cells if sigma(*cell[:4]) % p == 0]
+            rows = _quaternion_rows(cls_terms, on, p, 1, hensel=False)
+            if any(-1 in row for row in rows):
                 raise AssertionError("h_i not a unit on a residue class")
-            patterns.update(zip(*(col.tolist() for col in cols)))
-            return t >= 0  # every class goes on to level 2
-        if (sigma % p).any():
-            raise AssertionError(
-                "class mod 17^2 over a class whose row was not read")
-        sigma, u = sigma // p, w // p
-        n_lift += int(((sigma != 0) & ((u * u - 2 * sigma) % p == 0)).sum())
-        return t < 0  # nothing is left to refine
+            patterns.update(map(tuple, rows))
+            return [True] * len(cells)  # every class goes on to level 2
+        for cell in cells:
+            if sigma(*cell[:4]) % p:
+                raise AssertionError(
+                    "class mod 17^2 over a class whose row was not read")
+            if cell[4] != 1:
+                raise AssertionError("level-2 cell is not a 17^3 block")
+            for digits in itertools.product(range(p), repeat=2):
+                s = sigma(*_shift(cell[:4], _CHART_VARS[unit][1:], p,
+                                  digits)) % p ** 2 // p
+                if s:
+                    n_lift += 1 + legendre(2 * s, p)
+        return [False] * len(cells)  # nothing is left to refine
 
     for _ in _chart_cells(34, 34, 34, p, 2, CELL_BUDGET, settle):
         pass

@@ -2,37 +2,36 @@
 invariant profiles of quaternion classes over the enumerated points.
 
 One chart enumerator, _chart_cells, refines residue classes digit by
-digit (vectorized, one level at a time), per chart, from the single
-class mod p^0.  Its three charts are a disjoint cover of the primitive
-points, each normalized at its first unit coordinate: chart x has
-x = 1, chart y has x = 0 mod p and y = 1, chart z has x = y = 0 mod p
-and z = 1.  So each point is enumerated once, up to a unit rescaling,
-and no consumer can tell the rescalings apart (_chart_cells gives the
-argument).  A class is kept only while the surface
-congruence can still hold, and is certified liftable by the
-multivariate Hensel criterion (depth >= 2t+1 where t is the minimal
-valuation in the gradient).  Past the first level, the congruence on
-the p^3 digit extensions of a class is linear in the new digit (an
-exact Taylor step), so each level evaluates f and the gradient once
-per class, not f once per extension; t passes from a class to its
-extensions and is evaluated again only where it was capped by the
-precision.  The cells expanded at every level, the first included,
-count against one budget, which is checked before any level is
-allocated.  A consumer may pass a settle callback that sees the cells
-of every level and drops the decided ones, so invariant
-profiles deepen automatically until every quaternion invariant is
-determined or a depth cap is reached; a consumer that needs only the
-classes at a fixed depth gets them one chart at a time, and never
-holds all three charts at once.
+digit, per chart, from the single class mod p^0, in Python integers.
+Its three charts are a disjoint cover of the primitive points, each
+normalized at its first unit coordinate: chart x has x = 1, chart y
+has x = 0 mod p and y = 1, chart z has x = y = 0 mod p and z = 1.  So
+each point is enumerated once, up to a unit rescaling, and no consumer
+can tell the rescalings apart (_chart_cells gives the argument).  A
+class is kept only while the surface congruence can still hold, and
+is certified liftable by the multivariate Hensel criterion (depth >=
+2t+1 where t is the minimal valuation in the gradient).
 
-Modulo a power of two, residues are reduced with a bit mask and 2-adic
-valuations are counted from the lowest set bit in one pass.  The real
-place is decided in integers: a class of Br(S) is locally constant on
-S(R), whose components are known from the signs of A, B, C, so
-real_profile reads each component at one integer witness point, with
-the sign of every numerator at w = +-sqrt(F) decided exactly (no float
-and no sampling).  Polynomials are the standard-library Polys of
-dp2.local.poly: no sympy here."""
+A cell of the enumeration is a Hensel block: a representative mod p^e
+standing for all of its p^(3(j-e)) lifts mod p^j, on each of which the
+congruence holds.  A block whose gradient vanishes to its precision
+keeps or drops all of its lifts at once, and a liftable block writes
+down the p^2 solutions of a linear congruence for its next digit, so
+only the blocks are held, never the lifts one by one.  The lifts of
+all levels, the first included, count against one budget, which is
+checked before any level is run.  A consumer may pass a settle
+callback that sees the cells of every level and drops the decided
+ones, so invariant profiles deepen automatically until every
+quaternion invariant is determined or a depth cap is reached; a
+consumer that needs only the cells at a fixed depth gets them one
+chart at a time, and never holds all three charts at once.
+
+The real place is decided in integers: a class of Br(S) is locally
+constant on S(R), whose components are known from the signs of A, B,
+C, so real_profile reads each component at one integer witness point,
+with the sign of every numerator at w = +-sqrt(F) decided exactly (no
+float and no sampling).  Polynomials are the standard-library Polys of
+dp2.local.poly: no sympy and no numpy here."""
 
 from __future__ import annotations
 
@@ -41,8 +40,6 @@ import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from ..arith import factorint, legendre
 from .hilbert import _unit_part_mod, _valuation, hilbert_symbol
@@ -53,8 +50,12 @@ DEPTH_CAP = {2: 12}
 DEPTH_CAP_ODD = 6
 #: residue cells one enumeration may expand, over all its levels
 CELL_BUDGET = 2 ** 27
-#: moduli stay below this, so that the product of two residues fits in
-#: int64 (_eval_vec multiplies them before it reduces)
+#: about how many cells of a level are refined and settled at a time
+SETTLE_RUN = 2 ** 16
+#: moduli stay below this, the product of two residues below 2^63; the
+#: engine works in Python integers, so this no longer guards it against
+#: overflow, but _chart_cells still refuses a modulus past it, and the
+#: default odd depth stays below it, so every exit code is kept
 INT64_MODULUS_CAP = math.isqrt(2 ** 63 - 1)  # 3,037,000,499
 #: the largest height max(|x|, |y|, |z|) real_witness tries
 WITNESS_HEIGHT = 12
@@ -133,116 +134,21 @@ class QuaternionClass:
         return compile_poly(q.numerator * prim * squarefree)
 
 
-def _surface_terms(A, B, C):
-    return compile_poly(A * X ** 4 + B * Y ** 4 + C * Z ** 4 - W ** 2)
-
-
-def _gradient_terms(A, B, C):
-    f = A * X ** 4 + B * Y ** 4 + C * Z ** 4 - W ** 2
-    return tuple(compile_poly(f.diff(v)) for v in (W, X, Y, Z))
-
-
-def _eval_vec(terms, coords, m):
-    """Vectorized polynomial evaluation mod m; coords already mod m.  A
-    power-of-two m reduces with the mask m - 1, which on int64 gives
-    the same non-negative residue as %, negative values included."""
-    w, x, y, z = coords
-    acc = np.zeros(w.shape, dtype=np.int64)
-    for c, ew, ex, ey, ez in terms:
-        t = np.full(w.shape, c % m, dtype=np.int64)
-        for base, e in ((w, ew), (x, ex), (y, ey), (z, ez)):
-            for _ in range(e):
-                t *= base
-                _reduce(t, m)
-        acc += t
-        _reduce(acc, m)
-    return acc
-
-
-def _reduce(vals, m):
-    if m & (m - 1):
-        np.remainder(vals, m, out=vals)
-    else:
-        np.bitwise_and(vals, m - 1, out=vals)
-
-
-def _vec_val(vals, p, cap):
-    """Componentwise v_p, truncated at cap (the precision of vals).  At
-    p = 2 it is the number of trailing zero bits, counted in one pass
-    as the popcount of (lowest set bit) - 1."""
-    if p == 2:
-        out = np.bitwise_count((vals & -vals) - 1).astype(np.int64)
-        return np.where(vals == 0, cap, np.minimum(out, cap))
-    out = np.zeros(vals.shape, dtype=np.int64)
-    v = vals.copy()
-    for _ in range(cap):
-        todo = (v % p == 0) & (out < cap)
-        if not todo.any():
-            break
-        v = np.where(todo, v // p, v)
-        out = out + todo
-    return np.where(vals == 0, cap, np.minimum(out, cap))
-
-
-def _coords(unit, w, a, b):
-    one = np.ones_like(w)
-    if unit == "x":
-        return (w, one, a, b)
-    if unit == "y":
-        return (w, a, one, b)
-    return (w, a, b, one)
-
-
-#: gradient components along the chart variables (w, a, b) of each chart
-_CHART_GRADS = {"x": (0, 2, 3), "y": (0, 1, 3), "z": (0, 1, 2)}
-
-
-def _expand_filtered(cells, unit, p, j, f, grads, budget_left):
-    """(children, parents): the digit extensions x + p^(j-1) delta of
-    the level-(j-1) cells x on which the surface congruence holds mod
-    p^j, in parent order and, per parent, in digit order, with the
-    index of each child's parent.
-
-    Level 1 evaluates f on the p^3 digit vectors of the root and keeps
-    the ones in the chart's part of the disjoint cover.  From
-    level 2 on it takes the exact Taylor step: with h = p^(j-1),
-    f(x + h delta) = f(x) + h grad f(x).delta mod p^j, because the
-    Taylor coefficients of an integer polynomial are integers and
-    h^2 = 0 mod p^j.  A kept parent has f(x) = 0 mod h, so a child is
-    kept exactly when f(x)/h + grad f(x).delta = 0 mod p: f is
-    evaluated once per parent mod p^j and the three chart-variable
-    partials once per parent mod p, and only the kept children are
-    materialized, in bounded chunks of parents."""
-    n = len(cells[0])
+def _val(n, p, cap):
+    """v_p(n), truncated at cap (so cap for n = 0)."""
     if n == 0:
-        return cells, np.zeros(0, dtype=np.int64)
-    if n * p ** 3 > budget_left:
-        raise CapacityError("residue enumeration budget exceeded")
-    r = np.arange(p, dtype=np.int64)
-    grid = [d.ravel() for d in np.meshgrid(r, r, r, indexing="ij")]
-    if j == 1:
-        keep = _eval_vec(f, _coords(unit, *grid), p) == 0
-        # the disjoint cover: the coordinates before the unit one are
-        # divisible by p (chart y: x; chart z: x and y)
-        for d in grid[1:"xyz".index(unit) + 1]:
-            keep &= d == 0
-        return (tuple(d[keep] for d in grid),
-                np.zeros(int(keep.sum()), dtype=np.int64))
-    h = p ** (j - 1)
-    chunk = max(1, 2 ** 21 // p ** 3)
-    parents, digits = [], []
-    for lo in range(0, n, chunk):
-        part = _coords(unit, *(c[lo:lo + chunk] for c in cells))
-        acc = (_eval_vec(f, part, p ** j) // h)[:, None]
-        for i, d in zip(_CHART_GRADS[unit], grid):
-            acc = acc + _eval_vec(grads[i], part, p)[:, None] * d
-        _reduce(acc, p)
-        parent, digit = np.nonzero(acc == 0)
-        parents.append(parent + lo)
-        digits.append(digit)
-    parent, digit = np.concatenate(parents), np.concatenate(digits)
-    return (tuple(c[parent] + h * d[digit] for c, d in zip(cells, grid)),
-            parent)
+        return cap
+    if p == 2:
+        return min((n & -n).bit_length() - 1, cap)
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+#: the chart variables (w, a, b) of each chart, as positions in (w, x, y, z)
+_CHART_VARS = {"x": (0, 2, 3), "y": (0, 1, 3), "z": (0, 1, 2)}
 
 
 def _int64_depth(p):
@@ -253,22 +159,66 @@ def _int64_depth(p):
     return k
 
 
-def _min_gradient_val(grads, coords, p, j):
-    vals = [_vec_val(_eval_vec(g, coords, p ** j), p, j) for g in grads]
-    return np.minimum.reduce(vals)
-
-
 def _chart_cells(A, B, C, p, k, budget, settle=None):
-    """Per chart x, y, z in turn: (unit, coords, t) for the residue
-    classes mod p^k of the chart on which the surface congruence holds,
-    and t the per-class minimal gradient valuation.  The charts are a
-    disjoint cover of the primitive points, each normalized at its
-    first unit coordinate: chart x has x = 1, chart y has x = 0 mod p
-    and y = 1, chart z has x = y = 0 mod p and z = 1.  Each chart
-    starts from the one class mod p^0 and is refined a digit per level
-    by _expand_filtered's Taylor step; the cells expanded at every level
-    of every chart count against budget, p^3 per chart root at level 1,
-    and only one chart's cells are held at a time.
+    """Per chart x, y, z in turn: (unit, cells), the cells of level k of
+    the chart.  A cell is a tuple (w, x, y, z, e, t): a representative
+    mod p^e, with the chart's unit coordinate 1, standing for its
+    p^(3(k-e)) lifts mod p^k in the chart variables, all of which
+    satisfy the surface congruence f = 0 mod p^k; t is the minimal
+    valuation of the gradient of f on the chart variables, read mod
+    p^e and capped at e.  The charts are a disjoint cover of the
+    primitive points, each normalized at its first unit coordinate:
+    chart x has x = 1, chart y has x = 0 mod p and y = 1, chart z has
+    x = y = 0 mod p and z = 1.
+
+    Level 1 lists the classes mod p of the chart from tables of x^4 and
+    of the square roots mod p.  Every cell of level j is then
+
+    - liftable: t < e and j = e + t, so j >= 2t + 1; or
+    - capped: t = e and e <= j <= 2e, so j < 2t + 1: the gradient
+      vanishes mod p^e at every lift.
+
+    Write c + p^e u for the lifts of a cell of level j.  The Taylor
+    coefficients of the integer polynomial f are integers, so f(c + p^e
+    u) = f(c) + p^e grad f(c).u mod p^(2e), and the cell is refined to
+    level j + 1 by the first rule that applies:
+
+    1. all or none, for a capped cell with j < 2e: p^(e+t) = p^(2e)
+       divides p^e grad f(c).u and p^(2e) the higher terms, so f is
+       constant mod p^(j+1) on the lifts; the cell stays one cell,
+       with p^3 times the lifts, exactly when p^(j+1) divides f(c);
+    2. digit solve, for a liftable cell: grad f(c) = p^t g with g
+       primitive on the chart variables, and 2e >= j + 1, so a lift is
+       kept exactly when f(c)/p^j + g.u = 0 mod p.  That reads u mod p
+       only and has p^2 solutions delta, each the liftable cell c + p^e
+       delta mod p^(e+1) with the same t;
+    3. test, for a capped cell with j = 2e: each of the p^3 cells
+       c + p^e delta mod p^(e+1) is kept when p^(j+1) divides its f,
+       which is constant on its lifts as in rule 1, as p^(2e+1)
+       divides p^(e+1) grad f; its t, read mod p^(e+1), is e (liftable)
+       or e + 1 (capped).
+
+    g is primitive on the chart variables: by Euler's relation 2w f_w
+    + x f_x + y f_y + z f_z = 4f, the partial in the unit coordinate is
+    4f less the others, and v(4f) >= j > t.  For the same reason the
+    minimal valuation over all four partials, capped at the precision,
+    is t.
+
+    Consumers cannot tell a cell from its lifts.  A liftable cell stays
+    at e = j - t, and the lifts agree mod p^e, so they agree in t and
+    in every value read mod p^(j-t) = p^e, which is all that
+    _quaternion_rows reads: every lift gives the cell's row.  A capped
+    cell has j <= 2e < 2t + 1 on every lift, so none is liftable and
+    nothing is decided on it; it is only refined further.
+
+    The lifts expanded at every level of every chart count against
+    budget, p^3 per lift of the level before and p^3 per chart root at
+    level 1, and only one chart's cells are held at a time.  A level is
+    refined and settled in runs of about SETTLE_RUN cells, and the
+    next level's expansion is charged as its cells are kept: a level
+    whose kept cells alone exceed the budget is refused as soon as
+    they do, with the error the next level would raise, and the cells
+    settle drops are never held all at once.
 
     The overlapping unit charts x = 1, y = 1, z = 1 would list a point
     once per unit coordinate.  Every class they add is the image of a
@@ -277,8 +227,8 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
 
     - f is multiplied by l^4 and its partials by l^2 (in w) and l^3, so
       f = 0 mod p^j, the gradient valuation t and liftability are kept;
-    - a polynomial homogeneous of even weighted degree e, w of weight
-      2, is multiplied by the square l^e, which keeps its valuation and
+    - a polynomial homogeneous of even weighted degree n, w of weight
+      2, is multiplied by the square l^n, which keeps its valuation and
       square class; every numerator_terms is one, so every quaternion
       invariant is kept;
     - a quotient of two homogeneous polynomials of one weighted degree,
@@ -289,46 +239,130 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
     those of the overlapping charts; only counts of classes differ, by
     the number of unit coordinates of each class.
 
-    t is carried from level to level.  At level j it is the valuation
-    of the gradient mod p^j, capped at j.  A parent with t < j - 1 has
-    its true valuation there, and every child agrees with it mod
-    p^(j-1), so the child has the same t; only the children of capped
-    parents (t = j - 1) are evaluated again.
+    settle, when given, is called as settle(unit, j, cells) on the
+    nonempty runs of cells of each level j and returns one flag per
+    cell, true for the cells still undecided; only those are refined
+    further and yielded.
 
-    settle, when given, is called as settle(j, coords, t) on the
-    nonempty cells of each level j and returns the mask of classes
-    still undecided; only those are refined further and yielded.
-
-    Residues are int64, and _eval_vec multiplies two of them before it
-    reduces, which is exact only while the modulus p^k stays below
-    INT64_MODULUS_CAP; a k past _int64_depth(p) raises CapacityError
-    before any level is run."""
+    A k past _int64_depth(p) raises CapacityError before any level is
+    run, as it did when residues were int64."""
     if k > _int64_depth(p):
         raise CapacityError(
             f"modulus {p}^{k} is past the int64 range of the residues")
-    f = _surface_terms(A, B, C)
-    grads = _gradient_terms(A, B, C)
-    root = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
     spent = 0
     for unit in ("x", "y", "z"):
-        cells = root
-        coords, t = _coords(unit, *root), root[0]  # t = 0 at depth 0
+        chart = _CHART_VARS[unit]
+        cells, lifts = [], p ** 3  # lifts: the next level's expansion
         for j in range(1, k + 1):
-            n = len(cells[0])
-            cells, parent = _expand_filtered(cells, unit, p, j, f, grads,
-                                             budget - spent)
-            spent += n * p ** 3
-            coords = _coords(unit, *cells)
-            t = t[parent]
-            capped = np.flatnonzero(t >= j - 1)
-            if len(capped):
-                t[capped] = _min_gradient_val(
-                    grads, tuple(c[capped] for c in coords), p, j)
-            if settle is not None and len(t):
-                undecided = settle(j, coords, t)
-                cells, t = tuple(c[undecided] for c in cells), t[undecided]
-                coords = _coords(unit, *cells)
-        yield unit, coords, t
+            if lifts > budget - spent:
+                raise CapacityError("residue enumeration budget exceeded")
+            spent += lifts
+            parents, cells, lifts = cells, [], 0
+            if j == 1:
+                runs = [[(*c, 1, _gradient_val(A, B, C, c, chart, p, 1))
+                         for c in _level_one(A, B, C, p, unit)]]
+            else:
+                step = max(1, SETTLE_RUN // p ** 2)
+                runs = (_refine(parents[i:i + step], A, B, C, chart, p, j)
+                        for i in range(0, len(parents), step))
+            for run in runs:
+                if settle is not None and run:
+                    run = list(itertools.compress(run, settle(unit, j, run)))
+                cells += run
+                lifts += sum(p ** (3 * (j + 1 - c[4])) for c in run)
+                if j < k and lifts > budget - spent:
+                    raise CapacityError("residue enumeration budget exceeded")
+            if not cells:
+                break
+        yield unit, cells
+
+
+def _level_one(A, B, C, p, unit):
+    """The classes (w, x, y, z) mod p of the chart on which f = 0 mod p:
+    for each (x, y, z), the square roots w of A x^4 + B y^4 + C z^4."""
+    roots = [[] for _ in range(p)]
+    for w in range(p):
+        roots[w * w % p].append(w)
+    fourth = [pow(v, 4, p) for v in range(p)]
+    digits = range(p)
+    xyz = {"x": [(1, a, b) for a in digits for b in digits],
+           "y": [(0, 1, b) for b in digits],
+           "z": [(0, 0, 1)]}[unit]
+    return [(w, x, y, z) for x, y, z in xyz
+            for w in roots[(A * fourth[x] + B * fourth[y] + C * fourth[z])
+                           % p]]
+
+
+def _surface_value(A, B, C, c):
+    w, x, y, z = c
+    x, y, z = x * x, y * y, z * z
+    return A * x * x + B * y * y + C * z * z - w * w
+
+
+def _chart_gradient(A, B, C, c, chart):
+    """The partials of f at c = (w, x, y, z) in the chart variables."""
+    w, x, y, z = c
+    grad = (-2 * w, 4 * A * x ** 3, 4 * B * y ** 3, 4 * C * z ** 3)
+    return [grad[i] for i in chart]
+
+
+def _gradient_val(A, B, C, c, chart, p, cap):
+    return min(_val(g, p, cap) for g in _chart_gradient(A, B, C, c, chart))
+
+
+def _shift(c, chart, h, digits):
+    """c + h * digits on the chart variables."""
+    c = list(c)
+    for i, d in zip(chart, digits):
+        c[i] += h * d
+    return c
+
+
+def _refine(cells, A, B, C, chart, p, j):
+    """The cells of level j over those of level j - 1, by the three
+    rules of _chart_cells."""
+    out = []
+    mod = p ** j
+    for cell in cells:
+        *c, e, t = cell
+        h = p ** e
+        if t < e:  # digit solve: f(c)/p^(j-1) + g.delta = 0 mod p
+            r = _surface_value(A, B, C, c) // (mod // p)
+            g = [v // p ** t % p
+                 for v in _chart_gradient(A, B, C, c, chart)]
+            # g is primitive: solve for the digit of a unit entry i, and
+            # let the digits at the other two positions a, b run
+            i = 0 if g[0] else 1 if g[1] else 2
+            a, b = (m for m in range(3) if m != i)
+            inv, ga, gb = -pow(g[i], -1, p), g[a], g[b]
+            i, a, b = chart[i], chart[a], chart[b]
+            child = list(c)
+            for da in range(p):
+                child[a] = c[a] + h * da
+                ra = r + ga * da
+                for db in range(p):
+                    child[b] = c[b] + h * db
+                    child[i] = c[i] + h * ((ra + gb * db) * inv % p)
+                    out.append((*child, e + 1, t))
+        elif j <= 2 * e:  # all or none
+            if _surface_value(A, B, C, c) % mod == 0:
+                out.append(cell)
+        else:  # test
+            for digits in itertools.product(range(p), repeat=3):
+                child = _shift(c, chart, h, digits)
+                if _surface_value(A, B, C, child) % mod == 0:
+                    out.append((*child, e + 1, _gradient_val(
+                        A, B, C, child, chart, p, e + 1)))
+    return out
+
+
+def _lifts(unit, cell, p, j):
+    """The p^(3(j-e)) classes [w, x, y, z] mod p^j of a cell of level j
+    of the chart."""
+    *c, e, _ = cell
+    h, chart = p ** e, _CHART_VARS[unit]
+    for digits in itertools.product(range(p ** (j - e)), repeat=3):
+        yield _shift(c, chart, h, digits)
 
 
 def padic_point_classes(A, B, C, p, k, budget=CELL_BUDGET):
@@ -341,22 +375,25 @@ def padic_point_classes(A, B, C, p, k, budget=CELL_BUDGET):
     not itself contain a point; coordinates are guaranteed only to the
     effective precision p^(k-t).
 
-    A class of _chart_cells' disjoint cover is listed once per unit
-    coordinate, rescaled by that coordinate's inverse l mod p^k to
-    (l^2 w, l x, l y, l z), with the same t (the rescaling is an
-    isometry, see _chart_cells)."""
+    Each cell of _chart_cells' disjoint cover is expanded into its
+    lifts, each liftable exactly when the cell is, and each lift is
+    listed once per unit coordinate, rescaled by that coordinate's
+    inverse l mod p^k to (l^2 w, l x, l y, l z), with the same t (the
+    rescaling is an isometry, see _chart_cells)."""
     m = p ** k
     out = []
-    for _, coords, t in _chart_cells(A, B, C, p, k, budget):
-        liftable = (k >= 2 * t + 1).tolist()
-        for w, *xyz, lift in zip(*(c.tolist() for c in coords), liftable):
-            for unit, u in zip("xyz", xyz):
-                if u % p:
-                    inv = pow(u, -1, m)
-                    out.append(PointClass(inv * inv * w % m,
-                                          *(inv * c % m for c in xyz),
-                                          p=p, k=k, unit_coordinate=unit,
-                                          liftable=lift))
+    for unit, cells in _chart_cells(A, B, C, p, k, budget):
+        for cell in cells:
+            lift = k >= 2 * cell[5] + 1
+            for w, *xyz in _lifts(unit, cell, p, k):
+                for coordinate, u in zip("xyz", xyz):
+                    if u % p:
+                        inv = pow(u, -1, m)
+                        out.append(PointClass(inv * inv * w % m,
+                                              *(inv * c % m for c in xyz),
+                                              p=p, k=k,
+                                              unit_coordinate=coordinate,
+                                              liftable=lift))
     out.sort(key=lambda c: c.unit_coordinate)  # stable: chart order kept
     return out
 
@@ -370,39 +407,48 @@ def _is_padic_square(d, p: int) -> bool:
     return legendre(_unit_part_mod(d, p, p), p) == 1
 
 
-def _quaternion_columns(cls_terms, coords, p, j, tvals=None):
-    """Per-class invariant columns: 0 / 1 (for 0, 1/2) / -1 undecided.
+@functools.lru_cache(maxsize=None)
+def _symbol_bit(d, p, parity, u):
+    """The invariant, 0 or 1 (for 0, 1/2), of (d, p^parity u) at p."""
+    return 0 if hilbert_symbol(d, Fraction(p) ** parity * u, p) == 1 else 1
 
-    tvals is the per-cell minimal gradient valuation t: the Hensel
-    certificate only places a point within p^(t-j) of the cell
-    representative, so values are trusted to effective precision
+
+def _quaternion_rows(cls_terms, cells, p, j, hensel=True):
+    """Per cell, its row of invariants: 0 / 1 (for 0, 1/2) / -1
+    undecided, one per class.
+
+    The Hensel certificate only places a point within p^(t-j) of the
+    cell representative, so values are trusted to effective precision
     p^(j-t) only; deciding at full depth would let cells that contain
-    no actual point contribute invariants."""
+    no actual point contribute invariants.  With hensel false the
+    values are read at full precision p^j, for a class whose value
+    holds at every point of the cell.  The symbol depends only on the
+    valuation v mod 2 and the unit part mod p^need of the value, so it
+    is computed once per pair that occurs."""
     need = 3 if p == 2 else 1
-    if tvals is None:
-        tvals = np.zeros(coords[0].shape, dtype=np.int64)
-    jeff = j - tvals
+    mod, unit_mod = p ** j, p ** need
+    # v = v_p(val) truncated at j, read from gcd(val, p^j) = p^v
+    exponent = {p ** v: v for v in range(j + 1)}
+    # a value is decided when v + need <= the effective precision
+    bounds = [(j - t if hensel else j) - need for *_, t in cells]
     cols = []
     for terms, d in cls_terms:
         if _is_padic_square(d, p):
-            cols.append(np.zeros(coords[0].shape, dtype=np.int64))
+            cols.append([0] * len(cells))
             continue
-        vals = _eval_vec(terms, coords, p ** j)
-        v = _vec_val(vals, p, j)
-        decided = (v < jeff) & (jeff - v >= need)
-        unit = np.where(decided,
-                        vals // np.power(p, np.minimum(v, j - 1))
-                        % p ** need, 1)
-        # the symbol depends only on v mod 2 and the unit mod p^need:
-        # one table entry per pair that occurs, code = parity p^need + u
-        code = np.where(decided, v % 2 * p ** need + unit, 0)
-        table = np.full(2 * p ** need, -1, dtype=np.int64)
-        for c in np.flatnonzero(np.bincount(code[decided])).tolist():
-            parity, u = divmod(c, p ** need)
-            sym = hilbert_symbol(d, Fraction(p) ** parity * u, p)
-            table[c] = 0 if sym == 1 else 1
-        cols.append(np.where(decided, table[code], -1))
-    return cols
+        col, symbols = [], {}  # symbols by (v mod 2, unit)
+        for (w, x, y, z, _, _), bound in zip(cells, bounds):
+            val = eval_terms(terms, w, x, y, z, mod)
+            v = exponent[math.gcd(val, mod)]
+            if v > bound:
+                col.append(-1)
+                continue
+            key = (v % 2, val // p ** v % unit_mod)
+            if key not in symbols:
+                symbols[key] = _symbol_bit(d, p, *key)
+            col.append(symbols[key])
+        cols.append(col)
+    return list(zip(*cols))
 
 
 def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
@@ -410,7 +456,8 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
     """Attained invariant vectors of the given quaternion classes over
     all liftable p-adic point classes, with auto-deepening.  The classes
     are those of _chart_cells' disjoint cover, so undetermined counts
-    each undecided point class once, up to a unit rescaling.
+    each undecided point class once, up to a unit rescaling: a cell
+    counts its lifts.
 
     merge optionally groups class indices, e.g. ((0, 3), (1, 4)): the
     grouped classes are equal in the Brauer group (different function
@@ -418,8 +465,8 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
     member's is, and disagreement between decided members is an
     error."""
     if k_cap is None:
-        # from p = 41 on, depth 6 is past the int64 range; a p past it
-        # is left for _chart_cells to refuse
+        # from p = 41 on, depth 6 is past INT64_MODULUS_CAP; a p past
+        # it is left for _chart_cells to refuse
         k_cap = max(1, min(DEPTH_CAP.get(p, DEPTH_CAP_ODD), _int64_depth(p)))
     cls_terms = [(q.numerator_terms(), q.d) for q in classes]
     for terms, _ in cls_terms:
@@ -431,42 +478,39 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
     attained = set()
     max_depth = 1
 
-    def settle(j, coords, t):
+    def settle(unit, j, cells):
         nonlocal max_depth
         max_depth = max(max_depth, j)
-        cols = _quaternion_columns(cls_terms, coords, p, j, tvals=t)
-        if merge is not None:
-            merged = []
-            for group in merge:
-                acc = np.full(len(t), -1, dtype=np.int64)
-                for idx in group:
-                    col = cols[idx]
-                    clash = (acc >= 0) & (col >= 0) & (acc != col)
-                    if clash.any():
-                        raise AssertionError(
-                            "merged class representatives disagree")
-                    acc = np.where((acc < 0) & (col >= 0), col, acc)
-                merged.append(acc)
-            cols = merged
-        decided = np.ones(len(t), dtype=bool)
-        for col in cols:
-            decided &= col >= 0
-        done = (j >= 2 * t + 1) & decided
-        if done.any():
-            # a decided row of 0/1 columns is one index in a 2 x ... x 2 box
-            shape = (2,) * len(cols)
-            codes = np.ravel_multi_index([col[done] for col in cols], shape)
-            for code in np.flatnonzero(np.bincount(codes)):
-                row = np.unravel_index(code, shape)
-                attained.add(tuple(Fraction(int(r), 2) for r in row))
-        return ~done
+        undecided = []
+        for cell, row in zip(cells, _quaternion_rows(cls_terms, cells, p,
+                                                     j)):
+            if merge is not None:
+                row = [_merged(row, group) for group in merge]
+            done = j >= 2 * cell[5] + 1 and -1 not in row
+            if done:
+                attained.add(tuple(row))
+            undecided.append(not done)
+        return undecided
 
-    undetermined = sum(len(t) for _, _, t in _chart_cells(
-        A, B, C, p, k_cap, budget, settle))
+    undetermined = sum(p ** (3 * (k_cap - cell[4]))
+                       for _, cells in _chart_cells(A, B, C, p, k_cap,
+                                                    budget, settle)
+                       for cell in cells)
     return LocalProfile(place=p, modulus=p ** max_depth,
-                        invariants=frozenset(attained),
+                        invariants=frozenset(
+                            tuple(Fraction(r, 2) for r in row)
+                            for row in attained),
                         undetermined=undetermined,
                         method="exact-enumeration")
+
+
+def _merged(row, group):
+    """The invariant of a group of equal classes: that of any decided
+    member, -1 if none is decided."""
+    decided = {row[i] for i in group if row[i] >= 0}
+    if len(decided) > 1:
+        raise AssertionError("merged class representatives disagree")
+    return decided.pop() if decided else -1
 
 
 def _sign(v) -> int:

@@ -11,21 +11,22 @@ The membership check covers all liftable classes mod 2^10 without
 visiting each: the shared chart enumerator in padic refines one chart
 of its disjoint cover at a time, and a class is settled, with its
 exact number of descendants mod 2^10 as its weight, as soon as both
-cocycle values are decided for every descendant.  All moduli are
-powers of two, so reductions are bit masks.  The 17-adic values of the
-cocycle function are read on the liftable classes of the same cover:
-the function is a quotient of two forms of one weighted degree, so a
-class gives the value of all its unit rescalings."""
+cocycle values are decided for every descendant.  It reads the lifts
+of the enumerator's Hensel blocks as numpy arrays, and it is the only
+code of dp2 that uses numpy: numpy is imported inside it and inside
+_cocycle_values, which it calls, so no other request loads it.  All
+moduli are powers of two, so reductions are bit masks.  The 17-adic
+values of the cocycle function are read on the liftable classes of the
+same cover, in Python integers: the function is a quotient of two
+forms of one weighted degree, so a class gives the value of all its
+unit rescalings."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from ..arith import factorint, legendre
-from .padic import (CELL_BUDGET, _chart_cells, _eval_vec, _surface_terms,
-                    _vec_val)
+from .padic import CELL_BUDGET, _CHART_VARS, _chart_cells
 from .profiles import LocalProfile
 
 SURFACE75 = (-9826, -2, 136)
@@ -174,11 +175,16 @@ def mod32_membership(depth=10, table=None):
     is a unit at every 2-adic point, so all of them lie in chart x.
 
     The classes are refined one chart at a time by the chart
-    enumerator of padic.  Its settle hook drops a class c at level j
-    as the stand-in for all of its descendants at depth D once c is
-    liftable (j >= 2t + 1), 2j >= D, and both cocycle values are
-    decided.  Let s be the valuation of |d|^2, read mod 2^j and capped
-    at j - 1.  A value is
+    enumerator of padic, whose cells are Hensel blocks of lifts.  Its
+    settle hook expands each liftable cell into its lifts and drops a
+    lift c at level j as the stand-in for all of its descendants at
+    depth D once c is liftable (j >= 2t + 1), 2j >= D, and both cocycle
+    values are decided (c is ready).  A cell is dropped only when all
+    of its lifts are ready; a ready lift of a cell that is kept is
+    counted deeper, through its descendants, which are ready, carry its
+    values and have its number of descendants at depth D between them.
+    Let s be the valuation of |d|^2, read mod 2^j and capped at j - 1.
+    A value is
 
     - known when s <= min(j - 6, D - 7).  The value n conj(d)/2^s *
       (|d|^2/2^s)^-1 mod 32 needs n conj(d) and |d|^2 mod 2^(s+5).  c
@@ -219,41 +225,61 @@ def mod32_membership(depth=10, table=None):
     f(c) is a linear condition mod 2^m with a unit coefficient on u;
     2^(3t-m) classes pass it, and the block has |block| 4^(D-j)
     descendants."""
+    import numpy as np
+
     if table is None:
         table = RESIDUE_TABLE_MOD32
     in_table = np.zeros(32 * 32, dtype=bool)
     for a, b in table:
         in_table[32 * a + b] = True
-    f = _surface_terms(*SURFACE75)
+    A, B, C = SURFACE75
     covered, count = True, 0
     seen = np.zeros(32 * 32, dtype=bool)
 
-    def settle(j, coords, t):
+    def settle(unit, j, cells):
         nonlocal covered, count
-        ready = (j >= 2 * t + 1) & (2 * j >= depth)
-        if not ready.any():
-            return ~ready
-        values = _cocycle_values(coords, j, depth)
-        for _, known, void in values:
-            ready &= known | void
-        idx = np.flatnonzero(ready)
-        m = np.minimum(t[idx], depth - j)
-        if j < depth:  # at depth, m = 0 and each class is its own lift
-            fc = _eval_vec(f, tuple(c[idx] for c in coords), 2 ** depth)
-            lifts = fc & ((1 << (j + m)) - 1) == 0
-            idx, m = idx[lifts], m[lifts]
-        w, x, y, z = (c[idx] for c in coords)
-        if not ((w & 3 == 2).all() and (x & 1).all() and (y & 1).all()
-                and (z & 1).all()):
-            raise AssertionError("unexpected 2-adic parities")
-        hit = np.zeros(len(idx), dtype=bool)
-        for codes, known, _ in values:
-            codes, known = codes[idx], known[idx]
-            hit |= known & in_table[codes]
-            seen[codes[known]] = True
-        covered &= bool(hit.all())
-        count += int((4 ** (depth - j) << m).sum())
-        return ~ready
+        undecided = np.ones(len(cells), dtype=bool)
+        if 2 * j < depth:
+            return undecided
+        spans = {}
+        for i, (*_, e, t) in enumerate(cells):
+            if j >= 2 * t + 1:  # a liftable cell has e = j - t
+                spans.setdefault((e, t), []).append(i)
+        for (e, t), idx in spans.items():
+            # the lifts of each cell, one row per cell; the values read
+            # w mod 2^j and x, y, z mod 2^(j-1), so they are computed on
+            # the first of each 4 lifts (_lift_shifts), the head
+            reps = np.array([cells[i][:4] for i in idx], dtype=np.int64).T
+            lifts = reps[:, :, None] + _lift_shifts(unit, e, t, j)[:, None]
+            values = _cocycle_values(lifts[:, :, ::4].reshape(4, -1), j,
+                                     depth)
+            ready = np.ones(len(values[0][0]), dtype=bool)
+            for _, known, void in values:
+                ready &= known | void
+            ready = ready.reshape(len(idx), -1).all(axis=1)
+            undecided[np.array(idx)[ready]] = False
+            lifts = lifts[:, ready].reshape(4, -1)
+            ready = np.repeat(ready, 2 ** (3 * t - 2))  # per head
+            keep = np.ones(lifts.shape[1], dtype=bool)
+            m = min(t, depth - j)
+            if j < depth:  # at depth, m = 0 and each class is its own lift
+                # f(c) in int64, exact mod 2^64 and so mod 2^(j+m)
+                w, x, y, z = lifts
+                fc = A * x ** 4 + B * y ** 4 + C * z ** 4 - w * w
+                keep = fc & ((1 << (j + m)) - 1) == 0
+            w, x, y, z = lifts[:, keep]
+            if not ((w & 3 == 2).all() and (x & 1).all() and (y & 1).all()
+                    and (z & 1).all()):
+                raise AssertionError("unexpected 2-adic parities")
+            hit = np.zeros(len(w), dtype=bool)
+            for codes, known, _ in values:
+                codes = np.repeat(codes[ready], 4)[keep]
+                known = np.repeat(known[ready], 4)[keep]
+                hit |= known & in_table[codes]
+                seen[codes[known]] = True
+            covered &= bool(hit.all())
+            count += len(w) * (4 ** (depth - j) << m)
+        return undecided
 
     for _ in _chart_cells(*SURFACE75, 2, depth, CELL_BUDGET, settle):
         pass
@@ -262,6 +288,21 @@ def mod32_membership(depth=10, table=None):
     attained = frozenset((int(c) >> 5, int(c) & 31)
                          for c in np.flatnonzero(seen))
     return covered, attained, count
+
+
+def _lift_shifts(unit, e, t, j):
+    """The offsets 2^e u, u mod 2^t, of the 2^(3t) lifts c + 2^e u of a
+    cell of level j = e + t, t >= 1, as a (4, 2^(3t)) array over (w, x,
+    y, z), in runs of 4 that differ only in the digits at 2^(j-1) of
+    the two chart variables after w."""
+    import numpy as np
+
+    w, a, b, a_top, b_top = np.indices(
+        (2 ** t, 2 ** (t - 1), 2 ** (t - 1), 2, 2)).reshape(5, -1)
+    shift = np.zeros((4, len(w)), dtype=np.int64)
+    shift[list(_CHART_VARS[unit])] = (w << e, a << e | a_top << (j - 1),
+                                      b << e | b_top << (j - 1))
+    return shift
 
 
 def _components(hw, xz, yy, mask):
@@ -287,6 +328,8 @@ def _cocycle_values(coords, j, depth):
     and the value counts as determined at depth; void where the value
     is undetermined at depth in every descendant.  All moduli are
     powers of two, so every reduction is a mask."""
+    import numpy as np
+
     prec = 2 ** (j - 1)  # component precision; w/2 costs one bit
     mask = prec - 1
     w, x, y, z = coords
@@ -296,7 +339,8 @@ def _cocycle_values(coords, j, depth):
     out = []
     for nr, ni, dr, di in _components(w >> 1, 17 * x * z, y * y, mask):
         norm_d = (dr * dr + di * di) & (2 * prec - 1)
-        sd = _vec_val(norm_d, 2, j - 1)
+        low = norm_d | prec  # v_2(norm_d) capped at j - 1, in one pass
+        sd = np.bitwise_count((low & -low) - 1).astype(np.int64)
         prod_r = (nr * dr + ni * di) & mask
         prod_i = (ni * dr - nr * di) & mask
         # value = n conj(d)/2^s * (|d|^2/2^s)^-1 needs n conj(d) mod
@@ -354,10 +398,11 @@ def ex75_17adic_values(k: int = 1):
     transcript.append("-2 is a square mod 17, so unit classes exist")
     roots = [r for r in range(2, p) if (r * r + 1) % p == 0]
     values, n_lift = set(), 0
-    for _, coords, t in _chart_cells(A, B, C, p, k, CELL_BUDGET):
-        lift = k >= 2 * t + 1
-        for w, x, y, z in zip(*(c[lift].tolist() for c in coords)):
-            n_lift += 1
+    for _, cells in _chart_cells(A, B, C, p, k, CELL_BUDGET):
+        for w, x, y, z, e, t in cells:
+            if k < 2 * t + 1:
+                continue
+            n_lift += p ** (3 * (k - e))  # the cell's lifts share its value
             if y % p == 0 or w % p == 0:
                 raise AssertionError("liftable class without y, w units")
             for r in roots:

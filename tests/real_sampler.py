@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dp2.local.padic import _coords
+from chart_oracle import coords as _coords
 
 
 def _power(base, e):

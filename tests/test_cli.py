@@ -439,8 +439,9 @@ def test_local_subcommands_load_no_group_modules():
 def test_no_subcommand_loads_dataclasses():
     # records in src/dp2 are NamedTuples or plain classes: dataclasses
     # and the inspect, dis and ast it imports cost about 25 ms a request.
-    # numpy imports those three as well, so after the local requests,
-    # which load numpy, only dataclasses is checked
+    # verify and the recipes on ex71 to ex74 load no numpy either; numpy
+    # imports those three as well, so after (-9826, -2, 136), whose
+    # 2-adic check loads numpy, only dataclasses is checked
     script = (
         "import io, sys\n"
         "import dp2.cli as cli\n"
@@ -452,15 +453,17 @@ def test_no_subcommand_loads_dataclasses():
         "             ['analyze', '-A', '1', '-B', '1', '-C', '1',\n"
         "              '--backend', 'resolution'],\n"
         "             ['scan'], ['hilbert', '-A', '3', '-B', '5'],\n"
-        "             ['cubic', '-A', '1', '-B', '2', '-C', '3', '-D', '4']):\n"
+        "             ['cubic', '-A', '1', '-B', '2', '-C', '3', '-D', '4'],\n"
+        "             ['verify']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'dis', 'ast')\n"
-        "             if m in sys.modules))\n"
-        "assert cli.main(['verify'], out=io.StringIO()) == 0\n"
         "for a, b, c in ((-25, -5, 45), (-6, -3, 2), (-126, -91, 78),\n"
-        "                (34, 34, 34), (-9826, -2, 136)):\n"
+        "                (34, 34, 34)):\n"
         "    argv = ['obstruct', '-A', str(a), '-B', str(b), '-C', str(c)]\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'dis', 'ast',\n"
+        "                         'numpy') if m in sys.modules))\n"
+        "argv = ['obstruct', '-A', '-9826', '-B', '-2', '-C', '136']\n"
+        "assert cli.main(argv, out=io.StringIO()) == 0\n"
         "print(sorted(m for m in ('dataclasses', 'numpy')\n"
         "             if m in sys.modules))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -469,6 +472,39 @@ def test_no_subcommand_loads_dataclasses():
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[:2] == ["[]", "['numpy']"]
+
+
+def test_requests_on_ex71_to_ex74_run_without_numpy():
+    # with numpy made unimportable, verify and obstruct on the recipes
+    # of ex71 to ex74 answer, and obstruct prints the recorded bytes;
+    # verify, which has no recorded hash, prints what it prints with
+    # numpy importable
+    path = pathlib.Path(__file__).parent.parent / "bench" / "references.json"
+    refs = json.loads(path.read_text())["obstruct"]
+    triples = ["-25,-5,45", "-6,-3,2", "-454,-227,2", "-126,-91,78",
+               "34,34,34"]
+    script = (
+        "import hashlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import dp2.cli as cli\n"
+        "out = io.StringIO()\n"
+        "assert cli.main(['verify', '--json'], out=out) == 0\n"
+        "print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+        "for key in sys.argv[1:]:\n"
+        "    a, b, c = key.split(',')\n"
+        "    out = io.StringIO()\n"
+        "    argv = ['obstruct', '-A', a, '-B', b, '-C', c, '--json']\n"
+        "    assert cli.main(argv, out=out) == 0, argv\n"
+        "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script, *triples], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    _, verify_out, _ = run(["verify", "--json"])
+    assert done.stdout.split() == [
+        hashlib.sha256(verify_out.encode()).hexdigest(),
+        *(refs[key]["sha256"] for key in triples)]
 
 
 def _imports(node, on_import_only):

@@ -330,20 +330,24 @@ def test_descent_17adic_check_refuses_a_nonunit_h(monkeypatch):
 
 
 @pytest.mark.parametrize("level, fault, message", [
-    (1, lambda w, x, y, z: (w + 1, x, y, z), "w a unit mod 17"),
-    (2, lambda w, x, y, z: (w, x, y, z + 1), "row was not read"),
-    (2, lambda w, x, y, z: (0 * w, x, y, z), "no liftable classes"),
+    (1, lambda cells: [(c[0] + 1, *c[1:]) for c in cells],
+     "w a unit mod 17"),
+    (2, lambda cells: [(*c[:3], c[3] + 1, *c[4:]) for c in cells],
+     "row was not read"),
+    (2, lambda cells: [], "no liftable classes"),
+    (2, lambda cells: [(*c[:4], 2, c[5]) for c in cells],
+     "not a 17\\^3 block"),
 ])
 def test_descent_17adic_check_refuses_a_faulty_cover(level, fault, message,
                                                      monkeypatch):
-    # the cover's classes reach the settle hook altered at one level
+    # the cover's cells reach the settle hook altered at one level
     import dp2.local.examples as examples
 
     real = examples._chart_cells
 
     def faulty(A, B, C, p, k, budget, settle):
-        def altered(j, coords, t):
-            return settle(j, fault(*coords) if j == level else coords, t)
+        def altered(unit, j, cells):
+            return settle(unit, j, fault(cells) if j == level else cells)
         return real(A, B, C, p, k, budget, altered)
 
     monkeypatch.setattr(examples, "_chart_cells", faulty)

@@ -6,6 +6,16 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from chart_oracle import (
+    coords as _coords,
+    direct_chart_cells as _direct_chart_cells,
+    eval_vec,
+    gradient_terms as _gradient_terms,
+    lift_rows,
+    surface_terms as _surface_terms,
+    val as _val,
+    vec_val,
+)
 from dp2.local.hilbert import hilbert_symbol
 from dp2.local.padic import (
     CapacityError,
@@ -15,14 +25,9 @@ from dp2.local.padic import (
     Y,
     Z,
     _chart_cells,
-    _coords,
-    _eval_vec,
-    _gradient_terms,
     _is_padic_square,
-    _quaternion_columns,
+    _quaternion_rows,
     _sheet_sign,
-    _surface_terms,
-    _vec_val,
     compile_poly,
     eval_terms,
     invariant_profile,
@@ -63,6 +68,48 @@ def test_budget_exhaustion_raises():
                           budget=2 * 3 ** 3 - 1)
 
 
+@pytest.mark.parametrize("A, B, C, p, k", [
+    (1, 1, 1, 5, 3), (-25, -5, 45, 2, 6), (-6, -3, 2, 3, 4)])
+def test_levels_settled_in_runs_match_direct_evaluation(A, B, C, p, k,
+                                                        monkeypatch):
+    # with runs of one parent's children, settle sees each level in
+    # pieces, and the pieces make up the level
+    from dp2.local import padic
+    monkeypatch.setattr(padic, "SETTLE_RUN", 1)
+    _assert_same_charts(A, B, C, p, k)
+
+
+def test_budget_refuses_a_level_once_its_kept_cells_exceed_it(monkeypatch):
+    # the budget of levels 1 and 2 of every chart, at depth 3: the lifts
+    # kept at level 2 of chart x alone would overrun it at level 3, so
+    # level 2 is refused before all of its runs are settled
+    from dp2.local import padic
+    monkeypatch.setattr(padic, "SETTLE_RUN", 25)
+    runs = []
+
+    def record(unit, j, cells):
+        runs.append((unit, j))
+        return [True] * len(cells)
+
+    for _ in _chart_cells(1, 1, 1, 5, 3, 2 ** 27, record):
+        pass
+    lifts = {}
+    for unit, cells in _chart_cells(1, 1, 1, 5, 1, 2 ** 27):
+        lifts[unit] = len(cells)
+    budget = sum(5 ** 3 * (1 + n) for n in lifts.values())
+    assert padic_point_classes(1, 1, 1, 5, 2, budget=budget)
+    refused = []
+
+    def count(unit, j, cells):
+        refused.append((unit, j))
+        return [True] * len(cells)
+
+    with pytest.raises(CapacityError, match="budget"):
+        for _ in _chart_cells(1, 1, 1, 5, 3, budget, count):
+            pass
+    assert 0 < refused.count(("x", 2)) < runs.count(("x", 2))
+
+
 def test_budget_charges_each_expansion_once():
     # level 1 expands the root class of each of the three charts into
     # 5^3 cells, 375 in all; a budget of exactly 375 suffices
@@ -72,6 +119,24 @@ def test_budget_charges_each_expansion_once():
     assert full
     for budget in (375, 499):
         assert padic_point_classes(1, 1, 1, 5, 1, budget=budget) == full
+    # a Hensel block is charged p^3 per lift: at 2 every level-1 class
+    # has t = 1 and becomes one block of 8 lifts at level 2
+    levels = {}
+
+    def record(unit, j, cells):
+        levels.setdefault(j, []).append(cells)
+        return [True] * len(cells)
+
+    for _ in _chart_cells(1, 1, 1, 2, 3, 2 ** 27, record):
+        pass
+    assert any(cell[4] < 2 for cells in levels[2] for cell in cells)
+    lifts = [sum(2 ** (3 * (j - cell[4])) for cells in levels[j]
+                 for cell in cells) for j in (1, 2)]
+    exact = 3 * 2 ** 3 + 2 ** 3 * sum(lifts)
+    full = padic_point_classes(1, 1, 1, 2, 3, budget=exact)
+    assert full
+    with pytest.raises(CapacityError):
+        padic_point_classes(1, 1, 1, 2, 3, budget=exact - 1)
 
 
 def test_first_surface_2adic_pairs_mod_8():
@@ -129,56 +194,63 @@ def test_split_algebra_profile_is_zero():
     assert pr.invariants == frozenset({(ZERO,)})
 
 
-def _columns_per_cell(cls_terms, coords, p, j, t):
-    """The invariant columns of _quaternion_columns, one cell at a time:
-    decided where the value's valuation v (capped at j) leaves at least
-    need digits of unit below the effective precision j - t."""
+def _row_per_lift(cls_terms, pt, p, j, t):
+    """The invariant row of one class mod p^j with gradient valuation
+    t: decided where the value's valuation v (capped at j) leaves at
+    least need digits of unit below the effective precision j - t."""
     need = 3 if p == 2 else 1
-    cols = []
+    row = []
     for terms, d in cls_terms:
-        col = []
-        for i in range(len(t)):
-            if _is_padic_square(d, p):
-                col.append(0)
-                continue
-            val = eval_terms(terms, *(int(c[i]) for c in coords), p ** j)
-            v = 0
-            while v < j and val % p ** (v + 1) == 0:
-                v += 1
-            jeff = j - int(t[i])
-            if v < jeff and jeff - v >= need:
-                u = val // p ** v % p ** need
-                sym = hilbert_symbol(d, Fraction(p) ** (v % 2) * u, p)
-                col.append(0 if sym == 1 else 1)
-            else:
-                col.append(-1)
-        cols.append(col)
-    return cols
+        if _is_padic_square(d, p):
+            row.append(0)
+            continue
+        val = eval_terms(terms, *pt, p ** j)
+        v = _val(val, p, j)
+        if v < j - t and j - t - v >= need:
+            u = val // p ** v % p ** need
+            sym = hilbert_symbol(d, Fraction(p) ** (v % 2) * u, p)
+            row.append(0 if sym == 1 else 1)
+        else:
+            row.append(-1)
+    return tuple(row)
 
 
 @pytest.mark.parametrize("A, B, C, p, k", [
     (-25, -5, 45, 2, 6), (-25, -5, 45, 3, 3), (-25, -5, 45, 5, 2),
     (3, 6, -9, 3, 3), (1, 1, 1, 2, 5)])
 def test_quaternion_columns_match_per_cell(A, B, C, p, k):
+    # the row of a cell is the row of each of its lifts, read with the
+    # lift's own t, wherever the cell is liftable.  A capped cell is
+    # liftable nowhere, and neither is any of its lifts; a lift's t may
+    # exceed the cell's there, so a lift decides no more than the cell,
+    # and the same where it decides
     g = (-5 * X ** 2 - 2 * Y ** 2 + 9 * Z ** 2) / Z ** 2
     classes = [QuaternionClass(Fraction(-1), g),
                QuaternionClass(Fraction(3), (X ** 2 + 7 * Y ** 2) / Z ** 2),
                QuaternionClass(Fraction(-6), W * X + Y ** 2),
                QuaternionClass(Fraction(4), X ** 2 / Z ** 2)]
     cls_terms = [(q.numerator_terms(), q.d) for q in classes]
-    seen = 0
+    seen = blocks = 0
 
-    def settle(j, coords, t):
-        nonlocal seen
-        got = _quaternion_columns(cls_terms, coords, p, j, tvals=t)
-        want = _columns_per_cell(cls_terms, coords, p, j, t)
-        assert [col.tolist() for col in got] == want
-        seen += sum(v >= 0 for col in want for v in col)
-        return np.ones(len(t), dtype=bool)
+    def settle(unit, j, cells):
+        nonlocal seen, blocks
+        for cell, row in zip(cells, _quaternion_rows(cls_terms, cells, p,
+                                                     j)):
+            liftable = j >= 2 * cell[5] + 1
+            blocks += cell[4] < j
+            for *pt, t in lift_rows(A, B, C, p, j, unit, [cell]):
+                assert (j >= 2 * t + 1) == liftable
+                lift_row = _row_per_lift(cls_terms, pt, p, j, t)
+                if liftable:
+                    assert lift_row == row
+                assert all(v in (-1, r) for v, r in zip(lift_row, row))
+                seen += sum(v >= 0 for v in lift_row)
+        return [True] * len(cells)
 
     for _ in _chart_cells(A, B, C, p, k, 2 ** 27, settle):
         pass
     assert seen  # some invariants were decided
+    assert blocks or p != 2  # at 2 some cells are blocks of lifts
 
 
 def test_real_profile_split_and_sign():
@@ -311,24 +383,25 @@ def test_real_profile_refuses_disagreeing_sheets_of_connected_s():
 
 
 def test_chart_cells_refuses_a_modulus_past_int64(monkeypatch):
-    # the check comes before any level: with the level step replaced by
+    # the check comes before any level: with the first level replaced by
     # a failure, a modulus at the cap raises CapacityError and one just
-    # below it reaches the first level
+    # below it reaches the first level (given the budget for its p^3
+    # digits, which is checked first)
     from dp2.local import padic
 
     def no_level(*args):
         raise AssertionError("a level ran")
 
-    monkeypatch.setattr(padic, "_expand_filtered", no_level)
+    monkeypatch.setattr(padic, "_level_one", no_level)
     cap = padic.INT64_MODULUS_CAP
     assert (cap - 1) ** 2 < 2 ** 63 <= (cap + 1) ** 2
     assert 3 ** 19 < cap < 3 ** 20 and 41 ** 5 < cap < 41 ** 6
     for p, k in ((3, 20), (41, 6), (cap, 1)):
         with pytest.raises(CapacityError, match="int64"):
-            next(_chart_cells(1, 1, 1, p, k, 2 ** 27))
+            next(_chart_cells(1, 1, 1, p, k, p ** 3))
     for p, k in ((3, 19), (41, 5), (37, 6), (cap - 1, 1)):
         with pytest.raises(AssertionError, match="a level ran"):
-            next(_chart_cells(1, 1, 1, p, k, 2 ** 27))
+            next(_chart_cells(1, 1, 1, p, k, p ** 3))
 
 
 @pytest.mark.parametrize("p, depth", [(2, 12), (37, 6), (41, 5),
@@ -389,14 +462,8 @@ def test_point_class_modulus():
     assert {c.unit_coordinate for c in cells} == {"x", "y", "z"}
 
 
-def _val(v, p, cap):
-    if v == 0:
-        return cap
-    k = 0
-    while v % p == 0:
-        v //= p
-        k += 1
-    return min(k, cap)
+# the numpy helpers of the direct enumeration in chart_oracle, which
+# the enumerator's tests compare against
 
 
 @pytest.mark.parametrize("p, cap", [(2, 1), (2, 5), (2, 9), (2, 12),
@@ -404,7 +471,7 @@ def _val(v, p, cap):
 def test_vec_val_matches_python_valuation(p, cap):
     n = 2 ** 12 if p == 2 else 17 ** 3
     vals = np.arange(n, dtype=np.int64)
-    got = _vec_val(vals, p, cap)
+    got = vec_val(vals, p, cap)
     assert got.dtype == np.int64
     assert got.tolist() == [_val(v, p, cap) for v in range(n)]
 
@@ -423,7 +490,7 @@ def test_eval_vec_matches_eval_terms():
         coords = tuple(rng.integers(0, m, 200, dtype=np.int64)
                        for _ in range(4))
         for terms in polys:
-            got = _eval_vec(terms, coords, m)
+            got = eval_vec(terms, coords, m)
             want = [eval_terms(terms, *map(int, pt), m)
                     for pt in zip(*coords)]
             assert got.tolist() == want
@@ -451,29 +518,36 @@ def _brute_chart_cells(A, B, C, p, j, unit):
     return sorted(out)
 
 
-def _rows(coords, t):
-    return sorted(zip(*(c.tolist() for c in coords), t.tolist()))
+def _settled_levels(enumerate_cells, A, B, C, p, k):
+    """{(unit, j): the sorted lifts, each with its own t} over the runs
+    of cells settle sees, the (unit, j) in the order first seen, and
+    [(unit, lifts)] at depth k."""
+    seen = {}
+
+    def settle(unit, j, cells):
+        seen.setdefault((unit, j), []).extend(
+            lift_rows(A, B, C, p, j, unit, cells))
+        return [True] * len(cells)
+
+    final = [(unit, lift_rows(A, B, C, p, k, unit, cells)) for unit, cells
+             in enumerate_cells(A, B, C, p, k, 2 ** 27, settle)]
+    return {key: sorted(rows) for key, rows in seen.items()}, final
 
 
 def _check_chart_cells(A, B, C, p, k):
-    seen = []
-
-    def settle(j, coords, t):
-        seen.append((j, _rows(coords, t)))
-        return np.ones(len(t), dtype=bool)
-
     plain = list(_chart_cells(A, B, C, p, k, 2 ** 27))
-    settled = list(_chart_cells(A, B, C, p, k, 2 ** 27, settle))
-    assert [unit for unit, _, _ in plain] == ["x", "y", "z"]
-    for (unit, coords, t), (_, coords_s, t_s) in zip(plain, settled):
+    seen, settled = _settled_levels(_chart_cells, A, B, C, p, k)
+    assert [unit for unit, _ in plain] == ["x", "y", "z"]
+    for (unit, cells), (_, rows) in zip(plain, settled):
         want = _brute_chart_cells(A, B, C, p, k, unit)
-        assert _rows(coords, t) == want
-        assert _rows(coords_s, t_s) == want
+        assert lift_rows(A, B, C, p, k, unit, cells) == want
+        assert rows == want
     # settle sees every nonempty level of every chart, in order
-    want_seen = [(j, _brute_chart_cells(A, B, C, p, j, unit))
-                 for unit in ("x", "y", "z") for j in range(1, k + 1)]
-    assert seen == [entry for entry in want_seen if entry[1]]
-    return seen
+    want_seen = {(unit, j): _brute_chart_cells(A, B, C, p, j, unit)
+                 for unit in ("x", "y", "z") for j in range(1, k + 1)}
+    assert list(seen.items()) \
+        == [entry for entry in want_seen.items() if entry[1]]
+    return [(j, rows) for (_, j), rows in seen.items()]
 
 
 SURFACES = [(1, 1, 1), (-25, -5, 45), (3, 6, -9)]
@@ -490,59 +564,16 @@ def test_chart_cells_inherited_t_match_brute_force(A, B, C, p, k):
     seen = _check_chart_cells(A, B, C, p, k)
     if p == 2:
         # every gradient component is even, so t >= 1 throughout; a
-        # level-j class with t < j - 1 took its t from its parent
+        # level-j class with t < j - 1 took its t from its cell
         assert any(1 <= row[-1] < j - 1 for j, rows in seen
                    for row in rows)
 
 
-def _direct_chart_cells(A, B, C, p, k, budget=None, settle=None,
-                        disjoint=True):
-    """The enumerator without the Taylor step or inherited t: every
-    level evaluates f mod p^j on all p^3 digit extensions of every kept
-    cell, and t mod p^j on the kept ones.  With disjoint, the charts
-    are those of the cover _chart_cells refines: chart y keeps the
-    classes with p | x, chart z those with p | x and p | y.  Without,
-    they are the three overlapping unit charts x = 1, y = 1, z = 1,
-    which list a point once per unit coordinate.  settle is called as
-    _chart_cells calls it; budget is not charged.  Yields (unit,
-    coords, t) in the order _chart_cells does."""
-    f = _surface_terms(A, B, C)
-    grads = _gradient_terms(A, B, C)
-    r = np.arange(p, dtype=np.int64)
-    grid = [d.ravel() for d in np.meshgrid(r, r, r, indexing="ij")]
-    chunk = max(1, 2 ** 21 // p ** 3)
-    for before, unit in enumerate("xyz"):
-        cells = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
-        t = cells[0]
-        for j in range(1, k + 1):
-            parts = []
-            for lo in range(0, len(cells[0]), chunk):
-                block = [c[lo:lo + chunk] for c in cells]
-                ext = tuple(np.repeat(c, p ** 3)
-                            + np.tile(d * p ** (j - 1), len(c))
-                            for c, d in zip(block, grid))
-                keep = _eval_vec(f, _coords(unit, *ext), p ** j) == 0
-                for c in ext[1:before + 1] if disjoint else ():
-                    keep &= c % p == 0
-                parts.append(tuple(c[keep] for c in ext))
-            cells = tuple(np.concatenate([part[i] for part in parts])
-                          if parts else cells[i][:0] for i in range(3))
-            coords = _coords(unit, *cells)
-            t = np.minimum.reduce([_vec_val(_eval_vec(g, coords, p ** j),
-                                            p, j) for g in grads])
-            if settle is not None and len(t):
-                undecided = settle(j, coords, t)
-                cells, t = tuple(c[undecided] for c in cells), t[undecided]
-        yield unit, _coords(unit, *cells), t
-
-
 def _assert_same_charts(A, B, C, p, k):
-    got = list(_chart_cells(A, B, C, p, k, 2 ** 27))
-    want = list(_direct_chart_cells(A, B, C, p, k))
-    assert [u for u, _, _ in got] == [u for u, _, _ in want]
-    for (_, coords, t), (_, coords_d, t_d) in zip(got, want):
-        assert [c.tolist() for c in coords] == [c.tolist() for c in coords_d]
-        assert t.tolist() == t_d.tolist()
+    got = _settled_levels(_chart_cells, A, B, C, p, k)
+    want = _settled_levels(_direct_chart_cells, A, B, C, p, k)
+    assert list(got[0].items()) == list(want[0].items())
+    assert got[1] == want[1]
 
 
 @pytest.mark.parametrize("A, B, C, p, k", [
@@ -554,18 +585,50 @@ def test_taylor_step_matches_direct_evaluation(A, B, C, p, k):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
-       st.sampled_from([2, 3, 5, 7]), st.integers(1, 3))
+       st.sampled_from([2, 3, 5, 7]), st.integers(1, 4))
 def test_taylor_step_matches_direct_evaluation_property(A, B, C, p, k):
+    # the Hensel blocks, expanded into their lifts with each lift's own
+    # t, are the classes of the direct enumeration at every level
+    assume(p ** k <= 7 ** 3)
+    _assert_same_charts(A, B, C, p, k)
+
+
+@pytest.mark.parametrize("A, B, C, p, k, rule", [
+    (1, 1, 1, 2, 3, "all or none"), (-25, -5, 45, 3, 3, "digit solve"),
+    (34, 34, 34, 2, 5, "test")])
+def test_each_refinement_rule_matches_direct_evaluation(A, B, C, p, k,
+                                                       rule):
+    # a level of cells refined by the named rule of _chart_cells: all or
+    # none keeps a capped cell whole (j <= 2e), digit solve writes down
+    # the p^2 children of a liftable cell, and test splits a capped cell
+    # at j = 2e + 1, 2e < j, here on (34, 34, 34) at 2 with t = 2
+    used = []
+
+    def settle(unit, j, cells):
+        for *_, e, t in cells:
+            if t < e:
+                used.append("digit solve")
+            elif j < 2 * e:
+                used.append("all or none")
+            elif j == 2 * e:
+                used.append("test")
+        return [True] * len(cells)
+
+    for _ in _chart_cells(A, B, C, p, k - 1, 2 ** 27, settle):
+        pass
+    assert rule in used
+    if rule == "test":
+        assert any(cell[4] == 2 == cell[5] for unit, cells in
+                   _chart_cells(A, B, C, p, 4, 2 ** 27) for cell in cells)
     _assert_same_charts(A, B, C, p, k)
 
 
 def _overlapping_rows(A, B, C, p, k):
     """(unit, w, x, y, z, t) for every class of the overlapping unit
     charts, by direct evaluation."""
-    return sorted((unit, *pt, tt) for unit, coords, t in
+    return sorted((unit, *pt, t) for unit, cells in
                   _direct_chart_cells(A, B, C, p, k, disjoint=False)
-                  for *pt, tt in zip(*(c.tolist() for c in coords),
-                                     t.tolist()))
+                  for *pt, _, t in cells)
 
 
 @pytest.mark.parametrize("A, B, C, p, k", [
@@ -581,8 +644,8 @@ def test_rescaled_cover_is_the_overlapping_enumeration(A, B, C, p, k):
     assert want
     m = p ** k
     got = []
-    for _, coords, t in _chart_cells(A, B, C, p, k, 2 ** 27):
-        for w, *xyz, tt in zip(*(c.tolist() for c in coords), t.tolist()):
+    for chart, cells in _chart_cells(A, B, C, p, k, 2 ** 27):
+        for w, *xyz, tt in lift_rows(A, B, C, p, k, chart, cells):
             for unit, u in zip("xyz", xyz):
                 if u % p:
                     inv = pow(u, -1, m)
@@ -605,10 +668,10 @@ def test_descent_liftable_count_matches_direct_cover():
     # enumeration of the cover
     from dp2.local.examples import ex74_17adic_liftable_check
     count = 0
-    for _, (w, x, y, z), _ in _direct_chart_cells(34, 34, 34, 17, 2):
-        sigma = (x ** 4 + y ** 4 + z ** 4) % 17 ** 2 // 17
-        u = w // 17
-        count += int(((sigma != 0) & ((u * u - 2 * sigma) % 17 == 0)).sum())
+    for _, cells in _direct_chart_cells(34, 34, 34, 17, 2):
+        for w, x, y, z, _, _ in cells:
+            sigma = (x ** 4 + y ** 4 + z ** 4) % 17 ** 2 // 17
+            count += sigma != 0 and (w // 17) ** 2 % 17 == 2 * sigma % 17
     assert count > 0
     assert ex74_17adic_liftable_check() == count
 

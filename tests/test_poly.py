@@ -13,13 +13,10 @@ from sympy.polys.domains import QQ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import ring
 
+from chart_oracle import gradient_terms as _gradient_terms
+from chart_oracle import surface_terms as _surface_terms
 from dp2.local import examples
-from dp2.local.padic import (
-    QuaternionClass,
-    _gradient_terms,
-    _surface_terms,
-    compile_poly,
-)
+from dp2.local.padic import QuaternionClass, compile_poly
 from dp2.local.poly import T, U, W, X, Y, Z, Poly
 
 SYMS = sympy.symbols("w x y z t u")

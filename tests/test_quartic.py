@@ -3,14 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chart_oracle import eval_vec, lift_arrays, vec_val
+from chart_oracle import surface_terms as _surface_terms
 from dp2.local import quartic
-from dp2.local.padic import (
-    _chart_cells,
-    _eval_vec,
-    _surface_terms,
-    _vec_val,
-    padic_point_classes,
-)
+from dp2.local.padic import _chart_cells, _lifts, padic_point_classes
 from dp2.local.quartic import (
     FIRST_ROW,
     RESIDUE_TABLE_MOD32,
@@ -145,7 +141,7 @@ def _chart_membership(coords, t, depth, in_table):
     seen = np.zeros(32 * 32, dtype=bool)
     for nr, ni, dr, di in _components(w >> 1, 17 * x * z, y * y, mask):
         norm_d = (dr * dr + di * di) & (2 * prec - 1)
-        sd = _vec_val(norm_d, 2, cap)
+        sd = vec_val(norm_d, 2, cap)
         prod_r = (nr * dr + ni * di) & mask
         prod_i = (ni * dr - nr * di) & mask
         # value = n conj(d)/2^s * (|d|^2/2^s)^-1 needs 2^s * 32 <= prec
@@ -170,7 +166,8 @@ def _exhaustive_membership(depth, tables):
             in_table[32 * a + b] = True
         in_tables.append(in_table)
     results = [[True, np.zeros(32 * 32, dtype=bool), 0] for _ in tables]
-    for _, coords, t in _chart_cells(*SURFACE75, 2, depth, 2 ** 27):
+    for unit, cells in _chart_cells(*SURFACE75, 2, depth, 2 ** 27):
+        coords, t = lift_arrays(unit, cells, 2, depth)
         for res, in_table in zip(results, in_tables):
             covered, seen, count = _chart_membership(coords, t, depth,
                                                      in_table)
@@ -195,9 +192,9 @@ def test_settled_membership_matches_exhaustive(depth, monkeypatch):
     def traced(*args):
         *head, settle = args
 
-        def record(j, coords, t):
+        def record(unit, j, cells):
             levels.add(j)
-            return settle(j, coords, t)
+            return settle(unit, j, cells)
 
         return _chart_cells(*head, record)
 
@@ -205,6 +202,49 @@ def test_settled_membership_matches_exhaustive(depth, monkeypatch):
     assert [mod32_membership(depth, table) for table in tables] == want
     # every class is settled before the last level is expanded
     assert max(levels) == depth - 1
+
+
+@pytest.mark.parametrize("unit", "xyz")
+@pytest.mark.parametrize("e, t", [(3, 2), (7, 2), (4, 1), (2, 3)])
+def test_lift_shifts_list_each_lift_once_in_runs_of_four(unit, e, t):
+    j = e + t
+    shift = quartic._lift_shifts(unit, e, t, j)
+    cell = (0, 0, 0, 0, e, t)
+    assert sorted(map(tuple, shift.T.tolist())) \
+        == sorted(map(tuple, _lifts(unit, cell, 2, j)))
+    # the 4 lifts of a run agree mod 2^(j-1), and in w
+    runs = shift.reshape(4, -1, 4)
+    assert ((runs % 2 ** (j - 1)) == (runs[:, :, :1] % 2 ** (j - 1))).all()
+    assert (runs[0] == runs[0, :, :1]).all()
+
+
+def test_membership_drops_a_cell_only_when_every_lift_is_ready(monkeypatch):
+    # each cell the settle hook drops is liftable, at 2j >= D, and both
+    # cocycle values of every one of its lifts are known or void
+    depth = 10
+    dropped = {}
+
+    def traced(*args):
+        *head, settle = args
+
+        def record(unit, j, cells):
+            undecided = list(settle(unit, j, cells))
+            dropped.setdefault((unit, j), []).extend(
+                cell for cell, keep in zip(cells, undecided) if not keep)
+            return undecided
+
+        return _chart_cells(*head, record)
+
+    monkeypatch.setattr(quartic, "_chart_cells", traced)
+    assert mod32_membership(depth)[0]
+    assert sum(map(len, dropped.values())) > 0
+    for (unit, j), cells in dropped.items():
+        if not cells:
+            continue
+        coords, t = lift_arrays(unit, cells, 2, j)
+        assert (j >= 2 * t + 1).all() and 2 * j >= depth
+        for _, known, void in quartic._cocycle_values(coords, j, depth):
+            assert (known | void).all()
 
 
 def _keys(coords, j):
@@ -220,9 +260,9 @@ def test_descendant_counts_per_block_and_per_class():
     depth = 10
     levels = {}
 
-    def keep_all(j, coords, t):
-        levels[j] = (coords, t)
-        return np.ones(len(t), dtype=bool)
+    def keep_all(unit, j, cells):
+        levels[j] = lift_arrays(unit, cells, 2, j)
+        return [True] * len(cells)
 
     next(_chart_cells(*SURFACE75, 2, depth, 2 ** 27, keep_all))
     final = levels[depth][0]
@@ -239,7 +279,7 @@ def test_descendant_counts_per_block_and_per_class():
         children = children[index]
         # per class: 2^(2(D-j)+m) if 2^(j+m) | f(c), else 0
         m = np.minimum(t, depth - j)
-        fc = _eval_vec(f, coords, 2 ** depth)
+        fc = eval_vec(f, coords, 2 ** depth)
         lifts = fc & ((1 << (j + m)) - 1) == 0
         assert children.tolist() == np.where(
             lifts, 1 << (2 * (depth - j) + m), 0).tolist()
