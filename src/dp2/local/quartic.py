@@ -292,9 +292,9 @@ def mod32_membership(depth=10, table=None):
 
 def _lift_shifts(unit, e, t, j):
     """The offsets 2^e u, u mod 2^t, of the 2^(3t) lifts c + 2^e u of a
-    cell of level j = e + t, t >= 1, as a (4, 2^(3t)) array over (w, x,
-    y, z), in runs of 4 that differ only in the digits at 2^(j-1) of
-    the two chart variables after w."""
+    cell of level j = e + t as a (4, 2^(3t)) array over (w, x, y, z), in
+    runs of 4 that differ only in the digits at 2^(j-1) of the two
+    chart variables after w; t >= 1, as every partial of f is even."""
     import numpy as np
 
     w, a, b, a_top, b_top = np.indices(
