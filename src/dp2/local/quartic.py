@@ -14,7 +14,8 @@ exact number of descendants mod 2^10 as its weight, as soon as both
 cocycle values are decided for every descendant.  It reads the lifts
 of the enumerator's Hensel blocks as numpy arrays, and it is the only
 code of dp2 that uses numpy: numpy is imported inside it and inside
-_cocycle_values, which it calls, so no other request loads it.  All
+the two array helpers it calls, _lift_shifts and _cocycle_values, so
+no other request loads it.  All
 moduli are powers of two, so reductions are bit masks.  The 17-adic
 values of the cocycle function are read on the liftable classes of the
 same cover, in Python integers: the function is a quotient of two
