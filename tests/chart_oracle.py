@@ -84,11 +84,18 @@ def val(v, p, cap):
 def lift_rows(A, B, C, p, j, unit, cells):
     """Sorted (w, x, y, z, t) of every lift mod p^j of the cells of
     level j, t the lift's own minimal gradient valuation mod p^j,
-    capped at j."""
+    capped at j.  Each cell's own t, read mod p^e, is checked against
+    its lifts' t: equal to it when the cell's t is below e, and at
+    least e when the cell's t is capped at e."""
     grads = gradient_terms(A, B, C)
-    return sorted((*pt, min(val(eval_terms(g, *pt, p ** j), p, j)
-                            for g in grads))
-                  for cell in cells for pt in _lifts(unit, cell, p, j))
+    rows = []
+    for cell in cells:
+        e, t = cell[4:]
+        for pt in _lifts(unit, cell, p, j):
+            own = min(val(eval_terms(g, *pt, p ** j), p, j) for g in grads)
+            assert min(own, e) == t, (unit, j, cell, pt, own)
+            rows.append((*pt, own))
+    return sorted(rows)
 
 
 def lift_arrays(unit, cells, p, j):
@@ -106,7 +113,7 @@ def lift_arrays(unit, cells, p, j):
     return tuple(np.concatenate(lifts, axis=1)), np.concatenate(ts)
 
 
-def direct_chart_cells(A, B, C, p, k, budget=None, settle=None,
+def direct_chart_cells(A, B, C, p, k, budget=None, settle=None, split=None,
                        disjoint=True):
     """The enumerator without Hensel blocks, Taylor step or inherited
     t: every level evaluates f mod p^j on all p^3 digit extensions of
@@ -117,7 +124,8 @@ def direct_chart_cells(A, B, C, p, k, budget=None, settle=None,
     z = 1, which list a point once per unit coordinate.  Yields (unit,
     cells) as _chart_cells does, each cell one class (w, x, y, z, j,
     t), and calls settle as _chart_cells does; budget is not
-    charged."""
+    charged, and split is not called: settle sees every class, the
+    digit-solve children included."""
     f = surface_terms(A, B, C)
     grads = gradient_terms(A, B, C)
     r = np.arange(p, dtype=np.int64)
