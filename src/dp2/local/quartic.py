@@ -13,10 +13,10 @@ of its disjoint cover at a time, and a class is settled, with its
 exact number of descendants mod 2^10 as its weight, as soon as both
 cocycle values are decided for every descendant.  It reads the lifts
 of the enumerator's Hensel blocks as numpy arrays, and it is the only
-code of dp2 that uses numpy: numpy is imported inside it and inside
-the two array helpers it calls, _lift_shifts and _cocycle_values, so
-no other request loads it.  All
-moduli are powers of two, so reductions are bit masks.  The 17-adic
+code of dp2 that uses numpy: numpy is imported inside it, and passed
+to the two array helpers it calls, _lift_shifts and _cocycle_values,
+so no other request loads it.  All moduli are powers of two, so
+reductions are bit masks.  The 17-adic
 values of the cocycle function are read on the liftable classes of the
 same cover, in Python integers: the function is a quotient of two
 forms of one weighted degree, so a class gives the value of all its
@@ -251,9 +251,10 @@ def mod32_membership(depth=10, table=None):
             # w mod 2^j and x, y, z mod 2^(j-1), so they are computed on
             # the first of each 4 lifts (_lift_shifts), the head
             reps = np.array([cells[i][:4] for i in idx], dtype=np.int64).T
-            lifts = reps[:, :, None] + _lift_shifts(unit, e, t, j)[:, None]
-            values = _cocycle_values(lifts[:, :, ::4].reshape(4, -1), j,
-                                     depth)
+            lifts = reps[:, :, None] + _lift_shifts(np, unit, e, t,
+                                                    j)[:, None]
+            values = _cocycle_values(np, lifts[:, :, ::4].reshape(4, -1),
+                                     j, depth)
             ready = np.ones(len(values[0][0]), dtype=bool)
             for _, known, void in values:
                 ready &= known | void
@@ -291,13 +292,12 @@ def mod32_membership(depth=10, table=None):
     return covered, attained, count
 
 
-def _lift_shifts(unit, e, t, j):
+def _lift_shifts(np, unit, e, t, j):
     """The offsets 2^e u, u mod 2^t, of the 2^(3t) lifts c + 2^e u of a
     cell of level j = e + t as a (4, 2^(3t)) array over (w, x, y, z), in
     runs of 4 that differ only in the digits at 2^(j-1) of the two
-    chart variables after w; t >= 1, as every partial of f is even."""
-    import numpy as np
-
+    chart variables after w; t >= 1, as every partial of f is even.  np
+    is the numpy module, which mod32_membership imports."""
     w, a, b, a_top, b_top = np.indices(
         (2 ** t, 2 ** (t - 1), 2 ** (t - 1), 2, 2)).reshape(5, -1)
     shift = np.zeros((4, len(w)), dtype=np.int64)
@@ -323,14 +323,13 @@ def _components(hw, xz, yy, mask):
     )
 
 
-def _cocycle_values(coords, j, depth):
+def _cocycle_values(np, coords, j, depth):
     """Per cocycle function, (codes, known, void) at classes mod 2^j:
     known where the class fixes the value mod 32, codes = 32 re + im,
     and the value counts as determined at depth; void where the value
     is undetermined at depth in every descendant.  All moduli are
-    powers of two, so every reduction is a mask."""
-    import numpy as np
-
+    powers of two, so every reduction is a mask.  np is the numpy
+    module, as for _lift_shifts."""
     prec = 2 ** (j - 1)  # component precision; w/2 costs one bit
     mask = prec - 1
     w, x, y, z = coords

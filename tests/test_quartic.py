@@ -208,7 +208,7 @@ def test_settled_membership_matches_exhaustive(depth, monkeypatch):
 @pytest.mark.parametrize("e, t", [(3, 2), (7, 2), (4, 1), (2, 3)])
 def test_lift_shifts_list_each_lift_once_in_runs_of_four(unit, e, t):
     j = e + t
-    shift = quartic._lift_shifts(unit, e, t, j)
+    shift = quartic._lift_shifts(np, unit, e, t, j)
     cell = (0, 0, 0, 0, e, t)
     assert sorted(map(tuple, shift.T.tolist())) \
         == sorted(map(tuple, _lifts(unit, cell, 2, j)))
@@ -243,7 +243,8 @@ def test_membership_drops_a_cell_only_when_every_lift_is_ready(monkeypatch):
             continue
         coords, t = lift_arrays(unit, cells, 2, j)
         assert (j >= 2 * t + 1).all() and 2 * j >= depth
-        for _, known, void in quartic._cocycle_values(coords, j, depth):
+        values = quartic._cocycle_values(np, coords, j, depth)
+        for _, known, void in values:
             assert (known | void).all()
 
 
