@@ -21,8 +21,10 @@ only the blocks are held, never the lifts one by one.  The lifts of
 all levels, the first included, count against one budget, which is
 checked before any level is run.  A consumer may pass a settle
 callback that sees the cells of every level and drops the decided
-ones, so invariant profiles deepen automatically until every
-quaternion invariant is determined or a depth cap is reached; a
+ones, and a split callback that settles the p^2 children of a
+liftable cell from three of them before they are written down, so
+invariant profiles deepen automatically until every quaternion
+invariant is determined or a depth cap is reached; a
 consumer that needs only the cells at a fixed depth gets them one
 chart at a time, and never holds all three charts at once.
 
@@ -159,7 +161,7 @@ def _int64_depth(p):
     return k
 
 
-def _chart_cells(A, B, C, p, k, budget, settle=None):
+def _chart_cells(A, B, C, p, k, budget, settle=None, split=None):
     """Per chart x, y, z in turn: (unit, cells), the cells of level k of
     the chart.  A cell is a tuple (w, x, y, z, e, t): a representative
     mod p^e, with the chart's unit coordinate 1, standing for its
@@ -244,6 +246,17 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
     cell, true for the cells still undecided; only those are refined
     further and yielded.
 
+    split, when given, settles the digit-solve children of a liftable
+    cell before they are written down, and settle does not see them.
+    It is called as split(j, t, base, (u, v)) once per such cell, and
+    its children of level j, with gradient valuation t, are the cells
+    base + da u + db v mod p^(j-t), for digits da, db mod p; split
+    returns the digit pairs (da, db) of the children still undecided,
+    and only those are written down.  The children agree mod p^(j-t-1)
+    with their parent, and a value read mod p^(j-t) is affine in the
+    digits (the Taylor step of rule 2), so split can read a value at
+    three children instead of p^2.
+
     A k past _int64_depth(p) raises CapacityError before any level is
     run, as it did when residues were int64."""
     if k > _int64_depth(p):
@@ -259,15 +272,17 @@ def _chart_cells(A, B, C, p, k, budget, settle=None):
             spent += lifts
             parents, cells, lifts = cells, [], 0
             if j == 1:
-                runs = [[(*c, 1, _gradient_val(A, B, C, c, chart, p, 1))
-                         for c in _level_one(A, B, C, p, unit)]]
+                runs = [([], [(*c, 1, _gradient_val(A, B, C, c, chart, p, 1))
+                              for c in _level_one(A, B, C, p, unit)])]
             else:
                 step = max(1, SETTLE_RUN // p ** 2)
-                runs = (_refine(parents[i:i + step], A, B, C, chart, p, j)
+                runs = (_refine(parents[i:i + step], A, B, C, chart, p, j,
+                                split)
                         for i in range(0, len(parents), step))
-            for run in runs:
+            for solved, run in runs:
                 if settle is not None and run:
                     run = list(itertools.compress(run, settle(unit, j, run)))
+                run += solved
                 cells += run
                 lifts += sum(p ** (3 * (j + 1 - c[4])) for c in run)
                 if j < k and lifts > budget - spent:
@@ -318,10 +333,12 @@ def _shift(c, chart, h, digits):
     return c
 
 
-def _refine(cells, A, B, C, chart, p, j):
-    """The cells of level j over those of level j - 1, by the three
-    rules of _chart_cells."""
-    out = []
+def _refine(cells, A, B, C, chart, p, j, split=None):
+    """(solved, out): the cells of level j over those of level j - 1, by
+    the three rules of _chart_cells; solved holds the digit-solve
+    children that split keeps, out all others (all of them without
+    split)."""
+    solved, out = [], []
     mod = p ** j
     for cell in cells:
         *c, e, t = cell
@@ -336,14 +353,20 @@ def _refine(cells, A, B, C, chart, p, j):
             a, b = (m for m in range(3) if m != i)
             inv, ga, gb = -pow(g[i], -1, p), g[a], g[b]
             i, a, b = chart[i], chart[a], chart[b]
+            kids, digits = out, itertools.product(range(p), repeat=2)
+            if split is not None:
+                # child (da, db) = base + da u + db v mod p^(e+1)
+                base, u, v = list(c), [0] * 4, [0] * 4
+                base[i] += h * (r * inv % p)
+                u[a], u[i] = h, h * (ga * inv % p)
+                v[b], v[i] = h, h * (gb * inv % p)
+                kids, digits = solved, split(j, t, base, (u, v))
             child = list(c)
-            for da in range(p):
+            for da, db in digits:
                 child[a] = c[a] + h * da
-                ra = r + ga * da
-                for db in range(p):
-                    child[b] = c[b] + h * db
-                    child[i] = c[i] + h * ((ra + gb * db) * inv % p)
-                    out.append((*child, e + 1, t))
+                child[b] = c[b] + h * db
+                child[i] = c[i] + h * ((r + ga * da + gb * db) * inv % p)
+                kids.append((*child, e + 1, t))
         elif j <= 2 * e:  # all or none
             if _surface_value(A, B, C, c) % mod == 0:
                 out.append(cell)
@@ -353,7 +376,7 @@ def _refine(cells, A, B, C, chart, p, j):
                 if _surface_value(A, B, C, child) % mod == 0:
                     out.append((*child, e + 1, _gradient_val(
                         A, B, C, child, chart, p, e + 1)))
-    return out
+    return solved, out
 
 
 def _lifts(unit, cell, p, j):
@@ -408,9 +431,36 @@ def _is_padic_square(d, p: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _symbol_bit(d, p, parity, u):
-    """The invariant, 0 or 1 (for 0, 1/2), of (d, p^parity u) at p."""
-    return 0 if hilbert_symbol(d, Fraction(p) ** parity * u, p) == 1 else 1
+def _symbol_reader(d, p):
+    """read(vals, j, precs): per value val mod p^j, trusted to precision
+    p^prec, prec <= j, the invariant of the class (d, val) at p: 0 or 1
+    (for 0, 1/2), or -1 undecided, unless v + need <= prec for v =
+    v_p(val) capped at j (need = 3 at 2, else 1).  The symbol depends
+    only on v mod 2 and the unit part of val mod p^need, so a reader
+    computes it once per pair that occurs, and there is one reader per
+    (d, p).  None when d is a square at p: the invariant is then 0 at
+    every point."""
+    if _is_padic_square(d, p):
+        return None
+    need = 3 if p == 2 else 1
+    unit_mod = p ** need
+    bits = {}  # by (v mod 2, unit)
+
+    def read(vals, j, precs):
+        out = []
+        for val, prec in zip(vals, precs):
+            v = _val(val, p, j)
+            if v + need > prec:
+                out.append(-1)
+                continue
+            key = (v % 2, val // p ** v % unit_mod)
+            if key not in bits:
+                sym = hilbert_symbol(d, Fraction(p) ** key[0] * key[1], p)
+                bits[key] = 0 if sym == 1 else 1
+            out.append(bits[key])
+        return out
+
+    return read
 
 
 def _quaternion_rows(cls_terms, cells, p, j, hensel=True):
@@ -422,32 +472,15 @@ def _quaternion_rows(cls_terms, cells, p, j, hensel=True):
     p^(j-t) only; deciding at full depth would let cells that contain
     no actual point contribute invariants.  With hensel false the
     values are read at full precision p^j, for a class whose value
-    holds at every point of the cell.  The symbol depends only on the
-    valuation v mod 2 and the unit part mod p^need of the value, so it
-    is computed once per pair that occurs."""
-    need = 3 if p == 2 else 1
-    mod, unit_mod = p ** j, p ** need
-    # v = v_p(val) truncated at j, read from gcd(val, p^j) = p^v
-    exponent = {p ** v: v for v in range(j + 1)}
-    # a value is decided when v + need <= the effective precision
-    bounds = [(j - t if hensel else j) - need for *_, t in cells]
+    holds at every point of the cell."""
+    mod = p ** j
+    precs = [j - t if hensel else j for *_, t in cells]
     cols = []
     for terms, d in cls_terms:
-        if _is_padic_square(d, p):
-            cols.append([0] * len(cells))
-            continue
-        col, symbols = [], {}  # symbols by (v mod 2, unit)
-        for (w, x, y, z, _, _), bound in zip(cells, bounds):
-            val = eval_terms(terms, w, x, y, z, mod)
-            v = exponent[math.gcd(val, mod)]
-            if v > bound:
-                col.append(-1)
-                continue
-            key = (v % 2, val // p ** v % unit_mod)
-            if key not in symbols:
-                symbols[key] = _symbol_bit(d, p, *key)
-            col.append(symbols[key])
-        cols.append(col)
+        read = _symbol_reader(d, p)
+        cols.append([0] * len(cells) if read is None else
+                    read([eval_terms(terms, w, x, y, z, mod)
+                          for w, x, y, z, _, _ in cells], j, precs))
     return list(zip(*cols))
 
 
@@ -463,7 +496,13 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
     grouped classes are equal in the Brauer group (different function
     representatives), so a group's invariant is decided when any
     member's is, and disagreement between decided members is an
-    error."""
+    error.
+
+    At an odd p the digit-solve children of a liftable cell are read
+    by _chart_cells' split hook: each class is evaluated at three of
+    them, and only the undecided children are written down, so a place
+    that keeps many liftable cells undecided does not build the p^2
+    children of each one by one."""
     if k_cap is None:
         # from p = 41 on, depth 6 is past INT64_MODULUS_CAP; a p past
         # it is left for _chart_cells to refuse
@@ -478,23 +517,61 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
     attained = set()
     max_depth = 1
 
+    def grouped(rows):
+        if merge is None:
+            return rows
+        return (tuple(_merged(row, group) for group in merge)
+                for row in rows)
+
     def settle(unit, j, cells):
         nonlocal max_depth
         max_depth = max(max_depth, j)
         undecided = []
-        for cell, row in zip(cells, _quaternion_rows(cls_terms, cells, p,
-                                                     j)):
-            if merge is not None:
-                row = [_merged(row, group) for group in merge]
+        for cell, row in zip(cells, grouped(_quaternion_rows(cls_terms,
+                                                             cells, p, j))):
             done = j >= 2 * cell[5] + 1 and -1 not in row
             if done:
-                attained.add(tuple(row))
+                attained.add(row)
             undecided.append(not done)
         return undecided
 
+    readers = [_symbol_reader(d, p) for _, d in cls_terms]
+
+    def split(j, t, base, steps):
+        # every child is liftable and read to p^(j-t).  The children
+        # agree mod p^(j-t-1), so a class takes the value v + p^(j-t-1)
+        # s at a child, for a digit s affine in its digits (rule 2):
+        # the class is read at the p values of s, and each child's row
+        # is looked up from its s
+        nonlocal max_depth
+        max_depth = max(max_depth, j)
+        prec = j - t
+        mod, top = p ** prec, p ** (prec - 1)
+        points = [base, *([c + d for c, d in zip(base, step)]
+                          for step in steps)]
+        cols = []
+        for (terms, _), read in zip(cls_terms, readers):
+            if read is None:
+                cols.append([0] * p ** 2)
+                continue
+            v, va, vb = [eval_terms(terms, *pt, mod) for pt in points]
+            sa, sb = (va - v) // top, (vb - v) // top
+            bits = read([(v + top * s) % mod for s in range(p)], prec,
+                        itertools.repeat(prec))
+            cols.append([bits[(da * sa + db * sb) % p]
+                         for da in range(p) for db in range(p)])
+        rows = list(grouped(zip(*cols)))
+        attained.update(row for row in rows if -1 not in row)
+        return [pair for pair, row in
+                zip(itertools.product(range(p), repeat=2), rows)
+                if -1 in row]
+
+    # at 2 a cell has four children, and settle reads them for less
+    # than split's three evaluations and its lookups cost
     undetermined = sum(p ** (3 * (k_cap - cell[4]))
                        for _, cells in _chart_cells(A, B, C, p, k_cap,
-                                                    budget, settle)
+                                                    budget, settle,
+                                                    split if p > 2 else None)
                        for cell in cells)
     return LocalProfile(place=p, modulus=p ** max_depth,
                         invariants=frozenset(

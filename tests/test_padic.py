@@ -1,4 +1,5 @@
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -411,7 +412,7 @@ def test_default_odd_depth_stays_in_int64(p, depth, monkeypatch):
     from dp2.local import padic
     seen = []
 
-    def record(A, B, C, p, k, budget, settle=None):
+    def record(A, B, C, p, k, budget, settle=None, split=None):
         seen.append(k)
         return iter(())
 
@@ -547,7 +548,6 @@ def _check_chart_cells(A, B, C, p, k):
                  for unit in ("x", "y", "z") for j in range(1, k + 1)}
     assert list(seen.items()) \
         == [entry for entry in want_seen.items() if entry[1]]
-    return [(j, rows) for (_, j), rows in seen.items()]
 
 
 SURFACES = [(1, 1, 1), (-25, -5, 45), (3, 6, -9)]
@@ -561,12 +561,21 @@ def test_chart_cells_match_brute_force(A, B, C):
 @pytest.mark.parametrize("p, k", [(2, 4), (5, 2)])
 @pytest.mark.parametrize("A, B, C", SURFACES)
 def test_chart_cells_inherited_t_match_brute_force(A, B, C, p, k):
-    seen = _check_chart_cells(A, B, C, p, k)
+    # lift_rows checks the t of every cell against its lifts' own t,
+    # and so every t a block carries from below its level
+    _check_chart_cells(A, B, C, p, k)
     if p == 2:
         # every gradient component is even, so t >= 1 throughout; a
-        # level-j class with t < j - 1 took its t from its cell
-        assert any(1 <= row[-1] < j - 1 for j, rows in seen
-                   for row in rows)
+        # cell of level j with e < j carries a t read mod p^e only
+        inherited = []
+
+        def record(unit, j, cells):
+            inherited.extend(1 <= t and e < j for *_, e, t in cells)
+            return [True] * len(cells)
+
+        for _ in _chart_cells(A, B, C, p, k, 2 ** 27, record):
+            pass
+        assert any(inherited)
 
 
 def _assert_same_charts(A, B, C, p, k):
@@ -708,6 +717,112 @@ def test_invariant_profile_same_on_both_covers(builder, args, places,
         # of one of the cover's, so both counts are zero or neither
         assert (got.undetermined == 0) == (want.undetermined == 0)
         assert got.undetermined <= want.undetermined <= 3 * got.undetermined
+
+
+def _settle_only(monkeypatch):
+    """Patch _chart_cells to drop split, so that settle reads every
+    digit-solve child."""
+    from dp2.local import padic
+    real = padic._chart_cells
+
+    def settle_only(A, B, C, p, k, budget, settle=None, split=None):
+        return real(A, B, C, p, k, budget, settle)
+
+    monkeypatch.setattr(padic, "_chart_cells", settle_only)
+
+
+def _least_budget(run):
+    """The least budget with which run(budget) raises no CapacityError."""
+    lo, hi = 0, 2 ** 27
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            run(mid)
+            hi = mid
+        except CapacityError:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("k_cap", [1, 2, 3, 4])
+def test_split_profile_matches_settle_only(k_cap, monkeypatch):
+    # (-43, -5, 48) keeps many liftable cells with t = 0 undecided at 5;
+    # split drops the decided children unwritten, and the profile, its
+    # undetermined count, its modulus and the least budget it runs with
+    # are those of settle alone
+    from dp2.local import examples
+    ex = examples.build_ex73(-43, -5, 48)
+    for p in (3, 5, 7):
+        def run(budget):
+            return invariant_profile(ex.classes, *ex.surface, p,
+                                     k_cap=k_cap, budget=budget)
+        got, least = run(2 ** 27), _least_budget(run)
+        with monkeypatch.context() as patch:
+            _settle_only(patch)
+            assert run(2 ** 27) == got, p
+            assert _least_budget(run) == least, p
+        if p == 5:
+            assert got.undetermined or k_cap < 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(A=st.integers(-50, 50), B=st.integers(-50, 50),
+       C=st.integers(-50, 50), p=st.sampled_from([3, 5, 7]),
+       k=st.integers(1, 4),
+       coeffs=st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+def test_split_profile_matches_settle_only_property(A, B, C, p, k, coeffs):
+    assume(A * B * C != 0 and p ** k <= 5 ** 4)
+    a, b, c, d, e = coeffs
+    assume(a or b or c)
+    classes = [QuaternionClass(Fraction(d or 1), (a * X ** 2 + b * Y ** 2
+                                                  + c * Z ** 2) / Z ** 2),
+               QuaternionClass(Fraction(-3), W + e * X ** 2)]
+    try:
+        got = invariant_profile(classes, A, B, C, p, k_cap=k)
+    except CapacityError:
+        got = None
+    with pytest.MonkeyPatch.context() as patch:
+        _settle_only(patch)
+        try:
+            want = invariant_profile(classes, A, B, C, p, k_cap=k)
+        except CapacityError:
+            want = None
+    assert got == want
+
+
+@pytest.mark.parametrize("A, B, C, p, k", [
+    (-6, -3, 2, 3, 4), (1, 1, 1, 5, 3), (-43, -5, 48, 5, 3),
+    (40, -11, -46, 11, 2)])
+def test_split_frame_spans_the_digit_solve_children(A, B, C, p, k):
+    # a split that keeps every pair leaves the cells as they are
+    # without it, and the child (da, db) the engine writes down is base
+    # + da u + db v mod p^(j-t), with (u, v) the steps split is given
+    every = list(itertools.product(range(p), repeat=2))
+    frames = []
+
+    def keep_all(j, t, base, steps):
+        frames.append(j)
+        return every
+
+    assert [(unit, sorted(cells)) for unit, cells in
+            _chart_cells(A, B, C, p, k, 2 ** 27, None, keep_all)] \
+        == [(unit, sorted(cells)) for unit, cells in
+            _chart_cells(A, B, C, p, k, 2 ** 27)]
+    assert k in frames
+    want = []
+
+    def keep_one(j, t, base, steps):
+        da, db = 1, p - 1
+        if j == k:
+            mod = p ** (j - t)
+            want.append(tuple((c + da * u + db * v) % mod
+                              for c, u, v in zip(base, *steps)))
+        return [(da, db)]
+
+    got = [tuple(cell[:4]) for _, cells in
+           _chart_cells(A, B, C, p, k, 2 ** 27, None, keep_one)
+           for cell in cells if cell[5] < cell[4] - 1]
+    assert want and sorted(got) == sorted(want)
 
 
 def test_invariant_profile_refuses_a_numerator_of_mixed_degree():
