@@ -350,7 +350,7 @@ def _refine(cells, A, B, C, chart, p, j, split=None):
             # g is primitive: solve for the digit of a unit entry i, and
             # let the digits at the other two positions a, b run
             i = 0 if g[0] else 1 if g[1] else 2
-            a, b = (m for m in range(3) if m != i)
+            a, b = ((1, 2), (0, 2), (0, 1))[i]
             inv, ga, gb = -pow(g[i], -1, p), g[a], g[b]
             i, a, b = chart[i], chart[a], chart[b]
             kids, digits = out, itertools.product(range(p), repeat=2)
@@ -561,7 +561,7 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
             cols.append([bits[(da * sa + db * sb) % p]
                          for da in range(p) for db in range(p)])
         rows = list(grouped(zip(*cols)))
-        attained.update(row for row in rows if -1 not in row)
+        attained.update(row for row in set(rows) if -1 not in row)
         return [pair for pair, row in
                 zip(itertools.product(range(p), repeat=2), rows)
                 if -1 in row]
