@@ -33,7 +33,7 @@ constant on S(R), whose components are known from the signs of A, B,
 C, so real_profile reads each component at one integer witness point,
 with the sign of every numerator at w = +-sqrt(F) decided exactly (no
 float and no sampling).  Polynomials are the standard-library Polys of
-dp2.local.poly: no sympy and no numpy here."""
+dp2.local.poly: no sympy here."""
 
 from __future__ import annotations
 

@@ -11,12 +11,10 @@ The membership check covers all liftable classes mod 2^10 without
 visiting each: the shared chart enumerator in padic refines one chart
 of its disjoint cover at a time, and a class is settled, with its
 exact number of descendants mod 2^10 as its weight, as soon as both
-cocycle values are decided for every descendant.  It reads the lifts
-of the enumerator's Hensel blocks as numpy arrays, and it is the only
-code of dp2 that uses numpy: numpy is imported inside it, and passed
-to the two array helpers it calls, _lift_shifts and _cocycle_values,
-so no other request loads it.  All moduli are powers of two, so
-reductions are bit masks.  The 17-adic
+cocycle values are decided for every descendant.  The lifts of one
+of the enumerator's Hensel blocks share both values, so the check
+reads one class per block, in Python integers; all moduli are powers
+of two, so reductions are bit masks.  The 17-adic
 values of the cocycle function are read on the liftable classes of the
 same cover, in Python integers: the function is a quotient of two
 forms of one weighted degree, so a class gives the value of all its
@@ -27,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..arith import factorint, legendre
-from .padic import CELL_BUDGET, _CHART_VARS, _chart_cells
+from .padic import CELL_BUDGET, _chart_cells
 from .profiles import LocalProfile
 
 SURFACE75 = (-9826, -2, 136)
@@ -176,16 +174,16 @@ def mod32_membership(depth=10, table=None):
     is a unit at every 2-adic point, so all of them lie in chart x.
 
     The classes are refined one chart at a time by the chart
-    enumerator of padic, whose cells are Hensel blocks of lifts.  Its
-    settle hook expands each liftable cell into its lifts and drops a
-    lift c at level j as the stand-in for all of its descendants at
-    depth D once c is liftable (j >= 2t + 1), 2j >= D, and both cocycle
-    values are decided (c is ready).  A cell is dropped only when all
-    of its lifts are ready; a ready lift of a cell that is kept is
-    counted deeper, through its descendants, which are ready, carry its
-    values and have its number of descendants at depth D between them.
-    Let s be the valuation of |d|^2, read mod 2^j and capped at j - 1.
-    A value is
+    enumerator of padic, whose cells are Hensel blocks: a liftable cell
+    c of level j, with gradient valuation t and e = j - t, stands for
+    its 2^(3t) lifts c + 2^e u, u mod 2^t.  The settle hook drops c as
+    the stand-in for all of their descendants at depth D once 2e >= D
+    and every lift is ready: both of its cocycle values are decided.  A
+    cell is dropped only when all of its lifts are ready; a ready lift
+    of a cell that is kept is counted deeper, through its descendants,
+    which are ready, carry its values and have its number of
+    descendants at depth D between them.  Let s be the valuation of
+    |d|^2, read mod 2^j and capped at j - 1.  A value is
 
     - known when s <= min(j - 6, D - 7).  The value n conj(d)/2^s *
       (|d|^2/2^s)^-1 mod 32 needs n conj(d) and |d|^2 mod 2^(s+5).  c
@@ -197,9 +195,24 @@ def mod32_membership(depth=10, table=None):
     At level D every value is known or void.  A descendant agrees with
     c mod 2^j, and t < j, so it has the same t and is liftable at D.
 
-    The weight of c is its exact number of descendants at depth D, not
-    4^(D-j): on this surface (t = 2) a liftable class at level 9 has 0
-    or 8 children.  Let m = min(t, D - j).  Then c has
+    The lifts of a cell share its values, so each cell is read once, at
+    its representative, in Python integers.  A cell that may be dropped
+    has w = 2 mod 4 and x, y, z odd, or the check stops with
+    "unexpected 2-adic parities"; so it lies in chart x, and t = 2, as
+    v(2w) = 2 while 4A, 4B and 4C have valuation at least 3.  A value
+    reads w/2, 17xz and y^2 mod 2^(j-1) = 2^(e+1), and it is +-n^2 /
+    |n|^2 (_cocycle_values) for a Gaussian integer n with even
+    components, as w/2, 17xz and y^2 are odd.  A lift moves n by some
+    delta with components divisible by 2^(e-1), which moves |n|^2 by
+    2 Re(n conj(delta)) + |delta|^2 and n^2 by 2 n delta + delta^2,
+    both 0 mod 2^(e+1) as e >= 3.  So s, capped at e + 1, is the same
+    on every lift: no cell mixes ready and unready lifts.  A known
+    value, s <= e - 4, reads n^2 and |n|^2 mod 2^(s+5), which divides
+    2^(e+1), so its code is the same on every lift too.
+
+    The weight of a lift c is its exact number of descendants at depth
+    D, not 4^(D-j): on this surface (t = 2) a liftable class at level 9
+    has 0 or 8 children.  Let m = min(t, D - j).  Then c has
 
         2^(2(D-j)+m) descendants if 2^(j+m) | f(c), and none otherwise.
 
@@ -225,132 +238,75 @@ def mod32_membership(depth=10, table=None):
     f(c) = f(c0) + 2^j g0.u mod 2^D with g0 primitive, so 2^(j+m) |
     f(c) is a linear condition mod 2^m with a unit coefficient on u;
     2^(3t-m) classes pass it, and the block has |block| 4^(D-j)
-    descendants."""
-    import numpy as np
-
+    descendants.  A dropped cell is such a block, as 2e >= D: the count
+    adds 2^(3t) 4^(D-j) for it, and some of its lifts have a descendant
+    and all of them carry its values, so those count towards coverage
+    and the attained set.  No lift is tested for descendants."""
     if table is None:
         table = RESIDUE_TABLE_MOD32
-    in_table = np.zeros(32 * 32, dtype=bool)
-    for a, b in table:
-        in_table[32 * a + b] = True
-    A, B, C = SURFACE75
-    covered, count = True, 0
-    seen = np.zeros(32 * 32, dtype=bool)
+    in_table = {32 * a + b for a, b in table}
+    covered, count, seen = True, 0, set()
 
     def settle(unit, j, cells):
         nonlocal covered, count
-        undecided = np.ones(len(cells), dtype=bool)
-        if 2 * j < depth:
-            return undecided
-        spans = {}
-        for i, (*_, e, t) in enumerate(cells):
-            if j >= 2 * t + 1:  # a liftable cell has e = j - t
-                spans.setdefault((e, t), []).append(i)
-        for (e, t), idx in spans.items():
-            # the lifts of each cell, one row per cell; the values read
-            # w mod 2^j and x, y, z mod 2^(j-1), so they are computed on
-            # the first of each 4 lifts (_lift_shifts), the head
-            reps = np.array([cells[i][:4] for i in idx], dtype=np.int64).T
-            lifts = reps[:, :, None] + _lift_shifts(np, unit, e, t,
-                                                    j)[:, None]
-            values = _cocycle_values(np, lifts[:, :, ::4].reshape(4, -1),
-                                     j, depth)
-            ready = np.ones(len(values[0][0]), dtype=bool)
-            for _, known, void in values:
-                ready &= known | void
-            ready = ready.reshape(len(idx), -1).all(axis=1)
-            undecided[np.array(idx)[ready]] = False
-            lifts = lifts[:, ready].reshape(4, -1)
-            ready = np.repeat(ready, 2 ** (3 * t - 2))  # per head
-            keep = np.ones(lifts.shape[1], dtype=bool)
-            m = min(t, depth - j)
-            if j < depth:  # at depth, m = 0 and each class is its own lift
-                # f(c) in int64, exact mod 2^64 and so mod 2^(j+m)
-                w, x, y, z = lifts
-                fc = A * x ** 4 + B * y ** 4 + C * z ** 4 - w * w
-                keep = fc & ((1 << (j + m)) - 1) == 0
-            w, x, y, z = lifts[:, keep]
-            if not ((w & 3 == 2).all() and (x & 1).all() and (y & 1).all()
-                    and (z & 1).all()):
+        undecided = []
+        for cell in cells:
+            w, x, y, z, e, t = cell
+            if j < 2 * t + 1 or 2 * e < depth:
+                undecided.append(True)
+                continue
+            if w & 3 != 2 or not x & y & z & 1:
                 raise AssertionError("unexpected 2-adic parities")
-            hit = np.zeros(len(w), dtype=bool)
-            for codes, known, _ in values:
-                codes = np.repeat(codes[ready], 4)[keep]
-                known = np.repeat(known[ready], 4)[keep]
-                hit |= known & in_table[codes]
-                seen[codes[known]] = True
-            covered &= bool(hit.all())
-            count += len(w) * (4 ** (depth - j) << m)
+            values = _cocycle_values(j, depth, w, x, y, z)
+            undecided.append(None in values)
+            if None in values:
+                continue
+            known = [code for code in values if code >= 0]
+            seen.update(known)
+            covered = covered and not in_table.isdisjoint(known)
+            count += 1 << (3 * t + 2 * (depth - j))
         return undecided
 
     for _ in _chart_cells(*SURFACE75, 2, depth, CELL_BUDGET, settle):
         pass
     if not count:
         raise AssertionError("no liftable 2-adic classes found")
-    attained = frozenset((int(c) >> 5, int(c) & 31)
-                         for c in np.flatnonzero(seen))
-    return covered, attained, count
+    return covered, frozenset((c >> 5, c & 31) for c in seen), count
 
 
-def _lift_shifts(np, unit, e, t, j):
-    """The offsets 2^e u, u mod 2^t, of the 2^(3t) lifts c + 2^e u of a
-    cell of level j = e + t as a (4, 2^(3t)) array over (w, x, y, z), in
-    runs of 4 that differ only in the digits at 2^(j-1) of the two
-    chart variables after w; t >= 1, as every partial of f is even.  np
-    is the numpy module, which mod32_membership imports."""
-    w, a, b, a_top, b_top = np.indices(
-        (2 ** t, 2 ** (t - 1), 2 ** (t - 1), 2, 2)).reshape(5, -1)
-    shift = np.zeros((4, len(w)), dtype=np.int64)
-    shift[list(_CHART_VARS[unit])] = (w << e, a << e | a_top << (j - 1),
-                                      b << e | b_top << (j - 1))
-    return shift
+#: the inverses of the odd residues mod 32
+_INV32 = {odd: pow(odd, -1, 32) for odd in range(1, 32, 2)}
 
 
-def _components(hw, xz, yy, mask):
-    """(n_re, n_im, d_re, d_im) of the two cocycle functions, each
-    component masked to the precision mask + 1, from hw = w/2, xz =
-    17xz and yy = y^2.  The denominator is (-n_re, n_im) for f1 and
-    (n_re, -n_im) for f2, so |n|^2 = |d|^2 modulo twice the precision:
-    the numerator norm carries the same valuation as the denominator
-    norm and is never computed."""
-    return (
-        # f1 = (17(1+i)xz + iy^2 - w/2) / (17(-1+i)xz + iy^2 + w/2)
-        ((xz - hw) & mask, (xz + yy) & mask,
-         (hw - xz) & mask, (xz + yy) & mask),
-        # f2 = (17(1-i)xz + iy^2 + w/2) / (17(1+i)xz - iy^2 + w/2)
-        ((xz + hw) & mask, (yy - xz) & mask,
-         (xz + hw) & mask, (xz - yy) & mask),
-    )
+def _cocycle_values(j, depth, w, x, y, z):
+    """The values of the two cocycle functions at a class mod 2^j, each
+    as its code 32 re + im mod 32 where it is known, -1 where it is
+    void and None where it is neither (mod32_membership).  The class
+    fixes w/2, 17xz and y^2 mod 2^(j-1), which is all a value reads.
 
-
-def _cocycle_values(np, coords, j, depth):
-    """Per cocycle function, (codes, known, void) at classes mod 2^j:
-    known where the class fixes the value mod 32, codes = 32 re + im,
-    and the value counts as determined at depth; void where the value
-    is undetermined at depth in every descendant.  All moduli are
-    powers of two, so every reduction is a mask.  np is the numpy
-    module, as for _lift_shifts."""
-    prec = 2 ** (j - 1)  # component precision; w/2 costs one bit
+    f1 = (17(1+i)xz + iy^2 - w/2) / (17(-1+i)xz + iy^2 + w/2) is n/d
+    with n = (17xz - w/2) + i(17xz + y^2) and d = -conj(n), and f2 =
+    (17(1-i)xz + iy^2 + w/2) / (17(1+i)xz - iy^2 + w/2) is n/d with n =
+    (17xz + w/2) + i(y^2 - 17xz) and d = conj(n).  So n conj(d) is -+n^2
+    and |d|^2 is |n|^2, whose valuation s is read mod 2^j and capped at
+    j - 1; both components of n^2 are divisible by 2^s, as n^2 and |n|^2
+    have the same valuation at 1 + i.  All moduli are powers of two, so
+    every reduction is a mask."""
+    prec = 1 << (j - 1)  # component precision; w/2 costs one bit
     mask = prec - 1
-    w, x, y, z = coords
-    inv_odd = np.zeros(32, dtype=np.int64)
-    for odd in range(1, 32, 2):
-        inv_odd[odd] = pow(odd, -1, 32)
+    hw, xz, yy = w >> 1, 17 * x * z, y * y
     out = []
-    for nr, ni, dr, di in _components(w >> 1, 17 * x * z, y * y, mask):
-        norm_d = (dr * dr + di * di) & (2 * prec - 1)
-        low = norm_d | prec  # v_2(norm_d) capped at j - 1, in one pass
-        sd = np.bitwise_count((low & -low) - 1).astype(np.int64)
-        prod_r = (nr * dr + ni * di) & mask
-        prod_i = (ni * dr - nr * di) & mask
-        # value = n conj(d)/2^s * (|d|^2/2^s)^-1 needs n conj(d) mod
-        # 2^(s+5), known mod prec; at depth it counts when s <= depth - 7
-        known = sd <= min(j - 6, depth - 7)
-        shift = np.where(known, sd, 0)
-        inv = inv_odd[(norm_d >> shift) & 31]
-        res = (prod_r >> shift) * inv & 31
-        ims = (prod_i >> shift) * inv & 31
-        out.append((res << 5 | ims, known, sd >= depth - 6))
+    for sign, re, im in ((-1, xz - hw, xz + yy), (1, xz + hw, yy - xz)):
+        norm = (re * re + im * im) & (2 * prec - 1)
+        low = norm | prec
+        s = (low & -low).bit_length() - 1
+        if s <= min(j - 6, depth - 7):  # known
+            inv = sign * _INV32[norm >> s & 31]
+            re2 = ((re * re - im * im) & mask) >> s
+            im2 = ((2 * re * im) & mask) >> s
+            out.append((re2 * inv & 31) << 5 | im2 * inv & 31)
+        else:
+            out.append(-1 if s >= depth - 6 else None)
     return out
 
 

@@ -1,7 +1,9 @@
 """Oracles for the chart cover of dp2.local.padic: a direct numpy
 enumeration of every class, level by level, with its vectorized
 evaluation mod p^j, and the expansion of the enumerator's Hensel
-blocks into their lifts."""
+blocks into their lifts.  Also the numpy reading of the cocycle
+values of dp2.local.quartic, one per head of four lifts, against which
+its Python reader is checked."""
 
 import itertools
 
@@ -158,3 +160,66 @@ def direct_chart_cells(A, B, C, p, k, budget=None, settle=None, split=None,
                 cells = tuple(c[undecided] for c in cells)
                 listed = list(itertools.compress(listed, undecided))
         yield unit, listed
+
+
+def lift_shifts(unit, e, t, j):
+    """The offsets 2^e u, u mod 2^t, of the 2^(3t) lifts c + 2^e u of a
+    cell of level j = e + t as a (4, 2^(3t)) array over (w, x, y, z), in
+    runs of 4 that differ only in the digits at 2^(j-1) of the two
+    chart variables after w; t >= 1, as every partial of f is even.
+    The values read w mod 2^j and x, y, z mod 2^(j-1), so the lifts of
+    a run share them, and the first of each run is its head."""
+    w, a, b, a_top, b_top = np.indices(
+        (2 ** t, 2 ** (t - 1), 2 ** (t - 1), 2, 2)).reshape(5, -1)
+    shift = np.zeros((4, len(w)), dtype=np.int64)
+    shift[list(_CHART_VARS[unit])] = (w << e, a << e | a_top << (j - 1),
+                                      b << e | b_top << (j - 1))
+    return shift
+
+
+def components(hw, xz, yy, mask):
+    """(n_re, n_im, d_re, d_im) of the two cocycle functions, each
+    component masked to the precision mask + 1, from hw = w/2, xz =
+    17xz and yy = y^2.  The denominator is (-n_re, n_im) for f1 and
+    (n_re, -n_im) for f2, so |n|^2 = |d|^2 modulo twice the precision:
+    the numerator norm carries the same valuation as the denominator
+    norm and is never computed."""
+    return (
+        # f1 = (17(1+i)xz + iy^2 - w/2) / (17(-1+i)xz + iy^2 + w/2)
+        ((xz - hw) & mask, (xz + yy) & mask,
+         (hw - xz) & mask, (xz + yy) & mask),
+        # f2 = (17(1-i)xz + iy^2 + w/2) / (17(1+i)xz - iy^2 + w/2)
+        ((xz + hw) & mask, (yy - xz) & mask,
+         (xz + hw) & mask, (xz - yy) & mask),
+    )
+
+
+def cocycle_values(coords, j, depth):
+    """Per cocycle function, (codes, known, void) at classes mod 2^j, as
+    arrays: known where the class fixes the value mod 32, codes = 32 re
+    + im, and the value counts as determined at depth; void where the
+    value is undetermined at depth in every descendant.  The value is
+    n conj(d)/2^s * (|d|^2/2^s)^-1 mod 32, s = v(|d|^2) read mod 2^j
+    and capped at j - 1."""
+    prec = 2 ** (j - 1)  # component precision; w/2 costs one bit
+    mask = prec - 1
+    w, x, y, z = coords
+    inv_odd = np.zeros(32, dtype=np.int64)
+    for odd in range(1, 32, 2):
+        inv_odd[odd] = pow(odd, -1, 32)
+    out = []
+    for nr, ni, dr, di in components(w >> 1, 17 * x * z, y * y, mask):
+        norm_d = (dr * dr + di * di) & (2 * prec - 1)
+        low = norm_d | prec  # v_2(norm_d) capped at j - 1, in one pass
+        sd = np.bitwise_count((low & -low) - 1).astype(np.int64)
+        prod_r = (nr * dr + ni * di) & mask
+        prod_i = (ni * dr - nr * di) & mask
+        # value = n conj(d)/2^s * (|d|^2/2^s)^-1 needs n conj(d) mod
+        # 2^(s+5), known mod prec; at depth it counts when s <= depth - 7
+        known = sd <= min(j - 6, depth - 7)
+        shift = np.where(known, sd, 0)
+        inv = inv_odd[(norm_d >> shift) & 31]
+        res = (prod_r >> shift) * inv & 31
+        ims = (prod_i >> shift) * inv & 31
+        out.append((res << 5 | ims, known, sd >= depth - 6))
+    return out

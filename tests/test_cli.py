@@ -439,9 +439,9 @@ def test_local_subcommands_load_no_group_modules():
 def test_no_subcommand_loads_dataclasses():
     # records in src/dp2 are NamedTuples or plain classes: dataclasses
     # and the inspect, dis and ast it imports cost about 25 ms a request.
-    # verify and the recipes on ex71 to ex74 load no numpy either; numpy
-    # imports those three as well, so after (-9826, -2, 136), whose
-    # 2-adic check loads numpy, only dataclasses is checked
+    # No request loads numpy either, which imports those three as well:
+    # not verify, nor the recipes on ex71 to ex74, nor (-9826, -2, 136),
+    # whose 2-adic check runs on Python integers
     script = (
         "import io, sys\n"
         "import dp2.cli as cli\n"
@@ -464,25 +464,25 @@ def test_no_subcommand_loads_dataclasses():
         "                         'numpy') if m in sys.modules))\n"
         "argv = ['obstruct', '-A', '-9826', '-B', '-2', '-C', '136']\n"
         "assert cli.main(argv, out=io.StringIO()) == 0\n"
-        "print(sorted(m for m in ('dataclasses', 'numpy')\n"
-        "             if m in sys.modules))\n")
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'dis', 'ast',\n"
+        "                         'numpy') if m in sys.modules))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:2] == ["[]", "['numpy']"]
+    assert done.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_requests_on_ex71_to_ex74_run_without_numpy():
     # with numpy made unimportable, verify and obstruct on the recipes
-    # of ex71 to ex74 answer, and obstruct prints the recorded bytes;
-    # verify, which has no recorded hash, prints what it prints with
-    # numpy importable
+    # of ex71 to ex74, and on the order-4 class of (-9826, -2, 136),
+    # answer, and obstruct prints the recorded bytes; verify, which has
+    # no recorded hash, prints what it prints with numpy importable
     path = pathlib.Path(__file__).parent.parent / "bench" / "references.json"
     refs = json.loads(path.read_text())["obstruct"]
     triples = ["-25,-5,45", "-6,-3,2", "-454,-227,2", "-126,-91,78",
-               "34,34,34"]
+               "34,34,34", "-9826,-2,136"]
     script = (
         "import hashlib, io, sys\n"
         "sys.modules['numpy'] = None\n"

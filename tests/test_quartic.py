@@ -3,7 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chart_oracle import eval_vec, lift_arrays, vec_val
+from chart_oracle import (
+    cocycle_values,
+    components,
+    eval_vec,
+    lift_arrays,
+    lift_shifts,
+    vec_val,
+)
 from chart_oracle import surface_terms as _surface_terms
 from dp2.local import quartic
 from dp2.local.padic import _chart_cells, _lifts, padic_point_classes
@@ -13,7 +20,7 @@ from dp2.local.quartic import (
     SURFACE75,
     WITNESS_FOURTH_ROOT,
     WITNESS_ROW_GENERATOR,
-    _components,
+    _cocycle_values,
     _i_times,
     conjugate_ratio_mod32,
     ex75_17adic_profile,
@@ -98,14 +105,14 @@ def test_mod32_membership():
 
 def _assert_norms_agree(hw, xz, yy, depth):
     prec = 2 ** (depth - 1)
-    for nr, ni, dr, di in _components(hw, xz, yy, prec - 1):
+    for nr, ni, dr, di in components(hw, xz, yy, prec - 1):
         diff = (nr * nr + ni * ni) - (dr * dr + di * di)
         assert not (diff & (2 * prec - 1)).any()
 
 
 def test_numerator_norm_equals_denominator_norm():
-    # _chart_membership takes the valuation of |n|^2 to be that of
-    # |d|^2; both component maps keep |n|^2 = |d|^2 mod 2 prec.  The
+    # the oracle takes the valuation of |n|^2 to be that of |d|^2;
+    # both component maps keep |n|^2 = |d|^2 mod 2 prec.  The
     # components depend only on hw, xz, yy mod prec, so the small
     # depths are exhaustive; depth 10 (the one used) is sampled
     for depth in range(1, 7):
@@ -123,65 +130,55 @@ def test_mod32_membership_fault_injection():
     assert not covered
 
 
-def _chart_membership(coords, t, depth, in_table):
-    """mod32_membership on the classes of one chart, without
-    settling: (all covered, seen values as a 1024-entry mask of 32 re +
-    im, class count) over every liftable class mod 2^depth."""
-    prec = 2 ** (depth - 1)  # component precision; w/2 costs one bit
-    mask = prec - 1
-    cap = depth - 1
+def _chart_membership(coords, t, depth, in_tables):
+    """mod32_membership on the given classes of one chart, without
+    settling: per table (all covered, seen values as a 1024-entry mask
+    of 32 re + im), and the class count, over the liftable classes
+    among them."""
     w, x, y, z = (c[depth >= 2 * t + 1] for c in coords)
     if not ((w & 3 == 2).all() and (x & 1).all() and (y & 1).all()
             and (z & 1).all()):
         raise AssertionError("unexpected 2-adic parities")
-    inv_odd = np.zeros(32, dtype=np.int64)
-    for odd in range(1, 32, 2):
-        inv_odd[odd] = pow(odd, -1, 32)
-    hit = np.zeros(len(w), dtype=bool)
-    seen = np.zeros(32 * 32, dtype=bool)
-    for nr, ni, dr, di in _components(w >> 1, 17 * x * z, y * y, mask):
-        norm_d = (dr * dr + di * di) & (2 * prec - 1)
-        sd = vec_val(norm_d, 2, cap)
-        prod_r = (nr * dr + ni * di) & mask
-        prod_i = (ni * dr - nr * di) & mask
-        # value = n conj(d)/2^s * (|d|^2/2^s)^-1 needs 2^s * 32 <= prec
-        determined = sd <= cap - 6
-        shift = np.where(determined, sd, 0)
-        inv = inv_odd[(norm_d >> shift) & 31]
-        res = (prod_r >> shift) * inv & 31
-        ims = (prod_i >> shift) * inv & 31
-        codes = res << 5 | ims
-        hit |= determined & in_table[codes]
-        seen[codes[determined]] = True
-    return bool(hit.all()), seen, len(w)
+    values = cocycle_values((w, x, y, z), depth, depth)
+    out = []
+    for in_table in in_tables:
+        hit = np.zeros(len(w), dtype=bool)
+        seen = np.zeros(32 * 32, dtype=bool)
+        for codes, known, _ in values:
+            hit |= known & in_table[codes]
+            seen[codes[known]] = True
+        out.append((bool(hit.all()), seen))
+    return out, len(w)
 
 
 def _exhaustive_membership(depth, tables):
     """The oracle: (covered, attained, count) per table over every
-    liftable class mod 2^depth, from one enumeration."""
+    liftable class mod 2^depth, from one enumeration, its cells
+    expanded into their lifts a few thousand at a time."""
     in_tables = []
     for table in tables:
         in_table = np.zeros(32 * 32, dtype=bool)
         for a, b in table:
             in_table[32 * a + b] = True
         in_tables.append(in_table)
-    results = [[True, np.zeros(32 * 32, dtype=bool), 0] for _ in tables]
+    results = [[True, np.zeros(32 * 32, dtype=bool)] for _ in tables]
+    count = 0
     for unit, cells in _chart_cells(*SURFACE75, 2, depth, 2 ** 27):
-        coords, t = lift_arrays(unit, cells, 2, depth)
-        for res, in_table in zip(results, in_tables):
-            covered, seen, count = _chart_membership(coords, t, depth,
-                                                     in_table)
-            res[0] &= covered
-            res[1] |= seen
-            res[2] += count
-    if not results[0][2]:
+        for i in range(0, len(cells), 4096):
+            coords, t = lift_arrays(unit, cells[i:i + 4096], 2, depth)
+            per_table, n = _chart_membership(coords, t, depth, in_tables)
+            for res, (covered, seen) in zip(results, per_table):
+                res[0] &= covered
+                res[1] |= seen
+            count += n
+    if not count:
         raise AssertionError("no liftable 2-adic classes found")
     return [(covered, frozenset((int(c) >> 5, int(c) & 31)
                                 for c in np.flatnonzero(seen)), count)
-            for covered, seen, count in results]
+            for covered, seen in results]
 
 
-@pytest.mark.parametrize("depth", [9, 10])
+@pytest.mark.parametrize("depth", [8, 9, 10, 11])
 def test_settled_membership_matches_exhaustive(depth, monkeypatch):
     tables = (RESIDUE_TABLE_MOD32, RESIDUE_TABLE_MOD32[:-1])
     want = _exhaustive_membership(depth, tables)
@@ -200,15 +197,18 @@ def test_settled_membership_matches_exhaustive(depth, monkeypatch):
 
     monkeypatch.setattr(quartic, "_chart_cells", traced)
     assert [mod32_membership(depth, table) for table in tables] == want
-    # every class is settled before the last level is expanded
-    assert max(levels) == depth - 1
+    # every class is settled before the last level is expanded; at
+    # depth 8 every cell of level 5 is ready, but a cell is dropped
+    # only once 2e >= D, at level 6
+    assert max(levels) == (6 if depth == 8 else depth - 1)
 
 
 @pytest.mark.parametrize("unit", "xyz")
 @pytest.mark.parametrize("e, t", [(3, 2), (7, 2), (4, 1), (2, 3)])
 def test_lift_shifts_list_each_lift_once_in_runs_of_four(unit, e, t):
+    # the heads at which the oracle reads the values
     j = e + t
-    shift = quartic._lift_shifts(np, unit, e, t, j)
+    shift = lift_shifts(unit, e, t, j)
     cell = (0, 0, 0, 0, e, t)
     assert sorted(map(tuple, shift.T.tolist())) \
         == sorted(map(tuple, _lifts(unit, cell, 2, j)))
@@ -218,9 +218,55 @@ def test_lift_shifts_list_each_lift_once_in_runs_of_four(unit, e, t):
     assert (runs[0] == runs[0, :, :1]).all()
 
 
+def _heads(unit, cells, j):
+    """The heads of the liftable cells of level j, 2^(3t-2) per cell in
+    cell order, as a (4, n) array; the cells share one e = j - t."""
+    ((e, t),) = {cell[4:] for cell in cells}
+    assert e + t == j
+    reps = np.array([cell[:4] for cell in cells], dtype=np.int64).T
+    shift = lift_shifts(unit, e, t, j)[:, ::4]
+    return (reps[:, :, None] + shift[:, None]).reshape(4, -1)
+
+
+def test_cocycle_values_match_the_oracle_per_head():
+    # at every level 5 to 10 of the cover at depth 10, every cell of
+    # which is in chart x with t = 2: the Python reader gives the
+    # oracle's (code, known, void) at every head, and so at every lift,
+    # as the code if known, -1 if void and -2 if neither; and every head
+    # has the values of its cell's representative, which is where
+    # mod32_membership reads them
+    depth = 10
+    levels = {}
+
+    def keep_all(unit, j, cells):
+        if j >= 5:
+            assert unit == "x"
+            levels.setdefault(j, []).extend(cells)
+        return [True] * len(cells)
+
+    for _ in _chart_cells(*SURFACE75, 2, depth, 2 ** 27, keep_all):
+        pass
+    assert sorted(levels) == list(range(5, depth + 1))
+    for j, cells in levels.items():
+        heads = _heads("x", cells, j)
+        want = []
+        for codes, known, void in cocycle_values(heads, j, depth):
+            assert not (known & void).any()
+            want.append(np.where(known, codes, np.where(void, -1, -2)))
+        want = np.stack(want, axis=1)  # one row per head
+        got = [-2 if v is None else v for head in zip(*heads.tolist())
+               for v in _cocycle_values(j, depth, *head)]
+        assert got == want.ravel().tolist(), j
+        rep = np.array([[-2 if v is None else v
+                         for v in _cocycle_values(j, depth, *cell[:4])]
+                        for cell in cells])
+        assert (rep.repeat(len(want) // len(cells), axis=0) == want).all()
+
+
 def test_membership_drops_a_cell_only_when_every_lift_is_ready(monkeypatch):
-    # each cell the settle hook drops is liftable, at 2j >= D, and both
-    # cocycle values of every one of its lifts are known or void
+    # each cell the settle hook drops is liftable with 2e >= D, and
+    # both cocycle values of every one of its lifts are known or void,
+    # read by the oracle and by the Python reader at every head
     depth = 10
     dropped = {}
 
@@ -241,11 +287,13 @@ def test_membership_drops_a_cell_only_when_every_lift_is_ready(monkeypatch):
     for (unit, j), cells in dropped.items():
         if not cells:
             continue
-        coords, t = lift_arrays(unit, cells, 2, j)
-        assert (j >= 2 * t + 1).all() and 2 * j >= depth
-        values = quartic._cocycle_values(np, coords, j, depth)
-        for _, known, void in values:
+        assert all(j >= 2 * t + 1 and 2 * e >= depth
+                   for *_, e, t in cells)
+        coords, _ = lift_arrays(unit, cells, 2, j)
+        for _, known, void in cocycle_values(coords, j, depth):
             assert (known | void).all()
+        for head in zip(*_heads(unit, cells, j).tolist()):
+            assert None not in _cocycle_values(j, depth, *head)
 
 
 def _keys(coords, j):
