@@ -9,7 +9,6 @@ from chart_oracle import (
     eval_vec,
     lift_arrays,
     lift_shifts,
-    vec_val,
 )
 from chart_oracle import surface_terms as _surface_terms
 from dp2.local import quartic
