@@ -2,9 +2,9 @@
 obstruction recipes, Hilbert symbols, verification suites, and the
 diagonal-cubic pipeline.
 
-The group layers (kummer, galois0, cohomology) and the local recipes
-are imported inside the functions that use them, so each subcommand
-compiles and loads only its own modules.
+The group layers (kummer, galois0, cohomology), the local recipes,
+`fractions` and `arith` are imported inside the functions that use
+them, so each subcommand compiles and loads only its own modules.
 
 Exit codes: 0 success, 2 invalid input, 3 internal invariant
 violation, 4 capacity exhausted or analysis inconclusive."""
@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .arith import is_prime
 from .local import CapacityError
 
 EXIT_OK = 0
@@ -161,6 +159,8 @@ def scan_theorem() -> dict:
 # --- obstruct -------------------------------------------------------------
 
 def _family_prime(A: int, B: int, C: int):
+    from .arith import is_prime
+
     p = -B
     if A == -2 * p and C == 2 and p % 16 == 3 and is_prime(p):
         return p
@@ -277,6 +277,8 @@ def _run_obstruct(args, out) -> int:
 
 
 def _parse_place(text: str):
+    from .arith import is_prime
+
     if text == "R":
         return "R"
     p = int(text)
@@ -286,6 +288,8 @@ def _parse_place(text: str):
 
 
 def _run_hilbert(args, out) -> int:
+    from fractions import Fraction
+
     from .local.hilbert import hilbert_symbol, relevant_places, render_place
 
     a, b = Fraction(args.A), Fraction(args.B)
@@ -334,6 +338,8 @@ def _run_verify(args, out) -> int:
 
 
 def _run_cubic(args, out) -> int:
+    from fractions import Fraction
+
     from .local.cubic import cubic_pipeline
 
     rep = cubic_pipeline(args.A, args.B, args.C, args.D,

@@ -179,9 +179,18 @@ def verify_action_homomorphism() -> None:
 
 
 _LABEL_INDEX = {lab: i for i, lab in enumerate(_LABELS)}
-# class of each curve, in _LABELS order, and its nonzero coordinates
+# class of each curve, in _LABELS order
 _CLASSES = tuple(_LATTICE.cls(lab) for lab in _LABELS)
-_SUPPORTS = tuple(tuple((j, c) for j, c in enumerate(v) if c) for v in _CLASSES)
+
+
+def _pack(v) -> int:
+    """sum v_i 2^(16 i): linear in v, and injective on the vectors with
+    every |v_i| < 2^15."""
+    return sum(x << 16 * i for i, x in enumerate(v))
+
+
+_PACKED = tuple(map(_pack, _CLASSES))
+_PACKED_K = _pack(ANTICANONICAL)
 _MATRIX_COLUMNS = [_LABEL_INDEX[lab]
                    for lab in BASIS_LABELS + [Axis("z", 7, -1)]]
 
@@ -206,25 +215,24 @@ def _curve_indices(g: GroupElement) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def matrix_of(g: GroupElement) -> IntMatrix:
-    """8x8 matrix of g on Pic coordinates, verified on all 56 curves."""
+    """8x8 matrix of g on Pic coordinates, verified on all 56 curves and
+    on -K.  Each check M v = w compares packed vectors: M v packs to
+    sum v_j pack(column j), by linearity, and the packing is injective
+    while every coordinate of M v and of w is below 2^15 in absolute
+    value.  Curve classes have coordinates of at most 3 and the columns
+    of at most 9, so every coordinate here is at most 90."""
     perm = _curve_indices(g)
     cols = [_CLASSES[perm[i]] for i in _MATRIX_COLUMNS]
     # the eighth basis label has class v8 - v6 - v7, so correct its column
     cols[7] = tuple(map(sum, zip(*cols[5:])))
-
-    def apply(support) -> list[int]:  # M v, summed over the nonzero v_j
-        out = [0] * 8
-        for j, c in support:
-            col = cols[j]
-            for i in range(8):
-                out[i] += c * col[i]
-        return out
-
-    for i, support in enumerate(_SUPPORTS):
-        if apply(support) != list(_CLASSES[perm[i]]):
-            raise AssertionError(
-                f"induced matrix inconsistent for {g} at {_LABELS[i]}")
-    if apply(tuple(enumerate(ANTICANONICAL))) != list(ANTICANONICAL):
+    packed = list(map(_pack, cols))
+    got = [sum(map(int.__mul__, v, packed)) for v in _CLASSES]
+    want = list(map(_PACKED.__getitem__, perm))
+    if got != want:
+        i = next(i for i, x in enumerate(got) if x != want[i])
+        raise AssertionError(
+            f"induced matrix inconsistent for {g} at {_LABELS[i]}")
+    if sum(map(int.__mul__, ANTICANONICAL, packed)) != _PACKED_K:
         raise AssertionError(f"matrix of {g} moves the anticanonical class")
     return IntMatrix.from_rows(zip(*cols))
 
@@ -235,11 +243,27 @@ def pic_rows(g: GroupElement) -> tuple:
     return tuple(map(tuple, matrix_of(g).to_rows()))
 
 
+@lru_cache(maxsize=None)
+def _minus_one_rows(g: GroupElement) -> tuple:
+    """matrix_of(g) - I as a tuple of rows."""
+    return tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                 for i, row in enumerate(pic_rows(g)))
+
+
+def _value_masks(values) -> list[tuple[int, int]]:
+    """(v, mask of the element indices i with values[i] == v), ascending
+    in v."""
+    masks: dict[int, int] = {}
+    for i, v in enumerate(values):
+        masks[v] = masks.get(v, 0) | 1 << i
+    return sorted(masks.items())
+
+
 @lru_cache(maxsize=1)
-def _traces() -> tuple[int, ...]:
-    """Trace of matrix_of(g) on Pic, for every element in index order."""
-    return tuple(sum(m[i][i] for i in range(8))
-                 for m in map(pic_rows, ALL_ELEMENTS))
+def _traces() -> list[tuple[int, int]]:
+    """`_value_masks` of the trace of matrix_of(g) on Pic."""
+    return _value_masks(sum(m[i][i] for i in range(8))
+                        for m in map(pic_rows, ALL_ELEMENTS))
 
 
 class Subgroup:
@@ -376,6 +400,12 @@ def _orders() -> tuple[int, ...]:
     return tuple(_closure_mask(mul, [g], 0).bit_count() for g in range(128))
 
 
+@lru_cache(maxsize=1)
+def _order_masks() -> list[tuple[int, int]]:
+    """`_value_masks` of the element orders."""
+    return _value_masks(_orders())
+
+
 def __getattr__(name: str):
     """G0, the whole group, built on first use: no subcommand reads it,
     and building it at import would run _mul() in every process that
@@ -386,54 +416,54 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _nibble_table(perm) -> list[int]:
-    """An index permutation on masks, four bits at a time: entry
-    16 k + v is the image of the bits v << 4k."""
+def _nibble_table(bits) -> list[int]:
+    """Masks four bits at a time: entry 16 k + v is the OR of bits[i]
+    over the set bits i of v << 4k."""
     out = [0] * 512
     for j in range(512):
         v = j & 15
         if v:
             low = v & -v
-            out[j] = out[j ^ low] | 1 << perm[j >> 4 << 2
-                                               | low.bit_length() - 1]
+            out[j] = out[j ^ low] | bits[j >> 4 << 2 | low.bit_length() - 1]
     return out
 
 
 @lru_cache(maxsize=1)
-def _orbit_tables() -> tuple[list[int], ...]:
-    """Nibble tables of the conjugations by the five generators, then of
-    the ab and bc relabelings, the two transpositions generating S3."""
+def _orbit_table() -> list[int]:
+    """One nibble table of seven index permutations side by side: the
+    conjugations by the five generators, then the ab and bc relabelings,
+    the two transpositions generating S3.  Permutation t moves bit i to
+    bit 128 t + perm_t[i]."""
     perms = [_conjugation(_INDEX[g]) for g in GENERATORS.values()]
     perms += [[_INDEX[phi(x)] for x in ALL_ELEMENTS]
               for phi in (_PHI_AB, _PHI_BC)]
-    return tuple(map(_nibble_table, perms))
+    return _nibble_table([sum(1 << 128 * t + p[i] for t, p in enumerate(perms))
+                          for i in range(128)])
 
 
-def _nibble_images(mask: int, tables) -> list[int]:
-    """The image of a mask under each `_nibble_table` given, read from one
-    key per nonzero nibble; byte k holds nibbles 2k and 2k + 1."""
-    keys = []
+_FULL = (1 << 128) - 1
+_CONJ, _RELABEL, _AUT = slice(5), slice(5, 7), slice(7)
+
+
+def _nibble_images(mask: int) -> list[int]:
+    """The images of a mask under the seven permutations of
+    `_orbit_table`, from one OR per nonzero nibble; byte k holds nibbles
+    2k and 2k + 1."""
+    table, packed = _orbit_table(), 0
     for k, b in enumerate(mask.to_bytes(16, "little")):
-        if b:
-            if b & 15:
-                keys.append(k << 5 | b & 15)
-            if b > 15:
-                keys.append(k << 5 | 16 | b >> 4)
-    images = []
-    for table in tables:
-        img = 0
-        for j in keys:
-            img |= table[j]
-        images.append(img)
-    return images
+        if b & 15:
+            packed |= table[k << 5 | b & 15]
+        if b > 15:
+            packed |= table[k << 5 | 16 | b >> 4]
+    return [packed >> s & _FULL for s in range(0, 896, 128)]
 
 
-def _images(mask: int, tables) -> set[int]:
-    """The images of the mask under the group that the index permutations
-    of the `_nibble_table`s given generate."""
+def _images(mask: int, which: slice) -> set[int]:
+    """The images of the mask under the group generated by the
+    permutations `which` of `_orbit_table`."""
     found, frontier = {mask}, [mask]
     while frontier:
-        for img in _nibble_images(frontier.pop(), tables):
+        for img in _nibble_images(frontier.pop())[which]:
             if img not in found:
                 found.add(img)
                 frontier.append(img)
@@ -443,7 +473,7 @@ def _images(mask: int, tables) -> set[int]:
 def _s3_images(mask: int) -> set[int]:
     """The images of the subgroup mask under the six relabelings of the
     roles of A, B, C, which the transpositions ab and bc generate."""
-    return _images(mask, _orbit_tables()[5:])
+    return _images(mask, _RELABEL)
 
 
 _ORBITS: dict[int, frozenset[int]] = {}
@@ -454,7 +484,7 @@ def _orbit(mask: int) -> frozenset[int]:
     every member."""
     orbit = _ORBITS.get(mask)
     if orbit is None:
-        orbit = frozenset(_images(mask, _orbit_tables()[:5]))
+        orbit = frozenset(_images(mask, _CONJ))
         _ORBITS.update(dict.fromkeys(orbit, orbit))
     return orbit
 
@@ -464,13 +494,28 @@ def _canon_conj(mask: int) -> int:
     return min(_orbit(mask))
 
 
+_LEAST: dict[int, int] = {}
+
+
+def _canon_aut(mask: int) -> int:
+    """Least image of the subgroup mask under conjugation and the
+    relabelings, memoised for every image."""
+    least = _LEAST.get(mask)
+    if least is None:
+        orbit = _images(mask, _AUT)
+        least = min(orbit)
+        _LEAST.update(dict.fromkeys(orbit, least))
+    return least
+
+
 def _minimal_generators(mask: int) -> tuple[GroupElement, ...]:
     """Generators of the subgroup mask, taken greedily by descending
     order, then by index."""
-    orders, mul = _orders(), _mul()
+    mul = _mul()
     chosen: list[int] = []
     have = 1
-    for i in sorted(_members(mask), key=lambda i: -orders[i]):
+    for i in (i for _, m in reversed(_order_masks())
+              for i in _members(mask & m)):
         if not have >> i & 1:
             chosen.append(i)
             have = _closure_mask(mul, chosen, 0)
@@ -479,22 +524,22 @@ def _minimal_generators(mask: int) -> tuple[GroupElement, ...]:
     return tuple(ALL_ELEMENTS[i] for i in chosen)
 
 
-@lru_cache(maxsize=1)
-def all_subgroup_classes() -> tuple[int, ...]:
-    """Canonical masks of all subgroups of G0 up to G0-conjugacy.
+def _layered_classes(canon) -> tuple[int, ...]:
+    """The least masks of the subgroups of G0 up to a group A of
+    automorphisms of G0, where `canon` gives the least image of a mask
+    under A: conjugation alone, or conjugation and the relabelings.
 
     Every subgroup of a 2-group of order 2^{n+1} is generated by an
     index-2 (hence normal) subgroup together with one extra element, so a
-    layered extension of conjugacy-class representatives is exhaustive.
+    layered extension of representatives of the A-classes is exhaustive.
 
     Each new class is carried as the subgroup actually built, with the
-    generators of its parent and the one extra element, which is a
-    conjugate c M c^-1 of the canonical mask M, not M itself.  That finds
-    the same classes: i normalises c M c^-1 with i^2 in it exactly when
-    c^-1 i c normalises M with its square in M, and then
-    <c M c^-1, i> = c <M, c^-1 i c> c^-1.  So the extensions of the
-    conjugate are the conjugates of the extensions of M, and their
-    canonical masks are the same.
+    generators of its parent and the one extra element, which is an image
+    a(M) of the least mask M under some a in A, not M itself.  That finds
+    the same classes: i normalises a(M) with i^2 in it exactly when
+    a^-1(i) normalises M with its square in M, and then
+    <a(M), i> = a(<M, a^-1(i)>).  So the extensions of the image are the
+    images of the extensions of M, and their least masks are the same.
 
     The generators make the normaliser test a few ORs: conjugation by i
     is an automorphism, so i normalises a subgroup once it maps each
@@ -524,12 +569,19 @@ def all_subgroup_classes() -> tuple[int, ...]:
                 row = mul[i]
                 new = mask | sum(1 << row[h] for h in members)
                 cands &= ~new
-                canon = _canon_conj(new)
-                if canon not in seen:
-                    seen.add(canon)
+                least = canon(new)
+                if least not in seen:
+                    seen.add(least)
                     nxt.append((new, gens + (i,)))
         layer = nxt
     return tuple(sorted(seen))
+
+
+@lru_cache(maxsize=1)
+def all_subgroup_classes() -> tuple[int, ...]:
+    """Canonical masks of all subgroups of G0 up to G0-conjugacy, by
+    `_layered_classes`."""
+    return _layered_classes(_canon_conj)
 
 
 @lru_cache(maxsize=1)
@@ -537,18 +589,15 @@ def enumerate_subgroups_onto_Q() -> tuple[Subgroup, ...]:
     """Subgroups surjecting onto Q = G0/H, up to conjugacy and the S3
     relabeling of the (A, B, C) roles, in deterministic order.
 
-    The relabelings are automorphisms of G0, so they permute the
-    conjugacy classes of subgroups: the classes in the S3 orbit of a
-    class are those of the relabeled images of any one member.  Taken in
-    ascending order, the first class of each S3 orbit is its least mask:
+    The relabelings are automorphisms of G0 that keep chi, so conjugation
+    and the relabelings generate a group of automorphisms that keeps the
+    property of mapping onto Q, and `_layered_classes` enumerates its
+    classes of subgroups in one pass.  The least mask of each class is
     the least image of any of its members under conjugation and the
     relabelings."""
-    out, merged = [], set()
-    for mask in all_subgroup_classes():
-        if mask not in merged and all(mask & coset for coset in _CHI_COSETS):
-            merged.update(map(_canon_conj, _s3_images(mask)))
-            out.append(Subgroup(mask))
-    return tuple(sorted(out, key=lambda s: (s.order, s.mask())))
+    return tuple(sorted((Subgroup(mask) for mask in _layered_classes(_canon_aut)
+                         if all(mask & coset for coset in _CHI_COSETS)),
+                        key=lambda s: (s.order, s.mask())))
 
 
 # --- invariants ----------------------------------------------------------
@@ -611,13 +660,12 @@ def _abelian_type(mask: int, gens: list[int]) -> tuple[int, ...]:
     return _abelian_type_from_orders(orders)
 
 
-def _pic_differences(s: Subgroup) -> list[list[int]]:
+def _pic_differences(s: Subgroup) -> list[tuple[int, ...]]:
     """D = [g_1 - 1; ...; g_k - 1], the stacked 8k x 8 matrix of the
     (matrix_of(g) - I) over the generators of s (the identity for the
     trivial group)."""
-    return [[x - (1 if i == j else 0) for j, x in enumerate(row)]
-            for g in s.generators or (IDENTITY,)
-            for i, row in enumerate(pic_rows(g))]
+    return [row for g in s.generators or (IDENTITY,)
+            for row in _minus_one_rows(g)]
 
 
 def fixed_sublattice(s: Subgroup):
@@ -683,14 +731,13 @@ def _h1_cokernel(s: Subgroup) -> tuple[AbelianGroupType, int]:
     generators generate s, and |s| kills H^1.  The kernel of D is Pic^s,
     so its rank 8 - rank E comes with the type."""
     _generator_indices(s)
-    ech = ColumnEchelon(list(zip(*_pic_differences(s))), transform=False)
-    divisors = tuple(q for q in smith_normal_form(ech.image_basis(),
-                                                  transforms=False).divisors
-                     if q > 1)
+    nonzero = smith_normal_form(list(zip(*_pic_differences(s))),
+                                transforms=False).divisors
+    divisors = tuple(q for q in nonzero if q > 1)
     if any(s.order % q for q in divisors):
         raise AssertionError(
             f"H^1 divisors {divisors} do not divide |G| = {s.order}")
-    return AbelianGroupType(divisors), 8 - ech.rank
+    return AbelianGroupType(divisors), 8 - len(nonzero)
 
 
 def curve_orbit_lengths(s: Subgroup) -> tuple[int, ...]:
@@ -723,14 +770,13 @@ def fingerprint(s: Subgroup) -> tuple:
     identified by a lattice automorphism."""
     h1, rank = _h1_and_fixed_rank(s)  # checks the generators
     mask = s.mask()
-    members, orders, trace = _members(mask), _orders(), _traces()
     return (
         s.order,
         _abelian_type(mask, [_INDEX[g] for g in s.generators]),
-        max(orders[i] for i in members),
+        max(o for o, m in _order_masks() if mask & m),
         _curve_orbit_lengths(s.generators),
         rank,
-        tuple(sorted(trace[i] for i in members)),
+        sum(((t,) * (mask & m).bit_count() for t, m in _traces()), ()),
         h1.divisors,
     )
 

@@ -11,14 +11,7 @@ no entry is ever bounded or rounded.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
-
-
-def _as_rows(m) -> list[list[int]]:
-    if isinstance(m, IntMatrix):
-        return m.to_rows()
-    return [list(map(int, row)) for row in m]
 
 
 class _IntMatrix(NamedTuple):
@@ -108,21 +101,33 @@ def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
     """Smith normal form U*M*V = S, with its nonzero diagonal entries as
     the divisors, and the row transform U with its inverse.
 
+    M is first reduced by one column echelon without its transform,
+    M W = [E 0] with W unimodular and E the rank columns of an image
+    basis, and the Smith reduction runs on E: on some tall M the same
+    reduction grows its entries to millions of bits, while E keeps them
+    small.  U E V' = S gives U M W diag(V', I) = [S 0], so U is a row
+    transform of M too.
+
     Pivoting minimizes absolute value, ties broken by lowest row then
     column index, for reproducible transforms.  U^-1 is kept alongside
     U: each row operation E on U is the column operation E^-1 on U^-1.
     The column transform V is not kept.  With transforms False, U and
-    U^-1 are neither updated nor returned (they are None): the divisors
-    come from the same steps on the matrix alone.
+    U^-1 are neither built nor returned (they are None), and the
+    reduction runs on the transpose of E, which has the same divisors
+    and no more rows.
     """
-    a = _as_rows(m)
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    if transforms:
+    if isinstance(m, IntMatrix):
+        m = m.to_rows()
+    nr = len(m)
+    basis = ColumnEchelon(m, transform=False).image_basis()
+    if transforms:  # laid out as columns, so that U acts on the rows of M
+        a = [[col[i] for col in basis] for i in range(nr)]
         u = _identity_rows(nr)
         w = _identity_rows(nr)  # U^-1
     else:
+        a, nr = basis, len(basis)
         u = w = None
+    nc = len(a[0]) if a else 0
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -153,13 +158,19 @@ def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
     t = 0
     limit = min(nr, nc)
     while t < limit:
-        # locate minimal-absolute-value pivot in the trailing submatrix
-        piv = None
+        # locate minimal-absolute-value pivot in the trailing submatrix;
+        # none is below 1, so the first unit is the pivot
+        piv, least = None, 0
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                x = a[i][j]
-                if x and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+                x = abs(row[j])
+                if x and (piv is None or x < least):
+                    piv, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if piv is None:
             break
         if piv[0] != t:
@@ -188,6 +199,8 @@ def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
                 continue
             # enforce divisibility of the remaining block by the pivot
             p = a[t][t]
+            if p in (1, -1):
+                break
             bad = None
             for i in range(t + 1, nr):
                 for j in range(t + 1, nc):
@@ -236,10 +249,13 @@ class ColumnEchelon:
     With transform False, V is not built: the rank, pivot rows, image
     basis and `coords` are the same, and `kernel` and `solve`, which
     read V, raise ValueError.
+
+    The entries of rows_in are copied as they are, not converted: they
+    must be Python ints, so that no step can round or overflow.
     """
 
     def __init__(self, rows_in, transform: bool = True):
-        cols = [list(map(int, col)) for col in zip(*rows_in)]
+        cols = [list(col) for col in zip(*rows_in)]
         m = self.nrows = len(rows_in)
         n = self.ncols = len(cols)
         v = [[1 if i == j else 0 for i in range(n)] for j in range(n)] \
@@ -252,18 +268,16 @@ class ColumnEchelon:
             active = [j for j in range(c, n) if cols[j][r]]
             if not active:
                 continue
-            while len(active) > 1:
-                j0 = min(active, key=lambda j: (abs(cols[j][r]), j))
+            while len(active) > 1:  # ascending, so the first least wins
+                sizes = [abs(cols[j][r]) for j in active]
+                j0 = active[sizes.index(min(sizes))]
                 pa = cols[j0][r]
                 live = [(i, x) for i, x in enumerate(cols[j0][r:], r) if x]
                 vlive = [(i, x) for i, x in enumerate(v[j0]) if x] \
                     if v is not None else ()
-                nxt = [j0]
                 for j in active:
-                    if j == j0:
-                        continue
                     q = cols[j][r] // pa
-                    if q:
+                    if q and j != j0:
                         cj = cols[j]
                         for i, x in live:
                             cj[i] -= q * x
@@ -271,9 +285,7 @@ class ColumnEchelon:
                             vj = v[j]
                             for i, x in vlive:
                                 vj[i] -= q * x
-                    if cols[j][r]:
-                        nxt.append(j)
-                active = nxt
+                active = [j for j in active if j == j0 or cols[j][r]]
             j0 = active[0]
             if cols[j0][r] < 0:
                 cols[j0] = [-x for x in cols[j0]]
@@ -324,6 +336,8 @@ class ColumnEchelon:
             col = self._cols[t]
             coeff, frac = divmod(rem[r], col[r])
             if frac:
+                from fractions import Fraction
+
                 integral = False
                 coeff = Fraction(rem[r], col[r])
             ys.append(coeff)

@@ -659,6 +659,24 @@ def test_analyze_and_scan_load_neither_hilbert_nor_fiveterm():
     assert done.stdout.split() == ["[]", "dp2.fiveterm"]
 
 
+def test_scan_loads_neither_fractions_nor_arith():
+    # scan reads no rational and tests no prime, and import dp2.cli loads
+    # neither: the subcommands that read them import them
+    script = (
+        "import io, sys\n"
+        "names = ('fractions', 'dp2.arith')\n"
+        "import dp2.cli as cli\n"
+        "print(sorted(m for m in names if m in sys.modules))\n"
+        "assert cli.main(['scan', '--json'], out=io.StringIO()) == 0\n"
+        "print(sorted(m for m in names if m in sys.modules))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "[]"]
+
+
 def test_sympy_imported_at_top_level_only_where_it_belongs():
     # nowhere: sympy is a test-only oracle
     root = pathlib.Path(__file__).resolve().parents[1] / "src" / "dp2"

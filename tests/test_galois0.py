@@ -184,6 +184,46 @@ def test_matrix_of_rejects_a_wrong_generator_permutation(
         matrix_of(SIGMA)
 
 
+def test_matrix_of_rejects_a_corrupted_class_or_column(cold_matrix_caches,
+                                                      monkeypatch):
+    # the packed checks read the columns of the matrix they return and
+    # the packed table of curve classes
+    g0 = cold_matrix_caches
+    classes = list(g0._CLASSES)
+    column = g0._curve_indices(SIGMA)[g0._MATRIX_COLUMNS[2]]
+    classes[column] = tuple(x + (i == 0) for i, x in enumerate(classes[column]))
+    monkeypatch.setattr(g0, "_CLASSES", tuple(classes))
+    with pytest.raises(AssertionError, match="inconsistent"):
+        matrix_of(SIGMA)
+    monkeypatch.undo()
+    g0.matrix_of.cache_clear()
+    columns = list(g0._MATRIX_COLUMNS)
+    columns[3] = columns[4]
+    monkeypatch.setattr(g0, "_MATRIX_COLUMNS", columns)
+    with pytest.raises(AssertionError, match="inconsistent"):
+        matrix_of(TAU)
+    monkeypatch.undo()
+    g0.matrix_of.cache_clear()
+    monkeypatch.setattr(g0, "_PACKED_K", g0._pack(ANTICANONICAL[:7] + (2,)))
+    with pytest.raises(AssertionError, match="moves the anticanonical class"):
+        matrix_of(IDENTITY)
+
+
+def test_packed_coordinates_stay_below_the_packing_bound():
+    # the packing sum v_i 2^(16 i) is injective only on vectors with
+    # every |v_i| < 2^15: every M v and w that matrix_of compares, on all
+    # 128 elements, stays inside, and the packed sums are those of M v
+    import dp2.galois0 as g0
+    vectors = list(g0._CLASSES) + [ANTICANONICAL]
+    for g in ALL_ELEMENTS:
+        m = matrix_of(g)
+        packed = [g0._pack(m[(i, j)] for i in range(8)) for j in range(8)]
+        for v in vectors:
+            mv = [sum(m[(i, j)] * v[j] for j in range(8)) for i in range(8)]
+            assert max(map(abs, mv + list(v))) < 2 ** 15
+            assert g0._pack(mv) == sum(c * p for c, p in zip(v, packed))
+
+
 def test_matrices_need_only_the_generator_actions(cold_matrix_caches,
                                                   monkeypatch):
     g0 = cold_matrix_caches
@@ -399,9 +439,9 @@ def test_fingerprint_includes_h1():
 
 
 def test_index_tables_match_group_elements():
-    # the product table, the conjugations, and the nibble tables of the
-    # generator conjugations and of the ab and bc relabelings on every
-    # one-element mask
+    # the product table, the conjugations, and the one nibble table of
+    # the generator conjugations and of the ab and bc relabelings on
+    # every one-element mask
     import dp2.galois0 as g0
     from dp2.galois0 import _INDEX
     mul = g0._mul()
@@ -414,31 +454,32 @@ def test_index_tables_match_group_elements():
             assert conj[_INDEX[b]] == _INDEX[a * b * ai]
     maps = [lambda x, g=g: g * x * g.inverse() for g in GENERATORS.values()]
     maps += [S3_MAPS["ab"], S3_MAPS["bc"]]
-    tables = g0._orbit_tables()
-    assert len(tables) == len(maps) == 7
-    for table, phi in zip(tables, maps):
-        for x in ALL_ELEMENTS:
-            assert g0._nibble_images(1 << _INDEX[x], [table]) \
-                == [1 << _INDEX[phi(x)]]
+    assert len(maps) == 7
+    for x in ALL_ELEMENTS:
+        assert g0._nibble_images(1 << _INDEX[x]) \
+            == [1 << _INDEX[phi(x)] for phi in maps]
 
 
 def test_orbit_canonical_forms_match_bruteforce(monkeypatch):
     # reference oracle: the least image over every conjugation (and, for
-    # the S3 form, every relabeling followed by a conjugation)
+    # the form of the onto-Q enumeration, every relabeling followed by a
+    # conjugation), on a random image of each class that the two
+    # enumerations visit
     import dp2.galois0 as g0
     monkeypatch.setattr(g0, "_ORBITS", {})
+    monkeypatch.setattr(g0, "_LEAST", {})
     conj, s3 = _conjugation_perms(), _s3_perms()
     rng = random.Random(7)
     for mask in g0.all_subgroup_classes():
         brute = min(g0._apply_perm(mask, p) for p in conj)
         moved = g0._apply_perm(mask, rng.choice(conj))
         assert g0._canon_conj(moved) == brute == g0._canon_conj(mask)
-    for s in enumerate_subgroups_onto_Q():
-        mask = s.mask()
-        images = [g0._apply_perm(g0._apply_perm(mask, sp), p)
-                  for sp in s3 for p in conj]
-        moved = rng.choice(images)
-        assert _canon_conj_s3(moved) == min(images) == _canon_conj_s3(mask)
+    visited = g0._layered_classes(g0._canon_aut)
+    assert len(visited) == 460
+    for mask in visited:
+        moved = g0._apply_perm(g0._apply_perm(mask, rng.choice(s3)),
+                               rng.choice(conj))
+        assert g0._canon_aut(moved) == _canon_conj_s3(moved) == mask
 
 
 def test_s3_images_match_s3_maps():
@@ -451,13 +492,14 @@ def test_s3_images_match_s3_maps():
 
 
 def test_s3_classes_match_per_class_orbit_oracle(monkeypatch):
-    # merging each conjugacy class with the classes of its relabeled
-    # images gives the classes of the least image over each class's whole
+    # the one-pass enumeration up to conjugation and relabeling gives the
+    # classes of the least image over each conjugacy class's whole
     # conjugation and relabeling orbit: the same masks, order and
-    # generators.  The orbit memo is emptied while all_subgroup_classes
+    # generators.  The orbit memos are emptied while all_subgroup_classes
     # stays cached, and the enumeration runs past its own cache
     import dp2.galois0 as g0
     monkeypatch.setattr(g0, "_ORBITS", {})
+    monkeypatch.setattr(g0, "_LEAST", {})
     got = enumerate_subgroups_onto_Q.__wrapped__()
     oracle = {}
     for mask in g0.all_subgroup_classes():

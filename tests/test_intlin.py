@@ -486,6 +486,29 @@ def test_subquotient_matches_oracle_on_every_presentation_system(
         _assert_subquotient_matches_oracle(z_gens, b_gens, n, [total])
 
 
+def test_snf_of_a_tall_matrix_reduces_first():
+    # the 19 x 8 draw of sparse_tall_matrix that made the Smith reduction
+    # of the raw rows run for minutes, its entries growing to millions
+    # of bits; reduced by a column echelon first, it takes milliseconds
+    import time
+    zero = [0] * 8
+    rows = [zero, [-3, 1, 3, -3, 3, 3, 1, 2], zero, [2, -3, -2, 0, 2, -2, -3, 3],
+            zero, zero, [-1, -3, 0, 3, 0, 0, 0, 1], zero,
+            [-1, 1, -2, -2, -3, -2, 1, -3], [0, 3, 3, -3, -1, 2, 2, -2],
+            [-2, 0, -1, 1, -3, -2, 2, 3], [-3, 1, 1, 3, -3, 3, -3, 0],
+            [2, 1, -2, -3, -3, 0, 0, -3], zero, zero, zero,
+            [-2, 0, -1, 1, -3, -2, 2, 3], zero, zero]
+    for transforms in (False, True):
+        took = []
+        for _ in range(3):
+            start = time.perf_counter()
+            dec = smith_normal_form(rows, transforms)
+            took.append(time.perf_counter() - start)
+        assert dec.divisors == (1, 1, 1, 1, 1, 1, 4, 16860)
+        assert min(took) < 0.010
+    check_smith(rows, dec)
+
+
 @st.composite
 def sparse_tall_matrix(draw):
     """Up to 40 x 8 with entries in [-3, 3], zero rows and zero columns
