@@ -9,7 +9,8 @@ an explicit table; everything else is derived from that.  Each generator's
 table is turned once into a permutation of the curve indices, an element's
 permutation is composed from those on integers along its word, and
 `matrix_of` reads its columns from the table of curve classes and checks
-the matrix on all 56 curve classes and on -K.
+the matrix on all 56 curve classes and on -K, each with one sum of
+packed ints.
 
 The subgroup machinery runs on integers.  An element has the index
 32 * (chi // 2) + 16 * e_s + 4 * e_k + e_m, its position in the sorted
@@ -24,22 +25,24 @@ here, from `generate_subgroup` to the Kummer constraints and the
 generating sets of the short resolutions, is closed over that table by
 `_closure_mask`, the one subgroup-closure routine of the package, which
 the H^1 backends of `cohomology` import and run on each module's own
-index table.  Conjugation orbits read nibble tables of the five
-generator conjugations, and the six relabelings of (A, B, C) those of
-the two transpositions ab and bc (`_orbit_tables`), which move a mask
-four bits at a time; `_s3_images` is the one routine that relabels a
-mask.  Only the subgroup enumeration of `scan` builds all 128
-conjugation permutations, and from them the masks of square roots and
-of conjugators (`_extension_tables`) that read its normaliser test off a
+index table.  Orbits read one nibble table (`_orbit_table`) that holds
+side by side the conjugations by the five generators and the
+transpositions ab and bc, which generate the six relabelings of
+(A, B, C), so one OR per nibble of a mask gives its seven images;
+`_s3_images` is the one routine that relabels a mask.  One layered loop
+(`_layered_classes`) enumerates the subgroups up to conjugation for
+`all_subgroup_classes`, and up to conjugation and relabeling for the
+onto-Q classes of `scan`.  Only that loop builds all 128 conjugation
+permutations, and from them the masks of square roots and of
+conjugators (`_extension_tables`) that read its normaliser test off a
 generating set.
 
 A subgroup's invariants are read from its generators, once checked to
 generate it: s / [s, s] with [s, s] the normal closure of their
 commutators, the curve orbits of their permutations, and the type of
-H^1(s, Pic) with the rank of Pic^s from one column echelon of the
-stacked (g - 1) rows and one Smith form, neither of which builds its
-unimodular transforms, cached per mask.  `fixed_sublattice` reads a
-basis of Pic^s from the same rows.
+H^1(s, Pic) with the rank of Pic^s from one Smith form of the stacked
+(g - 1) rows, which builds no unimodular transform, cached per mask.
+`fixed_sublattice` reads a basis of Pic^s from the same rows.
 GroupElement and Subgroup remain the public face.
 """
 
@@ -595,9 +598,9 @@ def enumerate_subgroups_onto_Q() -> tuple[Subgroup, ...]:
     classes of subgroups in one pass.  The least mask of each class is
     the least image of any of its members under conjugation and the
     relabelings."""
-    return tuple(sorted((Subgroup(mask) for mask in _layered_classes(_canon_aut)
-                         if all(mask & coset for coset in _CHI_COSETS)),
-                        key=lambda s: (s.order, s.mask())))
+    onto = [Subgroup(mask) for mask in _layered_classes(_canon_aut)
+            if all(mask & coset for coset in _CHI_COSETS)]
+    return tuple(sorted(onto, key=lambda s: (s.order, s.mask())))
 
 
 # --- invariants ----------------------------------------------------------
@@ -678,7 +681,7 @@ _H1_BY_MASK: dict[int, tuple[AbelianGroupType, int]] = {}
 
 
 def _h1_and_fixed_rank(s: Subgroup) -> tuple[AbelianGroupType, int]:
-    """h1_type(s) and the rank of Pic^s, from one column echelon per
+    """h1_type(s) and the rank of Pic^s, from one Smith form per
     mask.  Every call checks that the generators generate s, which
     `_h1_cokernel` does on a miss."""
     got = _H1_BY_MASK.get(s.mask())
@@ -690,7 +693,8 @@ def _h1_and_fixed_rank(s: Subgroup) -> tuple[AbelianGroupType, int]:
 
 
 def fixed_rank(s: Subgroup) -> int:
-    """len(fixed_sublattice(s)), read from the echelon `h1_type` builds."""
+    """len(fixed_sublattice(s)), read from the Smith form `h1_type`
+    builds."""
     return _h1_and_fixed_rank(s)[1]
 
 
@@ -723,13 +727,12 @@ def h1_type(s: Subgroup) -> AbelianGroupType:
 
 
 def _h1_cokernel(s: Subgroup) -> tuple[AbelianGroupType, int]:
-    """tors(M^k / D.M) for D = `_pic_differences(s)`, by one column
-    echelon of D^T, D^T V = E, and one Smith form of its at most d x d
-    nonzero part: D and E^T differ by the unimodular V^T, so they share
-    Smith divisors.  Only the rank, E and the divisors are read, so
-    neither elimination builds its transforms.  Two runtime checks: the
+    """tors(M^k / D.M) for D = `_pic_differences(s)`, by one Smith form
+    of D^T without transforms, which reduces D^T by its column echelon
+    first: D and D^T share their Smith divisors.  Two runtime checks: the
     generators generate s, and |s| kills H^1.  The kernel of D is Pic^s,
-    so its rank 8 - rank E comes with the type."""
+    so its rank, 8 less the number of nonzero divisors, comes with the
+    type."""
     _generator_indices(s)
     nonzero = smith_normal_form(list(zip(*_pic_differences(s))),
                                 transforms=False).divisors

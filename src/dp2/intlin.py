@@ -3,10 +3,11 @@
 Smith normal form, integer kernels and solves, and subquotient structure
 of lattices.  Everything is computed over arbitrary-precision Python
 integers, by one column elimination (`ColumnEchelon`), which builds its
-transform V only for kernels and solves, and one Smith reduction, which
-returns its divisors and, on request, its row transform with that
-transform's inverse (Cohen, GTM 138, 2.4), never its column transform;
-no entry is ever bounded or rounded.
+transform V only for kernels and solves, and one Smith reduction of the
+image basis that elimination gives, which returns its divisors and, on
+request, its row transform with that transform's inverse (Cohen,
+GTM 138, 2.4), never its column transform; no entry is ever bounded or
+rounded.
 """
 
 from __future__ import annotations

@@ -191,7 +191,7 @@ def test_matrix_of_rejects_a_corrupted_class_or_column(cold_matrix_caches,
     g0 = cold_matrix_caches
     classes = list(g0._CLASSES)
     column = g0._curve_indices(SIGMA)[g0._MATRIX_COLUMNS[2]]
-    classes[column] = tuple(x + (i == 0) for i, x in enumerate(classes[column]))
+    classes[column] = (classes[column][0] + 1,) + classes[column][1:]
     monkeypatch.setattr(g0, "_CLASSES", tuple(classes))
     with pytest.raises(AssertionError, match="inconsistent"):
         matrix_of(SIGMA)

@@ -492,12 +492,13 @@ def test_snf_of_a_tall_matrix_reduces_first():
     # of bits; reduced by a column echelon first, it takes milliseconds
     import time
     zero = [0] * 8
-    rows = [zero, [-3, 1, 3, -3, 3, 3, 1, 2], zero, [2, -3, -2, 0, 2, -2, -3, 3],
-            zero, zero, [-1, -3, 0, 3, 0, 0, 0, 1], zero,
-            [-1, 1, -2, -2, -3, -2, 1, -3], [0, 3, 3, -3, -1, 2, 2, -2],
-            [-2, 0, -1, 1, -3, -2, 2, 3], [-3, 1, 1, 3, -3, 3, -3, 0],
-            [2, 1, -2, -3, -3, 0, 0, -3], zero, zero, zero,
-            [-2, 0, -1, 1, -3, -2, 2, 3], zero, zero]
+    rows = [zero, [-3, 1, 3, -3, 3, 3, 1, 2],
+            zero, [2, -3, -2, 0, 2, -2, -3, 3],
+            zero, zero, [-1, -3, 0, 3, 0, 0, 0, 1],
+            zero, [-1, 1, -2, -2, -3, -2, 1, -3],
+            [0, 3, 3, -3, -1, 2, 2, -2], [-2, 0, -1, 1, -3, -2, 2, 3],
+            [-3, 1, 1, 3, -3, 3, -3, 0], [2, 1, -2, -3, -3, 0, 0, -3],
+            zero, zero, zero, [-2, 0, -1, 1, -3, -2, 2, 3], zero, zero]
     for transforms in (False, True):
         took = []
         for _ in range(3):
