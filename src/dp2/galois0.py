@@ -320,15 +320,16 @@ def _apply_perm(mask: int, perm) -> int:
 def _closure_mask(mul, gens, e: int) -> int:
     """Mask of the subgroup generated by the indices `gens`, for the
     product table `mul` with identity e."""
-    out, frontier = 1 << e, [e]
-    while frontier:
-        row = mul[frontier.pop()]
+    seen, found = bytearray(len(mul)), [e]
+    seen[e] = 1
+    for x in found:  # grows by each new product
+        row = mul[x]
         for g in gens:
             nxt = row[g]
-            if not out >> nxt & 1:
-                out |= 1 << nxt
-                frontier.append(nxt)
-    return out
+            if not seen[nxt]:
+                seen[nxt] = 1
+                found.append(nxt)
+    return sum(1 << x for x in found)
 
 
 # the four cosets of H in G0 (one per value of chi), as masks
