@@ -338,7 +338,6 @@ class ColumnEchelon:
             coeff, frac = divmod(rem[r], col[r])
             if frac:
                 from fractions import Fraction
-
                 integral = False
                 coeff = Fraction(rem[r], col[r])
             ys.append(coeff)
