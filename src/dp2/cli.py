@@ -173,6 +173,8 @@ def obstruct_surface(A: int, B: int, C: int, bound: int = 12, depth=None):
     recipe on (-9826, -2, 136) ignores it (its check is fixed at 2^10)."""
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
+    if 0 in (A, B, C):
+        raise ValueError("coefficients must be nonzero")
     from .local.examples import (build_ex71, build_ex72, build_ex73,
                                  build_ex74, build_ex75, is_generic_triple,
                                  obstruct_ex71, obstruct_ex72, obstruct_ex73,

@@ -28,8 +28,9 @@ the H^1 backends of `cohomology` import and run on each module's own
 index table.  Orbits read one nibble table (`_orbit_table`) that holds
 side by side the conjugations by the five generators and the
 transpositions ab and bc, which generate the six relabelings of
-(A, B, C), so one OR per nibble of a mask gives its seven images;
-`_s3_images` is the one routine that relabels a mask.  One layered loop
+(A, B, C), so one OR per nibble of a mask gives its seven images, and
+`_images` is the one orbit routine: under conjugation, or under
+conjugation and the relabelings.  One layered loop
 (`_layered_classes`) enumerates the subgroups up to conjugation for
 `all_subgroup_classes`, and up to conjugation and relabeling for the
 onto-Q classes of `scan`.  Only that loop builds all 128 conjugation
@@ -446,7 +447,7 @@ def _orbit_table() -> list[int]:
 
 
 _FULL = (1 << 128) - 1
-_CONJ, _RELABEL, _AUT = slice(5), slice(5, 7), slice(7)
+_CONJ, _AUT = slice(5), slice(7)
 
 
 def _nibble_images(mask: int) -> list[int]:
@@ -464,7 +465,9 @@ def _nibble_images(mask: int) -> list[int]:
 
 def _images(mask: int, which: slice) -> set[int]:
     """The images of the mask under the group generated by the
-    permutations `which` of `_orbit_table`."""
+    permutations `which` of `_orbit_table`: `_CONJ` gives the conjugates
+    (the five generators generate G0), `_AUT` the images under
+    conjugation and the relabelings.  The one orbit routine."""
     found, frontier = {mask}, [mask]
     while frontier:
         for img in _nibble_images(frontier.pop())[which]:
@@ -472,44 +475,6 @@ def _images(mask: int, which: slice) -> set[int]:
                 found.add(img)
                 frontier.append(img)
     return found
-
-
-def _s3_images(mask: int) -> set[int]:
-    """The images of the subgroup mask under the six relabelings of the
-    roles of A, B, C, which the transpositions ab and bc generate."""
-    return _images(mask, _RELABEL)
-
-
-_ORBITS: dict[int, frozenset[int]] = {}
-
-
-def _orbit(mask: int) -> frozenset[int]:
-    """Images of the subgroup mask under G0-conjugation, memoised for
-    every member."""
-    orbit = _ORBITS.get(mask)
-    if orbit is None:
-        orbit = frozenset(_images(mask, _CONJ))
-        _ORBITS.update(dict.fromkeys(orbit, orbit))
-    return orbit
-
-
-def _canon_conj(mask: int) -> int:
-    """Least G0-conjugate of the subgroup mask."""
-    return min(_orbit(mask))
-
-
-_LEAST: dict[int, int] = {}
-
-
-def _canon_aut(mask: int) -> int:
-    """Least image of the subgroup mask under conjugation and the
-    relabelings, memoised for every image."""
-    least = _LEAST.get(mask)
-    if least is None:
-        orbit = _images(mask, _AUT)
-        least = min(orbit)
-        _LEAST.update(dict.fromkeys(orbit, least))
-    return least
 
 
 def _minimal_generators(mask: int) -> tuple[GroupElement, ...]:
@@ -528,10 +493,12 @@ def _minimal_generators(mask: int) -> tuple[GroupElement, ...]:
     return tuple(ALL_ELEMENTS[i] for i in chosen)
 
 
-def _layered_classes(canon) -> tuple[int, ...]:
-    """The least masks of the subgroups of G0 up to a group A of
-    automorphisms of G0, where `canon` gives the least image of a mask
-    under A: conjugation alone, or conjugation and the relabelings.
+def _layered_classes(which: slice) -> tuple[int, ...]:
+    """The least masks of the subgroups of G0 up to the group A of
+    automorphisms of G0 that the permutations `which` of `_orbit_table`
+    generate: conjugation alone, or conjugation and the relabelings.
+    The least image of each orbit is read once from `_images` and kept
+    for every member, for this call only.
 
     Every subgroup of a 2-group of order 2^{n+1} is generated by an
     index-2 (hence normal) subgroup together with one extra element, so a
@@ -552,7 +519,7 @@ def _layered_classes(canon) -> tuple[int, ...]:
     mul = _mul()
     roots, into = _extension_tables()
     trivial = 1 << _INDEX[IDENTITY]
-    layer, seen = [(trivial, ())], {trivial}
+    layer, seen, canon = [(trivial, ())], {trivial}, {}
     while layer:
         nxt = []
         for mask, gens in layer:
@@ -573,7 +540,11 @@ def _layered_classes(canon) -> tuple[int, ...]:
                 row = mul[i]
                 new = mask | sum(1 << row[h] for h in members)
                 cands &= ~new
-                least = canon(new)
+                least = canon.get(new)
+                if least is None:
+                    orbit = _images(new, which)
+                    least = min(orbit)
+                    canon.update(dict.fromkeys(orbit, least))
                 if least not in seen:
                     seen.add(least)
                     nxt.append((new, gens + (i,)))
@@ -585,7 +556,7 @@ def _layered_classes(canon) -> tuple[int, ...]:
 def all_subgroup_classes() -> tuple[int, ...]:
     """Canonical masks of all subgroups of G0 up to G0-conjugacy, by
     `_layered_classes`."""
-    return _layered_classes(_canon_conj)
+    return _layered_classes(_CONJ)
 
 
 @lru_cache(maxsize=1)
@@ -599,7 +570,7 @@ def enumerate_subgroups_onto_Q() -> tuple[Subgroup, ...]:
     classes of subgroups in one pass.  The least mask of each class is
     the least image of any of its members under conjugation and the
     relabelings."""
-    onto = [Subgroup(mask) for mask in _layered_classes(_canon_aut)
+    onto = [Subgroup(mask) for mask in _layered_classes(_AUT)
             if all(mask & coset for coset in _CHI_COSETS)]
     return tuple(sorted(onto, key=lambda s: (s.order, s.mask())))
 

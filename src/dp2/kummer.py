@@ -26,8 +26,8 @@ from .galois0 import (
     TAU,
     GroupElement,
     Subgroup,
-    _orbit,
-    _s3_images,
+    _AUT,
+    _images,
     generate_subgroup,
 )
 
@@ -203,10 +203,13 @@ def row_subgroup(row: Table2Row) -> Subgroup:
 
 def contained_up_to_symmetry(s: Subgroup, big: Subgroup) -> bool:
     """Is s contained in big up to G0-conjugacy and the S3 relabeling:
-    does a conjugate of a relabeled image of s lie in big?"""
+    does a conjugate of a relabeled image of s lie in big?  Those images
+    are the orbit of s under the group that conjugation and the
+    relabelings generate: a relabeling phi normalises the inner
+    automorphisms, phi c_g phi^-1 = c_phi(g), so that group is
+    {c_g phi}."""
     outside = ~big.mask()
-    return any(not m & outside
-               for image in _s3_images(s.mask()) for m in _orbit(image))
+    return any(not m & outside for m in _images(s.mask(), _AUT))
 
 
 def table2_match(A: int, B: int, C: int) -> int | None:

@@ -54,11 +54,6 @@ DEPTH_CAP_ODD = 6
 CELL_BUDGET = 2 ** 27
 #: about how many cells of a level are refined and settled at a time
 SETTLE_RUN = 2 ** 16
-#: moduli stay below this, the product of two residues below 2^63; the
-#: engine works in Python integers, so this no longer guards it against
-#: overflow, but _chart_cells still refuses a modulus past it, and the
-#: default odd depth stays below it, so every exit code is kept
-INT64_MODULUS_CAP = math.isqrt(2 ** 63 - 1)  # 3,037,000,499
 #: the largest height max(|x|, |y|, |z|) real_witness tries
 WITNESS_HEIGHT = 12
 
@@ -153,14 +148,6 @@ def _val(n, p, cap):
 _CHART_VARS = {"x": (0, 2, 3), "y": (0, 1, 3), "z": (0, 1, 2)}
 
 
-def _int64_depth(p):
-    """The deepest k with p^k below INT64_MODULUS_CAP (0 if p is not)."""
-    k = 0
-    while p ** (k + 1) < INT64_MODULUS_CAP:
-        k += 1
-    return k
-
-
 def _chart_cells(A, B, C, p, k, budget, settle=None, split=None):
     """Per chart x, y, z in turn: (unit, cells), the cells of level k of
     the chart.  A cell is a tuple (w, x, y, z, e, t): a representative
@@ -220,7 +207,9 @@ def _chart_cells(A, B, C, p, k, budget, settle=None, split=None):
     next level's expansion is charged as its cells are kept: a level
     whose kept cells alone exceed the budget is refused as soon as
     they do, with the error the next level would raise, and the cells
-    settle drops are never held all at once.
+    settle drops are never held all at once.  Residues are Python ints,
+    so the budget and k are the only limits: level 1 alone costs p^3,
+    past CELL_BUDGET from p = 521 on.
 
     The overlapping unit charts x = 1, y = 1, z = 1 would list a point
     once per unit coordinate.  Every class they add is the image of a
@@ -255,13 +244,7 @@ def _chart_cells(A, B, C, p, k, budget, settle=None, split=None):
     and only those are written down.  The children agree mod p^(j-t-1)
     with their parent, and a value read mod p^(j-t) is affine in the
     digits (the Taylor step of rule 2), so split can read a value at
-    three children instead of p^2.
-
-    A k past _int64_depth(p) raises CapacityError before any level is
-    run, as it did when residues were int64."""
-    if k > _int64_depth(p):
-        raise CapacityError(
-            f"modulus {p}^{k} is past the int64 range of the residues")
+    three children instead of p^2."""
     spent = 0
     for unit in ("x", "y", "z"):
         chart = _CHART_VARS[unit]
@@ -487,10 +470,10 @@ def _quaternion_rows(cls_terms, cells, p, j, hensel=True):
 def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
                       merge=None):
     """Attained invariant vectors of the given quaternion classes over
-    all liftable p-adic point classes, with auto-deepening.  The classes
-    are those of _chart_cells' disjoint cover, so undetermined counts
-    each undecided point class once, up to a unit rescaling: a cell
-    counts its lifts.
+    all liftable p-adic point classes, with auto-deepening to k_cap,
+    DEPTH_CAP at p by default, within budget.  The classes are those of
+    _chart_cells' disjoint cover, so undetermined counts each undecided
+    point class once, up to a unit rescaling: a cell counts its lifts.
 
     merge optionally groups class indices, e.g. ((0, 3), (1, 4)): the
     grouped classes are equal in the Brauer group (different function
@@ -504,9 +487,7 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
     that keeps many liftable cells undecided does not build the p^2
     children of each one by one."""
     if k_cap is None:
-        # from p = 41 on, depth 6 is past INT64_MODULUS_CAP; a p past
-        # it is left for _chart_cells to refuse
-        k_cap = max(1, min(DEPTH_CAP.get(p, DEPTH_CAP_ODD), _int64_depth(p)))
+        k_cap = DEPTH_CAP.get(p, DEPTH_CAP_ODD)
     cls_terms = [(q.numerator_terms(), q.d) for q in classes]
     for terms, _ in cls_terms:
         # the cover decides for all unit rescalings only when g is a

@@ -176,6 +176,32 @@ def test_obstruct_depth_does_not_leak_into_later_calls():
     assert padic.DEPTH_CAP == caps
 
 
+@pytest.mark.parametrize("coeffs", ["0,0,0", "0,0,5", "0,0,-7", "0,3,0",
+                                    "0,1,1"])
+def test_obstruct_zero_coefficient_is_input_error(coeffs):
+    # every product with a zero factor is 0, never a positive square, so
+    # a zero reached the generic recipe and its conic search
+    a, b, c = coeffs.split(",")
+    code, out, err = run(["obstruct", "-A", a, "-B", b, "-C", c])
+    assert code == 2
+    assert out == ""
+    assert err == "error: coefficients must be nonzero\n"
+
+
+@pytest.mark.parametrize("coeffs", ["-25,-5,45", "-6,-3,2", "-126,-91,78",
+                                    "34,34,34"])
+def test_obstruct_depth_past_int64_prints_the_default_bytes(coeffs):
+    # residues are Python ints: a depth cap of 40, with p^40 far past
+    # 2^63, decides at the depths the default run reaches
+    path = pathlib.Path(__file__).parent.parent / "bench" / "references.json"
+    ref = json.loads(path.read_text())["obstruct"][coeffs]
+    a, b, c = coeffs.split(",")
+    code, out, err = run(["obstruct", "-A", a, "-B", b, "-C", c,
+                          "--depth", "40", "--json"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"]
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_obstruct_depth_below_one_is_input_error(depth, capsys):
     code, out, _ = run(["obstruct", "-A", "-25", "-B", "-5", "-C", "45",
@@ -622,7 +648,7 @@ def test_analyze_builds_no_conjugation_or_extension_tables():
         "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
         "print(len(built),\n"
         "      g0._extension_tables.cache_info().currsize,\n"
-        "      bool(g0._ORBITS))\n")
+        "      g0._orbit_table.cache_info().currsize == 1)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run([sys.executable, "-c", script], env=env,

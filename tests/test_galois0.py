@@ -460,46 +460,44 @@ def test_index_tables_match_group_elements():
             == [1 << _INDEX[phi(x)] for phi in maps]
 
 
-def test_orbit_canonical_forms_match_bruteforce(monkeypatch):
+def test_orbit_canonical_forms_match_bruteforce():
     # reference oracle: the least image over every conjugation (and, for
     # the form of the onto-Q enumeration, every relabeling followed by a
     # conjugation), on a random image of each class that the two
     # enumerations visit
     import dp2.galois0 as g0
-    monkeypatch.setattr(g0, "_ORBITS", {})
-    monkeypatch.setattr(g0, "_LEAST", {})
     conj, s3 = _conjugation_perms(), _s3_perms()
     rng = random.Random(7)
     for mask in g0.all_subgroup_classes():
-        brute = min(g0._apply_perm(mask, p) for p in conj)
+        brute = {g0._apply_perm(mask, p) for p in conj}
         moved = g0._apply_perm(mask, rng.choice(conj))
-        assert g0._canon_conj(moved) == brute == g0._canon_conj(mask)
-    visited = g0._layered_classes(g0._canon_aut)
+        assert g0._images(moved, g0._CONJ) == brute
+        assert min(brute) == mask
+    visited = g0._layered_classes(g0._AUT)
     assert len(visited) == 460
     for mask in visited:
         moved = g0._apply_perm(g0._apply_perm(mask, rng.choice(s3)),
                                rng.choice(conj))
-        assert g0._canon_aut(moved) == _canon_conj_s3(moved) == mask
+        assert min(g0._images(moved, g0._AUT)) == _canon_conj_s3(moved) \
+            == mask
 
 
 def test_s3_images_match_s3_maps():
-    # the one relabeling routine gives the images under the six S3_MAPS,
-    # on every conjugacy class of subgroups
+    # the two relabeling permutations of the orbit table, ab and bc,
+    # generate the images under the six S3_MAPS, on every conjugacy
+    # class of subgroups
     import dp2.galois0 as g0
     for mask in g0.all_subgroup_classes():
-        assert g0._s3_images(mask) \
+        assert g0._images(mask, slice(5, 7)) \
             == {g0._apply_perm(mask, sp) for sp in _s3_perms()}
 
 
-def test_s3_classes_match_per_class_orbit_oracle(monkeypatch):
+def test_s3_classes_match_per_class_orbit_oracle():
     # the one-pass enumeration up to conjugation and relabeling gives the
     # classes of the least image over each conjugacy class's whole
     # conjugation and relabeling orbit: the same masks, order and
-    # generators.  The orbit memos are emptied while all_subgroup_classes
-    # stays cached, and the enumeration runs past its own cache
+    # generators.  The enumeration runs past its own cache
     import dp2.galois0 as g0
-    monkeypatch.setattr(g0, "_ORBITS", {})
-    monkeypatch.setattr(g0, "_LEAST", {})
     got = enumerate_subgroups_onto_Q.__wrapped__()
     oracle = {}
     for mask in g0.all_subgroup_classes():
@@ -553,7 +551,7 @@ def _all_subgroup_classes_oracle():
                     continue
                 new = mask | g0._apply_perm(mask, mul[i])
                 done |= new
-                canon = g0._canon_conj(new)
+                canon = min(g0._images(new, g0._CONJ))
                 if canon not in seen:
                     seen.add(canon)
                     nxt.add(canon)

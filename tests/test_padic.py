@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, note, settings, strategies as st
 
 from chart_oracle import (
     coords as _coords,
@@ -19,6 +19,7 @@ from chart_oracle import (
 )
 from dp2.local.hilbert import hilbert_symbol
 from dp2.local.padic import (
+    CELL_BUDGET,
     CapacityError,
     QuaternionClass,
     W,
@@ -383,32 +384,30 @@ def test_real_profile_refuses_disagreeing_sheets_of_connected_s():
         real_profile([QuaternionClass(Fraction(-1), W)], 1, 1, -1)
 
 
-def test_chart_cells_refuses_a_modulus_past_int64(monkeypatch):
-    # the check comes before any level: with the first level replaced by
-    # a failure, a modulus at the cap raises CapacityError and one just
-    # below it reaches the first level (given the budget for its p^3
-    # digits, which is checked first)
+def test_chart_cells_budget_refuses_level_one_past_509(monkeypatch):
+    # the budget is the only limit besides k: with the first level
+    # replaced by a failure, its p^3 digits are refused before any level
+    # from p = 521 on, the first prime with p^3 past CELL_BUDGET, and at
+    # a p past the old int64 modulus cap 3,037,000,499 too, while
+    # p = 509 reaches the first level
     from dp2.local import padic
 
     def no_level(*args):
         raise AssertionError("a level ran")
 
     monkeypatch.setattr(padic, "_level_one", no_level)
-    cap = padic.INT64_MODULUS_CAP
-    assert (cap - 1) ** 2 < 2 ** 63 <= (cap + 1) ** 2
-    assert 3 ** 19 < cap < 3 ** 20 and 41 ** 5 < cap < 41 ** 6
-    for p, k in ((3, 20), (41, 6), (cap, 1)):
-        with pytest.raises(CapacityError, match="int64"):
-            next(_chart_cells(1, 1, 1, p, k, p ** 3))
-    for p, k in ((3, 19), (41, 5), (37, 6), (cap - 1, 1)):
-        with pytest.raises(AssertionError, match="a level ran"):
-            next(_chart_cells(1, 1, 1, p, k, p ** 3))
+    assert 509 ** 3 <= CELL_BUDGET < 521 ** 3
+    for p in (521, 3037000507):
+        with pytest.raises(CapacityError, match="budget exceeded"):
+            next(_chart_cells(1, 1, 1, p, 1, CELL_BUDGET))
+    with pytest.raises(AssertionError, match="a level ran"):
+        next(_chart_cells(1, 1, 1, 509, 1, CELL_BUDGET))
 
 
-@pytest.mark.parametrize("p, depth", [(2, 12), (37, 6), (41, 5),
-                                      (1741, 2), (55109, 1)])
-def test_default_odd_depth_stays_in_int64(p, depth, monkeypatch):
-    # the default depth cap is lowered where p^6 would be past the cap
+@pytest.mark.parametrize("p, depth", [(2, 12), (37, 6), (41, 6),
+                                      (1741, 6), (55109, 6)])
+def test_default_depth_cap(p, depth, monkeypatch):
+    # the default depth cap is DEPTH_CAP at p, whatever the size of p^k
     from dp2.local import padic
     seen = []
 
@@ -420,7 +419,6 @@ def test_default_odd_depth_stays_in_int64(p, depth, monkeypatch):
     q = QuaternionClass(Fraction(-1), (X ** 2 + Y ** 2) / Z ** 2)
     invariant_profile([q], 1, 1, 1, p)
     assert seen == [depth]
-    assert p ** depth < padic.INT64_MODULUS_CAP
 
 
 def test_real_witness_bound_is_a_capacity_limit():
@@ -592,13 +590,35 @@ def test_taylor_step_matches_direct_evaluation(A, B, C, p, k):
     _assert_same_charts(A, B, C, p, k)
 
 
+#: the digit extensions the direct enumeration may evaluate for one
+#: example of the property below; at p = 7, depth 3 costs 2^19 to 2^21
+ORACLE_CELLS = 2 ** 18
+
+
+def _deepest_within(A, B, C, p, k, budget):
+    """The deepest j <= k to which the direct enumeration evaluates at
+    most budget digit extensions: p^3 per chart root and per class kept
+    at each level below j, which is what _chart_cells charges."""
+    for j in range(k, 1, -1):
+        try:
+            for _ in _chart_cells(A, B, C, p, j, budget):
+                pass
+            return j
+        except CapacityError:
+            pass
+    return 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
        st.sampled_from([2, 3, 5, 7]), st.integers(1, 4))
 def test_taylor_step_matches_direct_evaluation_property(A, B, C, p, k):
     # the Hensel blocks, expanded into their lifts with each lift's own
-    # t, are the classes of the direct enumeration at every level
+    # t, are the classes of the direct enumeration at every level, to
+    # the deepest level whose oracle work fits ORACLE_CELLS
     assume(p ** k <= 7 ** 3)
+    k = _deepest_within(A, B, C, p, k, ORACLE_CELLS)
+    note(f"compared to depth {k}")
     _assert_same_charts(A, B, C, p, k)
 
 
