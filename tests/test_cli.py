@@ -179,8 +179,9 @@ def test_obstruct_depth_does_not_leak_into_later_calls():
 @pytest.mark.parametrize("coeffs", ["0,0,0", "0,0,5", "0,0,-7", "0,3,0",
                                     "0,1,1"])
 def test_obstruct_zero_coefficient_is_input_error(coeffs):
-    # every product with a zero factor is 0, never a positive square, so
-    # a zero reached the generic recipe and its conic search
+    # is_generic_triple passes any triple with a zero (every product with
+    # a zero factor is 0, never a positive square), so obstruct_surface
+    # refuses a zero before it picks a recipe
     a, b, c = coeffs.split(",")
     code, out, err = run(["obstruct", "-A", a, "-B", b, "-C", c])
     assert code == 2
