@@ -39,16 +39,16 @@ class Inconclusive(Exception):
 def resolution_h1(s):
     """H^1 via the short resolution appropriate to the group shape, or
     None when no implemented resolution applies."""
-    from .cohomology import h1_via_resolution, pic_module
+    from .cohomology import _PRODUCT_KINDS, h1_via_resolution, pic_module
     from .galois0 import _abelian_generators, _dihedral_generators, \
         is_abelian
 
     mod = pic_module(s)
-    if is_abelian(s.elements):
+    if is_abelian(s):
         gens = _abelian_generators(s)
         if gens is not None:
-            kind = {1: "cyclic", 2: "bicyclic", 3: "tricyclic"}[len(gens)]
-            return h1_via_resolution(kind, mod, gens=gens)
+            return h1_via_resolution(_PRODUCT_KINDS[len(gens)], mod,
+                                     gens=gens)
         return None
     gens = _dihedral_generators(s)
     if gens is not None:

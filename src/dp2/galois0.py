@@ -16,21 +16,21 @@ The subgroup machinery runs on integers.  An element has the index
 32 * (chi // 2) + 16 * e_s + 4 * e_k + e_m, its position in the sorted
 ALL_ELEMENTS (the identity is 0), and a subgroup is the 128-bit mask with
 bit i set for each element index i it contains: a `Subgroup` holds its
-mask and its generators, and reads its order, its elements and whether it
-maps onto Q off the mask.  Each table is built on first use, so a request
-pays only for those it reads.  `_mul()` is the product table, by
-arithmetic on the coordinates (row g is the left multiplication
-x -> g x), and `_inverses()` reads the inverses from it.  Every subgroup
-here, from `generate_subgroup` to the Kummer constraints and the
-generating sets of the short resolutions, is closed over that table by
-`_closure_mask`, the one subgroup-closure routine of the package, which
-the H^1 backends of `cohomology` import and run on each module's own
-index table.  Orbits read one nibble table (`_orbit_table`) that holds
-side by side the conjugations by the five generators and the
-transpositions ab and bc, which generate the six relabelings of
-(A, B, C), so one OR per nibble of a mask gives its seven images, and
-`_images` is the one orbit routine: under conjugation, or under
-conjugation and the relabelings.  One layered loop
+mask and a generating set of it, checked once when it is made, and reads
+its order, its elements and whether it maps onto Q off the mask.  Each
+table is built on first use, so a request pays only for those it reads.
+`_mul()` is the product table, by arithmetic on the coordinates (row g is
+the left multiplication x -> g x), and `_inverses()` reads the inverses
+from it.  Every subgroup here, from `generate_subgroup` to the Kummer
+constraints and the generating sets of the short resolutions, is closed
+over that table by `_closure_mask`, the one subgroup-closure routine of
+the package, which the H^1 backends of `cohomology` import and run on
+each module's own index table.  Orbits read one nibble table
+(`_orbit_table`) that holds side by side the conjugations by the five
+generators and the transpositions ab and bc, which generate the six
+relabelings of (A, B, C), so one OR per nibble of a mask gives its seven
+images, and `_images` is the one orbit routine: under conjugation, or
+under conjugation and the relabelings.  One layered loop
 (`_layered_classes`) enumerates the subgroups up to conjugation for
 `all_subgroup_classes`, and up to conjugation and relabeling for the
 onto-Q classes of `scan`.  Only that loop builds all 128 conjugation
@@ -38,13 +38,14 @@ permutations, and from them the masks of square roots and of
 conjugators (`_extension_tables`) that read its normaliser test off a
 generating set.
 
-A subgroup's invariants are read from its generators, once checked to
-generate it: s / [s, s] with [s, s] the normal closure of their
-commutators, the curve orbits of their permutations, and the type of
-H^1(s, Pic) with the rank of Pic^s from one Smith form of the stacked
-(g - 1) rows, which builds no unimodular transform, cached per mask.
-`fixed_sublattice` reads a basis of Pic^s from the same rows.
-GroupElement and Subgroup remain the public face.
+A subgroup's invariants are read from its generators, which the
+`Subgroup` guarantees generate it: s / [s, s] with [s, s] the normal
+closure of their commutators, whether they commute, the curve orbits of
+their permutations, and the type of H^1(s, Pic) with the rank of Pic^s
+from one Smith form of the stacked (g - 1) rows, which builds no
+unimodular transform, cached per mask.  `fixed_sublattice` reads a
+basis of Pic^s from the same rows.  GroupElement and Subgroup remain the
+public face.
 """
 
 from __future__ import annotations
@@ -271,17 +272,29 @@ def _traces() -> list[tuple[int, int]]:
 
 
 class Subgroup:
-    """A subgroup of G0: its mask and the generators it was built from,
-    or minimal ones when none are given.  Its order, its elements
-    (sorted) and whether it maps onto Q = G0/H are read off the mask."""
+    """A subgroup of G0: its mask and a generating set, the generators it
+    was built from or minimal ones when none are given.  Construction
+    checks that the generators generate the mask, and refuses a mask that
+    is not a subgroup; `generators` is read-only, so every invariant read
+    from it holds for the mask.  Its order, its elements (sorted) and
+    whether it maps onto Q = G0/H are read off the mask."""
 
     def __init__(self, mask: int, generators=None):
-        self._mask = mask
-        self.generators = _minimal_generators(mask) if generators is None \
-            else tuple(generators)
+        if generators is None:
+            generators = _minimal_generators(mask)
+        else:
+            generators = tuple(generators)
+            gens = [_INDEX[g] for g in generators]
+            if _closure_mask(_mul(), gens, 0) != mask:
+                raise AssertionError("generators do not generate the subgroup")
+        self._mask, self._generators = mask, generators
 
     def mask(self) -> int:
         return self._mask
+
+    @property
+    def generators(self) -> tuple[GroupElement, ...]:
+        return self._generators
 
     @property
     def order(self) -> int:
@@ -479,7 +492,8 @@ def _images(mask: int, which: slice) -> set[int]:
 
 def _minimal_generators(mask: int) -> tuple[GroupElement, ...]:
     """Generators of the subgroup mask, taken greedily by descending
-    order, then by index."""
+    order, then by index.  The closure of those taken is the mask exactly
+    when the mask is a subgroup, and otherwise this raises."""
     mul = _mul()
     chosen: list[int] = []
     have = 1
@@ -490,6 +504,8 @@ def _minimal_generators(mask: int) -> tuple[GroupElement, ...]:
             have = _closure_mask(mul, chosen, 0)
             if have == mask:
                 break
+    if have != mask:
+        raise AssertionError(f"mask {mask:#x} is not a subgroup")
     return tuple(ALL_ELEMENTS[i] for i in chosen)
 
 
@@ -591,26 +607,12 @@ def _abelian_type_from_orders(orders) -> tuple[int, ...]:
                  for i in reversed(range(ranks[0] if ranks else 0)))
 
 
-def _generator_indices(s: Subgroup) -> list[int]:
-    """Indices of s.generators, checked to generate s: what is read from
-    the generators alone holds for s only then."""
-    gens = [_INDEX[g] for g in s.generators]
-    if _closure_mask(_mul(), gens, 0) != s.mask():
-        raise AssertionError("generators do not generate the subgroup")
-    return gens
-
-
 def abelianization(s: Subgroup) -> tuple[int, ...]:
-    """Invariant factors (ascending) of s / [s, s]."""
-    return _abelian_type(s.mask(), _generator_indices(s))
-
-
-def _abelian_type(mask: int, gens: list[int]) -> tuple[int, ...]:
-    """Invariant factors of s / [s, s] for the subgroup mask and checked
-    generator indices.  [s, s] is the normal closure in s of the
-    commutators of the generators: s modulo that closure is generated by
-    commuting images, so abelian."""
+    """Invariant factors (ascending) of s / [s, s].  [s, s] is the normal
+    closure in s of the commutators of the generators of s: s modulo that
+    closure is generated by commuting images, so abelian."""
     mul, inv = _mul(), _inverses()
+    gens = [_INDEX[g] for g in s.generators]
     normal = list({mul[mul[inv[g]][inv[h]]][mul[g][h]]
                    for g in gens for h in gens})
     derived = _closure_mask(mul, normal, 0)
@@ -623,7 +625,7 @@ def _abelian_type(mask: int, gens: list[int]) -> tuple[int, ...]:
     # the order of each coset g[s, s] in the quotient
     orders = []
     done = 0
-    for g in _members(mask):
+    for g in _members(s.mask()):
         if done >> g & 1:
             continue
         done |= _apply_perm(derived, mul[g])
@@ -653,14 +655,11 @@ _H1_BY_MASK: dict[int, tuple[AbelianGroupType, int]] = {}
 
 
 def _h1_and_fixed_rank(s: Subgroup) -> tuple[AbelianGroupType, int]:
-    """h1_type(s) and the rank of Pic^s, from one Smith form per
-    mask.  Every call checks that the generators generate s, which
-    `_h1_cokernel` does on a miss."""
+    """h1_type(s) and the rank of Pic^s, from one Smith form per mask:
+    any generating set of s gives the same H^1 and Pic^s."""
     got = _H1_BY_MASK.get(s.mask())
     if got is None:
         got = _H1_BY_MASK[s.mask()] = _h1_cokernel(s)
-    else:
-        _generator_indices(s)
     return got
 
 
@@ -701,11 +700,10 @@ def h1_type(s: Subgroup) -> AbelianGroupType:
 def _h1_cokernel(s: Subgroup) -> tuple[AbelianGroupType, int]:
     """tors(M^k / D.M) for D = `_pic_differences(s)`, by one Smith form
     of D^T without transforms, which reduces D^T by its column echelon
-    first: D and D^T share their Smith divisors.  Two runtime checks: the
-    generators generate s, and |s| kills H^1.  The kernel of D is Pic^s,
-    so its rank, 8 less the number of nonzero divisors, comes with the
-    type."""
-    _generator_indices(s)
+    first: D and D^T share their Smith divisors.  The generators of s
+    generate it, as every `Subgroup` guarantees, and a runtime check
+    asserts that |s| kills H^1.  The kernel of D is Pic^s, so its rank,
+    8 less the number of nonzero divisors, comes with the type."""
     nonzero = smith_normal_form(list(zip(*_pic_differences(s))),
                                 transforms=False).divisors
     divisors = tuple(q for q in nonzero if q > 1)
@@ -716,15 +714,9 @@ def _h1_cokernel(s: Subgroup) -> tuple[AbelianGroupType, int]:
 
 
 def curve_orbit_lengths(s: Subgroup) -> tuple[int, ...]:
-    """Lengths (ascending) of the orbits of s on the 56 curves."""
-    _generator_indices(s)
-    return _curve_orbit_lengths(s.generators)
-
-
-def _curve_orbit_lengths(gens) -> tuple[int, ...]:
-    """Orbit lengths of the group generated by gens on the 56 curves:
-    those of the generator permutations, as the group is finite."""
-    perms = [_curve_indices(g) for g in gens]
+    """Lengths (ascending) of the orbits of s on the 56 curves: those of
+    the permutations of its generators, as s is finite."""
+    perms = [_curve_indices(g) for g in s.generators]
     lengths, seen = [], 0
     for start in range(56):
         if seen >> start & 1:
@@ -743,23 +735,25 @@ def _curve_orbit_lengths(gens) -> tuple[int, ...]:
 def fingerprint(s: Subgroup) -> tuple:
     """Conjugation-invariant summary used to group subgroups that could be
     identified by a lattice automorphism."""
-    h1, rank = _h1_and_fixed_rank(s)  # checks the generators
+    h1, rank = _h1_and_fixed_rank(s)
     mask = s.mask()
     return (
         s.order,
-        _abelian_type(mask, [_INDEX[g] for g in s.generators]),
+        abelianization(s),
         max(o for o, m in _order_masks() if mask & m),
-        _curve_orbit_lengths(s.generators),
+        curve_orbit_lengths(s),
         rank,
         sum(((t,) * (mask & m).bit_count() for t, m in _traces()), ()),
         h1.divisors,
     )
 
 
-def is_abelian(elems) -> bool:
+def is_abelian(s: Subgroup) -> bool:
+    """Whether s is abelian: generators that pairwise commute generate an
+    abelian group."""
     mul = _mul()
-    idx = [_INDEX[g] for g in elems]
-    return all(mul[g][h] == mul[h][g] for g in idx for h in idx)
+    gens = [_INDEX[g] for g in s.generators]
+    return all(mul[g][h] == mul[h][g] for g in gens for h in gens)
 
 
 def _abelian_generators(s: Subgroup):

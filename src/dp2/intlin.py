@@ -381,20 +381,14 @@ class SubquotientResult(NamedTuple):
     class_coords: Callable[[Sequence[int]], tuple[int, ...]]
 
 
-def subquotient_structure(z_gens, b_gens, ambient_dim: Optional[int] = None) -> SubquotientResult:
-    """Structure of the quotient span(Z)/span(B), with lifted generators.
+def subquotient_structure(z_gens, b_gens, ambient_dim: int) -> SubquotientResult:
+    """Structure of the quotient span(Z)/span(B) in Z^ambient_dim, with
+    lifted generators.
 
     Raises ValueError when B is not contained in the Z-span.
     """
     z_gens = [list(map(int, v)) for v in z_gens]
     b_gens = [list(map(int, v)) for v in b_gens]
-    if ambient_dim is None:
-        if z_gens:
-            ambient_dim = len(z_gens[0])
-        elif b_gens:
-            ambient_dim = len(b_gens[0])
-        else:
-            ambient_dim = 0
     n = ambient_dim
     if any(len(v) != n for v in z_gens + b_gens):
         raise ValueError("dimension mismatch")

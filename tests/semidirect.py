@@ -1,8 +1,8 @@
 """Semidirect decompositions of subgroups of G0, for the cross-checks of
 the five-term route and of the subgroup enumeration."""
 
-from dp2.galois0 import (ALL_ELEMENTS, Subgroup, _INDEX, _closure_mask,
-                         _members, _mul, generate_subgroup, is_abelian)
+from dp2.galois0 import (Subgroup, _INDEX, _closure_mask, _mul,
+                         generate_subgroup, is_abelian)
 
 
 def _complement_search(s: Subgroup, n_set: set) -> Subgroup | None:
@@ -16,9 +16,9 @@ def _complement_search(s: Subgroup, n_set: set) -> Subgroup | None:
             t = _closure_mask(_mul(), [t1, t2], 0)
             if t.bit_count() != need or (t & n_mask).bit_count() != 1:
                 continue
-            elems = tuple(ALL_ELEMENTS[j] for j in _members(t))
-            if is_abelian(elems):
-                return Subgroup(t)
+            sub = Subgroup(t)
+            if is_abelian(sub):
+                return sub
     return None
 
 
@@ -32,9 +32,10 @@ def semidirect_decomposition(s: Subgroup):
     """
     for u in ({1}, {1, 3}, {1, 5}, {1, 7}, {1, 3, 5, 7}):
         n_elems = tuple(sorted(g for g in s.elements if g.chi in u))
-        if not is_abelian(n_elems):
+        n = Subgroup(sum(1 << _INDEX[g] for g in n_elems))
+        if not is_abelian(n):
             continue
         t = _complement_search(s, set(n_elems))
         if t is not None:
-            return Subgroup(sum(1 << _INDEX[g] for g in n_elems)), t
+            return n, t
     return None

@@ -496,7 +496,7 @@ def test_five_term_consistency_sampled():
         if not (1 <= len(n.generators) <= 3 and 1 <= len(t.generators) <= 2):
             continue
         from dp2.galois0 import is_abelian
-        if not is_abelian(n.elements) or not is_abelian(t.elements):
+        if not is_abelian(n) or not is_abelian(t):
             continue
         mod = pic_module(s)
         try:
@@ -607,12 +607,6 @@ def test_h1_type_ignores_redundant_generators(data):
     assert _h1_cokernel(redundant) == (h1_type(s), fixed_rank(s))
 
 
-def test_h1_type_refuses_non_generating_generators():
-    short = Subgroup(G0.mask(), (SIGMA, TAU))
-    with pytest.raises(AssertionError, match="do not generate"):
-        _h1_cokernel(short)
-
-
 def test_h1_type_checks_that_the_order_kills_h1(monkeypatch):
     import dp2.galois0 as galois0
     from dp2.intlin import smith_normal_form
@@ -693,7 +687,7 @@ def test_product_resolution_matches_hand_written_every_abelian_class():
     kinds = {1: "cyclic", 2: "bicyclic", 3: "tricyclic"}
     seen = collections.Counter()
     for s in enumerate_subgroups_onto_Q():
-        gens = _abelian_generators(s) if is_abelian(s.elements) else None
+        gens = _abelian_generators(s) if is_abelian(s) else None
         if gens is not None:
             kind = kinds[len(gens)]
             _assert_resolution_matches_oracle(kind, pic_module(s), gens)

@@ -1,7 +1,9 @@
+import collections
 import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dp2.galois0 import (
     ALL_ELEMENTS,
@@ -23,6 +25,7 @@ from dp2.galois0 import (
     fixed_rank,
     fixed_sublattice,
     generate_subgroup,
+    is_abelian,
     matrix_of,
     verify_action_homomorphism,
 )
@@ -612,14 +615,72 @@ def test_generator_invariants_match_element_oracles_on_every_class():
         assert fixed_rank(s) == len(fixed_sublattice(s)), s.generators
 
 
-def test_generator_invariants_refuse_non_generating_generators():
-    # a cached H^1 for the mask does not skip the check
-    fingerprint(G0)
-    short = Subgroup(G0.mask(), (SIGMA, TAU))
-    for invariant in (fingerprint, abelianization, curve_orbit_lengths,
-                      fixed_rank):
-        with pytest.raises(AssertionError, match="do not generate"):
-            invariant(short)
+def test_subgroup_refuses_non_generating_generators():
+    # the invariants read the generators, so a Subgroup refuses a set
+    # that does not generate its mask, and they cannot be replaced later
+    with pytest.raises(AssertionError, match="do not generate"):
+        Subgroup(G0.mask(), (SIGMA, TAU))
+    s = Subgroup(G0.mask(), GENERATORS.values())
+    with pytest.raises(AttributeError):
+        s.generators = (SIGMA, TAU)
+    assert s.generators == tuple(GENERATORS.values())
+
+
+def _element_closure(mask):
+    """The subgroup generated by the members of a mask, by products of
+    GroupElements."""
+    found = {IDENTITY} | {g for i, g in enumerate(ALL_ELEMENTS)
+                          if mask >> i & 1}
+    frontier = list(found)
+    while frontier:
+        g = frontier.pop()
+        for h in list(found):
+            for x in (g * h, h * g):
+                if x not in found:
+                    found.add(x)
+                    frontier.append(x)
+    return sum(1 << ALL_ELEMENTS.index(g) for g in found)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subgroup_accepts_exactly_the_closed_masks(data):
+    # a class mask, its conjugate by a drawn element, or a random set, each
+    # with a few bits flipped or none: Subgroup(mask) succeeds exactly when
+    # the closure of the mask's members is the mask
+    from dp2.galois0 import all_subgroup_classes
+    classes = all_subgroup_classes()
+    kind = data.draw(st.sampled_from(["class", "conjugate", "random"]))
+    if kind == "random":
+        mask = data.draw(st.integers(0, (1 << 128) - 1))
+    else:
+        mask = classes[data.draw(st.integers(0, len(classes) - 1))]
+        if kind == "conjugate":
+            g = data.draw(st.sampled_from(ALL_ELEMENTS))
+            gi = g.inverse()
+            mask = sum(1 << ALL_ELEMENTS.index(g * x * gi)
+                       for i, x in enumerate(ALL_ELEMENTS) if mask >> i & 1)
+    for bit in data.draw(st.lists(st.integers(0, 127), max_size=3)):
+        mask ^= 1 << bit
+    if _element_closure(mask) == mask:
+        s = Subgroup(mask)
+        assert generate_subgroup(s.generators).mask() == mask
+    else:
+        with pytest.raises(AssertionError, match="is not a subgroup"):
+            Subgroup(mask)
+
+
+def test_is_abelian_matches_element_commutation_on_every_class():
+    from dp2.galois0 import all_subgroup_classes
+    classes = all_subgroup_classes()
+    assert len(classes) == 1500
+    verdicts = collections.Counter()
+    for mask in classes:
+        s = Subgroup(mask)
+        commute = all(g * h == h * g for g in s.elements for h in s.elements)
+        assert is_abelian(s) == commute, s.generators
+        verdicts[commute] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def _abelian_generators_oracle(s):

@@ -109,29 +109,29 @@ def test_kernel_trivial_action_klein_four():
 
 
 def test_subquotient_z2_mod_2z2():
-    res = subquotient_structure([(1, 0), (0, 1)], [(2, 0), (0, 2)])
+    res = subquotient_structure([(1, 0), (0, 1)], [(2, 0), (0, 2)], 2)
     assert res.group == AbelianGroupType((2, 2), 0)
 
 
 def test_subquotient_free():
-    res = subquotient_structure([(1,)], [])
+    res = subquotient_structure([(1,)], [], 1)
     assert res.group == AbelianGroupType((), 1)
 
 
 def test_subquotient_mixed():
-    res = subquotient_structure([(2, 0), (0, 1)], [(4, 0)])
+    res = subquotient_structure([(2, 0), (0, 1)], [(4, 0)], 2)
     assert res.group == AbelianGroupType((2,), 1)
 
 
 def test_subquotient_rejects_outside_span():
     with pytest.raises(ValueError):
-        subquotient_structure([(2, 0)], [(1, 0)])
+        subquotient_structure([(2, 0)], [(1, 0)], 2)
     with pytest.raises(ValueError):
-        subquotient_structure([(1, 0)], [(0, 1)])
+        subquotient_structure([(1, 0)], [(0, 1)], 2)
 
 
 def test_subquotient_rep_orders():
-    res = subquotient_structure([(1, 0), (0, 1)], [(2, 0), (0, 4)])
+    res = subquotient_structure([(1, 0), (0, 1)], [(2, 0), (0, 4)], 2)
     assert res.group.divisors == (2, 4)
     for rep, order in zip(res.reps, res.rep_orders):
         # order * rep lands in B, but no smaller positive multiple does
@@ -187,7 +187,7 @@ def test_subquotient_matches_bruteforce_enumeration():
         # B = mult * Z, guaranteeing containment
         bg = [[sum(mrow[k] * zg[k][i] for k in range(n)) for i in range(n)]
               for mrow in mult]
-        res = subquotient_structure(zg, bg)
+        res = subquotient_structure(zg, bg, n)
         if res.group.rank:
             continue
         order = res.group.order
@@ -473,7 +473,7 @@ def test_subquotient_matches_oracle_on_every_presentation_system(
     systems = []
     original = cohomology.subquotient_structure
 
-    def recording(z_gens, b_gens, ambient_dim=None):
+    def recording(z_gens, b_gens, ambient_dim):
         systems.append((z_gens, b_gens, ambient_dim))
         return original(z_gens, b_gens, ambient_dim=ambient_dim)
 

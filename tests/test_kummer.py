@@ -10,6 +10,7 @@ import pytest
 from dp2.galois0 import (
     ALL_ELEMENTS,
     G0,
+    IDENTITY,
     IOTA_A,
     IOTA_B,
     IOTA_C,
@@ -81,6 +82,28 @@ def test_remaining_worked_example_orders():
     assert galois_group(-9826, -2, 136).order == 16
     assert galois_group(-25, -5, 45).order == 32
     assert galois_group(2, 3, 5).order == 64
+
+
+def test_galois_group_refuses_a_solution_set_that_is_not_a_subgroup(
+        monkeypatch):
+    # {1, sigma, tau} misses sigma tau; a subgroup's set is still accepted
+    import dp2.kummer as kummer
+    from types import SimpleNamespace
+
+    for allowed, ok in (({IDENTITY, SIGMA, TAU}, False),
+                        ({IDENTITY, SIGMA, TAU, SIGMA * TAU}, True)):
+        member = SimpleNamespace(satisfied_by=allowed.__contains__)
+        monkeypatch.setattr(kummer, "constraints",
+                            lambda A, B, C: [member])
+        galois_group.cache_clear()
+        try:
+            if ok:
+                assert set(galois_group(3, 5, 7).elements) == allowed
+            else:
+                with pytest.raises(AssertionError, match="not a subgroup"):
+                    galois_group(3, 5, 7)
+        finally:
+            galois_group.cache_clear()
 
 
 def test_order64_example_contained_in_maximal_class():
