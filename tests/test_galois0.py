@@ -19,6 +19,7 @@ from dp2.galois0 import (
     Subgroup,
     abelianization,
     act_on_curve,
+    all_subgroup_classes,
     curve_orbit_lengths,
     enumerate_subgroups_onto_Q,
     fingerprint,
@@ -648,7 +649,6 @@ def test_subgroup_accepts_exactly_the_closed_masks(data):
     # a class mask, its conjugate by a drawn element, or a random set, each
     # with a few bits flipped or none: Subgroup(mask) succeeds exactly when
     # the closure of the mask's members is the mask
-    from dp2.galois0 import all_subgroup_classes
     classes = all_subgroup_classes()
     kind = data.draw(st.sampled_from(["class", "conjugate", "random"]))
     if kind == "random":
@@ -671,7 +671,6 @@ def test_subgroup_accepts_exactly_the_closed_masks(data):
 
 
 def test_is_abelian_matches_element_commutation_on_every_class():
-    from dp2.galois0 import all_subgroup_classes
     classes = all_subgroup_classes()
     assert len(classes) == 1500
     verdicts = collections.Counter()
