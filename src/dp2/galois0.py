@@ -9,8 +9,8 @@ an explicit table; everything else is derived from that.  Each generator's
 table is turned once into a permutation of the curve indices, an element's
 permutation is composed from those on integers along its word, and
 `matrix_of` reads its columns from the table of curve classes and checks
-the matrix on all 56 curve classes and on -K, each with one sum of
-packed ints.
+the matrix on -K and on all 56 curve classes, the latter with one product
+of its packed columns with a table of the classes in 128-bit slots.
 
 The subgroup machinery runs on integers.  An element has the index
 32 * (chi // 2) + 16 * e_s + 4 * e_k + e_m, its position in the sorted
@@ -25,33 +25,36 @@ from it.  Every subgroup here, from `generate_subgroup` to the Kummer
 constraints and the generating sets of the short resolutions, is closed
 over that table by `_closure_mask`, the one subgroup-closure routine of
 the package, which the H^1 backends of `cohomology` import and run on
-each module's own index table.  Orbits read one nibble table
+each module's own index table.  Orbits read one byte table
 (`_orbit_table`) that holds side by side the conjugations by the five
 generators and the transpositions ab and bc, which generate the six
-relabelings of (A, B, C), so one OR per nibble of a mask gives its seven
-images, and `_images` is the one orbit routine: under conjugation, or
+relabelings of (A, B, C), so one OR per nonzero byte of a mask gives its
+seven images, and `_images` is the one orbit routine: under conjugation, or
 under conjugation and the relabelings.  One layered loop
 (`_layered_classes`) enumerates the subgroups up to conjugation for
 `all_subgroup_classes`, and up to conjugation and relabeling for the
-onto-Q classes of `scan`.  Only that loop builds all 128 conjugation
-permutations, and from them the masks of square roots and of
-conjugators (`_extension_tables`) that read its normaliser test off a
-generating set.
+onto-Q classes of `scan`.  Only that loop and `abelianization`, both run
+by `scan` alone, build all 128 conjugation permutations, and from them
+the masks of square roots and of conjugators (`_extension_tables`) that
+read its normaliser test off a generating set.
 
-A subgroup's invariants are read from its generators, which the
-`Subgroup` guarantees generate it: s / [s, s] with [s, s] the normal
-closure of their commutators, whether they commute, the curve orbits of
-their permutations, and the type of H^1(s, Pic) with the rank of Pic^s
-from one Smith form of the stacked (g - 1) rows, which builds no
-unimodular transform, cached per mask.  `fixed_sublattice` reads a
-basis of Pic^s from the same rows.  GroupElement and Subgroup remain the
-public face.
+A subgroup's invariants combine, with its mask or its generators (which
+the `Subgroup` guarantees generate it), tables built once per process:
+s / [s, s], with [s, s] the normal closure of their commutators, is
+counted through the masks of square roots; whether they commute; the
+curve orbits, from the masks of the curve stabilisers; and the type of
+H^1(s, Pic) with the rank of Pic^s, from one Smith form without
+unimodular transforms of the lattice bases of the generators' g - 1
+blocks, each basis cached per element and the result per mask.
+`fixed_sublattice` reads a basis of Pic^s from the stacked (g - 1) rows.
+GroupElement and Subgroup remain the public face.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -191,13 +194,19 @@ _CLASSES = tuple(_LATTICE.cls(lab) for lab in _LABELS)
 def _pack(v) -> int:
     """sum v_i 2^(16 i): linear in v, and injective on the vectors with
     every |v_i| < 2^15."""
-    return sum(x << 16 * i for i, x in enumerate(v))
+    return sum(map(int.__lshift__, v, range(0, 128, 16)))
 
 
 _PACKED = tuple(map(_pack, _CLASSES))
 _PACKED_K = _pack(ANTICANONICAL)
 _MATRIX_COLUMNS = [_LABEL_INDEX[lab]
                    for lab in BASIS_LABELS + [Axis("z", 7, -1)]]
+# the one-product check of matrix_of: slot i of 128 bits holds curve i,
+# offset by 2^126 so that every slot is nonnegative
+_SLOTS = tuple(sum(c[j] << 128 * i for i, c in enumerate(_CLASSES))
+               for j in range(8))
+_SLOT_BIAS = sum(1 << 128 * i + 126 for i in range(56))
+_SLOT_BYTES = tuple((p + (1 << 126)).to_bytes(16, "little") for p in _PACKED)
 
 
 @lru_cache(maxsize=1)
@@ -225,21 +234,31 @@ def matrix_of(g: GroupElement) -> IntMatrix:
     sum v_j pack(column j), by linearity, and the packing is injective
     while every coordinate of M v and of w is below 2^15 in absolute
     value.  Curve classes have coordinates of at most 3 and the columns
-    of at most 9, so every coordinate here is at most 90."""
+    of at most 9, so every coordinate here is at most 90.
+
+    The 56 curve checks are one comparison.  With c_i the class of
+    curve i and SLOT_j = sum_i c_i[j] 2^(128 i), the product
+    sum_j pack(column j) SLOT_j is sum_i pack(M c_i) 2^(128 i).  Every
+    |pack(M c_i)| and |pack(c_g(i))| is at most
+    90 (1 + 2^16 + ... + 2^112) < 2^126, so adding 2^126 to each slot
+    leaves it in [0, 2^127): the 128-bit chunks of the biased sum are
+    exactly pack(M c_i) + 2^126, and it equals the chunks
+    pack(c_g(i)) + 2^126 read side by side exactly when M c_i = c_g(i)
+    for every i.  On a mismatch the per-curve sums name the curve."""
     perm = _curve_indices(g)
     cols = [_CLASSES[perm[i]] for i in _MATRIX_COLUMNS]
     # the eighth basis label has class v8 - v6 - v7, so correct its column
     cols[7] = tuple(map(sum, zip(*cols[5:])))
     packed = list(map(_pack, cols))
-    got = [sum(map(int.__mul__, v, packed)) for v in _CLASSES]
-    want = list(map(_PACKED.__getitem__, perm))
-    if got != want:
-        i = next(i for i, x in enumerate(got) if x != want[i])
-        raise AssertionError(
-            f"induced matrix inconsistent for {g} at {_LABELS[i]}")
+    if sum(map(int.__mul__, packed, _SLOTS)) + _SLOT_BIAS != int.from_bytes(
+            b"".join(map(_SLOT_BYTES.__getitem__, perm)), "little"):
+        bad = [lab for v, lab, i in zip(_CLASSES, _LABELS, perm)
+               if sum(map(int.__mul__, v, packed)) != _PACKED[i]]
+        raise AssertionError(f"induced matrix inconsistent for {g} at "
+                             f"{bad[0] if bad else 'the slot table'}")
     if sum(map(int.__mul__, ANTICANONICAL, packed)) != _PACKED_K:
         raise AssertionError(f"matrix of {g} moves the anticanonical class")
-    return IntMatrix.from_rows(zip(*cols))
+    return IntMatrix(8, 8, tuple(itertools.chain.from_iterable(zip(*cols))))
 
 
 @lru_cache(maxsize=None)
@@ -253,6 +272,14 @@ def _minus_one_rows(g: GroupElement) -> tuple:
     """matrix_of(g) - I as a tuple of rows."""
     return tuple(tuple(x - (i == j) for j, x in enumerate(row))
                  for i, row in enumerate(pic_rows(g)))
+
+
+@lru_cache(maxsize=None)
+def _difference_basis(g: GroupElement) -> tuple:
+    """A basis of the row lattice of matrix_of(g) - I, from one column
+    echelon of its transpose: empty for the identity."""
+    return tuple(map(tuple, ColumnEchelon(list(zip(*_minus_one_rows(g))),
+                                          transform=False).image_basis()))
 
 
 def _value_masks(values) -> list[tuple[int, int]]:
@@ -434,46 +461,42 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _nibble_table(bits) -> list[int]:
-    """Masks four bits at a time: entry 16 k + v is the OR of bits[i]
-    over the set bits i of v << 4k."""
-    out = [0] * 512
-    for j in range(512):
-        v = j & 15
-        if v:
-            low = v & -v
-            out[j] = out[j ^ low] | bits[j >> 4 << 2 | low.bit_length() - 1]
-    return out
-
-
 @lru_cache(maxsize=1)
 def _orbit_table() -> list[int]:
-    """One nibble table of seven index permutations side by side: the
+    """One byte table of seven index permutations side by side: the
     conjugations by the five generators, then the ab and bc relabelings,
     the two transpositions generating S3.  Permutation t moves bit i to
-    bit 128 t + perm_t[i]."""
+    bit 128 t + perm_t[i], and entry 256 k + v is the OR of those moves
+    over the set bits i of v << 8k.  Each byte's 256 entries double once
+    per bit: those with bit i set are those without it, ORed with the
+    moves of i."""
     perms = [_conjugation(_INDEX[g]) for g in GENERATORS.values()]
     perms += [[_INDEX[phi(x)] for x in ALL_ELEMENTS]
               for phi in (_PHI_AB, _PHI_BC)]
-    return _nibble_table([sum(1 << 128 * t + p[i] for t, p in enumerate(perms))
-                          for i in range(128)])
+    table = []
+    for k in range(0, 128, 8):
+        row = [0]
+        for i in range(k, k + 8):
+            bit = sum(1 << 128 * t + p[i] for t, p in enumerate(perms))
+            row += [x | bit for x in row]
+        table += row
+    return table
 
 
 _FULL = (1 << 128) - 1
 _CONJ, _AUT = slice(5), slice(7)
 
 
-def _nibble_images(mask: int) -> list[int]:
+def _packed_images(mask: int) -> int:
     """The images of a mask under the seven permutations of
-    `_orbit_table`, from one OR per nonzero nibble; byte k holds nibbles
-    2k and 2k + 1."""
-    table, packed = _orbit_table(), 0
-    for k, b in enumerate(mask.to_bytes(16, "little")):
-        if b & 15:
-            packed |= table[k << 5 | b & 15]
-        if b > 15:
-            packed |= table[k << 5 | 16 | b >> 4]
-    return [packed >> s & _FULL for s in range(0, 896, 128)]
+    `_orbit_table`, side by side as in the table, from one OR per
+    nonzero byte of the mask."""
+    table, packed, k = _orbit_table(), 0, 0
+    for b in mask.to_bytes(16, "little"):
+        if b:
+            packed |= table[k | b]
+        k += 256
+    return packed
 
 
 def _images(mask: int, which: slice) -> set[int]:
@@ -481,9 +504,12 @@ def _images(mask: int, which: slice) -> set[int]:
     permutations `which` of `_orbit_table`: `_CONJ` gives the conjugates
     (the five generators generate G0), `_AUT` the images under
     conjugation and the relabelings.  The one orbit routine."""
+    shifts = range(0, 896, 128)[which]
     found, frontier = {mask}, [mask]
     while frontier:
-        for img in _nibble_images(frontier.pop())[which]:
+        packed = _packed_images(frontier.pop())
+        for s in shifts:
+            img = packed >> s & _FULL
             if img not in found:
                 found.add(img)
                 frontier.append(img)
@@ -553,8 +579,9 @@ def _layered_classes(which: slice) -> tuple[int, ...]:
                 # <mask, i> is the union of mask and its coset i.mask;
                 # every element of that coset gives the same extension
                 i = (cands & -cands).bit_length() - 1
-                row = mul[i]
-                new = mask | sum(1 << row[h] for h in members)
+                row, new = mul[i], mask
+                for h in members:
+                    new |= 1 << row[h]
                 cands &= ~new
                 least = canon.get(new)
                 if least is None:
@@ -593,16 +620,13 @@ def enumerate_subgroups_onto_Q() -> tuple[Subgroup, ...]:
 
 # --- invariants ----------------------------------------------------------
 
-def _abelian_type_from_orders(orders) -> tuple[int, ...]:
-    """Invariant factors of a finite abelian 2-group from its element
-    orders.  The elements of order dividing 2^k number 2^(r_1 + ... + r_k),
-    where r_k counts the cyclic factors of exponent at least k, so the
+def _abelian_type_from_counts(counts) -> tuple[int, ...]:
+    """Invariant factors of a finite abelian 2-group A from counts[j],
+    the number of x in A with x^(2^j) = 1, for j = 0, 1, ... up to the
+    exponent of A or beyond.  These number 2^(r_1 + ... + r_j), where
+    r_j counts the cyclic factors of exponent at least j, so the
     exponents form the partition conjugate to (r_1, r_2, ...)."""
-    ranks, below = [], 1
-    while below < len(orders):
-        upto = sum(o <= 2 ** (len(ranks) + 1) for o in orders)
-        ranks.append((upto // below).bit_length() - 1)
-        below = upto
+    ranks = [(b // a).bit_length() - 1 for a, b in zip(counts, counts[1:])]
     return tuple(2 ** sum(r > i for r in ranks)
                  for i in reversed(range(ranks[0] if ranks else 0)))
 
@@ -610,7 +634,11 @@ def _abelian_type_from_orders(orders) -> tuple[int, ...]:
 def abelianization(s: Subgroup) -> tuple[int, ...]:
     """Invariant factors (ascending) of s / [s, s].  [s, s] is the normal
     closure in s of the commutators of the generators of s: s modulo that
-    closure is generated by commuting images, so abelian."""
+    closure is generated by commuting images, so abelian.  The x in the
+    quotient with x^(2^j) = 1 are the cosets of the g in s with g^(2^j)
+    in [s, s], and the g in G0 with g^(2^(j+1)) in [s, s] are the square
+    roots of those with g^(2^j) in it, read from the square-root masks of
+    `_extension_tables`."""
     mul, inv = _mul(), _inverses()
     gens = [_INDEX[g] for g in s.generators]
     normal = list({mul[mul[inv[g]][inv[h]]][mul[g][h]]
@@ -622,19 +650,15 @@ def abelianization(s: Subgroup) -> tuple[int, ...]:
             if not derived >> y & 1:
                 normal.append(y)
                 derived = _closure_mask(mul, normal, 0)
-    # the order of each coset g[s, s] in the quotient
-    orders = []
-    done = 0
-    for g in _members(s.mask()):
-        if done >> g & 1:
-            continue
-        done |= _apply_perm(derived, mul[g])
-        o, cur = 1, g
-        while not derived >> cur & 1:
-            cur = mul[cur][g]
-            o += 1
-        orders.append(o)
-    return _abelian_type_from_orders(orders)
+    roots, size = _extension_tables()[0], derived.bit_count()
+    rooted, counts = derived, [1]
+    while counts[-1] * size < s.order:
+        grown = 0
+        for h in _members(rooted):
+            grown |= roots[h]
+        rooted = grown
+        counts.append((s.mask() & rooted).bit_count() // size)
+    return _abelian_type_from_counts(counts)
 
 
 def _pic_differences(s: Subgroup) -> list[tuple[int, ...]]:
@@ -699,12 +723,19 @@ def h1_type(s: Subgroup) -> AbelianGroupType:
 
 def _h1_cokernel(s: Subgroup) -> tuple[AbelianGroupType, int]:
     """tors(M^k / D.M) for D = `_pic_differences(s)`, by one Smith form
-    of D^T without transforms, which reduces D^T by its column echelon
-    first: D and D^T share their Smith divisors.  The generators of s
-    generate it, as every `Subgroup` guarantees, and a runtime check
-    asserts that |s| kills H^1.  The kernel of D is Pic^s, so its rank,
-    8 less the number of nonzero divisors, comes with the type."""
-    nonzero = smith_normal_form(list(zip(*_pic_differences(s))),
+    without transforms.  The nonzero Smith divisors of a matrix with 8
+    columns are the invariant factors of Z^8 modulo its row lattice, so
+    they and the rank depend only on that lattice.  The row lattice of D
+    is the sum of those of its blocks g_i - 1, so stacking a basis of
+    each, `_difference_basis(g_i)`, gives the divisors and the rank of
+    D; the vectors enter the echelon as its columns, the rows of D^T,
+    which shares the divisors of D.  The generators of s generate it, as
+    every `Subgroup` guarantees, and a runtime check asserts that |s|
+    kills H^1.  The kernel of D is Pic^s, so its rank, 8 less the number
+    of nonzero divisors, comes with the type; the trivial group stacks
+    no vector, and has H^1 = 0 and rank 8."""
+    stacked = [v for g in s.generators for v in _difference_basis(g)]
+    nonzero = smith_normal_form(list(zip(*stacked)),
                                 transforms=False).divisors
     divisors = tuple(q for q in nonzero if q > 1)
     if any(s.order % q for q in divisors):
@@ -713,23 +744,24 @@ def _h1_cokernel(s: Subgroup) -> tuple[AbelianGroupType, int]:
     return AbelianGroupType(divisors), 8 - len(nonzero)
 
 
+@lru_cache(maxsize=1)
+def _stabilizers() -> tuple[tuple[int, int], ...]:
+    """(mask of the elements that fix a curve, how many of the 56 curves
+    have that stabiliser), one pair per distinct stabiliser."""
+    perms = list(map(_curve_indices, ALL_ELEMENTS))
+    return tuple(Counter(sum(1 << i for i, p in enumerate(perms) if p[x] == x)
+                         for x in range(56)).items())
+
+
 def curve_orbit_lengths(s: Subgroup) -> tuple[int, ...]:
-    """Lengths (ascending) of the orbits of s on the 56 curves: those of
-    the permutations of its generators, as s is finite."""
-    perms = [_curve_indices(g) for g in s.generators]
-    lengths, seen = [], 0
-    for start in range(56):
-        if seen >> start & 1:
-            continue
-        seen |= 1 << start
-        orbit = [start]
-        for x in orbit:  # grows by each new image
-            for p in perms:
-                if not seen >> p[x] & 1:
-                    seen |= 1 << p[x]
-                    orbit.append(p[x])
-        lengths.append(len(orbit))
-    return tuple(sorted(lengths))
+    """Lengths (ascending) of the orbits of s on the 56 curves.  The orbit
+    of curve x has |s| / |s & Stab(x)| curves, and an orbit of length L
+    gives that length to each of its L curves."""
+    mask, order, per_curve = s.mask(), s.order, Counter()
+    for stab, curves in _stabilizers():
+        per_curve[order // (mask & stab).bit_count()] += curves
+    return tuple(n for n in sorted(per_curve)
+                 for _ in range(per_curve[n] // n))
 
 
 def fingerprint(s: Subgroup) -> tuple:

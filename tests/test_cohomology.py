@@ -558,12 +558,13 @@ def test_scan_computes_h1_once_per_class(monkeypatch):
     assert presented == []
 
 
-def test_scan_builds_one_echelon_per_class(monkeypatch):
+def test_scan_builds_one_echelon_per_class(cold_matrix_caches, monkeypatch):
     # the fixed rank is read from the column echelon behind H^1, so
-    # scan_theorem runs no fixed_sublattice and one echelon per class,
-    # none of which builds its transform V
+    # scan_theorem runs no fixed_sublattice, one echelon per class and
+    # one per generator element for its cached basis, none of which
+    # builds its transform V
     import dp2.cli as cli
-    import dp2.galois0 as galois0
+    galois0 = cold_matrix_caches
     from dp2.intlin import ColumnEchelon
 
     kernels, echelons = [], []
@@ -581,8 +582,9 @@ def test_scan_builds_one_echelon_per_class(monkeypatch):
     monkeypatch.setattr(galois0, "fixed_sublattice", counting_fixed_sublattice)
     monkeypatch.setattr(ColumnEchelon, "__init__", counting_init)
     cli.scan_theorem()
+    elements = {g for s in enumerate_subgroups_onto_Q() for g in s.generators}
     assert kernels == []
-    assert echelons == [False] * 243
+    assert echelons == [False] * (243 + len(elements))
 
 
 def test_h1_type_matches_presentation_on_every_class():

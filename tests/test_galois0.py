@@ -228,6 +228,33 @@ def test_packed_coordinates_stay_below_the_packing_bound():
             assert g0._pack(mv) == sum(c * p for c, p in zip(v, packed))
 
 
+def test_slot_packing_stays_below_its_bound(cold_matrix_caches,
+                                           monkeypatch):
+    # matrix_of compares one product sum_j pack(column j) SLOT_j, biased
+    # by 2^126 a slot, with the packed curve images side by side: every
+    # slot pack(M c_i) stays below 2^126 in absolute value on all 128
+    # elements, so the 128-bit chunks of the biased sum are exactly the
+    # slots, and a corrupted SLOT entry fails the check
+    g0 = cold_matrix_caches
+    for g in ALL_ELEMENTS:
+        m = matrix_of(g)
+        packed = [g0._pack(m[(i, j)] for i in range(8)) for j in range(8)]
+        slots = [g0._pack(sum(m[(i, j)] * c[j] for j in range(8))
+                          for i in range(8)) for c in g0._CLASSES]
+        assert max(map(abs, slots)) < 2 ** 126
+        biased = sum(p * s for p, s in zip(packed, g0._SLOTS)) \
+            + g0._SLOT_BIAS
+        assert [(biased >> 128 * i) % 2 ** 128 - 2 ** 126
+                for i in range(56)] == slots
+        assert biased >> 128 * 56 == 0
+    g0.matrix_of.cache_clear()
+    slots = list(g0._SLOTS)
+    slots[3] += 1 << 128 * 17
+    monkeypatch.setattr(g0, "_SLOTS", tuple(slots))
+    with pytest.raises(AssertionError, match="inconsistent"):
+        matrix_of(SIGMA)
+
+
 def test_matrices_need_only_the_generator_actions(cold_matrix_caches,
                                                   monkeypatch):
     g0 = cold_matrix_caches
@@ -381,14 +408,16 @@ def test_fingerprint_trivial_group():
 @pytest.mark.parametrize("exps", [(), (1,), (3,), (1, 1), (1, 2), (2, 2),
                                   (1, 1, 3), (1, 2, 3), (2, 4), (1, 1, 1, 1)])
 def test_abelian_type_of_cyclic_products(exps):
-    # element orders of Z/2^e1 x ... x Z/2^ek, listed directly
+    # element orders of Z/2^e1 x ... x Z/2^ek, listed directly, counted
+    # by the powers of two they divide, up to 2^5
     from itertools import product
     from math import gcd
-    from dp2.galois0 import _abelian_type_from_orders
+    from dp2.galois0 import _abelian_type_from_counts
     orders = [max([2 ** e // gcd(x, 2 ** e) for x, e in zip(xs, exps)],
                   default=1)
               for xs in product(*(range(2 ** e) for e in exps))]
-    assert _abelian_type_from_orders(orders) == tuple(2 ** e for e in exps)
+    counts = [sum(o <= 2 ** j for o in orders) for j in range(6)]
+    assert _abelian_type_from_counts(counts) == tuple(2 ** e for e in exps)
 
 
 def test_fixed_sublattice_G0_rank_one():
@@ -443,7 +472,7 @@ def test_fingerprint_includes_h1():
 
 
 def test_index_tables_match_group_elements():
-    # the product table, the conjugations, and the one nibble table of
+    # the product table, the conjugations, and the one byte table of
     # the generator conjugations and of the ab and bc relabelings on
     # every one-element mask
     import dp2.galois0 as g0
@@ -460,8 +489,37 @@ def test_index_tables_match_group_elements():
     maps += [S3_MAPS["ab"], S3_MAPS["bc"]]
     assert len(maps) == 7
     for x in ALL_ELEMENTS:
-        assert g0._nibble_images(1 << _INDEX[x]) \
-            == [1 << _INDEX[phi(x)] for phi in maps]
+        assert g0._packed_images(1 << _INDEX[x]) \
+            == sum(1 << 128 * t + _INDEX[phi(x)] for t, phi in enumerate(maps))
+
+
+_MASKS = st.one_of(st.integers(0, 2 ** 128 - 1),
+                   st.sampled_from([0, 2 ** 128 - 1]),
+                   st.integers(0, 127).map(lambda i: 1 << i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MASKS, st.sampled_from(ALL_ELEMENTS), st.sampled_from(sorted(S3_MAPS)))
+def test_mask_routines_match_bit_loops(mask, g, relabel):
+    # _members, _apply_perm and the byte table of _packed_images on
+    # random masks, the empty and the full mask and single bits, against
+    # bit loops and the conjugations and relabelings applied element by
+    # element
+    import dp2.galois0 as g0
+    index = g0._INDEX
+    bits = [i for i in range(128) if mask >> i & 1]
+    assert g0._members(mask) == bits
+    conj = [index[g * x * g.inverse()] for x in ALL_ELEMENTS]
+    relabeled = [index[S3_MAPS[relabel](x)] for x in ALL_ELEMENTS]
+    assert g0._apply_perm(mask, g0._conjugation(index[g])) \
+        == sum(1 << conj[i] for i in bits)
+    assert g0._apply_perm(mask, relabeled) \
+        == sum(1 << relabeled[i] for i in bits)
+    maps = [lambda x, h=h: h * x * h.inverse() for h in GENERATORS.values()]
+    maps += [S3_MAPS["ab"], S3_MAPS["bc"]]
+    assert g0._packed_images(mask) \
+        == sum(1 << 128 * t + index[phi(ALL_ELEMENTS[i])]
+               for t, phi in enumerate(maps) for i in bits)
 
 
 def test_orbit_canonical_forms_match_bruteforce():
@@ -527,6 +585,24 @@ def test_h1_eliminations_without_transforms_match_on_every_class():
         assert fixed_rank(s) == 8 - ech.rank
 
 
+def test_h1_from_element_bases_matches_stacked_differences_on_every_class():
+    # on all 1,500 conjugacy classes, the trivial group among them, the
+    # H^1 divisors and fixed rank read from the stacked per-element
+    # bases are those of the Smith form and the echelon of the stacked
+    # (g - 1) rows, each with every transform kept
+    import dp2.galois0 as g0
+    from dp2.intlin import ColumnEchelon, smith_normal_form
+    classes = all_subgroup_classes()
+    assert len(classes) == 1500 and classes[0] == 1
+    for mask in classes:
+        s = Subgroup(mask)
+        d = g0._pic_differences(s)
+        divisors = smith_normal_form(list(zip(*d))).divisors
+        assert g0.h1_type(s).divisors == tuple(q for q in divisors if q > 1)
+        assert fixed_rank(s) == 8 - ColumnEchelon(d).rank \
+            == 8 - len(divisors), s.generators
+
+
 def test_fingerprint_traces_match_matrix_sums():
     # the trace entry read from the one 128-entry table equals the
     # diagonal sum of matrix_of on every element, on all 243 classes
@@ -589,7 +665,8 @@ def _abelianization_oracle(s):
             cur = mul[cur][g]
             o += 1
         orders.append(o)
-    return g0._abelian_type_from_orders(orders)
+    return g0._abelian_type_from_counts(
+        [sum(o <= 2 ** j for o in orders) for j in range(8)])
 
 
 def _curve_orbit_lengths_oracle(s):
