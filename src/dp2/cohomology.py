@@ -274,7 +274,11 @@ def polycyclic_chain(mul, inv, e: int):
     """Subnormal chain with prime cyclic quotients, plus the generator
     descending into each step, for the group with product table `mul`,
     inverses `inv` and identity e.  Returns (gens, chain) with chain[i]
-    the mask of the subgroup left after removing gens[:i]."""
+    the mask of the subgroup left after removing gens[:i].
+
+    Each step closes the p-th powers and the commutators of the current
+    subgroup.  At p = 2 the squares alone suffice: every commutator is a
+    product of squares, [a, b] = a^-1 b^-1 a b = a^-2 (a b^-1)^2 b^2."""
     current = (1 << len(mul)) - 1
     gens, chain = [], [current]
     while current != 1 << e:
@@ -286,11 +290,12 @@ def polycyclic_chain(mul, inv, e: int):
             for _ in range(p - 1):
                 pw = mul[pw][g]
             pw_comm.add(pw)
-        for g in cur_list:
-            gi_row = mul[inv[g]]
-            g_row = mul[g]
-            for h in cur_list:
-                pw_comm.add(mul[gi_row[inv[h]]][g_row[h]])
+        if p != 2:
+            for g in cur_list:
+                gi_row = mul[inv[g]]
+                g_row = mul[g]
+                for h in cur_list:
+                    pw_comm.add(mul[gi_row[inv[h]]][g_row[h]])
         frat = _closure_mask(mul, pw_comm, e)
         # current/frat is elementary abelian; pick a descending generator
         # y outside frat and a maximal subgroup avoiding it (a hyperplane

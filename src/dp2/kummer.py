@@ -6,13 +6,14 @@ exactly; each one lying in Q(zeta_8) -- necessarily of the form
 q * sqrt(2)^eps * zeta^phi with q a positive rational -- cuts the
 generic group of order 128 down by one constraint.  Principal branches
 throughout: for negative t, sqrt(t) = |t|^(1/2) zeta^2 and
-t^(1/4) = |t|^(1/4) zeta.
+t^(1/4) = |t|^(1/4) zeta.  Every exponent is a sum of integer multiples
+of fourth-root exponents e/4, so it is kept as an integer count of
+quarters, and q as a (numerator, denominator) pair of ints.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -37,13 +38,13 @@ _FACTOR_CAP = 10 ** 18
 class ExponentVector(NamedTuple):
     """Finitely supported prime -> exponent map with a zeta_8 phase."""
 
-    exps: tuple  # sorted tuples (prime, Fraction)
+    exps: tuple  # sorted tuples (prime, exponent in quarters)
     phase: int   # in Z/8
 
     def __add__(self, other):
         acc = dict(self.exps)
         for p, e in other.exps:
-            acc[p] = acc.get(p, Fraction(0)) + e
+            acc[p] = acc.get(p, 0) + e
         exps = tuple(sorted((p, e) for p, e in acc.items() if e))
         return ExponentVector(exps, (self.phase + other.phase) % 8)
 
@@ -59,13 +60,14 @@ def _factor(n: int) -> dict:
 
 
 def exponent_vector(n: int, root_degree: int) -> ExponentVector:
-    """Prime factorization of the principal root_degree-th root of n."""
+    """Prime factorization of the principal root_degree-th root of n,
+    each exponent counted in quarters."""
     if n == 0:
         raise ValueError("zero has no radical factorization")
     if root_degree not in (1, 2, 4):
         raise ValueError("root degree must be 1, 2 or 4")
     fac = _factor(n)
-    exps = tuple(sorted((p, Fraction(e, root_degree))
+    exps = tuple(sorted((p, e * (4 // root_degree))
                         for p, e in fac.items()))
     phase = (4 // root_degree) if n < 0 else 0
     return ExponentVector(exps, phase)
@@ -81,7 +83,7 @@ class KummerConstraint(NamedTuple):
     monomial: RadicalMonomial
     eps: int    # exponent of sqrt(2)
     phi: int    # zeta_8 phase
-    rational: Fraction  # the positive rational part q
+    rational: tuple  # q as (numerator, denominator) in lowest terms
 
     def satisfied_by(self, g: GroupElement) -> bool:
         lhs = (4 * self.monomial.s * g.e_s
@@ -106,25 +108,21 @@ def constraints(A: int, B: int, C: int) -> list[KummerConstraint]:
                 if s == k == m == 0:
                     continue
                 vec = sqrt_a.scale(s) + b_over_a.scale(k) + c_over_a.scale(m)
-                ok = True
-                two_exp = Fraction(0)
-                q = Fraction(1)
-                for p, e in vec.exps:
-                    if p == 2:
-                        two_exp = e
-                        if (2 * e).denominator != 1:
-                            ok = False
-                    elif e.denominator != 1:
-                        ok = False
-                if not ok:
+                # in Q(zeta_8) iff 2 has a half-integer exponent and
+                # every other prime an integer one
+                if any(e % (2 if p == 2 else 4) for p, e in vec.exps):
                     continue
-                eps = 1 if two_exp.denominator == 2 else 0
+                eps = dict(vec.exps).get(2, 0) % 4 // 2
+                num = den = 1
                 for p, e in vec.exps:
-                    whole = e - Fraction(eps, 2) if p == 2 else e
-                    q *= Fraction(p) ** whole
+                    whole = (e - 2 * eps if p == 2 else e) // 4
+                    if whole > 0:
+                        num *= p ** whole
+                    else:
+                        den *= p ** -whole
                 out.append(KummerConstraint(
                     monomial=RadicalMonomial(s, k, m), eps=eps,
-                    phi=vec.phase % 8, rational=q))
+                    phi=vec.phase % 8, rational=(num, den)))
     return out
 
 

@@ -704,6 +704,32 @@ def test_scan_loads_neither_fractions_nor_arith():
     assert done.stdout.split() == ["[]", "[]"]
 
 
+def test_analyze_loads_neither_fractions_nor_decimal():
+    # Kummer exponents are integer counts of quarters and q a pair of
+    # ints, so no backend of analyze imports fractions (nor the decimal
+    # module that fractions imports); the standard backend exits 4 above
+    # order 32
+    script = (
+        "import io, sys\n"
+        "import dp2.cli as cli\n"
+        "for a, b, c in ((-5, -5, -14), (-16, -35, 29), (-13, -6, 23),\n"
+        "                (1, 1, 1), (-10, 49, 36)):\n"
+        "    for backend in ('presentation', 'standard', 'resolution',\n"
+        "                    'all'):\n"
+        "        argv = ['analyze', '-A', str(a), '-B', str(b), '-C', str(c),\n"
+        "                '--backend', backend, '--json']\n"
+        "        code = cli.main(argv, out=io.StringIO(), err=io.StringIO())\n"
+        "        assert code in (0, 4), argv\n"
+        "print(sorted(m for m in ('fractions', 'decimal', '_decimal',\n"
+        "                         '_pydecimal') if m in sys.modules))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_sympy_imported_at_top_level_only_where_it_belongs():
     # nowhere: sympy is a test-only oracle
     root = pathlib.Path(__file__).resolve().parents[1] / "src" / "dp2"
@@ -741,3 +767,85 @@ def test_trace_layer_names_resolve():
         module = importlib.import_module(modname)
         for name in names:
             assert callable(getattr(module, name, None)), (modname, name)
+
+
+def _module_env(**extra) -> dict:
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(extra)
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-A", "-6", "-B", "-3", "-C", "2"],
+    ["analyze", "-A", "-5", "-B", "-5", "-C", "-14", "--backend", "all",
+     "--json"],
+    ["scan", "--json"],
+    ["hilbert", "-A", "3", "-B", "5"],
+    ["obstruct", "-A", "0", "-B", "0", "-C", "5"],
+    ["analyze", "-A", "x"],
+    ["--help"],
+], ids=["analyze", "analyze-json", "scan-json", "hilbert", "zero-coeff",
+        "argparse-error", "help"])
+def test_module_exit_path_matches_main(argv, capsys, monkeypatch):
+    # `python -m dp2.cli` runs main() through run(), which flushes and
+    # ends with os._exit: the same stdout, stderr and exit code as main()
+    # in process
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.main(argv)
+    want = capsys.readouterr()
+    done = subprocess.run([sys.executable, "-m", "dp2.cli", *argv],
+                          env=_module_env(), capture_output=True, text=True,
+                          timeout=600)
+    assert (done.returncode, done.stdout, done.stderr) \
+        == (code, want.out, want.err)
+    assert code in (0, 2)
+
+
+def test_run_falls_back_to_sys_exit_when_a_flush_fails(monkeypatch):
+    # a stdout whose flush raises takes sys.exit(code), not os._exit;
+    # an exception out of main() propagates as it did under
+    # sys.exit(main()), for a traceback and exit 1
+    class FailingFlush(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def no_os_exit(code):
+        raise AssertionError(f"os._exit({code}) after a failed flush")
+
+    monkeypatch.setattr(sys, "argv", ["dp2", "hilbert", "-A", "3", "-B", "5"])
+    monkeypatch.setattr(sys, "stdout", FailingFlush())
+    monkeypatch.setattr(os, "_exit", no_os_exit)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == cli.EXIT_OK
+
+    def failing_main():
+        raise RuntimeError("uncaught")
+
+    monkeypatch.setattr(cli, "main", failing_main)
+    with pytest.raises(RuntimeError, match="uncaught"):
+        cli.run()
+
+
+def test_closed_pipe_exits_as_sys_exit_main_did():
+    # stdout is a pipe whose reader has gone: the flush in run() fails,
+    # and the process ends with the code and stderr of sys.exit(main())
+    argv = ["hilbert", "-A", "3", "-B", "5"]
+    results = []
+    for head in (["-m", "dp2.cli"],
+                 ["-c", "import sys; from dp2.cli import main; "
+                        "sys.exit(main())"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, *head, *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=_module_env(), text=True, timeout=600)
+        finally:
+            os.close(write_end)
+        results.append((done.returncode, done.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] not in (0, 1)
+    assert "BrokenPipeError" in results[0][1]

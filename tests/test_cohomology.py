@@ -14,6 +14,7 @@ from dp2.cohomology import (
     h1_standard,
     h1_via_resolution,
     pic_module,
+    polycyclic_chain,
     sigma1_to_standard,
     standard_cocycle_checks,
     submodule_on_invariants,
@@ -21,6 +22,7 @@ from dp2.cohomology import (
     _fixed_basis,
     _identity_mat,
     _resolution_maps,
+    _smallest_prime,
     _tree_cocycles,
 )
 from dp2.galois0 import (
@@ -33,6 +35,9 @@ from dp2.galois0 import (
     SIGMA,
     TAU,
     Subgroup,
+    _apply_perm,
+    _closure_mask,
+    _members,
     all_subgroup_classes,
     enumerate_subgroups_onto_Q,
     fixed_rank,
@@ -164,6 +169,71 @@ def test_presentation_refuses_non_generating_generators():
     with pytest.raises(AssertionError,
                        match="module generators do not generate the group"):
         h1_presentation(mod)
+
+
+def _chain_with_commutators(mul, inv, e: int):
+    """`polycyclic_chain` with every step closing the p-th powers and
+    all the commutators of the current subgroup, at p = 2 too."""
+    current = (1 << len(mul)) - 1
+    gens, chain = [], [current]
+    while current != 1 << e:
+        p = _smallest_prime(current.bit_count())
+        cur_list = _members(current)
+        pw_comm = set()
+        for g in cur_list:
+            pw = g
+            for _ in range(p - 1):
+                pw = mul[pw][g]
+            pw_comm.add(pw)
+            for h in cur_list:
+                pw_comm.add(mul[mul[inv[g]][inv[h]]][mul[g][h]])
+        frat = _closure_mask(mul, pw_comm, e)
+        y = next(g for g in cur_list if not frat >> g & 1)
+        sub = frat
+        for g in cur_list:
+            if sub >> g & 1:
+                continue
+            cand = coset = sub
+            for _ in range(p - 1):
+                coset = _apply_perm(coset, mul[g])
+                cand |= coset
+            if not cand >> y & 1:
+                sub = cand
+        assert sub.bit_count() * p == current.bit_count()
+        gens.append(y)
+        current = sub
+        chain.append(current)
+    return gens, chain
+
+
+def _s3_module() -> GModule:
+    """S3 permuting the coordinates of Z^3: not a 2-group, so its chain
+    takes a step at p = 2 and then one at p = 3."""
+    import itertools
+    perms = tuple(itertools.permutations(range(3)))
+    mats = {g: tuple(tuple(int(g[j] == i) for j in range(3))
+                     for i in range(3)) for g in perms}
+    return GModule(elements=perms, identity=(0, 1, 2),
+                   mul=lambda a, b: tuple(a[b[i]] for i in range(3)),
+                   dim=3, matrices=mats)
+
+
+def test_squares_only_frattini_step_matches_commutators():
+    # at p = 2 the squares generate every commutator,
+    # [a, b] = a^-2 (a b^-1)^2 b^2, so the chains are the same
+    subs = enumerate_subgroups_onto_Q()
+    assert len(subs) == 243
+    mods = [pic_module(s) for s in subs]
+    mods += [_s3_module(), cyclic_module(6, ((-1,),)),
+             cyclic_module(3, ((1,),))]
+    for mod in mods:
+        t = mod.table
+        assert polycyclic_chain(t.mul, t.inv, t.e) \
+            == _chain_with_commutators(t.mul, t.inv, t.e), mod.elements
+    t = mods[243].table
+    _, chain = polycyclic_chain(t.mul, t.inv, t.e)
+    assert [a.bit_count() // b.bit_count()
+            for a, b in zip(chain, chain[1:])] == [2, 3]
 
 
 def _product_table_oracle(mod):

@@ -3,9 +3,9 @@ import functools
 import json
 import math
 import os
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dp2.galois0 import (
     ALL_ELEMENTS,
@@ -32,23 +32,68 @@ from dp2.kummer import (
     table2_match,
 )
 
+from kummer_oracle import oracle_constraints
 from s3_maps import S3_MAPS
 
 
 def test_exponent_vector_branches():
+    # exponents are counted in quarters: 2^(1/4) is (2, 1), 3^1 is (3, 4)
     v = exponent_vector(-2, 4)
-    assert v.exps == ((2, Fraction(1, 4)),)
+    assert v.exps == ((2, 1),)
     assert v.phase == 1
     v = exponent_vector(9, 2)
-    assert v.exps == ((3, Fraction(1)),)
+    assert v.exps == ((3, 4),)
     assert v.phase == 0
     v = exponent_vector(-6, 2)
-    assert v.exps == ((2, Fraction(1, 2)), (3, Fraction(1, 2)))
+    assert v.exps == ((2, 2), (3, 2))
     assert v.phase == 2
     with pytest.raises(ValueError):
         exponent_vector(0, 2)
     with pytest.raises(ValueError):
         exponent_vector(2, 3)
+
+
+def _constraint_tuples(A, B, C):
+    return [(tuple(c.monomial), c.eps, c.phi, c.rational)
+            for c in constraints(A, B, C)]
+
+
+def test_quarter_exponents_match_the_fraction_oracle():
+    # the 80 analyze triples of the benchmark and the Table 2 examples
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "references.json")
+    with open(path) as f:
+        keys = json.load(f)["analyze"]
+    triples = [tuple(map(int, key.split(","))) for key in keys]
+    triples += [row.example for row in TABLE2]
+    assert len(triples) == 92
+    emitted = 0
+    for coeffs in triples:
+        got = _constraint_tuples(*coeffs)
+        assert got == oracle_constraints(*coeffs), coeffs
+        emitted += len(got)
+    assert emitted
+
+
+_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 97, 10007, 999983)
+
+
+@st.composite
+def _signed_prime_powers(draw):
+    """A nonzero integer of absolute value at most 10^12: a sign, a power
+    of 2 and odd prime powers, each factor kept while it fits."""
+    n = draw(st.sampled_from((1, -1))) * 2 ** draw(st.integers(0, 13))
+    for p, e in draw(st.lists(st.tuples(st.sampled_from(_ODD_PRIMES),
+                                        st.integers(1, 9)), max_size=4)):
+        if abs(n) * p ** e <= 10 ** 12:
+            n *= p ** e
+    return n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_prime_powers(), _signed_prime_powers(), _signed_prime_powers())
+def test_quarter_exponents_match_the_fraction_oracle_property(A, B, C):
+    assert _constraint_tuples(A, B, C) == oracle_constraints(A, B, C)
 
 
 def test_factor_cap_rejects_huge_input():
@@ -125,7 +170,8 @@ def float_oracle_agrees(A: int, B: int, C: int) -> bool:
     for con in constraints(A, B, C):
         s, k, m = con.monomial.s, con.monomial.k, con.monomial.m
         val = _float_value(A, B, C, s, k, m)
-        expected = float(con.rational) * math.sqrt(2) ** con.eps \
+        num, den = con.rational
+        expected = num / den * math.sqrt(2) ** con.eps \
             * zeta ** con.phi
         if abs(val - expected) > 1e-9 * (1 + abs(expected)):
             return False
