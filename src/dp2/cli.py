@@ -474,7 +474,7 @@ def run() -> None:
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except BaseException:
+    except Exception:
         sys.exit(code)
     os._exit(code)
 

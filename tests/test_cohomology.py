@@ -218,14 +218,27 @@ def _s3_module() -> GModule:
                    dim=3, matrices=mats)
 
 
+def _heisenberg3_module() -> GModule:
+    """The Heisenberg group mod 3, of order 27 and exponent 3, acting
+    trivially on Z: its cubes are trivial, so only the commutators give
+    the Frattini subgroup, its center."""
+    import itertools
+    els = tuple(itertools.product(range(3), repeat=3))
+    return GModule(elements=els, identity=(0, 0, 0),
+                   mul=lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3,
+                                     (x[2] + y[2] + x[0] * y[1]) % 3),
+                   dim=1, matrices=dict.fromkeys(els, ((1,),)))
+
+
 def test_squares_only_frattini_step_matches_commutators():
     # at p = 2 the squares generate every commutator,
-    # [a, b] = a^-2 (a b^-1)^2 b^2, so the chains are the same
+    # [a, b] = a^-2 (a b^-1)^2 b^2, so the chains are the same; S3, Z/6
+    # and the Heisenberg group mod 3 take steps at odd p too
     subs = enumerate_subgroups_onto_Q()
     assert len(subs) == 243
     mods = [pic_module(s) for s in subs]
     mods += [_s3_module(), cyclic_module(6, ((-1,),)),
-             cyclic_module(3, ((1,),))]
+             _heisenberg3_module()]
     for mod in mods:
         t = mod.table
         assert polycyclic_chain(t.mul, t.inv, t.e) \
