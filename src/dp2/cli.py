@@ -159,51 +159,20 @@ def scan_theorem() -> dict:
 
 # --- obstruct -------------------------------------------------------------
 
-def _family_prime(A: int, B: int, C: int):
-    from .arith import is_prime
-
-    p = -B
-    if A == -2 * p and C == 2 and p % 16 == 3 and is_prime(p):
-        return p
-    return None
-
-
 def obstruct_surface(A: int, B: int, C: int, bound: int = 12, depth=None):
-    """(verdict, transcript) by the recipe matching the coefficients.
-    depth, when given, caps the 2-adic enumeration depth; the order-4
-    recipe on (-9826, -2, 136) ignores it (its check is fixed at 2^10)."""
+    """(verdict, transcript) by the recipe that covers the coefficients
+    (dp2.local.examples.obstruct).  depth, when given, caps the 2-adic
+    enumeration depth, where the recipe reads it."""
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     if 0 in (A, B, C):
         raise ValueError("coefficients must be nonzero")
-    from .local.examples import (build_ex71, build_ex72, build_ex73,
-                                 build_ex74, build_ex75, is_generic_triple,
-                                 obstruct_ex71, obstruct_ex72, obstruct_ex73,
-                                 obstruct_ex74, obstruct_ex75)
+    from .local.examples import obstruct
 
-    if (A, B, C) == (-25, -5, 45):
-        return (obstruct_ex71(depth=depth),
-                build_ex71().transcript)
-    p = _family_prime(A, B, C)
-    if p is not None:
-        return (obstruct_ex72(p, depth=depth),
-                build_ex72(p).transcript)
-    if (A, B, C) == (34, 34, 34):
-        return (obstruct_ex74(depth=depth),
-                build_ex74().transcript)
-    if (A, B, C) == (-9826, -2, 136):
-        return obstruct_ex75(), build_ex75().transcript
-    if is_generic_triple(A, B, C):
-        return (obstruct_ex73(A, B, C, bound=bound, depth=depth),
-                build_ex73(A, B, C, bound=bound).transcript)
-    raise ValueError(
-        f"recipe not implemented for coefficients ({A}, {B}, {C}): "
-        "implemented are the generic conic-bundle recipe, the "
-        "(-25,-5,45) and (-2p,-p,2) conic-tangency cases, (34,34,34) "
-        "and (-9826,-2,136)")
+    return obstruct(A, B, C, bound=bound, depth=depth)
 
 
-def _fraction_str(q: Fraction) -> str:
+def _fraction_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 \
         else f"{q.numerator}/{q.denominator}"
 
@@ -321,21 +290,10 @@ def _run_hilbert(args, out) -> int:
 
 def _run_verify(args, out) -> int:
     """Re-derive every worked-example identity and print the transcript."""
-    from .local.examples import (build_ex71, build_ex72, build_ex73,
-                                 build_ex74, build_ex75)
+    from .local.examples import verify_sections
 
-    sections = (
-        ("conic tangency (-25, -5, 45)", build_ex71),
-        ("conic tangency family, p = 3", lambda: build_ex72(3)),
-        ("conic tangency family, p = 19", lambda: build_ex72(19)),
-        ("generic conic bundle (-126, -91, 78)",
-         lambda: build_ex73(-126, -91, 78)),
-        ("descent classes (34, 34, 34)", build_ex74),
-        ("order-4 class (-9826, -2, 136)", build_ex75),
-    )
-    report = {"sections": [
-        {"name": name, "facts": list(builder().transcript)}
-        for name, builder in sections]}
+    report = {"sections": [{"name": name, "facts": list(facts)}
+                           for name, facts in verify_sections()]}
     _emit(report, args.json, out)
     return EXIT_OK
 

@@ -72,13 +72,7 @@ def build_ex71() -> ExampleClass:
 
 
 def obstruct_ex71(samples=200000, depth=None) -> Verdict:
-    ex = build_ex71()
-    A, B, C = ex.surface
-    profiles = [real_profile(ex.classes, A, B, C)]
-    for p in (2, 3, 5):
-        profiles.append(invariant_profile(
-            ex.classes, A, B, C, p, k_cap=depth if p == 2 else None))
-    return verdict(profiles)
+    return _verdict(build_ex71(), None, depth)
 
 
 # --- conic-tangency family, parametric instance --------------------------
@@ -154,24 +148,23 @@ def ex72_profile_at_p(p: int) -> LocalProfile:
                         undetermined=0, method="analytic")
 
 
-ex73_point_error = (
-    "no conic point found by the search up to --bound; the search is "
-    "not exhaustive, so raise --bound")
+def _ex72_place(ex, place, depth):
+    """The place p of (-2p, -p, 2) (ex72_profile_at_p)."""
+    return ex72_profile_at_p(place) if place == -ex.surface[1] else None
+
+
+def obstruct_ex72(p: int, samples=200000, depth=None) -> Verdict:
+    return _verdict(build_ex72(p), _ex72_place, depth)
 
 
 def is_generic_triple(A: int, B: int, C: int) -> bool:
     """None of the 31 nontrivial products (-1)^d 2^e A^a B^b C^c is a
     perfect square."""
-    for d in range(2):
-        for e in range(2):
-            for a in range(2):
-                for b in range(2):
-                    for c in range(2):
-                        if not (d or e or a or b or c):
-                            continue
-                        val = (-1) ** d * 2 ** e * A ** a * B ** b * C ** c
-                        if val > 0 and math.isqrt(val) ** 2 == val:
-                            return False
+    for d, e, a, b, c in itertools.product(range(2), repeat=5):
+        val = (-1) ** d * 2 ** e * A ** a * B ** b * C ** c
+        if (d, e, a, b, c) != (0,) * 5 and val > 0 \
+                and math.isqrt(val) ** 2 == val:
+            return False
     return True
 
 
@@ -215,7 +208,9 @@ def build_ex73(A: int, B: int, C: int, point=None, bound=12) \
     if point is None:
         point = _find_conic_point(A, B, C, bound)
         if point is None:
-            raise ValueError(ex73_point_error)
+            raise ValueError("no conic point found by the search up to "
+                             "--bound; the search is not exhaustive, so "
+                             "raise --bound")
     r1, r2, s1, s2, t0 = point
     theta = T  # theta^2 = -ABC
     r0 = r1 + r2 * theta
@@ -268,19 +263,16 @@ def square_d_profile(d, A, B, C, p) -> LocalProfile:
                         undetermined=0, method="analytic")
 
 
+def _ex73_place(ex, place, depth):
+    """Each odd p at which d is a p-adic square (square_d_profile)."""
+    d = ex.classes[0].d
+    return (square_d_profile(d, *ex.surface, place)
+            if place not in ("R", 2) and _is_padic_square(d, place) else None)
+
+
 def obstruct_ex73(A: int, B: int, C: int, bound=12, samples=200000,
                   depth=None) -> Verdict:
-    ex = build_ex73(A, B, C, bound=bound)
-    d = ex.classes[0].d
-    profiles = [real_profile(ex.classes, A, B, C)]
-    places = sorted({2} | set(factorint(abs(A * B * C))))
-    for p in places:
-        if p != 2 and _is_padic_square(d, p):
-            profiles.append(square_d_profile(d, A, B, C, p))
-        else:
-            profiles.append(invariant_profile(
-                ex.classes, A, B, C, p, k_cap=depth if p == 2 else None))
-    return verdict(profiles)
+    return _verdict(build_ex73(A, B, C, bound=bound), _ex73_place, depth)
 
 
 # --- descent-constructed classes on (34, 34, 34) -------------------------
@@ -502,36 +494,31 @@ def ex74_real_check():
     return sum(map(len, signs))
 
 
-def obstruct_ex74(samples=200000, depth=None) -> Verdict:
-    """The (34, 34, 34) verdict for the three independent classes
+def _ex74_place(ex, place, depth):
+    """R, 2 and 17 of (34, 34, 34), for the three independent classes
     q1, q2, q3 (the identities in the transcript give q_{i+3} = q_i on
     the surface, so the partners are merged in the 2-adic enumeration):
     at 17 exactly two of the three are ramified on every residue class,
     while at 2 and at the real place the three invariants agree, so no
     choice of attained vectors sums to zero."""
-    ex = build_ex74()
+    if place == "R":
+        ex74_real_check()
+        return LocalProfile(place="R", modulus=None,
+                            invariants=frozenset({(ZERO,) * 3, (HALF,) * 3}),
+                            undetermined=0, method="sampling")
+    if place == 2:
+        return invariant_profile(ex.classes, 34, 34, 34, 2, k_cap=depth,
+                                 merge=((0, 3), (1, 4), (2, 5)))
     _, patterns, _ = _ex74_17adic()
-    p17 = LocalProfile(place=17, modulus=17,
-                       invariants=frozenset(
-                           tuple(HALF if r else ZERO for r in pt)
-                           for pt in patterns),
-                       undetermined=0, method="analytic")
-    ex74_real_check()
-    p_real = LocalProfile(place="R", modulus=None,
-                          invariants=frozenset({(ZERO,) * 3, (HALF,) * 3}),
-                          undetermined=0, method="sampling")
-    p2 = invariant_profile(ex.classes, 34, 34, 34, 2, k_cap=depth,
-                           merge=((0, 3), (1, 4), (2, 5)))
-    return verdict([p_real, p2, p17])
+    return LocalProfile(place=17, modulus=17,
+                        invariants=frozenset(
+                            tuple(HALF if r else ZERO for r in pt)
+                            for pt in patterns),
+                        undetermined=0, method="analytic")
 
 
-def obstruct_ex72(p: int, samples=200000, depth=None) -> Verdict:
-    ex = build_ex72(p)
-    A, B, C = ex.surface
-    profiles = [real_profile(ex.classes, A, B, C),
-                invariant_profile(ex.classes, A, B, C, 2, k_cap=depth),
-                ex72_profile_at_p(p)]
-    return verdict(profiles)
+def obstruct_ex74(samples=200000, depth=None) -> Verdict:
+    return _verdict(build_ex74(), _ex74_place, depth)
 
 
 # --- the order-4 class on (-9826, -2, 136) -------------------------------
@@ -549,10 +536,6 @@ def ex75_cocycle_functions():
     return f1, f2
 
 
-def _conj_i(expr):
-    return expr.subs(T, -T)
-
-
 @functools.cache
 def build_ex75() -> ExampleClass:
     """The surface (-9826, -2, 136): an order-4 obstruction class.  The
@@ -568,7 +551,7 @@ def build_ex75() -> ExampleClass:
     surf = W ** 2 - (A * X ** 4 + B * Y ** 4 + C * Z ** 4)
     transcript = []
     for tag, (num, den) in zip(("f1", "f2"), ex75_cocycle_functions()):
-        diff = num * _conj_i(num) - den * _conj_i(den)
+        diff = num * num.subs(T, -T) - den * den.subs(T, -T)  # i -> -i
         transcript.append(_check(
             _vanishes(diff, T ** 2 + 1, surf),
             f"{tag} h({tag}) = 1 modulo the surface relation"))
@@ -607,36 +590,94 @@ def build_ex75() -> ExampleClass:
                         transcript=tuple(transcript))
 
 
-def obstruct_ex75() -> Verdict:
-    """The full order-4 verdict: invariant 1/2 at 17, 0 at 2 and at the
-    real place, so the class obstructs."""
-    from .quartic import (
-        ex75_2adic_profile,
-        ex75_17adic_profile,
-        ex75_real_profile,
-    )
+def _ex75_place(ex, place, depth):
+    """R, 2 and 17 of the order-4 class: invariant 1/2 at 17, 0 at 2 and
+    at the real place, so the class obstructs.  The build's cocycle
+    identities back the profile arguments; depth does not apply, as the
+    2-adic check is fixed at 2^10."""
+    from . import quartic
 
-    build_ex75()  # the cocycle identities back the profile arguments
-    profiles = [ex75_real_profile(), ex75_2adic_profile(),
-                ex75_17adic_profile()]
-    return verdict(profiles)
+    return {"R": quartic.ex75_real_profile, 2: quartic.ex75_2adic_profile,
+            17: quartic.ex75_17adic_profile}[place]()
+
+
+def obstruct_ex75() -> Verdict:
+    return _verdict(build_ex75(), _ex75_place)
+
+
+def _ex75_two_torsion_place(ex, place, depth):
+    """R and 17 for the 2-torsion generator alone: unramified at every
+    place (its residue form 136 x^2 + y^2 + 18 z^2 is positive definite,
+    -2 is a 17-adic square, and the 2-adic enumeration attains only 0),
+    hence no obstruction from this class."""
+    if place == "R":
+        _check(all(c > 0 for c in (136, 1, 18)),
+               "the residue form is positive definite, so (-2, g) is "
+               "unramified on S(R)")
+        return LocalProfile(place="R", modulus=None,
+                            invariants=frozenset({(ZERO,)}),
+                            undetermined=0, method="analytic")
+    return (square_d_profile(Fraction(-2), *ex.surface, 17) if place == 17
+            else None)
 
 
 def obstruct_ex75_two_torsion(samples=200000) -> Verdict:
-    """The 2-torsion generator alone: unramified at every place (its
-    residue form 136 x^2 + y^2 + 18 z^2 is positive definite, -2 is a
-    17-adic square, and the 2-adic enumeration attains only 0), hence
-    no obstruction from this class."""
-    ex = build_ex75()
+    return _verdict(build_ex75(), _ex75_two_torsion_place)
+
+
+# --- the obstruction pipeline ---------------------------------------------
+
+def _places(A, B, C):
+    """R, then 2 and the odd primes of ABC in ascending order; ABC is
+    factored after R is read, so an error at R is raised first."""
+    yield "R"
+    yield from sorted({2} | set(factorint(abs(A * B * C))))
+
+
+def _verdict(ex, own=None, depth=None) -> Verdict:
+    """The verdict every recipe reaches: each place in the order of
+    _places is decided by the recipe's own(ex, place, depth) where it
+    returns a profile, and otherwise by the exact real place or the
+    p-adic enumeration, with depth capping the place 2 only."""
     A, B, C = ex.surface
-    coeffs = (136, 1, 18)
-    _check(all(c > 0 for c in coeffs),
-           "the residue form is positive definite, so (-2, g) is "
-           "unramified on S(R)")
-    real = LocalProfile(place="R", modulus=None,
-                        invariants=frozenset({(ZERO,)}),
-                        undetermined=0, method="analytic")
-    profiles = [real,
-                invariant_profile(ex.classes, A, B, C, 2),
-                square_d_profile(Fraction(-2), A, B, C, 17)]
+    profiles = []
+    for place in _places(A, B, C):
+        profiles.append((own and own(ex, place, depth)) or (
+            real_profile(ex.classes, A, B, C) if place == "R" else
+            invariant_profile(ex.classes, A, B, C, place,
+                              k_cap=depth if place == 2 else None)))
     return verdict(profiles)
+
+
+def obstruct(A: int, B: int, C: int, bound=12, depth=None):
+    """(verdict, transcript) by the recipe that covers (A, B, C): a match
+    test on the coefficients, its cached builder, called once, and the
+    places it decides by its own argument; _verdict reads the rest."""
+    if (A, B, C) == (-25, -5, 45):
+        ex, own = build_ex71(), None
+    elif A == 2 * B and C == 2 and -B % 16 == 3 and is_prime(-B):
+        ex, own = build_ex72(-B), _ex72_place
+    elif (A, B, C) == (34, 34, 34):
+        ex, own = build_ex74(), _ex74_place
+    elif (A, B, C) == (-9826, -2, 136):
+        ex, own = build_ex75(), _ex75_place
+    elif is_generic_triple(A, B, C):
+        ex, own = build_ex73(A, B, C, bound=bound), _ex73_place
+    else:
+        raise ValueError(
+            f"recipe not implemented for coefficients ({A}, {B}, {C}): "
+            "implemented are the generic conic-bundle recipe, the "
+            "(-25,-5,45) and (-2p,-p,2) conic-tangency cases, (34,34,34) "
+            "and (-9826,-2,136)")
+    return _verdict(ex, own, depth), ex.transcript
+
+
+def verify_sections():
+    """(title, transcript) of each worked example that `dp2 verify` prints."""
+    return [("conic tangency (-25, -5, 45)", build_ex71().transcript),
+            ("conic tangency family, p = 3", build_ex72(3).transcript),
+            ("conic tangency family, p = 19", build_ex72(19).transcript),
+            ("generic conic bundle (-126, -91, 78)",
+             build_ex73(-126, -91, 78).transcript),
+            ("descent classes (34, 34, 34)", build_ex74().transcript),
+            ("order-4 class (-9826, -2, 136)", build_ex75().transcript)]

@@ -403,6 +403,32 @@ def test_obstruct_reference_pool_prints_recorded_bytes():
         assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"], key
 
 
+@pytest.mark.parametrize("argv,sha256", [
+    (["verify"],
+     "cbb5b096c7caeddf92962818f4e731d9d73e9d10a75a44ccbf62748e35383c64"),
+    (["verify", "--json"],
+     "35be7c8ccde3dade207dcfd22484189a5c41c71965d288f12895f6cec3208a23"),
+    (["obstruct", "-A", "-25", "-B", "-5", "-C", "45"],
+     "297e6cf917982d5b65b2b39d117704ed4a02558d2d6848488b7faf9cd6b22558"),
+    (["obstruct", "-A", "-6", "-B", "-3", "-C", "2"],
+     "08e66e22f2b2728fb21f1d7180d56551efa59930be4a9846c636f776a6ae5a3a"),
+    (["obstruct", "-A", "-126", "-B", "-91", "-C", "78"],
+     "4564f232e55ee4513647064544782231cfd849b92fa979fd8f0abe4d752931b6"),
+    (["obstruct", "-A", "34", "-B", "34", "-C", "34"],
+     "7c447a923c97ffbd341d86b64bab0f6a695d1e889a574263bd50b9b9a17494d2"),
+    (["obstruct", "-A", "-9826", "-B", "-2", "-C", "136"],
+     "2190145461926f07f11b44a0a65eb14694fe77d2eceb1c585761f9d23e8b03fd"),
+], ids=["verify", "verify-json", "obstruct-25-5-45", "obstruct-6-3-2",
+        "obstruct-126-91-78", "obstruct34-34-34", "obstruct-9826-2-136"])
+def test_outputs_no_reference_records_keep_their_bytes(argv, sha256):
+    # bench/references.json holds `obstruct --json` only: these hashes pin
+    # the verify transcripts and the text form of obstruct, which prints
+    # each recipe's transcript
+    code, out, err = run(argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_every_subcommand_runs_without_sympy():
     # with sympy made unimportable, as after `pip install .` without the
     # test extra, every subcommand still answers, a Hilbert symbol above
@@ -752,6 +778,21 @@ def test_no_dp2_module_imports_dataclasses():
         for module, level in _imports(ast.parse(path.read_text()),
                                       on_import_only=False):
             assert (level, module.split(".")[0]) != (0, "dataclasses"), path
+
+
+def test_every_cli_annotation_resolves():
+    # under `from __future__ import annotations` an annotation is a string,
+    # evaluated in dp2.cli's globals only when asked for, so a name that
+    # the module imports inside a function alone raises NameError here
+    import types
+    import typing
+
+    functions = [f for f in vars(cli).values()
+                 if isinstance(f, types.FunctionType)
+                 and f.__module__ == cli.__name__]
+    assert len(functions) > 10
+    for f in functions:
+        typing.get_type_hints(f)
 
 
 def test_trace_layer_names_resolve():
