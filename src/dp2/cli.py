@@ -60,8 +60,8 @@ def resolution_h1(s):
 def h1_with_backend(s, backend: str):
     """(AbelianGroupType, label) for the chosen backend; "all" runs every
     applicable backend and raises InvariantViolation on disagreement."""
-    from .cohomology import (_STANDARD_LIMIT, h1_of_subgroup, h1_standard,
-                             pic_module)
+    from .cohomology import (_STANDARD_LIMIT, h1_of_subgroup,
+                             h1_presentation, h1_standard, pic_module)
 
     if backend == "presentation":
         return h1_of_subgroup(s), "presentation"
@@ -77,9 +77,10 @@ def h1_with_backend(s, backend: str):
                 "no short resolution implemented for this group shape")
         return res.group, res.backend
     if backend == "all":
-        results = {"presentation": h1_of_subgroup(s)}
+        mod = pic_module(s)  # one product table and matrix cache for both
+        results = {"presentation": h1_presentation(mod).group}
         if s.order <= _STANDARD_LIMIT:
-            results["standard"] = h1_standard(pic_module(s)).group
+            results["standard"] = h1_standard(mod).group
         res = resolution_h1(s)
         if res is not None:
             results[res.backend] = res.group
@@ -172,11 +173,6 @@ def obstruct_surface(A: int, B: int, C: int, bound: int = 12, depth=None):
     return obstruct(A, B, C, bound=bound, depth=depth)
 
 
-def _fraction_str(q) -> str:
-    return str(q.numerator) if q.denominator == 1 \
-        else f"{q.numerator}/{q.denominator}"
-
-
 def verdict_report(v) -> dict:
     from .local.hilbert import render_place
 
@@ -187,7 +183,7 @@ def verdict_report(v) -> dict:
                 "place": render_place(pr.place),
                 "modulus": pr.modulus,
                 "invariants": sorted(
-                    [_fraction_str(q) for q in vec]
+                    [str(q) for q in vec]
                     for vec in pr.invariants),
                 "method": pr.method,
             }
@@ -272,8 +268,8 @@ def _run_hilbert(args, out) -> int:
     else:
         places = relevant_places(a, b)
     report = {
-        "a": _fraction_str(a),
-        "b": _fraction_str(b),
+        "a": str(a),
+        "b": str(b),
         "symbols": {render_place(p): int(hilbert_symbol(a, b, p))
                     for p in places},
     }
@@ -309,7 +305,7 @@ def _run_cubic(args, out) -> int:
         "coefficients": list(rep.coefficients),
         "column_identity": rep.column_identity,
         "norm_solution": None if rep.norm_solution is None
-        else [_fraction_str(Fraction(q)) for q in rep.norm_solution],
+        else [str(Fraction(q)) for q in rep.norm_solution],
         "h": None if rep.h is None else str(rep.h),
         "presentation": {"r_cubed": str(rep.presentation[0]),
                          "s_cubed": rep.presentation[1],

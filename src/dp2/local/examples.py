@@ -20,7 +20,6 @@ from .padic import (
     _shift,
     invariant_profile,
     real_profile,
-    real_witness,
 )
 from .poly import T, U, W, X, Y, Z, Poly
 from .profiles import LocalProfile, Verdict, verdict
@@ -33,6 +32,10 @@ class ExampleClass(NamedTuple):
     surface: tuple
     classes: tuple
     transcript: tuple  # human-readable lines, each a verified fact
+    # groups of class indices equal in Br(S) under different
+    # representatives: every default place of _verdict reads a group
+    # as one class
+    merge: tuple | None = None
 
 
 def _check(condition: bool, message: str) -> str:
@@ -382,7 +385,8 @@ def build_ex74() -> ExampleClass:
         QuaternionClass(Fraction(-17), h / X ** 4, label=f"(-17, h{k}/x^4)")
         for k, h in enumerate(hs, start=1))
     return ExampleClass(surface=(34, 34, 34), classes=classes,
-                        transcript=tuple(transcript))
+                        transcript=tuple(transcript),
+                        merge=((0, 3), (1, 4), (2, 5)))
 
 
 def _ex74_17adic():
@@ -477,38 +481,15 @@ def ex74_17adic_liftable_check():
     return _ex74_17adic()[2]
 
 
-def ex74_real_check():
-    """Real-place sign analysis at the exact witness of real_witness:
-    all six h_i are positive on the w > 0 sheet and negative on the
-    w < 0 sheet, so each (-17, h_i) is unramified on the first and
-    ramified on the second.  Each (-17, h_i) lies in Br(S), so its
-    evaluation is locally constant on S(R), and S(R) is the two
-    w-sheets, each a copy of the connected P^2(R): the witness decides
-    each sheet.  Returns the number of signs checked."""
-    ex = build_ex74()
-    _, signs = real_witness([q.numerator_terms() for q in ex.classes],
-                            34, 34, 34)
-    for sheet, row in zip((1, -1), signs):
-        if any(sign != sheet for sign in row):
-            raise AssertionError("sign of h_i disagrees with the w-sheet")
-    return sum(map(len, signs))
-
-
 def _ex74_place(ex, place, depth):
-    """R, 2 and 17 of (34, 34, 34), for the three independent classes
+    """The place 17 of (34, 34, 34), for the three independent classes
     q1, q2, q3 (the identities in the transcript give q_{i+3} = q_i on
-    the surface, so the partners are merged in the 2-adic enumeration):
-    at 17 exactly two of the three are ramified on every residue class,
-    while at 2 and at the real place the three invariants agree, so no
-    choice of attained vectors sums to zero."""
-    if place == "R":
-        ex74_real_check()
-        return LocalProfile(place="R", modulus=None,
-                            invariants=frozenset({(ZERO,) * 3, (HALF,) * 3}),
-                            undetermined=0, method="sampling")
-    if place == 2:
-        return invariant_profile(ex.classes, 34, 34, 34, 2, k_cap=depth,
-                                 merge=((0, 3), (1, 4), (2, 5)))
+    the surface, and ex.merge pairs the partners at every place that
+    _verdict reads): exactly two of the three are ramified on every
+    residue class, while at 2 and at the real place the three
+    invariants agree, so no choice of attained vectors sums to zero."""
+    if place != 17:
+        return None
     _, patterns, _ = _ex74_17adic()
     return LocalProfile(place=17, modulus=17,
                         invariants=frozenset(
@@ -638,13 +619,15 @@ def _verdict(ex, own=None, depth=None) -> Verdict:
     """The verdict every recipe reaches: each place in the order of
     _places is decided by the recipe's own(ex, place, depth) where it
     returns a profile, and otherwise by the exact real place or the
-    p-adic enumeration, with depth capping the place 2 only."""
+    p-adic enumeration, both reading the recipe's merge groups, with
+    depth capping the place 2 only."""
     A, B, C = ex.surface
     profiles = []
     for place in _places(A, B, C):
         profiles.append((own and own(ex, place, depth)) or (
-            real_profile(ex.classes, A, B, C) if place == "R" else
-            invariant_profile(ex.classes, A, B, C, place,
+            real_profile(ex.classes, A, B, C, merge=ex.merge)
+            if place == "R" else
+            invariant_profile(ex.classes, A, B, C, place, merge=ex.merge,
                               k_cap=depth if place == 2 else None)))
     return verdict(profiles)
 

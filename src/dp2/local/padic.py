@@ -498,18 +498,12 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
     attained = set()
     max_depth = 1
 
-    def grouped(rows):
-        if merge is None:
-            return rows
-        return (tuple(_merged(row, group) for group in merge)
-                for row in rows)
-
     def settle(unit, j, cells):
         nonlocal max_depth
         max_depth = max(max_depth, j)
         undecided = []
-        for cell, row in zip(cells, grouped(_quaternion_rows(cls_terms,
-                                                             cells, p, j))):
+        for cell, row in zip(cells, _grouped(
+                _quaternion_rows(cls_terms, cells, p, j), merge)):
             done = j >= 2 * cell[5] + 1 and -1 not in row
             if done:
                 attained.add(row)
@@ -541,7 +535,7 @@ def invariant_profile(classes, A, B, C, p, k_cap=None, budget=CELL_BUDGET,
                         itertools.repeat(prec))
             cols.append([bits[(da * sa + db * sb) % p]
                          for da in range(p) for db in range(p)])
-        rows = list(grouped(zip(*cols)))
+        rows = list(_grouped(zip(*cols), merge))
         attained.update(row for row in set(rows) if -1 not in row)
         return [pair for pair, row in
                 zip(itertools.product(range(p), repeat=2), rows)
@@ -569,6 +563,14 @@ def _merged(row, group):
     if len(decided) > 1:
         raise AssertionError("merged class representatives disagree")
     return decided.pop() if decided else -1
+
+
+def _grouped(rows, merge):
+    """The rows with each group of merge read as one class (_merged), or
+    the rows themselves when merge is None."""
+    if merge is None:
+        return rows
+    return (tuple(_merged(row, group) for group in merge) for row in rows)
 
 
 def _sign(v) -> int:
@@ -620,9 +622,11 @@ def real_witness(term_lists, A, B, C):
         f"no real witness point of height at most {WITNESS_HEIGHT}")
 
 
-def real_profile(classes, A, B, C):
+def real_profile(classes, A, B, C, merge=None):
     """The attained invariant vectors at R, decided at one exact witness
-    point per w-sheet (real_witness).
+    point per w-sheet (real_witness), with the classes grouped by merge
+    as in invariant_profile: the members of a group must agree on each
+    sheet.
 
     The evaluation of a class of Br(S) is locally constant on S(R)
     (Colliot-Thelene and Skorobogatov, The Brauer-Grothendieck Group,
@@ -647,9 +651,10 @@ def real_profile(classes, A, B, C):
     if max(A, B, C) > 0:
         _, signs = real_witness([q.numerator_terms() for q in classes],
                                 A, B, C)
-        attained = frozenset(
-            tuple(Fraction(int(q.d < 0 and sign < 0), 2)
-                  for q, sign in zip(classes, row)) for row in signs)
+        rows = ([int(q.d < 0 and sign < 0) for q, sign in zip(classes, row)]
+                for row in signs)
+        attained = frozenset(tuple(Fraction(r, 2) for r in row)
+                             for row in _grouped(rows, merge))
         if min(A, B, C) <= 0 and len(attained) > 1:
             raise AssertionError(
                 "the w-sheets of the connected S(R) disagree")

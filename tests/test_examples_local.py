@@ -16,7 +16,6 @@ from dp2.local.examples import (
     ex72_profile_at_p,
     ex74_17adic_check,
     ex74_17adic_liftable_check,
-    ex74_real_check,
     is_generic_triple,
     lemma_check,
     obstruct_ex71,
@@ -27,7 +26,12 @@ from dp2.local.examples import (
     obstruct_ex75_two_torsion,
     represent_u2_plus_2v2,
 )
-from dp2.local.padic import invariant_profile
+from dp2.local.padic import (
+    QuaternionClass,
+    invariant_profile,
+    real_profile,
+    real_witness,
+)
 from dp2.local.poly import U, W, X, Y, Z, Poly
 
 ZERO = Fraction(0)
@@ -355,24 +359,46 @@ def test_descent_17adic_check_refuses_a_faulty_cover(level, fault, message,
         ex74_17adic_check()
 
 
-def test_descent_real_signs():
-    assert ex74_real_check() > 0
+def test_descent_real_place_merges_the_partners():
+    # the real place of (34, 34, 34) reads the recipe's merge groups
+    ex = build_ex74()
+    pr = real_profile(ex.classes, 34, 34, 34, merge=ex.merge)
+    assert pr.invariants == {(ZERO,) * 3, (HALF,) * 3}
+    assert (pr.method, pr.modulus) == ("sampling", None)
 
 
 @pytest.mark.parametrize("flip", range(6))
-def test_descent_real_check_refuses_a_flipped_sign(flip, monkeypatch):
-    # h_i -> -h_i turns its sign against the w-sheet at the witness
-    import dp2.local.examples as examples
-    from dp2.local.padic import QuaternionClass
-
+def test_descent_real_check_refuses_a_flipped_sign(flip):
+    # h_i -> -h_i turns its sign against its partner's on both sheets
     ex = build_ex74()
     q = ex.classes[flip]
     classes = list(ex.classes)
     classes[flip] = QuaternionClass(q.d, (-q.g[0], q.g[1]), q.label)
-    monkeypatch.setattr(examples, "build_ex74",
-                        lambda: ex._replace(classes=tuple(classes)))
-    with pytest.raises(AssertionError, match="disagrees with the w-sheet"):
-        ex74_real_check()
+    with pytest.raises(AssertionError,
+                       match="merged class representatives disagree"):
+        real_profile(classes, 34, 34, 34, merge=ex.merge)
+
+
+def test_descent_real_signs():
+    # the paper's sign fact: at the witness every h_i is positive on the
+    # sheet w > 0 and negative on w < 0, so each (-17, h_i) is unramified
+    # on the first and ramified on the second.  No output depends on the
+    # orientation, only on the partners agreeing (real_profile's merge)
+    _, signs = real_witness([q.numerator_terms()
+                             for q in build_ex74().classes], 34, 34, 34)
+    assert signs == [[1] * 6, [-1] * 6]
+
+
+@pytest.mark.parametrize("build", [
+    build_ex71, lambda: build_ex72(3), lambda: build_ex73(-126, -91, 78),
+    build_ex74, build_ex75,
+], ids=["ex71", "ex72", "ex73", "ex74", "ex75"])
+def test_real_profile_merging_a_class_with_itself_changes_nothing(build):
+    ex = build()
+    cls, n = ex.classes, len(ex.classes)
+    merged = real_profile(cls + cls, *ex.surface,
+                          merge=tuple((i, n + i) for i in range(n)))
+    assert merged == real_profile(cls, *ex.surface)
 
 
 def test_descent_verdict_obstructed():
@@ -503,9 +529,6 @@ def test_order4_two_torsion_alone_does_not_obstruct():
 
 # --- exact 2-adic and odd-place profiles ---------------------------------
 
-MERGE74 = ((0, 3), (1, 4), (2, 5))
-
-
 # undetermined counts the classes of padic's disjoint chart cover, one
 # per point up to a unit rescaling
 @pytest.mark.parametrize("build, p, k_cap, merge, modulus, invariants, "
@@ -514,8 +537,9 @@ MERGE74 = ((0, 3), (1, 4), (2, 5))
     (build_ex71, 2, 3, None, 8, set(), 64),
     (build_ex71, 3, None, None, 9, {(ZERO,)}, 0),
     (build_ex71, 5, None, None, 125, {(ZERO,)}, 0),
-    (build_ex74, 2, None, MERGE74, 128, {(ZERO,) * 3, (HALF,) * 3}, 0),
-    (build_ex74, 2, 4, MERGE74, 16, set(), 768),
+    (build_ex74, 2, None, build_ex74().merge, 128,
+     {(ZERO,) * 3, (HALF,) * 3}, 0),
+    (build_ex74, 2, 4, build_ex74().merge, 16, set(), 768),
     (lambda: build_ex73(-126, -91, 78), 2, 3, None, 8, set(), 32),
     (lambda: build_ex73(-126, -91, 78), 7, None, None, 343, {(ZERO,)}, 0),
     (lambda: build_ex73(-126, -91, 78), 13, None, None, 13, {(ZERO,)}, 0),
