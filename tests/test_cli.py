@@ -441,6 +441,43 @@ def test_outputs_no_reference_records_keep_their_bytes(argv, code, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+_NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("coeffs,options,code,sha256,stderr", [
+    ((1, 1, 1), ["--backend", "resolution", "--json"], 0,
+     "d34efdf24669315099aec9a8b69b09db017a58554211074c2fd1b54695db6e32", ""),
+    ((1, -18, -18), ["--backend", "resolution", "--json"], 0,
+     "7880e3da8f175cd15941346755f5b9146c7a5b1d338f78c0d4c7ee97602bca91", ""),
+    ((1, -16, -16), ["--backend", "resolution", "--json"], 0,
+     "a95fdb03c7ccbe89e2f6dcb427fe682b358ad3d7034a0f8c1d118eeace4b2f2d", ""),
+    ((-10, 49, 36), ["--backend", "standard", "--json"], 0,
+     "f21f5045633278eaa5cfe16b55e5671c0016022c3efe1c88f5ef6244e9759a5a", ""),
+    ((1, -16, -9), ["--backend", "all", "--json"], 0,
+     "0f782a5b87e4a375606bd5211ad108e90aba1c0e28dfa7198983ba15c43ebd46", ""),
+    ((1, -18, -18), ["--backend", "all"], 0,
+     "85640f18e64fd2b17a0f2593b2649899fced0116704cb5bfa8dd09eb385a57ee", ""),
+    ((3, 5, 7), ["--backend", "standard"], 4, _NO_OUTPUT,
+     "inconclusive: standard backend limited to order 32; got 128 (use the "
+     "presentation backend)\n"),
+    ((-5, -5, -14), ["--backend", "resolution"], 4, _NO_OUTPUT,
+     "inconclusive: no short resolution implemented for this group shape\n"),
+], ids=["resolution-1-1-1-json", "resolution1-18-18-json",
+        "resolution1-16-16-json", "standard-10-49-36-json",
+        "all1-16-9-json", "all1-18-18", "standard3-5-7-refused",
+        "resolution-5-5-14-refused"])
+def test_analyze_backends_no_reference_records_keep_their_bytes(
+        coeffs, options, code, sha256, stderr):
+    # bench/references.json holds `analyze --json` for the presentation
+    # and all backends only: these pin the resolution kinds (tricyclic,
+    # dihedral, bicyclic), the standard backend, `all` with and without
+    # the standard backend and in text, and both exit-4 refusals
+    a, b, c = map(str, coeffs)
+    got, out, err = run(["analyze", "-A", a, "-B", b, "-C", c, *options])
+    assert (got, err) == (code, stderr)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_every_subcommand_runs_without_sympy():
     # with sympy made unimportable, as after `pip install .` without the
     # test extra, every subcommand still answers, a Hilbert symbol above
