@@ -37,57 +37,54 @@ class Inconclusive(Exception):
 
 # --- cohomology backends --------------------------------------------------
 
-def resolution_h1(s):
-    """H^1 via the short resolution appropriate to the group shape, or
-    None when no implemented resolution applies."""
+def resolution_h1(s, mod=None):
+    """H^1 via the short resolution for the group shape on the Pic module
+    mod (built when None), or None when no implemented resolution applies."""
     from .cohomology import _PRODUCT_KINDS, h1_via_resolution, pic_module
     from .galois0 import _abelian_generators, _dihedral_generators, \
         is_abelian
 
-    mod = pic_module(s)
     if is_abelian(s):
         gens = _abelian_generators(s)
-        if gens is not None:
-            return h1_via_resolution(_PRODUCT_KINDS[len(gens)], mod,
-                                     gens=gens)
+        kind = gens and _PRODUCT_KINDS[len(gens)]
+    else:
+        gens, kind = _dihedral_generators(s), "dihedral"
+    if gens is None:
         return None
-    gens = _dihedral_generators(s)
-    if gens is not None:
-        return h1_via_resolution("dihedral", mod, gens=gens)
-    return None
+    return h1_via_resolution(kind, mod or pic_module(s), gens=gens)
 
 
 def h1_with_backend(s, backend: str):
-    """(AbelianGroupType, label) for the chosen backend; "all" runs every
-    applicable backend and raises InvariantViolation on disagreement."""
-    from .cohomology import (_STANDARD_LIMIT, h1_of_subgroup,
-                             h1_presentation, h1_standard, pic_module)
+    """(AbelianGroupType, label) by the chosen backend, or by each applicable
+    one for "all": all read one Pic module, and must agree (exit 3)."""
+    from .cohomology import (_STANDARD_LIMIT, h1_presentation, h1_standard,
+                             pic_module)
 
-    if backend == "presentation":
-        return h1_of_subgroup(s), "presentation"
-    if backend == "standard":
+    every = backend == "all"
+    mod = pic_module(s)  # one product table and matrix cache for all
+    results = {}
+    if every or backend == "presentation":
+        results["presentation"] = h1_presentation(mod).group
+    if backend == "standard" or every and s.order <= _STANDARD_LIMIT:
         try:
-            return h1_standard(pic_module(s)).group, "standard"
-        except ValueError as exc:
-            raise Inconclusive(str(exc)) from exc
-    if backend == "resolution":
-        res = resolution_h1(s)
-        if res is None:
-            raise Inconclusive(
-                "no short resolution implemented for this group shape")
-        return res.group, res.backend
-    if backend == "all":
-        mod = pic_module(s)  # one product table and matrix cache for both
-        results = {"presentation": h1_presentation(mod).group}
-        if s.order <= _STANDARD_LIMIT:
             results["standard"] = h1_standard(mod).group
-        res = resolution_h1(s)
+        except ValueError as exc:
+            if every:
+                raise
+            raise Inconclusive(str(exc)) from exc
+    if every or backend == "resolution":
+        res = resolution_h1(s, mod)
         if res is not None:
             results[res.backend] = res.group
-        if len({t for t in results.values()}) != 1:
-            raise InvariantViolation(f"backends disagree: {results}")
-        return results["presentation"], "+".join(sorted(results))
-    raise ValueError(f"unknown backend {backend!r}")
+        elif not every:
+            raise Inconclusive(
+                "no short resolution implemented for this group shape")
+    if not results:
+        raise ValueError(f"unknown backend {backend!r}")
+    br, *others = set(results.values())
+    if others:
+        raise InvariantViolation(f"backends disagree: {results}")
+    return br, "+".join(sorted(results))
 
 
 # --- analyze --------------------------------------------------------------

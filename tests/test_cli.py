@@ -92,6 +92,49 @@ def test_analyze_computes_the_galois_group_once(monkeypatch):
         assert run(["analyze", "-A", "0", "-B", "1", "-C", "1"])[0] == 2
 
 
+@pytest.mark.parametrize("backend", ["presentation", "standard",
+                                     "resolution", "all"])
+@pytest.mark.parametrize("coeffs,resolution", [((1, -18, -18), True),
+                                               ((-5, -5, -14), False)],
+                         ids=["dihedral1-18-18", "order32-5-5-14"])
+def test_analyze_builds_one_pic_module(coeffs, resolution, backend,
+                                       monkeypatch):
+    # every backend a request runs reads one Pic module: on (1, -18, -18)
+    # `all` runs presentation, standard and the dihedral resolution; on
+    # (-5, -5, -14), of order 32, no short resolution applies (exit 4)
+    import dp2.cohomology as cohomology
+    calls = []
+    pic_module = cohomology.pic_module
+
+    def counting(s):
+        calls.append(s)
+        return pic_module(s)
+
+    monkeypatch.setattr(cohomology, "pic_module", counting)
+    a, b, c = map(str, coeffs)
+    code, _, err = run(["analyze", "-A", a, "-B", b, "-C", c,
+                        "--backend", backend])
+    refused = backend == "resolution" and not resolution
+    assert code == (4 if refused else 0), err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("backend,code", [("standard", 4), ("all", 2)])
+def test_standard_backend_error_exit_code(backend, code, monkeypatch):
+    # the standard backend's ValueError is a refusal (exit 4) when it was
+    # chosen alone, and stays an input error (exit 2) under `all`
+    import dp2.cohomology as cohomology
+
+    def refusing(mod):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(cohomology, "h1_standard", refusing)
+    got, out, err = run(["analyze", "-A", "1", "-B", "-18", "-C", "-18",
+                         "--backend", backend])
+    assert (got, out) == (code, "")
+    assert err.endswith(": refused\n")
+
+
 def test_analyze_invariant_violation_exit_3(monkeypatch):
     monkeypatch.setattr(cli, "THEOREM_GROUPS", frozenset({()}))
     code, _, err = run(["analyze", "-A", "3", "-B", "5", "-C", "7"])

@@ -1,4 +1,5 @@
 import collections
+import math
 import operator
 import random
 
@@ -592,6 +593,33 @@ def test_five_term_consistency_sampled():
         for dv in direct.divisors:
             order *= dv
         assert res.h1_g_order == order, (s.generators, direct, res)
+
+
+def _known_five_term_defect(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=reason)
+
+
+@pytest.mark.parametrize("index", [
+    pytest.param(88, marks=_known_five_term_defect(
+        "five-term gives |H^1| = 2, presentation 4")),
+    pytest.param(89, marks=_known_five_term_defect(
+        "five-term gives |H^1| = 2, presentation 4")),
+    pytest.param(20, marks=_known_five_term_defect(
+        "chase output not in the bottom row")),
+])
+def test_five_term_known_defects(index):
+    # classes of enumerate_subgroups_onto_Q() on which the d2 chase is
+    # wrong (88, 89: order 16) or fails its own check (20: order 8),
+    # which the seed-23 sample of the test above does not draw; strict,
+    # so a fix of the chase shows up as an unexpected pass
+    s = enumerate_subgroups_onto_Q()[index]
+    n, t = semidirect_decomposition(s)
+    mod = pic_module(s)
+    res = five_term_with_d2(
+        ExtensionData(h_gens=n.generators, q_gens=t.generators), mod)
+    direct = h1_presentation(mod).group
+    assert res.h1_g_order == math.prod(direct.divisors), (index, direct)
 
 
 def test_backend_agreement_every_onto_q_class():
