@@ -37,21 +37,21 @@ class Inconclusive(Exception):
 
 # --- cohomology backends --------------------------------------------------
 
-def resolution_h1(s, mod=None):
+def resolution_h1(s, mod):
     """H^1 via the short resolution for the group shape on the Pic module
-    mod (built when None), or None when no implemented resolution applies."""
-    from .cohomology import _PRODUCT_KINDS, h1_via_resolution, pic_module
+    mod of s, or None when no implemented resolution applies."""
+    from .cohomology import _PRODUCT_KINDS, h1_via_resolution
     from .galois0 import _abelian_generators, _dihedral_generators, \
         is_abelian
 
     if is_abelian(s):
         gens = _abelian_generators(s)
-        kind = gens and _PRODUCT_KINDS[len(gens)]
+        kind = _PRODUCT_KINDS[len(gens)] if gens else None
     else:
         gens, kind = _dihedral_generators(s), "dihedral"
     if gens is None:
         return None
-    return h1_via_resolution(kind, mod or pic_module(s), gens=gens)
+    return h1_via_resolution(kind, mod, gens=gens)
 
 
 def h1_with_backend(s, backend: str):

@@ -271,7 +271,7 @@ def test_criterion_07_backend_equivalence():
             a = h1_standard(mod).group
             b = h1_presentation(mod).group
             assert a == b, (gens, a, b)
-            res = resolution_h1(s)
+            res = resolution_h1(s, mod)
             if res is not None:
                 assert res.group == a, (gens, res.backend)
                 resolved += 1

@@ -631,7 +631,7 @@ def test_backend_agreement_every_onto_q_class():
     for s in enumerate_subgroups_onto_Q():
         pres = h1_of_subgroup(s)
         assert h1_type(s) == pres, s.generators
-        res = resolution_h1(s)
+        res = resolution_h1(s, pic_module(s))
         if res is not None:
             assert res.group == pres, (s.generators, res.backend)
             resolved += 1
@@ -824,7 +824,7 @@ def test_resolution_h1_on_the_trivial_group():
     from dp2.cli import resolution_h1
     from dp2.galois0 import IDENTITY
     s = generate_subgroup([])
-    got = resolution_h1(s)
+    got = resolution_h1(s, pic_module(s))
     want = h1_via_resolution("cyclic", pic_module(s), gens=(IDENTITY,))
     assert (got.group, got.representatives, got.backend) \
         == (want.group, want.representatives, want.backend) \
