@@ -246,10 +246,12 @@ def _parse_place(text: str):
 
     if text == "R":
         return "R"
-    p = int(text)
-    if p != 2 and not is_prime(p):
-        raise ValueError(f"place must be R or a prime, got {text}")
-    return p
+    try:
+        if is_prime(int(text)):
+            return int(text)
+    except ValueError:  # not an integer
+        pass
+    raise ValueError(f"place must be R or a prime, got {text}")
 
 
 def _run_hilbert(args, out) -> int:

@@ -5,7 +5,7 @@ Elements are stored in radical coordinates (chi, e_s, e_k, e_m): chi in
 the sign on sqrt(A), and e_k, e_m in Z/4 the powers of i applied to the
 fourth roots of B/A and C/A.  Composition twists the (e_k, e_m) part by
 chi mod 4.  The five named generators act on the 56 exceptional curves by
-an explicit table; everything else is derived from that.  Each generator's
+`picard.generator_action`; all else is derived from that.  Each generator's
 table is turned once into a permutation of the curve indices, an element's
 permutation is composed from those on integers along its word, and
 `matrix_of` reads its columns from the table of curve classes and checks
@@ -66,9 +66,8 @@ from .picard import (
     BASIS_LABELS,
     CurveLabel,
     all_labels,
-    axis,
     build_lattice,
-    triple,
+    generator_action,
 )
 
 
@@ -124,37 +123,6 @@ ALL_ELEMENTS: tuple[GroupElement, ...] = tuple(sorted(
 _INDEX = {g: i for i, g in enumerate(ALL_ELEMENTS)}
 
 
-def _gen_act(name: str, lab: CurveLabel) -> CurveLabel:
-    """Action of one named generator, straight from the published table."""
-    if isinstance(lab, Axis):
-        d, s = lab.d, lab.sign
-        if name == "sigma":
-            return axis(lab.axis, 7 * d, s)
-        if name == "tau":
-            return axis(lab.axis, 3 * d, s)
-        # the involutions shift delta by a power of i depending on the axis,
-        # and flip the sign on their own axis
-        shifts = {
-            "iota_a": {"z": 2, "x": None, "y": -2},
-            "iota_b": {"z": -2, "x": 2, "y": None},
-            "iota_c": {"z": None, "x": -2, "y": 2},
-        }[name]
-        sh = shifts[lab.axis]
-        if sh is None:
-            return axis(lab.axis, d, -s)
-        return axis(lab.axis, d + sh, s)
-    a, b, c = lab.a, lab.b, lab.c
-    if name == "sigma":
-        return triple(-a, -b, -c)
-    if name == "tau":
-        return triple(1 - a, 1 - b, 1 - c)
-    if name == "iota_a":
-        return triple(a + 1, b, c)
-    if name == "iota_b":
-        return triple(a, b + 1, c)
-    return triple(a, b, c + 1)
-
-
 def _word(g: GroupElement) -> list[str]:
     """Write g = iota_a^s iota_b^k' iota_c^m' q with q in {1, sigma, tau,
     sigma tau}; the list is ordered left-to-right."""
@@ -168,7 +136,7 @@ def _word(g: GroupElement) -> list[str]:
 
 def act_on_curve(g: GroupElement, lab: CurveLabel) -> CurveLabel:
     for name in reversed(_word(g)):
-        lab = _gen_act(name, lab)
+        lab = generator_action(name, lab)
     return lab
 
 
@@ -182,7 +150,8 @@ def verify_action_homomorphism() -> None:
         for name, h in GENERATORS.items():
             gh = g * h
             for lab in _LABELS:
-                if act_on_curve(gh, lab) != act_on_curve(g, _gen_act(name, lab)):
+                if act_on_curve(gh, lab) != act_on_curve(
+                        g, generator_action(name, lab)):
                     raise AssertionError(f"action not a homomorphism at {g}, {name}")
 
 
@@ -212,8 +181,8 @@ _SLOT_BYTES = tuple((p + (1 << 126)).to_bytes(16, "little") for p in _PACKED)
 @lru_cache(maxsize=1)
 def _generator_perms() -> dict[str, tuple[int, ...]]:
     """Each named generator on the 56 curves, as label indices."""
-    return {name: tuple(_LABEL_INDEX[_gen_act(name, lab)] for lab in _LABELS)
-            for name in GENERATORS}
+    return {name: tuple(_LABEL_INDEX[generator_action(name, lab)]
+                        for lab in _LABELS) for name in GENERATORS}
 
 
 @lru_cache(maxsize=None)

@@ -517,6 +517,26 @@ def ex75_cocycle_functions():
     return f1, f2
 
 
+def _ex75_norms(cls, plus, minus):
+    """N_g v and N_gh v for v = [plus] - [minus], g = iota_a^3 iota_c and
+    h = iota_b iota_c^3 sigma, as sums of the classes cls of curve images
+    along the words of g and g h: a word moves a curve as its product does,
+    since the action is a homomorphism (galois0.verify_action_homomorphism)."""
+    from ..picard import generator_action
+
+    g = ("iota_a",) * 3 + ("iota_c",)
+    gh = g + ("iota_b",) + ("iota_c",) * 3 + ("sigma",)
+    norms = []
+    for word, n in (g, 4), (gh, 2):
+        total, p, m = [0] * 8, plus, minus
+        for _ in range(n):
+            total = [t + a - b for t, a, b in zip(total, cls(p), cls(m))]
+            for letter in reversed(word):
+                p, m = generator_action(letter, p), generator_action(letter, m)
+        norms.append(total)
+    return norms
+
+
 @functools.cache
 def build_ex75() -> ExampleClass:
     """The surface (-9826, -2, 136): an order-4 obstruction class.  The
@@ -525,7 +545,6 @@ def build_ex75() -> ExampleClass:
     vectors under the dihedral quotient action.  The attached
     quaternion class is the 2-torsion generator, which is everywhere
     unramified and so cannot obstruct by itself."""
-    from ..galois0 import IOTA_A, IOTA_B, IOTA_C, SIGMA, pic_rows
     from ..picard import Triple, build_lattice
 
     A, B, C = -9826, -2, 136
@@ -536,15 +555,6 @@ def build_ex75() -> ExampleClass:
         transcript.append(_check(
             _vanishes(diff, T ** 2 + 1, surf),
             f"{tag} h({tag}) = 1 modulo the surface relation"))
-    # dihedral cocycle data: G' = <g, h> acting on the curve classes,
-    # through the matrices of g and g h (each checked on all 56 curves)
-    g = IOTA_A * IOTA_A * IOTA_A * IOTA_C
-    h = IOTA_B * IOTA_C * IOTA_C * IOTA_C * SIGMA
-    m_g, m_gh = pic_rows(g), pic_rows(g * h)
-
-    def act(m, v):
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
-
     lat = build_lattice()
     v1 = (-1, 0, 1, 0, 0, 0, 0, 0)
     v2 = (-1, 0, -1, 0, -1, -1, -2, 2)
@@ -554,14 +564,8 @@ def build_ex75() -> ExampleClass:
         built = tuple(a - b for a, b in zip(lat.cls(plus), lat.cls(minus)))
         transcript.append(_check(
             built == vec, f"{name} is the printed curve-class difference"))
-        norm_g = [0] * 8
-        cur = vec
-        for _ in range(4):
-            norm_g = [a + b for a, b in zip(norm_g, cur)]
-            cur = act(m_g, cur)
-        norm_gh = tuple(a + b for a, b in zip(vec, act(m_gh, vec)))
         transcript.append(_check(
-            not any(norm_g) and not any(norm_gh),
+            not any(map(any, _ex75_norms(lat.cls, plus, minus))),
             f"N_g {name} = 0 and N_gh {name} = 0 as cycles, the "
             f"cocycle conditions for the pair ({name}, 0)"))
     two_torsion = QuaternionClass(

@@ -1,12 +1,12 @@
 """Geometric Picard lattice of the surface w^2 = A x^4 + B y^4 + C z^4.
 
-The 56 exceptional curves, their classes in the basis v_1..v_8, and the
+The 56 exceptional curves, the published action of the five named
+generators on them, their classes in the basis v_1..v_8, and the
 intersection form diag(-1 x7, +1).  Labels store roots of unity as
 exponents only: delta = zeta^d (d odd mod 8) for the 24 "axis" curves,
 and (alpha, beta, gamma) in mu_4^3 / mu_2 as exponents mod 4 for the 32
 "triple" curves, with the simultaneous-shift-by-2 ambiguity resolved by
-forcing the alpha-exponent into {0, 1}.
-"""
+forcing the alpha-exponent into {0, 1}."""
 
 from __future__ import annotations
 
@@ -91,6 +91,31 @@ def partner_label(label: CurveLabel) -> CurveLabel:
     if isinstance(label, Axis):
         return Axis(label.axis, label.d, -label.sign)
     return triple(label.a + 1, label.b + 1, label.c + 1)
+
+
+def generator_action(name: str, lab: CurveLabel) -> CurveLabel:
+    """Action of one named generator, straight from the published table."""
+    if isinstance(lab, Axis):
+        ax, d, s = lab
+        if name == "sigma":
+            return axis(ax, 7 * d, s)
+        if name == "tau":
+            return axis(ax, 3 * d, s)
+        # the involutions shift delta by a power of i on the other two
+        # axes, and flip the sign on their own axis
+        sh = {"iota_a": {"z": 2, "y": -2}, "iota_b": {"z": -2, "x": 2},
+              "iota_c": {"x": -2, "y": 2}}[name].get(ax)
+        return axis(ax, d, -s) if sh is None else axis(ax, d + sh, s)
+    a, b, c = lab.a, lab.b, lab.c
+    if name == "sigma":
+        return triple(-a, -b, -c)
+    if name == "tau":
+        return triple(1 - a, 1 - b, 1 - c)
+    if name == "iota_a":
+        return triple(a + 1, b, c)
+    if name == "iota_b":
+        return triple(a, b + 1, c)
+    return triple(a, b, c + 1)
 
 
 def intersection(c1: Vec, c2: Vec) -> int:

@@ -337,6 +337,12 @@ def test_hilbert_product_and_single_place():
     assert code == 2
     code, _, _ = run(["hilbert", "-A", "3", "-B", "5", "--place", "6"])
     assert code == 2
+    # a place that is no integer is refused with the same message
+    for place in ("r", "2.5", ""):
+        code, out, err = run(["hilbert", "-A", "3", "-B", "5",
+                              "--place", place])
+        assert (code, out) == (2, "")
+        assert err == f"error: place must be R or a prime, got {place}\n"
 
 
 def test_hilbert_past_the_rho_cap_exits_capacity(monkeypatch):
@@ -551,7 +557,8 @@ def test_every_subcommand_runs_without_sympy():
 
 def test_local_subcommands_load_no_group_modules():
     # the Galois, Picard and H^1 layers load only where a request uses
-    # them: analyze, scan, verify and the (-9826, -2, 136) transcript;
+    # them: analyze and scan, and picard alone for verify and the
+    # (-9826, -2, 136) transcript;
     # and `import dp2.cli` plus a hilbert request load no dataclasses
     # (with inspect, dis and ast behind it) and no profiles module
     script = (
@@ -727,21 +734,26 @@ def test_dp2_import_graph_has_no_cycle():
 
 
 def test_scan_and_order_four_obstruct_load_no_cohomology():
-    # H^1 types come from galois0; the (-9826, -2, 136) transcript reads
-    # Picard matrices only
+    # the (-9826, -2, 136) transcript, in obstruct and in verify, reads
+    # its cocycle conditions off curve labels and classes in picard, so
+    # it loads none of the group layers; scan takes its H^1 types from
+    # galois0 and loads no cohomology
     script = (
         "import io, sys\n"
         "import dp2.cli as cli\n"
-        "for argv in (['scan', '--json'],\n"
-        "             ['obstruct', '-A', '-9826', '-B', '-2', '-C', '136']):\n"
+        "for argv in (['obstruct', '-A', '-9826', '-B', '-2', '-C', '136'],\n"
+        "             ['verify'], ['scan', '--json']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
-        "    print('dp2.cohomology' in sys.modules)\n")
+        "    print(sorted(m for m in ('dp2.cohomology', 'dp2.galois0',\n"
+        "                             'dp2.intlin', 'dp2.kummer')\n"
+        "                 if m in sys.modules))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.splitlines() == [
+        "[]", "[]", "['dp2.galois0', 'dp2.intlin']"]
 
 
 def test_analyze_builds_no_conjugation_or_extension_tables():

@@ -511,6 +511,40 @@ def test_order4_cocycle_identities():
     assert len(ex.transcript) == 6
 
 
+def test_order4_norms_from_curve_images_match_the_pic_matrices():
+    # the recipe reads N_g v and N_gh v off curve images along words; the
+    # matrices of g and g h (each checked on all 56 curves) give the same
+    # cycles for v1, v2 and every difference of two curve classes
+    from dp2.galois0 import IOTA_A, IOTA_B, IOTA_C, SIGMA, pic_rows
+    from dp2.local.examples import _ex75_norms
+    from dp2.picard import Triple, all_labels, build_lattice
+
+    g = IOTA_A * IOTA_A * IOTA_A * IOTA_C
+    h = IOTA_B * IOTA_C * IOTA_C * IOTA_C * SIGMA
+    m_g, m_gh = pic_rows(g), pic_rows(g * h)
+
+    def act(m, v):
+        return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+    def matrix_norms(v):
+        norm_g, cur = [0] * 8, v
+        for _ in range(4):
+            norm_g = [a + b for a, b in zip(norm_g, cur)]
+            cur = act(m_g, cur)
+        return [norm_g, [a + b for a, b in zip(v, act(m_gh, v))]]
+
+    lat = build_lattice()
+    pairs = [(Triple(0, 1, 0), Triple(1, 2, 2)),
+             (Triple(0, 2, 1), Triple(1, 1, 1))]
+    for plus, minus in pairs:
+        assert _ex75_norms(lat.cls, plus, minus) == [[0] * 8, [0] * 8]
+    pairs += itertools.permutations(all_labels(), 2)
+    for plus, minus in pairs:
+        v = [a - b for a, b in zip(lat.cls(plus), lat.cls(minus))]
+        assert _ex75_norms(lat.cls, plus, minus) == matrix_norms(v), \
+            (plus, minus)
+
+
 def test_order4_verdict_obstructed():
     v = obstruct_ex75()
     assert v.conclusion == "obstructed"

@@ -38,6 +38,7 @@ from dp2.picard import (
     Triple,
     all_labels,
     build_lattice,
+    generator_action,
     triple,
 )
 
@@ -266,7 +267,9 @@ def test_matrices_need_only_the_generator_actions(cold_matrix_caches,
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(g0, "_gen_act", counted(g0._gen_act))
+    # galois0 reads the one table of generator_action, in dp2.picard
+    assert g0.generator_action is generator_action
+    monkeypatch.setattr(g0, "generator_action", counted(generator_action))
     monkeypatch.setattr(g0, "act_on_curve", counted(g0.act_on_curve))
     for g in ALL_ELEMENTS:
         matrix_of(g)
