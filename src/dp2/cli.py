@@ -89,6 +89,19 @@ def h1_with_backend(s, backend: str):
 
 # --- analyze --------------------------------------------------------------
 
+def _check_brauer(s, br, pic_rank: int) -> None:
+    """The two facts every Br(S)/Br(Q) = H^1(s, Pic) obeys (exit 3 when
+    one fails): it is one of the six admissible groups, and Pic rank 1
+    forces it nontrivial."""
+    if tuple(br.divisors) not in THEOREM_GROUPS or br.rank:
+        raise InvariantViolation(
+            f"Br type {br.render()} outside the six admissible groups "
+            f"for generators {s.generators}")
+    if pic_rank == 1 and not br.divisors:
+        raise InvariantViolation(
+            f"Pic rank 1 with trivial Br for generators {s.generators}")
+
+
 def analyze_surface(A: int, B: int, C: int,
                     backend: str = "presentation") -> dict:
     """The full report for w^2 = A x^4 + B y^4 + C z^4: Galois group,
@@ -99,13 +112,7 @@ def analyze_surface(A: int, B: int, C: int,
     s = galois_group(A, B, C)
     pic_rank = len(fixed_sublattice(s))
     br, used = h1_with_backend(s, backend)
-    if tuple(br.divisors) not in THEOREM_GROUPS or br.rank:
-        raise InvariantViolation(
-            f"Br type {br.render()} outside the six admissible groups "
-            f"for generators {s.generators}")
-    if pic_rank == 1 and not br.divisors:
-        raise InvariantViolation(
-            f"Pic rank 1 with trivial Br for generators {s.generators}")
+    _check_brauer(s, br, pic_rank)
     return {
         "surface": {"A": A, "B": B, "C": C},
         "galois": {
@@ -134,14 +141,8 @@ def scan_theorem() -> dict:
     attained = set()
     for s in subs:
         t = h1_type(s)
-        if tuple(t.divisors) not in THEOREM_GROUPS or t.rank:
-            raise InvariantViolation(
-                f"H^1 = {t.render()} for generators {s.generators}")
+        _check_brauer(s, t, fixed_rank(s))
         attained.add(tuple(t.divisors))
-        if not t.divisors and fixed_rank(s) < 2:
-            raise InvariantViolation(
-                f"trivial H^1 with fixed rank < 2 for generators "
-                f"{s.generators}")
     fingerprints = len({fingerprint(s) for s in subs})
     if not fingerprints <= 194 <= len(subs):
         raise InvariantViolation(

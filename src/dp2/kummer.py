@@ -35,42 +35,10 @@ from .galois0 import (
 _FACTOR_CAP = 10 ** 18
 
 
-class ExponentVector(NamedTuple):
-    """Finitely supported prime -> exponent map with a zeta_8 phase."""
-
-    exps: tuple  # sorted tuples (prime, exponent in quarters)
-    phase: int   # in Z/8
-
-    def __add__(self, other):
-        acc = dict(self.exps)
-        for p, e in other.exps:
-            acc[p] = acc.get(p, 0) + e
-        exps = tuple(sorted((p, e) for p, e in acc.items() if e))
-        return ExponentVector(exps, (self.phase + other.phase) % 8)
-
-    def scale(self, c: int) -> "ExponentVector":
-        exps = tuple(sorted((p, c * e) for p, e in self.exps if c * e))
-        return ExponentVector(exps, (c * self.phase) % 8)
-
-
 def _factor(n: int) -> dict:
     if abs(n) > _FACTOR_CAP:
         raise ValueError(f"coefficient {n} exceeds the factorization cap")
     return factorint(abs(n))
-
-
-def exponent_vector(n: int, root_degree: int) -> ExponentVector:
-    """Prime factorization of the principal root_degree-th root of n,
-    each exponent counted in quarters."""
-    if n == 0:
-        raise ValueError("zero has no radical factorization")
-    if root_degree not in (1, 2, 4):
-        raise ValueError("root degree must be 1, 2 or 4")
-    fac = _factor(n)
-    exps = tuple(sorted((p, e * (4 // root_degree))
-                        for p, e in fac.items()))
-    phase = (4 // root_degree) if n < 0 else 0
-    return ExponentVector(exps, phase)
 
 
 class RadicalMonomial(NamedTuple):
@@ -96,33 +64,39 @@ class KummerConstraint(NamedTuple):
 def constraints(A: int, B: int, C: int) -> list[KummerConstraint]:
     """Scan all 32 monomials; emit a constraint for each one that lands in
     Q(zeta_8), i.e. equals q * sqrt(2)^eps * zeta^phi with q in Q_+.
-    Each monomial is built from the fourth roots of A, B and C, each
-    factored once."""
-    root_a, root_b, root_c = (exponent_vector(n, 4) for n in (A, B, C))
-    sqrt_a, inv_a = root_a.scale(2), root_a.scale(-1)
-    b_over_a, c_over_a = root_b + inv_a, root_c + inv_a
+
+    A, B and C are each factored once.  With a_p, b_p, c_p the exponents
+    of p in them, the exponent of p in sqrt(A)^s (B/A)^(k/4) (C/A)^(m/4)
+    is, in quarters, the linear form 2s a_p + k (b_p - a_p) + m (c_p - a_p).
+    The principal branches give the zeta_8 phase
+    2s [A<0] + k ([B<0] - [A<0]) + m ([C<0] - [A<0]) mod 8."""
+    fa, fb, fc = (_factor(n) for n in (A, B, C))
+    forms = [(p, 2 * fa.get(p, 0), fb.get(p, 0) - fa.get(p, 0),
+              fc.get(p, 0) - fa.get(p, 0)) for p in {**fa, **fb, **fc}]
+    na, nb, nc = A < 0, B < 0, C < 0
     out = []
     for s in range(2):
         for k in range(4):
             for m in range(4):
                 if s == k == m == 0:
                     continue
-                vec = sqrt_a.scale(s) + b_over_a.scale(k) + c_over_a.scale(m)
+                exps = [(p, s * x + k * y + m * z) for p, x, y, z in forms]
                 # in Q(zeta_8) iff 2 has a half-integer exponent and
                 # every other prime an integer one
-                if any(e % (2 if p == 2 else 4) for p, e in vec.exps):
+                if any(e % (2 if p == 2 else 4) for p, e in exps):
                     continue
-                eps = dict(vec.exps).get(2, 0) % 4 // 2
+                eps = dict(exps).get(2, 0) % 4 // 2
                 num = den = 1
-                for p, e in vec.exps:
+                for p, e in exps:
                     whole = (e - 2 * eps if p == 2 else e) // 4
                     if whole > 0:
                         num *= p ** whole
                     else:
                         den *= p ** -whole
+                phi = (2 * s * na + k * (nb - na) + m * (nc - na)) % 8
                 out.append(KummerConstraint(
-                    monomial=RadicalMonomial(s, k, m), eps=eps,
-                    phi=vec.phase % 8, rational=(num, den)))
+                    monomial=RadicalMonomial(s, k, m), eps=eps, phi=phi,
+                    rational=(num, den)))
     return out
 
 
@@ -150,36 +124,32 @@ class Table2Row(NamedTuple):
     example: tuple
 
 
-def _g(*els) -> tuple:
-    return tuple(els)
-
-
 TABLE2: tuple[Table2Row, ...] = (
-    Table2Row(1, _g(IOTA_A * SIGMA, IOTA_A * IOTA_B, IOTA_A * IOTA_C, TAU),
+    Table2Row(1, (IOTA_A * SIGMA, IOTA_A * IOTA_B, IOTA_A * IOTA_C, TAU),
               (2,), 1, (-1, 1, 1, 1, 1), (-15, 10, 3)),
-    Table2Row(2, _g(IOTA_A * SIGMA, IOTA_B, IOTA_C, TAU),
+    Table2Row(2, (IOTA_A * SIGMA, IOTA_B, IOTA_C, TAU),
               (2,), 1, (-1, 1, 1, 0, 0), (-2, 3, 5)),
-    Table2Row(3, _g(IOTA_A * SIGMA, IOTA_A * IOTA_B, IOTA_C, TAU),
+    Table2Row(3, (IOTA_A * SIGMA, IOTA_A * IOTA_B, IOTA_C, TAU),
               (2,), 1, (-1, 1, 1, 1, 0), (-6, 3, 5)),
-    Table2Row(4, _g(IOTA_A * TAU, IOTA_A * IOTA_B, IOTA_A * IOTA_C, SIGMA),
+    Table2Row(4, (IOTA_A * TAU, IOTA_A * IOTA_B, IOTA_A * IOTA_C, SIGMA),
               (2,), 1, (1, 1, 1, 1, 1), (3, 10, 15)),
-    Table2Row(5, _g(IOTA_A * TAU, IOTA_B, IOTA_C, SIGMA),
+    Table2Row(5, (IOTA_A * TAU, IOTA_B, IOTA_C, SIGMA),
               (2,), 1, (1, 1, 1, 0, 0), (2, 3, 5)),
-    Table2Row(6, _g(IOTA_A * TAU, IOTA_A * IOTA_B, IOTA_C, SIGMA),
+    Table2Row(6, (IOTA_A * TAU, IOTA_A * IOTA_B, IOTA_C, SIGMA),
               (2,), 1, (1, 1, 1, 1, 0), (-6, -3, 5)),
-    Table2Row(7, _g(IOTA_A * SIGMA, IOTA_A * IOTA_B, IOTA_A * IOTA_C,
-                    SIGMA * TAU),
+    Table2Row(7, (IOTA_A * SIGMA, IOTA_A * IOTA_B, IOTA_A * IOTA_C,
+                  SIGMA * TAU),
               (), 2, (-1, 0, 1, 1, 1), (-15, 3, 5)),
-    Table2Row(8, _g(IOTA_A * SIGMA, IOTA_B, IOTA_C, SIGMA * TAU),
+    Table2Row(8, (IOTA_A * SIGMA, IOTA_B, IOTA_C, SIGMA * TAU),
               (2,), 1, (-1, 0, 1, 0, 0), (-1, 3, 5)),
-    Table2Row(9, _g(IOTA_A * SIGMA, IOTA_A * IOTA_A, IOTA_A * IOTA_B,
-                    IOTA_C, SIGMA * TAU),
+    Table2Row(9, (IOTA_A * SIGMA, IOTA_A * IOTA_A, IOTA_A * IOTA_B,
+                  IOTA_C, SIGMA * TAU),
               (2,), 1, (-1, 0, 1, 1, 0), (-63, 7, 15)),
-    Table2Row(10, _g(IOTA_A * IOTA_B, IOTA_A * IOTA_C, SIGMA, TAU),
+    Table2Row(10, (IOTA_A * IOTA_B, IOTA_A * IOTA_C, SIGMA, TAU),
                (2,), 1, (1, 0, 1, 1, 1), (3, 5, 15)),
-    Table2Row(11, _g(IOTA_B, IOTA_C, SIGMA, TAU),
+    Table2Row(11, (IOTA_B, IOTA_C, SIGMA, TAU),
                (2,), 1, (1, 0, 1, 0, 0), (1, 3, 5)),
-    Table2Row(12, _g(IOTA_A * IOTA_A, IOTA_A * IOTA_B, IOTA_C, SIGMA, TAU),
+    Table2Row(12, (IOTA_A * IOTA_A, IOTA_A * IOTA_B, IOTA_C, SIGMA, TAU),
                (2, 2), 1, (1, 0, 1, 1, 0), (-63, -7, 5)),
 )
 

@@ -12,6 +12,7 @@ from typing import NamedTuple
 from ..arith import factorint, is_prime, legendre
 from .padic import (
     CELL_BUDGET,
+    DEPTH_CAP_ODD,
     QuaternionClass,
     _CHART_VARS,
     _chart_cells,
@@ -22,7 +23,7 @@ from .padic import (
     real_profile,
 )
 from .poly import T, U, W, X, Y, Z, Poly
-from .profiles import LocalProfile, Verdict, verdict
+from .profiles import CapacityError, LocalProfile, Verdict, verdict
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -250,20 +251,26 @@ def build_ex73(A: int, B: int, C: int, point=None, bound=12) \
 
 def square_d_profile(d, A, B, C, p) -> LocalProfile:
     """The place p when d is a p-adic square: the one class is split at
-    every point; liftable points are confirmed to exist, at a depth of
-    at most 3."""
+    every point.  Levels 1 to DEPTH_CAP_ODD are searched for a liftable
+    point class, and the first that has one is the modulus.  When the
+    cover dies first, S(Q_p) is empty and so is the attained set
+    (inconclusive, as invariant_profile reports an empty place); with
+    no liftable class by the cap, CapacityError names the place."""
     _check(_is_padic_square(d, p), f"{d} is a square in Q_{p}")
-    depth = None
-    for trial in (1, 2, 3):
-        if any(trial >= 2 * t + 1 for _, cells in
-               _chart_cells(A, B, C, p, trial, CELL_BUDGET)
-               for *_, t in cells):
-            depth = trial
-            break
-    _check(depth is not None, f"S(Q_{p}) is nonempty")
-    return LocalProfile(place=p, modulus=p ** depth,
-                        invariants=frozenset({(ZERO,)}),
-                        undetermined=0, method="analytic")
+    for depth in range(1, DEPTH_CAP_ODD + 1):
+        alive = False
+        for _, cells in _chart_cells(A, B, C, p, depth, CELL_BUDGET):
+            if any(depth >= 2 * t + 1 for *_, t in cells):
+                return LocalProfile(place=p, modulus=p ** depth,
+                                    invariants=frozenset({(ZERO,)}),
+                                    undetermined=0, method="analytic")
+            alive = alive or bool(cells)
+        if not alive:
+            return LocalProfile(place=p, modulus=p ** depth,
+                                invariants=frozenset(), undetermined=0,
+                                method="exact-enumeration")
+    raise CapacityError(f"no liftable point class of S(Q_{p}) by depth "
+                        f"{DEPTH_CAP_ODD}")
 
 
 def _ex73_place(ex, place, depth):

@@ -142,6 +142,15 @@ def test_analyze_invariant_violation_exit_3(monkeypatch):
     assert "invariant violation" in err
 
 
+def test_scan_invariant_violation_exit_3(monkeypatch):
+    # scan reads the same check as analyze, with its message
+    monkeypatch.setattr(cli, "THEOREM_GROUPS", frozenset({()}))
+    code, out, err = run(["scan"])
+    assert (code, out) == (3, "")
+    assert err.startswith("invariant violation: Br type ")
+    assert "outside the six admissible groups" in err
+
+
 def test_analyze_builds_only_the_matrices_it_reads(cold_matrix_caches,
                                                    monkeypatch):
     # an order-128 group: the generators for Pic^s and the few elements
@@ -324,6 +333,32 @@ def test_obstruct_random_triples_never_invariant_violation(a, b, c):
     code, _, err = run(["obstruct", "-A", str(a), "-B", str(b), "-C", str(c),
                         "--bound", "2", "--depth", "4", "--json"])
     assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CAPACITY), err
+
+
+@pytest.mark.parametrize("argv,place,modulus", [
+    (["-A", "-2106", "-B", "-216", "-C", "540"], "Q_3", 243),
+    (["-A", "-2106", "-B", "-216", "-C", "540", "--bound", "2",
+      "--depth", "4"], "Q_3", 243),
+    (["-A", "130", "-B", "8750", "-C", "-750"], "Q_5", 3125),
+    (["-A", "-540", "-B", "-39", "-C", "1539"], "Q_3", 243),
+    (["-A", "154", "-B", "-10290", "-C", "-57624"], "Q_7", None),
+])
+def test_obstruct_square_place_liftable_past_depth_three(argv, place,
+                                                         modulus):
+    # d is a square at the place, and the first liftable point class is
+    # at depth 5: the place is settled there (an analytic profile), or
+    # refused for capacity at Q_7, never an invariant violation (exit 3)
+    code, out, err = run(["obstruct", *argv, "--json"])
+    if modulus is None:
+        assert (code, out) == (cli.EXIT_CAPACITY, "")
+        assert err == "capacity: residue enumeration budget exceeded\n"
+        return
+    profiles = json.loads(out)["verdict"]["profiles"]
+    square = next(pr for pr in profiles if pr["place"] == place)
+    assert (square["modulus"], square["method"]) == (modulus, "analytic")
+    assert square["invariants"] == [["0"]]
+    assert code == (cli.EXIT_OK if "--depth" not in argv
+                    else cli.EXIT_CAPACITY), err
 
 
 def test_hilbert_product_and_single_place():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from dp2.local import CapacityError
 from dp2.local.examples import (
     _ex74_degree_certificate,
     _find_conic_point,
@@ -25,6 +26,7 @@ from dp2.local.examples import (
     obstruct_ex75,
     obstruct_ex75_two_torsion,
     represent_u2_plus_2v2,
+    square_d_profile,
 )
 from dp2.local.padic import (
     QuaternionClass,
@@ -111,6 +113,30 @@ def test_generic_surface_class_and_verdict():
     for pr in v.profiles:
         want = {(HALF,)} if pr.place == 2 else {(ZERO,)}
         assert pr.invariants == frozenset(want), pr.place
+
+
+def test_square_place_settles_at_the_first_liftable_level():
+    # Q_3 of (-2106, -216, 540) has its first liftable class at depth 5
+    pr = square_d_profile(1, -2106, -216, 540, 3)
+    assert (pr.modulus, pr.invariants, pr.method) \
+        == (3 ** 5, frozenset({(ZERO,)}), "analytic")
+
+
+def test_square_place_with_a_dead_cover_is_empty():
+    # w^2 = 2x^4 + 3y^4 + 3z^4 forces x = 0, then y = z = 0 mod 3: no
+    # class survives mod 9, and the attained set is empty, as the
+    # enumeration of invariant_profile finds it
+    pr = square_d_profile(1, 2, 3, 3, 3)
+    assert (pr.modulus, pr.invariants) == (9, frozenset())
+    assert not invariant_profile([QuaternionClass(1, (X ** 2, X ** 2))],
+                                 2, 3, 3, 3).invariants
+
+
+def test_square_place_without_a_liftable_class_by_the_cap(monkeypatch):
+    import dp2.local.examples as examples
+    monkeypatch.setattr(examples, "DEPTH_CAP_ODD", 4)
+    with pytest.raises(CapacityError, match=r"S\(Q_3\) by depth 4"):
+        square_d_profile(1, -2106, -216, 540, 3)
 
 
 def _conic_point_by_scan(A, B, C, bound):

@@ -26,7 +26,6 @@ from dp2.kummer import (
     condition_holds,
     constraints,
     contained_up_to_symmetry,
-    exponent_vector,
     galois_group,
     row_subgroup,
     table2_match,
@@ -36,21 +35,32 @@ from kummer_oracle import oracle_constraints
 from s3_maps import S3_MAPS
 
 
-def test_exponent_vector_branches():
-    # exponents are counted in quarters: 2^(1/4) is (2, 1), 3^1 is (3, 4)
-    v = exponent_vector(-2, 4)
-    assert v.exps == ((2, 1),)
-    assert v.phase == 1
-    v = exponent_vector(9, 2)
-    assert v.exps == ((3, 4),)
-    assert v.phase == 0
-    v = exponent_vector(-6, 2)
-    assert v.exps == ((2, 2), (3, 2))
-    assert v.phase == 2
+def _by_monomial(A, B, C):
+    return {tuple(c.monomial): (c.eps, c.phi, c.rational)
+            for c in constraints(A, B, C)}
+
+
+def test_constraints_read_quarters_phases_and_denominators():
+    # exponents are counted in quarters: 81^(1/4) = 3 is rational, and
+    # (-4)^(1/4) = sqrt(2) zeta, a half-integer exponent of 2 (eps = 1)
+    # with the principal branch's phase; every monomial lands, so the
+    # group is the Klein four-group of Q(zeta_8)
+    got = _by_monomial(1, 81, -4)
+    assert got[(0, 1, 0)] == (0, 0, (3, 1))
+    assert got[(0, 0, 1)] == (1, 1, (1, 1))
+    assert got[(0, 1, 1)] == (1, 1, (3, 1))
+    assert len(got) == 31 and galois_group(1, 81, -4).order == 4
+    # sqrt(-18) = 3 sqrt(2) zeta^2 is the only monomial that lands
+    assert _by_monomial(-18, 3, 5) == {(1, 0, 0): (1, 2, (3, 1))}
+    # (1/16)^(1/4) = 1/2 and sqrt(16) = 4
+    got = _by_monomial(16, 1, 1)
+    assert got[(0, 1, 0)] == (0, 0, (1, 2))
+    assert got[(1, 0, 0)] == (0, 0, (4, 1))
+    # a zero coefficient has no factorization
     with pytest.raises(ValueError):
-        exponent_vector(0, 2)
+        constraints(0, 1, 1)
     with pytest.raises(ValueError):
-        exponent_vector(2, 3)
+        galois_group(1, 0, 1)
 
 
 def _constraint_tuples(A, B, C):
@@ -97,8 +107,8 @@ def test_quarter_exponents_match_the_fraction_oracle_property(A, B, C):
 
 
 def test_factor_cap_rejects_huge_input():
-    with pytest.raises(ValueError):
-        exponent_vector(10 ** 19 + 7, 2)
+    with pytest.raises(ValueError, match="factorization cap"):
+        constraints(10 ** 19 + 7, 1, 1)
 
 
 def test_generic_coefficients_have_no_constraints():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from chart_oracle import (
 )
 from chart_oracle import surface_terms as _surface_terms
 from dp2.local import quartic
+from dp2.local.examples import ex75_cocycle_functions
 from dp2.local.padic import _chart_cells, _lifts, padic_point_classes
 from dp2.local.quartic import (
     FIRST_ROW,
@@ -262,6 +264,49 @@ def test_cocycle_values_match_the_oracle_per_head():
         assert (rep.repeat(len(want) // len(cells), axis=0) == want).all()
 
 
+def _gaussian(form, w, x, y, z):
+    """A Poly of examples.ex75_cocycle_functions at (w, x, y, z), its
+    adjoined root t = i, as (re, im)."""
+    re = im = 0
+    for (ew, ex, ey, ez, et, _), c in form.terms.items():
+        v = c * (-1) ** (et // 2) * w ** ew * x ** ex * y ** ey * z ** ez
+        if et % 2:
+            im += v
+        else:
+            re += v
+    return re, im
+
+
+def _mod32(q):
+    return q.numerator * pow(q.denominator, -1, 32) % 32
+
+
+def test_cocycle_values_read_the_verified_cocycle_functions():
+    # the f1 and f2 whose f h(f) = 1 the verify transcript proves have
+    # numerator n and denominator -conj(n), and n and conj(n), with n as
+    # _cocycle_values reads it from w/2, 17xz and y^2; each known code
+    # it returns is that of the quotient of the two forms mod 32
+    rng = random.Random(75)
+    f1, f2 = ex75_cocycle_functions()
+    known = 0
+    for _ in range(200):
+        w = 2 * rng.randint(-10 ** 6, 10 ** 6)
+        x, y, z = (rng.randint(-10 ** 6, 10 ** 6) for _ in range(3))
+        hw, xz, yy = w // 2, 17 * x * z, y * y
+        n1, n2 = (xz - hw, xz + yy), (xz + hw, yy - xz)
+        assert [_gaussian(f, w, x, y, z) for f in f1] == [n1, (-n1[0], n1[1])]
+        assert [_gaussian(f, w, x, y, z) for f in f2] == [n2, (n2[0], -n2[1])]
+        for f, code in zip((f1, f2), _cocycle_values(64, 64, w, x, y, z)):
+            (nr, ni), (dr, di) = (_gaussian(g, w, x, y, z) for g in f)
+            norm = dr * dr + di * di
+            re = Fraction(nr * dr + ni * di, norm)
+            im = Fraction(ni * dr - nr * di, norm)
+            if code is not None and code >= 0:
+                assert code == 32 * _mod32(re) + _mod32(im)
+                known += 1
+    assert known == 400
+
+
 def test_membership_drops_a_cell_only_when_every_lift_is_ready(monkeypatch):
     # each cell the settle hook drops is liftable with 2e >= D, and
     # both cocycle values of every one of its lifts are known or void,
@@ -371,12 +416,15 @@ def test_17adic_value_set_on_the_rescaled_classes(k):
     # depends on the class mod 17 only, so each residue is read once
     residues = {(c.w % 17, c.x % 17, c.y % 17, c.z % 17) for c in
                 padic_point_classes(*SURFACE75, 17, k) if c.liftable}
+    f1, _ = ex75_cocycle_functions()
     values = set()
     for w, x, y, z in residues:
         for r in (4, 13):  # the square roots of -1 mod 17
-            num = 34 * x * z - w + r * (34 * x * z + 2 * y * y)
-            den = -34 * x * z + w + r * (34 * x * z + 2 * y * y)
-            values.add(num * pow(den, -1, 17) % 17)
+            # i -> r is a ring map from Z[i, 1/2] onto Z/17
+            num, den = (re + r * im for re, im in
+                        (_gaussian(g, w, x, y, z) for g in f1))
+            q = Fraction(num) / den
+            values.add(q.numerator * pow(q.denominator, -1, 17) % 17)
     assert ex75_17adic_values(k)[0] == values
 
 
