@@ -22,7 +22,7 @@ import operator
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional
 
-from .galois0 import IDENTITY, _apply_perm, _closure_mask, _members, pic_rows
+from .galois0 import IDENTITY, _apply_perm, _closure_mask, _members, matrix_of
 from .intlin import (
     AbelianGroupType,
     ColumnEchelon,
@@ -146,9 +146,10 @@ class GModule:
 
 
 class _PicMatrices(dict):
-    """pic_rows(g) for the elements g of one subgroup, each built on its
-    first read, so through `matrix_of` and its check on the 56 curves and
-    -K; any other key raises KeyError, as a dict of all of them would."""
+    """matrix_of(g).rows, the one stored form, for the elements g of one
+    subgroup, each read on first use, so through the check of `matrix_of`
+    on the 56 curves and -K; any other key raises KeyError, as a dict of
+    all of them would."""
 
     __slots__ = ("_group",)
 
@@ -159,7 +160,7 @@ class _PicMatrices(dict):
     def __missing__(self, g):
         if g not in self._group:
             raise KeyError(g)
-        rows = self[g] = pic_rows(g)
+        rows = self[g] = matrix_of(g).rows
         return rows
 
 

@@ -10,7 +10,9 @@ table is turned once into a permutation of the curve indices, an element's
 permutation is composed from those on integers along its word, and
 `matrix_of` reads its columns from the table of curve classes and checks
 the matrix on -K and on all 56 curve classes, the latter with one product
-of its packed columns with a table of the classes in 128-bit slots.
+of its packed columns with a table of the classes in 128-bit slots.  It
+returns the matrix as its rows, the one form of it that is stored: every
+reader takes them from its cache.
 
 The subgroup machinery runs on integers.  An element has the index
 32 * (chi // 2) + 16 * e_s + 4 * e_k + e_m, its position in the sorted
@@ -227,20 +229,14 @@ def matrix_of(g: GroupElement) -> IntMatrix:
                              f"{bad[0] if bad else 'the slot table'}")
     if sum(map(int.__mul__, ANTICANONICAL, packed)) != _PACKED_K:
         raise AssertionError(f"matrix of {g} moves the anticanonical class")
-    return IntMatrix(8, 8, tuple(itertools.chain.from_iterable(zip(*cols))))
-
-
-@lru_cache(maxsize=None)
-def pic_rows(g: GroupElement) -> tuple:
-    """matrix_of(g) as a tuple of rows."""
-    return tuple(map(tuple, matrix_of(g).to_rows()))
+    return IntMatrix(tuple(zip(*cols)))
 
 
 @lru_cache(maxsize=None)
 def _minus_one_rows(g: GroupElement) -> tuple:
     """matrix_of(g) - I as a tuple of rows."""
     return tuple(tuple(x - (i == j) for j, x in enumerate(row))
-                 for i, row in enumerate(pic_rows(g)))
+                 for i, row in enumerate(matrix_of(g).rows))
 
 
 @lru_cache(maxsize=None)
@@ -263,8 +259,8 @@ def _value_masks(values) -> list[tuple[int, int]]:
 @lru_cache(maxsize=1)
 def _traces() -> list[tuple[int, int]]:
     """`_value_masks` of the trace of matrix_of(g) on Pic."""
-    return _value_masks(sum(m[i][i] for i in range(8))
-                        for m in map(pic_rows, ALL_ELEMENTS))
+    return _value_masks(sum(row[i] for i, row in enumerate(matrix_of(g).rows))
+                        for g in ALL_ELEMENTS)
 
 
 class Subgroup:

@@ -5,9 +5,10 @@ of lattices.  Everything is computed over arbitrary-precision Python
 integers, by one column elimination (`ColumnEchelon`), which builds its
 transform V only for kernels and solves, and one Smith reduction of the
 image basis that elimination gives, which returns its divisors and, on
-request, its row transform with that transform's inverse (Cohen,
-GTM 138, 2.4), never its column transform; no entry is ever bounded or
-rounded.
+request, its row transform with that transform's inverse, both as lists
+of rows (Cohen, GTM 138, 2.4), never its column transform; no entry is
+ever bounded or rounded.  A matrix is its rows throughout: `IntMatrix`
+is the tuple of them, with m[i, j] entry access.
 """
 
 from __future__ import annotations
@@ -15,39 +16,15 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 
-class _IntMatrix(NamedTuple):
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+class IntMatrix(NamedTuple):
+    """Dense integer matrix, stored as the tuple of its rows, with entry
+    m[i, j] in row i and column j."""
 
-
-class IntMatrix(_IntMatrix):
-    """Dense integer matrix, row-major, exact entries."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        if len(entries) != rows * cols:
-            raise ValueError("entry count mismatch")
-        return super().__new__(cls, rows, cols, entries)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = [list(map(int, r)) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return IntMatrix(len(rows), ncols, tuple(x for r in rows for x in r))
-
-    def to_rows(self) -> list[list[int]]:
-        e, c = self.entries, self.cols
-        return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
+    rows: tuple[tuple[int, ...], ...]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.rows[i][j]
 
 
 class _AbelianGroupType(NamedTuple):
@@ -90,8 +67,8 @@ class AbelianGroupType(_AbelianGroupType):
 
 class SmithDecomposition(NamedTuple):
     divisors: tuple[int, ...]
-    U: Optional[IntMatrix]
-    U_inv: Optional[IntMatrix]
+    U: Optional[list[list[int]]]
+    U_inv: Optional[list[list[int]]]
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -99,8 +76,9 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
-    """Smith normal form U*M*V = S, with its nonzero diagonal entries as
-    the divisors, and the row transform U with its inverse.
+    """Smith normal form U*M*V = S of the matrix with rows m, with its
+    nonzero diagonal entries as the divisors, and the row transform U
+    with its inverse, as lists of rows ([] when m has no rows).
 
     M is first reduced by one column echelon without its transform,
     M W = [E 0] with W unimodular and E the rank columns of an image
@@ -117,8 +95,6 @@ def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
     reduction runs on the transpose of E, which has the same divisors
     and no more rows.
     """
-    if isinstance(m, IntMatrix):
-        m = m.to_rows()
     nr = len(m)
     basis = ColumnEchelon(m, transform=False).image_basis()
     if transforms:  # laid out as columns, so that U acts on the rows of M
@@ -224,13 +200,7 @@ def smith_normal_form(m, transforms: bool = True) -> SmithDecomposition:
         t += 1
 
     divisors = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i])
-    if not transforms:
-        return SmithDecomposition(divisors=divisors, U=None, U_inv=None)
-    return SmithDecomposition(
-        divisors=divisors,
-        U=IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ()),
-        U_inv=IntMatrix.from_rows(w) if nr else IntMatrix(0, 0, ()),
-    )
+    return SmithDecomposition(divisors=divisors, U=u, U_inv=w)
 
 
 class ColumnEchelon:
@@ -376,8 +346,7 @@ class SubquotientResult(NamedTuple):
     ValueError when the vector is outside span(Z)."""
 
     group: AbelianGroupType
-    reps: list[tuple[int, ...]]       # torsion generators then free generators
-    rep_orders: list[Optional[int]]   # matching orders (None = infinite)
+    reps: list[tuple[int, ...]]  # torsion generators then free generators
     class_coords: Callable[[Sequence[int]], tuple[int, ...]]
 
 
@@ -412,7 +381,7 @@ def subquotient_structure(z_gens, b_gens, ambient_dim: int) -> SubquotientResult
     dec = smith_normal_form([[col[i] for col in xcols] for i in range(r)])
     # the diagonal of the Smith form: its divisors, then zeros
     diag = list(dec.divisors) + [0] * (r - len(dec.divisors))
-    urows, uinv = dec.U.to_rows(), dec.U_inv.to_rows()
+    urows, uinv = dec.U, dec.U_inv
 
     tors_idx = [i for i in range(r) if diag[i] >= 2]
     free_idx = [i for i in range(r) if diag[i] == 0]
@@ -429,7 +398,6 @@ def subquotient_structure(z_gens, b_gens, ambient_dim: int) -> SubquotientResult
         return tuple(vec)
 
     reps = [lift(i) for i in tors_idx] + [lift(i) for i in free_idx]
-    orders = [diag[i] for i in tors_idx] + [None for _ in free_idx]
 
     def coords(vec):
         sol = basis_coords(vec, "vector not in span(Z)")
@@ -438,5 +406,4 @@ def subquotient_structure(z_gens, b_gens, ambient_dim: int) -> SubquotientResult
         out += [y[i] for i in free_idx]
         return tuple(out)
 
-    return SubquotientResult(group=group, reps=reps, rep_orders=orders,
-                             class_coords=coords)
+    return SubquotientResult(group=group, reps=reps, class_coords=coords)

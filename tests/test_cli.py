@@ -154,7 +154,10 @@ def test_scan_invariant_violation_exit_3(monkeypatch):
 def test_analyze_builds_only_the_matrices_it_reads(cold_matrix_caches,
                                                    monkeypatch):
     # an order-128 group: the generators for Pic^s and the few elements
-    # the presentation backend reads, not all 128 matrices
+    # the presentation backend reads, not all 128 matrices; galois0 and
+    # the Pic modules of cohomology each read their own matrix_of binding
+    import dp2.cohomology as cohomology
+
     g0 = cold_matrix_caches
     calls = []
     matrix_of = g0.matrix_of
@@ -164,6 +167,7 @@ def test_analyze_builds_only_the_matrices_it_reads(cold_matrix_caches,
         return matrix_of(g)
 
     monkeypatch.setattr(g0, "matrix_of", counting)
+    monkeypatch.setattr(cohomology, "matrix_of", counting)
     d = run_json(["analyze", "-A", "28", "-B", "22", "-C", "3", "--json"])
     assert d["galois"]["order"] == 128
     assert 0 < len(calls) <= 16
@@ -182,7 +186,6 @@ def test_analyze_checks_each_matrix_it_reads(cold_matrix_caches,
     h1_presentation(mod)
     target = min(set(mod.matrices) - set(s.generators))
     g0.matrix_of.cache_clear()
-    g0.pic_rows.cache_clear()
     curve_indices = g0._curve_indices
 
     def wrong(g):

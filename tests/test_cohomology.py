@@ -137,7 +137,7 @@ def test_standard_guard():
 
 
 def test_pic_module_builds_each_matrix_on_first_read():
-    from dp2.galois0 import pic_rows
+    from dp2.galois0 import matrix_of
 
     s = generate_subgroup([IOTA_A, IOTA_B, SIGMA])
     mats = pic_module(s).matrices
@@ -145,12 +145,24 @@ def test_pic_module_builds_each_matrix_on_first_read():
     with pytest.raises(KeyError):
         mats[outside]
     assert not mats
-    assert mats[SIGMA] == pic_rows(SIGMA) and list(mats) == [SIGMA]
+    assert mats[SIGMA] == matrix_of(SIGMA).rows and list(mats) == [SIGMA]
     # the standard complex reads every element's matrix
     mod = pic_module(s)
     assert s.order <= 32
     assert h1_standard(mod).group == h1_presentation(pic_module(s)).group
     assert sorted(mod.matrices) == list(s.elements)
+
+
+def test_pic_module_stores_no_second_copy_of_a_matrix():
+    # a Pic module holds the very rows that matrix_of caches, for every
+    # element of the subgroup: a matrix is stored once, as its rows
+    from dp2.galois0 import matrix_of
+
+    s = generate_subgroup([IOTA_A, IOTA_B, SIGMA])
+    mats = pic_module(s).matrices
+    for g in s.elements:
+        assert mats[g] is matrix_of(g).rows, g
+    assert len(mats) == s.order
 
 
 def test_standard_refuses_non_generating_generators():
@@ -551,9 +563,8 @@ def test_backend_agreement_random_subgroups():
 def test_representative_orders():
     mod = _module_with_gens(H_GENS)
     res = h1_presentation(mod)
-    for rep, order, div in zip(res.representatives,
-                               res._subq.rep_orders, res.group.divisors):
-        assert order == div
+    assert len(res.representatives) == len(res.group.divisors)
+    for rep, order in zip(res.representatives, res.group.divisors):
         flat = tuple(x for v in rep for x in v)
         assert any(res._subq.class_coords(flat))
         scaled = tuple(order * x for x in flat)

@@ -541,13 +541,13 @@ def test_order4_norms_from_curve_images_match_the_pic_matrices():
     # the recipe reads N_g v and N_gh v off curve images along words; the
     # matrices of g and g h (each checked on all 56 curves) give the same
     # cycles for v1, v2 and every difference of two curve classes
-    from dp2.galois0 import IOTA_A, IOTA_B, IOTA_C, SIGMA, pic_rows
+    from dp2.galois0 import IOTA_A, IOTA_B, IOTA_C, SIGMA, matrix_of
     from dp2.local.examples import _ex75_norms
     from dp2.picard import Triple, all_labels, build_lattice
 
     g = IOTA_A * IOTA_A * IOTA_A * IOTA_C
     h = IOTA_B * IOTA_C * IOTA_C * IOTA_C * SIGMA
-    m_g, m_gh = pic_rows(g), pic_rows(g * h)
+    m_g, m_gh = matrix_of(g).rows, matrix_of(g * h).rows
 
     def act(m, v):
         return [sum(a * b for a, b in zip(row, v)) for row in m]

@@ -130,9 +130,9 @@ def test_matrix_of_identity_and_homomorphism():
     for g in gens:
         for h in gens:
             a, b = matrix_of(g), matrix_of(h)
-            prod = tuple(sum(a[i, k] * b[k, j] for k in range(8))
-                         for i in range(8) for j in range(8))
-            assert prod == matrix_of(g * h).entries
+            prod = tuple(tuple(sum(a[i, k] * b[k, j] for k in range(8))
+                               for j in range(8)) for i in range(8))
+            assert prod == matrix_of(g * h).rows
 
 
 def test_matrix_preserves_gram_and_anticanonical():
@@ -171,9 +171,8 @@ def _curve_image_rows(g):
 
 
 def test_matrix_of_matches_curve_image_oracle():
-    from dp2.galois0 import pic_rows
     for g in ALL_ELEMENTS:
-        assert pic_rows(g) == _curve_image_rows(g), g
+        assert matrix_of(g).rows == _curve_image_rows(g), g
 
 
 def test_matrix_of_rejects_a_wrong_generator_permutation(

@@ -14,16 +14,15 @@ from dp2.intlin import (
 
 
 def identity(n):
-    return IntMatrix(n, n, tuple(int(i == j) for i in range(n)
-                                 for j in range(n)))
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def matmul(a, b):
-    """The product of two IntMatrix values, as an IntMatrix."""
-    assert a.cols == b.rows
-    rows = [[sum(a[i, k] * b[k, j] for k in range(a.cols))
-             for j in range(b.cols)] for i in range(a.rows)]
-    return IntMatrix(a.rows, b.cols, tuple(x for r in rows for x in r))
+    """The product of two matrices given as their rows, as rows."""
+    assert all(len(row) == len(b) for row in a)
+    ncols = len(b[0]) if b else 0
+    return [[sum(row[k] * b[k][j] for k in range(len(b)))
+             for j in range(ncols)] for row in a]
 
 
 def det(rows):
@@ -58,16 +57,21 @@ def check_smith(m_rows, dec):
     unimodular V exists (the gcd of the top minors of V^-1 is then 1)."""
     from sympy import ZZ, Matrix
     from sympy.matrices.normalforms import invariant_factors
-    m = IntMatrix.from_rows(m_rows) if m_rows else IntMatrix(0, 0, ())
     factors = invariant_factors(Matrix(m_rows), domain=ZZ)
     assert dec.divisors == tuple(abs(int(q)) for q in factors if q)
-    assert matmul(dec.U, dec.U_inv) == identity(dec.U.rows)
-    assert abs(det(dec.U.to_rows())) == 1
-    for i, row in enumerate(matmul(dec.U, m).to_rows()):
+    assert matmul(dec.U, dec.U_inv) == identity(len(dec.U))
+    assert abs(det(dec.U)) == 1
+    for i, row in enumerate(matmul(dec.U, m_rows)):
         if i < len(dec.divisors):
             assert all(x % dec.divisors[i] == 0 for x in row)
         else:
             assert not any(row)
+
+
+def test_int_matrix_is_its_rows():
+    m = IntMatrix(((1, 2, 3), (4, 5, 6)))
+    assert m.rows == ((1, 2, 3), (4, 5, 6)) and m == (m.rows,)
+    assert [m[i, j] for i in range(2) for j in range(3)] == [1, 2, 3, 4, 5, 6]
 
 
 def test_snf_zero_matrix():
@@ -133,7 +137,8 @@ def test_subquotient_rejects_outside_span():
 def test_subquotient_rep_orders():
     res = subquotient_structure([(1, 0), (0, 1)], [(2, 0), (0, 4)], 2)
     assert res.group.divisors == (2, 4)
-    for rep, order in zip(res.reps, res.rep_orders):
+    assert len(res.reps) == 2
+    for rep, order in zip(res.reps, res.group.divisors):
         # order * rep lands in B, but no smaller positive multiple does
         coords = res.class_coords(rep)
         assert any(coords)
@@ -392,8 +397,8 @@ def test_echelon_matches_full_elimination_on_every_relator_system(
 
 def _unimodular_inverse(u):
     """U^-1 by one elimination of U and a solve per unit vector."""
-    n = u.rows
-    ech = ColumnEchelon(u.to_rows())
+    n = len(u)
+    ech = ColumnEchelon(u)
     cols = [ech.solve([int(i == j) for i in range(n)])[0] for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
@@ -415,7 +420,7 @@ def _subquotient_oracle(z_gens, b_gens, n):
 
     xcols = [basis_solve(b) for b in b_gens]
     dec = smith_normal_form([[col[i] for col in xcols] for i in range(r)])
-    uinv, urows = _unimodular_inverse(dec.U), dec.U.to_rows()
+    uinv, urows = _unimodular_inverse(dec.U), dec.U
     diag = list(dec.divisors) + [0] * (r - len(dec.divisors))
     tors = [i for i in range(r) if abs(diag[i]) >= 2]
     free = [i for i in range(r) if diag[i] == 0]
@@ -443,7 +448,9 @@ def _coords_or_error(coords, vec):
 def _assert_subquotient_matches_oracle(z_gens, b_gens, n, probes=()):
     res = subquotient_structure(z_gens, b_gens, ambient_dim=n)
     group, reps, orders, coords = _subquotient_oracle(z_gens, b_gens, n)
-    assert (res.group, res.reps, res.rep_orders) == (group, reps, orders)
+    assert (res.group, res.reps) == (group, reps)
+    # the order of each representative is read from the group
+    assert list(res.group.divisors) + [None] * res.group.rank == orders
     for vec in [*z_gens, *b_gens, *reps, *probes]:
         assert _coords_or_error(res.class_coords, vec) == \
             _coords_or_error(coords, vec)
