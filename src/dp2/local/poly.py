@@ -8,11 +8,12 @@ tuple may have any width, and a number operand becomes a constant of
 the other operand's width.  The generators W, X, Y, Z, T, U fill six
 slots, lex with w > x > y > z > t > u, the order of
 sympy.Poly(..., w, x, y, z).  t and u are the roots a recipe adjoins:
-theta = sqrt(-ABC) for the generic conic bundle, i for the order-4
-class, and sqrt(-17) and zeta_8 for the descent classes.  The recipe
-reduces by its relations with `rem`.  Dividing by a single term gives
-the pair (numerator, denominator), the form in which a quaternion
-class carries g.
+theta = sqrt(-ABC) for the generic conic bundle, i and 17^(1/4) for
+the order-4 class, and sqrt(-17) and zeta_8 for the descent classes.
+The recipe reduces by its relations with `rem`; a relation whose
+leading coefficient is +-1 keeps integer coefficients integer.
+Dividing by a single term gives the pair (numerator, denominator), the
+form in which a quaternion class carries g.
 
 `ring(*names)` gives the generators of Q[names], lex in the order
 given, as sympy.polys.rings.ring does.  Every Poly prints as sympy's
@@ -190,7 +191,7 @@ class Poly:
             if not c or any(a < b for a, b in zip(m, lead)):
                 out[m] = c
                 continue
-            q = Fraction(c) / lc
+            q = c * lc if lc in (1, -1) else Fraction(c) / lc
             shift = tuple(a - b for a, b in zip(m, lead))
             for dm, dc in rest.items():
                 k = tuple(a + b for a, b in zip(shift, dm))

@@ -3,9 +3,12 @@
 The obstruction class here has order 4 and is presented by a cocycle
 (f, 1, 1) valued in the function field of S over Q(i, 17^(1/4)).  Its
 local triviality at 2 reduces to a residue-table membership plus a
-norm-image computation in the truncated ring Z[i][T]/(T^4 - 17), and
-its nontriviality at 17 reduces to quartic residues, because the norm
-group of Q_17(17^(1/4))/Q_17 is generated by 17 and fourth powers.
+norm-image computation, and its nontriviality at 17 reduces to quartic
+residues, because the norm group of Q_17(17^(1/4))/Q_17 is generated by
+17 and fourth powers.  The norms are computed in poly.Poly, with t = i
+and u = 17^(1/4) reduced by u^4 - 17 and then t^2 + 1: the leading
+monomials u^4 and t^2 are coprime, so the relations form a Groebner
+basis and the remainder is the canonical form.
 
 The membership check covers all liftable classes mod 2^10 without
 visiting each: the shared chart enumerator in padic refines one chart
@@ -26,6 +29,7 @@ from fractions import Fraction
 
 from ..arith import factorint, legendre
 from .padic import CELL_BUDGET, _chart_cells
+from .poly import T, U, Poly
 from .profiles import LocalProfile
 
 SURFACE75 = (-9826, -2, 136)
@@ -46,71 +50,52 @@ RESIDUE_TABLE_MOD32 = (
 FIRST_ROW = RESIDUE_TABLE_MOD32[:8]
 
 
-# --- exact arithmetic in Z[i][T] / (T^4 - 17) ----------------------------
-# an element is a 4-tuple of Gaussian integers (re, im), the T-digits
+# --- the norm image, exact in Q(i, 17^(1/4)) ----------------------------
 
-def ring_mul(a, b):
-    out = [[0, 0] for _ in range(7)]
-    for j1, (r1, i1) in enumerate(a):
-        if r1 == 0 and i1 == 0:
-            continue
-        for j2, (r2, i2) in enumerate(b):
-            if r2 == 0 and i2 == 0:
-                continue
-            out[j1 + j2][0] += r1 * r2 - i1 * i2
-            out[j1 + j2][1] += r1 * i2 + i1 * r2
-    for j in range(4, 7):
-        out[j - 4][0] += 17 * out[j][0]
-        out[j - 4][1] += 17 * out[j][1]
-    return tuple((out[j][0], out[j][1]) for j in range(4))
-
-
-def _i_times(r, im, power):
-    for _ in range(power % 4):
-        r, im = -im, r
-    return r, im
+_RELATIONS = (U ** 4 - 17, T ** 2 + 1)
 
 
 def ring_g(c):
-    """The automorphism fixing i with T -> iT."""
-    return tuple(_i_times(r, im, j) for j, (r, im) in enumerate(c))
+    """The automorphism fixing i with u -> iu: t^a u^b -> t^(a+b) u^b."""
+    return Poly({m[:4] + (m[4] + m[5], m[5]): a
+                 for m, a in c.terms.items()}).rem(*_RELATIONS)
 
 
 def ring_gh(c):
-    """The composite automorphism i -> -i, T -> -T."""
-    return tuple((r if j % 2 == 0 else -r, -im if j % 2 == 0 else im)
-                 for j, (r, im) in enumerate(c))
+    """The composite automorphism i -> -i, u -> -u."""
+    return Poly({m: (-1) ** (m[4] + m[5]) * a for m, a in c.terms.items()})
 
 
 def norm_g(c):
-    out, cur = c, c
-    for _ in range(3):
-        cur = ring_g(cur)
-        out = ring_mul(out, cur)
-    return out
+    """c g(c) g^2(c) g^3(c) = e g^2(e) for e = c g(c), as g^2 is u -> -u."""
+    e = (c * ring_g(c)).rem(*_RELATIONS)
+    g2e = Poly({m: (-1) ** m[5] * a for m, a in e.terms.items()})
+    return (e * g2e).rem(*_RELATIONS)
+
+
+#: the inverses of the odd residues mod 32
+_INV32 = {odd: pow(odd, -1, 32) for odd in range(1, 32, 2)}
 
 
 def conjugate_ratio_mod32(re: int, im: int):
-    """The class of xi / conj(xi) mod 32 for xi = re + im*i, computed
-    exactly (the ratio is a unit; powers of 2 and of (1+i) cancel)."""
-    if re == 0 and im == 0:
+    """The class of xi / conj(xi) = xi^2 / |xi|^2 mod 32 for xi = re +
+    im*i, computed exactly: with s the valuation of |xi|^2, both
+    components of xi^2 are divisible by 2^s (_cocycle_values)."""
+    norm = re * re + im * im
+    if not norm:
         return None
-    shift = min((n & -n).bit_length() - 1 for n in (re, im) if n)
-    re, im = re >> shift, im >> shift
-    if (re * re + im * im) % 2 == 0:
-        # xi = (1+i) * eta and xi/conj(xi) = i * eta/conj(eta)
-        ratio = conjugate_ratio_mod32((re + im) // 2, (im - re) // 2)
-        return (-ratio[1] % 32, ratio[0] % 32)
-    inv = pow(re * re + im * im, -1, 32)
-    return ((re * re - im * im) * inv % 32, 2 * re * im * inv % 32)
+    s = (norm & -norm).bit_length() - 1
+    inv = _INV32[norm >> s & 31]
+    return ((re * re - im * im) >> s) * inv % 32, (2 * re * im >> s) * inv % 32
 
 
 # Hilbert-90 witnesses: for c = d / gh(d) the norm along gh is 1
 # identically, and the norm along g is xi / conj(xi) with xi = N_g(d),
 # a Gaussian integer.  These two elements generate, via products of
 # witnesses, every value in RESIDUE_TABLE_MOD32.
-WITNESS_ROW_GENERATOR = ((-2, -2), (-2, -2), (2, -1), (-1, 2))  # 25 + 4i
-WITNESS_FOURTH_ROOT = ((-2, -2), (-2, -2), (-1, 0), (-2, -1))   # i
+WITNESS_ROW_GENERATOR = ((-2 - 2 * T) * (1 + U) + (2 - T) * U ** 2
+                         + (2 * T - 1) * U ** 3)  # 25 + 4i
+WITNESS_FOURTH_ROOT = (-2 - 2 * T) * (1 + U) - U ** 2 - (2 + T) * U ** 3  # i
 
 
 def _gaussian_mul_mod32(a, b):
@@ -131,15 +116,16 @@ def norm_image_check():
         if ring_gh(ring_gh(d)) != d:
             raise AssertionError("gh is not an involution on the witness")
         xi = norm_g(d)
-        if any(xi[j] != (0, 0) for j in range(1, 4)):
+        if any(m[5] for m in xi.terms):
             raise AssertionError("N_g(d) is not a Gaussian integer")
-        value = conjugate_ratio_mod32(*xi[0])
+        xi = [xi.terms.get((0, 0, 0, 0, k, 0), 0) for k in (0, 1)]
+        value = conjugate_ratio_mod32(*xi)
         if value != target:
             raise AssertionError(f"witness norm is {value}, not {target}")
         generators.append(value)
         transcript.append(
             f"witness with N_gh(c) = 1 and N_g(c) = {target[0]}+{target[1]}i"
-            f" mod 32 (xi = {xi[0][0]}{xi[0][1]:+d}i)")
+            f" mod 32 (xi = {xi[0]}{xi[1]:+d}i)")
     attained = {(1, 0)}
     frontier = True
     while frontier:
@@ -272,10 +258,6 @@ def mod32_membership(depth=10, table=None):
     if not count:
         raise AssertionError("no liftable 2-adic classes found")
     return covered, frozenset((c >> 5, c & 31) for c in seen), count
-
-
-#: the inverses of the odd residues mod 32
-_INV32 = {odd: pow(odd, -1, 32) for odd in range(1, 32, 2)}
 
 
 def _cocycle_values(j, depth, w, x, y, z):

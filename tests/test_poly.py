@@ -116,6 +116,25 @@ def test_arithmetic_matches_sympy_rings(f, g, d, k, n, c):
     assert sympy.sympify(f) == _to_sympy(f)
 
 
+#: relations whose leading coefficient is 1 or -1, in the slots t and u
+MONIC = [U ** 4 + 1, T ** 2 + 17, T ** 2 + 1, T ** 2 + T + 1, 17 - U ** 4]
+_int_polys = st.dictionaries(_monomials, st.integers(-9, 9),
+                             max_size=6).map(Poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_polys, st.sampled_from(MONIC), st.sampled_from(MONIC))
+def test_monic_remainder_keeps_integer_coefficients(f, d, e):
+    # the int remainder equals the one over Fraction coefficients and
+    # the sympy ring's, term by term, and its coefficients are ints
+    got = f.rem(d, e)
+    fractions = Poly({m: Fraction(c) for m, c in f.terms.items()})
+    assert got.terms == fractions.rem(d, e).terms
+    assert got.terms == _from_ring(_to_ring(f).rem(_to_ring(d))
+                                   .rem(_to_ring(e)))
+    assert all(type(c) is int for c in got.terms.values())
+
+
 def test_no_float_coefficients():
     with pytest.raises(TypeError):
         X * 0.5

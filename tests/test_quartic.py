@@ -15,14 +15,15 @@ from chart_oracle import surface_terms as _surface_terms
 from dp2.local import quartic
 from dp2.local.examples import ex75_cocycle_functions
 from dp2.local.padic import _chart_cells, _lifts, padic_point_classes
+from dp2.local.poly import Poly, T, U
 from dp2.local.quartic import (
     FIRST_ROW,
     RESIDUE_TABLE_MOD32,
     SURFACE75,
     WITNESS_FOURTH_ROOT,
     WITNESS_ROW_GENERATOR,
+    _RELATIONS,
     _cocycle_values,
-    _i_times,
     conjugate_ratio_mod32,
     ex75_17adic_profile,
     ex75_17adic_values,
@@ -35,48 +36,57 @@ from dp2.local.quartic import (
     quartic_residues,
     ring_g,
     ring_gh,
-    ring_mul,
 )
 
 
-RING_ONE = ((1, 0), (0, 0), (0, 0), (0, 0))
-
-
 def norm_gh(c):
-    return ring_mul(c, ring_gh(c))
+    return (c * ring_gh(c)).rem(*_RELATIONS)
 
 
 def ring_h(c):
-    """The automorphism i -> -i, T -> iT."""
-    return tuple(_i_times(r, -im, j) for j, (r, im) in enumerate(c))
-
-T = ((0, 0), (1, 0), (0, 0), (0, 0))  # the fourth root of 17
-I_ELT = ((0, 1), (0, 0), (0, 0), (0, 0))
+    """The automorphism i -> -i, u -> iu: t^a u^b -> (-1)^a t^(a+b) u^b."""
+    return Poly({m[:4] + (m[4] + m[5], m[5]): (-1) ** m[4] * a
+                 for m, a in c.terms.items()}).rem(*_RELATIONS)
 
 
 def test_ring_arithmetic():
-    assert ring_mul(RING_ONE, T) == T
-    t2 = ring_mul(T, T)
-    assert ring_mul(t2, t2) == ((17, 0), (0, 0), (0, 0), (0, 0))
-    assert ring_mul(I_ELT, I_ELT) == ((-1, 0), (0, 0), (0, 0), (0, 0))
+    # t = i and u = 17^(1/4); the witnesses reduce to integer coefficients
+    assert (U ** 4).rem(*_RELATIONS) == 17
+    assert (T ** 2).rem(*_RELATIONS) == -1
+    assert (U ** 2 * U ** 3 * T ** 3).rem(*_RELATIONS) == -17 * T * U
+    for d in (WITNESS_ROW_GENERATOR, WITNESS_FOURTH_ROOT):
+        assert d.rem(*_RELATIONS) == d
+        assert all(type(c) is int for c in norm_g(d).terms.values())
 
 
 def test_automorphisms():
-    assert ring_g(T) == ((0, 0), (0, 1), (0, 0), (0, 0))  # T -> iT
-    assert ring_g(I_ELT) == I_ELT
-    assert ring_h(I_ELT) == ((0, -1), (0, 0), (0, 0), (0, 0))
-    assert ring_gh(T) == ((0, 0), (-1, 0), (0, 0), (0, 0))
-    assert ring_gh(ring_gh(WITNESS_ROW_GENERATOR)) == WITNESS_ROW_GENERATOR
+    assert ring_g(U) == T * U
+    assert ring_g(T) == T
+    assert ring_h(T) == -T
+    assert ring_gh(U) == -U
+    assert ring_gh(T) == -T
+    for d in (WITNESS_ROW_GENERATOR, WITNESS_FOURTH_ROOT):
+        assert ring_gh(ring_gh(d)) == d
+        # g has order 4
+        assert ring_g(ring_g(ring_g(ring_g(d)))) == d
 
 
 def test_norms_are_galois_invariant():
-    for d in (WITNESS_ROW_GENERATOR, WITNESS_FOURTH_ROOT, T):
+    for d in (WITNESS_ROW_GENERATOR, WITNESS_FOURTH_ROOT, U):
         ng = norm_g(d)
         assert ring_g(ng) == ng
+        # the product d g(d) g^2(d) g^3(d), one conjugate at a time
+        product, conjugate = d, d
+        for _ in range(3):
+            conjugate = ring_g(conjugate)
+            product = (product * conjugate).rem(*_RELATIONS)
+        assert ng == product
         ngh = norm_gh(d)
         assert ring_gh(ngh) == ngh
-    # N_g(T) = T * iT * i^2 T * i^3 T = i^6 * 17 = -17
-    assert norm_g(T) == ((-17, 0), (0, 0), (0, 0), (0, 0))
+    # N_g(u) = u * iu * i^2 u * i^3 u = i^6 * 17 = -17
+    assert norm_g(U) == -17
+    assert norm_g(WITNESS_ROW_GENERATOR) == 50800 - 76704 * T
+    assert norm_g(WITNESS_FOURTH_ROOT) == 14760 - 95064 * T
 
 
 def test_conjugate_ratio_exact():
@@ -88,11 +98,39 @@ def test_conjugate_ratio_exact():
     assert conjugate_ratio_mod32(0, 0) is None
 
 
+def _recursive_conjugate_ratio(re, im):
+    """The oracle: xi / conj(xi) mod 32 by removing the factors 2 and
+    then 1 + i of xi, since (1+i)/(1-i) = i, down to an odd |xi|^2."""
+    if re == 0 and im == 0:
+        return None
+    shift = min((n & -n).bit_length() - 1 for n in (re, im) if n)
+    re, im = re >> shift, im >> shift
+    if (re * re + im * im) % 2 == 0:
+        ratio = _recursive_conjugate_ratio((re + im) // 2, (im - re) // 2)
+        return (-ratio[1] % 32, ratio[0] % 32)
+    inv = pow(re * re + im * im, -1, 32)
+    return ((re * re - im * im) * inv % 32, 2 * re * im * inv % 32)
+
+
+def test_conjugate_ratio_matches_the_recursive_oracle():
+    for re in range(-64, 65):
+        for im in range(-64, 65):
+            assert conjugate_ratio_mod32(re, im) \
+                == _recursive_conjugate_ratio(re, im), (re, im)
+
+
 def test_norm_image_check_covers_table():
     transcript, attained = norm_image_check()
     assert attained == frozenset(RESIDUE_TABLE_MOD32)
     assert set(FIRST_ROW) <= attained and (0, 1) in attained
-    assert len(transcript) == 3
+    assert transcript == (
+        "witness with N_gh(c) = 1 and N_g(c) = 25+4i mod 32"
+        " (xi = 50800-76704i)",
+        "witness with N_gh(c) = 1 and N_g(c) = 0+1i mod 32"
+        " (xi = 14760-95064i)",
+        "products of witnesses attain every table value, so each "
+        "cocycle (f, 1, 1) with f in the table is a coboundary",
+    )
 
 
 def test_mod32_membership():
